@@ -7,7 +7,8 @@ containing one send and one receive process for each requested transfer.
 These processes do nothing except sending the data and waiting for it, and
 tracking the transfer completion time in the simulated world."
 
-This module implements exactly that, over :mod:`repro.simgrid`.
+This module implements exactly that model over :mod:`repro.simgrid`, each
+pair as the communication it amounts to (``simgrid.msg.transfer_processes``).
 """
 
 from __future__ import annotations

@@ -755,13 +755,15 @@ class Simulation:
     def simulate_transfers(
         self, transfers: list[tuple[str, str, float]]
     ) -> list[CommActivity]:
-        """Start all ``(src, dst, size)`` transfers at t=0 and run to completion.
+        """Start all ``(src, dst, size)`` transfers now and run to completion.
 
-        This is exactly what the paper's forecast service does: "a SimGrid
-        simulation is instantiated, containing one send and one receive
-        process for each requested transfer" (§IV-C2).  Returns the completed
-        communication activities (with ``start_time``/``finish_time`` set).
+        The comms start from a zero-delay timer rather than before ``run()``:
+        link events already scheduled for this instant must apply first, as
+        a comm's fairness weight and rate bound are fixed when it starts.
+        Returns the comms in request order, ``start_time``/``finish_time`` set.
         """
-        comms = [self.add_comm(src, dst, size) for src, dst, size in transfers]
+        comms: list[CommActivity] = []
+        self.schedule(0.0, lambda: comms.extend(
+            self.add_comm(src, dst, size) for src, dst, size in transfers))
         self.run()
         return comms

@@ -259,6 +259,13 @@ class RouteEntry:
     gw_src: Optional[str] = None
     gw_dst: Optional[str] = None
 
+    def reversed(self) -> "RouteEntry":
+        return RouteEntry(
+            links=[use.reversed() for use in reversed(self.links)],
+            gw_src=self.gw_dst,
+            gw_dst=self.gw_src,
+        )
+
 
 def _as_link_uses(links: Iterable["Link | LinkUse"]) -> list[LinkUse]:
     uses = []
@@ -272,12 +279,13 @@ def _as_link_uses(links: Iterable["Link | LinkUse"]) -> list[LinkUse]:
     return uses
 
 
-def _reverse_route(entry: RouteEntry) -> RouteEntry:
-    return RouteEntry(
-        links=[use.reversed() for use in reversed(entry.links)],
-        gw_src=entry.gw_dst,
-        gw_dst=entry.gw_src,
-    )
+@dataclass(slots=True)
+class _ImpliedReverse:
+    """Route-table placeholder for the reverse of a symmetrical route, built
+    on first lookup: most declared pairs are only ever routed one way, and
+    reversing them all eagerly was most of a large platform's build time."""
+
+    forward: RouteEntry
 
 
 class AutonomousSystem:
@@ -300,7 +308,7 @@ class AutonomousSystem:
         self.children: dict[str, AutonomousSystem] = {}
         self.links: dict[str, Link] = {}
         self.default_gateway: Optional[str] = None
-        self._routes: dict[tuple[str, str], RouteEntry] = {}
+        self._routes: dict[tuple[str, str], RouteEntry | _ImpliedReverse] = {}
         # adjacency: element name -> list of (neighbor name, [LinkUse, ...])
         self._adjacency: dict[str, list[tuple[str, list[LinkUse]]]] = {}
         # canonical (a, b, uses) declarations, for serialisation
@@ -416,10 +424,8 @@ class AutonomousSystem:
         if key in self._routes:
             raise DuplicateNameError(f"route {src!r}->{dst!r} already declared")
         self._routes[key] = entry
-        if symmetrical:
-            rkey = (dst, src)
-            if rkey not in self._routes:
-                self._routes[rkey] = _reverse_route(entry)
+        if symmetrical:  # an explicit reverse declared earlier wins
+            self._routes.setdefault((dst, src), _ImpliedReverse(entry))
         platform = self.platform
         if platform is not None:
             platform.invalidate_route_cache()
@@ -448,11 +454,24 @@ class AutonomousSystem:
 
     # -- intra-AS route lookup --------------------------------------------
 
+    def _entry(self, key: tuple[str, str]) -> RouteEntry:
+        """The entry declared for ``key``; an implied reverse is built here
+        (concurrent first lookups build equal entries, the last one stays)."""
+        entry = self._routes[key]
+        if type(entry) is _ImpliedReverse:
+            entry = self._routes[key] = entry.forward.reversed()
+        return entry
+
+    def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
+        """Every declared ``((src, dst), entry)``, implied reverses included."""
+        for key in self._routes:  # _entry replaces values, never adds keys
+            yield key, self._entry(key)
+
     def local_route(self, src: str, dst: str) -> RouteEntry:
         """Route between two direct elements of this AS (may be child ASes)."""
         if self.routing == "Full":
             try:
-                return self._routes[(src, dst)]
+                return self._entry((src, dst))
             except KeyError:
                 raise NoRouteError(
                     f"no declared route {src!r} -> {dst!r} in AS {self.name!r}"

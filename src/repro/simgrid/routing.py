@@ -103,15 +103,8 @@ def flatten_platform(platform: Platform, name: Optional[str] = None) -> Platform
                      properties=host.properties)
         flat.root._register(clone)
     for a, b in itertools.permutations([h.name for h in hosts], 2):
-        route = platform.route(a, b)
-        flat.root._routes[(a, b)] = _entry_from(route)
+        flat.root.add_route(a, b, platform.route(a, b), symmetrical=False)
     return flat
-
-
-def _entry_from(route: list[LinkUse]):
-    from repro.simgrid.platform import RouteEntry
-
-    return RouteEntry(links=list(route))
 
 
 def route_table_bytes(platform: Platform) -> int:
@@ -124,9 +117,8 @@ def route_table_bytes(platform: Platform) -> int:
     import sys
 
     total = 0
-    ases = [platform.root, *platform.root.descendants()]
-    for as_ in ases:
-        for entry in as_._routes.values():
+    for as_ in (platform.root, *platform.root.descendants()):
+        for _, entry in as_.declared_routes():
             total += sys.getsizeof(entry.links)
             total += 8 * len(entry.links) + 64
     return total

@@ -84,18 +84,11 @@ def _as_to_xml(as_: AutonomousSystem) -> ET.Element:
         if any(u.direction is not Direction.UP for u in uses):
             conn.set("directions", dirs)
     emitted: set[tuple[str, str]] = set()
-    for (src, dst), entry in as_._routes.items():
+    declared = dict(as_.declared_routes())
+    for (src, dst), entry in declared.items():
         if (dst, src) in emitted:
             continue  # reverse of an already-emitted symmetrical route
-        reverse = as_._routes.get((dst, src))
-        from repro.simgrid.platform import _reverse_route
-
-        symmetrical = (
-            reverse is not None
-            and [u for u in reverse.links] == [u for u in _reverse_route(entry).links]
-            and reverse.gw_src == entry.gw_dst
-            and reverse.gw_dst == entry.gw_src
-        )
+        symmetrical = declared.get((dst, src)) == entry.reversed()
         is_asroute = src in as_.children or dst in as_.children
         tag = "ASroute" if is_asroute else "route"
         route_el = ET.SubElement(el, tag, src=src, dst=dst)
@@ -108,7 +101,8 @@ def _as_to_xml(as_: AutonomousSystem) -> ET.Element:
             ctn = ET.SubElement(route_el, "link_ctn", id=use.link.name)
             if use.direction is not Direction.UP:
                 ctn.set("direction", use.direction.value)
-        emitted.add((src, dst))
+        if symmetrical:
+            emitted.add((src, dst))
     return el
 
 

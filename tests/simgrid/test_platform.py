@@ -168,6 +168,38 @@ class TestRoutes:
         with pytest.raises(DuplicateNameError):
             p.root.add_route("a", "b", [link])
 
+    def test_implied_reverse_counts_as_declared(self):
+        # the reverse of a symmetrical route is only built on first lookup,
+        # but it is declared from the start
+        p, a, b, link = make_simple()
+        assert p.root.route_table_size() == 2
+        with pytest.raises(DuplicateNameError):
+            p.root.add_route("b", "a", [link])
+        assert p.root.local_route("b", "a") is p.root.local_route("b", "a")
+        with pytest.raises(DuplicateNameError):
+            p.root.add_route("b", "a", [link])
+        assert p.root.route_table_size() == 2
+
+    def test_explicit_reverse_declared_first_wins(self):
+        p = Platform("p")
+        p.root.add_host("a")
+        p.root.add_host("b")
+        fast = p.root.add_link("fast", 1e9)
+        slow = p.root.add_link("slow", 1e8)
+        p.root.add_route("b", "a", [slow], symmetrical=False)
+        p.root.add_route("a", "b", [fast])
+        assert [u.link.name for u in p.route("a", "b")] == ["fast"]
+        assert [u.link.name for u in p.route("b", "a")] == ["slow"]
+        assert p.route("b", "a")[0].direction is Direction.UP
+
+    def test_declared_routes_lists_both_directions(self):
+        p, a, b, link = make_simple()
+        declared = dict(p.root.declared_routes())
+        assert list(declared) == [("a", "b"), ("b", "a")]
+        assert declared[("b", "a")].links == [
+            use.reversed() for use in declared[("a", "b")].links]
+        assert declared[("b", "a")] is p.root.local_route("b", "a")
+
     def test_route_latency_and_bottleneck(self):
         p = Platform("p")
         p.root.add_host("a")

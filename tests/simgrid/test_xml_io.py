@@ -49,6 +49,18 @@ class TestRoundTrip:
         for c1, c2 in zip(original, clone):
             assert c2.duration == pytest.approx(c1.duration, rel=1e-9)
 
+    def test_different_routes_each_way_both_survive(self):
+        p = Platform("p")
+        p.root.add_host("a")
+        p.root.add_host("b")
+        out = p.root.add_link("out", 1e9)
+        back = p.root.add_link("back", 1e8)
+        p.root.add_route("a", "b", [out], symmetrical=False)
+        p.root.add_route("b", "a", [back], symmetrical=False)
+        clone = roundtrip(p)
+        assert route_signature(clone.route("a", "b")) == (("out", "UP"),)
+        assert route_signature(clone.route("b", "a")) == (("back", "UP"),)
+
     def test_hierarchical_grid_roundtrip(self):
         grid = build_two_level_grid({"lyon": 3, "nancy": 3})
         clone = roundtrip(grid)
