@@ -25,12 +25,16 @@ The front end delegates every complete request to an async ``app``
 callable ``(method, target, body_bytes) -> (status, payload, headers)``;
 admission control and routing live there (see
 :class:`~repro.serving.gateway.gateway.ShardedGateway`), parse-level
-rejections live here.
+rejections live here.  A ``bytes`` payload is an already encoded JSON body
+and is written as it is; anything else is encoded here.  An exception
+escaping ``app`` is answered with a complete ``500`` and a closed
+connection, never a silent drop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from typing import Awaitable, Callable, Optional
 
@@ -38,7 +42,8 @@ from repro.core.rest.json_codec import dumps
 
 from repro.serving.gateway.metrics import GatewayMetrics
 
-#: ``app`` contract: (method, target, body) → (status, payload, headers).
+#: ``app`` contract: (method, target, body) → (status, payload, headers);
+#: ``payload`` is ``bytes`` (an encoded JSON body) or a JSON-able object.
 AppHandler = Callable[[str, str, bytes], Awaitable[tuple[int, object, dict]]]
 
 #: Hard cap on a single request head line / header line (bytes).
@@ -166,8 +171,18 @@ class AsyncHTTPFrontend:
                 if request is None:
                     return  # clean EOF / idle timeout between requests
                 method, target, body, keep_alive = request
-                status, payload, headers = await self.app(
-                    method, target, body)
+                try:
+                    status, payload, headers = await self.app(
+                        method, target, body)
+                except Exception as exc:  # noqa: BLE001 - never a silent drop
+                    logging.getLogger(__name__).exception(
+                        "unhandled error answering %s %s", method, target)
+                    await self._respond(
+                        writer, 500,
+                        {"error": "InternalError", "status": 500,
+                         "message": f"{type(exc).__name__}: {exc}"},
+                        keep_alive=False)
+                    return
                 await self._respond(writer, status, payload,
                                     keep_alive=keep_alive, headers=headers)
                 if not keep_alive:
@@ -252,7 +267,8 @@ class AsyncHTTPFrontend:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: object, keep_alive: bool,
                        headers: Optional[dict] = None) -> None:
-        body = dumps(payload).encode("utf-8")
+        body = (payload if isinstance(payload, bytes)
+                else dumps(payload).encode("utf-8"))
         reason = _REASONS.get(status, "Unknown")
         lines = [
             f"HTTP/1.1 {status} {reason}",

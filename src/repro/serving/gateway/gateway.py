@@ -21,6 +21,14 @@ snapshots every platform's link state and sends a ``sync`` message down
 each shard pipe ahead of the request — so a recalibration under
 ``repro metrology run`` reaches every shard before any later answer, and
 each shard invalidates through its own local epoch bump.
+
+**Bytes only, and a response cache**: request bytes go down the pipe and
+the shard's encoded answer is written as it is; the front end parses and
+encodes nothing.  Answers the shard marks cacheable are kept in a bounded
+LRU keyed on ``(state token, method, target, body)``, the token being
+``(synced link epoch, what-ifs started + finished on that shard)`` — a
+sync or a what-if retires every older entry, and an answer computed while
+either happened is never stored (docs/SERVING.md, "Sharded gateway").
 """
 
 from __future__ import annotations
@@ -33,12 +41,13 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Optional
+from urllib.parse import unquote, urlsplit
 
+from repro._util.lru import BoundedLRU
 from repro.core.forecast import NetworkForecastService
-from repro.core.rest.json_codec import loads
+from repro.core.rest.errors import ServiceUnavailable
 from repro.simgrid.platform import link_epoch
 
-from repro.serving.gateway import shard as shard_proto
 from repro.serving.gateway.admission import AdmissionController
 from repro.serving.gateway.frontend import AsyncHTTPFrontend
 from repro.serving.gateway.hashring import ConsistentHashRing
@@ -57,6 +66,20 @@ from repro.serving.gateway.shard import (
 
 class ShardError(Exception):
     """A shard process died with requests in flight."""
+
+
+def _path_of(target: str) -> str:
+    """The path the shard's router will see, without parsing the usual
+    origin-form target: the what-if count and the shard pick must not be
+    fooled by ``http://host/…``, ``//host/…`` or ``%``-escapes."""
+    path = target.split("?", 1)[0]
+    if (path.startswith("/") and not path.startswith("//")
+            and "%" not in path and "#" not in path):
+        return path
+    try:
+        return unquote(urlsplit(target).path)
+    except ValueError:
+        return path  # unparseable: the shard answers 400
 
 
 @dataclass(frozen=True)
@@ -129,11 +152,18 @@ class ShardHandle:
         )
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
+        self._pending: dict[int, tuple[Future, bool]] = {}
         self._rid = itertools.count()
         self._ready = threading.Event()
         self.alive = False
         self.dispatched = 0
+        #: what-ifs sent (event loop writes) and answered (reader thread
+        #: writes): the sum goes in the state token, the difference is
+        #: the what-ifs in flight
+        self.whatifs_sent = 0
+        self.whatifs_done = 0
+        #: requests for this shard the front end answered from its cache
+        self.front_hits = 0
         self.process.start()
         child_conn.close()
         self._reader = threading.Thread(
@@ -149,14 +179,14 @@ class ShardHandle:
 
     # -- parent → shard ----------------------------------------------------------
 
-    def _submit(self, message_head: tuple) -> Future:
+    def _submit(self, message_head: tuple, what_if: bool = False) -> Future:
         """Register a future for a new rid and send ``(tag, rid, *rest)``."""
         future: Future = Future()
         rid = next(self._rid)
         with self._pending_lock:
             if not self.alive:
                 raise ShardError(f"shard {self.shard_id} is down")
-            self._pending[rid] = future
+            self._pending[rid] = (future, what_if)
         tag, rest = message_head[0], message_head[1:]
         try:
             with self._send_lock:
@@ -167,10 +197,16 @@ class ShardHandle:
             raise ShardError(f"shard {self.shard_id} pipe broken") from exc
         return future
 
-    def request(self, method: str, path: str, query: dict,
-                body: object) -> Future:
+    def request(self, method: str, target: str, body: bytes,
+                what_if: bool = False) -> Future:
+        """Forward one request as received; resolves to ``(status,
+        encoded body, cacheable)``.  A ``what_if`` moves the shard's state
+        token now, and again when the shard has answered it."""
+        future = self._submit((REQ, method, target, body), what_if)
         self.dispatched += 1
-        return self._submit((REQ, method, path, query, body))
+        if what_if:
+            self.whatifs_sent += 1
+        return future
 
     def request_stats(self) -> Future:
         return self._submit((STATS,))
@@ -194,13 +230,19 @@ class ShardHandle:
                 if tag == READY:
                     self._ready.set()
                 elif tag == RES:
-                    _, rid, status, payload = message
+                    rid = message[1]
                     with self._pending_lock:
-                        future = self._pending.pop(rid, None)
+                        future, what_if = self._pending.pop(
+                            rid, (None, False))
+                    if what_if:
+                        # counted when the shard is done with it, not when
+                        # a waiter gave up: a timed-out what-if is still
+                        # rewriting links over there
+                        self.whatifs_done += 1
                     # a timed-out waiter may have cancelled its future;
                     # the late answer is simply dropped
                     if future is not None and not future.done():
-                        future.set_result((status, payload))
+                        future.set_result(message[2:])
         except (EOFError, OSError):
             pass  # shard exited (stop() or crash): fail what's in flight
         finally:
@@ -209,7 +251,7 @@ class ShardHandle:
                 pending, self._pending = self._pending, {}
             error = ShardError(f"shard {self.shard_id} exited with "
                                f"{len(pending)} request(s) in flight")
-            for future in pending.values():
+            for future, _what_if in pending.values():
                 if not future.done():
                     future.set_exception(error)
             self._ready.set()  # unblock a wait_ready on a crashed shard
@@ -261,6 +303,12 @@ class ShardedGateway:
         self._epoch_lock = threading.Lock()
         self._synced_epoch = link_epoch()
         self.epoch_syncs = 0
+        # encoded 200 bodies by (state token, method, target, body); event
+        # loop only.  Surrogate answers are never cached anywhere: size 0
+        self.response_cache = BoundedLRU(
+            self.config.cache_size if self.config.surrogate_doc is None else 0)
+        self.fills_refused = 0
+        self.uncacheable = 0
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -345,23 +393,25 @@ class ShardedGateway:
 
     # -- request path (frontend event loop) --------------------------------------
 
-    def _shard_for(self, path: str) -> ShardHandle:
+    def _shard_for(self, path: str, route: str) -> ShardHandle:
         """Consistent-hash pick: by platform for the predict/planner
         routes, by path otherwise (platform-agnostic routes answer
         identically on every shard)."""
         parts = path.strip("/").split("/")
-        if (len(parts) >= 3 and parts[0] == "pilgrim"
-                and parts[1] in ("predict_transfers", "select_fastest",
-                                 "what_if")):
-            key = parts[2]
-        else:
-            key = path
-        return self.shards[self.ring.node(key)]
+        by_platform = route not in ("stats", "other") and len(parts) >= 3
+        return self.shards[self.ring.node(parts[2] if by_platform else path)]
+
+    def _state_token(self, handle: ShardHandle) -> tuple[int, int]:
+        """What a shard's answers depend on beyond the request.  Both parts
+        only grow, so an entry is live exactly while its token is current:
+        no ``clear()``, and no lock (``sync_epoch`` on a foreign thread
+        only changes an integer this loop reads)."""
+        return self._synced_epoch, handle.whatifs_sent + handle.whatifs_done
 
     async def _handle(self, method: str, target: str,
                       body: bytes) -> tuple[int, object, dict]:
         t0 = time.perf_counter()
-        path = target.split("?", 1)[0]
+        path = _path_of(target)
         route = GatewayMetrics.route_class(path)
         if route == "stats" and method == "GET":
             # exempt from admission: monitoring must answer under overload
@@ -377,39 +427,35 @@ class ShardedGateway:
             }
             self.metrics.record(route, time.perf_counter() - t0, 503)
             return 503, payload, {"Retry-After": f"{retry_after:g}"}
+        status = 500  # what gets recorded if the dispatch raises
         try:
-            status, payload = await self._dispatch(method, target, body)
+            status, payload = await self._dispatch(method, target, body,
+                                                   path, route)
         finally:
             self.admission.release()
-            self.metrics.record(route, time.perf_counter() - t0,
-                                status if "status" in locals() else 500)
+            self.metrics.record(route, time.perf_counter() - t0, status)
         return status, payload, {}
 
-    async def _dispatch(self, method: str, target: str,
-                        body: bytes) -> tuple[int, object]:
-        from repro.core.rest.router import Request
-
-        decoded = None
-        if body:
-            try:
-                decoded = loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return 400, {"error": "BadRequest", "status": 400,
-                             "message": "request body is not valid JSON"}
-        parsed = Request.from_target(method, target, body=decoded)
-        self.sync_epoch()  # recalibrations reach shards before the request
-        handle = self._shard_for(parsed.path)
-        if not handle.alive:
-            return 503, {"error": "ServiceUnavailable", "status": 503,
-                         "message": f"shard {handle.shard_id} is down"}
-        try:
-            future = handle.request(method, parsed.path, parsed.query,
-                                    decoded)
-        except ShardError as exc:
-            return 503, {"error": "ServiceUnavailable", "status": 503,
-                         "message": str(exc)}
-        try:
-            return await asyncio.wait_for(
+    async def _dispatch(self, method: str, target: str, body: bytes,
+                        path: str, route: str) -> tuple[int, object]:
+        """Answer from the response cache, else forward the request bytes
+        to the platform's shard and return its encoded answer as it is."""
+        self.sync_epoch()  # recalibrations reach shards before the lookup
+        handle = self._shard_for(path, route)
+        token = self._state_token(handle)
+        key = (token, method, target, body)
+        cached = self.response_cache.get(key)
+        if cached is not None:
+            handle.front_hits += 1
+            return 200, cached  # even with the shard down: state unmoved
+        # a read beside a what-if (here) or a link sync (token moved, below)
+        # may be computed on transient state, and unlike the shard's cache
+        # nothing would retire it later: never kept
+        overlapped = handle.whatifs_sent != handle.whatifs_done
+        try:  # a shard that is down raises ShardError at once
+            future = handle.request(method, target, body,
+                                    what_if=route == "what_if")
+            status, payload, cacheable = await asyncio.wait_for(
                 asyncio.wrap_future(future),
                 timeout=self.config.request_timeout)
         except asyncio.TimeoutError:
@@ -418,33 +464,31 @@ class ShardedGateway:
                                     f"answer within "
                                     f"{self.config.request_timeout:g}s"}
         except ShardError as exc:
-            return 503, {"error": "ServiceUnavailable", "status": 503,
-                         "message": str(exc)}
+            return 503, ServiceUnavailable(str(exc)).to_json()
+        if not cacheable:
+            self.uncacheable += 1
+        elif overlapped or token != self._state_token(handle):
+            self.fills_refused += 1
+        else:
+            self.response_cache.put(key, payload)
+        return status, payload
 
     async def _handle_stats(self) -> tuple[int, object]:
-        futures = []
-        for handle in self.shards:
-            if not handle.alive:
-                futures.append(None)
-                continue
+        async def shard_stats(handle: ShardHandle) -> dict:
             try:
-                futures.append(handle.request_stats())
-            except ShardError:
-                futures.append(None)
-        shard_stats: list[object] = []
-        for handle, future in zip(self.shards, futures):
-            if future is None:
-                shard_stats.append({"shard": handle.shard_id,
-                                    "alive": False})
-                continue
-            try:
-                _status, payload = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout=10.0)
-                shard_stats.append({"alive": True, **payload})
+                _status, payload, _ = await asyncio.wait_for(
+                    asyncio.wrap_future(handle.request_stats()), timeout=10.0)
             except (asyncio.TimeoutError, ShardError):
-                shard_stats.append({"shard": handle.shard_id,
-                                    "alive": False})
-        return 200, {"gateway": self.stats(), "shards": shard_stats}
+                return {"shard": handle.shard_id, "alive": False}
+            # a front-end hit is a hit of this shard's cache tier: its
+            # hits / (hits + misses) stays "answered without simulating"
+            cache = payload["serving"]["cache"]
+            cache["front_hits"] = handle.front_hits
+            cache["hits"] += handle.front_hits
+            return {"alive": True, **payload}
+
+        shards = await asyncio.gather(*map(shard_stats, self.shards))
+        return 200, {"gateway": self.stats(), "shards": shards}
 
     # -- introspection -----------------------------------------------------------
 
@@ -459,5 +503,8 @@ class ShardedGateway:
             "shard_occupancy": [h.occupancy for h in self.shards],
             "shard_dispatched": [h.dispatched for h in self.shards],
             "shard_alive": [h.alive for h in self.shards],
+            "response_cache": {**self.response_cache.info(),
+                               "fills_refused": self.fills_refused,
+                               "uncacheable": self.uncacheable},
             **self.metrics.snapshot(),
         }

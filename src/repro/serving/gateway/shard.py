@@ -11,9 +11,16 @@ arena specialize on the keys the gateway's hash ring sends it.
 Transport is one duplex :func:`multiprocessing.Pipe` per shard carrying
 tagged tuples:
 
-- parent → shard: ``("req", rid, method, path, query, body)``,
+- parent → shard: ``("req", rid, method, target, body_bytes)``,
   ``("stats", rid)``, ``("sync", epoch, link_states)``, ``("stop",)``
-- shard → parent: ``("ready", pid)``, ``("res", rid, status, payload)``
+- shard → parent: ``("ready", pid)``,
+  ``("res", rid, status, payload, cacheable)``
+
+Requests and answers cross as bytes: the shard parses a request once and
+returns the encoded body, which the front end writes — and, if
+``cacheable`` (what the shard's own ``ForecastCache`` may answer: a 200 on
+``predict_transfers`` without ``horizon``), keeps — as it is.  Only the
+``stats`` answer is an object: the gateway merges it into its document.
 
 **Epoch propagation**: the global link-mutation epoch is a per-process
 counter, so a recalibration in the gateway process is invisible to a shard
@@ -98,7 +105,10 @@ def shard_main(
     import os
 
     from repro.core.framework import Pilgrim
+    from repro.core.rest.errors import BadRequest
+    from repro.core.rest.json_codec import dumps, loads
     from repro.core.rest.router import Request
+    from repro.serving.gateway.metrics import GatewayMetrics
     from repro.simgrid.platform import link_epoch
 
     service = service_factory()
@@ -132,17 +142,38 @@ def shard_main(
         with send_lock:
             conn.send(message)
 
-    def handle(rid: int, method: str, path: str, query: dict,
-               body: object) -> None:
+    def answer(method: str, target: str,
+               body: bytes) -> tuple[int, object, bool]:
+        """Parse once, dispatch: ``(status, payload, cacheable)``."""
         try:
-            request = Request(method=method, path=path, query=query,
-                              body=body)
-            status, payload = router.dispatch(request)
+            decoded = loads(body.decode("utf-8")) if body else None
+        except (UnicodeDecodeError, ValueError):
+            return 400, BadRequest(
+                "request body is not valid JSON").to_json(), False
+        try:
+            request = Request.from_target(method, target, body=decoded)
+        except ValueError as exc:  # e.g. "//[bad": Invalid IPv6 URL
+            return 400, BadRequest(
+                f"bad request target: {exc}").to_json(), False
+        status, payload = router.dispatch(request)
+        cacheable = (
+            status == 200
+            and GatewayMetrics.route_class(request.path) == "predict_transfers"
+            and "horizon" not in request.query
+            and not (isinstance(decoded, dict) and "horizon" in decoded))
+        return status, payload, cacheable
+
+    def handle(rid: int, method: str, target: str, body: bytes) -> None:
+        try:
+            status, payload, cacheable = answer(method, target, body)
+            encoded = dumps(payload).encode("utf-8")
         except BaseException as exc:  # noqa: BLE001 - shard must not die
             counters["errors"] += 1
-            status, payload = 500, {"error": "InternalError", "status": 500,
-                                    "message": f"{type(exc).__name__}: {exc}"}
-        send((RES, rid, status, payload))
+            status, cacheable = 500, False
+            encoded = dumps({"error": "InternalError", "status": 500,
+                             "message": f"{type(exc).__name__}: {exc}"}
+                            ).encode("utf-8")
+        send((RES, rid, status, encoded, cacheable))
 
     def stats_payload() -> dict:
         return {
@@ -170,9 +201,8 @@ def shard_main(
                 break  # Ctrl-C fans out to the fork'd group; parent drives shutdown
             tag = message[0]
             if tag == REQ:
-                _, rid, method, path, query, body = message
                 counters["requests"] += 1
-                executor.submit(handle, rid, method, path, query, body)
+                executor.submit(handle, *message[1:])
             elif tag == SYNC:
                 # applied on the recv thread, before any later request is
                 # submitted: pipe ordering is the consistency guarantee
@@ -182,7 +212,7 @@ def shard_main(
                     service, link_states)
             elif tag == STATS:
                 _, rid = message
-                send((RES, rid, 200, stats_payload()))
+                send((RES, rid, 200, stats_payload(), False))
             elif tag == STOP:
                 break
     except KeyboardInterrupt:

@@ -128,6 +128,84 @@ def test_unknown_platform_404_and_bad_json_400(gateway):
         assert status == 400
 
 
+def test_unparseable_target_is_a_400_document_not_a_dropped_connection(
+        gateway, queries, ground_truth):
+    import json
+
+    in_flight = gateway.admission.snapshot()["in_flight"]
+    bad_before = gateway.metrics.snapshot()["responses"].get("4xx", 0)
+    with _connect(gateway) as sock:
+        sock_file = sock.makefile("rb")
+        # urlsplit raises "Invalid IPv6 URL" on this one
+        sock.sendall(_encode("GET", "//[bad"))
+        status, headers, body = _read_response(sock_file)
+        assert status == 400
+        document = json.loads(body)
+        assert document["error"] == "BadRequest" and document["status"] == 400
+        assert "bad request target" in document["message"]
+        # the stream is still framed: the connection answers the next request
+        assert headers.get("connection") == "keep-alive"
+        sock.sendall(_encode("GET", "/pilgrim/platforms"))
+        assert _read_response(sock_file)[0] == 200
+    assert gateway.admission.snapshot()["in_flight"] == in_flight
+    assert (gateway.metrics.snapshot()["responses"].get("4xx", 0)
+            == bad_before + 1)
+
+
+def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
+        gateway, queries, ground_truth, monkeypatch):
+    import json
+
+    async def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(gateway, "_dispatch", broken)
+    errors_before = gateway.metrics.snapshot()["responses"].get("5xx", 0)
+    with _connect(gateway) as sock:
+        sock_file = sock.makefile("rb")
+        sock.sendall(_encode("GET", "/pilgrim/platforms"))
+        status, headers, body = _read_response(sock_file)
+        assert status == 500
+        assert headers.get("connection") == "close"
+        assert json.loads(body) == {"error": "InternalError", "status": 500,
+                                    "message": "RuntimeError: boom"}
+        assert sock_file.read() == b"", "server closes after the 500"
+    monkeypatch.undo()
+    # recorded as a 5xx under an explicit status, slot given back
+    assert (gateway.metrics.snapshot()["responses"].get("5xx", 0)
+            == errors_before + 1)
+    assert gateway.admission.snapshot()["in_flight"] == 0
+    with RestClient(gateway.url) as client:
+        assert client.post_predict_transfers(
+            STAR_PLATFORM, queries[0]) == ground_truth[0]
+
+
+def test_frontend_answers_500_when_the_app_itself_raises(caplog):
+    import json
+
+    from repro.serving.gateway.frontend import AsyncHTTPFrontend
+    from repro.serving.gateway.metrics import GatewayMetrics
+
+    async def app(method, target, body):
+        raise KeyError("no such thing")
+
+    frontend = AsyncHTTPFrontend(app, GatewayMetrics()).start()
+    try:
+        with socket.create_connection(frontend.address, timeout=10.0) as sock:
+            sock.sendall(_encode("GET", "/anything"))
+            sock_file = sock.makefile("rb")
+            status, headers, body = _read_response(sock_file)
+            assert status == 500
+            assert headers.get("connection") == "close"
+            assert json.loads(body)["message"] == "KeyError: 'no such thing'"
+            assert sock_file.read() == b""
+    finally:
+        frontend.stop()
+    # the traceback is logged, not lost with the connection
+    assert any(record.exc_info and "GET /anything" in record.getMessage()
+               for record in caplog.records)
+
+
 def test_keep_alive_single_connection_many_requests(gateway, queries,
                                                     ground_truth):
     opened_before = gateway.metrics.connections_opened

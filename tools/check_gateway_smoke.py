@@ -6,7 +6,10 @@ The gateway sibling of ``tools/check_serving_smoke.py``: boot a
 platform, round-trip a ``POST /pilgrim/predict_transfers`` through the
 asyncio front end, cross-check the answer against a direct simulation,
 assert the aggregated ``GET /pilgrim/stats`` schema (gateway counters plus
-one entry per live shard), and shut everything down.  Used standalone::
+one entry per live shard), run the response cache's hit / invalidate cycle
+(a repeated POST is a front-end hit that never reaches a shard; a parent
+link write changes the very next answer), and shut everything down.  Used
+standalone::
 
     PYTHONPATH=src python tools/check_gateway_smoke.py
 
@@ -60,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
                                 f"{sorted(stats)}")
             top = stats.get("gateway", {})
             for key in ("shards", "admission", "epoch", "shard_occupancy",
-                        "shard_dispatched", "shard_alive", "routes",
-                        "responses", "connections"):
+                        "shard_dispatched", "shard_alive", "response_cache",
+                        "routes", "responses", "connections"):
                 if key not in top:
                     failures.append(f"gateway stats missing {key!r}")
             if top.get("shards") != N_SHARDS:
@@ -83,12 +86,35 @@ def main(argv: list[str] | None = None) -> int:
             if len(pids) != N_SHARDS:
                 failures.append(f"shards share a process: pids {pids}")
 
+            # hit: the repeated POST is answered by the front end
+            before = client.stats()["gateway"]
+            if client.post_predict_transfers(STAR_PLATFORM,
+                                             transfers) != direct:
+                failures.append("repeated POST changed the answer")
+            after = client.stats()["gateway"]
+            if (after["response_cache"]["hits"]
+                    != before["response_cache"]["hits"] + 1):
+                failures.append("repeated POST was not a response-cache hit")
+            if after["shard_dispatched"] != before["shard_dispatched"]:
+                failures.append("a response-cache hit reached a shard")
+            # invalidate: a parent link write shows in the very next answer
+            link = gateway.service.platform(STAR_PLATFORM).link(
+                f"{hosts[0]}-link")
+            link.bandwidth /= 2
+            if client.post_predict_transfers(STAR_PLATFORM,
+                                             transfers) == direct:
+                failures.append("answer did not change after a link write")
+            synced = client.stats()["gateway"]
+            if synced["epoch"]["syncs"] != after["epoch"]["syncs"] + 1:
+                failures.append("link write was not synced exactly once")
+
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(f"gateway smoke OK: {N_SHARDS} shards over star({N_HOSTS}), "
-          f"POST round-trip bit-identical, /stats schema consistent")
+          f"POST round-trip bit-identical, /stats schema consistent, "
+          f"response cache hit + invalidate cycle")
     return 0
 
 

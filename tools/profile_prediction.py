@@ -10,11 +10,17 @@ keep-alive connection instead, and prints the in-process median beside the
 median the client observes: what HTTP, JSON and the socket add.  (A head/body
 Nagle + delayed-ACK stall shows here as ~40 ms.)
 
-Run:  python tools/profile_prediction.py [n_transfers] [--rest]
+``--gateway`` does the same through a one-shard
+:class:`~repro.serving.gateway.ShardedGateway`, once for requests it has
+never seen (a miss: the shard simulates) and once for a repeated one (a
+hit: answered from the front end's response bytes, no pipe, no JSON).
+
+Run:  python tools/profile_prediction.py [n_transfers] [--rest | --gateway]
 """
 
 import argparse
 import cProfile
+import itertools
 import pstats
 import statistics
 import time
@@ -23,6 +29,8 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.experiments.environment import forecast_service, root_seed
 from repro.experiments.protocol import ExperimentSpec, Topology, draw_transfer_pairs
+from repro.serving.factories import grid5000_forecast_service
+from repro.serving.gateway import GatewayConfig, ShardedGateway
 
 REPEATS = 20
 
@@ -67,12 +75,51 @@ def compare_rest(service, transfers) -> None:
           f"  HTTP + JSON + socket  {observed - in_process:8.2f} ms")
 
 
+def compare_gateway(service, transfers) -> None:
+    config = GatewayConfig(shards=1, window=0.0)
+    with ShardedGateway(grid5000_forecast_service, config,
+                        service=service) as gateway, \
+            RestClient(gateway.url) as client:
+        client.post_predict_transfers("g5k_test", transfers)  # connect, fill
+        # sizes never sent before: no memo and neither cache knows them
+        sizes = itertools.count(int(transfers[0][2]) + 1)
+
+        def unseen():
+            size = float(next(sizes))
+            return [(src, dst, size) for src, dst, _ in transfers]
+
+        rows = [
+            ("first time (miss)",
+             median_ms(lambda: service.predict_transfers(
+                 "g5k_test", unseen())),
+             median_ms(lambda: client.post_predict_transfers(
+                 "g5k_test", unseen()))),
+            ("repeated (hit)",
+             median_ms(lambda: service.predict_transfers(
+                 "g5k_test", transfers)),
+             median_ms(lambda: client.post_predict_transfers(
+                 "g5k_test", transfers))),
+        ]
+        cache = gateway.stats()["response_cache"]
+    print(f"median of {REPEATS} predictions of {len(transfers)} concurrent "
+          f"transfers:\n"
+          f"  {'':20s}{'in process':>12s}{'via gateway':>14s}")
+    for label, in_process, observed in rows:
+        print(f"  {label:20s}{in_process:9.2f} ms{observed:11.2f} ms")
+    print(f"  front-end response cache: {cache['hits']} hits, "
+          f"{cache['misses']} misses")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n_transfers", nargs="?", type=int, default=60)
-    parser.add_argument("--rest", action="store_true",
-                        help="compare in-process and client-observed latency "
-                             "instead of profiling")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--rest", action="store_true",
+                      help="compare in-process and client-observed latency "
+                           "instead of profiling")
+    mode.add_argument("--gateway", action="store_true",
+                      help="the same comparison through a one-shard gateway, "
+                           "for a first (miss) and a repeated (hit) request")
     args = parser.parse_args()
     service = forecast_service()
     spec = ExperimentSpec("profile", Topology.GRID_MULTI,
@@ -84,6 +131,8 @@ def main() -> None:
     service.predict_transfers("g5k_test", transfers)
     if args.rest:
         compare_rest(service, transfers)
+    elif args.gateway:
+        compare_gateway(service, transfers)
     else:
         profile(service, transfers)
 
