@@ -22,9 +22,17 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
+#: ``json.dumps`` with these options would build an encoder per call
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
 def dumps(payload: object) -> str:
-    """Serialise a payload to strict JSON (non-finite floats → null)."""
-    return json.dumps(_sanitize(payload), allow_nan=False, separators=(",", ":"))
+    """Serialise a payload to strict JSON (non-finite floats → null); the
+    sanitized copy is only built when the encoder refuses a NaN/inf."""
+    try:
+        return _ENCODER.encode(payload)
+    except ValueError:
+        return _ENCODER.encode(_sanitize(payload))
 
 
 def loads(text: str) -> object:

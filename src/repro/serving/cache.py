@@ -13,10 +13,12 @@ objects normalize to the same key — and the epoch is the global
 
 Invalidation is *implicit*: any in-place link recalibration (the latency
 feed, a scenario dynamics schedule, a manual bandwidth edit) bumps the
-epoch, so every previously cached answer simply becomes unreachable and
-ages out of the LRU.  No subscription or callback wiring is needed — the
-cache reuses the exact staleness mechanism the route/model memos already
-trust.
+epoch, so every previously cached answer becomes unreachable, and is
+dropped the first time the cache sees a key of the newer epoch (not left
+to LRU pressure: a service recalibrated every few seconds would carry up to
+``maxsize`` dead answers).  No subscription or callback wiring is needed —
+the cache reuses the exact staleness mechanism the route/model memos
+already trust.
 
 The key is **order-sensitive** on purpose: max-min sharing has a unique
 solution, but the solver's floating-point reduction order follows request
@@ -94,18 +96,31 @@ class ForecastCache(BoundedLRU):
     counters still read consistently.
     """
 
-    __slots__ = ("_lock",)
+    __slots__ = ("_lock", "_epoch")
 
     def __init__(self, maxsize: int = 4096) -> None:
         super().__init__(maxsize)
         self._lock = threading.Lock()
+        #: newest link epoch seen in a key; every stored entry is of it
+        self._epoch = -1
 
     @property
     def enabled(self) -> bool:
         return self.maxsize > 0
 
+    def _admit(self, key: tuple) -> bool:
+        """False for a key of a retired epoch (nothing is stored for it).
+        The first key of a newer epoch retires the current one and drops its
+        entries: the link epoch only grows, so they are never asked for."""
+        epoch = key[1]  # see forecast_cache_key
+        if epoch > self._epoch:
+            self._epoch = epoch
+            super().clear()
+        return epoch == self._epoch
+
     def get(self, key: tuple) -> Optional[list[TransferForecast]]:
         with self._lock:
+            self._admit(key)  # a retired key misses below: nothing is stored
             # the base class counts any stored value as a hit (even None);
             # probe with the miss sentinel so the copy applies to hits only
             entry = super().get(key, _MISS)
@@ -113,7 +128,8 @@ class ForecastCache(BoundedLRU):
 
     def put(self, key: tuple, forecasts: Sequence[TransferForecast]) -> None:
         with self._lock:
-            super().put(key, list(forecasts))
+            if self._admit(key):
+                super().put(key, list(forecasts))
 
     def clear(self) -> None:
         with self._lock:

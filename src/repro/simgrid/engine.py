@@ -110,10 +110,13 @@ class Simulation:
         # canceled heads are lazily pruned before the heap top is read
         self._timers: list[list] = []
         self._seq = itertools.count()
-        # per-comm pending flow-dynamics round timer (time-varying models):
-        # canceled when the comm completes so a mid-ramp finish does not
-        # leave a live timer inflating the run's final clock
-        self._flow_timers: dict[Activity, list] = {}
+        # time-varying models: flows whose dynamics rounds end at the same
+        # instant share one heap timer.  instant -> (timer, {comm: dynamics}
+        # in join order), and comm -> the group it waits in
+        self._round_groups: dict[float, tuple[list, dict]] = {}
+        self._round_of: dict[Activity, tuple[list, dict]] = {}
+        self._flow_rounds = 0
+        self._round_instants = 0
         self._runnable: list[tuple[object, object]] = []  # (process, send_value)
         self._share_dirty = True
         self._comm_counter = itertools.count()
@@ -277,11 +280,8 @@ class Simulation:
             if dynamics is not None:
                 # first round boundary: one dynamics interval after data
                 # starts flowing (the startup phase covers the handshake)
-                self._flow_timers[comm] = self.schedule(
-                    startup + dynamics.interval,
-                    lambda: self._flow_round(comm, dynamics),
-                )
-                comm.add_done_callback(self._cancel_flow_timer)
+                self._join_round(comm, dynamics, startup + dynamics.interval)
+                comm.add_done_callback(self._leave_round)
         comm.start_time = self.clock
         self._register(comm)
         self._started.append(comm)
@@ -328,39 +328,71 @@ class Simulation:
 
     # -- time-varying flow dynamics (congestion-aware models) ---------------
 
-    def _cancel_flow_timer(self, comm: Activity) -> None:
-        """Completion callback of every dynamics-driven comm: drop its
-        pending round timer so it cannot keep the run alive past the last
-        transfer."""
-        entry = self._flow_timers.pop(comm, None)
-        if entry is not None:
-            entry[2] = None
+    def _round_group(self, delay: float) -> tuple[list, dict]:
+        """The ``(timer, members)`` group of the flows whose round ends
+        ``delay`` from now — at the float ``clock + delay`` :meth:`schedule`
+        computes, compared exactly — created with its one timer on demand."""
+        when = self.clock + delay
+        group = self._round_groups.get(when)
+        if group is None:
+            group = self._round_groups[when] = (
+                self.schedule(delay, lambda: self._fire_round(when)), {})
+        return group
 
-    def _flow_round(self, comm: CommActivity, dynamics: object) -> None:
-        """One RTT round boundary of a time-varying flow.
+    def _join_round(self, comm: CommActivity, dynamics: object,
+                    delay: float) -> None:
+        """Evaluate ``dynamics`` at the round boundary ``delay`` from now."""
+        group = self._round_of[comm] = self._round_group(delay)
+        group[1][comm] = dynamics
 
-        Feeds the rate allocated during the ended round to the model's
-        dynamics, applies the resulting ``(weight, bound)`` to the flow's
-        sharing variable, and schedules the next round until the dynamics
-        declare the flow steady."""
-        slot = comm._slot
-        if slot < 0 or comm.state is not ActivityState.RUNNING:
-            self._flow_timers.pop(comm, None)
-            return
-        next_delay = dynamics.advance(float(self._a_rate[slot]))
-        weight, bound = dynamics.spec()
-        if weight != comm.weight or bound != comm.bound:
-            comm.weight = weight
-            comm.bound = bound
-            vid = self._handles.get(comm)
-            if vid is not None:
-                self._sharing.update_variable(vid, weight, bound)
-            self._share_dirty = True
-        if next_delay is not None:
-            self._flow_timers[comm] = self.schedule(
-                next_delay, lambda: self._flow_round(comm, dynamics))
-        else:
-            self._flow_timers.pop(comm, None)
+    def _leave_round(self, comm: Activity) -> None:
+        """Completion callback of every dynamics-driven comm; the last one
+        out cancels the group's timer, so a mid-ramp finish cannot keep the
+        run alive past the last transfer."""
+        group = self._round_of.pop(comm, None)
+        if group is not None:
+            timer, members = group
+            del members[comm]
+            if not members:
+                timer[2] = None
+                del self._round_groups[timer[0]]
+
+    def _fire_round(self, when: float) -> None:
+        """One round instant: for every flow of the group, in join order,
+        feed the rate allocated during the ended round to the model's
+        dynamics, apply the resulting ``(weight, bound)`` to the flow's
+        sharing variable, and join the next round's group (looked up once
+        per distinct delay) until the dynamics declare the flow steady."""
+        members = self._round_groups.pop(when)[1]
+        self._round_instants += 1
+        self._flow_rounds += len(members)
+        rate = self._a_rate
+        handles = self._handles
+        round_of = self._round_of
+        retune = self._sharing.update_variable_unchecked
+        last_delay = None
+        for comm, dynamics in members.items():
+            slot = comm._slot
+            if slot < 0 or comm.state is not ActivityState.RUNNING:
+                del round_of[comm]
+                continue
+            next_delay = dynamics.advance(rate.item(slot))
+            weight, bound = dynamics.spec()
+            if weight != comm.weight or bound != comm.bound:
+                comm.weight = weight
+                comm.bound = bound
+                vid = handles.get(comm)
+                if vid is not None:
+                    retune(vid, weight, bound)
+                self._share_dirty = True
+            if next_delay is None:
+                del round_of[comm]
+            else:
+                if next_delay != last_delay:
+                    last_delay = next_delay
+                    group = self._round_group(next_delay)
+                group[1][comm] = dynamics
+                round_of[comm] = group
 
     def touch_sharing(self) -> None:
         """Force a re-share at the next event-loop iteration.
@@ -588,8 +620,10 @@ class Simulation:
 
     @property
     def sharing_stats(self) -> dict:
-        """Counters of the incremental arena (solves, components, …)."""
-        return dict(self._sharing.stats)
+        """Counters of the incremental arena (solves, components, …) and
+        of the time-varying tax: ``flow_rounds`` on ``round_instants``."""
+        return {**self._sharing.stats, "flow_rounds": self._flow_rounds,
+                "round_instants": self._round_instants}
 
     # -- main loop -----------------------------------------------------------
 

@@ -790,6 +790,16 @@ class SharingSystem:
                 self._bounds[vid] = float(bound)
         self._dirty_vars.add(vid)
 
+    def update_variable_unchecked(self, vid: int, weight: float,
+                                  bound: float) -> None:
+        """Hot-path :meth:`update_variable` without validation: the caller
+        (the engine, retuning a flow it registered with values its model's
+        dynamics just produced) guarantees a live ``vid``, ``weight > 0``
+        and ``bound > 0`` (``inf`` for unbounded)."""
+        self._weights[vid] = weight
+        self._bounds[vid] = bound
+        self._dirty_vars.add(vid)
+
     def remove_variable(self, vid: int) -> None:
         """Withdraw a flow; its constraints' components become dirty and
         constraints left without any variable are freed."""
@@ -991,10 +1001,9 @@ class SharingSystem:
 
     def _solve_component(self, comp_vars: list[int], comp_cons: list[int]) -> None:
         if len(comp_vars) == 1:
-            # scalar fast path: a lone variable takes the minimum of its bound
-            # and its constraints' full capacity — no numpy round-trip.  This
-            # is the common case on clusters where concurrent flows touch
-            # disjoint NIC links (every flow is its own component).
+            # a lone variable takes the minimum of its bound and its
+            # constraints' full capacity — no numpy round-trip (a *dirty*
+            # lone variable is settled in _solve_scalar before it gets here)
             vid = comp_vars[0]
             value = float(self._bounds[vid])
             uses = self._var_uses[vid]
@@ -1135,16 +1144,30 @@ class SharingSystem:
         resolved: list[int] = []
         n_components = 0
         cons_vars = self._cons_vars
+        usages = self._usages
+        capacities = self._capacities
+        mark_cons = bool(dirty_cons)  # else no constraint seeds a walk below
         for seed in dirty_vars:
             if seed in seen_vars:
                 continue
             uses = self._var_uses[seed]
-            if all(len(cons_vars[slot]) == 1 for slot, _coeff in uses):
-                # singleton component: the variable shares no constraint —
-                # solve it with the scalar path, no BFS
-                seen_vars.add(seed)
-                seen_cons.update(slot for slot, _coeff in uses)
-                self._solve_component([seed], [])
+            # alone on all its constraints (disjoint NIC links: the common
+            # case on clusters), a variable is its own component and takes
+            # min(bound, capacity / coefficient) — settled in this one pass,
+            # bit for bit what _solve_component([seed], []) computes
+            value = self._bounds.item(seed)
+            for slot, coeff in uses:
+                if len(cons_vars[slot]) != 1:
+                    break
+                capacity = capacities.item(slot) / coeff
+                if capacity < value:
+                    value = capacity
+            else:
+                self._values[seed] = value
+                for slot, coeff in uses:
+                    usages[slot] = value * coeff
+                    if mark_cons:
+                        seen_cons.add(slot)
                 resolved.append(seed)
                 n_components += 1
                 continue

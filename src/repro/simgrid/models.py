@@ -70,7 +70,7 @@ class SharingModel:
 
     #: True when per-flow sharing weights/bounds evolve over a flow's
     #: lifetime; the engine then drives the :meth:`flow_dynamics` schedule
-    #: through round timers and ``SharingSystem.update_variable``.
+    #: through round timers and in-place ``SharingSystem`` retunes.
     time_varying: bool = False
 
     # -- identity ------------------------------------------------------------

@@ -20,16 +20,17 @@ exactly the testbed allocator's weighting.  The model is pinned against
 (``tests/simgrid/test_tcpfluid.py``) the way the incremental kernel is
 pinned against ``full_resolve``.
 
-The dynamics ride the engine's existing machinery: round boundaries are
-plain :meth:`Simulation.schedule` timers, the weight/bound updates go
-through ``SharingSystem.update_variable`` (incremental mode) or the next
-full rebuild (``full_resolve``), and both solver paths agree within 1e-9
-(``tools/check_model_smoke.py``).
+The dynamics ride the engine's existing machinery: flows whose rounds end
+at the same instant share one :meth:`Simulation.schedule` timer, the
+weight/bound updates retune the flow's ``SharingSystem`` variable in place
+(incremental mode) or wait for the next full rebuild (``full_resolve``),
+and both solver paths agree within 1e-9 (``tools/check_model_smoke.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.simgrid.models import SharingModel, register_model
@@ -75,7 +76,9 @@ class TcpFluidModel(SharingModel):
             self.min_rtt,
         )
 
+    @cached_property
     def tcp_params(self) -> TcpParams:
+        """The window parameters: one object shared by all this model's flows."""
         return TcpParams(
             mss=self.mss,
             initial_window_segments=self.initial_window_segments,
@@ -113,7 +116,9 @@ class TcpFluidModel(SharingModel):
         return self.bandwidth_factor * nominal
 
     def flow_dynamics(self, route: Sequence[LinkUse]) -> "TcpFlowDynamics":
-        return TcpFlowDynamics(self, route)
+        # from the route's epoch-stamped memo: weight = RTT, bound = window cap
+        _startup, rtt, steady_bound, _usages = self.comm_spec(route)
+        return TcpFlowDynamics(rtt, steady_bound, self.tcp_params)
 
 
 class TcpFlowDynamics:
@@ -125,13 +130,14 @@ class TcpFlowDynamics:
     and the bound rises, until the window reaches its cap.
     """
 
-    __slots__ = ("rtt", "weight", "steady_bound", "tcp", "steady")
+    __slots__ = ("rtt", "steady_bound", "tcp", "steady")
 
-    def __init__(self, model: TcpFluidModel, route: Sequence[LinkUse]) -> None:
-        self.rtt = model.route_rtt(route)
-        self.weight = model.flow_weight(route)
-        self.steady_bound = model.rate_bound(route)
-        self.tcp = TcpFlowState(params=model.tcp_params())
+    def __init__(self, rtt: float, steady_bound: float,
+                 params: TcpParams) -> None:
+        #: the route RTT — also the flow's (constant) fairness weight
+        self.rtt = rtt
+        self.steady_bound = steady_bound
+        self.tcp = TcpFlowState(params=params)
         self.steady = False
 
     @property
@@ -142,8 +148,8 @@ class TcpFlowDynamics:
     def spec(self) -> tuple[float, float]:
         """Current ``(weight, bound)`` of the flow's sharing variable."""
         if self.steady:
-            return self.weight, self.steady_bound
-        return self.weight, min(self.tcp.cwnd / self.rtt, self.steady_bound)
+            return self.rtt, self.steady_bound
+        return self.rtt, min(self.tcp.cwnd / self.rtt, self.steady_bound)
 
     def advance(self, achieved_rate: float) -> Optional[float]:
         """End one RTT round given the rate allocated during it.

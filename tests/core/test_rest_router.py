@@ -1,9 +1,11 @@
 """REST router: pattern matching, query parsing, error mapping."""
 
+import json
+
 import pytest
 
 from repro.core.rest.errors import ApiError, BadRequest, NotFound
-from repro.core.rest.json_codec import dumps, loads
+from repro.core.rest.json_codec import _sanitize, dumps, loads
 from repro.core.rest.router import Request, Router
 
 
@@ -112,3 +114,33 @@ class TestJsonCodec:
     def test_nested_roundtrip(self):
         payload = {"x": [1, 2, {"y": "z"}], "w": 3.5}
         assert loads(dumps(payload)) == payload
+
+    @staticmethod
+    def always_sanitized(payload):
+        """``dumps`` as it was before it tried the encoder first."""
+        return json.dumps(_sanitize(payload), allow_nan=False,
+                          separators=(",", ":"))
+
+    @pytest.mark.parametrize("payload", [
+        [{"src": "a", "dst": "b", "size": 5e8, "duration": 4.13}] * 3,
+        {"t": (1, 2.5, ("x", None)), "e": [], "n": {"m": {"k": -0.0}}},
+        (1e-300, 1e300, True, "é"),
+        {"a": float("nan"), "b": [float("inf"), 1.0]},
+        [{"deep": ({"er": [1.0, (float("-inf"), 2)]},)}, float("nan")],
+        (float("inf"),),
+    ])
+    def test_bytes_match_the_always_sanitizing_form(self, payload):
+        assert dumps(payload) == self.always_sanitized(payload)
+
+    def test_non_finite_floats_are_null_at_any_depth(self):
+        payload = [{"deep": ({"er": [1.0, (float("-inf"), 2)]},)},
+                   float("nan")]
+        assert loads(dumps(payload)) == [{"deep": [{"er": [1.0, [None, 2]]}]},
+                                         None]
+
+    def test_what_json_cannot_carry_still_raises(self):
+        with pytest.raises(TypeError):
+            dumps({"a": object()})
+        with pytest.raises(ValueError):
+            dumps({float("nan"): 1})  # keys are never rewritten
+

@@ -121,12 +121,60 @@ class TestEpochInvalidation:
         assert cache.get(fresh) is None  # recalibration invalidated the hit
 
 
+    def test_epoch_bump_drops_the_dead_entries(self, star4):
+        cache = ForecastCache(maxsize=8)
+        model = LV08()
+        requests = [[("a", "b", float(size))] for size in (1e6, 2e6, 3e6)]
+        stale = [forecast_cache_key("p", model, r) for r in requests]
+        for i, key in enumerate(stale):
+            cache.put(key, [forecast(i)])
+        assert cache.info()["size"] == 3
+        link = next(iter(star4.links()))
+        link.bandwidth = link.bandwidth * 0.5
+        fresh = [forecast_cache_key("p", model, r) for r in requests]
+        assert cache.get(fresh[0]) is None  # first lookup of the new epoch
+        assert cache.info()["size"] == 0
+        cache.put(fresh[0], [forecast(10)])
+        # a request keyed before the bump finishes after it: not stored,
+        # not answered, and the live entry is untouched
+        cache.put(stale[1], [forecast(1)])
+        assert cache.get(stale[1]) is None
+        info = cache.info()
+        assert (info["size"], info["evictions"]) == (1, 0)
+        assert cache.get(fresh[0]) == [forecast(10)]
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_a_put_can_be_the_first_to_see_the_new_epoch(self):
+        cache = ForecastCache(maxsize=8)
+        old, new = ("p", 4, "x"), ("p", 5, "x")
+        cache.put(old, [forecast(1)])
+        cache.put(new, [forecast(2)])
+        assert cache.info()["size"] == 1
+        assert cache.get(old) is None
+        assert cache.get(new) == [forecast(2)]
+
+    def test_full_cache_of_dead_entries_costs_no_evictions(self, star4):
+        cache = ForecastCache(maxsize=2)
+        model = LV08()
+        for size in (1e6, 2e6):
+            cache.put(forecast_cache_key("p", model, [("a", "b", size)]),
+                      [forecast(0)])
+        link = next(iter(star4.links()))
+        link.latency = link.latency + 1e-6
+        for size in (1e6, 2e6):
+            key = forecast_cache_key("p", model, [("a", "b", size)])
+            assert cache.get(key) is None
+            cache.put(key, [forecast(1)])
+        info = cache.info()
+        assert (info["size"], info["evictions"]) == (2, 0)
+
+
 class TestCounterConsistency:
     """Hits + misses must equal lookups for every BoundedLRU derivative."""
 
     def test_forecast_cache_counters_partition_lookups(self):
         cache = ForecastCache(maxsize=4)
-        key_a, key_b = ("a",), ("b",)
+        key_a, key_b = ("a", 0), ("b", 0)
         cache.put(key_a, [forecast(1)])
         lookups = [key_a, key_b, key_a, key_a, key_b]
         answered = [cache.get(key) for key in lookups]
@@ -139,14 +187,14 @@ class TestCounterConsistency:
         # an empty forecast list is falsy but cached: it must count as a
         # hit and come back as [], not be conflated with a miss
         cache = ForecastCache(maxsize=4)
-        cache.put(("empty",), [])
-        assert cache.get(("empty",)) == []
+        cache.put(("empty", 0), [])
+        assert cache.get(("empty", 0)) == []
         assert (cache.hits, cache.misses) == (1, 0)
 
     def test_disabled_forecast_cache_stays_consistent(self):
         cache = ForecastCache(maxsize=0)
-        cache.put(("k",), [forecast(1)])
-        assert cache.get(("k",)) is None
+        cache.put(("k", 0), [forecast(1)])
+        assert cache.get(("k", 0)) is None
         assert (cache.hits, cache.misses) == (0, 1)
         assert cache.info()["enabled"] is False
 

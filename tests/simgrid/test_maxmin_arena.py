@@ -236,3 +236,109 @@ class TestUpdateVariable:
         system.remove_variable(vid)
         with pytest.raises(MaxMinError):
             system.update_variable(vid, weight=2.0)
+
+    def test_unchecked_retune_is_the_checked_one_without_the_checks(self):
+        # the engine's twin, fed the same retune sequence on the same mixed
+        # system (singletons and a contended component): same values, same
+        # usages, same work — to the bit
+        rng = random.Random(21)
+        systems = [SharingSystem(vectorized=True) for _ in range(2)]
+        vids = []
+        for system in systems:
+            vids = [system.add_variable(
+                1.0, bound=1e3, payload=i,
+                usages=(((("nic", i), 100.0, 1.0),) if i < 4
+                        else ((("bottleneck",), 100.0, 1.0),)))
+                for i in range(8)]
+            system.solve()
+        checked, unchecked = systems
+        for _round in range(50):
+            for vid in rng.sample(vids, 5):
+                weight = rng.uniform(1e-4, 1e-2)
+                bound = rng.choice([rng.uniform(1.0, 200.0), float("inf")])
+                checked.update_variable(vid, weight, bound)
+                unchecked.update_variable_unchecked(vid, weight, bound)
+            assert unchecked.solve() == checked.solve()
+            assert ([unchecked.constraint_usage(("nic", i)) for i in range(4)]
+                    == [checked.constraint_usage(("nic", i))
+                        for i in range(4)])
+            assert (unchecked.constraint_usage(("bottleneck",))
+                    == checked.constraint_usage(("bottleneck",)))
+        assert unchecked.stats == checked.stats
+
+
+# -- a variable alone on all its constraints is settled inline ---------------
+
+
+class TestInlineSingleton:
+    """``_solve_scalar`` settles an uncontended dirty variable in one pass
+    over its uses; ``_solve_component([v], [])`` is the closed form it must
+    equal, bit for bit, values and usages."""
+
+    CASES = {
+        "bound-limited": (30.0, ((("a",), 100.0, 1.0), (("b",), 80.0, 1.0))),
+        "capacity-limited": (float("inf"), ((("a",), 100.0, 1.0),
+                                            (("b",), 80.0, 1.0))),
+        "coefficient-2": (75.0, ((("shared",), 100.0, 2.0),
+                                 (("b",), 80.0, 1.0))),
+        "no-uses": (12.5, ()),
+        "no-uses-unbounded": (float("inf"), ()),
+    }
+
+    def outcome(self, system, vid, usages):
+        return (system.value(vid),
+                [system.constraint_usage(key) for key, _cap, _c in usages])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_one_variable_component_solve(self, case):
+        bound, usages = self.CASES[case]
+        inline = SharingSystem(vectorized=False)
+        vid = inline.add_variable(0.25, bound=bound, usages=usages)
+        assert inline.solve() == [(None, inline.value(vid))]
+
+        closed = SharingSystem(vectorized=False)
+        cvid = closed.add_variable(0.25, bound=bound, usages=usages)
+        closed._solve_component([cvid], [])
+        assert (self.outcome(inline, vid, usages)
+                == self.outcome(closed, cvid, usages))
+        assert inline.stats["components_solved"] == 1
+        assert inline.stats["variables_resolved"] == 1
+
+        # and again as a pure retune: no dirty constraint this time
+        for system, v in ((inline, vid), (closed, cvid)):
+            system.update_variable(v, weight=3.0, bound=bound / 2.0)
+        assert inline.solve() == [(None, inline.value(vid))]
+        closed._solve_component([cvid], [])
+        assert (self.outcome(inline, vid, usages)
+                == self.outcome(closed, cvid, usages))
+        assert inline.stats["components_solved"] == 2
+
+    def test_singletons_and_a_contended_component_in_one_solve(self):
+        # fresh variables dirty their constraints too: every component must
+        # still be solved, counted and reported exactly once
+        system = SharingSystem(vectorized=False)
+        alone = [system.add_variable(1.0, bound=40.0 + i, payload=f"alone{i}",
+                                     usages=((("nic", i), 100.0, 1.0),))
+                 for i in range(3)]
+        pair = [system.add_variable(1.0, payload=f"pair{i}",
+                                    usages=((("bottleneck",), 100.0, 1.0),))
+                for i in range(2)]
+        solved = system.solve()
+        assert sorted(p for p, _ in solved) == [
+            "alone0", "alone1", "alone2", "pair0", "pair1"]
+        assert [system.value(v) for v in alone] == [40.0, 41.0, 42.0]
+        assert [system.value(v) for v in pair] == [50.0, 50.0]
+        assert system.stats["components_solved"] == 4
+        assert system.stats["variables_resolved"] == 5
+
+    def test_a_neighbour_arriving_ends_the_inline_path(self):
+        system = SharingSystem(vectorized=False)
+        first = system.add_variable(1.0, usages=((("l",), 100.0, 1.0),))
+        system.solve()
+        assert system.value(first) == 100.0
+        second = system.add_variable(1.0, usages=((("l",), 100.0, 1.0),))
+        system.solve()
+        assert (system.value(first), system.value(second)) == (50.0, 50.0)
+        system.remove_variable(second)
+        system.solve()
+        assert system.value(first) == 100.0

@@ -12,6 +12,12 @@ pluggable-model refactor.
 
 import pytest
 
+from repro.experiments.figures import FIGURES
+from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
+from repro.horizon.whatif import transient_link_states
+from repro.scenarios.dynamics import schedule_dynamics
+from repro.scenarios.spec import LinkEvent
+from repro.simgrid.activities import ActivityState
 from repro.simgrid.builder import add_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08
@@ -230,3 +236,210 @@ class TestTcpDynamics:
         expected = (model.latency_factor * route_latency
                     + 1e8 / (model.bandwidth_factor * CAP))
         assert duration == pytest.approx(expected, rel=1e-12)
+
+
+# -- round groups: one timer per instant == one timer per flow ---------------
+
+
+class PerFlowTimerSimulation(Simulation):
+    """The round loop as it was before the engine grouped rounds by instant:
+    one cancelable heap timer per flow per round, every retune through the
+    validating ``update_variable``.  The grouped engine must match it bit
+    for bit — this is its reference, the way ``explicit_transfer_processes``
+    (``test_msg.py``) is the reference of ``transfer_processes``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flow_timers = {}
+        self.rounds_fired = 0
+        self.instants_fired = set()
+
+    def _join_round(self, comm, dynamics, delay):
+        self._flow_timers[comm] = self.schedule(
+            delay, lambda: self._flow_round(comm, dynamics))
+
+    def _leave_round(self, comm):
+        entry = self._flow_timers.pop(comm, None)
+        if entry is not None:
+            entry[2] = None
+
+    def _flow_round(self, comm, dynamics):
+        slot = comm._slot
+        if slot < 0 or comm.state is not ActivityState.RUNNING:
+            self._flow_timers.pop(comm, None)
+            return
+        self.rounds_fired += 1
+        self.instants_fired.add(self.clock)
+        next_delay = dynamics.advance(float(self._a_rate[slot]))
+        weight, bound = dynamics.spec()
+        if weight != comm.weight or bound != comm.bound:
+            comm.weight = weight
+            comm.bound = bound
+            vid = self._handles.get(comm)
+            if vid is not None:
+                self._sharing.update_variable(vid, weight, bound)
+            self._share_dirty = True
+        if next_delay is not None:
+            self._join_round(comm, dynamics, next_delay)
+        else:
+            self._flow_timers.pop(comm, None)
+
+
+SAG = "sagittaire-{}.lyon.grid5000.fr".format
+GRAPHENE = "graphene-{}.nancy.grid5000.fr".format
+SAG_LINKS = "sagittaire-1*.lyon.grid5000.fr-link"
+#: arena counters that must not move: same solves on the same components
+ARENA_COUNTS = ("solves", "components_solved", "variables_resolved",
+                "peak_variables", "vectorized_solves")
+
+
+def fig5_draw(seed, size):
+    return [(src, dst, size)
+            for src, dst in draw_transfer_pairs(FIGURES["fig5"].spec, seed)]
+
+
+def two_rtt_classes():
+    """Intra-site pairs (RTT 0.4 ms) beside Lyon→Nancy pairs (5.1 ms), sizes
+    spread so that flows leave their groups at different rounds."""
+    return ([(SAG(i), SAG(i + 10), 3e6 * i) for i in range(1, 7)]
+            + [(SAG(20 + i), GRAPHENE(i), 2e6 * i) for i in range(1, 7)]
+            + [(GRAPHENE(10 + i), GRAPHENE(20), 4e6) for i in range(1, 4)])
+
+
+def round_instants_of(platform, src, dst, count):
+    """The first ``count`` round instants of a flow started at t = 0, added
+    up the way the engine does (handshake + one interval, then one interval
+    per round)."""
+    rtt = TcpFluidModel().comm_spec(platform.route(src, dst))[1]
+    instants = [0.0 + (rtt + rtt)]
+    while len(instants) < count:
+        instants.append(instants[-1] + rtt)
+    return instants
+
+
+class TestRoundGroupsMatchPerFlowTimers:
+    """Grouped engine ``==`` the per-flow-timer reference, floats and all."""
+
+    def both(self, platform, transfers, ongoing=(), events=(), cancel=None,
+             **engine):
+        """Run both engines; ``cancel`` = (index into ongoing, time)."""
+        outcomes = []
+        for cls in (Simulation, PerFlowTimerSimulation):
+            with transient_link_states(platform, (e.link for e in events)):
+                sim = cls(platform, TcpFluidModel(), **engine)
+                schedule_dynamics(sim, events)
+                background = [sim.add_comm(*t) for t in ongoing]
+                if cancel is not None:
+                    victim, when = background[cancel[0]], cancel[1]
+                    sim.schedule(when, lambda: victim.cancel(sim.clock))
+                comms = sim.simulate_transfers(list(transfers)) + background
+                outcomes.append((sim, [(c.state, c.finish_time)
+                                       for c in comms]))
+        (grouped, fast), (reference, slow) = outcomes
+        assert fast == slow  # floats compared with ==: bit for bit
+        assert grouped.clock == reference.clock
+        stats = grouped.sharing_stats
+        expected = reference.sharing_stats
+        assert ([stats[name] for name in ARENA_COUNTS]
+                == [expected[name] for name in ARENA_COUNTS])
+        assert stats["flow_rounds"] == reference.rounds_fired
+        assert stats["round_instants"] == len(reference.instants_fired)
+        assert expected["flow_rounds"] == expected["round_instants"] == 0
+        assert not grouped._round_groups and not grouped._round_of
+        return grouped, fast
+
+    @pytest.mark.parametrize("size", TRANSFER_SIZES)
+    def test_fig5_size_sweep(self, g5k_test_platform, size):
+        sim, _ = self.both(g5k_test_platform, fig5_draw(3, size))
+        stats = sim.sharing_stats
+        # 30 flows of one RTT class started together: a handful of timers
+        assert stats["round_instants"] * 10 <= stats["flow_rounds"]
+
+    def test_two_rtt_classes_make_several_groups(self, g5k_test_platform):
+        sim, _ = self.both(g5k_test_platform, two_rtt_classes())
+        stats = sim.sharing_stats
+        assert 10 < stats["round_instants"] < stats["flow_rounds"] / 4
+
+    @pytest.mark.parametrize("engine", [
+        {"full_resolve": True}, {"vectorized": False},
+    ])
+    def test_verification_modes(self, g5k_test_platform, engine):
+        self.both(g5k_test_platform, two_rtt_classes(), **engine)
+        self.both(g5k_test_platform, fig5_draw(4, 2.15e8), **engine)
+
+    def test_with_ongoing_transfers(self, g5k_test_platform):
+        transfers = fig5_draw(5, 7.74e8)
+        ongoing = ([(dst, src, 3e8) for src, dst, _ in transfers[:10]]
+                   + [(SAG(40), GRAPHENE(40), 5e7)])
+        _, with_bg = self.both(g5k_test_platform, transfers, ongoing=ongoing)
+        _, alone = self.both(g5k_test_platform, transfers)
+        assert with_bg[:30] != alone
+
+    @pytest.mark.parametrize("engine", [{}, {"full_resolve": True}])
+    def test_link_events_on_round_instants(self, g5k_test_platform, engine):
+        transfers = fig5_draw(6, 7.74e8)
+        src, dst, _ = transfers[0]
+        instants = round_instants_of(g5k_test_platform, src, dst, 12)
+        events = [
+            LinkEvent(time=0.0, link=SAG_LINKS, action="degrade", factor=0.5),
+            LinkEvent(time=instants[5], link=SAG_LINKS, action="degrade",
+                      factor=0.2),
+            LinkEvent(time=instants[11], link=SAG_LINKS, action="recover"),
+        ]
+        _, dynamic = self.both(g5k_test_platform, transfers, events=events,
+                               **engine)
+        _, static = self.both(g5k_test_platform, transfers, **engine)
+        assert dynamic != static
+
+    def test_event_lands_exactly_on_a_round(self, g5k_test_platform):
+        # the helper adds the instants up the way the engine does, so the
+        # events above share a heap time with a round instead of falling
+        # a rounding error beside it
+        at = round_instants_of(g5k_test_platform, SAG(1), SAG(2), 4)[3]
+        event = LinkEvent(time=at, link=SAG_LINKS, action="degrade",
+                          factor=0.5)
+        with transient_link_states(g5k_test_platform, [SAG_LINKS]):
+            sim = PerFlowTimerSimulation(g5k_test_platform, TcpFluidModel())
+            schedule_dynamics(sim, [event])
+            sim.simulate_transfers([(SAG(1), SAG(2), 1e8)])
+        assert at in sim.instants_fired
+
+    def test_comm_canceled_mid_ramp(self, g5k_test_platform):
+        transfers = two_rtt_classes()
+        ongoing = [(SAG(50), SAG(51), 1e9), (SAG(52), GRAPHENE(52), 1e9)]
+        for victim in (0, 1):
+            src, dst, _ = ongoing[victim]
+            rounds = round_instants_of(g5k_test_platform, src, dst, 6)
+            # between two rounds, and exactly on one
+            for when in ((rounds[3] + rounds[4]) / 2.0, rounds[5]):
+                _, states = self.both(g5k_test_platform, transfers,
+                                      ongoing=ongoing, cancel=(victim, when))
+                state, finished = states[len(transfers) + victim]
+                assert state is ActivityState.CANCELED and finished == when
+
+    def test_group_whose_members_all_finish_before_it_fires(self):
+        # three same-RTT flows complete mid-ramp, between two rounds: the
+        # emptied group cancels its timer, so the clock stops at the last
+        # completion instead of running on to the round
+        transfers = [(f"c-{i}", f"c-{i + 3}", 1e6) for i in (1, 2, 3)]
+        sim, states = self.both(star_platform(), transfers)
+        last_finish = max(finished for _, finished in states)
+        assert sim.clock == last_finish
+        assert not sim._timers or all(t[2] is None for t in sim._timers)
+        next_round = (round_instants_of(star_platform(), "c-1", "c-4", 40))
+        assert last_finish not in next_round
+
+    def test_dynamics_come_from_the_route_memo(self, g5k_test_platform):
+        model = TcpFluidModel()
+        for src, dst in ((SAG(1), SAG(2)), (SAG(1), GRAPHENE(1))):
+            route = g5k_test_platform.route(src, dst)
+            first, second = (model.flow_dynamics(route) for _ in range(2))
+            assert first.rtt == first.interval == model.route_rtt(route)
+            assert first.steady_bound == model.rate_bound(route)
+            assert first.spec() == (model.flow_weight(route),
+                                    min(model.tcp_params.initial_window_bytes
+                                        / first.rtt, first.steady_bound))
+            # per-flow window state, one parameter object per model
+            assert first.tcp is not second.tcp
+            assert first.tcp.params is second.tcp.params is model.tcp_params
+

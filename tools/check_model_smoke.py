@@ -3,9 +3,9 @@
 
 The model registry is the CLI's public surface (``repro models list``,
 ``--model`` on predict/scenarios/serve): every registered model must build
-from its factory defaults, drive a small simulation on a contended star
-and a dumbbell, and produce identical answers through all three solver
-paths — incremental-vectorized, ``full_resolve`` and the scalar arena.
+from its factory defaults, drive a small simulation on a contended star,
+a dumbbell and a two-RTT-class mix of local and cross-bottleneck flows,
+and produce identical answers through all three solver paths — incremental-vectorized, ``full_resolve`` and the scalar arena.
 This runner — the model-registry sibling of
 ``tools/check_scenario_smoke.py`` — is what keeps a model that only works
 with full rebuilds (or whose time-varying weight updates drift between
@@ -28,8 +28,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: All solver modes must agree on every duration to this relative tolerance.
 REL_TOL = 1e-9
 
-#: (name, builder, transfers) — tiny but contended: the star forces an
-#: incast bottleneck, the dumbbell a shared middle link plus cross flows.
+#: (name, builder) — tiny but contended: the star forces an incast
+#: bottleneck, the dumbbell a shared middle link plus cross flows.
 def _star():
     from repro.simgrid.builder import add_star_cluster
     from repro.simgrid.platform import Platform
@@ -57,7 +57,29 @@ def _dumbbell():
     return platform, transfers
 
 
-TOPOLOGIES = (("star", _star), ("dumbbell", _dumbbell))
+def _two_rtt():
+    """Local pairs (RTT 0.4 ms) beside pairs across the bottleneck (1.4 ms),
+    sizes from mid-ramp to steady: a time-varying model runs two classes of
+    round instants at once, and flows leave them at different rounds."""
+    from repro.simgrid.builder import build_dumbbell
+
+    platform = build_dumbbell(n_left=4, n_right=4,
+                              bottleneck_bandwidth=2.5e8,
+                              bottleneck_latency=5e-4,
+                              edge_bandwidth=1.25e8, edge_latency=1e-4)
+    transfers = [
+        ("left-1", "right-1", 4e7),
+        ("left-2", "right-2", 1e6),
+        ("left-3", "right-3", 6e6),
+        ("left-1", "left-2", 3e7),
+        ("left-3", "left-4", 2e6),
+        ("right-4", "right-1", 8e6),
+    ]
+    return platform, transfers
+
+
+TOPOLOGIES = (("star", _star), ("dumbbell", _dumbbell),
+              ("two-rtt", _two_rtt))
 
 #: Solver mode matrix: (label, full_resolve, vectorized).
 MODES = (

@@ -15,7 +15,14 @@ Nagle + delayed-ACK stall shows here as ~40 ms.)
 never seen (a miss: the shard simulates) and once for a repeated one (a
 hit: answered from the front end's response bytes, no pipe, no JSON).
 
-Run:  python tools/profile_prediction.py [n_transfers] [--rest | --gateway]
+``--model NAME`` runs any of the three under a registered sharing model
+(``repro models list``) instead of the service's LV08 — ``tcp_fluid`` is the
+time-varying one.  The profile ends with the kernel's own counters for one
+request, including how many per-flow dynamics rounds it evaluated on how
+many round-timer firings.
+
+Run:  python tools/profile_prediction.py [n_transfers] [--model NAME]
+                                         [--rest | --gateway]
 """
 
 import argparse
@@ -25,12 +32,15 @@ import pstats
 import statistics
 import time
 
+from repro.core.forecast import NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.experiments.environment import forecast_service, root_seed
 from repro.experiments.protocol import ExperimentSpec, Topology, draw_transfer_pairs
 from repro.serving.factories import grid5000_forecast_service
 from repro.serving.gateway import GatewayConfig, ShardedGateway
+from repro.simgrid.engine import Simulation
+from repro.simgrid.models import model_by_name
 
 REPEATS = 20
 
@@ -59,9 +69,18 @@ def profile(service, transfers) -> None:
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(15)
 
+    sim = Simulation(service.platform("g5k_test"), service.model)
+    sim.simulate_transfers(transfers)
+    print("kernel counters of one request: "
+          "{solves} solves, {components_solved} components, "
+          "{variables_resolved} variables resolved, "
+          "{flow_rounds} flow rounds on {round_instants} round instants"
+          .format(**sim.sharing_stats))
+
 
 def compare_rest(service, transfers) -> None:
-    pilgrim = Pilgrim({"g5k_test": service.platform("g5k_test")})
+    pilgrim = Pilgrim({"g5k_test": service.platform("g5k_test")},
+                      model=service.model)
     with pilgrim.serve() as server, RestClient(server.url) as client:
         client.predict_transfers("g5k_test", transfers)  # connect
         in_process = median_ms(lambda: pilgrim.forecast.predict_transfers(
@@ -75,8 +94,8 @@ def compare_rest(service, transfers) -> None:
           f"  HTTP + JSON + socket  {observed - in_process:8.2f} ms")
 
 
-def compare_gateway(service, transfers) -> None:
-    config = GatewayConfig(shards=1, window=0.0)
+def compare_gateway(service, transfers, model_name=None) -> None:
+    config = GatewayConfig(shards=1, window=0.0, model_name=model_name)
     with ShardedGateway(grid5000_forecast_service, config,
                         service=service) as gateway, \
             RestClient(gateway.url) as client:
@@ -120,8 +139,19 @@ def main() -> None:
     mode.add_argument("--gateway", action="store_true",
                       help="the same comparison through a one-shard gateway, "
                            "for a first (miss) and a repeated (hit) request")
+    parser.add_argument("--model", metavar="NAME",
+                        help="sharing model, by registry name (default: the "
+                             "service's own, LV08)")
     args = parser.parse_args()
     service = forecast_service()
+    if args.model is not None:
+        try:
+            model = model_by_name(args.model)
+        except ValueError as exc:
+            parser.error(str(exc))
+        service = NetworkForecastService(
+            {name: service.platform(name)
+             for name in service.platform_names()}, model=model)
     spec = ExperimentSpec("profile", Topology.GRID_MULTI,
                           args.n_transfers, args.n_transfers)
     pairs = draw_transfer_pairs(spec, root_seed())
@@ -132,7 +162,7 @@ def main() -> None:
     if args.rest:
         compare_rest(service, transfers)
     elif args.gateway:
-        compare_gateway(service, transfers)
+        compare_gateway(service, transfers, args.model)
     else:
         profile(service, transfers)
 
