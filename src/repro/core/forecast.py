@@ -8,7 +8,7 @@ These processes do nothing except sending the data and waiting for it, and
 tracking the transfer completion time in the simulated world."
 
 This module implements exactly that model over :mod:`repro.simgrid`, each
-pair as the communication it amounts to (``simgrid.msg.transfer_processes``).
+pair as the communication it amounts to (``Simulation.simulate_transfers``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.horizon.whatif import run_what_if
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08, NetworkModel
-from repro.simgrid.msg import transfer_processes
 from repro.simgrid.platform import Platform, UnknownElementError
 from repro.simgrid.units import parse_size
 
@@ -211,16 +210,12 @@ class NetworkForecastService:
             for spec in ongoing_specs:
                 sim.add_comm(spec.src, spec.dst, spec.size,
                              name=f"ongoing:{spec.src}->{spec.dst}")
-            records = transfer_processes(
-                sim, [(s.src, s.dst, s.size) for s in specs]
-            )
+            comms = sim.simulate_transfers(
+                [(s.src, s.dst, s.size) for s in specs])
         except UnknownElementError as exc:  # pragma: no cover - double guard
             raise NotFound(str(exc)) from None
-        return [
-            TransferForecast(src=r["src"], dst=r["dst"], size=r["size"],
-                             duration=r["duration"])
-            for r in records
-        ]
+        return [TransferForecast(s.src, s.dst, s.size, comm.duration)
+                for s, comm in zip(specs, comms)]
 
     # -- multi-horizon and what-if queries ---------------------------------------
 

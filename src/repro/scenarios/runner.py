@@ -122,7 +122,7 @@ def run_scenario(
                          vectorized=vectorized)
         log = schedule_dynamics(sim, spec.dynamics)
         schedule_measured(sim, spec.measured, log=log)
-        comms = [sim.add_comm(src, dst, size) for src, dst, size in transfers]
+        comms = sim.add_comms(transfers)
         makespan = sim.run()
         result.makespans.append(makespan)
         if rep == 0:

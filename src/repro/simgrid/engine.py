@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -182,18 +182,35 @@ class Simulation:
         self._a_bool = np.empty(new, dtype=bool)
         self._a_bool2 = np.empty(new, dtype=bool)
 
-    def _register(self, activity: Activity) -> None:
-        if not self._a_free:
-            self._grow_slots()
-        slot = self._a_free.pop()
-        activity._slot = slot
-        self._a_obj[slot] = activity
-        self._a_rem[slot] = activity.remaining
-        self._a_rate[slot] = activity.rate
-        self._a_eps[slot] = _REL_EPS * activity.scale
-        self._a_live[slot] = True
-        self._a_is_comm[slot] = isinstance(activity, CommActivity)
-        self._a_count += 1
+    def _register(self, activities: list[Activity], is_comm: bool) -> None:
+        """Give each activity a progress slot: one write per slot array for
+        the whole batch (scalar writes for a batch of one)."""
+        if not activities:
+            return
+        free = self._a_free
+        objs = self._a_obj
+        slots: list[int] = []
+        for activity in activities:
+            if not free:
+                self._grow_slots()
+            slot = free.pop()
+            activity._slot = slot
+            objs[slot] = activity
+            slots.append(slot)
+        if len(slots) == 1:
+            index, only = slots[0], activities[0]
+            remaining, rate, scale = only.remaining, only.rate, only.scale
+        else:
+            index = slots
+            remaining = [a.remaining for a in activities]
+            rate = [a.rate for a in activities]
+            scale = np.array([a.scale for a in activities])
+        self._a_rem[index] = remaining
+        self._a_rate[index] = rate
+        self._a_eps[index] = _REL_EPS * scale
+        self._a_live[index] = True
+        self._a_is_comm[index] = is_comm
+        self._a_count += len(slots)
 
     def _unregister(self, activity: Activity, slot: int) -> None:
         self._a_live[slot] = False
@@ -252,44 +269,74 @@ class Simulation:
         payload: object = None,
     ) -> CommActivity:
         """Start a communication of ``size`` bytes from ``src`` to ``dst`` now."""
-        src_host = src if isinstance(src, Host) else self.platform.host(src)
-        dst_host = dst if isinstance(dst, Host) else self.platform.host(dst)
-        if name is None:
-            name = f"comm-{next(self._comm_counter)}"
-        if src_host is dst_host:
-            # loopback: serial latency, then drain at loopback bandwidth,
-            # un-shared (each local transfer gets the full loopback rate)
-            comm = CommActivity(
-                name, src_host, dst_host, size, route=[],
-                startup_latency=self.loopback_latency,
-                weight=1.0, bound=self.loopback_bandwidth, payload=payload,
-            )
-        else:
-            route = self.platform.route(src_host, dst_host)
-            startup, weight, bound, usages = self.model.comm_spec(route)
-            dynamics = (self.model.flow_dynamics(route)
-                        if self.model.time_varying else None)
-            if dynamics is not None:
-                weight, bound = dynamics.spec()
-            comm = CommActivity(
-                name, src_host, dst_host, size, route=route,
-                startup_latency=startup, weight=weight, bound=bound,
-                payload=payload,
-            )
-            comm.usages = self._scaled_usages(usages)
-            if dynamics is not None:
-                # first round boundary: one dynamics interval after data
-                # starts flowing (the startup phase covers the handshake)
-                self._join_round(comm, dynamics, startup + dynamics.interval)
-                comm.add_done_callback(self._leave_round)
-        comm.start_time = self.clock
-        self._register(comm)
-        self._started.append(comm)
+        return self.add_comms(((src, dst, size),), (name,), (payload,))[0]
+
+    def add_comms(
+        self,
+        transfers: Sequence[tuple[str | Host, str | Host, float]],
+        names: Sequence[Optional[str]] = (),
+        payloads: Sequence[object] = (),
+    ) -> list[CommActivity]:
+        """Start one communication per ``(src, dst, size)`` now, in order —
+        :meth:`add_comm` in bulk (``names``/``payloads``, when given, run
+        parallel to ``transfers``).
+
+        Everything that can fail (unknown host, no route, negative size) is
+        resolved before the first comm of the batch touches the engine."""
+        host = self.platform.host
+        route_of = self.platform.route
+        comm_spec = self.model.comm_spec
+        flow_dynamics = (self.model.flow_dynamics
+                         if self.model.time_varying else None)
+        scaled = self._scaled_usages
+        clock = self.clock
+        comms: list[CommActivity] = []
+        rounds: list[tuple[CommActivity, object, float]] = []
+        for i, (src, dst, size) in enumerate(transfers):
+            name = names[i] if names else None
+            payload = payloads[i] if payloads else None
+            src_host = src if isinstance(src, Host) else host(src)
+            dst_host = dst if isinstance(dst, Host) else host(dst)
+            if name is None:
+                name = f"comm-{next(self._comm_counter)}"
+            if src_host is dst_host:
+                # loopback: serial latency, then drain at loopback bandwidth,
+                # un-shared (each local transfer gets the full loopback rate)
+                comm = CommActivity(
+                    name, src_host, dst_host, size, route=[],
+                    startup_latency=self.loopback_latency,
+                    weight=1.0, bound=self.loopback_bandwidth, payload=payload,
+                )
+            else:
+                route = route_of(src_host, dst_host)
+                startup, weight, bound, usages = comm_spec(route)
+                dynamics = flow_dynamics(route) if flow_dynamics else None
+                if dynamics is not None:
+                    weight, bound = dynamics.spec()
+                comm = CommActivity(
+                    name, src_host, dst_host, size, route=route,
+                    startup_latency=startup, weight=weight, bound=bound,
+                    payload=payload,
+                )
+                comm.usages = scaled(usages)
+                if dynamics is not None:
+                    # first round boundary: one dynamics interval after data
+                    # starts flowing (the startup phase covers the handshake)
+                    rounds.append((comm, dynamics, startup + dynamics.interval))
+            comm.start_time = clock
+            comms.append(comm)
+        for comm, dynamics, delay in rounds:
+            self._join_round(comm, dynamics, delay)
+            comm.add_done_callback(self._leave_round)
+        self._register(comms, True)
+        self._started += comms
         self._share_dirty = True
         if self.trace is not None:
-            self.trace.record(self.clock, "comm_start", name=name,
-                              src=src_host.name, dst=dst_host.name, size=size)
-        return comm
+            for comm, (_src, _dst, size) in zip(comms, transfers):
+                self.trace.record(clock, "comm_start", name=comm.name,
+                                  src=comm.src.name, dst=comm.dst.name,
+                                  size=size)
+        return comms
 
     def add_exec(self, host: str | Host, flops: float, name: Optional[str] = None) -> ExecActivity:
         """Start a computation of ``flops`` on ``host`` now."""
@@ -299,7 +346,7 @@ class Simulation:
         activity = ExecActivity(name, host_obj, flops)
         activity.usages = self._exec_usages(host_obj)
         activity.start_time = self.clock
-        self._register(activity)
+        self._register([activity], False)
         self._started.append(activity)
         self._share_dirty = True
         if self.trace is not None:
@@ -311,7 +358,7 @@ class Simulation:
         """Start a pure delay of ``duration`` simulated seconds."""
         activity = SleepActivity(name or f"sleep-{next(self._comm_counter)}", duration)
         activity.start_time = self.clock
-        self._register(activity)
+        self._register([activity], False)
         return activity
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> list:
@@ -577,22 +624,20 @@ class Simulation:
                 for activity, vid in handles.items():
                     self._vid_slot[vid] = activity._slot
         if self._started:
-            for activity in self._started:
-                if (
-                    activity.state is ActivityState.RUNNING
-                    and isinstance(activity, (CommActivity, ExecActivity))
-                    and activity not in handles
-                ):
-                    weight, bound = self._sharing_spec(activity)
-                    vid = sharing.add_variable_unchecked(
-                        weight, bound, activity, activity.usages
-                    )
-                    handles[activity] = vid
-                    if vid >= self._vid_slot.size:
-                        # the arena grew its slot buffers mid-batch
-                        self._ensure_vid_slot()
-                    self._vid_slot[vid] = activity._slot
+            batch = [
+                activity for activity in dict.fromkeys(self._started)
+                if activity.state is ActivityState.RUNNING
+                and isinstance(activity, (CommActivity, ExecActivity))
+                and activity not in handles
+            ]
             self._started.clear()
+            if batch:
+                spec = self._sharing_spec
+                vids = sharing.add_variables_unchecked(
+                    [(*spec(a), a, a.usages) for a in batch])
+                handles.update(zip(batch, vids))
+                self._ensure_vid_slot()  # the arena may have grown
+                self._vid_slot[vids] = [a._slot for a in batch]
         vids, values = sharing.solve_raw()
         if vids.size:
             if vids.size <= 8:
@@ -620,8 +665,10 @@ class Simulation:
 
     @property
     def sharing_stats(self) -> dict:
-        """Counters of the incremental arena (solves, components, …) and
-        of the time-varying tax: ``flow_rounds`` on ``round_instants``."""
+        """Counters of the incremental arena (solves, components, how the
+        scalar path spent them: ``fills``, ``shared_filled``,
+        ``private_folded``) and of the time-varying tax: ``flow_rounds`` on
+        ``round_instants``."""
         return {**self._sharing.stats, "flow_rounds": self._flow_rounds,
                 "round_instants": self._round_instants}
 
@@ -797,7 +844,6 @@ class Simulation:
         Returns the comms in request order, ``start_time``/``finish_time`` set.
         """
         comms: list[CommActivity] = []
-        self.schedule(0.0, lambda: comms.extend(
-            self.add_comm(src, dst, size) for src, dst, size in transfers))
+        self.schedule(0.0, lambda: comms.extend(self.add_comms(transfers)))
         self.run()
         return comms

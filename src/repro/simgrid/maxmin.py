@@ -33,20 +33,21 @@ Two front-ends share the progressive-filling kernels:
 
 ``SharingSystem.solve`` runs one of two equivalent paths:
 
-- the **batched vectorized kernel** (default): all valid coefficients live in
-  flat COO triplet arrays (constraint slot, variable slot, coefficient) with a
-  per-variable *generation* stamp — removing a variable bumps its generation,
-  invalidating its triplets in O(1) without touching the arrays.  A solve
-  discovers connected components by whole-array label propagation over the
-  triplets, picks the components containing dirty slots, solves every
-  single-variable component in one scalar-free bulk pass, and runs all
-  remaining components through :func:`progressive_fill_batched` — one
-  progressive-filling iteration advances *every* component simultaneously
-  (per-constraint drains via ``np.bincount`` segment sums, per-component
-  levels via ``np.minimum.reduceat``),
-- the **scalar path** (``solve(vectorized=False)``): the PR-1 per-component
-  Python walk, retained as the verification escape hatch exactly the way
-  ``full_resolve`` was retained for the engine.
+- the **scalar path** (every solve whose dirty set is narrower than
+  ``vectorize_min_dirty`` variables, and ``solve(vectorized=False)``): a
+  Python walk per dirty component that *folds* every private constraint — one
+  user at this solve — into that user's bound and fills what is left, the
+  shared constraints, with :func:`progressive_fill_sparse`,
+- the **batched vectorized kernel** (wide dirty sets): all valid coefficients
+  live in flat COO triplet arrays (constraint slot, variable slot,
+  coefficient) with a per-variable *generation* stamp — removing a variable
+  bumps its generation, invalidating its triplets in O(1).  A solve labels
+  connected components by whole-array propagation over the triplets, solves
+  the single-variable ones in one bulk pass, and runs the rest through
+  :func:`progressive_fill_batched` — one iteration advances *every*
+  component simultaneously (``np.bincount`` drains, ``np.minimum.reduceat``
+  levels).  It folds nothing, and with :class:`MaxMinSystem` is the unfolded
+  reference the fuzz pyramid holds the scalar path against.
 
 Long-lived arenas (days-long metrology loops) call :meth:`SharingSystem.
 compact` — or let :meth:`maybe_compact` decide — to defragment the free lists
@@ -57,7 +58,7 @@ remap), and ``allocations()`` order is preserved.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +66,9 @@ _EPS = 1e-12
 
 _EMPTY_IDS = np.zeros(0, dtype=np.intp)
 _EMPTY_VALS = np.zeros(0, dtype=float)
+
+#: a variable's ``(constraint key, capacity, coefficient)`` triples
+Usages = tuple[tuple[object, float, float], ...]
 
 
 class MaxMinError(Exception):
@@ -302,6 +306,89 @@ def progressive_fill(
     return values, usage
 
 
+def progressive_fill_sparse(weights: dict, bounds: dict, rows: list,
+                            capacities: list[float]) -> dict:
+    """:func:`progressive_fill` in pure Python over sparse constraint rows.
+
+    ``weights`` maps each variable (any hashable id) to its weight, ``bounds``
+    covers at least those ids, ``rows[c]`` lists the ``(variable,
+    coefficient)`` users of constraint ``c`` in ascending variable order.
+    Sums run in that order and every freeze decision is the dense kernel's,
+    so the two agree to float noise (well inside the 1e-9 budget the tests
+    pin).  A level touches the live rows once and the variables it freezes,
+    with no array dispatch: cheapest for tens of flows on a handful of shared
+    links, level with the dense kernel at ~600.  Returns ``{variable: rate}``.
+    """
+    inv_w = {v: 1.0 / w for v, w in weights.items()}
+    # the level at which each variable tops out; ``max(0, top - phi)`` is
+    # monotone in ``top``, so the next bound to bind is the first still
+    # active variable in this order and the bound-frozen set is a prefix
+    top = {v: bounds[v] * w for v, w in weights.items()}
+    by_top = sorted(top, key=top.__getitem__)
+    rows = [[(v, k * inv_w[v]) for v, k in row] for row in rows]
+    remaining = list(capacities)
+    live = list(range(len(rows)))
+    active = set(top)
+    values: dict = {}
+    n = len(by_top)
+    head = 0
+    phi = 0.0
+    while active:
+        dphi = math.inf
+        drains = []
+        for c in live:
+            # consumption per unit of level; any strictly positive drain
+            # keeps the constraint relevant (no absolute epsilon)
+            d = 0.0
+            for v, k in rows[c]:
+                if v in active:
+                    d += k
+            drains.append(d)
+            if d > 0.0:
+                step = remaining[c] / d
+                if step < dphi:
+                    dphi = step
+        while by_top[head] not in active:
+            head += 1
+        d = top[by_top[head]] - phi
+        if d < 0.0:
+            d = 0.0
+        if d < dphi:
+            dphi = d
+        if dphi == math.inf:
+            # no constraint and no bound applies: unbounded variables
+            values.update(dict.fromkeys(active, math.inf))
+            break
+        phi += dphi
+        freeze_eps = _EPS * (phi if phi > 1.0 else 1.0)
+        hit = []
+        for i in range(head, n):
+            v = by_top[i]
+            if v in active:
+                if top[v] - phi > freeze_eps:
+                    break
+                hit.append(v)
+        still = []
+        for c, d in zip(live, drains):
+            remaining[c] -= dphi * d
+            if d > 0.0:
+                if remaining[c] <= _EPS * capacities[c]:
+                    # saturated: its active users freeze at this level
+                    hit.extend(v for v, _ in rows[c])
+                else:
+                    still.append(c)
+        live = still
+        if not hit:
+            # numerical safety: force-freeze to guarantee progress
+            hit = list(active)
+        for v in hit:
+            if v in active:
+                active.remove(v)
+                value = phi * inv_w[v]
+                values[v] = value if value < bounds[v] else bounds[v]
+    return values
+
+
 def progressive_fill_batched(
     weights: np.ndarray,
     bounds: np.ndarray,
@@ -479,10 +566,16 @@ class SharingSystem:
         m = max(1, int(initial_constraints))
         #: default solve path; ``solve(vectorized=...)`` overrides per call
         self.vectorized = bool(vectorized)
-        #: smallest dirty set worth routing through the batched kernel when
-        #: the caller leaves the path choice to the instance default: the
-        #: kernel's fixed cost (triplet compression, whole-graph component
-        #: labeling) beats the scalar walk only on wide re-solves
+        #: fewest dirty *variables* worth routing through the batched kernel
+        #: when the caller leaves the path choice to the instance default.
+        #: Its cost follows the variables it re-solves and the live graph it
+        #: labels, not the private constraints a flow brings along (counting
+        #: those sent fig9's 45-flow arrivals, 139 dirty slots, through it:
+        #: 314 us against 147 for the scalar walk).  Full re-solves, us
+        #: scalar/batched — lone flows 64: 73/88, 96: 108/100, 128: 139/111,
+        #: 256: 271/157; 16-flow components 96: 259/290, 128: 334/320, 256:
+        #: 630/414; pairs 32: 213/212, 128: 783/300; one cluster-shaped
+        #: component 100: 379/781, 300: 1577/2212, 600: 3078/3013
         self.vectorize_min_dirty = 128
         # per-variable slot buffers
         self._weights = np.ones(n, dtype=float)
@@ -528,6 +621,11 @@ class SharingSystem:
             "peak_variables": 0,
             "vectorized_solves": 0,
             "compactions": 0,
+            # the scalar path's fold: multi-variable component fills, shared
+            # constraints entering them, private constraints folded away
+            "fills": 0,
+            "shared_filled": 0,
+            "private_folded": 0,
         }
 
     # -- introspection -------------------------------------------------------
@@ -639,31 +737,6 @@ class SharingSystem:
 
     # -- mutation ------------------------------------------------------------
 
-    def _intern_constraint(self, key: object, capacity: float) -> int:
-        slot = self._key_to_slot.get(key)
-        if slot is not None:
-            if self._capacities[slot] != capacity:
-                # capacity changed under us (link recalibration): adopt the
-                # new value and force the component to re-solve
-                self._capacities[slot] = capacity
-                self._dirty_cons.add(slot)
-            return slot
-        if not (capacity > 0.0) or not math.isfinite(capacity):
-            raise MaxMinError(
-                f"constraint (key={key!r}): capacity must be positive and "
-                f"finite, got {capacity}"
-            )
-        if not self._cons_free:
-            self._grow_cons()
-        slot = self._cons_free.pop()
-        self._capacities[slot] = float(capacity)
-        self._usages[slot] = 0.0
-        self._cons_live[slot] = True
-        self._cons_key[slot] = key
-        self._cons_vars[slot].clear()
-        self._key_to_slot[key] = slot
-        return slot
-
     def add_variable(
         self,
         weight: float,
@@ -714,46 +787,83 @@ class SharingSystem:
             ),
         )
 
-    def add_variable_unchecked(
-        self,
-        weight: float,
-        bound: float,
-        payload: object,
-        usages: tuple[tuple[object, float, float], ...],
-    ) -> int:
-        """Hot-path :meth:`add_variable` without validation or aggregation.
+    def add_variable_unchecked(self, weight: float, bound: float,
+                               payload: object, usages: Usages) -> int:
+        """:meth:`add_variables_unchecked` for one variable."""
+        return self.add_variables_unchecked(((weight, bound, payload, usages),))[0]
+
+    def add_variables_unchecked(
+            self, specs: Sequence[tuple[float, float, object, Usages]]) -> list[int]:
+        """Hot-path :meth:`add_variable` in bulk, without validation or
+        aggregation: one ``(weight, bound, payload, usages)`` per variable,
+        one write per slot buffer for the whole batch.  Returns the vids.
 
         The caller (the simulation engine, whose usages come pre-aggregated
         from :meth:`NetworkModel.sharing_usages`) guarantees ``weight > 0``,
         ``bound > 0`` (``inf`` for unbounded), positive coefficients and
-        distinct constraint keys.
+        distinct constraint keys per variable.
         """
-        if not self._var_free:
-            self._grow_vars()
-        vid = self._var_free.pop()
-        self._weights[vid] = weight
-        self._bounds[vid] = bound
-        self._values[vid] = 0.0
-        self._var_live[vid] = True
-        self._var_payload[vid] = payload
-        # fresh list: staged triplet records may still reference the previous
-        # occupant's uses, so the old list must never be mutated in place
-        uses: list[tuple[int, float]] = []
-        self._var_uses[vid] = uses
+        vids: list[int] = []
+        free = self._var_free
+        var_payload = self._var_payload
+        var_uses = self._var_uses
         cons_vars = self._cons_vars
-        dirty_cons = self._dirty_cons
-        for key, capacity, coefficient in usages:
-            slot = self._intern_constraint(key, capacity)
-            cons_vars[slot].add(vid)
-            uses.append((slot, coefficient))
-            dirty_cons.add(slot)
-        if uses:
-            self._pend.append((vid, int(self._var_gen[vid]), uses))
-        self._dirty_vars.add(vid)
-        self._live_count += 1
+        cons_free = self._cons_free
+        key_to_slot = self._key_to_slot
+        pend = self._pend
+        for _weight, _bound, payload, usages in specs:
+            if not free:
+                self._grow_vars()
+            vid = free.pop()
+            vids.append(vid)
+            var_payload[vid] = payload
+            # fresh list: staged triplet records may still reference the
+            # previous occupant's uses, so the old list is never mutated
+            uses: list[tuple[int, float]] = []
+            var_uses[vid] = uses
+            for key, capacity, coefficient in usages:
+                slot = key_to_slot.get(key)
+                if slot is None:
+                    if not (capacity > 0.0) or not math.isfinite(capacity):
+                        raise MaxMinError(
+                            f"constraint (key={key!r}): capacity must be "
+                            f"positive and finite, got {capacity}"
+                        )
+                    if not cons_free:
+                        self._grow_cons()
+                    # a free slot has no users and zero usage (see
+                    # remove_variable), so only these need setting
+                    slot = cons_free.pop()
+                    self._capacities[slot] = capacity
+                    self._cons_live[slot] = True
+                    self._cons_key[slot] = key
+                    key_to_slot[key] = slot
+                elif self._capacities.item(slot) != capacity:
+                    # capacity changed under us (link recalibration): adopt
+                    # the new value; the new user re-solves the component
+                    self._capacities[slot] = capacity
+                cons_vars[slot].add(vid)
+                uses.append((slot, coefficient))
+            if uses:
+                pend.append((vid, self._var_gen.item(vid), uses))
+        # a new variable seeds its component's walk: no dirty constraint marks
+        self._dirty_vars.update(vids)
+        if not vids:
+            return vids
+        if len(vids) == 1:
+            index, weights, bounds = vids[0], specs[0][0], specs[0][1]
+        else:
+            index = vids
+            weights = [spec[0] for spec in specs]
+            bounds = [spec[1] for spec in specs]
+        self._weights[index] = weights
+        self._bounds[index] = bounds
+        self._values[index] = 0.0
+        self._var_live[index] = True
+        self._live_count += len(vids)
         if self._live_count > self.stats["peak_variables"]:
             self.stats["peak_variables"] = self._live_count
-        return vid
+        return vids
 
     def update_variable(
         self,
@@ -972,221 +1082,110 @@ class SharingSystem:
 
     # -- solving -------------------------------------------------------------
 
-    def _component_from(self, seed_vars: list[int], seed_cons: list[int],
-                        seen_vars: set[int], seen_cons: set[int]) -> tuple[list[int], list[int]]:
-        """Collect the connected component containing the seeds (BFS over the
-        bipartite variable/constraint graph)."""
-        comp_vars: list[int] = []
-        comp_cons: list[int] = []
-        stack_v = [v for v in seed_vars if v not in seen_vars]
-        stack_c = [c for c in seed_cons if c not in seen_cons]
-        seen_vars.update(stack_v)
-        seen_cons.update(stack_c)
-        while stack_v or stack_c:
-            while stack_v:
-                v = stack_v.pop()
-                comp_vars.append(v)
-                for slot, _coeff in self._var_uses[v]:
-                    if slot not in seen_cons:
-                        seen_cons.add(slot)
-                        stack_c.append(slot)
-            while stack_c:
-                c = stack_c.pop()
-                comp_cons.append(c)
-                for v in self._cons_vars[c]:
-                    if v not in seen_vars:
-                        seen_vars.add(v)
-                        stack_v.append(v)
-        return comp_vars, comp_cons
-
-    def _solve_component(self, comp_vars: list[int], comp_cons: list[int]) -> None:
-        if len(comp_vars) == 1:
-            # a lone variable takes the minimum of its bound and its
-            # constraints' full capacity — no numpy round-trip (a *dirty*
-            # lone variable is settled in _solve_scalar before it gets here)
-            vid = comp_vars[0]
-            value = float(self._bounds[vid])
-            uses = self._var_uses[vid]
-            for slot, coeff in uses:
-                capacity = float(self._capacities[slot]) / coeff
-                if capacity < value:
-                    value = capacity
-            self._values[vid] = value
-            for slot, coeff in uses:
-                self._usages[slot] = value * coeff
-            return
-        if len(comp_vars) <= 8:
-            self._solve_component_small(sorted(comp_vars), sorted(comp_cons))
-            return
-        vi = np.array(sorted(comp_vars), dtype=np.intp)
-        weights = self._weights[vi]
-        bounds = self._bounds[vi]
-        if comp_cons:
-            ci = np.array(sorted(comp_cons), dtype=np.intp)
-            cons_index = {int(c): i for i, c in enumerate(ci)}
-            incidence = np.zeros((ci.size, vi.size), dtype=float)
-            for j, vid in enumerate(vi.tolist()):
-                for slot, coefficient in self._var_uses[vid]:
-                    incidence[cons_index[slot], j] = coefficient
-            capacities = self._capacities[ci]
-        else:
-            ci = _EMPTY_IDS
-            incidence = np.zeros((0, vi.size), dtype=float)
-            capacities = np.zeros(0, dtype=float)
-        values, usage = progressive_fill(weights, bounds, incidence, capacities)
-        self._values[vi] = values
-        if ci.size:
-            self._usages[ci] = usage
-
-    def _solve_component_small(self, vids: list[int], cons: list[int]) -> None:
-        """Pure-python :func:`progressive_fill` for components of a few
-        variables, where array dispatch costs more than the arithmetic.
-
-        Mirrors the numpy kernel's operation order element-for-element, so
-        results agree with it to the last bits of float noise (well inside
-        the 1e-9 equivalence budget pinned by the tests and benches)."""
-        n = len(vids)
-        m = len(cons)
-        weights = [float(self._weights[v]) for v in vids]
-        bounds = [float(self._bounds[v]) for v in vids]
-        inv_w = [1.0 / w for w in weights]
-        # coefficient rows come from the per-variable uses lists: for a
-        # component this small, scanning them beats dense-matrix gathers
-        cons_index = {c: i for i, c in enumerate(cons)}
-        coeff = [[0.0] * n for _ in range(m)]
-        for j, vid in enumerate(vids):
-            for slot, coefficient in self._var_uses[vid]:
-                coeff[cons_index[slot]][j] = coefficient
-        capacities = [float(self._capacities[c]) for c in cons]
-        remaining = list(capacities)
-        active = [True] * n
-        cons_active = [True] * m
-        values = [0.0] * n
-        n_active = n
-        phi = 0.0
-        drain = [0.0] * m
-        hit = [False] * n
-        for _ in range(n + m + 1):
-            if not n_active:
-                break
-            dphi = math.inf
-            for c in range(m):
-                row = coeff[c]
-                d = 0.0
-                for v in range(n):
-                    if active[v]:
-                        d += row[v] * inv_w[v]
-                drain[c] = d
-                if cons_active[c] and d > 0.0:
-                    step = remaining[c] / d
-                    if step < dphi:
-                        dphi = step
-            for v in range(n):
-                if active[v]:
-                    d = bounds[v] * weights[v] - phi
-                    if d < 0.0:
-                        d = 0.0
-                    if d < dphi:
-                        dphi = d
-            if not math.isfinite(dphi):
-                # no constraint and no bound applies: unbounded variables
-                for v in range(n):
-                    if active[v]:
-                        values[v] = math.inf
-                        active[v] = False
-                n_active = 0
-                break
-            phi += dphi
-            freeze_eps = _EPS * (phi if phi > 1.0 else 1.0)
-            any_hit = False
-            for v in range(n):
-                if active[v] and bounds[v] * weights[v] - phi <= freeze_eps:
-                    hit[v] = True
-                    any_hit = True
-                else:
-                    hit[v] = False
-            for c in range(m):
-                d = drain[c]
-                remaining[c] -= dphi * d
-                if (cons_active[c] and d > 0.0
-                        and remaining[c] <= _EPS * capacities[c]):
-                    cons_active[c] = False
-                    row = coeff[c]
-                    for v in range(n):
-                        if active[v] and row[v] > 0.0:
-                            hit[v] = True
-                            any_hit = True
-            if not any_hit:
-                # numerical safety: force-freeze to guarantee progress
-                hit = list(active)
-            for v in range(n):
-                if hit[v]:
-                    value = phi * inv_w[v]
-                    if bounds[v] < value:
-                        value = bounds[v]
-                    values[v] = value
-                    active[v] = False
-                    n_active -= 1
-        for v, vid in enumerate(vids):
-            self._values[vid] = values[v]
-        for c, cid in enumerate(cons):
-            row = coeff[c]
-            total = 0.0
-            for v in range(n):
-                value = values[v]
-                if value < math.inf:
-                    total += row[v] * value
-            self._usages[cid] = total
-
     def _solve_scalar(self, dirty_vars: list[int], dirty_cons: list[int]) -> np.ndarray:
-        seen_vars: set[int] = set()
-        seen_cons: set[int] = set()
-        resolved: list[int] = []
-        n_components = 0
-        cons_vars = self._cons_vars
-        usages = self._usages
-        capacities = self._capacities
-        mark_cons = bool(dirty_cons)  # else no constraint seeds a walk below
-        for seed in dirty_vars:
-            if seed in seen_vars:
-                continue
-            uses = self._var_uses[seed]
-            # alone on all its constraints (disjoint NIC links: the common
-            # case on clusters), a variable is its own component and takes
-            # min(bound, capacity / coefficient) — settled in this one pass,
-            # bit for bit what _solve_component([seed], []) computes
-            value = self._bounds.item(seed)
-            for slot, coeff in uses:
-                if len(cons_vars[slot]) != 1:
-                    break
-                capacity = capacities.item(slot) / coeff
-                if capacity < value:
-                    value = capacity
-            else:
-                self._values[seed] = value
-                for slot, coeff in uses:
-                    usages[slot] = value * coeff
-                    if mark_cons:
-                        seen_cons.add(slot)
-                resolved.append(seed)
-                n_components += 1
-                continue
-            comp_vars, comp_cons = self._component_from([seed], [], seen_vars, seen_cons)
-            self._solve_component(comp_vars, comp_cons)
-            resolved.extend(comp_vars)
-            n_components += 1
-        for seed in dirty_cons:
-            if seed in seen_cons:
-                continue
-            comp_vars, comp_cons = self._component_from([], [seed], seen_vars, seen_cons)
-            self._solve_component(comp_vars, comp_cons)
-            resolved.extend(comp_vars)
-            n_components += 1
+        """Walk and solve every component reachable from the dirty slots.
 
-        self.stats["components_solved"] += n_components
-        self.stats["variables_resolved"] += len(resolved)
+        A *private* constraint — one user at this solve — couples nothing: it
+        only caps that user at ``capacity / coefficient``.  The walk folds it
+        into the variable's effective bound instead of following it, so a
+        component is the variables joined by *shared* constraints and only
+        those enter the fill.  Privacy is read off the live membership, never
+        cached: a user joining or the last-but-one leaving dirties the slot.
+        No shared constraint is the degenerate case: value = effective bound.
+        """
+        var_uses = self._var_uses
+        cons_vars = self._cons_vars
+        bound_of = self._bounds.item
+        capacity_of = self._capacities.item
+        values = self._values
+        usages = self._usages
+        # any one user reaches a dirty constraint's whole component
+        seeds = dirty_vars
+        if dirty_cons:
+            seeds = dirty_vars + [next(iter(cons_vars[slot])) for slot in dirty_cons]
+        # vid -> effective bound of every variable walked so far (a queued
+        # one holds a placeholder), so also the walk's seen-set
+        folded: dict[int, float] = {}
+        resolved: list[int] = []
+        n_components = n_private = 0
+        rows: dict[int, list[tuple[int, float]]] = {}
+        for seed in seeds:
+            if seed in folded:
+                continue
+            n_components += 1
+            vids = [seed]
+            for vid in vids:  # grows as shared constraints bring users in
+                bound = bound_of(vid)
+                for slot, coeff in var_uses[vid]:
+                    users = cons_vars[slot]
+                    if len(users) == 1:
+                        capacity = capacity_of(slot) / coeff
+                        if capacity < bound:
+                            bound = capacity
+                        continue
+                    row = rows.get(slot)
+                    if row is None:
+                        row = rows[slot] = []
+                        folded[vid] = 0.0  # the seed was queued by nobody
+                        for other in users:
+                            if other not in folded:
+                                folded[other] = 0.0
+                                vids.append(other)
+                    row.append((vid, coeff))
+                folded[vid] = bound
+            if rows:
+                resolved += vids
+                n_private += self._fill_component(vids, folded, rows)
+                rows = {}
+            else:
+                resolved.append(seed)
+                values[seed] = bound
+                uses = var_uses[seed]
+                n_private += len(uses)
+                for slot, coeff in uses:
+                    usages[slot] = bound * coeff
+
+        stats = self.stats
+        stats["components_solved"] += n_components
+        stats["variables_resolved"] += len(resolved)
+        stats["private_folded"] += n_private
         resolved.sort()
         return np.array(resolved, dtype=np.intp)
+
+    def _fill_component(self, vids: list[int], bounds: dict[int, float],
+                        rows: dict[int, list[tuple[int, float]]]) -> int:
+        """Fill one folded multi-variable component: ``rows`` maps each
+        shared constraint slot to its ``(vid, coefficient)`` users, ``bounds``
+        each vid to its effective bound.  Writes the values and the usages of
+        shared and private constraints alike (``value * coefficient`` on a
+        private one); returns how many private constraints it folded."""
+        for row in rows.values():
+            row.sort()  # ascending vid: one summation order whatever the seed
+        weight_of = self._weights.item
+        capacity_of = self._capacities.item
+        rates = progressive_fill_sparse(
+            {vid: weight_of(vid) for vid in vids}, bounds,
+            list(rows.values()), [capacity_of(slot) for slot in rows])
+        values = self._values
+        usages = self._usages
+        var_uses = self._var_uses
+        n_private = 0
+        for vid in vids:
+            values[vid] = rate = rates[vid]
+            for slot, coeff in var_uses[vid]:
+                if slot not in rows:
+                    n_private += 1
+                    usages[slot] = rate * coeff
+        for slot, row in rows.items():
+            total = 0.0
+            for vid, coeff in row:
+                rate = rates[vid]
+                if rate < math.inf:
+                    total += coeff * rate
+            usages[slot] = total
+        self.stats["fills"] += 1
+        self.stats["shared_filled"] += len(rows)
+        return n_private
 
     def _solve_vectorized(self, dirty_vars: list[int], dirty_cons: list[int]) -> np.ndarray:
         self._commit_triplets()
@@ -1340,8 +1339,9 @@ class SharingSystem:
         keep their own vid maps and don't want per-variable tuples.
         """
         if full:
-            dirty_vars = [int(v) for v in np.nonzero(self._var_live)[0]]
-            dirty_cons = [int(c) for c in np.nonzero(self._cons_live)[0]]
+            # every live constraint has a live user, which reaches it
+            dirty_vars = np.nonzero(self._var_live)[0].tolist()
+            dirty_cons = []
         else:
             # dirty sets never hold dead slots: every removal path discards
             dirty_vars = sorted(self._dirty_vars)
@@ -1353,14 +1353,11 @@ class SharingSystem:
             return _EMPTY_IDS, _EMPTY_VALS
         if vectorized is None:
             # adaptive dispatch: the batched kernel's fixed per-solve cost
-            # (triplet compression + component labeling over the whole live
-            # graph) only amortizes once the dirty set is wide enough; tiny
-            # deltas go through the scalar walk even in vectorized mode.
-            # An explicit ``vectorized=True/False`` always forces its path.
-            use_vectorized = (
-                self.vectorized
-                and len(dirty_vars) + len(dirty_cons) >= self.vectorize_min_dirty
-            )
+            # (triplet compression + labeling the whole live graph) only
+            # amortizes once enough variables are dirty; an explicit
+            # ``vectorized=True/False`` always forces its path
+            use_vectorized = (self.vectorized
+                              and len(dirty_vars) >= self.vectorize_min_dirty)
         else:
             use_vectorized = bool(vectorized)
         if use_vectorized:

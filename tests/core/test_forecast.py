@@ -8,8 +8,12 @@ from repro.core.forecast import (
     TransferSpec,
 )
 from repro.core.rest.errors import BadRequest, NotFound
+from repro.experiments.figures import FIGURES
+from repro.experiments.protocol import draw_transfer_pairs
 from repro.simgrid.builder import build_star_cluster
+from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
+from repro.simgrid.msg import transfer_processes
 
 
 class TestTransferSpec:
@@ -167,3 +171,37 @@ class TestPredictMany:
         answers = forecast_service.predict_transfers_many(
             "g5k_test", self.REQUESTS[:1], workers=4)
         assert len(answers) == 1
+
+
+class TestAnswersFromTheComms:
+    """``predict_transfers`` reads its answer straight off the comms that
+    ``simulate_transfers`` returns; ``transfer_processes`` (what-if's record
+    form) must say the same, field for field."""
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig9"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_transfer_process_records(self, forecast_service,
+                                                 figure, seed):
+        pairs = draw_transfer_pairs(FIGURES[figure].spec, seed)
+        transfers = [(src, dst, 1e5 * 7 ** (i % 5))
+                     for i, (src, dst) in enumerate(pairs)]
+        answer = forecast_service.predict_transfers("g5k_test", transfers)
+        records = transfer_processes(
+            Simulation(forecast_service.platform("g5k_test"),
+                       forecast_service.model), transfers)
+        assert [(f.src, f.dst, f.size, f.duration) for f in answer] == [
+            (r["src"], r["dst"], r["size"], r["duration"]) for r in records]
+
+    def test_with_ongoing_transfers(self, forecast_service):
+        pairs = draw_transfer_pairs(FIGURES["fig9"].spec, 3)
+        transfers = [(src, dst, 5e8) for src, dst in pairs[:20]]
+        ongoing = [(src, dst, 2e8) for src, dst in pairs[20:30]]
+        answer = forecast_service.predict_transfers(
+            "g5k_test", transfers, ongoing=ongoing)
+        sim = Simulation(forecast_service.platform("g5k_test"),
+                         forecast_service.model)
+        for src, dst, size in ongoing:
+            sim.add_comm(src, dst, size)
+        records = transfer_processes(sim, transfers)
+        assert [f.duration for f in answer] == [r["duration"] for r in records]
+        assert answer != forecast_service.predict_transfers("g5k_test", transfers)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
 from repro.simgrid.engine import Simulation, SimulationError
-from repro.simgrid.models import CM02, LV08
+from repro.simgrid.models import CM02, LV08, model_by_name
+from repro.simgrid.platform import UnknownElementError
 from repro.simgrid.trace import Trace
 
 
@@ -315,3 +316,80 @@ class TestIncrementalSharing:
         assert comm.route == list(cached)
         comm.route.clear()  # per-activity state only
         assert len(star4.route("star-1", "star-2")) == len(cached) != 0
+
+
+class TestAddComms:
+    """``add_comms(ts)`` is ``[add_comm(*t) for t in ts]`` done in bulk: same
+    comms, same order, same slots, same answers, same trace."""
+
+    TRANSFERS = [("star-1", "star-3", 1e9), ("star-2", "star-3", 2e8),
+                 ("star-2", "star-2", 3e7),  # loopback
+                 ("star-1", "star-4", 5e8), ("star-4", "star-1", 1e5)]
+
+    @staticmethod
+    def outcome(platform, transfers, bulk, **kwargs):
+        trace = Trace()
+        sim = Simulation(platform, trace=trace, **kwargs)
+        if bulk:
+            comms = sim.add_comms(transfers)
+        else:
+            comms = [sim.add_comm(*t) for t in transfers]
+        slots = [c._slot for c in comms]
+        assert sim._started == comms
+        sim.run()
+        return {
+            "names": [c.name for c in comms],
+            "ends": [(c.src.name, c.dst.name, c.size) for c in comms],
+            "start": [c.start_time for c in comms],
+            "finish": [c.finish_time for c in comms],
+            "slots": slots,
+            "slot_capacity": sim._a_rem.size,
+            "arena_capacity": sim._sharing.variable_capacity,
+            "stats": sim.sharing_stats,
+            "trace": trace.events,
+        }
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"model": CM02()}, {"full_resolve": True}, {"vectorized": False},
+        {"model": model_by_name("tcp_fluid")},
+    ], ids=["lv08", "cm02", "full_resolve", "scalar", "tcp_fluid"])
+    def test_equals_one_add_comm_per_transfer(self, star4, kwargs):
+        one_by_one = self.outcome(star4, self.TRANSFERS, False, **kwargs)
+        assert self.outcome(star4, self.TRANSFERS, True, **kwargs) == one_by_one
+        assert one_by_one["names"] == [f"comm-{i}" for i in range(5)]
+        assert all(math.isfinite(t) for t in one_by_one["finish"])
+
+    def test_host_objects_and_capacity_factors(self, star4):
+        hosts = [(star4.host(src), star4.host(dst), size)
+                 for src, dst, size in self.TRANSFERS]
+        factors = {link.name: 0.5 for link in star4.links()[:3]}
+        by_name = self.outcome(star4, self.TRANSFERS, False,
+                               capacity_factors=factors)
+        assert self.outcome(star4, hosts, True,
+                            capacity_factors=factors) == by_name
+        assert by_name != self.outcome(star4, self.TRANSFERS, True)
+
+    def test_a_batch_that_outgrows_the_slot_arrays_and_the_arena(self):
+        platform = build_star_cluster("wide", 8)
+        transfers = [(f"wide-{1 + i % 8}", f"wide-{1 + (i * 3 + 1) % 8}",
+                      1e6 * (1 + i % 7)) for i in range(150)]
+        one_by_one = self.outcome(platform, transfers, False)
+        assert self.outcome(platform, transfers, True) == one_by_one
+        assert one_by_one["slot_capacity"] == 256  # grew twice from 64
+        assert one_by_one["arena_capacity"] == 256
+        assert one_by_one["stats"]["peak_variables"] > 64
+
+    def test_names_and_payloads_run_parallel_to_the_transfers(self, star4):
+        sim = Simulation(star4)
+        comms = sim.add_comms(self.TRANSFERS[:3], names=["a", None, None],
+                              payloads=[1, 2, 3])
+        assert [c.name for c in comms] == ["a", "comm-0", "comm-1"]
+        assert [c.payload for c in comms] == [1, 2, 3]
+
+    def test_unknown_host_registers_no_comm_of_the_batch(self, star4):
+        sim = Simulation(star4, trace=Trace())
+        with pytest.raises(UnknownElementError):
+            sim.add_comms(self.TRANSFERS + [("star-1", "nowhere", 1e6)])
+        assert sim._a_count == 0 and sim._started == []
+        assert len(sim.trace) == 0
+        assert sim.run() == 0.0

@@ -10,11 +10,14 @@ drift, buffer growth stays bounded by the compaction policy, and
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.simgrid.maxmin import MaxMinError, SharingSystem
+from repro.simgrid.maxmin import (MaxMinError, MaxMinSystem, SharingSystem,
+                                  progressive_fill)
 
 CYCLES = 100_000
 
@@ -267,13 +270,208 @@ class TestUpdateVariable:
         assert unchecked.stats == checked.stats
 
 
-# -- a variable alone on all its constraints is settled inline ---------------
+# -- private constraints are folded into their user's bound -------------------
 
 
-class TestInlineSingleton:
-    """``_solve_scalar`` settles an uncontended dirty variable in one pass
-    over its uses; ``_solve_component([v], [])`` is the closed form it must
-    equal, bit for bit, values and usages."""
+def arena_of(flows, capacities, vectorized=False):
+    """A scalar-path arena holding ``flows`` = ``[(weight, bound, [(key,
+    coefficient), ...]), ...]``; returns it with the vids."""
+    system = SharingSystem(vectorized=vectorized)
+    vids = [
+        system.add_variable(
+            weight, bound=bound,
+            usages=tuple((key, capacities[key], c) for key, c in uses))
+        for weight, bound, uses in flows
+    ]
+    return system, vids
+
+
+def unfolded_references(flows, capacities):
+    """The same system solved with every constraint kept a constraint: a
+    from-scratch :class:`MaxMinSystem`, and :func:`progressive_fill` on the
+    full dense matrix.  Returns ``(values, values, usage per key)``."""
+    reference = MaxMinSystem()
+    constraints = {key: reference.new_constraint(cap, payload=key)
+                   for key, cap in capacities.items()}
+    variables = []
+    for weight, bound, uses in flows:
+        var = reference.new_variable(weight, bound)
+        for key, coeff in uses:
+            reference.expand(constraints[key], var, coeff)
+        variables.append(var)
+    reference.solve()
+    keys = sorted(capacities)
+    incidence = np.zeros((len(keys), len(flows)))
+    for j, (_w, _b, uses) in enumerate(flows):
+        for key, coeff in uses:
+            incidence[keys.index(key), j] += coeff
+    dense, _ = progressive_fill(
+        np.array([w for w, _b, _u in flows], dtype=float),
+        np.array([math.inf if b is None else b for _w, b, _u in flows]),
+        incidence, np.array([capacities[k] for k in keys], dtype=float))
+    return ([v.value for v in variables], dense.tolist(),
+            {key: cons.usage for key, cons in constraints.items()})
+
+
+def assert_folded_matches(system, vids, flows, capacities):
+    from_scratch, dense, usage = unfolded_references(flows, capacities)
+    values = [system.value(v) for v in vids]
+    assert values == pytest.approx(from_scratch, rel=1e-9)
+    assert values == pytest.approx(dense, rel=1e-9)
+    for key, used in usage.items():
+        assert system.constraint_usage(key) == pytest.approx(used, rel=1e-9)
+    assert system.is_feasible()
+
+
+class TestPrivateConstraintFold:
+    """A constraint with one user only caps that user at ``capacity /
+    coefficient``: the scalar path folds it into the variable's effective
+    bound and fills over the shared constraints alone.  The unfolded
+    references (``MaxMinSystem``, dense ``progressive_fill``) must agree
+    within 1e-9, and the folded constraint must still report its usage."""
+
+    # a cluster in small: two NIC directions per flow (private), two uplinks
+    CAPACITIES = {**{("up", i): 125.0 for i in range(5)},
+                  **{("down", i): 125.0 for i in range(5)},
+                  ("uplink", 0): 300.0, ("uplink", 1): 200.0}
+    FLOWS = [
+        (1.0, None, [(("up", 0), 1.0), (("uplink", 0), 1.0), (("down", 0), 1.0)]),
+        (2.0, 90.0, [(("up", 1), 1.0), (("uplink", 0), 1.0), (("uplink", 1), 1.0),
+                     (("down", 1), 1.0)]),
+        (0.5, None, [(("up", 2), 1.0), (("uplink", 1), 1.0), (("down", 2), 1.0)]),
+        (1.0, 40.0, [(("up", 3), 1.0), (("uplink", 0), 1.0), (("down", 3), 1.0)]),
+        (1.0, None, [(("up", 4), 1.0), (("down", 4), 1.0)]),  # crosses no uplink
+    ]
+
+    def test_mixed_private_and_shared_matches_the_unfolded_solvers(self):
+        system, vids = arena_of(self.FLOWS, self.CAPACITIES)
+        system.solve()
+        assert_folded_matches(system, vids, self.FLOWS, self.CAPACITIES)
+        assert system.stats["fills"] == 1  # flows 0-3; flow 4 is degenerate
+        assert system.stats["shared_filled"] == 2
+        assert system.stats["private_folded"] == 10
+        assert system.stats["components_solved"] == 2
+
+    def test_coefficient_two_private_use(self):
+        # a duplicate key (one SHARED link crossed both ways) aggregates to
+        # coefficient 2; private, it caps its user at capacity / 2
+        capacities = {("shared", 0): 100.0, ("shared", 1): 60.0, ("mid",): 500.0}
+        flows = [
+            (1.0, None, [(("shared", 0), 1.0), (("shared", 0), 1.0), (("mid",), 1.0)]),
+            (1.0, None, [(("shared", 1), 2.0), (("mid",), 1.0)]),
+        ]
+        system, vids = arena_of(flows, capacities)
+        system.solve()
+        assert_folded_matches(system, vids, flows, capacities)
+        assert [system.value(v) for v in vids] == [50.0, 30.0]
+        assert system.constraint_usage(("shared", 0)) == 2.0 * 50.0
+        assert system.constraint_usage(("shared", 1)) == 2.0 * 30.0
+
+    def test_unbounded_variable_capped_only_by_a_private_link(self):
+        capacities = {("nic", 0): 10.0, ("nic", 1): 1e9, ("core",): 1e6}
+        flows = [(1.0, None, [(("nic", 0), 1.0), (("core",), 1.0)]),
+                 (1.0, None, [(("nic", 1), 1.0), (("core",), 1.0)])]
+        system, vids = arena_of(flows, capacities)
+        system.solve()
+        assert_folded_matches(system, vids, flows, capacities)
+        assert system.value(vids[0]) == 10.0
+        assert system.value(vids[1]) == pytest.approx(1e6 - 10.0, rel=1e-12)
+
+    def test_private_only_component_reached_from_a_dirty_constraint(self):
+        system = SharingSystem(vectorized=False)
+        keeper = system.add_variable(
+            1.0, bound=80.0, usages=((("a",), 100.0, 1.0), (("b",), 90.0, 1.0)))
+        system.solve()
+        assert system.value(keeper) == 80.0
+        # a passer-by re-interns ("a",) at a lower capacity and leaves before
+        # any solve: only the constraint is dirty, and it is private again
+        passer = system.add_variable(1.0, usages=((("a",), 50.0, 1.0),))
+        system.remove_variable(passer)
+        assert system.solve() == [(None, 50.0)]
+        assert system.constraint_usage(("a",)) == 50.0
+        assert system.constraint_usage(("b",)) == 50.0
+        assert system.is_feasible()
+        assert system.stats["components_solved"] == 2
+        assert system.stats["fills"] == 0
+
+    def test_huge_weight_private_drain_underflows_yet_stays_finite(self):
+        # coefficient / weight underflows to 0: kept as a *constraint* the
+        # link sees no drain and lets the flow through unbounded (what the
+        # unfolded reference answers); folded into a bound it cannot
+        capacities = {("l",): 100.0, ("l2",): 7.0, ("m",): 1e3}
+        flows = [(1e308, None, [(("l",), 1e-20)]),
+                 (1e308, None, [(("l2",), 1e-20), (("m",), 1.0)]),
+                 (1.0, None, [(("m",), 1.0)])]
+        assert unfolded_references(flows, capacities)[0][0] == math.inf
+        system, vids = arena_of(flows, capacities)
+        system.solve()
+        lone, huge, plain = (system.value(v) for v in vids)
+        assert lone == 100.0 / 1e-20
+        assert 0.0 < huge < 1e-300 and plain == pytest.approx(1e3)
+        assert system.constraint_usage(("l",)) == pytest.approx(100.0)
+        assert system.is_feasible()
+
+    def test_private_to_shared_to_private_resolves_old_and_new_neighbours(self):
+        capacities = {("nic", 0): 100.0, ("nic", 1): 100.0, ("nic", 2): 100.0}
+        system = SharingSystem(vectorized=False)
+
+        def add(weight, *nics):
+            return system.add_variable(weight, usages=tuple(
+                (("nic", i), capacities[("nic", i)], 1.0) for i in nics))
+
+        first = add(1.0, 0, 1)
+        assert dict(system.solve()) == {None: 100.0}
+        # ("nic", 1) private -> shared: the newcomer drags `first` back in
+        second = add(3.0, 1, 2)
+        solved = system.solve()
+        assert len(solved) == 2
+        assert system.value(first) == pytest.approx(75.0, rel=1e-12)
+        assert system.value(second) == pytest.approx(25.0, rel=1e-12)
+        assert system.constraint_usage(("nic", 1)) == pytest.approx(100.0)
+        assert system.constraint_usage(("nic", 0)) == system.value(first)
+        assert system.is_feasible()
+        # shared -> private again: the one left behind re-solves alone
+        system.remove_variable(first)
+        assert system.solve() == [(None, 100.0)]
+        assert system.constraint_usage(("nic", 1)) == 100.0
+        assert system.constraint_usage(("nic", 2)) == 100.0
+        assert system.is_feasible()
+        assert system.stats["fills"] == 1
+        assert system.stats["components_solved"] == 3
+
+    def test_folded_usage_is_coefficient_times_value_after_every_solve(self):
+        rng = random.Random(0xF01D)
+        system = SharingSystem(vectorized=False)
+        live: dict[int, tuple] = {}
+        for step in range(300):
+            if live and rng.random() < 0.4:
+                victim = rng.choice(list(live))
+                del live[victim]
+                system.remove_variable(victim)
+            else:
+                uses = tuple(
+                    (("c", c), 50.0 + c, rng.choice([1.0, 2.0]))
+                    for c in rng.sample(range(12), rng.randint(1, 3)))
+                bound = rng.choice([None, rng.uniform(5.0, 80.0)])
+                live[system.add_variable(rng.uniform(0.1, 10.0), bound=bound,
+                                         usages=uses)] = uses
+            system.solve()
+            assert system.is_feasible()
+            users: dict = {}
+            for vid, uses in live.items():
+                for key, _cap, coeff in uses:
+                    users.setdefault(key, []).append((vid, coeff))
+            for key, members in users.items():
+                if len(members) == 1:
+                    (vid, coeff), = members
+                    assert system.constraint_usage(key) == coeff * system.value(vid)
+
+
+class TestLoneVariable:
+    """The fold's degenerate case: a variable with no shared constraint left
+    takes its effective bound ``min(bound, capacity / coefficient)`` and
+    puts ``value * coefficient`` on each constraint — bit for bit, as a
+    fresh variable, as a pure retune, and reached from a dirty constraint."""
 
     CASES = {
         "bound-limited": (30.0, ((("a",), 100.0, 1.0), (("b",), 80.0, 1.0))),
@@ -285,33 +483,33 @@ class TestInlineSingleton:
         "no-uses-unbounded": (float("inf"), ()),
     }
 
+    @staticmethod
+    def closed_form(bound, usages):
+        value = min([bound] + [cap / coeff for _key, cap, coeff in usages])
+        return value, [value * coeff for _key, _cap, coeff in usages]
+
     def outcome(self, system, vid, usages):
         return (system.value(vid),
                 [system.constraint_usage(key) for key, _cap, _c in usages])
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_equals_the_one_variable_component_solve(self, case):
+    def test_equals_the_closed_form(self, case):
         bound, usages = self.CASES[case]
-        inline = SharingSystem(vectorized=False)
-        vid = inline.add_variable(0.25, bound=bound, usages=usages)
-        assert inline.solve() == [(None, inline.value(vid))]
-
-        closed = SharingSystem(vectorized=False)
-        cvid = closed.add_variable(0.25, bound=bound, usages=usages)
-        closed._solve_component([cvid], [])
-        assert (self.outcome(inline, vid, usages)
-                == self.outcome(closed, cvid, usages))
-        assert inline.stats["components_solved"] == 1
-        assert inline.stats["variables_resolved"] == 1
+        system = SharingSystem(vectorized=False)
+        vid = system.add_variable(0.25, bound=bound, usages=usages)
+        assert system.solve() == [(None, system.value(vid))]
+        assert self.outcome(system, vid, usages) == self.closed_form(bound, usages)
+        assert system.stats["components_solved"] == 1
+        assert system.stats["variables_resolved"] == 1
+        assert system.stats["private_folded"] == len(usages)
 
         # and again as a pure retune: no dirty constraint this time
-        for system, v in ((inline, vid), (closed, cvid)):
-            system.update_variable(v, weight=3.0, bound=bound / 2.0)
-        assert inline.solve() == [(None, inline.value(vid))]
-        closed._solve_component([cvid], [])
-        assert (self.outcome(inline, vid, usages)
-                == self.outcome(closed, cvid, usages))
-        assert inline.stats["components_solved"] == 2
+        system.update_variable(vid, weight=3.0, bound=bound / 2.0)
+        assert system.solve() == [(None, system.value(vid))]
+        assert (self.outcome(system, vid, usages)
+                == self.closed_form(bound / 2.0, usages))
+        assert system.stats["components_solved"] == 2
+        assert system.stats["fills"] == 0
 
     def test_singletons_and_a_contended_component_in_one_solve(self):
         # fresh variables dirty their constraints too: every component must
@@ -331,7 +529,7 @@ class TestInlineSingleton:
         assert system.stats["components_solved"] == 4
         assert system.stats["variables_resolved"] == 5
 
-    def test_a_neighbour_arriving_ends_the_inline_path(self):
+    def test_a_neighbour_arriving_and_leaving(self):
         system = SharingSystem(vectorized=False)
         first = system.add_variable(1.0, usages=((("l",), 100.0, 1.0),))
         system.solve()

@@ -4,8 +4,10 @@
 The model registry is the CLI's public surface (``repro models list``,
 ``--model`` on predict/scenarios/serve): every registered model must build
 from its factory defaults, drive a small simulation on a contended star,
-a dumbbell and a two-RTT-class mix of local and cross-bottleneck flows,
-and produce identical answers through all three solver paths — incremental-vectorized, ``full_resolve`` and the scalar arena.
+a dumbbell, a two-RTT-class mix of local and cross-bottleneck flows and
+a NIC that a second flow shares for a while, and produce identical answers
+through all three solver paths — incremental-vectorized, ``full_resolve``
+and the scalar arena.
 This runner — the model-registry sibling of
 ``tools/check_scenario_smoke.py`` — is what keeps a model that only works
 with full rebuilds (or whose time-varying weight updates drift between
@@ -78,8 +80,28 @@ def _two_rtt():
     return platform, transfers
 
 
+def _shared_nic():
+    """One NIC, two flows of different sizes and start-up latencies: the
+    local flow has ``left-1``'s uplink to itself until the cross flow ends
+    its longer latency phase, shares it while that one lasts, and has it
+    back afterwards — the constraint is private, shared and private again
+    within one run, beside a flow that never shares anything."""
+    from repro.simgrid.builder import build_dumbbell
+
+    platform = build_dumbbell(n_left=2, n_right=3,
+                              bottleneck_bandwidth=2.5e8,
+                              bottleneck_latency=5e-4,
+                              edge_bandwidth=1.25e8, edge_latency=1e-4)
+    transfers = [
+        ("left-1", "left-2", 3e7),
+        ("left-1", "right-1", 8e6),
+        ("right-2", "right-3", 2e7),
+    ]
+    return platform, transfers
+
+
 TOPOLOGIES = (("star", _star), ("dumbbell", _dumbbell),
-              ("two-rtt", _two_rtt))
+              ("two-rtt", _two_rtt), ("shared-nic", _shared_nic))
 
 #: Solver mode matrix: (label, full_resolve, vectorized).
 MODES = (

@@ -21,8 +21,15 @@ time-varying one.  The profile ends with the kernel's own counters for one
 request, including how many per-flow dynamics rounds it evaluated on how
 many round-timer firings.
 
-Run:  python tools/profile_prediction.py [n_transfers] [--model NAME]
-                                         [--rest | --gateway]
+``--figure NAME`` draws the endpoints of a paper figure (``fig9``: 50x50 on
+graphene, one big component) the way ``perf/workloads.py:figure_transfers``
+does, instead of ``n_transfers`` whole-grid pairs — the shape
+``kernel_fig9_inproc`` times, under the same tool.  The counters line also
+says how the scalar solver spent its solves: multi-variable fills, shared
+constraints entering them, private constraints folded into bounds.
+
+Run:  python tools/profile_prediction.py [n_transfers | --figure NAME]
+                                         [--model NAME] [--rest | --gateway]
 """
 
 import argparse
@@ -36,6 +43,7 @@ from repro.core.forecast import NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.experiments.environment import forecast_service, root_seed
+from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import ExperimentSpec, Topology, draw_transfer_pairs
 from repro.serving.factories import grid5000_forecast_service
 from repro.serving.gateway import GatewayConfig, ShardedGateway
@@ -73,7 +81,9 @@ def profile(service, transfers) -> None:
     sim.simulate_transfers(transfers)
     print("kernel counters of one request: "
           "{solves} solves, {components_solved} components, "
-          "{variables_resolved} variables resolved, "
+          "{variables_resolved} variables resolved ({fills} fills over "
+          "{shared_filled} shared constraints, {private_folded} private "
+          "constraints folded), "
           "{flow_rounds} flow rounds on {round_instants} round instants"
           .format(**sim.sharing_stats))
 
@@ -132,6 +142,9 @@ def compare_gateway(service, transfers, model_name=None) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n_transfers", nargs="?", type=int, default=60)
+    parser.add_argument("--figure", metavar="NAME", choices=sorted(FIGURES),
+                        help="draw the endpoints of a paper figure (e.g. "
+                             "fig9) instead of n_transfers whole-grid pairs")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--rest", action="store_true",
                       help="compare in-process and client-observed latency "
@@ -152,8 +165,11 @@ def main() -> None:
         service = NetworkForecastService(
             {name: service.platform(name)
              for name in service.platform_names()}, model=model)
-    spec = ExperimentSpec("profile", Topology.GRID_MULTI,
-                          args.n_transfers, args.n_transfers)
+    if args.figure is not None:
+        spec = FIGURES[args.figure].spec
+    else:
+        spec = ExperimentSpec("profile", Topology.GRID_MULTI,
+                              args.n_transfers, args.n_transfers)
     pairs = draw_transfer_pairs(spec, root_seed())
     transfers = [(src, dst, 5e8) for src, dst in pairs]
 
