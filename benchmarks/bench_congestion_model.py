@@ -7,9 +7,9 @@ static CM02/LV08 path never pays.  This bench prices that tax on the
 paper's 30x30 campaign shape (fig5, sagittaire) and pins the solver
 equivalences that make the time-varying path trustworthy:
 
-- incremental vs. ``full_resolve`` vs. scalar (``vectorized=False``)
-  durations agree to 1e-9 *under time-varying dynamics* — the
-  ``update_variable`` dirty-component path is exactly the batch rebuild,
+- incremental vs. ``full_resolve`` durations agree to 1e-9 *under
+  time-varying dynamics* — the ``update_variable`` dirty-component path is
+  exactly the batch rebuild,
 - the overhead ratio (tcp-fluid / LV08 event-loop time) stays bounded:
   the round timers must not turn a campaign solve into a per-RTT resolve
   of the whole arena,
@@ -52,10 +52,9 @@ def campaign_workload() -> list[tuple[str, str, float]]:
     ]
 
 
-def prepare(platform, workload, model, full_resolve: bool = False,
-            vectorized: bool = True) -> tuple[Simulation, list]:
-    sim = Simulation(platform, model, full_resolve=full_resolve,
-                     vectorized=vectorized)
+def prepare(platform, workload, model,
+            full_resolve: bool = False) -> tuple[Simulation, list]:
+    sim = Simulation(platform, model, full_resolve=full_resolve)
     comms = [sim.add_comm(src, dst, size) for src, dst, size in workload]
     return sim, comms
 
@@ -112,12 +111,8 @@ def test_congestion_model_overhead_30x30(console, benchmark, trajectory):
     fluid_inc = durations_of(prepare(platform, workload, FLUID))
     fluid_full = durations_of(
         prepare(platform, workload, FLUID, full_resolve=True))
-    fluid_scalar = durations_of(
-        prepare(platform, workload, FLUID, vectorized=False))
     worst_rel = assert_durations_close(
         "fig5 tcp_fluid incremental vs full_resolve", fluid_full, fluid_inc)
-    assert_durations_close(
-        "fig5 tcp_fluid vectorized vs scalar arena", fluid_inc, fluid_scalar)
     # the ramp is a real slowdown, not a no-op: every fluid transfer takes
     # at least as long as the static model's latency-factor estimate is fast
     static_durations = durations_of(prepare(platform, workload, STATIC))

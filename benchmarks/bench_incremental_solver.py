@@ -8,17 +8,15 @@ Workloads:
   arrive in waves, so the event loop re-shares bandwidth many times per run,
 - a 50x50-scale *disjoint-pair* shape (100-host star, 50 independent
   src→dst pairs, staggered arrivals): the many-small-components regime the
-  vectorized batched kernel and the incremental arena are built for.  Full
-  re-solve pays an O(live) from-scratch rebuild at every one of ~900 events
-  while the incremental path re-solves only the touched pair.
+  incremental arena is built for.  Full re-solve pays an O(live)
+  from-scratch rebuild at every one of ~900 events while the incremental
+  path re-solves only the touched pair.
 
 Timed region is ``Simulation.run()`` only (the event loop); workload
 construction is identical in both modes and excluded.
 
 Asserted: ≥10x on the disjoint 50x50 shape and ≥3x on the 30x30 campaign
-shape, plus 1e-9 equivalence between modes — including the scalar
-(``vectorized=False``) arena path, which is pinned in every mode, smoke
-included.
+shape, plus 1e-9 equivalence between the two modes (smoke included).
 """
 
 from __future__ import annotations
@@ -83,20 +81,18 @@ def disjoint_platform(n_pairs: int = 50):
     return build_star_cluster("disjoint", 2 * n_pairs)
 
 
-def prepare_campaign(platform, workload, full_resolve: bool,
-                     vectorized: bool = True) -> tuple[Simulation, list]:
+def prepare_campaign(platform, workload,
+                     full_resolve: bool) -> tuple[Simulation, list]:
     """Build a ready-to-run simulation with all transfers starting at t=0."""
-    sim = Simulation(platform, MODEL, full_resolve=full_resolve,
-                     vectorized=vectorized)
+    sim = Simulation(platform, MODEL, full_resolve=full_resolve)
     comms = [sim.add_comm(src, dst, size) for src, dst, size in workload]
     return sim, comms
 
 
-def prepare_staggered(platform, events, full_resolve: bool,
-                      vectorized: bool = True) -> tuple[Simulation, list]:
+def prepare_staggered(platform, events,
+                      full_resolve: bool) -> tuple[Simulation, list]:
     """Build a ready-to-run simulation with timer-scheduled transfer starts."""
-    sim = Simulation(platform, MODEL, full_resolve=full_resolve,
-                     vectorized=vectorized)
+    sim = Simulation(platform, MODEL, full_resolve=full_resolve)
     comms: list = []
     for at, src, dst, size in events:
         sim.schedule(at, lambda s=src, d=dst, z=size: comms.append(
@@ -174,15 +170,8 @@ def compare_modes(fig_id: str, console, min_speedup: float,
 
     full_durations = durations_of(prepare_campaign(platform, workload, True))
     inc_durations = durations_of(prepare_campaign(platform, workload, False))
-    scalar_durations = durations_of(
-        prepare_campaign(platform, workload, False, vectorized=False)
-    )
     worst_rel = assert_durations_close(
         f"{fig_id} full vs incremental", full_durations, inc_durations
-    )
-    # the scalar arena path is an always-pinned equivalence, smoke included
-    assert_durations_close(
-        f"{fig_id} vectorized vs scalar arena", inc_durations, scalar_durations
     )
     full_stats = summary_statistics(full_durations)
     inc_stats = summary_statistics(inc_durations)
@@ -232,14 +221,8 @@ def compare_disjoint(console, min_speedup: float, record=None) -> float:
 
     full_durations = durations_of(prepare_staggered(platform, events, True))
     inc_durations = durations_of(prepare_staggered(platform, events, False))
-    scalar_durations = durations_of(
-        prepare_staggered(platform, events, False, vectorized=False)
-    )
     worst_rel = assert_durations_close(
         "disjoint full vs incremental", full_durations, inc_durations
-    )
-    assert_durations_close(
-        "disjoint vectorized vs scalar arena", inc_durations, scalar_durations
     )
 
     full_dt, inc_dt = paired_best_of(

@@ -51,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="rebuild the whole sharing system at every "
                               "simulation event (slow verification mode) "
                               "instead of incremental component re-solves")
-    predict.add_argument("--scalar-solve", action="store_true",
-                         help="route incremental re-solves through the "
-                              "scalar arena path instead of the batched "
-                              "numpy kernel (verification mode)")
 
     whatif = sub.add_parser(
         "what-if",
@@ -91,9 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--full-resolve", action="store_true",
                         help="rebuild the whole sharing system at every "
                              "simulation event (slow verification mode)")
-    whatif.add_argument("--scalar-solve", action="store_true",
-                        help="route incremental re-solves through the "
-                             "scalar arena path (verification mode)")
 
     serve = sub.add_parser("serve", help="run the Pilgrim HTTP services")
     serve.add_argument("--host", default="127.0.0.1")
@@ -178,9 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--full-resolve", action="store_true",
                           help="verification mode: rebuild the sharing "
                                "system at every event")
-    scen_run.add_argument("--scalar-solve", action="store_true",
-                          help="verification mode: scalar arena re-solves "
-                               "instead of the batched numpy kernel")
     scen_run.add_argument("--json", action="store_true",
                           help="emit the full result as JSON")
 
@@ -227,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "transfer timescale)")
     met_replay.add_argument("--reps", type=int, default=1)
     met_replay.add_argument("--full-resolve", action="store_true")
-    met_replay.add_argument("--scalar-solve", action="store_true")
     met_replay.add_argument("--json", action="store_true",
                             help="emit the full scenario result as JSON")
 
@@ -377,7 +366,6 @@ def _cmd_predict(args, out) -> int:
     forecasts = service.predict_transfers(
         args.platform, transfers, model=model,
         ongoing=ongoing, full_resolve=args.full_resolve,
-        vectorized=not args.scalar_solve,
     )
     out.write(json.dumps([f.to_json() for f in forecasts], indent=1) + "\n")
     return 0
@@ -411,7 +399,6 @@ def _cmd_what_if(args, out) -> int:
         result = service.predict_what_if(
             args.platform, transfers, events, model=model, ongoing=ongoing,
             horizon=args.horizon, full_resolve=args.full_resolve,
-            vectorized=not args.scalar_solve,
         )
     except (ApiError, ValueError) as exc:
         out.write(f"{exc}\n")
@@ -589,8 +576,7 @@ def _cmd_scenarios(args, out) -> int:
         spec = spec.replace(model=args.model)
     try:
         result = run_scenario(spec, repetitions=args.reps,
-                              full_resolve=args.full_resolve,
-                              vectorized=not args.scalar_solve)
+                              full_resolve=args.full_resolve)
     except ValueError as exc:
         out.write(f"{exc}\n")
         return 2
@@ -711,8 +697,7 @@ def _cmd_metrology_replay(args, out) -> int:
         measured=tuple(traces),
     )
     result = run_scenario(spec, repetitions=args.reps,
-                          full_resolve=args.full_resolve,
-                          vectorized=not args.scalar_solve)
+                          full_resolve=args.full_resolve)
     if args.json:
         out.write(json.dumps(result.to_json(), indent=1) + "\n")
         return 0

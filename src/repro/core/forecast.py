@@ -178,7 +178,6 @@ class NetworkForecastService:
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         capacity_factors: Optional[dict[str, float]] = None,
         full_resolve: bool = False,
-        vectorized: bool = True,
     ) -> list[TransferForecast]:
         """Predict completion times of transfers started concurrently.
 
@@ -194,9 +193,7 @@ class NetworkForecastService:
         ``full_resolve=True`` makes the simulation rebuild the whole
         bandwidth-sharing system at every event instead of the default
         incremental component re-solves — slower, kept as a verification
-        escape hatch.  ``vectorized=False`` routes the incremental solver
-        through its scalar arena path instead of the batched numpy kernel —
-        the second verification escape hatch, equivalent within 1e-9.
+        escape hatch.
 
         Raises :class:`NotFound` for unknown platforms or hosts and
         :class:`BadRequest` for empty requests.
@@ -205,7 +202,7 @@ class NetworkForecastService:
             platform_name, transfers, ongoing)
         sim = Simulation(platform, model or self.model,
                          capacity_factors=capacity_factors,
-                         full_resolve=full_resolve, vectorized=vectorized)
+                         full_resolve=full_resolve)
         try:
             for spec in ongoing_specs:
                 sim.add_comm(spec.src, spec.dst, spec.size,
@@ -283,7 +280,6 @@ class NetworkForecastService:
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         capacity_factors: Optional[dict[str, float]] = None,
         full_resolve: bool = False,
-        vectorized: bool = True,
         intervals: bool = True,
     ) -> list[TransferForecast]:
         """Forecast transfers under the platform state ``horizon`` steps ahead.
@@ -305,8 +301,7 @@ class NetworkForecastService:
         def predict(factors: Optional[dict[str, float]]):
             return self.predict_transfers(
                 platform_name, transfers, model=model, ongoing=ongoing,
-                capacity_factors=factors or None,
-                full_resolve=full_resolve, vectorized=vectorized)
+                capacity_factors=factors or None, full_resolve=full_resolve)
 
         point = predict(point_factors)
         if not (intervals and warm):
@@ -327,7 +322,6 @@ class NetworkForecastService:
         capacity_factors: Optional[dict[str, float]] = None,
         horizon: Optional[int] = None,
         full_resolve: bool = False,
-        vectorized: bool = True,
         intervals: bool = True,
     ) -> WhatIfResult:
         """Answer a what-if query: "these transfers, under this event
@@ -368,7 +362,7 @@ class NetworkForecastService:
                 return run_what_if(
                     platform, model or self.model, triples, event_objs,
                     ongoing=ongoing_triples, capacity_factors=factors or None,
-                    full_resolve=full_resolve, vectorized=vectorized)
+                    full_resolve=full_resolve)
             except ValueError as exc:  # unmatched event pattern, bad factor
                 raise BadRequest(str(exc)) from None
 
@@ -420,8 +414,6 @@ class NetworkForecastService:
         platform_name: str,
         requests: Sequence[Sequence[TransferSpec] | Sequence[tuple[str, str, float]]],
         model: Optional[NetworkModel] = None,
-        full_resolve: bool = False,
-        vectorized: bool = True,
         workers: Optional[int] = None,
         service_factory: Optional[Callable[[], "NetworkForecastService"]] = None,
         executor: Optional[Executor] = None,
@@ -456,14 +448,10 @@ class NetworkForecastService:
                 # path below): the pool's rebuilt services may default
                 # differently
                 return predict_many(platform_name, requests,
-                                    model=model or self.model,
-                                    full_resolve=full_resolve,
-                                    vectorized=vectorized)
+                                    model=model or self.model)
         elif workers is None or workers <= 1 or len(requests) <= 1:
             return [
-                self.predict_transfers(platform_name, transfers, model=model,
-                                       full_resolve=full_resolve,
-                                       vectorized=vectorized)
+                self.predict_transfers(platform_name, transfers, model=model)
                 for transfers in requests
             ]
         if service_factory is None:
@@ -478,7 +466,7 @@ class NetworkForecastService:
             (service_factory, platform_name,
              [(s.src, s.dst, s.size) if isinstance(s, TransferSpec) else tuple(s)
               for s in transfers],
-             request_model, full_resolve, vectorized)
+             request_model)
             for transfers in requests
         ]
         if executor is not None:
@@ -497,12 +485,8 @@ _WORKER_SERVICES: dict = {}
 
 def _predict_request_task(payload: tuple) -> list[TransferForecast]:
     """One ``predict_transfers`` call inside a worker process."""
-    service_factory, platform_name, transfers, model, full_resolve, \
-        vectorized = payload
+    service_factory, platform_name, transfers, model = payload
     service = _WORKER_SERVICES.get(service_factory)
     if service is None:
         service = _WORKER_SERVICES[service_factory] = service_factory()
-    return service.predict_transfers(
-        platform_name, transfers, model=model, full_resolve=full_resolve,
-        vectorized=vectorized,
-    )
+    return service.predict_transfers(platform_name, transfers, model=model)

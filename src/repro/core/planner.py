@@ -174,19 +174,17 @@ class TransferPlanner:
         use_pruning: bool = True,
         model=None,
         capacity_factors: Optional[dict[str, float]] = None,
-        full_resolve: bool = False,
-        vectorized: bool = True,
         horizon: Optional[int] = None,
     ) -> PlannerResult:
         """Simulate (surviving) hypotheses; best = smallest makespan.
 
-        ``model``, ``capacity_factors``, ``full_resolve`` and ``vectorized``
-        are threaded into every ``predict_transfers`` call *and* into the
-        pruning bounds, so simulation and bounds always agree on the
-        platform state they score.  ``horizon=k`` ranks under the projected
-        platform state k steps ahead: the forecast service's per-link
-        horizon projections become capacity factors (combined with any
-        explicit ``capacity_factors`` by multiplication).
+        ``model`` and ``capacity_factors`` are threaded into every
+        ``predict_transfers`` call *and* into the pruning bounds, so
+        simulation and bounds always agree on the platform state they
+        score.  ``horizon=k`` ranks under the projected platform state k
+        steps ahead: the forecast service's per-link horizon projections
+        become capacity factors (combined with any explicit
+        ``capacity_factors`` by multiplication).
         """
         if not hypotheses:
             raise BadRequest("at least one hypothesis is required")
@@ -210,7 +208,6 @@ class TransferPlanner:
                 forecasts = self.forecast.predict_transfers(
                     self.platform_name, hyp.transfers, model=model,
                     capacity_factors=capacity_factors,
-                    full_resolve=full_resolve, vectorized=vectorized,
                 )
                 durations = tuple(f.duration for f in forecasts)
                 scores.append(HypothesisScore(hyp.name, max(durations),

@@ -60,7 +60,6 @@ def run_what_if(
     ongoing: Sequence[tuple[str, str, float]] = (),
     capacity_factors: Optional[dict[str, float]] = None,
     full_resolve: bool = False,
-    vectorized: bool = True,
 ) -> tuple[list[dict], DynamicsLog]:
     """One what-if simulation; returns (transfer records, applied events).
 
@@ -72,7 +71,7 @@ def run_what_if(
     """
     with transient_link_states(platform, (e.link for e in events)):
         sim = Simulation(platform, model, capacity_factors=capacity_factors,
-                         full_resolve=full_resolve, vectorized=vectorized)
+                         full_resolve=full_resolve)
         log = schedule_dynamics(sim, events)
         for idx, (src, dst, size) in enumerate(ongoing):
             sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}#{idx}")

@@ -94,15 +94,13 @@ def run_scenario(
     spec: ScenarioSpec,
     repetitions: int = 1,
     full_resolve: bool = False,
-    vectorized: bool = True,
     model: Optional[object] = None,
 ) -> ScenarioResult:
     """Run ``spec`` for ``repetitions`` and collect per-transfer outcomes.
 
     ``full_resolve`` is the kernel's verification mode (rebuild the sharing
-    system at every event); ``vectorized=False`` routes incremental
-    re-solves through the scalar arena path.  All three modes must agree —
-    the scenario test-suite pins that for dynamic schedules too.
+    system at every event).  Both modes must agree — the scenario test-suite
+    pins that for dynamic schedules too.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -118,8 +116,7 @@ def run_scenario(
             )
         hosts = [h.name for h in platform.hosts()]
         transfers = generate_workload(spec.workload, hosts, streams[rep])
-        sim = Simulation(platform, net_model, full_resolve=full_resolve,
-                         vectorized=vectorized)
+        sim = Simulation(platform, net_model, full_resolve=full_resolve)
         log = schedule_dynamics(sim, spec.dynamics)
         schedule_measured(sim, spec.measured, log=log)
         comms = sim.add_comms(transfers)

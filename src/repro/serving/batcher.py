@@ -50,18 +50,14 @@ class PendingRequest:
     platform_name: str
     transfers: Sequence
     model: object
-    full_resolve: bool
     #: in-flight transfers sharing bandwidth (not part of the answer)
     ongoing: Sequence = ()
-    #: solver path: batched numpy kernel (True) or scalar arena walk
-    vectorized: bool = True
     future: Future = field(default_factory=Future)
 
     def group_key(self) -> tuple:
         """Requests sharing this key can ride one ``predict_transfers_many``
-        fan-out (same platform, model parameters and kernel mode)."""
-        return (self.platform_name, model_key_of(self.model),
-                self.full_resolve, self.vectorized)
+        fan-out (same platform and model parameters)."""
+        return (self.platform_name, model_key_of(self.model))
 
 
 class RequestCoalescer:
@@ -135,14 +131,10 @@ class RequestCoalescer:
         platform_name: str,
         transfers: Sequence,
         model: object,
-        full_resolve: bool = False,
         ongoing: Sequence = (),
-        vectorized: bool = True,
     ) -> Future:
         """Queue one request; returns the future carrying its forecasts."""
-        pending = PendingRequest(
-            platform_name, transfers, model, full_resolve, ongoing,
-            vectorized)
+        pending = PendingRequest(platform_name, transfers, model, ongoing)
         # enqueue under the same lock stop() holds across sentinel+join, so
         # a request can never land behind the sentinel of an exiting drain
         # thread (which would leave its future unresolved forever) — it

@@ -3,8 +3,7 @@
 A bounded LRU over complete PNFS answers.  The key is the full identity of
 a forecast::
 
-    (platform name, link-mutation epoch, model id, transfers, ongoing,
-    full-resolve mode, vectorized mode)
+    (platform name, link-mutation epoch, model id, transfers, ongoing)
 
 where ``transfers``/``ongoing`` are canonicalized tuples of
 ``(src, dst, size-in-bytes)`` — unit strings and :class:`TransferSpec`
@@ -62,8 +61,6 @@ def forecast_cache_key(
     model: object,
     transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
     ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-    full_resolve: bool = False,
-    vectorized: bool = True,
     epoch: Optional[int] = None,
 ) -> tuple:
     """The cache key for one forecast request.
@@ -79,8 +76,6 @@ def forecast_cache_key(
         model_key_of(model),
         canonical_transfers(transfers),
         canonical_transfers(ongoing),
-        bool(full_resolve),
-        bool(vectorized),
     )
 
 

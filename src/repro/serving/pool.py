@@ -46,12 +46,10 @@ def _warm_worker_init(service_factory: Callable[[], NetworkForecastService]) -> 
 
 def _warm_worker_task(payload: tuple) -> list[TransferForecast]:
     """One forecast request against the worker's resident service."""
-    platform_name, transfers, model, full_resolve, vectorized, ongoing = payload
+    platform_name, transfers, model, ongoing = payload
     service: NetworkForecastService = _WORKER_STATE["service"]
     return service.predict_transfers(
-        platform_name, transfers, model=model, full_resolve=full_resolve,
-        vectorized=vectorized, ongoing=ongoing,
-    )
+        platform_name, transfers, model=model, ongoing=ongoing)
 
 
 class WarmWorkerPool:
@@ -158,8 +156,6 @@ class WarmWorkerPool:
         platform_name: str,
         requests: Sequence[Sequence[TransferSpec] | Sequence[tuple[str, str, float]]],
         model: Optional[object] = None,
-        full_resolve: bool = False,
-        vectorized: bool = True,
         ongoing: Optional[Sequence[Sequence]] = None,
     ) -> list[list[TransferForecast]]:
         """Fan one batch of independent requests out over the warm workers.
@@ -177,8 +173,8 @@ class WarmWorkerPool:
                 f"ongoing must parallel requests: {len(flights)} != {len(requests)}"
             )
         payloads = [
-            (platform_name, canonical_transfers(transfers), model, full_resolve,
-             vectorized, canonical_transfers(flight))
+            (platform_name, canonical_transfers(transfers), model,
+             canonical_transfers(flight))
             for transfers, flight in zip(requests, flights)
         ]
         if not payloads:

@@ -133,8 +133,6 @@ class ForecastServingService:
         transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
         model: Optional[object] = None,
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-        full_resolve: bool = False,
-        vectorized: bool = True,
         timeout: Optional[float] = None,
     ) -> list[TransferForecast]:
         """One PNFS answer through the serving path (cache → batch → pool).
@@ -150,21 +148,18 @@ class ForecastServingService:
         if self.surrogate is not None:
             answered = self.surrogate.try_answer(
                 self.service, platform_name, request_model, specs,
-                ongoing_specs, full_resolve)
+                ongoing_specs)
             if answered is not None:
                 self.latency.record(time.perf_counter() - t0)
                 return answered
         key = forecast_cache_key(
-            platform_name, request_model, specs, ongoing_specs, full_resolve,
-            vectorized)
+            platform_name, request_model, specs, ongoing_specs)
         cached = self.cache.get(key)
         if cached is not None:
             self.latency.record(time.perf_counter() - t0)
             return cached
         future = self.batcher.submit(
-            platform_name, specs, request_model, full_resolve=full_resolve,
-            ongoing=ongoing_specs, vectorized=vectorized,
-        )
+            platform_name, specs, request_model, ongoing=ongoing_specs)
         forecasts = future.result(timeout=timeout)
         self.cache.put(key, forecasts)
         self.latency.record(time.perf_counter() - t0)
@@ -175,7 +170,7 @@ class ForecastServingService:
     def _execute_batch(self, batch: list[PendingRequest]) -> None:
         """Run one coalesced batch and resolve every request future.
 
-        Requests are grouped by (platform, model, mode); each group is one
+        Requests are grouped by (platform, model); each group is one
         campaign-style fan-out.  Within a group, *identical* requests are
         single-flighted — the motivating burst (N clients issuing the same
         probe before any answer lands in the cache) simulates once and
@@ -198,8 +193,6 @@ class ForecastServingService:
                     [list(transfers) for transfers, _ in keys],
                     [list(ongoing) for _, ongoing in keys],
                     first.model,
-                    first.full_resolve,
-                    first.vectorized,
                 )
             except BaseException as exc:  # noqa: BLE001 - per-group isolation
                 for pending in group:
@@ -217,21 +210,13 @@ class ForecastServingService:
         requests: list,
         ongoing: list,
         model: object,
-        full_resolve: bool,
-        vectorized: bool = True,
     ) -> list[list[TransferForecast]]:
         if self.pool is not None:
             return self.pool.predict_many(
-                platform_name, requests, model=model,
-                full_resolve=full_resolve, vectorized=vectorized,
-                ongoing=ongoing,
-            )
+                platform_name, requests, model=model, ongoing=ongoing)
         return [
             self.service.predict_transfers(
-                platform_name, transfers, model=model,
-                ongoing=flight, full_resolve=full_resolve,
-                vectorized=vectorized,
-            )
+                platform_name, transfers, model=model, ongoing=flight)
             for transfers, flight in zip(requests, ongoing)
         ]
 

@@ -33,8 +33,7 @@ touched since the previous event (see ``docs/ARCHITECTURE.md``).  Pass
 ``full_resolve=True`` to rebuild the whole bounded max-min system from
 scratch at every event instead — the historical behavior, kept as a
 verification escape hatch (``tests/simgrid/test_incremental_equivalence.py``
-asserts both modes agree within 1e-9).  ``vectorized=False`` similarly forces
-the arena's scalar per-component solve path (the second escape hatch).
+asserts both modes agree within 1e-9).
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class Simulation:
         trace: Optional[Trace] = None,
         capacity_factors: Optional[dict[str, float]] = None,
         full_resolve: bool = False,
-        vectorized: bool = True,
     ) -> None:
         self.platform = platform
         self.model = model if model is not None else LV08()
@@ -92,9 +90,6 @@ class Simulation:
         #: when True, rebuild the whole max-min system at every event (the
         #: historical behavior) instead of incremental component re-solves
         self.full_resolve = bool(full_resolve)
-        #: solve-path default of the incremental arena (False forces the
-        #: scalar per-component walk — the kernel verification escape hatch)
-        self.vectorized = bool(vectorized)
         #: per-link capacity scaling in [0, 1], keyed by link name — the
         #: coarse background-traffic model of §VI (bandwidth consumed by
         #: traffic outside this simulation)
@@ -142,7 +137,7 @@ class Simulation:
         # id handles, the arena-vid -> engine-slot scatter map, and the
         # activities that entered/left their resource phase since the last
         # re-share
-        self._sharing = SharingSystem(vectorized=self.vectorized)
+        self._sharing = SharingSystem()
         self._handles: dict[Activity, int] = {}
         self._vid_slot = np.full(64, -1, dtype=np.intp)
         self._started: list[Activity] = []
@@ -599,7 +594,7 @@ class Simulation:
             # external mutations (cancel between runs, link edits) are
             # untracked: rebuild the arena from the live activity set
             if self._handles:
-                self._sharing = SharingSystem(vectorized=self.vectorized)
+                self._sharing = SharingSystem()
                 self._vid_slot = np.full(64, -1, dtype=np.intp)
                 self._handles.clear()
             self._finished.clear()
@@ -666,7 +661,7 @@ class Simulation:
     @property
     def sharing_stats(self) -> dict:
         """Counters of the incremental arena (solves, components, how the
-        scalar path spent them: ``fills``, ``shared_filled``,
+        walk spent them: ``fills``, ``shared_filled``,
         ``private_folded``) and of the time-varying tax: ``flow_rounds`` on
         ``round_instants``."""
         return {**self._sharing.stats, "flow_rounds": self._flow_rounds,

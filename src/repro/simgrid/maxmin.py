@@ -19,40 +19,28 @@ Solved instances hold:
 - ``Variable.value`` — the allocated rate,
 - ``Constraint.usage`` — the total consumption on the constraint.
 
-Two front-ends share the progressive-filling kernels:
+There is one production solver and one reference beside it:
 
-- :class:`MaxMinSystem` — build once, solve once (the historical API, kept as
-  the ``full_resolve`` verification path),
 - :class:`SharingSystem` — a *persistent arena* for the event loop: variables
-  come and go as activities start and finish, coefficient buffers stay alive
-  across events (grow-only, free-list slot reuse, periodic compaction), and
+  come and go as activities start and finish, slot buffers stay alive across
+  events (grow-only, free-list slot reuse, periodic compaction), and
   :meth:`SharingSystem.solve` only re-solves the connected components touched
   since the last call (dirty-set tracking).  Untouched components keep their
   previous allocation, which is exact: progressive filling never moves rate
-  between disconnected components.
-
-``SharingSystem.solve`` runs one of two equivalent paths:
-
-- the **scalar path** (every solve whose dirty set is narrower than
-  ``vectorize_min_dirty`` variables, and ``solve(vectorized=False)``): a
-  Python walk per dirty component that *folds* every private constraint — one
-  user at this solve — into that user's bound and fills what is left, the
-  shared constraints, with :func:`progressive_fill_sparse`,
-- the **batched vectorized kernel** (wide dirty sets): all valid coefficients
-  live in flat COO triplet arrays (constraint slot, variable slot,
-  coefficient) with a per-variable *generation* stamp — removing a variable
-  bumps its generation, invalidating its triplets in O(1).  A solve labels
-  connected components by whole-array propagation over the triplets, solves
-  the single-variable ones in one bulk pass, and runs the rest through
-  :func:`progressive_fill_batched` — one iteration advances *every*
-  component simultaneously (``np.bincount`` drains, ``np.minimum.reduceat``
-  levels).  It folds nothing, and with :class:`MaxMinSystem` is the unfolded
-  reference the fuzz pyramid holds the scalar path against.
+  between disconnected components.  Every solve is the same Python walk per
+  dirty component: it *folds* every private constraint — one user at this
+  solve — into that user's bound and fills what is left, the shared
+  constraints, with :func:`progressive_fill_sparse`,
+- :class:`MaxMinSystem` — build once, solve once over the dense
+  :func:`progressive_fill`.  It folds nothing and shares no code with the
+  arena: the engine's ``full_resolve`` verification mode, and the unfolded
+  reference the fuzz pyramid and the 1e-9 equivalence suites hold the arena
+  against.
 
 Long-lived arenas (days-long metrology loops) call :meth:`SharingSystem.
-compact` — or let :meth:`maybe_compact` decide — to defragment the free lists
-and drop stale triplets; live variables get new contiguous ids (the returned
-remap), and ``allocations()`` order is preserved.
+compact` — or let :meth:`maybe_compact` decide — to defragment the free lists;
+live variables get new contiguous ids (the returned remap), and
+``allocations()`` order is preserved.
 """
 
 from __future__ import annotations
@@ -389,149 +377,11 @@ def progressive_fill_sparse(weights: dict, bounds: dict, rows: list,
     return values
 
 
-def progressive_fill_batched(
-    weights: np.ndarray,
-    bounds: np.ndarray,
-    capacities: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    coeffs: np.ndarray,
-    comp_of_var: np.ndarray,
-    comp_of_cons: np.ndarray,
-    n_comps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Progressive filling over many *independent* components at once.
-
-    The coefficient matrix arrives as COO triplets (``rows`` into
-    ``capacities``, ``cols`` into ``weights``/``bounds``), and every variable
-    and constraint carries a component id (``comp_of_var``/``comp_of_cons``).
-    Each iteration advances *all* components by their own level increment:
-    per-constraint drains are segment sums (``np.bincount``), per-component
-    level increments are segment minima (``np.minimum.reduceat``), and the
-    freeze decisions (bound hit, constraint saturated, per-component forced
-    freeze) are taken simultaneously across components — each component makes
-    exactly the choices the scalar kernel would make for it alone.
-
-    Preconditions (the :class:`SharingSystem` gather guarantees them):
-    variables and constraints are grouped by component id (non-decreasing),
-    and every component has at least one variable and one constraint.
-    Returns ``(values, usage)`` in the given variable/constraint order.
-    """
-    n = int(weights.size)
-    m = int(capacities.size)
-    inv_w = 1.0 / weights
-    remaining = capacities.astype(float, copy=True)
-
-    active = np.ones(n, dtype=bool)
-    cons_active = np.ones(m, dtype=bool)
-    values = np.zeros(n, dtype=float)
-    phi = np.zeros(n_comps, dtype=float)
-
-    # segment starts for reduceat (components are contiguous and non-empty)
-    comp_ids = np.arange(n_comps)
-    var_starts = np.searchsorted(comp_of_var, comp_ids)
-    cons_starts = np.searchsorted(comp_of_cons, comp_ids)
-    bw = bounds * weights
-
-    for _ in range(n + m + 1):
-        if not active.any():
-            break
-        active_inv_w = np.where(active, inv_w, 0.0)
-        # segment-summed drains; strictly positive keeps a constraint relevant
-        # (same absolute-epsilon fix as the scalar kernel)
-        drain = np.bincount(rows, weights=coeffs * active_inv_w[cols], minlength=m)
-        relevant = cons_active & (drain > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi_cons = np.where(relevant, remaining / np.where(drain > 0, drain, 1.0), np.inf)
-        phi_v = phi[comp_of_var]
-        dphi_vars = np.where(active, bw - phi_v, np.inf)
-        dphi_vars = np.where(dphi_vars < 0, 0.0, dphi_vars)
-
-        # per-component level increment: min over the component's constraints
-        # and bounded variables
-        dphi = np.minimum(
-            np.minimum.reduceat(dphi_cons, cons_starts),
-            np.minimum.reduceat(dphi_vars, var_starts),
-        )
-        act_per_comp = np.bincount(comp_of_var, weights=active, minlength=n_comps)
-        comp_active = act_per_comp > 0
-        unbounded = comp_active & ~np.isfinite(dphi)
-        if unbounded.any():
-            # components with no applicable constraint or bound left
-            ub_vars = active & unbounded[comp_of_var]
-            values[ub_vars] = np.inf
-            active &= ~ub_vars
-        dphi_eff = np.where(comp_active & np.isfinite(dphi), dphi, 0.0)
-
-        phi += dphi_eff
-        remaining -= dphi_eff[comp_of_cons] * drain
-        phi_v = phi[comp_of_var]
-        hit_bound = active & (bw - phi_v <= _EPS * np.maximum(phi_v, 1.0))
-        saturated = relevant & (remaining <= _EPS * capacities)
-        if saturated.any():
-            involved = np.zeros(n, dtype=bool)
-            involved[cols[saturated[rows]]] = True
-            hit_bound |= active & involved
-            cons_active &= ~saturated
-        # per-component numerical safety: a component whose iteration froze
-        # nothing force-freezes all its active variables (scalar kernel's
-        # "if not hit_bound.any()" taken component-wise)
-        frozen = np.bincount(comp_of_var, weights=hit_bound, minlength=n_comps)
-        stuck = comp_active & ~unbounded & (frozen == 0)
-        if stuck.any():
-            hit_bound |= active & stuck[comp_of_var]
-        values[hit_bound] = np.minimum(phi_v[hit_bound] * inv_w[hit_bound], bounds[hit_bound])
-        active &= ~hit_bound
-
-    finite = np.where(np.isfinite(values), values, 0.0)
-    usage = np.bincount(rows, weights=coeffs * finite[cols], minlength=m)
-    return values, usage
-
-
 def _pow2_at_least(n: int) -> int:
     size = 1
     while size < n:
         size *= 2
     return size
-
-
-def _label_components_bfs(n_vars: int, n_cons: int,
-                          iv: np.ndarray, ic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact bipartite component labels by Python BFS (fallback for graphs
-    whose diameter defeats the bounded label-propagation loop)."""
-    var_adj: list[list[int]] = [[] for _ in range(n_vars)]
-    cons_adj: list[list[int]] = [[] for _ in range(n_cons)]
-    for v, c in zip(iv.tolist(), ic.tolist()):
-        var_adj[v].append(c)
-        cons_adj[c].append(v)
-    lab_v = np.full(n_vars, -1, dtype=np.intp)
-    lab_c = np.full(n_cons, -1, dtype=np.intp)
-    label = 0
-    for start in range(n_vars):
-        if lab_v[start] >= 0:
-            continue
-        lab_v[start] = label
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c in var_adj[v]:
-                if lab_c[c] < 0:
-                    lab_c[c] = label
-                    for v2 in cons_adj[c]:
-                        if lab_v[v2] < 0:
-                            lab_v[v2] = label
-                            stack.append(v2)
-        label += 1
-    return lab_v, lab_c
-
-
-def _positions_in(sorted_arr: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(positions, found)`` of ``queries`` in a sorted unique array."""
-    if sorted_arr.size == 0:
-        return np.zeros(queries.size, dtype=np.intp), np.zeros(queries.size, dtype=bool)
-    pos = np.searchsorted(sorted_arr, queries)
-    pos = np.minimum(pos, sorted_arr.size - 1)
-    return pos, sorted_arr[pos] == queries
 
 
 class SharingSystem:
@@ -544,10 +394,9 @@ class SharingSystem:
       start and finish; constraints are *interned* by an opaque key (a link
       direction, a host) and reference-counted, disappearing with their last
       variable,
-    - numpy slot buffers (weights, bounds, values, capacities) and the flat
-      COO triplet store are grow-only with geometric doubling; freed slots go
-      to free lists and are reused, and :meth:`compact` defragments after long
-      churn,
+    - numpy slot buffers (weights, bounds, values, capacities) are grow-only
+      with geometric doubling; freed slots go to free lists and are reused,
+      and :meth:`compact` defragments after long churn,
     - every mutation marks the touched constraints/variables *dirty*; a
       :meth:`solve` call re-runs progressive filling only on the connected
       components reachable from the dirty set.  Untouched components keep
@@ -560,31 +409,15 @@ class SharingSystem:
     ``(vid, value)`` arrays for callers that keep their own vid maps.
     """
 
-    def __init__(self, initial_variables: int = 64, initial_constraints: int = 64,
-                 vectorized: bool = True) -> None:
+    def __init__(self, initial_variables: int = 64,
+                 initial_constraints: int = 64) -> None:
         n = max(1, int(initial_variables))
         m = max(1, int(initial_constraints))
-        #: default solve path; ``solve(vectorized=...)`` overrides per call
-        self.vectorized = bool(vectorized)
-        #: fewest dirty *variables* worth routing through the batched kernel
-        #: when the caller leaves the path choice to the instance default.
-        #: Its cost follows the variables it re-solves and the live graph it
-        #: labels, not the private constraints a flow brings along (counting
-        #: those sent fig9's 45-flow arrivals, 139 dirty slots, through it:
-        #: 314 us against 147 for the scalar walk).  Full re-solves, us
-        #: scalar/batched — lone flows 64: 73/88, 96: 108/100, 128: 139/111,
-        #: 256: 271/157; 16-flow components 96: 259/290, 128: 334/320, 256:
-        #: 630/414; pairs 32: 213/212, 128: 783/300; one cluster-shaped
-        #: component 100: 379/781, 300: 1577/2212, 600: 3078/3013
-        self.vectorize_min_dirty = 128
         # per-variable slot buffers
         self._weights = np.ones(n, dtype=float)
         self._bounds = np.full(n, np.inf, dtype=float)
         self._values = np.zeros(n, dtype=float)
         self._var_live = np.zeros(n, dtype=bool)
-        # generation stamp per slot: bumped on removal, so triplets recorded
-        # for a previous occupant of the slot are invalid by comparison
-        self._var_gen = np.zeros(n, dtype=np.int64)
         self._var_payload: list[object] = [None] * n
         self._var_uses: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self._var_free: list[int] = list(range(n - 1, -1, -1))
@@ -596,19 +429,9 @@ class SharingSystem:
         self._cons_vars: list[set[int]] = [set() for _ in range(m)]
         self._cons_free: list[int] = list(range(m - 1, -1, -1))
         self._key_to_slot: dict[object, int] = {}
-        # coefficients live in the per-variable uses lists (and the triplet
-        # store below) — there is no dense matrix, so arena memory stays
-        # O(variables + uses) regardless of shape
-        # COO triplet store for the vectorized path: committed numpy arrays
-        # plus a staging tail of ``(vid, generation, uses)`` records — one
-        # cheap append per added variable; expansion into flat triplets is
-        # amortised into the next vectorized solve
-        self._tr_var = np.zeros(0, dtype=np.intp)
-        self._tr_cons = np.zeros(0, dtype=np.intp)
-        self._tr_coeff = np.zeros(0, dtype=float)
-        self._tr_gen = np.zeros(0, dtype=np.int64)
-        self._pend: list[tuple[int, int, list[tuple[int, float]]]] = []
-        self._tr_dead = 0
+        # coefficients live in the per-variable uses lists — there is no
+        # dense matrix, so arena memory stays O(variables + uses) regardless
+        # of shape
         # dirty sets: slots whose component must be re-solved
         self._dirty_vars: set[int] = set()
         self._dirty_cons: set[int] = set()
@@ -619,9 +442,10 @@ class SharingSystem:
             "components_solved": 0,
             "variables_resolved": 0,
             "peak_variables": 0,
+            # never incremented: the frozen perf/ladders.py reads it by name
             "vectorized_solves": 0,
             "compactions": 0,
-            # the scalar path's fold: multi-variable component fills, shared
+            # the walk's fold: multi-variable component fills, shared
             # constraints entering them, private constraints folded away
             "fills": 0,
             "shared_filled": 0,
@@ -720,7 +544,6 @@ class SharingSystem:
         self._bounds = np.concatenate([self._bounds, np.full(old, np.inf)])
         self._values = np.concatenate([self._values, np.zeros(old)])
         self._var_live = np.concatenate([self._var_live, np.zeros(old, dtype=bool)])
-        self._var_gen = np.concatenate([self._var_gen, np.zeros(old, dtype=np.int64)])
         self._var_payload.extend([None] * old)
         self._var_uses.extend([] for _ in range(old))
         self._var_free.extend(range(new - 1, old - 1, -1))
@@ -810,15 +633,12 @@ class SharingSystem:
         cons_vars = self._cons_vars
         cons_free = self._cons_free
         key_to_slot = self._key_to_slot
-        pend = self._pend
         for _weight, _bound, payload, usages in specs:
             if not free:
                 self._grow_vars()
             vid = free.pop()
             vids.append(vid)
             var_payload[vid] = payload
-            # fresh list: staged triplet records may still reference the
-            # previous occupant's uses, so the old list is never mutated
             uses: list[tuple[int, float]] = []
             var_uses[vid] = uses
             for key, capacity, coefficient in usages:
@@ -844,8 +664,6 @@ class SharingSystem:
                     self._capacities[slot] = capacity
                 cons_vars[slot].add(vid)
                 uses.append((slot, coefficient))
-            if uses:
-                pend.append((vid, self._var_gen.item(vid), uses))
         # a new variable seeds its component's walk: no dirty constraint marks
         self._dirty_vars.update(vids)
         if not vids:
@@ -928,13 +746,7 @@ class SharingSystem:
                 self._cons_key[slot] = None
                 self._dirty_cons.discard(slot)
                 self._cons_free.append(slot)
-        self._tr_dead += len(uses)
-        # replace (don't clear): a staged triplet record may still hold this
-        # list; the generation bump below is what invalidates it
         self._var_uses[vid] = []
-        # invalidate this slot's triplets in O(1): their recorded generation
-        # no longer matches
-        self._var_gen[vid] += 1
         self._var_live[vid] = False
         self._var_payload[vid] = None
         self._values[vid] = 0.0
@@ -944,57 +756,15 @@ class SharingSystem:
 
     # -- arena hygiene -------------------------------------------------------
 
-    def _commit_triplets(self) -> None:
-        if not self._pend:
-            return
-        pend_var: list[int] = []
-        pend_cons: list[int] = []
-        pend_coeff: list[float] = []
-        pend_gen: list[int] = []
-        var_gen = self._var_gen
-        for vid, gen, uses in self._pend:
-            if gen != var_gen[vid]:
-                # added and removed between two vectorized solves: never
-                # enters the committed store (it was pre-counted dead)
-                self._tr_dead -= len(uses)
-                continue
-            for slot, coeff in uses:
-                pend_var.append(vid)
-                pend_cons.append(slot)
-                pend_coeff.append(coeff)
-                pend_gen.append(gen)
-        self._pend.clear()
-        if not pend_var:
-            return
-        self._tr_var = np.concatenate(
-            [self._tr_var, np.array(pend_var, dtype=np.intp)])
-        self._tr_cons = np.concatenate(
-            [self._tr_cons, np.array(pend_cons, dtype=np.intp)])
-        self._tr_coeff = np.concatenate(
-            [self._tr_coeff, np.array(pend_coeff, dtype=float)])
-        self._tr_gen = np.concatenate(
-            [self._tr_gen, np.array(pend_gen, dtype=np.int64)])
-
-    def _prune_triplets(self) -> None:
-        """Drop triplets whose variable generation went stale."""
-        self._commit_triplets()
-        valid = self._tr_gen == self._var_gen[self._tr_var]
-        self._tr_var = self._tr_var[valid]
-        self._tr_cons = self._tr_cons[valid]
-        self._tr_coeff = self._tr_coeff[valid]
-        self._tr_gen = self._tr_gen[valid]
-        self._tr_dead = 0
-
     def compact(self, min_capacity: int = 64) -> dict[int, int]:
         """Defragment the arena; returns the ``{old vid: new vid}`` remap.
 
         Live variables and constraints are renumbered onto contiguous slots
         (ascending old-slot order, so :meth:`allocations` order is stable),
-        buffers shrink to the next power of two that holds them (at least
-        ``min_capacity``), stale triplets are dropped, and all generations
-        reset.  Values, usages, capacities, payloads, dirty marks and interned
-        keys are preserved exactly — only the ids change.  Callers holding
-        vids must apply the returned remap.
+        and buffers shrink to the next power of two that holds them (at least
+        ``min_capacity``).  Values, usages, capacities, payloads, dirty marks
+        and interned keys are preserved exactly — only the ids change.
+        Callers holding vids must apply the returned remap.
         """
         live_v = np.nonzero(self._var_live)[0]
         live_c = np.nonzero(self._cons_live)[0]
@@ -1031,7 +801,6 @@ class SharingSystem:
         self._values = packed(self._values, live_v, ncap, 0.0, float)
         self._var_live = np.zeros(ncap, dtype=bool)
         self._var_live[:nv] = True
-        self._var_gen = np.zeros(ncap, dtype=np.int64)
         self._var_payload = new_payload
         self._var_uses = new_uses
         self._var_free = list(range(ncap - 1, nv - 1, -1))
@@ -1045,22 +814,6 @@ class SharingSystem:
         self._key_to_slot = new_key_to_slot
         self._dirty_vars = new_dirty_vars
         self._dirty_cons = new_dirty_cons
-
-        # rebuild the triplet store from the (remapped) uses
-        tr_var: list[int] = []
-        tr_cons: list[int] = []
-        tr_coeff: list[float] = []
-        for new_vid in range(nv):
-            for slot, coeff in self._var_uses[new_vid]:
-                tr_var.append(new_vid)
-                tr_cons.append(slot)
-                tr_coeff.append(coeff)
-        self._tr_var = np.array(tr_var, dtype=np.intp)
-        self._tr_cons = np.array(tr_cons, dtype=np.intp)
-        self._tr_coeff = np.array(tr_coeff, dtype=float)
-        self._tr_gen = np.zeros(len(tr_var), dtype=np.int64)
-        self._pend.clear()
-        self._tr_dead = 0
 
         self.stats["compactions"] += 1
         return {int(old): int(new) for old, new in zip(live_v, vmap[live_v])}
@@ -1082,7 +835,8 @@ class SharingSystem:
 
     # -- solving -------------------------------------------------------------
 
-    def _solve_scalar(self, dirty_vars: list[int], dirty_cons: list[int]) -> np.ndarray:
+    def _solve_components(self, dirty_vars: list[int],
+                          dirty_cons: list[int]) -> np.ndarray:
         """Walk and solve every component reachable from the dirty slots.
 
         A *private* constraint — one user at this solve — couples nothing: it
@@ -1187,152 +941,7 @@ class SharingSystem:
         self.stats["shared_filled"] += len(rows)
         return n_private
 
-    def _solve_vectorized(self, dirty_vars: list[int], dirty_cons: list[int]) -> np.ndarray:
-        self._commit_triplets()
-        length = self._tr_var.size
-        if self._tr_dead and length > 256 and self._tr_dead * 2 > length:
-            self._prune_triplets()
-            length = self._tr_var.size
-
-        dv = np.array(dirty_vars, dtype=np.intp)
-        dc = np.array(dirty_cons, dtype=np.intp)
-
-        if length:
-            tv_all = self._tr_var
-            valid = self._tr_gen == self._var_gen[tv_all]
-            tv = tv_all[valid]
-            tc = self._tr_cons[valid]
-            tw = self._tr_coeff[valid]
-        else:
-            tv = tc = _EMPTY_IDS
-            tw = _EMPTY_VALS
-
-        n_components = 0
-        resolved_parts: list[np.ndarray] = []
-
-        if tv.size == 0:
-            # no live coefficients anywhere: every dirty variable is
-            # unconstrained and takes its bound
-            if dv.size:
-                self._values[dv] = self._bounds[dv]
-                resolved_parts.append(dv)
-                n_components += int(dv.size)
-            resolved = dv
-            self.stats["components_solved"] += n_components
-            self.stats["variables_resolved"] += int(resolved.size)
-            return resolved
-
-        # compress the live graph: positions 0..nV-1 / 0..nC-1 in slot order
-        u_v, iv = np.unique(tv, return_inverse=True)
-        u_c, ic = np.unique(tc, return_inverse=True)
-        n_v = int(u_v.size)
-        n_c = int(u_c.size)
-        ord_c = np.argsort(ic, kind="stable")
-        ord_v = np.argsort(iv, kind="stable")
-        ic_of_ordv = ic[ord_v]
-        iv_of_ordc = iv[ord_c]
-        c_starts = np.searchsorted(ic[ord_c], np.arange(n_c))
-        v_starts = np.searchsorted(iv[ord_v], np.arange(n_v))
-
-        # connected components by label propagation (bounded rounds; exact
-        # BFS fallback for pathological diameters)
-        lab_v = np.arange(n_v, dtype=np.intp)
-        for _ in range(32):
-            lab_c = np.maximum.reduceat(lab_v[iv_of_ordc], c_starts)
-            new_v = np.maximum(lab_v, np.maximum.reduceat(lab_c[ic_of_ordv], v_starts))
-            if np.array_equal(new_v, lab_v):
-                break
-            lab_v = new_v
-        else:
-            lab_v, _ = _label_components_bfs(n_v, n_c, iv, ic)
-        lab_c = np.maximum.reduceat(lab_v[iv_of_ordc], c_starts)
-
-        roots, comp_v = np.unique(lab_v, return_inverse=True)
-        comp_c = np.searchsorted(roots, lab_c)
-        n_comp = int(roots.size)
-
-        # select the components containing a dirty variable or constraint
-        dirty_comp = np.zeros(n_comp, dtype=bool)
-        if dv.size:
-            pos, found = _positions_in(u_v, dv)
-            dirty_comp[comp_v[pos[found]]] = True
-            off_vars = dv[~found]  # live but without any use: value = bound
-        else:
-            off_vars = dv
-        if dc.size:
-            pos, found = _positions_in(u_c, dc)
-            dirty_comp[comp_c[pos[found]]] = True
-
-        if off_vars.size:
-            self._values[off_vars] = self._bounds[off_vars]
-            resolved_parts.append(off_vars)
-            n_components += int(off_vars.size)
-
-        var_counts = np.bincount(comp_v, minlength=n_comp)
-        sel_single = dirty_comp & (var_counts == 1)
-        sel_multi = dirty_comp & (var_counts > 1)
-
-        if sel_single.any():
-            # bulk scalar-free fast path: each selected component is a lone
-            # variable; its rate is min(bound, capacity/coefficient) over its
-            # constraints, all computed in whole-array passes
-            vmask = sel_single[comp_v]
-            vpos = np.nonzero(vmask)[0]
-            slots = u_v[vpos]
-            ratio = self._capacities[tc] / tw
-            per_var_min = np.minimum.reduceat(ratio[ord_v], v_starts)
-            vals = np.minimum(self._bounds[slots], per_var_min[vpos])
-            self._values[slots] = vals
-            tmask = vmask[iv]
-            tsel = np.nonzero(tmask)[0]
-            val_at = np.zeros(n_v, dtype=float)
-            val_at[vpos] = vals
-            self._usages[tc[tsel]] = val_at[iv[tsel]] * tw[tsel]
-            resolved_parts.append(slots)
-            n_components += int(vpos.size)
-
-        if sel_multi.any():
-            # gather the multi-variable components into one contiguous
-            # component-grouped layout and run them through the batched kernel
-            vmask = sel_multi[comp_v]
-            cmask = sel_multi[comp_c]
-            vpos = np.nonzero(vmask)[0]
-            cpos = np.nonzero(cmask)[0]
-            vpos = vpos[np.argsort(comp_v[vpos], kind="stable")]
-            cpos = cpos[np.argsort(comp_c[cpos], kind="stable")]
-            ucomp = np.unique(comp_v[vpos])
-            cov = np.searchsorted(ucomp, comp_v[vpos])
-            coc = np.searchsorted(ucomp, comp_c[cpos])
-            loc_v = np.full(n_v, -1, dtype=np.intp)
-            loc_v[vpos] = np.arange(vpos.size)
-            loc_c = np.full(n_c, -1, dtype=np.intp)
-            loc_c[cpos] = np.arange(cpos.size)
-            tsel = np.nonzero(vmask[iv])[0]
-            rows = loc_c[ic[tsel]]
-            cols = loc_v[iv[tsel]]
-            vslots = u_v[vpos]
-            cslots = u_c[cpos]
-            values, usage = progressive_fill_batched(
-                self._weights[vslots], self._bounds[vslots],
-                self._capacities[cslots],
-                rows, cols, tw[tsel], cov, coc, int(ucomp.size),
-            )
-            self._values[vslots] = values
-            self._usages[cslots] = usage
-            resolved_parts.append(vslots)
-            n_components += int(ucomp.size)
-
-        if resolved_parts:
-            resolved = np.concatenate(resolved_parts)
-            resolved.sort()
-        else:
-            resolved = _EMPTY_IDS
-        self.stats["components_solved"] += n_components
-        self.stats["variables_resolved"] += int(resolved.size)
-        return resolved
-
-    def solve_raw(self, full: bool = False,
-                  vectorized: Optional[bool] = None) -> tuple[np.ndarray, np.ndarray]:
+    def solve_raw(self, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Re-solve dirty components; returns ``(vids, values)`` arrays.
 
         The flat-array twin of :meth:`solve` for callers (the engine) that
@@ -1351,33 +960,17 @@ class SharingSystem:
         self.stats["solves"] += 1
         if not dirty_vars and not dirty_cons:
             return _EMPTY_IDS, _EMPTY_VALS
-        if vectorized is None:
-            # adaptive dispatch: the batched kernel's fixed per-solve cost
-            # (triplet compression + labeling the whole live graph) only
-            # amortizes once enough variables are dirty; an explicit
-            # ``vectorized=True/False`` always forces its path
-            use_vectorized = (self.vectorized
-                              and len(dirty_vars) >= self.vectorize_min_dirty)
-        else:
-            use_vectorized = bool(vectorized)
-        if use_vectorized:
-            self.stats["vectorized_solves"] += 1
-            resolved = self._solve_vectorized(dirty_vars, dirty_cons)
-        else:
-            resolved = self._solve_scalar(dirty_vars, dirty_cons)
+        resolved = self._solve_components(dirty_vars, dirty_cons)
         return resolved, self._values[resolved]
 
-    def solve(self, full: bool = False,
-              vectorized: Optional[bool] = None) -> list[tuple[object, float]]:
+    def solve(self, full: bool = False) -> list[tuple[object, float]]:
         """Re-solve every dirty connected component (all of them if ``full``).
 
-        ``vectorized`` picks the batched kernel (None: the instance default);
-        both paths are equivalent within 1e-9 — the scalar path is the
-        verification escape hatch.  Returns ``(payload, value)`` for each
-        re-solved variable; variables in untouched components are not listed
-        (their allocation is unchanged).
+        Returns ``(payload, value)`` for each re-solved variable; variables
+        in untouched components are not listed (their allocation is
+        unchanged).
         """
-        vids, values = self.solve_raw(full=full, vectorized=vectorized)
+        vids, values = self.solve_raw(full=full)
         payloads = self._var_payload
         return [
             (payloads[vid], value)

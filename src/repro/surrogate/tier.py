@@ -7,8 +7,6 @@ forecast request from the regressor when it is *confident*:
 - the model is fitted and was trained for the request's network model
   (compared by ``model_key()``, the same identity the forecast cache
   keys on),
-- the request is not ``full_resolve`` (an explicit ask for the reference
-  solver is an ask for simulation, not an approximation),
 - the tier is **epoch-fresh**: the link-mutation epoch equals the epoch
   the model was last (re)trained against.  A recalibration bumps the
   epoch, the tier starts falling through, and the retraining hook
@@ -43,7 +41,6 @@ from repro.surrogate.model import SurrogateModel
 FALLBACK_REASONS = (
     "unfitted",
     "model_mismatch",
-    "full_resolve",
     "stale_epoch",
     "uncertainty",
     "error",
@@ -91,7 +88,6 @@ class SurrogateTier:
         request_model: object,
         transfers: Sequence[tuple[str, str, float]],
         ongoing: Sequence[tuple[str, str, float]] = (),
-        full_resolve: bool = False,
     ) -> Optional[list[TransferForecast]]:
         """A forecast list if the tier is confident, else ``None``.
 
@@ -102,8 +98,6 @@ class SurrogateTier:
         """
         if not self.model.fitted:
             return self._fallback("unfitted")
-        if full_resolve:
-            return self._fallback("full_resolve")
         if model_key_of(request_model) != self._expected_key:
             return self._fallback("model_mismatch")
         if self.require_fresh_epoch and link_epoch() != self._trained_epoch:

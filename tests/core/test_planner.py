@@ -217,18 +217,6 @@ class TestEffectiveBounds:
                                         model=TcpFluidModel())
         assert all(s.simulated for s in result.scores)
 
-    def test_kwargs_thread_through_to_simulation(self):
-        planner = self.make_dumbbell_planner()
-        hypotheses = [self.DIRECT, self.LOCAL]
-        baseline = planner.select_fastest(hypotheses,
-                                          capacity_factors=self.FACTORS)
-        for kwargs in ({"full_resolve": True}, {"vectorized": False}):
-            result = planner.select_fastest(
-                hypotheses, capacity_factors=self.FACTORS, **kwargs)
-            assert result.best == baseline.best
-            for ours, theirs in zip(result.scores, baseline.scores):
-                assert ours.makespan == pytest.approx(theirs.makespan)
-
     def test_horizon_ranks_under_projected_state(self):
         # a bottleneck trending to 10% flips the ranking: live state picks
         # 'direct', the projected state picks 'local'

@@ -134,13 +134,12 @@ class TestEquivalence:
         assert [f.duration for f in whatif.forecasts] == \
             [f.duration for f in plain]
 
-    def test_scalar_and_full_resolve_modes_agree(self):
+    def test_full_resolve_agrees(self):
         baseline, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
-        for kwargs in ({"full_resolve": True}, {"vectorized": False}):
-            records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS,
-                                     EVENTS, **kwargs)
-            for ours, theirs in zip(records, baseline):
-                assert ours["duration"] == pytest.approx(theirs["duration"])
+        records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS,
+                                 full_resolve=True)
+        for ours, theirs in zip(records, baseline):
+            assert ours["duration"] == pytest.approx(theirs["duration"])
 
 
 class TestServiceWhatIf:

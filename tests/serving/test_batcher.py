@@ -69,14 +69,13 @@ class TestCoalescing:
         batcher.stop()
         assert max(sizes) <= 2
 
-    def test_group_key_splits_on_platform_model_and_mode(self):
+    def test_group_key_splits_on_platform_and_model(self):
         lv08 = LV08()
-        base = PendingRequest("p", [], lv08, False)
-        assert base.group_key() == PendingRequest("p", [], LV08(), False).group_key()
-        assert base.group_key() != PendingRequest("q", [], lv08, False).group_key()
-        assert base.group_key() != PendingRequest("p", [], lv08, True).group_key()
+        base = PendingRequest("p", [], lv08)
+        assert base.group_key() == PendingRequest("p", [], LV08()).group_key()
+        assert base.group_key() != PendingRequest("q", [], lv08).group_key()
         assert base.group_key() != PendingRequest(
-            "p", [], lv08.with_gamma(4e6), False).group_key()
+            "p", [], lv08.with_gamma(4e6)).group_key()
 
 
 class TestFailure:

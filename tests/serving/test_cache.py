@@ -44,13 +44,11 @@ class TestCanonicalization:
         gamma = forecast_cache_key("p", LV08().with_gamma(4e6), [("a", "b", 1e6)])
         assert len({base, other_model, gamma}) == 3
 
-    def test_full_resolve_and_ongoing_pin_the_key(self):
+    def test_ongoing_pins_the_key(self):
         base = forecast_cache_key("p", LV08(), [("a", "b", 1e6)])
-        full = forecast_cache_key("p", LV08(), [("a", "b", 1e6)],
-                                  full_resolve=True)
         flight = forecast_cache_key("p", LV08(), [("a", "b", 1e6)],
                                     ongoing=[("x", "y", 1e5)])
-        assert len({base, full, flight}) == 3
+        assert base != flight
 
 
 class TestLRU:

@@ -73,24 +73,13 @@ class TestForecastCacheIsolation:
 
 class TestCoalescerGroupIsolation:
     def test_distinct_variants_get_distinct_groups(self):
-        groups = {PendingRequest("p", TRANSFERS, m, False).group_key()
+        groups = {PendingRequest("p", TRANSFERS, m).group_key()
                   for m in VARIANTS}
         assert len(groups) == len(VARIANTS)
 
     def test_equal_models_coalesce(self):
-        assert (PendingRequest("p", TRANSFERS, TcpFluidModel(), False)
-                .group_key()
-                == PendingRequest("p", TRANSFERS, TcpFluidModel(), False)
-                .group_key())
-
-    def test_mode_flags_still_split_groups(self):
-        base = PendingRequest("p", TRANSFERS, TcpFluidModel(), False)
-        assert (base.group_key()
-                != PendingRequest("p", TRANSFERS, TcpFluidModel(), True)
-                .group_key())
-        assert (base.group_key()
-                != PendingRequest("p", TRANSFERS, TcpFluidModel(), False,
-                                  vectorized=False).group_key())
+        assert (PendingRequest("p", TRANSFERS, TcpFluidModel()).group_key()
+                == PendingRequest("p", TRANSFERS, TcpFluidModel()).group_key())
 
 
 class TestSurrogateTierIsolation:

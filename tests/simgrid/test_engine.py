@@ -350,9 +350,9 @@ class TestAddComms:
         }
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"model": CM02()}, {"full_resolve": True}, {"vectorized": False},
+        {}, {"model": CM02()}, {"full_resolve": True},
         {"model": model_by_name("tcp_fluid")},
-    ], ids=["lv08", "cm02", "full_resolve", "scalar", "tcp_fluid"])
+    ], ids=["lv08", "cm02", "full_resolve", "tcp_fluid"])
     def test_equals_one_add_comm_per_transfer(self, star4, kwargs):
         one_by_one = self.outcome(star4, self.TRANSFERS, False, **kwargs)
         assert self.outcome(star4, self.TRANSFERS, True, **kwargs) == one_by_one

@@ -226,27 +226,20 @@ class TestCampaignShape:
 SAGITTAIRE = [f"sagittaire-{i}.lyon.grid5000.fr" for i in range(1, 5)]
 
 
-class TestVectorizedScalarServing:
-    """The second escape hatch (``vectorized=False``) end to end.
-
-    The batched numpy kernel and the scalar arena walk must agree after a
-    mid-transfer ``touch_sharing()`` recalibration, and the serving stack
-    must keep the two kernel modes straight: cache on and cache off answer
-    bit-identically within a mode, and the two modes occupy distinct cache
-    entries (a scalar request never gets a vectorized hit, or vice versa).
+class TestRecalibrationAndServing:
+    """The incremental arena after a mid-transfer ``touch_sharing()``
+    recalibration, and the serving stack above it: incremental agrees with
+    ``full_resolve`` within 1e-9, and cache on and cache off answer
+    bit-identically.
     """
 
-    def test_touch_sharing_mid_transfer_matches_scalar(self):
+    def test_touch_sharing_mid_transfer_matches_full_resolve(self):
         """A timer halves a link and calls ``touch_sharing()`` mid-transfer;
-        vectorized, scalar and full-resolve runs agree within 1e-9."""
+        incremental and full-resolve runs agree within 1e-9."""
         finishes = {}
-        for label, kwargs in {
-            "vectorized": {"vectorized": True},
-            "scalar": {"vectorized": False},
-            "full": {"full_resolve": True},
-        }.items():
+        for full_resolve in (False, True):
             platform = build_star_cluster("star", 6)
-            sim = Simulation(platform, LV08(), **kwargs)
+            sim = Simulation(platform, LV08(), full_resolve=full_resolve)
             comms = [
                 sim.add_comm("star-1", "star-2", 2e9, name="a"),
                 sim.add_comm("star-3", "star-2", 2e9, name="b"),
@@ -260,54 +253,22 @@ class TestVectorizedScalarServing:
 
             sim.schedule(1.0, degrade)
             sim.run()
-            finishes[label] = [c.finish_time for c in comms]
-        assert finishes["vectorized"] == finishes["scalar"], (
-            "touch_sharing mid-transfer: vectorized and scalar kernels "
-            f"diverged: {finishes['vectorized']!r} vs {finishes['scalar']!r}"
-        )
-        for vec_t, full_t in zip(finishes["vectorized"], finishes["full"]):
-            assert close(vec_t, full_t)
+            finishes[full_resolve] = [c.finish_time for c in comms]
+        for inc_t, full_t in zip(finishes[False], finishes[True]):
+            assert close(inc_t, full_t)
 
     def test_serving_answers_identical_cache_on_and_off(self, forecast_service):
-        """Both kernel modes through the serving path, with the ForecastCache
-        enabled (4096) and disabled (0): caching never changes an answer,
-        and scalar agrees with vectorized within 1e-9."""
+        """The serving path with the ForecastCache enabled (4096) and
+        disabled (0): caching never changes an answer."""
         from repro.serving.service import ForecastServingService
 
         transfers = [(SAGITTAIRE[0], SAGITTAIRE[1], 5e8),
                      (SAGITTAIRE[2], SAGITTAIRE[1], 5e8)]
         ongoing = [(SAGITTAIRE[3], SAGITTAIRE[1], 2e8)]  # mid-transfer flows
         answers = {}
-        for vectorized in (True, False):
-            for cache_size in (4096, 0):
-                with ForecastServingService(
-                        forecast_service, cache_size=cache_size) as serving:
-                    got = serving.predict(
-                        "g5k_test", transfers, ongoing=ongoing,
-                        vectorized=vectorized)
-                    answers[(vectorized, cache_size)] = [
-                        f.duration for f in got]
-        assert answers[(True, 4096)] == answers[(True, 0)]
-        assert answers[(False, 4096)] == answers[(False, 0)]
-        for a, b in zip(answers[(True, 4096)], answers[(False, 4096)]):
-            assert close(a, b)
-
-    def test_modes_occupy_distinct_cache_entries(self, forecast_service):
-        """A scalar request after an identical vectorized one is a clean
-        cache miss (distinct key), then each mode hits its own entry."""
-        from repro.serving.service import ForecastServingService
-
-        transfers = [(SAGITTAIRE[0], SAGITTAIRE[1], 5e8)]
-        with ForecastServingService(forecast_service) as serving:
-            vec = serving.predict("g5k_test", transfers, vectorized=True)
-            scal = serving.predict("g5k_test", transfers, vectorized=False)
-            assert serving.cache.info()["misses"] == 2
-            assert serving.cache.info()["size"] == 2
-            vec_again = serving.predict("g5k_test", transfers, vectorized=True)
-            scal_again = serving.predict("g5k_test", transfers,
-                                         vectorized=False)
-            assert serving.cache.info()["hits"] == 2
-        assert [f.duration for f in vec] == [f.duration for f in vec_again]
-        assert [f.duration for f in scal] == [f.duration for f in scal_again]
-        for a, b in zip(vec, scal):
-            assert close(a.duration, b.duration)
+        for cache_size in (4096, 0):
+            with ForecastServingService(
+                    forecast_service, cache_size=cache_size) as serving:
+                got = serving.predict("g5k_test", transfers, ongoing=ongoing)
+                answers[cache_size] = [f.duration for f in got]
+        assert answers[4096] == answers[0]

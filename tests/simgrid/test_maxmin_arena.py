@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ CYCLES = 100_000
 
 def test_no_vid_aliasing_and_no_capacity_drift_under_churn():
     rng = random.Random(0xA11A5)
-    system = SharingSystem(vectorized=True)
+    system = SharingSystem()
     live: dict[int, int] = {}  # vid -> payload
     payload_counter = 0
     for step in range(CYCLES):
@@ -69,7 +70,7 @@ def test_no_vid_aliasing_and_no_capacity_drift_under_churn():
 
 def test_compaction_bounds_buffer_growth():
     rng = random.Random(7)
-    system = SharingSystem(vectorized=True)
+    system = SharingSystem()
     live: list[int] = []
     # grow to a large arena, then drain almost entirely and keep churning a
     # handful of flows: maybe_compact must pull the buffers back down
@@ -99,8 +100,45 @@ def test_compaction_bounds_buffer_growth():
     assert system.stats["compactions"] >= 1
 
 
+def test_steady_churn_holds_no_memory_per_variable_ever_added():
+    # the engine's steady state: a handful of live flows, one arriving and
+    # one leaving per event, a solve after each, maybe_compact() every time.
+    # Nothing may be kept per variable *ever added* — the arena's footprint
+    # follows the live population only
+    system = SharingSystem()
+    shared = (("uplink",), 100.0, 1.0)
+    live = [system.add_variable(1.0, payload=i,
+                                usages=(shared, (("nic", i), 50.0, 1.0)))
+            for i in range(4)]
+
+    def churn(first: int, cycles: int) -> None:
+        for i in range(first, first + cycles):
+            live.append(system.add_variable(
+                1.0, payload=i, usages=(shared, (("nic", i), 50.0, 1.0))))
+            system.solve()
+            system.remove_variable(live.pop(0))
+            system.solve()
+            assert system.maybe_compact() is None
+
+    # 20 000 cycles in all; tracing costs 7x, so only the last eighth is
+    # traced — a per-variable leak is linear and shows in any window (the
+    # staged-triplet records this pins cost ~300 B per variable: 0.8 MB here)
+    churn(4, 17_500)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        churn(17_504, 2_500)
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+    assert system.variable_capacity == 64
+    assert system.variable_count == 4
+    assert [system.value(v) for v in live] == [25.0] * 4
+
+
 def test_allocations_order_stable_across_compaction():
-    system = SharingSystem(vectorized=True)
+    system = SharingSystem()
     vids = [
         system.add_variable(1.0, payload=f"flow-{i}",
                             usages=(((i,), float(i + 1), 1.0),))
@@ -125,7 +163,7 @@ def test_allocations_order_stable_across_compaction():
 
 
 def test_values_survive_compaction_exactly():
-    system = SharingSystem(vectorized=True)
+    system = SharingSystem()
     shared = ((("uplink",), 100.0, 1.0),)
     vids = [system.add_variable(1.0, payload=i, usages=shared)
             for i in range(40)]
@@ -156,7 +194,7 @@ class TestUpdateVariable:
     def test_retune_matches_a_fresh_system(self):
         # mutate weights/bounds in place, then check the solve against a
         # system built with those parameters from scratch
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vids = self._contended(system)
         system.solve()
         weights = [1.0, 2.0, 4.0, 8.0]
@@ -165,7 +203,7 @@ class TestUpdateVariable:
             system.update_variable(vid, weight=weight, bound=bound)
         system.solve()
 
-        fresh = SharingSystem(vectorized=True)
+        fresh = SharingSystem()
         shared_key = (("bottleneck",), 100.0, 1.0)
         fresh_vids = [fresh.add_variable(w, bound=b, payload=i,
                                          usages=(shared_key,))
@@ -176,7 +214,7 @@ class TestUpdateVariable:
                                                       rel=1e-12)
 
     def test_incremental_equals_full_after_updates(self):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vids = self._contended(system)
         system.solve()
         system.update_variable(vids[1], weight=3.0)
@@ -188,7 +226,7 @@ class TestUpdateVariable:
                                                                 rel=1e-12)
 
     def test_partial_update_leaves_other_parameter(self):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vid = system.add_variable(2.0, bound=7.0,
                                   usages=((("l",), 100.0, 1.0),))
         system.update_variable(vid, weight=4.0)  # bound untouched
@@ -201,7 +239,7 @@ class TestUpdateVariable:
     def test_update_dirties_the_shared_component(self):
         # retuning one flow must re-solve its neighbours too: the other
         # flow's share moves even though it was never touched directly
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         a, b, *_ = self._contended(system)[:2]
         system.solve()
         before_b = system.value(b)
@@ -212,7 +250,7 @@ class TestUpdateVariable:
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"),
                                         float("inf")])
     def test_bad_weight_rejected(self, weight):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vid = system.add_variable(1.0, usages=((("l",), 10.0, 1.0),))
         with pytest.raises(MaxMinError, match=f"variable #{vid}"):
             system.update_variable(vid, weight=weight)
@@ -220,13 +258,13 @@ class TestUpdateVariable:
     @pytest.mark.parametrize("bound", [0.0, -3.0, float("nan"),
                                        float("-inf")])
     def test_bad_bound_rejected(self, bound):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vid = system.add_variable(1.0, usages=((("l",), 10.0, 1.0),))
         with pytest.raises(MaxMinError, match=f"variable #{vid}"):
             system.update_variable(vid, bound=bound)
 
     def test_positive_infinity_bound_means_unbounded(self):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vid = system.add_variable(1.0, bound=1.0,
                                   usages=((("l",), 50.0, 1.0),))
         system.update_variable(vid, bound=float("inf"))
@@ -234,7 +272,7 @@ class TestUpdateVariable:
         assert system.value(vid) == pytest.approx(50.0)
 
     def test_dead_vid_rejected(self):
-        system = SharingSystem(vectorized=True)
+        system = SharingSystem()
         vid = system.add_variable(1.0, usages=((("l",), 10.0, 1.0),))
         system.remove_variable(vid)
         with pytest.raises(MaxMinError):
@@ -245,7 +283,7 @@ class TestUpdateVariable:
         # system (singletons and a contended component): same values, same
         # usages, same work — to the bit
         rng = random.Random(21)
-        systems = [SharingSystem(vectorized=True) for _ in range(2)]
+        systems = [SharingSystem() for _ in range(2)]
         vids = []
         for system in systems:
             vids = [system.add_variable(
@@ -273,10 +311,10 @@ class TestUpdateVariable:
 # -- private constraints are folded into their user's bound -------------------
 
 
-def arena_of(flows, capacities, vectorized=False):
-    """A scalar-path arena holding ``flows`` = ``[(weight, bound, [(key,
-    coefficient), ...]), ...]``; returns it with the vids."""
-    system = SharingSystem(vectorized=vectorized)
+def arena_of(flows, capacities):
+    """An arena holding ``flows`` = ``[(weight, bound, [(key, coefficient),
+    ...]), ...]``; returns it with the vids."""
+    system = SharingSystem()
     vids = [
         system.add_variable(
             weight, bound=bound,
@@ -325,7 +363,7 @@ def assert_folded_matches(system, vids, flows, capacities):
 
 class TestPrivateConstraintFold:
     """A constraint with one user only caps that user at ``capacity /
-    coefficient``: the scalar path folds it into the variable's effective
+    coefficient``: the walk folds it into the variable's effective
     bound and fills over the shared constraints alone.  The unfolded
     references (``MaxMinSystem``, dense ``progressive_fill``) must agree
     within 1e-9, and the folded constraint must still report its usage."""
@@ -378,7 +416,7 @@ class TestPrivateConstraintFold:
         assert system.value(vids[1]) == pytest.approx(1e6 - 10.0, rel=1e-12)
 
     def test_private_only_component_reached_from_a_dirty_constraint(self):
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
         keeper = system.add_variable(
             1.0, bound=80.0, usages=((("a",), 100.0, 1.0), (("b",), 90.0, 1.0)))
         system.solve()
@@ -413,7 +451,7 @@ class TestPrivateConstraintFold:
 
     def test_private_to_shared_to_private_resolves_old_and_new_neighbours(self):
         capacities = {("nic", 0): 100.0, ("nic", 1): 100.0, ("nic", 2): 100.0}
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
 
         def add(weight, *nics):
             return system.add_variable(weight, usages=tuple(
@@ -441,7 +479,7 @@ class TestPrivateConstraintFold:
 
     def test_folded_usage_is_coefficient_times_value_after_every_solve(self):
         rng = random.Random(0xF01D)
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
         live: dict[int, tuple] = {}
         for step in range(300):
             if live and rng.random() < 0.4:
@@ -495,7 +533,7 @@ class TestLoneVariable:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_the_closed_form(self, case):
         bound, usages = self.CASES[case]
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
         vid = system.add_variable(0.25, bound=bound, usages=usages)
         assert system.solve() == [(None, system.value(vid))]
         assert self.outcome(system, vid, usages) == self.closed_form(bound, usages)
@@ -514,7 +552,7 @@ class TestLoneVariable:
     def test_singletons_and_a_contended_component_in_one_solve(self):
         # fresh variables dirty their constraints too: every component must
         # still be solved, counted and reported exactly once
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
         alone = [system.add_variable(1.0, bound=40.0 + i, payload=f"alone{i}",
                                      usages=((("nic", i), 100.0, 1.0),))
                  for i in range(3)]
@@ -530,7 +568,7 @@ class TestLoneVariable:
         assert system.stats["variables_resolved"] == 5
 
     def test_a_neighbour_arriving_and_leaving(self):
-        system = SharingSystem(vectorized=False)
+        system = SharingSystem()
         first = system.add_variable(1.0, usages=((("l",), 100.0, 1.0),))
         system.solve()
         assert system.value(first) == 100.0
@@ -540,3 +578,80 @@ class TestLoneVariable:
         system.remove_variable(second)
         system.solve()
         assert system.value(first) == 100.0
+
+
+# -- wide dirty sets: many components, or one big one, in a single solve ------
+
+
+def _nics(i):
+    return [(("up", i), 1.0), (("down", i), 1.0)]
+
+
+def _weight(i):
+    return 0.5 + (i % 7) * 0.25
+
+
+def _bound(i):
+    return 20.0 + (i % 11) if i % 3 == 0 else None
+
+
+def lone_flows(n):
+    return [(_weight(i), _bound(i), _nics(i)) for i in range(n)]
+
+
+def grouped_flows(n, group):
+    """``n`` flows, each ``group`` consecutive ones behind one switch."""
+    return [(_weight(i), _bound(i), _nics(i) + [(("switch", i // group), 1.0)])
+            for i in range(n)]
+
+
+def cluster_flows(n):
+    """One component: every flow crosses one of four uplinks, every fifth a
+    second one (which chains the four together)."""
+    flows = []
+    for i in range(n):
+        uses = _nics(i) + [(("uplink", (i // 7) % 4), 1.0)]
+        if i % 5 == 0:
+            uses.append((("uplink", (i // 7 + 1) % 4), 1.0))
+        flows.append((_weight(i), _bound(i), uses))
+    return flows
+
+
+def capacities_of(flows):
+    sizes = {"up": 100.0, "down": 90.0, "switch": 150.0, "uplink": 5000.0}
+    return {key: sizes[key[0]] + key[1] % 13
+            for _w, _b, uses in flows for key, _c in uses}
+
+
+#: name -> (flows, components they form, components and variables the removal
+#: of every fourth flow leaves to re-solve)
+WIDE_SHAPES = {
+    "256-lone-flows": (lone_flows(256), 256, 0, 0),
+    "128-disjoint-pairs": (grouped_flows(256, 2), 128, 64, 64),
+    "sixteen-16-flow-components": (grouped_flows(256, 16), 16, 16, 192),
+    "one-600-flow-cluster": (cluster_flows(600), 1, 1, 450),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE_SHAPES))
+def test_wide_dirty_sets_match_the_unfolded_solvers(shape):
+    # hundreds of dirty variables in one solve: whole batches of small
+    # components, and one component larger than any request builds
+    flows, components, resolved_components, resolved_variables = WIDE_SHAPES[shape]
+    capacities = capacities_of(flows)
+    system, vids = arena_of(flows, capacities)
+    assert len(system.solve()) == len(flows)
+    assert_folded_matches(system, vids, flows, capacities)
+    assert system.stats["components_solved"] == components
+    assert system.stats["variables_resolved"] == len(flows)
+
+    for vid in vids[::4]:
+        system.remove_variable(vid)
+    kept = [i for i in range(len(flows)) if i % 4]
+    assert len(system.solve()) == resolved_variables
+    kept_flows = [flows[i] for i in kept]
+    assert_folded_matches(system, [vids[i] for i in kept], kept_flows,
+                          capacities_of(kept_flows))
+    assert system.stats["components_solved"] == components + resolved_components
+    assert system.stats["variables_resolved"] == len(flows) + resolved_variables
+    assert system.stats["solves"] == 2

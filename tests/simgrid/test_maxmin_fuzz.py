@@ -1,17 +1,14 @@
 """Differential fuzz: every max-min front-end agrees on every system.
 
 Random churn scripts (hypothesis-generated adds, removes, capacity bumps and
-interleaved solves) are replayed against four independent solvers:
+interleaved solves) are replayed against three independent solvers:
 
-- the scalar :class:`SharingSystem` walk (``solve(vectorized=False)``),
-- the vectorized batched kernel (``solve(vectorized=True)`` — forced, so the
-  adaptive dispatch threshold cannot silently route tiny systems back to the
-  scalar path),
+- the incremental :class:`SharingSystem` arena (folded walk + sparse fill),
 - a from-scratch :class:`MaxMinSystem` rebuild of the final state (what the
   engine's ``full_resolve`` mode does every event),
 - the :func:`progressive_fill` reference kernel on the final dense matrix.
 
-All four must agree within 1e-9 relative.  The scripts cover the regimes the
+All three must agree within 1e-9 relative.  The scripts cover the regimes the
 engine produces: many small components, one big coupled component, duplicate
 constraint keys, weight/bound/capacity spreads of several orders of
 magnitude, and capacity re-interning mid-life (the metrology loop's link
@@ -83,9 +80,8 @@ def churn_script(draw):
 class Replay:
     """Replays a churn script on a SharingSystem, tracking shadow state."""
 
-    def __init__(self, vectorized: bool) -> None:
-        self.vectorized = vectorized
-        self.system = SharingSystem(vectorized=vectorized)
+    def __init__(self) -> None:
+        self.system = SharingSystem()
         self.vids: dict[int, int] = {}
         #: payload -> (weight, bound, [(cons index, coefficient), ...])
         self.shadow: dict[int, tuple[float, float | None, list]] = {}
@@ -117,8 +113,8 @@ class Replay:
                 )
                 self.system.remove_variable(vid)
             else:
-                self.system.solve(vectorized=self.vectorized)
-        self.system.solve(vectorized=self.vectorized)
+                self.system.solve()
+        self.system.solve()
         self.caps_final = caps
 
     def values(self) -> dict[int, float]:
@@ -167,103 +163,65 @@ def progressive_fill_reference(replay: Replay) -> dict[int, float]:
 
 @given(churn_script())
 @settings(max_examples=120, deadline=None)
-def test_scalar_vs_vectorized(script):
-    capacities, ops = script
-    scalar = Replay(vectorized=False)
-    batched = Replay(vectorized=True)
-    scalar.apply(capacities, ops)
-    batched.apply(capacities, ops)
-    scalar_values = scalar.values()
-    batched_values = batched.values()
-    assert scalar_values.keys() == batched_values.keys()
-    for payload, value in scalar_values.items():
-        agree(f"payload {payload} scalar vs vectorized",
-              value, batched_values[payload])
-
-
-@given(churn_script())
-@settings(max_examples=120, deadline=None)
 def test_incremental_vs_full_resolve(script):
     capacities, ops = script
-    for vectorized in (False, True):
-        replay = Replay(vectorized=vectorized)
-        replay.apply(capacities, ops)
-        reference = maxmin_reference(replay)
-        candidate = replay.values()
-        assert reference.keys() == candidate.keys()
-        for payload, value in reference.items():
-            agree(f"payload {payload} full_resolve vs "
-                  f"{'vectorized' if vectorized else 'scalar'}",
-                  value, candidate[payload])
+    replay = Replay()
+    replay.apply(capacities, ops)
+    reference = maxmin_reference(replay)
+    candidate = replay.values()
+    assert reference.keys() == candidate.keys()
+    for payload, value in reference.items():
+        agree(f"payload {payload} full_resolve vs arena",
+              value, candidate[payload])
 
 
 @given(churn_script())
 @settings(max_examples=120, deadline=None)
 def test_incremental_vs_progressive_fill(script):
     capacities, ops = script
-    for vectorized in (False, True):
-        replay = Replay(vectorized=vectorized)
-        replay.apply(capacities, ops)
-        reference = progressive_fill_reference(replay)
-        candidate = replay.values()
-        assert reference.keys() == candidate.keys()
-        for payload, value in reference.items():
-            agree(f"payload {payload} progressive_fill vs "
-                  f"{'vectorized' if vectorized else 'scalar'}",
-                  value, candidate[payload])
+    replay = Replay()
+    replay.apply(capacities, ops)
+    reference = progressive_fill_reference(replay)
+    candidate = replay.values()
+    assert reference.keys() == candidate.keys()
+    for payload, value in reference.items():
+        agree(f"payload {payload} progressive_fill vs arena",
+              value, candidate[payload])
 
 
 @given(churn_script())
 @settings(max_examples=60, deadline=None)
 def test_feasible_after_churn(script):
     capacities, ops = script
-    for vectorized in (False, True):
-        replay = Replay(vectorized=vectorized)
-        replay.apply(capacities, ops)
-        assert replay.system.is_feasible(tolerance=1e-6)
+    replay = Replay()
+    replay.apply(capacities, ops)
+    assert replay.system.is_feasible(tolerance=1e-6)
 
 
 class TestExtremeSpreads:
     """Deterministic pins for the regimes most likely to lose precision."""
 
     def test_nine_orders_of_weight_spread_on_one_link(self):
-        for vectorized in (False, True):
-            system = SharingSystem(vectorized=vectorized)
-            usage = ((("link",), 1000.0, 1.0),)
-            heavy = system.add_variable(1e6, usages=usage)
-            light = system.add_variable(1e-3, usages=usage)
-            system.solve(vectorized=vectorized)
-            # weighted max-min: value_i = phi / w_i with a shared level phi
-            ratio = system.value(light) / system.value(heavy)
-            assert ratio == pytest.approx(1e9, rel=1e-9)
-            usage_sum = system.value(heavy) + system.value(light)
-            assert usage_sum == pytest.approx(1000.0, rel=1e-12)
+        system = SharingSystem()
+        usage = ((("link",), 1000.0, 1.0),)
+        heavy = system.add_variable(1e6, usages=usage)
+        light = system.add_variable(1e-3, usages=usage)
+        system.solve()
+        # weighted max-min: value_i = phi / w_i with a shared level phi
+        ratio = system.value(light) / system.value(heavy)
+        assert ratio == pytest.approx(1e9, rel=1e-9)
+        usage_sum = system.value(heavy) + system.value(light)
+        assert usage_sum == pytest.approx(1000.0, rel=1e-12)
 
     def test_tiny_capacity_next_to_huge(self):
-        for vectorized in (False, True):
-            system = SharingSystem(vectorized=vectorized)
-            tiny = system.add_variable(1.0, usages=((("t",), 1e-6, 1.0),))
-            huge = system.add_variable(1.0, usages=((("h",), 1e12, 1.0),))
-            both = system.add_variable(
-                1.0, usages=((("t",), 1e-6, 1.0), (("h",), 1e12, 1.0))
-            )
-            system.solve(vectorized=vectorized)
-            assert system.value(tiny) == pytest.approx(5e-7, rel=1e-9)
-            assert system.value(both) == pytest.approx(5e-7, rel=1e-9)
-            assert system.value(huge) == pytest.approx(1e12 - 5e-7, rel=1e-9)
-            assert system.is_feasible()
-
-    def test_batched_kernel_engaged_above_dispatch_threshold(self):
-        """A wide many-small-components solve actually exercises the batched
-        kernel (the adaptive dispatch must not leak it to the scalar walk)."""
-        system = SharingSystem(vectorized=True)
-        vids = [
-            system.add_variable(
-                1.0, payload=i, usages=(((i // 2,), 100.0, 1.0),)
-            )
-            for i in range(2 * system.vectorize_min_dirty)
-        ]
+        system = SharingSystem()
+        tiny = system.add_variable(1.0, usages=((("t",), 1e-6, 1.0),))
+        huge = system.add_variable(1.0, usages=((("h",), 1e12, 1.0),))
+        both = system.add_variable(
+            1.0, usages=((("t",), 1e-6, 1.0), (("h",), 1e12, 1.0))
+        )
         system.solve()
-        assert system.stats["vectorized_solves"] == 1
-        for vid in vids:
-            assert system.value(vid) == pytest.approx(50.0, rel=1e-12)
+        assert system.value(tiny) == pytest.approx(5e-7, rel=1e-9)
+        assert system.value(both) == pytest.approx(5e-7, rel=1e-9)
+        assert system.value(huge) == pytest.approx(1e12 - 5e-7, rel=1e-9)
+        assert system.is_feasible()

@@ -1,7 +1,7 @@
 """Tier-1 hook for the sharing-model registry smoke check.
 
 Every registered model must build from factory defaults and answer
-identically through all three solver paths on contended star/dumbbell
+identically in both solver modes on contended star/dumbbell
 topologies — see ``tools/check_model_smoke.py``.  Models are
 millisecond-scale, so like the scenario preset smoke this runs in-process
 on every tier-1 pass.

@@ -254,13 +254,10 @@ class TestTransferProcessesEquivalence:
         self.both(g5k_test_platform, figure_draw(fig, 3, size),
                   model=model_by_name(model))
 
-    @pytest.mark.parametrize("engine", [
-        {"full_resolve": True}, {"vectorized": False},
-    ])
     @pytest.mark.parametrize("model", ["LV08", "tcp_fluid"])
-    def test_verification_modes(self, g5k_test_platform, engine, model):
+    def test_full_resolve(self, g5k_test_platform, model):
         self.both(g5k_test_platform, figure_draw("fig5", 4, 2.15e8),
-                  model=model_by_name(model), **engine)
+                  model=model_by_name(model), full_resolve=True)
 
     def test_with_ongoing_transfers(self, g5k_test_platform):
         transfers = figure_draw("fig5", 5, 7.74e8)

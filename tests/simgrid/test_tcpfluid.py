@@ -221,9 +221,9 @@ class TestTcpDynamics:
     def test_solver_modes_agree(self):
         transfers = [(f"c-{i}", "c-6", 3e7) for i in range(1, 6)]
         reference = run_simgrid(star_platform(), transfers)
-        for kwargs in ({"full_resolve": True}, {"vectorized": False}):
-            assert_pinned(run_simgrid(star_platform(), transfers, **kwargs),
-                          reference)
+        assert_pinned(
+            run_simgrid(star_platform(), transfers, full_resolve=True),
+            reference)
 
     def test_default_path_unchanged_by_refactor(self):
         # the static default (LV08) must not grow round timers or new
@@ -360,12 +360,9 @@ class TestRoundGroupsMatchPerFlowTimers:
         stats = sim.sharing_stats
         assert 10 < stats["round_instants"] < stats["flow_rounds"] / 4
 
-    @pytest.mark.parametrize("engine", [
-        {"full_resolve": True}, {"vectorized": False},
-    ])
-    def test_verification_modes(self, g5k_test_platform, engine):
-        self.both(g5k_test_platform, two_rtt_classes(), **engine)
-        self.both(g5k_test_platform, fig5_draw(4, 2.15e8), **engine)
+    def test_full_resolve(self, g5k_test_platform):
+        self.both(g5k_test_platform, two_rtt_classes(), full_resolve=True)
+        self.both(g5k_test_platform, fig5_draw(4, 2.15e8), full_resolve=True)
 
     def test_with_ongoing_transfers(self, g5k_test_platform):
         transfers = fig5_draw(5, 7.74e8)

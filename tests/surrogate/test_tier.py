@@ -64,12 +64,6 @@ class TestAnswerGates:
                                request()) is None
         assert tier.stats()["fallbacks"]["unfitted"] == 1
 
-    def test_full_resolve_falls_back(self, trained_model, service):
-        tier = SurrogateTier(trained_model, bound=0.6)
-        assert tier.try_answer(service, PLATFORM, service.model, request(),
-                               full_resolve=True) is None
-        assert tier.stats()["fallbacks"]["full_resolve"] == 1
-
     def test_model_mismatch_falls_back(self, trained_model, service):
         tier = SurrogateTier(trained_model, bound=0.6)
         assert tier.try_answer(service, PLATFORM, CM02(),
@@ -141,7 +135,7 @@ class TestServingIntegration:
         assert stats["surrogate"]["hits"] == 1
         assert stats["surrogate"]["fallbacks_total"] == 0
         assert set(stats["surrogate"]["fallbacks"]) == {
-            "unfitted", "model_mismatch", "full_resolve", "stale_epoch",
-            "uncertainty", "error"}
+            "unfitted", "model_mismatch", "stale_epoch", "uncertainty",
+            "error"}
         plain = ForecastServingService(service)
         assert plain.stats()["surrogate"] == {"enabled": False}

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import inspect
 import io
 import json
 
@@ -83,6 +84,65 @@ class TestPredict:
         assert code_inc == code_full == 0
         assert (json.loads(full)[0]["duration"]
                 == pytest.approx(json.loads(inc)[0]["duration"], rel=1e-9))
+
+
+class TestSolverIsNotSelectable:
+    TRANSFER = "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9"
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--transfer", TRANSFER),
+        ("what-if", "--transfer", TRANSFER),
+        ("scenarios", "run", "star-incast"),
+        ("metrology", "replay", "--input", "trace.json"),
+    ], ids=["predict", "what-if", "scenarios-run", "metrology-replay"])
+    def test_scalar_solve_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--scalar-solve")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --scalar-solve" in capsys.readouterr().err
+
+    def test_no_entry_point_takes_a_solver_choice(self):
+        # which solver runs is maxmin.py's business alone, and full_resolve
+        # stops at the layers a caller sets it on: a keyword forwarded "just
+        # in case" is how both once reached thirteen files
+        from repro.core.forecast import NetworkForecastService
+        from repro.core.planner import TransferPlanner
+        from repro.horizon.whatif import run_what_if
+        from repro.scenarios.runner import run_scenario
+        from repro.serving.batcher import PendingRequest, RequestCoalescer
+        from repro.serving.cache import forecast_cache_key
+        from repro.serving.pool import WarmWorkerPool
+        from repro.serving.service import ForecastServingService
+        from repro.simgrid.engine import Simulation
+        from repro.simgrid.maxmin import SharingSystem
+        from repro.surrogate.tier import SurrogateTier
+
+        kernel_mode_stops_above = [
+            NetworkForecastService.predict_transfers_many,
+            TransferPlanner.select_fastest,
+            ForecastServingService.predict,
+            ForecastServingService._execute_group,
+            PendingRequest, RequestCoalescer.submit,
+            WarmWorkerPool.predict_many, forecast_cache_key,
+            SurrogateTier.try_answer,
+        ]
+        full_resolve_stays = [
+            Simulation, run_scenario, run_what_if,
+            NetworkForecastService.predict_transfers,
+            NetworkForecastService.predict_transfers_at,
+            NetworkForecastService.predict_what_if,
+        ]
+        solver = [SharingSystem, SharingSystem.solve, SharingSystem.solve_raw]
+
+        def parameters(entry):
+            return set(inspect.signature(entry).parameters)
+
+        for entry in solver + full_resolve_stays + kernel_mode_stops_above:
+            assert "vectorized" not in parameters(entry), entry
+        for entry in kernel_mode_stops_above:
+            assert "full_resolve" not in parameters(entry), entry
+        for entry in full_resolve_stays:
+            assert "full_resolve" in parameters(entry), entry
 
 
 class TestExperiment:

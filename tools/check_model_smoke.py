@@ -6,8 +6,7 @@ The model registry is the CLI's public surface (``repro models list``,
 from its factory defaults, drive a small simulation on a contended star,
 a dumbbell, a two-RTT-class mix of local and cross-bottleneck flows and
 a NIC that a second flow shares for a while, and produce identical answers
-through all three solver paths — incremental-vectorized, ``full_resolve``
-and the scalar arena.
+in both solver modes — incremental and ``full_resolve``.
 This runner — the model-registry sibling of
 ``tools/check_scenario_smoke.py`` — is what keeps a model that only works
 with full rebuilds (or whose time-varying weight updates drift between
@@ -27,7 +26,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: All solver modes must agree on every duration to this relative tolerance.
+#: Both solver modes must agree on every duration to this relative tolerance.
 REL_TOL = 1e-9
 
 #: (name, builder) — tiny but contended: the star forces an incast
@@ -103,16 +102,15 @@ def _shared_nic():
 TOPOLOGIES = (("star", _star), ("dumbbell", _dumbbell),
               ("two-rtt", _two_rtt), ("shared-nic", _shared_nic))
 
-#: Solver mode matrix: (label, full_resolve, vectorized).
+#: Solver mode matrix: (label, full_resolve).
 MODES = (
-    ("incremental", False, True),
-    ("full_resolve", True, False),
-    ("scalar", False, False),
+    ("incremental", False),
+    ("full_resolve", True),
 )
 
 
 def smoke_model(entry) -> float:
-    """Run one registry entry on every topology in all solver modes.
+    """Run one registry entry on every topology in both solver modes.
 
     Returns the summed makespan across topologies (a fingerprint the
     caller can sanity-check is positive); raises ``AssertionError`` on any
@@ -123,11 +121,10 @@ def smoke_model(entry) -> float:
     total_makespan = 0.0
     for topo_name, build in TOPOLOGIES:
         reference = None
-        for mode, full_resolve, vectorized in MODES:
+        for mode, full_resolve in MODES:
             platform, transfers = build()
             sim = Simulation(platform, entry.build(),
-                             full_resolve=full_resolve,
-                             vectorized=vectorized)
+                             full_resolve=full_resolve)
             comms = sim.simulate_transfers(transfers)
             durations = [c.duration for c in comms]
             if any(d <= 0 for d in durations):

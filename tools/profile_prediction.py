@@ -25,7 +25,7 @@ many round-timer firings.
 graphene, one big component) the way ``perf/workloads.py:figure_transfers``
 does, instead of ``n_transfers`` whole-grid pairs — the shape
 ``kernel_fig9_inproc`` times, under the same tool.  The counters line also
-says how the scalar solver spent its solves: multi-variable fills, shared
+says how the solver spent its solves: multi-variable fills, shared
 constraints entering them, private constraints folded into bounds.
 
 Run:  python tools/profile_prediction.py [n_transfers | --figure NAME]
