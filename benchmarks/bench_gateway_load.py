@@ -8,10 +8,10 @@ bench asserts the gateway's whole contract:
 - **correctness** — every 200 answer, under any concurrency, is
   bit-identical to the serial ground truth simulated before any server
   existed (caches are off, so every answer is a real simulation);
-- **throughput** — the sharded gateway sustains ≥ 2x the single-process
-  ``ThreadingHTTPServer`` throughput on the same workload (asserted on
-  ≥ 4-core hosts where shard processes actually get cores; reported
-  otherwise);
+- **throughput** — the sharded gateway sustains ≥ 2x the throughput of
+  the single-process threaded server (``Pilgrim.serve()``) on the same
+  workload (asserted on ≥ 4-core hosts where shard processes actually get
+  cores; reported otherwise);
 - **scale** — a sustained phase with 1000+ concurrent keep-alive clients
   completes with zero dropped responses (the swarm sits below the
   admission limit), zero transport errors, and p50/p99 within bounds;

@@ -13,6 +13,7 @@ pair as the communication it amounts to (``Simulation.simulate_transfers``).
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,7 +35,9 @@ from repro.simgrid.units import parse_size
 class TransferSpec:
     """One requested transfer: source host, destination host, size in bytes.
 
-    ``size`` accepts numbers or unit strings (``"5e8"``, ``"500MB"``)."""
+    ``size`` accepts numbers or unit strings (``"5e8"``, ``"500MB"``) and
+    must come out finite and positive: a NaN or infinite size has no
+    completion time to forecast."""
 
     src: str
     dst: str
@@ -42,6 +45,8 @@ class TransferSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", parse_size(self.size))
+        if not math.isfinite(self.size):
+            raise ValueError(f"transfer size must be finite, got {self.size}")
         if self.size <= 0:
             raise ValueError(f"transfer size must be positive, got {self.size}")
         if not self.src or not self.dst:

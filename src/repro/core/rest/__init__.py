@@ -1,4 +1,4 @@
-"""REST layer: router, JSON codec, threaded HTTP server, client."""
+"""REST layer: router, JSON codec, HTTP/1.1 codec, threaded HTTP server, client."""
 
 from repro.core.rest.errors import ApiError, BadRequest, NotFound
 from repro.core.rest.router import Request, Router

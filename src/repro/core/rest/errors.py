@@ -37,6 +37,14 @@ class PayloadTooLarge(ApiError):
     status = 413
 
 
+def internal_error(exc: BaseException) -> dict:
+    """The ``500`` document for an exception that no handler turned into
+    an :class:`ApiError` — one spelling for the router, the gateway front
+    end and its shards."""
+    return {"error": "InternalError", "status": 500,
+            "message": f"{type(exc).__name__}: {exc}"}
+
+
 class ServiceUnavailable(ApiError):
     """Load shed (admission limit) or a shard down; retry after backoff."""
 

@@ -35,6 +35,15 @@ def dumps(payload: object) -> str:
         return _ENCODER.encode(_sanitize(payload))
 
 
+def _refuse_constant(name: str) -> object:
+    raise ValueError(f"{name} is not valid JSON")
+
+
+#: ``json.loads`` reads ``NaN`` / ``Infinity`` / ``-Infinity`` as floats
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def loads(text: str) -> object:
-    """Parse strict JSON."""
-    return json.loads(text)
+    """Parse strict JSON: the non-finite constants Python's parser accepts
+    are a ``ValueError`` like any other malformed document."""
+    return _DECODER.decode(text)

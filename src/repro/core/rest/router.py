@@ -17,12 +17,46 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.rest.errors import ApiError, BadRequest, MethodNotAllowed, NotFound
+from repro.core.rest.errors import (
+    ApiError,
+    BadRequest,
+    MethodNotAllowed,
+    NotFound,
+    internal_error,
+)
+from repro.core.rest.json_codec import loads
 
 _SEGMENT_RE = re.compile(r"^(?P<prefix>[^{}]*)\{(?P<name>[A-Za-z_][A-Za-z0-9_]*)\}(?P<suffix>[^{}]*)$")
 
 #: Sentinel distinguishing "no default" from an explicit ``None`` default.
 _MISSING = object()
+
+
+def decode_query(query: str) -> dict[str, list[str]]:
+    """``parse_qs(query, keep_blank_values=True)`` with one ``unquote`` per
+    query instead of two per field (the paper's 30-transfer request has
+    sixty).  The raw query is split on ``&`` and ``=`` first, so an escaped
+    ``%26`` or ``%3D`` stays inside its piece; the pieces are joined on NUL,
+    decoded at once and split again.  A query that could itself decode to
+    a NUL would be split wrong that way and takes ``parse_qs``."""
+    if "\x00" in query or "%00" in query:
+        return urllib.parse.parse_qs(query, keep_blank_values=True)
+    pieces = []
+    for item in query.split("&"):
+        if item:
+            name, _, value = item.partition("=")
+            pieces += (name, value)
+    if not pieces:
+        return {}
+    decoded = iter(urllib.parse.unquote(
+        "\x00".join(pieces).replace("+", " ")).split("\x00"))
+    out: dict[str, list[str]] = {}
+    for name, value in zip(decoded, decoded):
+        if name in out:
+            out[name].append(value)
+        else:
+            out[name] = [value]
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,10 +77,23 @@ class Request:
                     body: Optional[object] = None) -> "Request":
         """Build from a raw request target like ``/a/b?x=1&x=2``."""
         parsed = urllib.parse.urlsplit(target)
-        query = urllib.parse.parse_qs(parsed.query, keep_blank_values=True)
         return Request(method=method.upper(),
-                       path=urllib.parse.unquote(parsed.path), query=query,
-                       body=body)
+                       path=urllib.parse.unquote(parsed.path),
+                       query=decode_query(parsed.query), body=body)
+
+    @staticmethod
+    def from_wire(method: str, target: str, body: bytes) -> "Request":
+        """Build from a request as it arrived: :class:`BadRequest` for a
+        body that is not JSON or a target ``urlsplit`` refuses (``//[x``:
+        "Invalid IPv6 URL") — an answer, never a dropped connection."""
+        try:
+            decoded = loads(body.decode("utf-8")) if body else None
+        except (UnicodeDecodeError, ValueError):
+            raise BadRequest("request body is not valid JSON") from None
+        try:
+            return Request.from_target(method, target, body=decoded)
+        except ValueError as exc:
+            raise BadRequest(f"bad request target: {exc}") from None
 
     # -- convenient, validated accessors -----------------------------------
 
@@ -168,8 +215,7 @@ class Router:
             except ApiError as exc:
                 return exc.status, exc.to_json()
             except Exception as exc:  # noqa: BLE001 - service boundary
-                return 500, {"error": "InternalError", "status": 500,
-                             "message": f"{type(exc).__name__}: {exc}"}
+                return 500, internal_error(exc)
         if path_exists:
             err = MethodNotAllowed(f"{request.method} not allowed on {request.path}")
             return err.status, err.to_json()

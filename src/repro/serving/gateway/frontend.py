@@ -2,12 +2,22 @@
 
 One event-loop thread multiplexes every client connection — thousands of
 keep-alive sockets cost one file descriptor each, not one thread each (the
-``ThreadingHTTPServer`` front end's scaling wall).  The protocol surface
-is deliberately the same minimal contract as
-:class:`~repro.core.rest.server.PilgrimHTTPServer`: GET with URI-embedded
-parameters, POST with a JSON body, JSON answers.
+scaling wall of a thread per connection).  The protocol surface is the same
+minimal contract as :class:`~repro.core.rest.server.PilgrimHTTPServer`: GET
+with URI-embedded parameters, POST with a JSON body, JSON answers.
 
-Robustness contract (exercised by the gateway tests):
+One codec, two I/O loops.  The request-head rules, the ``Content-Length``
+checks, the keep-alive decision, the reason table and the one-buffer
+response are :mod:`repro.core.rest.http_codec`, shared with
+``PilgrimHTTPServer``; this module only awaits the lines and the body.  Both
+loops stay because each wins where the other is used: for one connection
+the event loop is the slower one (112–124 µs per request turn-around with
+the same client, a 2.8 KB target and a precomputed 30-forecast body,
+against 31–33 µs for the threaded loop), and a thread per connection does
+not hold a thousand idle keep-alive clients.
+
+Robustness contract (exercised by the gateway tests and, request by request
+against ``PilgrimHTTPServer``, by ``tests/core/test_http_codec.py``):
 
 - **keep-alive**: HTTP/1.1 connections persist across requests (1.0 with
   ``Connection: keep-alive`` too); ``Connection: close`` is honored.
@@ -26,8 +36,8 @@ callable ``(method, target, body_bytes) -> (status, payload, headers)``;
 admission control and routing live there (see
 :class:`~repro.serving.gateway.gateway.ShardedGateway`), parse-level
 rejections live here.  A ``bytes`` payload is an already encoded JSON body
-and is written as it is; anything else is encoded here.  An exception
-escaping ``app`` is answered with a complete ``500`` and a closed
+and is written as it is; anything else is encoded by the codec.  An
+exception escaping ``app`` is answered with a complete ``500`` and a closed
 connection, never a silent drop.
 """
 
@@ -38,22 +48,24 @@ import logging
 import threading
 from typing import Awaitable, Callable, Optional
 
-from repro.core.rest.json_codec import dumps
-
+from repro.core.rest.errors import (
+    ApiError,
+    BadRequest,
+    PayloadTooLarge,
+    internal_error,
+)
+from repro.core.rest.http_codec import (
+    BLANK_LINES,
+    CONTINUE,
+    MAX_LINE,
+    RequestHead,
+    encode_response,
+)
 from repro.serving.gateway.metrics import GatewayMetrics
 
 #: ``app`` contract: (method, target, body) → (status, payload, headers);
 #: ``payload`` is ``bytes`` (an encoded JSON body) or a JSON-able object.
 AppHandler = Callable[[str, str, bytes], Awaitable[tuple[int, object, dict]]]
-
-#: Hard cap on a single request head line / header line (bytes).
-MAX_LINE = 16384
-#: Hard cap on header count per request.
-MAX_HEADERS = 64
-
-
-class _BadRequestLine(Exception):
-    """Unparseable request head: answer 400 and close."""
 
 
 class AsyncHTTPFrontend:
@@ -151,38 +163,29 @@ class AsyncHTTPFrontend:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
-                except _BadRequestLine as exc:
-                    self.metrics.parse_errors += 1
-                    await self._respond(
-                        writer, 400,
-                        {"error": "BadRequest", "status": 400,
-                         "message": str(exc)},
-                        keep_alive=False)
-                    return
-                except _PayloadTooLarge as exc:
-                    self.metrics.oversized += 1
-                    await self._respond(
-                        writer, 413,
-                        {"error": "PayloadTooLarge", "status": 413,
-                         "message": str(exc)},
-                        keep_alive=False)
+                    request = await self._read_request(reader, writer)
+                except ApiError as exc:  # the stream is unframed: answer, close
+                    if exc.status == PayloadTooLarge.status:
+                        self.metrics.oversized += 1
+                    else:
+                        self.metrics.parse_errors += 1
+                    await self._respond(writer, exc.status, exc.to_json(),
+                                        keep_alive=False)
                     return
                 if request is None:
                     return  # clean EOF / idle timeout between requests
-                method, target, body, keep_alive = request
+                head, body = request
                 try:
                     status, payload, headers = await self.app(
-                        method, target, body)
+                        head.method, head.target, body)
                 except Exception as exc:  # noqa: BLE001 - never a silent drop
                     logging.getLogger(__name__).exception(
-                        "unhandled error answering %s %s", method, target)
-                    await self._respond(
-                        writer, 500,
-                        {"error": "InternalError", "status": 500,
-                         "message": f"{type(exc).__name__}: {exc}"},
-                        keep_alive=False)
+                        "unhandled error answering %s %s", head.method,
+                        head.target)
+                    await self._respond(writer, 500, internal_error(exc),
+                                        keep_alive=False)
                     return
+                keep_alive = head.keep_alive
                 await self._respond(writer, status, payload,
                                     keep_alive=keep_alive, headers=headers)
                 if not keep_alive:
@@ -201,98 +204,38 @@ class AsyncHTTPFrontend:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader,
-    ) -> Optional[tuple[str, str, bytes, bool]]:
-        """One parsed request, or ``None`` on clean EOF / idle timeout.
-
-        Raises :class:`_BadRequestLine` / :class:`_PayloadTooLarge` on
-        malformed or oversized input (the caller answers and closes).
-        """
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+    ) -> Optional[tuple[RequestHead, bytes]]:
+        """One request head and its body, or ``None`` on clean EOF / idle
+        timeout.  Raises the codec's :class:`ApiError` on malformed or
+        oversized input (the caller answers and closes)."""
         try:
             line = await asyncio.wait_for(reader.readline(),
                                           timeout=self.idle_timeout)
+            while line in BLANK_LINES:  # a stray CRLF between requests
+                line = await asyncio.wait_for(reader.readline(),
+                                              timeout=self.idle_timeout)
         except (asyncio.TimeoutError, TimeoutError):
             return None  # idle keep-alive connection: reap it
-        except ValueError:
-            raise _BadRequestLine("request line too long") from None
+        except ValueError:  # longer than the reader's limit
+            raise BadRequest("request line too long") from None
         if not line:
             return None
-        if line.strip() == b"":  # tolerate a stray CRLF between requests
-            return await self._read_request(reader)
-        if len(line) >= MAX_LINE:
-            raise _BadRequestLine("request line too long")
+        head = RequestHead(line)
         try:
-            method, target, version = line.decode("ascii").split()
-        except (UnicodeDecodeError, ValueError):
-            raise _BadRequestLine("malformed request line") from None
-        headers: dict[str, str] = {}
-        while True:
-            try:
-                header_line = await reader.readline()
-            except ValueError:
-                raise _BadRequestLine("header line too long") from None
-            if not header_line or header_line in (b"\r\n", b"\n"):
-                break
-            if len(header_line) >= MAX_LINE:
-                raise _BadRequestLine("header line too long")
-            if len(headers) >= MAX_HEADERS:
-                raise _BadRequestLine("too many headers")
-            try:
-                name, _, value = header_line.decode("latin-1").partition(":")
-            except UnicodeDecodeError:
-                raise _BadRequestLine("undecodable header") from None
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        try:
-            content_length = int(raw_length)
+            while head.add(await reader.readline()):
+                pass
         except ValueError:
-            raise _BadRequestLine(
-                f"bad Content-Length: {raw_length!r}") from None
-        if content_length < 0:
-            raise _BadRequestLine("negative Content-Length")
-        if content_length > self.max_body_bytes:
-            raise _PayloadTooLarge(
-                f"request body of {content_length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte limit")
-        body = b""
-        if content_length:
-            body = await reader.readexactly(content_length)
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            keep_alive = connection == "keep-alive"
-        else:
-            keep_alive = connection != "close"
-        return method.upper(), target, body, keep_alive
+            raise BadRequest("header line too long") from None
+        length = head.body_length(self.max_body_bytes)
+        if not length:
+            return head, b""
+        if head.expects_continue:
+            writer.write(CONTINUE)
+        return head, await reader.readexactly(length)
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: object, keep_alive: bool,
                        headers: Optional[dict] = None) -> None:
-        body = (payload if isinstance(payload, bytes)
-                else dumps(payload).encode("utf-8"))
-        reason = _REASONS.get(status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
-        writer.write("\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body)
+        writer.write(encode_response(status, payload, keep_alive, headers))
         await writer.drain()
-
-
-class _PayloadTooLarge(Exception):
-    """Declared body larger than the limit: answer 413 and close."""
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}

@@ -105,8 +105,8 @@ def shard_main(
     import os
 
     from repro.core.framework import Pilgrim
-    from repro.core.rest.errors import BadRequest
-    from repro.core.rest.json_codec import dumps, loads
+    from repro.core.rest.errors import BadRequest, internal_error
+    from repro.core.rest.json_codec import dumps
     from repro.core.rest.router import Request
     from repro.serving.gateway.metrics import GatewayMetrics
     from repro.simgrid.platform import link_epoch
@@ -146,21 +146,16 @@ def shard_main(
                body: bytes) -> tuple[int, object, bool]:
         """Parse once, dispatch: ``(status, payload, cacheable)``."""
         try:
-            decoded = loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, ValueError):
-            return 400, BadRequest(
-                "request body is not valid JSON").to_json(), False
-        try:
-            request = Request.from_target(method, target, body=decoded)
-        except ValueError as exc:  # e.g. "//[bad": Invalid IPv6 URL
-            return 400, BadRequest(
-                f"bad request target: {exc}").to_json(), False
+            request = Request.from_wire(method, target, body)
+        except BadRequest as exc:
+            return exc.status, exc.to_json(), False
         status, payload = router.dispatch(request)
         cacheable = (
             status == 200
             and GatewayMetrics.route_class(request.path) == "predict_transfers"
             and "horizon" not in request.query
-            and not (isinstance(decoded, dict) and "horizon" in decoded))
+            and not (isinstance(request.body, dict)
+                     and "horizon" in request.body))
         return status, payload, cacheable
 
     def handle(rid: int, method: str, target: str, body: bytes) -> None:
@@ -170,9 +165,7 @@ def shard_main(
         except BaseException as exc:  # noqa: BLE001 - shard must not die
             counters["errors"] += 1
             status, cacheable = 500, False
-            encoded = dumps({"error": "InternalError", "status": 500,
-                             "message": f"{type(exc).__name__}: {exc}"}
-                            ).encode("utf-8")
+            encoded = dumps(internal_error(exc)).encode("utf-8")
         send((RES, rid, status, encoded, cacheable))
 
     def stats_payload() -> dict:

@@ -26,6 +26,17 @@ class TestTransferSpec:
         with pytest.raises(ValueError):
             TransferSpec("a", "b", 0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), "1e400"])
+    def test_rejects_non_finite_size(self, size):
+        # a NaN size used to simulate (0.0026 s) and an infinite one to
+        # answer a null duration: no number is the right answer to either
+        with pytest.raises(ValueError, match="finite"):
+            TransferSpec("a", "b", size)
+
+    def test_parse_rejects_a_size_that_overflows(self):
+        with pytest.raises(BadRequest, match="finite"):
+            TransferSpec.parse("a,b,1e400")
+
     def test_rejects_empty_endpoints(self):
         with pytest.raises(ValueError):
             TransferSpec("", "b", 1)

@@ -5,9 +5,13 @@ cProfiles a whole-grid 60-transfer prediction — the heaviest online request
 the paper's campaign issues — and prints the top cumulative entries, so
 regressions in the solver or the kernel are easy to spot.
 
-``--rest`` sends the same request through :class:`PilgrimHTTPServer` on one
-keep-alive connection instead, and prints the in-process median beside the
-median the client observes: what HTTP, JSON and the socket add.  (A head/body
+``--rest`` sends the same request through :class:`PilgrimHTTPServer` instead:
+pre-encoded request bytes, one ``sendall`` each, on one raw keep-alive
+``TCP_NODELAY`` socket (the way ``perf/client.py`` drives the benchmark), so
+what the client costs is a ``recv`` and a header scan, not ``http.client``.
+It prints the in-process ``predict_transfers`` and ``Router.dispatch``
+medians beside the median the client observes; observed minus dispatch is
+what the server's HTTP loop, JSON encoding and the socket add.  (A head/body
 Nagle + delayed-ACK stall shows here as ~40 ms.)
 
 ``--gateway`` does the same through a one-shard
@@ -36,12 +40,15 @@ import argparse
 import cProfile
 import itertools
 import pstats
+import socket
 import statistics
 import time
+import urllib.parse
 
 from repro.core.forecast import NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
+from repro.core.rest.router import Request
 from repro.experiments.environment import forecast_service, root_seed
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import ExperimentSpec, Topology, draw_transfer_pairs
@@ -88,20 +95,52 @@ def profile(service, transfers) -> None:
           .format(**sim.sharing_stats))
 
 
+def exchange(sock: socket.socket, raw_request: bytes) -> bytes:
+    """Send one request in one write; return the body of its response."""
+    sock.sendall(raw_request)
+
+    def receive(buffer: bytes) -> bytes:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        return buffer + chunk
+
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        buffer = receive(buffer)
+    head, _, body = buffer.partition(b"\r\n\r\n")
+    length = next(int(line.split(b":", 1)[1])
+                  for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length:"))
+    while len(body) < length:
+        body = receive(body)
+    return body
+
+
 def compare_rest(service, transfers) -> None:
     pilgrim = Pilgrim({"g5k_test": service.platform("g5k_test")},
                       model=service.model)
-    with pilgrim.serve() as server, RestClient(server.url) as client:
-        client.predict_transfers("g5k_test", transfers)  # connect
+    query = urllib.parse.urlencode(
+        [("transfer", f"{src},{dst},{size:g}") for src, dst, size in transfers])
+    target = f"/pilgrim/predict_transfers/g5k_test?{query}"
+    raw = f"GET {target} HTTP/1.1\r\nHost: profile\r\n\r\n".encode("ascii")
+    router = pilgrim.build_router()
+    with pilgrim.serve() as server, \
+            socket.create_connection(server.address) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        exchange(sock, raw)  # connect, warm the handler thread
         in_process = median_ms(lambda: pilgrim.forecast.predict_transfers(
             "g5k_test", transfers))
-        observed = median_ms(lambda: client.predict_transfers(
-            "g5k_test", transfers))
+        dispatch = median_ms(lambda: router.dispatch(
+            Request.from_target("GET", target)))
+        observed = median_ms(lambda: exchange(sock, raw))
     print(f"median of {REPEATS} predictions of {len(transfers)} concurrent "
           f"transfers:\n"
           f"  in process            {in_process:8.2f} ms\n"
+          f"  Router.dispatch       {dispatch:8.2f} ms  "
+          f"(+ target decoding and routing)\n"
           f"  over REST, keep-alive {observed:8.2f} ms\n"
-          f"  HTTP + JSON + socket  {observed - in_process:8.2f} ms")
+          f"  HTTP + JSON + socket  {observed - dispatch:8.2f} ms")
 
 
 def compare_gateway(service, transfers, model_name=None) -> None:
