@@ -8,7 +8,7 @@ costs and that the speed never bought back correctness:
 Asserted always, including smoke mode (correctness, not wall clock):
 
 - the service's what-if answer is **bit-identical** to hand-building the
-  same schedule with ``schedule_dynamics`` + ``transfer_processes``;
+  same schedule with ``schedule_dynamics`` + ``simulate_transfers``;
 - the REST round trip returns exactly the direct service answer;
 - the platform is **restored** after every query (bandwidths back to
   nominal, no leaked derating);
@@ -40,7 +40,6 @@ from repro.scenarios.spec import LinkEvent
 from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08
-from repro.simgrid.msg import transfer_processes
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 PLATFORM = "whatif-bench"
@@ -96,12 +95,12 @@ def test_whatif_serving_latency_and_contract(console, benchmark, trajectory):
     for query, result in zip(queries, plain_answers):
         sim = Simulation(platform, service.model)
         with_events = schedule_dynamics(sim, EVENTS)
-        manual = transfer_processes(sim, list(query))
+        manual = sim.simulate_transfers(list(query))
         # the schedule ran on the live platform both times: restore must
         # have put every bandwidth back or the comparison would drift
         assert platform.link("bottleneck").bandwidth == nominal
         assert [f.duration for f in result.forecasts] == \
-            [r["duration"] for r in manual]
+            [c.duration for c in manual]
         assert len(result.applied) == len(with_events.applied)
 
     # -- horizon + intervals: three simulations, bounded overhead ----------

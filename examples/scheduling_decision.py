@@ -23,7 +23,9 @@ TB = 1e12
 COMPUTE_FLOPS = 7.2e13  # 2 hours on the slow site's 10 Gf nodes
 
 
-def main() -> None:
+def grid_platform():
+    """Two four-node sites on a 10 Gbps backbone; fastsite computes 4x
+    faster."""
     platform = build_two_level_grid(
         {"slowsite": 4, "fastsite": 4},
         backbone_bandwidth="10Gbps", backbone_latency="2.25ms",
@@ -31,18 +33,24 @@ def main() -> None:
     for i in range(1, 5):
         platform.host(f"slowsite-{i}").speed = 1e10   # 10 Gf
         platform.host(f"fastsite-{i}").speed = 4e10   # 4x faster
-    forecast = NetworkForecastService({"grid": platform}, model=LV08())
+    return platform
+
+
+def job(move_to: str) -> TaskGraph:
+    """The 1 TB input on slowsite-1, moved to ``move_to`` and computed
+    there."""
+    graph = TaskGraph()
+    graph.add_task(Task("data", flops=0.0, output_bytes=TB), "slowsite-1")
+    graph.add_task(Task("compute", flops=COMPUTE_FLOPS), move_to)
+    graph.add_edge("data", "compute")
+    return graph
+
+
+def main() -> None:
+    forecast = NetworkForecastService({"grid": grid_platform()}, model=LV08())
     workflows = WorkflowForecastService(forecast)
-
-    def plan(move_to: str) -> float:
-        graph = TaskGraph()
-        graph.add_task(Task("data", flops=0.0, output_bytes=TB), "slowsite-1")
-        graph.add_task(Task("compute", flops=COMPUTE_FLOPS), move_to)
-        graph.add_edge("data", "compute")
-        return workflows.predict_workflow("grid", graph).makespan
-
-    stay = plan("slowsite-1")
-    move = plan("fastsite-1")
+    stay = workflows.predict_workflow("grid", job("slowsite-1")).makespan
+    move = workflows.predict_workflow("grid", job("fastsite-1")).makespan
     print(f"input data: 1 TB on slowsite-1; job: {COMPUTE_FLOPS:.1e} flops")
     print(f"  stay on slow cluster : {stay / 3600:6.2f} h "
           f"(no transfer, slow compute)")

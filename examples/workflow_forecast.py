@@ -16,9 +16,8 @@ LYON = "sagittaire-1.lyon.grid5000.fr"
 WORKERS = [f"graphene-{i}.nancy.grid5000.fr" for i in (1, 2, 3)]
 
 
-def main() -> None:
-    pilgrim = Pilgrim.with_grid5000(include_cabinets=False)
-
+def scatter_gather() -> TaskGraph:
+    """Split on Lyon, three Nancy workers, gather back on Lyon."""
     graph = TaskGraph()
     graph.add_task(Task("split", flops=2e9, output_bytes=2e9), LYON)
     for i, worker in enumerate(WORKERS, start=1):
@@ -27,8 +26,12 @@ def main() -> None:
     graph.add_task(Task("gather", flops=1e9), LYON)
     for i in range(1, len(WORKERS) + 1):
         graph.add_edge(f"work-{i}", "gather")
+    return graph
 
-    forecast = pilgrim.workflows.predict_workflow("g5k_test", graph)
+
+def main() -> None:
+    pilgrim = Pilgrim.with_grid5000(include_cabinets=False)
+    forecast = pilgrim.workflows.predict_workflow("g5k_test", scatter_gather())
 
     print("workflow forecast (scatter 2 GB -> 3 Nancy workers -> gather):")
     for name, (start, finish) in sorted(forecast.task_times.items(),

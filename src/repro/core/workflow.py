@@ -7,9 +7,13 @@ simulation of computation will be straightforward."
 
 A workflow is a :class:`~repro.simgrid.tasks.TaskGraph`: tasks placed on
 hosts, each consuming its predecessors' output data (moved over the
-simulated network) and then computing its flops.  The forecast runs the DAG
-on the MSG layer — one process per task — and reports per-task finish times
-and the makespan.
+simulated network) and then computing its flops.  The forecast runs the
+static DAG on the kernel's done callbacks, the way SimGrid's SimDag runs
+task graphs without processes: a zero-delay timer starts the root tasks; a
+task's computation starts when the last of its input transfers finishes;
+its output transfers start when the computation finishes (at once for a
+task with no flops).  It reports per-task start and finish times, each
+edge's arrival time and the makespan.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from typing import Optional
 
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
+from repro.simgrid.activities import CommActivity
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import NetworkModel
-from repro.simgrid.msg import add_process
 from repro.simgrid.tasks import TaskGraph
 
 
@@ -32,7 +36,7 @@ class WorkflowForecast:
     makespan: float
     #: task name -> (start_time, finish_time)
     task_times: dict
-    #: (producer, consumer) -> transfer completion time
+    #: (producer, consumer) -> that edge's transfer completion time
     transfer_times: dict
 
     def to_json(self) -> dict:
@@ -71,39 +75,49 @@ class WorkflowForecastService:
                 raise NotFound(f"unknown host {host!r} for task {name!r}")
 
         sim = Simulation(platform, model or self.forecast.model)
+        placement = graph.placement
         task_times: dict[str, tuple[float, float]] = {}
         transfer_times: dict[tuple[str, str], float] = {}
+        # task -> input transfers not yet arrived
+        waiting = {name: len(graph.predecessors(name)) for name in graph.tasks}
 
-        def task_process(ctx, name):
-            task = graph.tasks[name]
-            preds = graph.predecessors(name)
-            if preds:
-                recvs = [ctx.recv(f"wf-{p}->{name}") for p in preds]
-                yield ctx.wait_all(recvs)
-                for p in preds:
-                    transfer_times[(p, name)] = ctx.now
-            start = ctx.now
-            if task.flops > 0:
-                yield ctx.execute(task.flops)
-            task_times[name] = (start, ctx.now)
-            for succ in graph.successors(name):
-                # successors wait on the data, so completion of the send is
-                # tracked on their side; fire-and-forget here
-                ctx.send(f"wf-{name}->{succ}", max(task.output_bytes, 1.0))
-            if not graph.successors(name):
-                return
-            yield ctx.sleep(0.0)
+        def start(name: str) -> None:
+            flops = graph.tasks[name].flops
+            begin = sim.clock
+            if flops > 0:
+                sim.add_exec(placement[name], flops).add_done_callback(
+                    lambda _exec: finish(name, begin))
+            else:
+                finish(name, begin)
 
-        for name in graph.tasks:
-            add_process(sim, f"task-{name}", graph.placement[name], task_process, name)
+        def finish(name: str, begin: float) -> None:
+            task_times[name] = (begin, sim.clock)
+            successors = graph.successors(name)
+            size = max(graph.tasks[name].output_bytes, 1.0)
+            comms = sim.add_comms(
+                [(placement[name], placement[succ], size) for succ in successors],
+                [f"{name}->{succ}" for succ in successors])
+            for succ, comm in zip(successors, comms):
+                comm.add_done_callback(
+                    lambda done, edge=(name, succ): arrive(edge, done))
+
+        def arrive(edge: tuple[str, str], comm: CommActivity) -> None:
+            transfer_times[edge] = comm.finish_time
+            consumer = edge[1]
+            waiting[consumer] -= 1
+            if not waiting[consumer]:
+                start(consumer)
+
+        def start_roots() -> None:
+            for name in graph.roots():
+                start(name)
+
+        sim.schedule(0.0, start_roots)
         sim.run()
 
         if len(task_times) != len(graph.tasks):
             missing = sorted(set(graph.tasks) - set(task_times))
             raise BadRequest(f"workflow deadlocked; tasks never ran: {missing}")
-        makespan = max(finish for (_, finish) in task_times.values())
         return WorkflowForecast(
-            makespan=makespan,
-            task_times=dict(task_times),
-            transfer_times=dict(transfer_times),
-        )
+            makespan=max(end for _, end in task_times.values()),
+            task_times=task_times, transfer_times=transfer_times)

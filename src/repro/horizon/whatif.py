@@ -27,7 +27,6 @@ from typing import Iterable, Optional, Sequence
 from repro.scenarios.dynamics import DynamicsLog, schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.engine import Simulation
-from repro.simgrid.msg import transfer_processes
 
 
 @contextmanager
@@ -67,7 +66,8 @@ def run_what_if(
     dynamics scheduled first (at clock 0), then ongoing background comms,
     then the forecast transfers — so an equivalent hand-built scenario run
     produces bit-identical completion times.  The platform's touched link
-    states are restored before returning.
+    states are restored before returning.  Each record has keys ``src``,
+    ``dst``, ``size``, ``start``, ``finish``, ``duration``.
     """
     with transient_link_states(platform, (e.link for e in events)):
         sim = Simulation(platform, model, capacity_factors=capacity_factors,
@@ -75,7 +75,12 @@ def run_what_if(
         log = schedule_dynamics(sim, events)
         for idx, (src, dst, size) in enumerate(ongoing):
             sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}#{idx}")
-        records = transfer_processes(sim, list(transfers))
+        comms = sim.simulate_transfers(list(transfers))
+    records = [
+        {"src": src, "dst": dst, "size": size, "start": comm.start_time,
+         "finish": comm.finish_time, "duration": comm.duration}
+        for (src, dst, size), comm in zip(transfers, comms)
+    ]
     return records, log
 
 

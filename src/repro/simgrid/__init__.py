@@ -13,9 +13,10 @@ relies on:
   plus the congestion-aware time-varying ``tcp_fluid`` variant
   (:mod:`repro.simgrid.tcpfluid`),
 - a discrete-event simulation kernel driving communication and computation
-  activities (:mod:`repro.simgrid.engine`, :mod:`repro.simgrid.activities`),
-- an MSG-like process API built on generator coroutines
-  (:mod:`repro.simgrid.msg`),
+  activities from timers and done callbacks (:mod:`repro.simgrid.engine`,
+  :mod:`repro.simgrid.activities`) — SimGrid's SimDag style, without MSG
+  processes: the paper's send/receive pair per transfer (§IV-C2) is the one
+  communication it amounts to (``Simulation.simulate_transfers``),
 - SimGrid-flavoured XML platform input/output (:mod:`repro.simgrid.xml_io`).
 
 The terminology (hosts, links, AS, gateways, ``SHARED``/``FATPIPE`` sharing

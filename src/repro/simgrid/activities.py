@@ -7,10 +7,12 @@ Communications go through two phases, mirroring the flow-level TCP model:
 1. ``LATENCY`` — a serial delay of ``latency_factor × Σ link latency`` during
    which no bandwidth is consumed (the model's stand-in for connection
    establishment and slow start),
-2. ``TRANSFER`` — the payload drains at the max-min allocated rate.
+2. ``TRANSFER`` — the data drains at the max-min allocated rate.
 
-Activities are *waitables*: MSG processes ``yield`` them, and completion
-callbacks drive the process scheduler.
+Activities are *waitables*: user code registers done callbacks on them, and
+those callbacks (with timers) are the only way anything reacts to a
+completion — :mod:`repro.core.workflow` starts a task's computation from its
+last input's callback, and its output transfers from the computation's.
 """
 
 from __future__ import annotations
@@ -42,18 +44,13 @@ def cancel_epoch() -> int:
 
 
 class Waitable:
-    """Anything a process can wait on: completion flag + callbacks + result."""
+    """Anything user code can wait on: completion flag + done callbacks."""
 
-    __slots__ = ("_done", "_callbacks", "result")
+    __slots__ = ("_done", "_callbacks")
 
     def __init__(self) -> None:
         self._done = False
         self._callbacks: list[Callable[["Waitable"], None]] = []
-        self.result: object = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
 
     def add_done_callback(self, callback: Callable[["Waitable"], None]) -> None:
         if self._done:
@@ -137,7 +134,7 @@ class Activity(Waitable):
 class CommActivity(Activity):
     """A point-to-point data transfer across a resolved route."""
 
-    __slots__ = ("src", "dst", "size", "route", "weight", "bound", "payload")
+    __slots__ = ("src", "dst", "size", "route", "weight", "bound")
 
     def __init__(
         self,
@@ -149,7 +146,6 @@ class CommActivity(Activity):
         startup_latency: float,
         weight: float,
         bound: float,
-        payload: object = None,
     ) -> None:
         super().__init__(name)
         if size < 0:
@@ -162,7 +158,6 @@ class CommActivity(Activity):
         self.route = list(route)
         self.weight = weight
         self.bound = bound
-        self.payload = payload
         if startup_latency > 0.0:
             self.state = ActivityState.LATENCY
             self.remaining = startup_latency
@@ -175,10 +170,6 @@ class CommActivity(Activity):
             self.state = ActivityState.RUNNING
             self.remaining = self.size
             self.scale = max(self.size, 1.0)
-
-    @property
-    def in_transfer_phase(self) -> bool:
-        return self.state is ActivityState.RUNNING
 
     def phase_complete(self, now: float) -> bool:
         if self.state is ActivityState.LATENCY:

@@ -7,23 +7,26 @@ and simulated time is fast-forwarded to the next event."
 
 Concretely, each loop iteration:
 
-1. lets every runnable MSG process advance until it blocks (possibly creating
-   new activities),
-2. re-solves resource sharing (one bounded weighted max-min system covering
+1. re-solves resource sharing (one bounded weighted max-min system covering
    all transferring communications and all executing computations),
-3. finds the earliest phase boundary among activities and timers,
-4. fast-forwards the clock, drains activity progress, completes what finished.
+2. finds the earliest phase boundary among activities and timers,
+3. fast-forwards the clock, drains activity progress, fires the timers due,
+   completes what finished.
+
+User code drives a simulation in two ways only: timers (:meth:`schedule`)
+and activity done callbacks (``add_done_callback``); either may start or
+cancel activities.  There are no processes to step.
 
 Same-host communications bypass sharing through a configurable loopback
 (SimGrid models these with a dedicated loopback link as well).
 
 Activity progress state (remaining work, allocated rate) lives in flat numpy
 slot arrays owned by the engine: the next-event search, the progress drain and
-the completion scan of steps 3–4 are whole-array passes instead of per-object
+the completion scan of steps 2–3 are whole-array passes instead of per-object
 Python loops.  Object attributes (``activity.remaining``/``rate``) are flushed
-from the arrays lazily — only before user code can observe them (timer
-callbacks, MSG process steps, completion callbacks, ``run()`` returning) — so
-a large steady-state simulation never pays per-event attribute traffic.
+from the arrays lazily — only before user code can observe them (completion
+callbacks, ``run()`` returning; timer callbacks opt in) — so a large
+steady-state simulation never pays per-event attribute traffic.
 
 Resource sharing is *incremental* by default: a persistent
 :class:`~repro.simgrid.maxmin.SharingSystem` arena lives across events,
@@ -112,7 +115,6 @@ class Simulation:
         self._round_of: dict[Activity, tuple[list, dict]] = {}
         self._flow_rounds = 0
         self._round_instants = 0
-        self._runnable: list[tuple[object, object]] = []  # (process, send_value)
         self._share_dirty = True
         self._comm_counter = itertools.count()
         # activity slot arrays: remaining work, allocated rate, absolute
@@ -143,7 +145,7 @@ class Simulation:
         self._started: list[Activity] = []
         self._finished: list[Activity] = []
         self._rebuild_sharing = True
-        # set when user code ran (timer callbacks, MSG process steps): it may
+        # set when user code ran (timer or completion callbacks): it may
         # have canceled activities behind the event loop's back, so the next
         # iteration must sweep live objects for externally-changed states —
         # unless the global cancel epoch proves nothing was canceled
@@ -225,20 +227,18 @@ class Simulation:
     def sync_activities(self) -> None:
         """Flush array-held progress onto ``activity.remaining``/``.rate``.
 
-        Process steps, completion callbacks, and ``run()`` returns flush
-        automatically.  Timer callbacks do *not* — a timer callback that
-        reads activity progress attributes must call this first (in-tree
-        timer users only schedule new work, so the common case pays
-        nothing)."""
+        Completion callbacks and ``run()`` returns flush automatically.
+        Timer callbacks do *not* — a timer callback that reads activity
+        progress attributes must call this first (in-tree timer users only
+        schedule new work, so the common case pays nothing)."""
         self._sync_objects()
 
     def _sync_objects(self) -> None:
         """Flush array-held progress state back onto the activity objects.
 
         Called before any user code can observe ``activity.remaining`` or
-        ``activity.rate`` (process steps, completion callbacks) and when
-        ``run()`` returns; timer callbacks opt in via
-        :meth:`sync_activities`."""
+        ``activity.rate`` (completion callbacks) and when ``run()`` returns;
+        timer callbacks opt in via :meth:`sync_activities`."""
         if not self._attrs_stale:
             return
         rem = self._a_rem
@@ -261,20 +261,18 @@ class Simulation:
         dst: str | Host,
         size: float,
         name: Optional[str] = None,
-        payload: object = None,
     ) -> CommActivity:
         """Start a communication of ``size`` bytes from ``src`` to ``dst`` now."""
-        return self.add_comms(((src, dst, size),), (name,), (payload,))[0]
+        return self.add_comms(((src, dst, size),), (name,))[0]
 
     def add_comms(
         self,
         transfers: Sequence[tuple[str | Host, str | Host, float]],
         names: Sequence[Optional[str]] = (),
-        payloads: Sequence[object] = (),
     ) -> list[CommActivity]:
         """Start one communication per ``(src, dst, size)`` now, in order —
-        :meth:`add_comm` in bulk (``names``/``payloads``, when given, run
-        parallel to ``transfers``).
+        :meth:`add_comm` in bulk (``names``, when given, runs parallel to
+        ``transfers``).
 
         Everything that can fail (unknown host, no route, negative size) is
         resolved before the first comm of the batch touches the engine."""
@@ -289,7 +287,6 @@ class Simulation:
         rounds: list[tuple[CommActivity, object, float]] = []
         for i, (src, dst, size) in enumerate(transfers):
             name = names[i] if names else None
-            payload = payloads[i] if payloads else None
             src_host = src if isinstance(src, Host) else host(src)
             dst_host = dst if isinstance(dst, Host) else host(dst)
             if name is None:
@@ -300,7 +297,7 @@ class Simulation:
                 comm = CommActivity(
                     name, src_host, dst_host, size, route=[],
                     startup_latency=self.loopback_latency,
-                    weight=1.0, bound=self.loopback_bandwidth, payload=payload,
+                    weight=1.0, bound=self.loopback_bandwidth,
                 )
             else:
                 route = route_of(src_host, dst_host)
@@ -311,7 +308,6 @@ class Simulation:
                 comm = CommActivity(
                     name, src_host, dst_host, size, route=route,
                     startup_latency=startup, weight=weight, bound=bound,
-                    payload=payload,
                 )
                 comm.usages = scaled(usages)
                 if dynamics is not None:
@@ -447,21 +443,6 @@ class Simulation:
         schedules (:mod:`repro.scenarios.dynamics`) are the main user.
         """
         self._share_dirty = True
-
-    # -- process integration (used by repro.simgrid.msg) --------------------
-
-    def _make_runnable(self, process: object, value: object = None) -> None:
-        self._runnable.append((process, value))
-
-    def _drain_runnable(self) -> None:
-        if self._runnable:
-            # a process step is user code: it reads activity attributes and
-            # may cancel activities without telling us
-            self._sync_objects()
-            self._user_code_ran = True
-        while self._runnable:
-            process, value = self._runnable.pop(0)
-            process._step(value)  # type: ignore[attr-defined]
 
     def _sweep_external_states(self) -> None:
         """Evict activities whose state user code changed behind our back.
@@ -699,7 +680,6 @@ class Simulation:
         self._rebuild_sharing = True
         self._user_code_ran = True
         for _ in range(max_iterations):
-            self._drain_runnable()
             if self._user_code_ran:
                 self._user_code_ran = False
                 self._sweep_external_states()
@@ -724,7 +704,7 @@ class Simulation:
                 self._user_code_ran = True
                 self._fire_due_timers()
             self._complete_finished()
-            if not self._a_count and not self._timers and not self._runnable:
+            if not self._a_count and not self._timers:
                 self._sync_objects()
                 self._drop_sharing_deltas()
                 return self.clock

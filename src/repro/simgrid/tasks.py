@@ -5,8 +5,8 @@ forecast network transfers but also full workflows involving computations and
 network transfers […] adding the simulation of computation will be
 straightforward".  :class:`Task` is the unit those workflows are made of:
 ``flops`` of computation producing ``output_bytes`` of data for its
-successors.  :mod:`repro.core.workflow` schedules DAGs of these over the MSG
-layer.
+successors.  :mod:`repro.core.workflow` runs DAGs of these on the kernel's
+done callbacks.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from repro.scenarios.topologies import build_topology
 from repro.scenarios.workloads import generate_workload
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import model_by_name
-from repro.simgrid.msg import transfer_processes
 from repro.surrogate.features import FEATURE_NAMES, featurize_request
 
 #: Topology pools a default sweep draws from (family, params) — small
@@ -273,9 +272,8 @@ def run_sample(sample: SweepSample) -> tuple[np.ndarray, np.ndarray]:
     transfers = generate_workload(spec.workload, hosts, rng)
     model = model_by_name(spec.model)
     features = featurize_request(platform, model, transfers)
-    sim = Simulation(platform, model)
-    records = transfer_processes(sim, transfers)
-    targets = np.log2(np.array([r["duration"] for r in records], dtype=float))
+    comms = Simulation(platform, model).simulate_transfers(transfers)
+    targets = np.log2(np.array([c.duration for c in comms], dtype=float))
     return features, targets
 
 

@@ -32,7 +32,6 @@ from repro.scenarios.spec import WorkloadSpec
 from repro.scenarios.workloads import generate_workload
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import model_by_name
-from repro.simgrid.msg import transfer_processes
 from repro.simgrid.platform import Platform, link_epoch
 from repro.surrogate.dataset import DEFAULT_SIZES, DEFAULT_WORKLOADS
 from repro.surrogate.features import featurize_request
@@ -144,11 +143,11 @@ class SurrogateRetrainer:
         for transfers in chosen:
             features = featurize_request(
                 self.platform, self.network_model, transfers)
-            sim = Simulation(self.platform, self.network_model)
-            records = transfer_processes(sim, transfers)
+            comms = Simulation(self.platform,
+                               self.network_model).simulate_transfers(transfers)
             blocks.append(features)
             targets.append(np.log2(np.array(
-                [r["duration"] for r in records], dtype=float)))
+                [c.duration for c in comms], dtype=float)))
         self.tier.model.partial_fit(
             np.concatenate(blocks, axis=0), np.concatenate(targets))
         self.tier.mark_fresh(epoch)

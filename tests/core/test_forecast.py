@@ -2,6 +2,7 @@
 
 import pytest
 
+from process_reference import explicit_transfers
 from repro.core.forecast import (
     NetworkForecastService,
     TransferForecast,
@@ -13,7 +14,6 @@ from repro.experiments.protocol import draw_transfer_pairs
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
-from repro.simgrid.msg import transfer_processes
 
 
 class TestTransferSpec:
@@ -186,8 +186,8 @@ class TestPredictMany:
 
 class TestAnswersFromTheComms:
     """``predict_transfers`` reads its answer straight off the comms that
-    ``simulate_transfers`` returns; ``transfer_processes`` (what-if's record
-    form) must say the same, field for field."""
+    ``simulate_transfers`` returns; the explicit sender/receiver processes
+    (``tests/process_reference.py``) must say the same, field for field."""
 
     @pytest.mark.parametrize("figure", ["fig5", "fig9"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -197,7 +197,7 @@ class TestAnswersFromTheComms:
         transfers = [(src, dst, 1e5 * 7 ** (i % 5))
                      for i, (src, dst) in enumerate(pairs)]
         answer = forecast_service.predict_transfers("g5k_test", transfers)
-        records = transfer_processes(
+        records = explicit_transfers(
             Simulation(forecast_service.platform("g5k_test"),
                        forecast_service.model), transfers)
         assert [(f.src, f.dst, f.size, f.duration) for f in answer] == [
@@ -213,6 +213,6 @@ class TestAnswersFromTheComms:
                          forecast_service.model)
         for src, dst, size in ongoing:
             sim.add_comm(src, dst, size)
-        records = transfer_processes(sim, transfers)
+        records = explicit_transfers(sim, transfers)
         assert [f.duration for f in answer] == [r["duration"] for r in records]
         assert answer != forecast_service.predict_transfers("g5k_test", transfers)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from process_reference import explicit_transfers
 from repro._util.rng import spawn_rngs
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
@@ -25,7 +26,6 @@ from repro.scenarios.workloads import generate_workload
 from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, model_by_name
-from repro.simgrid.msg import transfer_processes
 from repro.simgrid.platform import link_epoch
 
 TRANSFERS = [("left-1", "right-1", 1e9), ("left-2", "right-2", 1e9)]
@@ -97,7 +97,7 @@ class TestEquivalence:
         records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
         sim = Simulation(build_dumbbell(), CM02())
         schedule_dynamics(sim, EVENTS)
-        manual = transfer_processes(sim, list(TRANSFERS))
+        manual = explicit_transfers(sim, TRANSFERS)
         assert len(records) == len(manual)
         for ours, theirs in zip(records, manual):
             assert abs(ours["duration"] - theirs["duration"]) <= 1e-9

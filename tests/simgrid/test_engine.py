@@ -379,12 +379,10 @@ class TestAddComms:
         assert one_by_one["arena_capacity"] == 256
         assert one_by_one["stats"]["peak_variables"] > 64
 
-    def test_names_and_payloads_run_parallel_to_the_transfers(self, star4):
+    def test_names_run_parallel_to_the_transfers(self, star4):
         sim = Simulation(star4)
-        comms = sim.add_comms(self.TRANSFERS[:3], names=["a", None, None],
-                              payloads=[1, 2, 3])
+        comms = sim.add_comms(self.TRANSFERS[:3], names=["a", None, None])
         assert [c.name for c in comms] == ["a", "comm-0", "comm-1"]
-        assert [c.payload for c in comms] == [1, 2, 3]
 
     def test_unknown_host_registers_no_comm_of_the_batch(self, star4):
         sim = Simulation(star4, trace=Trace())

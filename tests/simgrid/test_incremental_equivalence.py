@@ -150,11 +150,10 @@ class TestMidRunAllocations:
         assert close(results[True][0], results[False][0])
         assert results[True][1] == results[False][1] == "canceled"
 
-    def test_process_cancels_and_starts_in_same_step(self):
-        """A process cancels a flow and starts another before the re-share:
-        the canceled flow must leave the arena immediately, as in full mode."""
-        from repro.simgrid.msg import add_process
-
+    def test_callback_cancels_and_starts_in_same_step(self):
+        """One timer callback cancels a flow and starts another before the
+        re-share: the canceled flow must leave the arena immediately, as in
+        full mode."""
         finishes = {}
         for mode in (True, False):
             platform = build_star_cluster("star", 5)
@@ -162,12 +161,11 @@ class TestMidRunAllocations:
             keep = sim.add_comm("star-1", "star-3", 2e9, name="keep")
             victim = sim.add_comm("star-2", "star-3", 2e9, name="victim")
 
-            def swapper(ctx, sim=sim, victim=victim):
-                yield ctx.sleep(2.0)
-                victim.cancel(ctx.now)
-                yield sim.add_comm("star-4", "star-3", 1e8, name="replacement")
+            def swap(sim=sim, victim=victim):
+                victim.cancel(sim.clock)
+                sim.add_comm("star-4", "star-3", 1e8, name="replacement")
 
-            add_process(sim, "swapper", "star-4", swapper)
+            sim.schedule(2.0, swap)
             sim.run()
             finishes[mode] = keep.finish_time
         assert close(finishes[True], finishes[False]), (

@@ -1,9 +1,13 @@
-"""MSG layer: processes, mailboxes, rendezvous, wait_all."""
+"""The paper's PNFS pattern (§IV-C2): one send and one receive process per
+transfer.  ``Simulation.simulate_transfers`` starts each pair as the one
+communication it amounts to; the explicit two-process form in
+``tests/process_reference.py`` is the reference it must equal bit for bit."""
 
 import math
 
 import pytest
 
+from process_reference import explicit_transfers
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import draw_transfer_pairs
 from repro.horizon.whatif import transient_link_states
@@ -11,210 +15,26 @@ from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08, model_by_name
-from repro.simgrid.msg import ProcessError, add_process, transfer_processes
 
 
-class TestProcesses:
-    def test_plain_function_runs_at_start_time(self, star4):
-        sim = Simulation(star4)
-        ran = []
-        add_process(sim, "p", "star-1", lambda ctx: ran.append(ctx.now),
-                    start_time=2.5)
-        sim.run()
-        assert ran == [2.5]
-
-    def test_process_result_is_return_value(self, star4):
-        sim = Simulation(star4)
-
-        def worker(ctx):
-            yield ctx.sleep(1.0)
-            return 42
-
-        proc = add_process(sim, "w", "star-1", worker)
-        sim.run()
-        assert proc.result == 42
-        assert proc.done
-
-    def test_join_another_process(self, star4):
-        sim = Simulation(star4)
-        order = []
-
-        def slow(ctx):
-            yield ctx.sleep(3.0)
-            order.append("slow")
-            return "done"
-
-        def waiter(ctx, other):
-            result = yield other
-            order.append(f"waiter-got-{result}")
-
-        proc = add_process(sim, "slow", "star-1", slow)
-        add_process(sim, "waiter", "star-2", waiter, proc)
-        sim.run()
-        assert order == ["slow", "waiter-got-done"]
-
-    def test_yielding_non_waitable_raises(self, star4):
-        sim = Simulation(star4)
-
-        def bad(ctx):
-            yield 42
-
-        add_process(sim, "bad", "star-1", bad)
-        with pytest.raises(ProcessError):
-            sim.run()
-
-    def test_negative_start_time_rejected(self, star4):
-        sim = Simulation(star4)
-        with pytest.raises(ProcessError):
-            add_process(sim, "p", "star-1", lambda ctx: None, start_time=-1.0)
-
-    def test_context_exposes_host_and_name(self, star4):
-        sim = Simulation(star4)
-        seen = {}
-
-        def probe(ctx):
-            seen["host"] = ctx.host.name
-            seen["name"] = ctx.name
-
-        add_process(sim, "probe", "star-3", probe)
-        sim.run()
-        assert seen == {"host": "star-3", "name": "probe"}
-
-
-class TestMailboxes:
-    def test_send_recv_transfers_payload(self, star4):
-        sim = Simulation(star4)
-        received = []
-
-        def sender(ctx):
-            yield ctx.send("mb", 1e6, payload={"hello": "world"})
-
-        def receiver(ctx):
-            payload = yield ctx.recv("mb")
-            received.append((ctx.now, payload))
-
-        add_process(sim, "snd", "star-1", sender)
-        add_process(sim, "rcv", "star-2", receiver)
-        sim.run()
-        assert received[0][1] == {"hello": "world"}
-        assert received[0][0] > 0.0
-
-    def test_rendezvous_waits_for_receiver(self, star4):
-        sim = Simulation(star4)
-        finish = {}
-
-        def sender(ctx):
-            yield ctx.send("mb", 1e6)
-            finish["send"] = ctx.now
-
-        def late_receiver(ctx):
-            yield ctx.sleep(5.0)
-            yield ctx.recv("mb")
-            finish["recv"] = ctx.now
-
-        add_process(sim, "snd", "star-1", sender)
-        add_process(sim, "rcv", "star-2", late_receiver)
-        sim.run()
-        # data only flows after the receiver posts at t=5
-        assert finish["send"] >= 5.0
-        assert finish["recv"] == pytest.approx(finish["send"])
-
-    def test_fifo_matching_order(self, star4):
-        sim = Simulation(star4)
-        got = []
-
-        def sender(ctx, tag):
-            yield ctx.send("mb", 1e5, payload=tag)
-
-        def receiver(ctx):
-            a = yield ctx.recv("mb")
-            b = yield ctx.recv("mb")
-            got.extend([a, b])
-
-        add_process(sim, "s1", "star-1", sender, "first")
-        add_process(sim, "s2", "star-2", sender, "second", start_time=0.1)
-        add_process(sim, "rcv", "star-3", receiver)
-        sim.run()
-        assert got == ["first", "second"]
-
-    def test_wait_all_collects_results(self, star4):
-        sim = Simulation(star4)
-        collected = []
-
-        def sender(ctx, mb, tag):
-            yield ctx.send(mb, 1e5, payload=tag)
-
-        def receiver(ctx):
-            handles = [ctx.recv("mb-a"), ctx.recv("mb-b")]
-            results = yield ctx.wait_all(handles)
-            collected.extend(results)
-
-        add_process(sim, "sa", "star-1", sender, "mb-a", "A")
-        add_process(sim, "sb", "star-2", sender, "mb-b", "B")
-        add_process(sim, "rcv", "star-3", receiver)
-        sim.run()
-        assert collected == ["A", "B"]
-
-    def test_wait_all_empty_completes_immediately(self, star4):
-        sim = Simulation(star4)
-        done = []
-
-        def proc(ctx):
-            result = yield ctx.wait_all([])
-            done.append(result)
-
-        add_process(sim, "p", "star-1", proc)
-        sim.run()
-        assert done == [[]]
-
-
-class TestTransferProcesses:
+class TestExplicitReference:
     def test_paper_pattern_records_durations(self, star4):
-        sim = Simulation(star4, CM02())
-        records = transfer_processes(
-            sim, [("star-1", "star-2", 1e9), ("star-3", "star-4", 1e9)]
-        )
+        records = explicit_transfers(
+            Simulation(star4, CM02()),
+            [("star-1", "star-2", 1e9), ("star-3", "star-4", 1e9)])
         expected = 2e-4 + 8.0
         for record in records:
             assert record["duration"] == pytest.approx(expected, rel=1e-3)
             assert record["start"] == 0.0
             assert not math.isnan(record["finish"])
 
-    def test_matches_direct_simulation(self, star4):
-        direct = Simulation(star4, CM02()).simulate_transfers(
-            [("star-1", "star-3", 5e8), ("star-2", "star-3", 5e8)]
-        )
-        msg_sim = Simulation(star4, CM02())
-        records = transfer_processes(
-            msg_sim, [("star-1", "star-3", 5e8), ("star-2", "star-3", 5e8)]
-        )
-        for comm, record in zip(direct, records):
-            assert record["duration"] == pytest.approx(comm.duration, rel=1e-6)
 
-
-def explicit_transfer_processes(sim, transfers):
-    """The paper's pattern spelled out — one sender and one receiver process
-    per transfer, meeting on a private mailbox.  ``transfer_processes``
-    simulates the same thing without the processes; this is the reference
-    it must match bit for bit."""
-    records = []
-
-    def sender(ctx, mailbox, size):
-        yield ctx.send(mailbox, size)
-
-    def receiver(ctx, mailbox, record):
-        yield ctx.recv(mailbox)
-        record["finish"] = ctx.now
-        record["duration"] = ctx.now - record["start"]
-
-    for idx, (src, dst, size) in enumerate(transfers):
-        record = {"src": src, "dst": dst, "size": size,
-                  "start": 0.0, "finish": math.nan, "duration": math.nan}
-        records.append(record)
-        add_process(sim, f"sender-{idx}", src, sender, f"pnfs-{idx}", size)
-        add_process(sim, f"receiver-{idx}", dst, receiver, f"pnfs-{idx}", record)
-    sim.run()
-    return records
+def simulated_transfers(sim, transfers):
+    """``simulate_transfers``' comms as the reference's records."""
+    comms = sim.simulate_transfers(list(transfers))
+    return [{"src": src, "dst": dst, "size": size, "start": comm.start_time,
+             "finish": comm.finish_time, "duration": comm.duration}
+            for (src, dst, size), comm in zip(transfers, comms)]
 
 
 def figure_draw(fig, seed, size):
@@ -228,12 +48,12 @@ SAG_LINKS = "sagittaire-1*.lyon.grid5000.fr-link"
 
 
 class TestTransferProcessesEquivalence:
-    """``transfer_processes`` == the explicit two-process form, exactly."""
+    """``simulate_transfers`` == the explicit two-process form, exactly."""
 
     def both(self, platform, transfers, model=None, ongoing=(), events=(),
              **engine):
         answers = []
-        for run in (transfer_processes, explicit_transfer_processes):
+        for run in (simulated_transfers, explicit_transfers):
             with transient_link_states(platform, (e.link for e in events)):
                 sim = Simulation(platform, model or LV08(), **engine)
                 schedule_dynamics(sim, events)

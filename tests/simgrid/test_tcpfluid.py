@@ -245,8 +245,9 @@ class PerFlowTimerSimulation(Simulation):
     """The round loop as it was before the engine grouped rounds by instant:
     one cancelable heap timer per flow per round, every retune through the
     validating ``update_variable``.  The grouped engine must match it bit
-    for bit — this is its reference, the way ``explicit_transfer_processes``
-    (``test_msg.py``) is the reference of ``transfer_processes``."""
+    for bit — this is its reference, the way ``explicit_transfers``
+    (``tests/process_reference.py``) is the reference of
+    ``simulate_transfers``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
