@@ -31,6 +31,23 @@ from repro.simgrid.platform import Platform, UnknownElementError
 from repro.simgrid.units import parse_size
 
 
+#: One canonical transfer: source host, destination host, size in bytes.
+Triple = tuple[str, str, float]
+
+
+def _transfer_size(src: object, dst: object, size: object) -> float:
+    """:class:`TransferSpec`'s rule, in its order: the size parses, is
+    finite and positive; then both endpoints are non-empty."""
+    size = parse_size(size)
+    if not math.isfinite(size):
+        raise ValueError(f"transfer size must be finite, got {size}")
+    if size <= 0:
+        raise ValueError(f"transfer size must be positive, got {size}")
+    if not src or not dst:
+        raise ValueError("transfer endpoints must be non-empty")
+    return size
+
+
 @dataclass(frozen=True)
 class TransferSpec:
     """One requested transfer: source host, destination host, size in bytes.
@@ -44,26 +61,75 @@ class TransferSpec:
     size: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size", parse_size(self.size))
-        if not math.isfinite(self.size):
-            raise ValueError(f"transfer size must be finite, got {self.size}")
-        if self.size <= 0:
-            raise ValueError(f"transfer size must be positive, got {self.size}")
-        if not self.src or not self.dst:
-            raise ValueError("transfer endpoints must be non-empty")
+        object.__setattr__(self, "size",
+                           _transfer_size(self.src, self.dst, self.size))
 
     @staticmethod
     def parse(text: str) -> "TransferSpec":
         """Parse the service's query form ``src,dst,size``."""
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise BadRequest(
-                f"transfer must be 'src,dst,size', got {text!r}"
-            )
-        try:
-            return TransferSpec(parts[0].strip(), parts[1].strip(), parts[2].strip())
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
+        return TransferSpec(*transfer_triples((text,), query=True)[0])
+
+
+def transfer_triples(items: Iterable, query: bool = False,
+                     field: Optional[str] = None) -> list[Triple]:
+    """The one transfer decode: ``items`` as ``(src, dst, bytes)`` triples,
+    checked by :class:`TransferSpec`'s rule with its exceptions and messages.
+
+    Items are :class:`TransferSpec` values or ``(src, dst, size)`` sequences
+    (errors as ``TransferSpec(*item)`` raises them); with ``query``, the
+    service's query texts ``src,dst,size``; with ``field``, a JSON body
+    field's ``[src, dst, size]`` arrays — both wire forms raise
+    :class:`BadRequest`.  A canonical tuple comes back as itself; platform
+    hosts are not checked here."""
+    wire = query or field is not None
+    triples: list[Triple] = []
+    append = triples.append
+    for item in items:
+        kind = type(item)
+        if kind is TransferSpec:
+            append((item.src, item.dst, item.size))
+            continue
+        if query:
+            parts = item.split(",")
+            if len(parts) != 3:
+                raise BadRequest(
+                    f"transfer must be 'src,dst,size', got {item!r}")
+            src, dst, size = parts[0].strip(), parts[1].strip(), parts[2].strip()
+        elif field is not None:
+            if not isinstance(item, (list, tuple)) or len(item) != 3:
+                raise BadRequest(
+                    f"each {field} entry must be [src, dst, size], got {item!r}")
+            src, dst, size = item[0], item[1], item[2]
+        elif kind is tuple and len(item) == 3:
+            src, dst, size = item
+            if type(size) is float and 0.0 < size < math.inf and src and dst:
+                append(item)
+                continue
+        else:
+            spec = item if isinstance(item, TransferSpec) else TransferSpec(*item)
+            append((spec.src, spec.dst, spec.size))
+            continue
+        # a plain number skips parse_size: a text float() reads with no
+        # underscore the unit grammar reads alike; whatever is not finite
+        # and positive takes the full rule for its message
+        kind = type(size)
+        number = 0.0
+        if kind is float:
+            number = size
+        elif kind is int or (kind is str and "_" not in size):
+            try:
+                number = float(size)
+            except (ValueError, OverflowError):
+                pass
+        if not (0.0 < number < math.inf and src and dst):
+            try:
+                number = _transfer_size(src, dst, size)
+            except (TypeError, ValueError) as exc:
+                if not wire:
+                    raise
+                raise BadRequest(str(exc)) from None
+        append((src, dst, number))
+    return triples
 
 
 @dataclass(frozen=True)
@@ -94,6 +160,22 @@ class TransferForecast:
         if self.upper is not None:
             doc["upper"] = self.upper
         return doc
+
+
+def _point_forecasts(triples: list[Triple], comms) -> list[TransferForecast]:
+    """One point forecast per triple, from its comm's start and finish: the
+    dict ``TransferForecast(src, dst, size, duration)`` builds, set without
+    the frozen dataclass's guarded ``__setattr__`` per field."""
+    new = object.__new__
+    forecasts = []
+    for (src, dst, size), comm in zip(triples, comms):
+        forecast = new(TransferForecast)
+        forecast.__dict__.update(
+            src=src, dst=dst, size=size,
+            duration=comm.finish_time - comm.start_time,
+            lower=None, upper=None)
+        forecasts.append(forecast)
+    return forecasts
 
 
 @dataclass(frozen=True)
@@ -151,29 +233,27 @@ class NetworkForecastService:
 
     # -- the service -------------------------------------------------------------
 
-    def _validated_specs(
+    def _validated(
         self,
         platform_name: str,
         transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-    ) -> tuple[Platform, list[TransferSpec], list[TransferSpec]]:
-        """Resolve the platform and normalize/validate the transfer lists."""
+    ) -> tuple[Platform, list[Triple], list[Triple]]:
+        """The platform and both transfer lists as triples; raises NotFound
+        (platform, then hosts after every item check), ValueError /
+        TypeError (items) or BadRequest (no transfer)."""
         platform = self.platform(platform_name)
-        specs = [
-            t if isinstance(t, TransferSpec) else TransferSpec(*t) for t in transfers
-        ]
-        ongoing_specs = [
-            t if isinstance(t, TransferSpec) else TransferSpec(*t) for t in ongoing
-        ]
-        if not specs:
+        triples = transfer_triples(transfers)
+        ongoing_triples = transfer_triples(ongoing)
+        if not triples:
             raise BadRequest("at least one transfer is required")
-        for spec in specs + ongoing_specs:
-            for host in (spec.src, spec.dst):
+        for src, dst, _size in triples + ongoing_triples:
+            for host in (src, dst):
                 if not platform.has_host(host):
                     raise NotFound(
                         f"unknown host {host!r} on platform {platform_name!r}"
                     )
-        return platform, specs, ongoing_specs
+        return platform, triples, ongoing_triples
 
     def predict_transfers(
         self,
@@ -203,21 +283,18 @@ class NetworkForecastService:
         Raises :class:`NotFound` for unknown platforms or hosts and
         :class:`BadRequest` for empty requests.
         """
-        platform, specs, ongoing_specs = self._validated_specs(
+        platform, triples, ongoing_triples = self._validated(
             platform_name, transfers, ongoing)
         sim = Simulation(platform, model or self.model,
                          capacity_factors=capacity_factors,
                          full_resolve=full_resolve)
         try:
-            for spec in ongoing_specs:
-                sim.add_comm(spec.src, spec.dst, spec.size,
-                             name=f"ongoing:{spec.src}->{spec.dst}")
-            comms = sim.simulate_transfers(
-                [(s.src, s.dst, s.size) for s in specs])
+            for src, dst, size in ongoing_triples:
+                sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}")
+            comms = sim.simulate_transfers(triples)
         except UnknownElementError as exc:  # pragma: no cover - double guard
             raise NotFound(str(exc)) from None
-        return [TransferForecast(s.src, s.dst, s.size, comm.duration)
-                for s, comm in zip(specs, comms)]
+        return _point_forecasts(triples, comms)
 
     # -- multi-horizon and what-if queries ---------------------------------------
 
@@ -347,7 +424,7 @@ class NetworkForecastService:
         :func:`repro.scenarios.dynamics.schedule_dynamics` on this platform.
         """
         self.what_if_queries += 1
-        platform, specs, ongoing_specs = self._validated_specs(
+        platform, triples, ongoing_triples = self._validated(
             platform_name, transfers, ongoing)
         try:
             event_objs = [
@@ -359,8 +436,6 @@ class NetworkForecastService:
         state = self._horizons.get(platform_name)
         warm = (horizon is not None and state is not None
                 and bool(state.ready_links()))
-        triples = [(s.src, s.dst, s.size) for s in specs]
-        ongoing_triples = [(s.src, s.dst, s.size) for s in ongoing_specs]
 
         def run(factors: Optional[dict[str, float]]):
             try:
@@ -468,9 +543,7 @@ class NetworkForecastService:
         # custom factors/gamma survive the process boundary
         request_model = model or self.model
         payloads = [
-            (service_factory, platform_name,
-             [(s.src, s.dst, s.size) if isinstance(s, TransferSpec) else tuple(s)
-              for s in transfers],
+            (service_factory, platform_name, transfer_triples(transfers),
              request_model)
             for transfers in requests
         ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.forecast import NetworkForecastService, TransferSpec
+from repro.core.forecast import NetworkForecastService, transfer_triples
 from repro.core.metrology import MetrologyService
 from repro.core.planner import Hypothesis, TransferPlanner
 from repro.core.rest.errors import BadRequest
@@ -180,11 +180,10 @@ class Pilgrim:
             raw = request.params("transfer")
             if not raw:
                 raise BadRequest("at least one transfer=src,dst,size is required")
-            specs = [TransferSpec.parse(item) for item in raw]
+            specs = transfer_triples(raw, query=True)
             # §VI background modeling: in-flight transfers share bandwidth
             # in the simulated world but are not part of the answer
-            ongoing = [TransferSpec.parse(item)
-                       for item in request.params("ongoing")]
+            ongoing = transfer_triples(request.params("ongoing"), query=True)
             model = requested_model(request.param("model", default=""))
             horizon = requested_horizon(request.param("horizon", default=""))
             if horizon is not None:
@@ -206,18 +205,7 @@ class Pilgrim:
                 raise BadRequest(f"{field!r} must be a JSON array")
             if required and not items:
                 raise BadRequest(f"{field!r} must be a non-empty JSON array")
-            specs = []
-            for item in items:
-                if not isinstance(item, (list, tuple)) or len(item) != 3:
-                    raise BadRequest(
-                        f"each {field} entry must be [src, dst, size], "
-                        f"got {item!r}"
-                    )
-                try:
-                    specs.append(TransferSpec(item[0], item[1], item[2]))
-                except (TypeError, ValueError) as exc:
-                    raise BadRequest(str(exc)) from None
-            return specs
+            return transfer_triples(items, field=field)
 
         @router.post("/pilgrim/predict_transfers/{platform}")
         def predict_post(request: Request, platform: str):

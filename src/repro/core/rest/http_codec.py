@@ -26,6 +26,11 @@ from repro.core.rest.json_codec import dumps
 MAX_LINE = 65536
 #: Most header lines in one request head.
 MAX_HEADERS = 100
+#: Connections a listening socket queues before it accepts them (the kernel
+#: caps it at ``net.core.somaxconn``).  A burst of clients connecting at once
+#: overflows a short queue: the dropped handshakes are retried after 1, 3,
+#: 7 … seconds, and clients give up.
+LISTEN_BACKLOG = 2048
 #: A stray empty line where a request line is due is skipped.
 BLANK_LINES = (b"\r\n", b"\n")
 #: Interim answer to ``Expect: 100-continue``, sent before reading a body.

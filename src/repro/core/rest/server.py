@@ -37,6 +37,7 @@ from repro.core.rest.errors import ApiError, BadRequest, internal_error
 from repro.core.rest.http_codec import (
     BLANK_LINES,
     CONTINUE,
+    LISTEN_BACKLOG,
     MAX_LINE,
     RequestHead,
     encode_response,
@@ -98,6 +99,7 @@ class _Connection(socketserver.StreamRequestHandler):
 class _Listener(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True  # a restart may take the port back at once
+    request_queue_size = LISTEN_BACKLOG  # socketserver's default is 5
 
     def __init__(self, address: tuple[str, int],
                  owner: "PilgrimHTTPServer") -> None:

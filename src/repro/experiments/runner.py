@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro._util.rng import derive_seed
 from repro.analysis.errors import ErrorSeries
-from repro.core.forecast import NetworkForecastService, TransferSpec
+from repro.core.forecast import NetworkForecastService
 from repro.experiments.protocol import ExperimentSpec, draw_transfer_pairs
 from repro.orchestration.actions import FunctionAction, Remote, SequentialActions
 from repro.testbed.fluid import TestbedNetwork
@@ -51,9 +51,7 @@ def run_experiment(
             transfers = [(src, dst, size) for src, dst in pairs]
             measured = _measure(network, transfers,
                                 seed=derive_seed(rep_seed, "measure", size))
-            forecasts = forecast.predict_transfers(
-                platform_name, [TransferSpec(s, d, z) for s, d, z in transfers]
-            )
+            forecasts = forecast.predict_transfers(platform_name, transfers)
             point = series.point(size)
             for fc, ms in zip(forecasts, measured):
                 point.add(prediction=fc.duration, measure=ms.duration)

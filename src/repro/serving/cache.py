@@ -31,7 +31,11 @@ import threading
 from typing import Iterable, Optional, Sequence
 
 from repro._util.lru import _MISS, BoundedLRU
-from repro.core.forecast import TransferForecast, TransferSpec
+from repro.core.forecast import (
+    TransferForecast,
+    TransferSpec,
+    transfer_triples,
+)
 from repro.simgrid.models import model_key_of
 from repro.simgrid.platform import link_epoch
 
@@ -42,18 +46,11 @@ def canonical_transfers(
     """Normalize a transfer list to hashable ``(src, dst, bytes)`` tuples.
 
     Accepts :class:`TransferSpec` objects or raw tuples (sizes may be unit
-    strings); both forms of the same request map to the same key.
-    Idempotent with a fast path: an already-canonical tuple is returned
-    as-is, so the hot serving path normalizes (and validates) only once.
+    strings); every form of the same request maps to the same key, through
+    the one decode (:func:`repro.core.forecast.transfer_triples`), which
+    also validates.  Idempotent: canonical tuples come back as themselves.
     """
-    items = tuple(transfers)
-    if all(type(t) is tuple and len(t) == 3 and type(t[2]) is float
-           for t in items):
-        return items
-    specs = [
-        t if isinstance(t, TransferSpec) else TransferSpec(*t) for t in items
-    ]
-    return tuple((s.src, s.dst, float(s.size)) for s in specs)
+    return tuple(transfer_triples(transfers))
 
 
 def forecast_cache_key(

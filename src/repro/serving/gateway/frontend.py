@@ -57,6 +57,7 @@ from repro.core.rest.errors import (
 from repro.core.rest.http_codec import (
     BLANK_LINES,
     CONTINUE,
+    LISTEN_BACKLOG,
     MAX_LINE,
     RequestHead,
     encode_response,
@@ -79,7 +80,7 @@ class AsyncHTTPFrontend:
         port: int = 0,
         max_body_bytes: int = 8 * 1024 * 1024,
         idle_timeout: float = 30.0,
-        backlog: int = 2048,
+        backlog: int = LISTEN_BACKLOG,
     ) -> None:
         self.app = app
         self.metrics = metrics

@@ -32,6 +32,9 @@ class ActivityState(enum.Enum):
     CANCELED = "canceled"
 
 
+_LATENCY = ActivityState.LATENCY
+_RUNNING = ActivityState.RUNNING
+
 # global cancellation counter: bumped by every Activity.cancel() so engines
 # can tell in O(1) whether any user code canceled an activity behind their
 # back (the only external state change possible) instead of sweeping every
@@ -93,29 +96,6 @@ class Activity(Waitable):
         #: activity is not registered with any engine
         self._slot = -1
 
-    # -- engine protocol ---------------------------------------------------
-
-    def time_to_completion(self) -> float:
-        """Simulated seconds until this activity's next phase boundary."""
-        if self.state in (ActivityState.DONE, ActivityState.CANCELED):
-            return math.inf
-        if self.rate <= 0.0:
-            return math.inf
-        if self.remaining <= 0.0:
-            return 0.0
-        return self.remaining / self.rate
-
-    def advance(self, dt: float) -> None:
-        if self.rate > 0.0 and self.remaining > 0.0:
-            self.remaining = max(0.0, self.remaining - self.rate * dt)
-
-    def phase_complete(self, now: float) -> bool:
-        """Called when ``remaining`` hits zero.  Returns True when the whole
-        activity is finished (as opposed to an internal phase transition)."""
-        self.state = ActivityState.DONE
-        self.finish_time = now
-        return True
-
     def cancel(self, now: float) -> None:
         if self.state in (ActivityState.DONE, ActivityState.CANCELED):
             return
@@ -132,7 +112,11 @@ class Activity(Waitable):
 
 
 class CommActivity(Activity):
-    """A point-to-point data transfer across a resolved route."""
+    """A point-to-point data transfer across a resolved route.
+
+    The engine moves it from ``LATENCY`` to ``RUNNING`` when the startup
+    countdown ends (straight to ``DONE`` for a zero-size comm), and to
+    ``DONE`` when its bytes have drained."""
 
     __slots__ = ("src", "dst", "size", "route", "weight", "bound")
 
@@ -147,19 +131,27 @@ class CommActivity(Activity):
         weight: float,
         bound: float,
     ) -> None:
-        super().__init__(name)
+        # one flat initializer (Waitable's and Activity's fields included):
+        # the engine builds one of these per transfer of every request
         if size < 0:
             raise ValueError(f"comm {name!r}: size must be >= 0, got {size}")
+        self._done = False
+        self._callbacks = []
+        self.name = name
+        self.start_time = math.nan
+        self.finish_time = math.nan
+        self.usages = ()
+        self._slot = -1
         self.src = src
         self.dst = dst
-        self.size = float(size)
+        self.size = size = float(size)
         # always copy: comm.route is mutable per-activity state and must
         # never alias the platform's shared route-cache entries
         self.route = list(route)
         self.weight = weight
         self.bound = bound
         if startup_latency > 0.0:
-            self.state = ActivityState.LATENCY
+            self.state = _LATENCY
             self.remaining = startup_latency
             self.rate = 1.0  # latency drains in real time
             # the countdown is in seconds, so the completion tolerance must
@@ -167,21 +159,10 @@ class CommActivity(Activity):
             # phase at the first foreign event
             self.scale = startup_latency
         else:
-            self.state = ActivityState.RUNNING
-            self.remaining = self.size
-            self.scale = max(self.size, 1.0)
-
-    def phase_complete(self, now: float) -> bool:
-        if self.state is ActivityState.LATENCY:
-            self.state = ActivityState.RUNNING
-            self.remaining = self.size
-            self.rate = 0.0  # next reshare assigns the bandwidth share
-            self.scale = max(self.size, 1.0)  # tolerance back to byte units
-            if self.size > 0.0:
-                return False
-        self.state = ActivityState.DONE
-        self.finish_time = now
-        return True
+            self.state = _RUNNING
+            self.remaining = size
+            self.rate = 0.0
+            self.scale = max(size, 1.0)
 
 
 class ExecActivity(Activity):

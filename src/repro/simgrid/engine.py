@@ -64,8 +64,17 @@ from repro.simgrid.trace import Trace
 #: Completion tolerance relative to the activity's total amount of work.
 _REL_EPS = 1e-9
 
+_LATENCY = ActivityState.LATENCY
+_RUNNING = ActivityState.RUNNING
 _DONE = ActivityState.DONE
 _CANCELED = ActivityState.CANCELED
+
+
+def _slot_index(slots: list[int]):
+    """The numpy index of a batch of slots: the int itself for one slot (a
+    scalar write is cheapest), else one ``intp`` array that every write of
+    the batch reuses (a list index is converted again at each write)."""
+    return slots[0] if len(slots) == 1 else np.array(slots, dtype=np.intp)
 
 
 class SimulationError(Exception):
@@ -118,14 +127,13 @@ class Simulation:
         self._share_dirty = True
         self._comm_counter = itertools.count()
         # activity slot arrays: remaining work, allocated rate, absolute
-        # completion tolerance, liveness, comm-typed flag.  Dead slots keep
-        # rate=0 / remaining=inf so whole-array scans skip them for free.
+        # completion tolerance, liveness.  Dead slots keep rate=0 /
+        # remaining=inf so whole-array scans skip them for free.
         cap = 64
         self._a_rem = np.full(cap, np.inf, dtype=float)
         self._a_rate = np.zeros(cap, dtype=float)
         self._a_eps = np.zeros(cap, dtype=float)
         self._a_live = np.zeros(cap, dtype=bool)
-        self._a_is_comm = np.zeros(cap, dtype=bool)
         self._a_obj: list[Optional[Activity]] = [None] * cap
         self._a_free: list[int] = list(range(cap - 1, -1, -1))
         self._a_scratch = np.empty(cap, dtype=float)
@@ -172,14 +180,13 @@ class Simulation:
         self._a_rate = widen(self._a_rate, 0.0)
         self._a_eps = widen(self._a_eps, 0.0)
         self._a_live = widen(self._a_live, False)
-        self._a_is_comm = widen(self._a_is_comm, False)
         self._a_obj.extend([None] * (new - old))
         self._a_free.extend(range(new - 1, old - 1, -1))
         self._a_scratch = np.empty(new, dtype=float)
         self._a_bool = np.empty(new, dtype=bool)
         self._a_bool2 = np.empty(new, dtype=bool)
 
-    def _register(self, activities: list[Activity], is_comm: bool) -> None:
+    def _register(self, activities: list[Activity]) -> None:
         """Give each activity a progress slot: one write per slot array for
         the whole batch (scalar writes for a batch of one)."""
         if not activities:
@@ -198,7 +205,7 @@ class Simulation:
             index, only = slots[0], activities[0]
             remaining, rate, scale = only.remaining, only.rate, only.scale
         else:
-            index = slots
+            index = _slot_index(slots)
             remaining = [a.remaining for a in activities]
             rate = [a.rate for a in activities]
             scale = np.array([a.scale for a in activities])
@@ -206,15 +213,16 @@ class Simulation:
         self._a_rate[index] = rate
         self._a_eps[index] = _REL_EPS * scale
         self._a_live[index] = True
-        self._a_is_comm[index] = is_comm
         self._a_count += len(slots)
+
+    def _is_comm(self, slot: int) -> bool:
+        return isinstance(self._a_obj[slot], CommActivity)
 
     def _unregister(self, activity: Activity, slot: int) -> None:
         self._a_live[slot] = False
         self._a_rem[slot] = np.inf
         self._a_rate[slot] = 0.0
         self._a_eps[slot] = 0.0
-        self._a_is_comm[slot] = False
         self._a_obj[slot] = None
         self._a_free.append(slot)
         activity._slot = -1
@@ -281,46 +289,48 @@ class Simulation:
         comm_spec = self.model.comm_spec
         flow_dynamics = (self.model.flow_dynamics
                          if self.model.time_varying else None)
-        scaled = self._scaled_usages
+        scaled = self._scaled_usages if self.capacity_factors else None
+        counter = self._comm_counter
         clock = self.clock
         comms: list[CommActivity] = []
+        # only a comm without startup latency enters sharing at once; the
+        # others enter when their latency phase ends (_complete_finished)
+        running: list[CommActivity] = []
         rounds: list[tuple[CommActivity, object, float]] = []
         for i, (src, dst, size) in enumerate(transfers):
             name = names[i] if names else None
             src_host = src if isinstance(src, Host) else host(src)
             dst_host = dst if isinstance(dst, Host) else host(dst)
             if name is None:
-                name = f"comm-{next(self._comm_counter)}"
+                name = f"comm-{next(counter)}"
             if src_host is dst_host:
                 # loopback: serial latency, then drain at loopback bandwidth,
                 # un-shared (each local transfer gets the full loopback rate)
-                comm = CommActivity(
-                    name, src_host, dst_host, size, route=[],
-                    startup_latency=self.loopback_latency,
-                    weight=1.0, bound=self.loopback_bandwidth,
-                )
+                comm = CommActivity(name, src_host, dst_host, size, (),
+                                    self.loopback_latency, 1.0,
+                                    self.loopback_bandwidth)
             else:
                 route = route_of(src_host, dst_host)
                 startup, weight, bound, usages = comm_spec(route)
                 dynamics = flow_dynamics(route) if flow_dynamics else None
                 if dynamics is not None:
                     weight, bound = dynamics.spec()
-                comm = CommActivity(
-                    name, src_host, dst_host, size, route=route,
-                    startup_latency=startup, weight=weight, bound=bound,
-                )
-                comm.usages = scaled(usages)
+                comm = CommActivity(name, src_host, dst_host, size, route,
+                                    startup, weight, bound)
+                comm.usages = usages if scaled is None else scaled(usages)
                 if dynamics is not None:
                     # first round boundary: one dynamics interval after data
                     # starts flowing (the startup phase covers the handshake)
                     rounds.append((comm, dynamics, startup + dynamics.interval))
             comm.start_time = clock
             comms.append(comm)
+            if comm.state is _RUNNING:
+                running.append(comm)
         for comm, dynamics, delay in rounds:
             self._join_round(comm, dynamics, delay)
             comm.add_done_callback(self._leave_round)
-        self._register(comms, True)
-        self._started += comms
+        self._register(comms)
+        self._started += running
         self._share_dirty = True
         if self.trace is not None:
             for comm, (_src, _dst, size) in zip(comms, transfers):
@@ -337,7 +347,7 @@ class Simulation:
         activity = ExecActivity(name, host_obj, flops)
         activity.usages = self._exec_usages(host_obj)
         activity.start_time = self.clock
-        self._register([activity], False)
+        self._register([activity])
         self._started.append(activity)
         self._share_dirty = True
         if self.trace is not None:
@@ -349,7 +359,7 @@ class Simulation:
         """Start a pure delay of ``duration`` simulated seconds."""
         activity = SleepActivity(name or f"sleep-{next(self._comm_counter)}", duration)
         activity.start_time = self.clock
-        self._register([activity], False)
+        self._register([activity])
         return activity
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> list:
@@ -462,6 +472,9 @@ class Simulation:
                 self._unregister(activity, slot)
                 self._finished.append(activity)
                 self._share_dirty = True
+        # the batch waiting to enter sharing holds running activities only
+        self._started = [activity for activity in self._started
+                         if activity.state is _RUNNING]
 
     # -- resource sharing ----------------------------------------------------
 
@@ -579,16 +592,23 @@ class Simulation:
                 self._vid_slot = np.full(64, -1, dtype=np.intp)
                 self._handles.clear()
             self._finished.clear()
-            self._started = list(self._live_activities())
+            self._started = [
+                activity for activity in self._live_activities()
+                if activity.state is _RUNNING
+                and isinstance(activity, (CommActivity, ExecActivity))
+            ]
             self._rebuild_sharing = False
         handles = self._handles
         sharing = self._sharing
         if self._finished:
-            for activity in self._finished:
-                vid = handles.pop(activity, None)
-                if vid is not None:
-                    sharing.remove_variable(vid)
+            # everything that left since the last re-share leaves the arena
+            # in one batch, in completion order
+            pop = handles.pop
+            leaving = [pop(activity) for activity in self._finished
+                       if activity in handles]
             self._finished.clear()
+            if leaving:
+                sharing.remove_variables(leaving)
             remap = sharing.maybe_compact()
             if remap is not None:
                 # arena defragmentation renumbered every live vid
@@ -600,20 +620,19 @@ class Simulation:
                 for activity, vid in handles.items():
                     self._vid_slot[vid] = activity._slot
         if self._started:
-            batch = [
-                activity for activity in dict.fromkeys(self._started)
-                if activity.state is ActivityState.RUNNING
-                and isinstance(activity, (CommActivity, ExecActivity))
-                and activity not in handles
-            ]
-            self._started.clear()
-            if batch:
-                spec = self._sharing_spec
-                vids = sharing.add_variables_unchecked(
-                    [(*spec(a), a, a.usages) for a in batch])
-                handles.update(zip(batch, vids))
-                self._ensure_vid_slot()  # the arena may have grown
-                self._vid_slot[vids] = [a._slot for a in batch]
+            # the engine built this batch: running comms and computations
+            # that hold no share yet, each once (a cancel sweep drops any
+            # that stopped running)
+            batch = self._started
+            self._started = []
+            spec = self._sharing_spec
+            vids = sharing.add_variables_unchecked([
+                (a.weight, a.bound, a, a.usages) if type(a) is CommActivity
+                else (*spec(a), a, a.usages) for a in batch])
+            handles.update(zip(batch, vids))
+            self._ensure_vid_slot()  # the arena may have grown
+            self._vid_slot[_slot_index(vids)] = (
+                batch[0]._slot if len(batch) == 1 else [a._slot for a in batch])
         vids, values = sharing.solve_raw()
         if vids.size:
             if vids.size <= 8:
@@ -621,16 +640,16 @@ class Simulation:
                 # the fancy-indexing round trip
                 vid_slot = self._vid_slot
                 rate = self._a_rate
-                is_comm = self._a_is_comm
                 for vid, value in zip(vids.tolist(), values.tolist()):
                     slot = vid_slot[vid]
-                    if not math.isfinite(value) and is_comm[slot]:
+                    if not math.isfinite(value) and self._is_comm(slot):
                         value = self.loopback_bandwidth
                     rate[slot] = value
             else:
                 slots = self._vid_slot[vids]
                 if not np.isfinite(values).all():
-                    bad = self._a_is_comm[slots] & ~np.isfinite(values)
+                    bad = ~np.isfinite(values)
+                    bad &= [self._is_comm(slot) for slot in slots.tolist()]
                     if bad.any():
                         # no constraint and no bound anywhere on the route:
                         # treat as the loopback rate to keep time finite
@@ -651,7 +670,7 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def _next_event_time(self) -> float:
-        # whole-array equivalent of min over Activity.time_to_completion:
+        # min over live activities of remaining / rate, as one array pass:
         # dead slots hold rate=0 and keep the scratch's inf through the
         # masked divide (no errstate needed — zero rates are never divided)
         rate = self._a_rate
@@ -703,7 +722,13 @@ class Simulation:
                 # call sync_activities(); the engine does not flush here
                 self._user_code_ran = True
                 self._fire_due_timers()
-            self._complete_finished()
+            if (not self._complete_finished() and dt <= 0.0
+                    and not self._share_dirty and not self._user_code_ran):
+                # nothing ended, the clock did not move and nothing will
+                # change: the earliest boundary lies closer than the clock's
+                # float spacing (a 1.5 us loopback latency at t = 80 s), so
+                # the clock cannot reach it — it is reached now
+                self._complete_finished(stalled=True)
             if not self._a_count and not self._timers:
                 self._sync_objects()
                 self._drop_sharing_deltas()
@@ -738,57 +763,85 @@ class Simulation:
             if callback is not None:
                 callback()
 
-    def _complete_finished(self) -> None:
+    def _complete_finished(self, stalled: bool = False) -> bool:
+        """End the phases that ended at this instant; whether any did.
+
+        ``stalled`` also ends those whose completion time, at the current
+        clock, rounds to the clock itself."""
         # dead slots fail both terms (remaining inf, eps 0, rate 0), so the
         # liveness array stays out of the mask
+        rate = self._a_rate
         mask = np.less_equal(self._a_rem, self._a_eps, out=self._a_bool)
-        np.logical_and(mask, np.greater(self._a_rate, 0.0, out=self._a_bool2),
+        if stalled:
+            ttc = self._a_scratch
+            ttc.fill(np.inf)
+            np.divide(self._a_rem, rate, out=ttc, where=rate > 0.0)
+            mask |= self.clock + ttc <= self.clock
+        np.logical_and(mask, np.greater(rate, 0.0, out=self._a_bool2),
                        out=mask)
         hits = np.nonzero(mask)[0]
         if not hits.size:
-            return
+            return False
+        # one pass sorts the instant's phase ends (slot order): a comm whose
+        # latency ran out enters its transfer phase; everything else is done
+        # — or was canceled/completed by a timer at this same event
         objs = self._a_obj
-        rate_arr = self._a_rate
-        clock = self.clock
-        finished: list[Activity] = []
+        leaving = self._finished
+        entering: list[CommActivity] = []
+        entering_slots: list[int] = []
         dead: list[int] = []
+        finished: list[Activity] = []
+        finished_slots: list[int] = []
         for slot in hits.tolist():
             activity = objs[slot]
             state = activity.state
-            if state is _DONE or state is _CANCELED:
-                # a timer at this same event canceled/completed it already
-                dead.append(slot)
-                objs[slot] = None
-                activity._slot = -1
-                self._finished.append(activity)
-                continue
-            activity.remaining = 0.0
-            if activity.phase_complete(clock):
-                activity.rate = float(rate_arr[slot])
-                dead.append(slot)
-                objs[slot] = None
-                activity._slot = -1
+            if state is _LATENCY:
+                size = activity.size
+                if size > 0.0:
+                    # latency -> transfer: the tolerance moves to byte units
+                    activity.state = _RUNNING
+                    activity.scale = max(size, 1.0)
+                    entering.append(activity)
+                    entering_slots.append(slot)
+                    continue
+            dead.append(slot)
+            objs[slot] = None
+            activity._slot = -1
+            leaving.append(activity)
+            if state is not _DONE and state is not _CANCELED:
                 finished.append(activity)
-                self._finished.append(activity)
+                finished_slots.append(slot)
+        if entering:
+            # one write per slot array for the batch: the bytes to drain, no
+            # rate until the next share, the byte-scaled tolerance
+            idx = _slot_index(entering_slots)
+            if len(entering) == 1:
+                self._a_rem[idx] = entering[0].size
+                self._a_eps[idx] = _REL_EPS * entering[0].scale
             else:
-                # phase transition (latency -> transfer): the activity now
-                # enters the sharing system; the completion tolerance moves
-                # from second units to the transfer's byte scale
-                self._a_rem[slot] = activity.remaining
-                rate_arr[slot] = activity.rate
-                self._a_eps[slot] = _REL_EPS * activity.scale
-                self._started.append(activity)
+                self._a_rem[idx] = [a.size for a in entering]
+                self._a_eps[idx] = np.multiply([a.scale for a in entering],
+                                               _REL_EPS)
+            self._a_rate[idx] = 0.0
+            self._attrs_stale = True
+            self._started += entering
+        clock = self.clock
+        if finished:
+            for activity, rate in zip(finished,
+                                      self._a_rate[finished_slots].tolist()):
+                activity.state = _DONE
+                activity.finish_time = clock
+                activity.remaining = 0.0
+                activity.rate = rate
         if dead:
             # batched _unregister: one fancy write per array for the whole
-            # completion batch instead of six scalar writes per activity
-            # (a single completion — the common steady-state case — takes
-            # the cheaper scalar writes)
-            idx = dead[0] if len(dead) == 1 else dead
+            # completion batch (a single completion — the common
+            # steady-state case — takes the cheaper scalar writes)
+            idx = _slot_index(dead)
             self._a_live[idx] = False
             self._a_rem[idx] = np.inf
-            rate_arr[idx] = 0.0
+            self._a_rate[idx] = 0.0
             self._a_eps[idx] = 0.0
-            self._a_is_comm[idx] = False
             self._a_free.extend(dead)
             self._a_count -= len(dead)
         self._share_dirty = True
@@ -805,6 +858,7 @@ class Simulation:
                                  name=activity.name,
                                  duration=activity.duration)
                 activity._fire()
+        return True
 
     # -- convenience ---------------------------------------------------------
 

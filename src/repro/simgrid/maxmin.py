@@ -631,8 +631,13 @@ class SharingSystem:
         var_payload = self._var_payload
         var_uses = self._var_uses
         cons_vars = self._cons_vars
+        cons_key = self._cons_key
         cons_free = self._cons_free
         key_to_slot = self._key_to_slot
+        # constraints created by this batch -> capacity, written to the slot
+        # buffers once at the end (the last user's capacity wins, as it does
+        # for an existing constraint)
+        created: dict[int, float] = {}
         for _weight, _bound, payload, usages in specs:
             if not free:
                 self._grow_vars()
@@ -644,7 +649,7 @@ class SharingSystem:
             for key, capacity, coefficient in usages:
                 slot = key_to_slot.get(key)
                 if slot is None:
-                    if not (capacity > 0.0) or not math.isfinite(capacity):
+                    if not 0.0 < capacity < math.inf:
                         raise MaxMinError(
                             f"constraint (key={key!r}): capacity must be "
                             f"positive and finite, got {capacity}"
@@ -652,18 +657,29 @@ class SharingSystem:
                     if not cons_free:
                         self._grow_cons()
                     # a free slot has no users and zero usage (see
-                    # remove_variable), so only these need setting
+                    # remove_variables), so only these need setting
                     slot = cons_free.pop()
-                    self._capacities[slot] = capacity
-                    self._cons_live[slot] = True
-                    self._cons_key[slot] = key
+                    created[slot] = capacity
+                    cons_key[slot] = key
                     key_to_slot[key] = slot
+                elif slot in created:
+                    created[slot] = capacity
                 elif self._capacities.item(slot) != capacity:
                     # capacity changed under us (link recalibration): adopt
                     # the new value; the new user re-solves the component
                     self._capacities[slot] = capacity
                 cons_vars[slot].add(vid)
                 uses.append((slot, coefficient))
+        if len(vids) == 1:
+            for slot, capacity in created.items():
+                self._capacities[slot] = capacity
+                self._cons_live[slot] = True
+        elif created:
+            # one index array that every write of the batch reuses (a list
+            # index is converted again at each write)
+            cons = np.array(list(created), dtype=np.intp)
+            self._capacities[cons] = list(created.values())
+            self._cons_live[cons] = True
         # a new variable seeds its component's walk: no dirty constraint marks
         self._dirty_vars.update(vids)
         if not vids:
@@ -671,7 +687,7 @@ class SharingSystem:
         if len(vids) == 1:
             index, weights, bounds = vids[0], specs[0][0], specs[0][1]
         else:
-            index = vids
+            index = np.array(vids, dtype=np.intp)
             weights = [spec[0] for spec in specs]
             bounds = [spec[1] for spec in specs]
         self._weights[index] = weights
@@ -731,28 +747,61 @@ class SharingSystem:
     def remove_variable(self, vid: int) -> None:
         """Withdraw a flow; its constraints' components become dirty and
         constraints left without any variable are freed."""
-        self._check_live(vid)
-        uses = self._var_uses[vid]
-        for slot, _coeff in uses:
-            members = self._cons_vars[slot]
-            members.discard(vid)
-            if members:
-                self._dirty_cons.add(slot)
+        self.remove_variables((vid,))
+
+    def remove_variables(self, vids: Sequence[int]) -> None:
+        """:meth:`remove_variable` for a batch of distinct live vids, in
+        order, with one write per slot buffer for the whole batch."""
+        idx = list(vids)
+        if len(idx) == 1:
+            index = idx[0]
+            self._check_live(index)
+        elif idx:
+            # one index array that every write of the batch reuses
+            index = np.array(idx, dtype=np.intp)
+            live = self._var_live
+            if (min(idx) < 0 or max(idx) >= live.size
+                    or len(set(idx)) < len(idx) or not live[index].all()):
+                raise MaxMinError(f"variables {idx}: not distinct live "
+                                  "variables of this system")
+        else:
+            return
+        var_uses = self._var_uses
+        var_payload = self._var_payload
+        cons_vars = self._cons_vars
+        cons_key = self._cons_key
+        key_to_slot = self._key_to_slot
+        dirty_cons = self._dirty_cons
+        freed: list[int] = []
+        for vid in idx:
+            for slot, _coeff in var_uses[vid]:
+                members = cons_vars[slot]
+                members.discard(vid)
+                if members:
+                    dirty_cons.add(slot)
+                else:
+                    # last user gone: free the constraint slot
+                    del key_to_slot[cons_key[slot]]
+                    cons_key[slot] = None
+                    freed.append(slot)
+            var_uses[vid] = []
+            var_payload[vid] = None
+        if freed:
+            dirty_cons.difference_update(freed)
+            self._cons_free.extend(freed)
+            if len(idx) == 1:
+                for slot in freed:
+                    self._cons_live[slot] = False
+                    self._usages[slot] = 0.0
             else:
-                # last user gone: free the constraint slot
-                self._cons_live[slot] = False
-                self._usages[slot] = 0.0
-                del self._key_to_slot[self._cons_key[slot]]
-                self._cons_key[slot] = None
-                self._dirty_cons.discard(slot)
-                self._cons_free.append(slot)
-        self._var_uses[vid] = []
-        self._var_live[vid] = False
-        self._var_payload[vid] = None
-        self._values[vid] = 0.0
-        self._dirty_vars.discard(vid)
-        self._var_free.append(vid)
-        self._live_count -= 1
+                cons = np.array(freed, dtype=np.intp)
+                self._cons_live[cons] = False
+                self._usages[cons] = 0.0
+        self._var_live[index] = False
+        self._values[index] = 0.0
+        self._dirty_vars.difference_update(idx)
+        self._var_free.extend(idx)
+        self._live_count -= len(idx)
 
     # -- arena hygiene -------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.json_codec import loads
 from repro.core.rest.router import Router
 from repro.core.rest.server import PilgrimHTTPServer
+from repro.serving.gateway.loadgen import LoadQuery, run_load
 from repro.simgrid.builder import build_star_cluster
 
 TARGET = ("/pilgrim/predict_transfers/star"
@@ -177,3 +179,27 @@ def test_response_larger_than_the_write_buffer_arrives_intact(connect):
             assert status == 200
             assert len(payload) > 1 << 20
             assert loads(payload.decode("utf-8")) == {"blob": blob}
+
+
+#: hard deadline on the connection burst: it takes ~0.2 s; a listener that
+#: drops handshakes makes clients retry SYNs after 1, 3, 7 ... s (14-106 s
+#: measured with socketserver's default backlog of 5)
+BURST_DEADLINE_S = 10.0
+
+
+def test_connection_burst_is_answered_in_full(pilgrim):
+    # 128 keep-alive clients connect at once, 4 requests each
+    clients, requests = 128, 4
+    outcome = []
+    with pilgrim.serve() as server:
+        host, port = server.address
+        burst = threading.Thread(target=lambda: outcome.append(run_load(
+            host, port, [LoadQuery("GET", "/pilgrim/platforms")],
+            clients=clients, requests_per_client=requests)), daemon=True)
+        burst.start()
+        burst.join(BURST_DEADLINE_S)
+        assert not burst.is_alive(), (
+            f"burst not answered within {BURST_DEADLINE_S} s")
+    report = outcome[0]
+    assert report.connect_failures == 0 and report.errors == 0
+    assert report.completed == clients * requests

@@ -31,7 +31,15 @@ class TestCanonicalization:
     def test_canonicalization_is_idempotent(self):
         canon = canonical_transfers([("a", "b", "500MB"),
                                      TransferSpec("c", "d", 1e6)])
-        assert canonical_transfers(canon) is canon  # fast path: as-is
+        again = canonical_transfers(canon)
+        assert again == canon
+        # canonical triples come back as themselves, not rebuilt
+        assert all(a is b for a, b in zip(again, canon))
+
+    def test_canonicalization_validates(self):
+        # an already-canonical spelling is still checked by the one decode
+        with pytest.raises(ValueError, match="must be finite"):
+            canonical_transfers((("a", "b", float("nan")),))
 
     def test_order_is_significant(self):
         one = canonical_transfers([("a", "b", 1e6), ("c", "d", 1e6)])

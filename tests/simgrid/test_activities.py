@@ -1,4 +1,7 @@
-"""Activity objects: states, phases, waitable protocol."""
+"""Activity objects: states, phases, waitable protocol.
+
+Progress lives in the engine's slot arrays, so the phase behaviour is
+checked through a :class:`Simulation` on a two-host star."""
 
 import math
 
@@ -11,13 +14,23 @@ from repro.simgrid.activities import (
     SleepActivity,
     Waitable,
 )
+from repro.simgrid.builder import build_star_cluster
+from repro.simgrid.engine import Simulation
+from repro.simgrid.models import CM02
 from repro.simgrid.platform import Host
+
+SRC, DST = "star-1", "star-2"
 
 
 def make_comm(size=1e6, latency=1e-3):
     src, dst = Host("src"), Host("dst")
     return CommActivity("c", src, dst, size, route=[],
                         startup_latency=latency, weight=1.0, bound=math.inf)
+
+
+@pytest.fixture()
+def sim():
+    return Simulation(build_star_cluster("star", 2), CM02())
 
 
 class TestWaitable:
@@ -47,36 +60,42 @@ class TestCommPhases:
         assert comm.remaining == pytest.approx(1e-3)
         assert comm.rate == 1.0
 
-    def test_latency_phase_transitions_to_transfer(self):
-        comm = make_comm()
-        comm.advance(1e-3)
-        assert comm.remaining == 0.0
-        finished = comm.phase_complete(now=1e-3)
-        assert not finished
+    def test_latency_phase_transitions_to_transfer(self, sim):
+        comm = sim.add_comm(SRC, DST, 1e6)
+        latency = comm.remaining
+        assert comm.state is ActivityState.LATENCY and latency > 0.0
+        sim.run(until=latency / 2)
+        assert comm.state is ActivityState.LATENCY
+        assert comm.remaining == pytest.approx(latency / 2)
+        sim.run(until=latency)
         assert comm.state is ActivityState.RUNNING
-        assert comm.remaining == pytest.approx(1e6)
-        assert comm.rate == 0.0  # waits for the next share
+        assert comm.remaining == 1e6  # not a byte drained yet
+        assert comm.rate > 0.0  # the share taken on entering
+        assert comm.scale == 1e6  # tolerance back in byte units
 
-    def test_transfer_completion(self):
-        comm = make_comm()
-        comm.phase_complete(now=1e-3)
-        comm.rate = 1e6
-        comm.advance(1.0)
-        assert comm.remaining == 0.0
-        assert comm.phase_complete(now=1.001)
+    def test_transfer_completion(self, sim):
+        comm = sim.add_comm(SRC, DST, 1e6)
+        latency = comm.remaining
+        sim.run(until=latency)
+        rate = comm.rate
+        sim.run()
         assert comm.state is ActivityState.DONE
-        assert comm.finish_time == 1.001
+        assert comm.remaining == 0.0
+        assert comm.rate == rate
+        assert comm.finish_time == pytest.approx(latency + 1e6 / rate)
+        assert comm.duration == comm.finish_time - comm.start_time
 
     def test_zero_latency_skips_phase(self):
         comm = make_comm(latency=0.0)
         assert comm.state is ActivityState.RUNNING
         assert comm.remaining == pytest.approx(1e6)
 
-    def test_zero_size_completes_after_latency(self):
-        comm = make_comm(size=0.0)
-        comm.advance(1e-3)
-        assert comm.phase_complete(now=1e-3)
+    def test_zero_size_completes_after_latency(self, sim):
+        comm = sim.add_comm(SRC, DST, 0.0)
+        latency = comm.remaining
+        sim.run()
         assert comm.state is ActivityState.DONE
+        assert comm.finish_time == latency
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -93,39 +112,25 @@ class TestCommPhases:
         assert seen == ["done"]
 
 
-class TestTimeToCompletion:
-    def test_infinite_when_rate_zero(self):
-        comm = make_comm()
-        comm.phase_complete(now=0.0)
-        assert comm.time_to_completion() == math.inf
-
-    def test_finite_with_rate(self):
-        comm = make_comm(latency=0.0)
-        comm.rate = 2e6
-        assert comm.time_to_completion() == pytest.approx(0.5)
-
-    def test_done_activity_never_schedules(self):
-        comm = make_comm(size=0.0, latency=0.0)
-        comm.phase_complete(now=0.0)
-        assert comm.time_to_completion() == math.inf
-
-
 class TestExecAndSleep:
     def test_exec_validation(self):
         with pytest.raises(ValueError):
             ExecActivity("e", Host("h"), -1.0)
 
-    def test_exec_progress(self):
-        activity = ExecActivity("e", Host("h"), 1e9)
-        activity.rate = 5e8
-        activity.advance(1.0)
-        assert activity.remaining == pytest.approx(5e8)
+    def test_exec_progress(self, sim):
+        speed = sim.platform.host(SRC).speed
+        activity = sim.add_exec(SRC, 3 * speed)
+        sim.run(until=1.0)
+        assert activity.rate == speed
+        assert activity.remaining == pytest.approx(2 * speed)
 
-    def test_sleep_drains_in_real_time(self):
-        sleep = SleepActivity("s", 2.0)
+    def test_sleep_drains_in_real_time(self, sim):
+        sleep = sim.add_sleep(2.0)
         assert sleep.rate == 1.0
-        sleep.advance(1.5)
+        sim.run(until=1.5)
         assert sleep.remaining == pytest.approx(0.5)
+        sim.run()
+        assert sleep.finish_time == 2.0
 
     def test_sleep_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.simgrid.activities import ActivityState
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
 from repro.simgrid.engine import Simulation, SimulationError
 from repro.simgrid.models import CM02, LV08, model_by_name
@@ -117,6 +118,19 @@ class TestLoopback:
         )
         assert comms[0].duration == pytest.approx(comms[1].duration)
         assert comms[0].duration < 2 * 1e-2
+
+    @pytest.mark.parametrize("start", [80.0, 80.0002])
+    def test_latency_shorter_than_the_clock_spacing_ends(self, star4, start):
+        # the 1.5 us loopback latency, counted down to within its 1.5e-15 s
+        # tolerance, leaves a remainder the clock cannot step by at t = 80 s
+        # (spacing 1.4e-14 s): the loop used to spin at one instant forever
+        sim = Simulation(star4, CM02())
+        comms = []
+        sim.schedule(start, lambda: comms.append(
+            sim.add_comm("star-1", "star-1", 2e6)))
+        sim.run(max_iterations=10_000)
+        assert comms[0].finish_time == pytest.approx(
+            start + 1.5e-6 + 2e6 / 1e10, rel=1e-12)
 
 
 class TestExec:
@@ -335,7 +349,9 @@ class TestAddComms:
         else:
             comms = [sim.add_comm(*t) for t in transfers]
         slots = [c._slot for c in comms]
-        assert sim._started == comms
+        # only a comm with no startup latency enters sharing at once
+        assert sim._started == [c for c in comms
+                                if c.state is ActivityState.RUNNING]
         sim.run()
         return {
             "names": [c.name for c in comms],

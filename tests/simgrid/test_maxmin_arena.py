@@ -655,3 +655,46 @@ def test_wide_dirty_sets_match_the_unfolded_solvers(shape):
     assert system.stats["components_solved"] == components + resolved_components
     assert system.stats["variables_resolved"] == len(flows) + resolved_variables
     assert system.stats["solves"] == 2
+
+
+class TestBatchedRemoval:
+    """``remove_variables`` is ``remove_variable`` per vid, in order, with
+    one write per slot buffer: the same arena afterwards, the same free-list
+    order (so the same vids and constraint slots for what is added next)."""
+
+    @staticmethod
+    def arena():
+        system = SharingSystem()
+        vids = [system.add_variable(1.0 + i % 3, payload=i, usages=(
+            (("nic", i % 5), 10.0 + i % 5, 1.0), (("core",), 40.0, 1.0 + i % 2)))
+            for i in range(12)]
+        system.solve()
+        return system, vids
+
+    @staticmethod
+    def state(system):
+        system.solve()
+        refill = [system.add_variable(1.0, payload=("new", i),
+                                      usages=((("nic", 9 + i), 7.0, 1.0),))
+                  for i in range(4)]
+        return (system.allocations(), refill, dict(system._key_to_slot),
+                system.stats["components_solved"])
+
+    def test_equals_one_removal_per_vid(self):
+        leaving = [7, 2, 9, 4, 0]
+        one, vids = self.arena()
+        for k in leaving:
+            one.remove_variable(vids[k])
+        batch, vids = self.arena()
+        batch.remove_variables([vids[k] for k in leaving])
+        assert self.state(batch) == self.state(one)
+
+    @pytest.mark.parametrize("bad", [[3, 3], [3, 99], [3, -1]])
+    def test_refuses_a_vid_not_live_once(self, bad):
+        system, vids = self.arena()
+        system.remove_variable(vids[5])
+        with pytest.raises(MaxMinError):
+            system.remove_variables([vids[5]])
+        with pytest.raises(MaxMinError):
+            system.remove_variables(bad)
+        assert system.variable_count == 11  # nothing half-removed
