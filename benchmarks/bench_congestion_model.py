@@ -14,7 +14,7 @@ equivalences that make the time-varying path trustworthy:
   the round timers must not turn a campaign solve into a per-RTT resolve
   of the whole arena,
 - the incremental arena still beats ``full_resolve`` while weights move
-  every round (recorded as the trajectory ``speedup``).
+  every round.
 
 Timed region is ``Simulation.run()`` only; construction is excluded.
 """
@@ -100,7 +100,7 @@ def assert_durations_close(label: str, reference: list[float],
     return worst_rel
 
 
-def test_congestion_model_overhead_30x30(console, benchmark, trajectory):
+def test_congestion_model_overhead_30x30(console, benchmark):
     platform = environment.g5k_test_platform()
     workload = campaign_workload()
     # warm route/spec caches so neither model pays one-time setup
@@ -143,9 +143,6 @@ def test_congestion_model_overhead_30x30(console, benchmark, trajectory):
         title=f"fig5 30x30 ({len(workload)} transfers): time-varying tax "
               f"{overhead:.2f}x — sharing {sim.sharing_stats}",
     ))
-    trajectory("fig5_tcp_fluid", static_ms=static_dt * 1e3,
-               fluid_ms=fluid_dt * 1e3, overhead=overhead,
-               speedup=speedup, transfers=len(workload))
     if SMOKE:
         console(f"congestion model: smoke mode — overhead {overhead:.2f}x "
                 f"reported, bounds not asserted")

@@ -108,7 +108,7 @@ def run_single_process_baseline(queries, truths, clients, requests):
     return report
 
 
-def test_gateway_load(console, trajectory, benchmark):
+def test_gateway_load(console, benchmark):
     queries, truths = fleet_queries()
     factory = star_fleet_factory(N_PLATFORMS, N_HOSTS)
 
@@ -225,7 +225,7 @@ def test_gateway_load(console, trajectory, benchmark):
         assert epoch["syncs"] >= 1
         assert epoch["parent"] == epoch["synced"]
 
-    # -- report + trajectory -----------------------------------------------------
+    # -- report -----------------------------------------------------------------
     console(render_table(
         ["metric", "single process", f"gateway x{N_SHARDS} shards"],
         [
@@ -244,24 +244,6 @@ def test_gateway_load(console, trajectory, benchmark):
               f"p50 {p50:.0f} ms, p99 {p99:.0f} ms; "
               f"overload shed {overload.shed}/{overload.clients * ADMISSION_LOAD[1]}",
     ))
-    trajectory(
-        "gateway_load",
-        shards=N_SHARDS,
-        platforms=N_PLATFORMS,
-        cores=os.cpu_count(),
-        baseline_rps=baseline.throughput_rps,
-        gateway_rps=gateway_report.throughput_rps,
-        speedup=speedup,
-        sustained_clients=sustained.clients,
-        sustained_completed=sustained.completed,
-        sustained_rps=sustained.throughput_rps,
-        sustained_p50_ms=p50,
-        sustained_p99_ms=p99,
-        overload_offered=overload.clients * ADMISSION_LOAD[1],
-        overload_completed=overload.completed,
-        overload_shed=overload.shed,
-        epoch_syncs=epoch["syncs"],
-    )
 
     if SMOKE:
         console(f"smoke mode — speedup {speedup:.2f}x and latency bounds "

@@ -160,8 +160,7 @@ def assert_durations_close(label: str, reference: list[float],
     return worst_rel
 
 
-def compare_modes(fig_id: str, console, min_speedup: float,
-                  record=None) -> float:
+def compare_modes(fig_id: str, console, min_speedup: float) -> float:
     platform = environment.g5k_test_platform()
     workload = campaign_workload(fig_id)
     # warm route/spec caches so neither mode pays one-time setup
@@ -196,9 +195,6 @@ def compare_modes(fig_id: str, console, min_speedup: float,
         title=f"{fig_id} ({len(workload)} transfers, 10-size sweep): "
               f"{speedup:.2f}x — sharing {sim.sharing_stats}",
     ))
-    if record is not None:
-        record(fig_id, full_ms=full_dt * 1e3, incremental_ms=inc_dt * 1e3,
-               speedup=speedup, transfers=len(workload))
     if SMOKE:
         # smoke mode exists to prove the bench still runs; wall-clock ratios
         # on a loaded CI machine are not a correctness signal there
@@ -212,7 +208,7 @@ def compare_modes(fig_id: str, console, min_speedup: float,
     return speedup
 
 
-def compare_disjoint(console, min_speedup: float, record=None) -> float:
+def compare_disjoint(console, min_speedup: float) -> float:
     n_pairs = 10 if SMOKE else 50
     waves = 3 if SMOKE else 6
     platform = disjoint_platform(n_pairs)
@@ -243,10 +239,6 @@ def compare_disjoint(console, min_speedup: float, record=None) -> float:
         title=f"50x50 disjoint pairs ({len(events)} staggered transfers): "
               f"{speedup:.2f}x — sharing {sim.sharing_stats}",
     ))
-    if record is not None:
-        record("disjoint_50x50", full_ms=full_dt * 1e3,
-               incremental_ms=inc_dt * 1e3, speedup=speedup,
-               transfers=len(events))
     if SMOKE:
         console(f"disjoint: smoke mode — speedup {speedup:.2f}x reported, "
                 f"≥{min_speedup}x not asserted")
@@ -258,25 +250,25 @@ def compare_disjoint(console, min_speedup: float, record=None) -> float:
     return speedup
 
 
-def test_incremental_speedup_30x30(console, benchmark, trajectory):
-    compare_modes("fig5", console, min_speedup=3.0, record=trajectory)
+def test_incremental_speedup_30x30(console, benchmark):
+    compare_modes("fig5", console, min_speedup=3.0)
     platform = environment.g5k_test_platform()
     workload = campaign_workload("fig5")
     benchmark(lambda: durations_of(prepare_campaign(platform, workload, False)))
 
 
-def test_incremental_speedup_50x50(console, benchmark, trajectory):
+def test_incremental_speedup_50x50(console, benchmark):
     # graphene's shared uplinks form one large component, so the incremental
     # win is structurally smaller than on the disjoint sagittaire shape —
     # assert it still clearly beats rebuilding from scratch
-    compare_modes("fig9", console, min_speedup=1.2, record=trajectory)
+    compare_modes("fig9", console, min_speedup=1.2)
     platform = environment.g5k_test_platform()
     workload = campaign_workload("fig9")
     benchmark(lambda: durations_of(prepare_campaign(platform, workload, False)))
 
 
-def test_incremental_speedup_50x50_disjoint(console, benchmark, trajectory):
-    compare_disjoint(console, min_speedup=10.0, record=trajectory)
+def test_incremental_speedup_50x50_disjoint(console, benchmark):
+    compare_disjoint(console, min_speedup=10.0)
     platform = disjoint_platform()
     events = disjoint_events()
     benchmark(lambda: durations_of(prepare_staggered(platform, events, False)))

@@ -112,8 +112,7 @@ def median_log2_error(answers, truth) -> float:
     return float(np.median(errors))
 
 
-def test_surrogate_first_tier_latency_and_contract(console, benchmark,
-                                                   trajectory):
+def test_surrogate_first_tier_latency_and_contract(console, benchmark):
     # -- train from a campaign sweep, pin the held-out accuracy floor ------
     sweep = SurrogateSweep(
         samples=SWEEP_SAMPLES, seed=7, topologies=(TOPOLOGY,), sizes=SIZES,
@@ -194,16 +193,6 @@ def test_surrogate_first_tier_latency_and_contract(console, benchmark,
 
     # -- report + gate ------------------------------------------------------
     speedup = sim_median / sur_median
-    trajectory(
-        "first_tier",
-        simulation_us=sim_median * 1e6,
-        surrogate_us=sur_median * 1e6,
-        speedup=speedup,
-        queries=QUERIES,
-        holdout_median_log2_error=report["median_abs_log2_error"],
-        live_median_log2_error=live_error,
-        refreshed_median_log2_error=refreshed_error,
-    )
     console(render_table(
         ["metric", "simulation path", "surrogate tier"],
         [

@@ -79,7 +79,7 @@ def timed(run, queries):
     return answers, float(np.median(latencies))
 
 
-def test_whatif_serving_latency_and_contract(console, benchmark, trajectory):
+def test_whatif_serving_latency_and_contract(console, benchmark):
     service = NetworkForecastService(
         {PLATFORM: build_dumbbell(N_SIDE, N_SIDE)}, model=LV08())
     platform = service.platform(PLATFORM)
@@ -134,15 +134,6 @@ def test_whatif_serving_latency_and_contract(console, benchmark, trajectory):
     assert rest_answers == direct
 
     # -- report + gate ------------------------------------------------------
-    trajectory(
-        "whatif",
-        plain_us=plain_median * 1e6,
-        intervals_us=interval_median * 1e6,
-        rest_us=rest_median * 1e6,
-        interval_overhead=overhead,
-        queries=QUERIES,
-        fanout=FANOUT,
-    )
     console(render_table(
         ["metric", "plain what-if", "horizon + intervals", "REST"],
         [

@@ -7,73 +7,20 @@ from :mod:`repro.experiments.figures`, and (d) benchmarks the *online*
 component — the PNFS prediction request for that figure's workload — which
 is the latency the paper cares about for scheduling (§IV-C2).
 
-Environment knobs: ``REPRO_REPS`` (default 5; the paper used 10),
-``REPRO_SEED``, and ``REPRO_BENCH_OUT`` (trajectory output directory,
-default ``benchmarks/results`` — see :mod:`_trajectory`).
+Environment knobs: ``REPRO_REPS`` (default 5; the paper used 10) and
+``REPRO_SEED``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-import _trajectory
 from _harness import FigureHarness
-
-
-class TrajectoryPlugin:
-    """Emits one ``BENCH_<name>.json`` per bench module at session end.
-
-    Registered unconditionally so every bench run — timed, smoke, or a
-    single-file local loop — leaves a machine-readable trace; benches add
-    their own measurements through the ``trajectory`` fixture."""
-
-    def __init__(self) -> None:
-        self.recorder = _trajectory.TrajectoryRecorder()
-
-    def pytest_runtest_logreport(self, report) -> None:
-        finished_call = report.when == "call"
-        skipped_in_setup = report.when == "setup" and report.outcome != "passed"
-        if not (finished_call or skipped_in_setup):
-            return
-        bench = _trajectory.bench_name_from_nodeid(report.nodeid)
-        if bench is None:
-            return
-        test_name = report.nodeid.split("::", 1)[-1]
-        self.recorder.add_case(bench, test_name, report.outcome,
-                               report.duration)
-
-    def pytest_sessionfinish(self, session, exitstatus) -> None:
-        self.recorder.harvest_benchmarks(
-            getattr(session.config, "_benchmarksession", None))
-        self.recorder.flush()
-
-
-def pytest_configure(config) -> None:
-    plugin = TrajectoryPlugin()
-    config._trajectory_plugin = plugin
-    config.pluginmanager.register(plugin, "bench-trajectory")
 
 
 @pytest.fixture(scope="session")
 def harness() -> FigureHarness:
     return FigureHarness()
-
-
-@pytest.fixture()
-def trajectory(request):
-    """Record a named metric into this bench's ``BENCH_<name>.json``.
-
-    Usage: ``trajectory("fig5", full_ms=..., incremental_ms=...,
-    speedup=..., transfers=...)``."""
-    plugin = request.config._trajectory_plugin
-    bench = _trajectory.bench_name(Path(str(request.node.path)).name)
-
-    def record(name: str, **values) -> None:
-        plugin.recorder.add_metric(bench, name, values)
-
-    return record
 
 
 @pytest.fixture()

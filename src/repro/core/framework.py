@@ -164,6 +164,11 @@ class Pilgrim:
         def requested_horizon(raw) -> Optional[int]:
             if raw in (None, ""):
                 return None
+            # a JSON body's 2.5 or true must not run as horizon 2 or 1
+            if isinstance(raw, bool) or (
+                    isinstance(raw, float) and not raw.is_integer()):
+                raise BadRequest(
+                    f"horizon must be a positive integer, got {raw!r}")
             try:
                 horizon = int(raw)
             except (TypeError, ValueError):

@@ -13,27 +13,30 @@ example (``2012-05-04 08:00:00``), interpreted as UTC.
 from __future__ import annotations
 
 import datetime
+import math
 
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.metrology.collectors import MetricRegistry, MetrologyError
 
 
 def parse_timestamp(text: str | float) -> float:
-    """Epoch-seconds float from a number or ``YYYY-MM-DD HH:MM:SS`` (UTC)."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    raw = text.strip()
+    """Epoch-seconds float from a finite number or ``YYYY-MM-DD HH:MM:SS``
+    (UTC).  ``nan``, ``inf`` and overflowing numbers are refused: a NaN
+    bound would slip past every ordering check."""
+    raw = text.strip() if isinstance(text, str) else text
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    try:
-        parsed = datetime.datetime.fromisoformat(raw)
-    except ValueError:
-        raise BadRequest(f"cannot parse timestamp {raw!r}") from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=datetime.timezone.utc)
-    return parsed.timestamp()
+        try:
+            parsed = datetime.datetime.fromisoformat(raw)
+        except ValueError:
+            raise BadRequest(f"cannot parse timestamp {raw!r}") from None
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=datetime.timezone.utc)
+        return parsed.timestamp()
+    if not math.isfinite(value):
+        raise BadRequest(f"timestamp must be finite, got {text!r}")
+    return value
 
 
 class MetrologyService:

@@ -159,9 +159,11 @@ class RestClient:
         self, platform: str, transfers: Sequence[tuple[str, str, float]]
     ) -> list[dict]:
         """The §IV-C2 example: predicted completion times for concurrent
-        transfers, each given as ``(src, dst, size)``."""
+        transfers, each given as ``(src, dst, size)``.  Sizes travel as
+        ``repr(float(size))``, which round-trips every float exactly."""
         params = [
-            ("transfer", f"{src},{dst},{size:g}") for src, dst, size in transfers
+            ("transfer", f"{src},{dst},{float(size)!r}")
+            for src, dst, size in transfers
         ]
         result = self.get(f"/pilgrim/predict_transfers/{platform}", params)
         return result  # type: ignore[return-value]
@@ -219,6 +221,6 @@ class RestClient:
         """§VI extension: submit named transfer hypotheses, get the fastest."""
         params = []
         for name, transfers in hypotheses.items():
-            spec = ";".join(f"{s},{d},{z:g}" for s, d, z in transfers)
+            spec = ";".join(f"{s},{d},{float(z)!r}" for s, d, z in transfers)
             params.append(("hypothesis", f"{name}:{spec}"))
         return self.get(f"/pilgrim/select_fastest/{platform}", params)  # type: ignore[return-value]

@@ -24,7 +24,8 @@ The dynamics ride the engine's existing machinery: flows whose rounds end
 at the same instant share one :meth:`Simulation.schedule` timer, the
 weight/bound updates retune the flow's ``SharingSystem`` variable in place
 (incremental mode) or wait for the next full rebuild (``full_resolve``),
-and both solver paths agree within 1e-9 (``tools/check_model_smoke.py``).
+and both solver paths agree within 1e-9
+(``tests/simgrid/test_model_smoke.py``).
 """
 
 from __future__ import annotations

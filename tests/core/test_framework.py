@@ -74,6 +74,15 @@ class TestHttpEndpoints:
         with pytest.raises(NotFound):
             client.fetch_metric("ganglia", "Lyon", "ghost", "pdu", 0, 10)
 
+    @pytest.mark.parametrize("begin, end", [
+        ("nan", "120"), ("0", "inf"), ("0", "1e400")])
+    def test_rrd_non_finite_bounds_are_400(self, client, begin, end):
+        # a NaN begin used to slip past the end-before-begin check
+        with pytest.raises(BadRequest, match="finite"):
+            client.fetch_metric("ganglia", "Lyon",
+                                "sagittaire-1.lyon.grid5000.fr", "pdu",
+                                begin, end)
+
     def test_predict_transfers(self, client):
         answers = client.predict_transfers(
             "star", [("star-1", "star-3", 1e9), ("star-2", "star-3", 1e9)]
@@ -103,6 +112,28 @@ class TestHttpEndpoints:
         })
         assert result["best"] == "direct"
         assert result["scores"]["direct"]["simulated"]
+
+    def test_client_sends_sizes_exactly(self, pilgrim, client):
+        # six significant digits would ask for 123457000 bytes
+        transfers = [("star-1", "star-3", 123456789.0),
+                     ("star-2", "star-3", 1e9)]
+        exact = [f.to_json() for f in
+                 pilgrim.forecast.predict_transfers("star", transfers)]
+        assert client.predict_transfers("star", transfers) == exact
+        score = client.select_fastest("star", {"h": transfers})["scores"]["h"]
+        assert score["durations"] == [f["duration"] for f in exact]
+
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_what_if_body_horizon_must_be_an_integer(self, client, horizon):
+        with pytest.raises(BadRequest, match="positive integer"):
+            client.what_if("star", [("star-1", "star-2", 1e8)], [],
+                           horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [3, "3"])
+    def test_what_if_body_horizon_accepts_integers(self, client, horizon):
+        answer = client.what_if("star", [("star-1", "star-2", 1e8)], [],
+                                horizon=horizon)
+        assert answer["horizon"] == 3
 
     def test_concurrent_requests(self, client):
         import threading

@@ -1,36 +1,29 @@
-"""Tier-1 hook for the scenario preset smoke check.
+"""Every registered scenario preset smoke-runs in both kernel modes.
 
-Every preset in the default registry must build its platform and complete a
-tiny simulation in both kernel modes — see ``tools/check_scenario_smoke.py``.
-Presets are millisecond-scale, so unlike the bench smoke this runs
-in-process on every tier-1 pass.
+The scenario registry is the CLI's public surface (``repro scenarios
+list|run``): every preset must build its platform, generate its workload,
+apply its dynamics schedule and complete a simulation, incrementally and
+with full re-solves, and the two modes must agree — so a preset that only
+works in one mode fails loudly.  Presets are millisecond-scale.
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-import check_scenario_smoke  # noqa: E402
-
-from repro.scenarios.registry import DEFAULT_REGISTRY  # noqa: E402
+from repro.scenarios.registry import DEFAULT_REGISTRY
+from repro.scenarios.runner import run_scenario
 
 
 @pytest.mark.parametrize("name", DEFAULT_REGISTRY.names())
 def test_preset_smokes_in_both_kernel_modes(name):
-    makespan, n_transfers = check_scenario_smoke.smoke_preset(
-        DEFAULT_REGISTRY.get(name))
-    assert makespan > 0
-    assert n_transfers >= 1
-
-
-def test_standalone_runner_passes(capsys):
-    assert check_scenario_smoke.main() == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert f"{len(DEFAULT_REGISTRY)} scenario presets" in out
+    spec = DEFAULT_REGISTRY.get(name)
+    incremental = run_scenario(spec, full_resolve=False)
+    full = run_scenario(spec, full_resolve=True)
+    assert incremental.transfers
+    assert max(incremental.makespans) > 0
+    for inc, ful in zip(incremental.transfers, full.transfers):
+        assert inc.duration == pytest.approx(ful.duration, rel=1e-9), (
+            f"kernel modes disagree on {inc.src}->{inc.dst}")
+    if spec.dynamics or spec.measured:
+        assert incremental.events_applied, "dynamics schedule never fired"

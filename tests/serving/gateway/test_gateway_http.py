@@ -225,7 +225,7 @@ def test_pipelined_requests_answer_in_order(gateway, queries, ground_truth):
     paths = []
     for transfers in queries:
         params = urllib.parse.urlencode(
-            [("transfer", f"{s},{d},{z:g}") for s, d, z in transfers])
+            [("transfer", f"{s},{d},{z!r}") for s, d, z in transfers])
         paths.append(f"/pilgrim/predict_transfers/{STAR_PLATFORM}?{params}")
     with _connect(gateway) as sock:
         # all four requests written back-to-back before any read
@@ -335,6 +335,7 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
 
     new_truth = ground_truth_for(queries, mutate=halve)
     assert new_truth != ground_truth, "mutation must change some answer"
+    syncs = gateway.stats()["epoch"]["syncs"]
     link.bandwidth = original / 2  # parent-side recalibration
     try:
         with RestClient(gateway.url) as client:
@@ -344,7 +345,8 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
                 assert client.post_predict_transfers(
                     STAR_PLATFORM, transfers) == new_truth[qi]
             stats = client.stats()
-        assert stats["gateway"]["epoch"]["syncs"] >= 1
+        # one write, one broadcast — not one per dispatch
+        assert stats["gateway"]["epoch"]["syncs"] == syncs + 1
         assert (stats["gateway"]["epoch"]["parent"]
                 == stats["gateway"]["epoch"]["synced"])
         shard_epochs = [s["epoch"] for s in stats["shards"]]

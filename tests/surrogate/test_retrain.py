@@ -56,6 +56,13 @@ class TestEnqueue:
         assert not retrainer.pending
         assert retrainer.flush() is None
 
+    def test_a_link_write_alone_makes_the_tier_pending(self, world):
+        platform, tier = world
+        retrainer = SurrogateRetrainer(tier, platform, seed=1)
+        link = platform.links()[0]
+        link.bandwidth = link.bandwidth * 0.6  # no loop, no on_updates
+        assert retrainer.pending
+
     def test_validation(self, world):
         platform, tier = world
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
-"""Tier-1 hook for the benchmark smoke check.
+"""Every ``benchmarks/bench_*.py`` must at least *run*.
 
-Every ``benchmarks/bench_*.py`` must at least *run* (tiny sizes, one
-repetition, timing disabled) — see ``tools/check_bench_smoke.py``.  This is
-the slowest tier-1 test by far (~1 minute: it replays every figure experiment
-once); set ``REPRO_SKIP_BENCH_SMOKE=1`` to skip it during quick local loops.
+Bench modules are not collected by the default test run (pytest only picks
+up ``test_*.py``), so this test runs all of them in one pytest subprocess —
+sharing the session-cached experiment harness across files — with
+``REPRO_REPS=1`` (one experiment repetition per figure), ``REPRO_SMOKE=1``
+(benches shrink their own timing loops) and ``--benchmark-disable`` (each
+benchmarked callable runs once, untimed).  It is the slowest tier-1 test by
+far (~1 minute: it replays every figure experiment once); set
+``REPRO_SKIP_BENCH_SMOKE=1`` to skip it during quick local loops.
 """
 
 from __future__ import annotations
@@ -16,51 +20,6 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-import check_bench_smoke  # noqa: E402
-
-
-def test_bench_file_discovery():
-    files = check_bench_smoke.bench_files()
-    names = {f.name for f in files}
-    assert "bench_incremental_solver.py" in names
-    assert "bench_fig05_sagittaire_30x30.py" in names
-    assert "bench_serving_throughput.py" in names
-    assert "bench_metrology_loop.py" in names
-    assert "bench_surrogate_serving.py" in names
-    assert len(files) >= 20
-
-
-def test_smoke_environment_sets_knobs():
-    env = check_bench_smoke.smoke_environment()
-    assert env["REPRO_REPS"] == "1"
-    assert env["REPRO_SMOKE"] == "1"
-    assert str(REPO_ROOT / "src") in env["PYTHONPATH"]
-
-
-def test_smoke_environment_routes_trajectory_output(tmp_path):
-    env = check_bench_smoke.smoke_environment(tmp_path)
-    assert env["REPRO_BENCH_OUT"] == str(tmp_path)
-
-
-def test_missing_emissions_detects_silent_bench(tmp_path):
-    """A bench that runs but writes no BENCH_*.json must be reported, and
-    so must a flush that forgot the aggregate summary."""
-    files = check_bench_smoke.bench_files()
-    missing = check_bench_smoke.missing_emissions(files, tmp_path)
-    assert set(missing) == {f.name for f in files} | {
-        check_bench_smoke.SUMMARY_FILENAME}
-    first = files[0]
-    name = first.name[len("bench_"):-len(".py")]
-    (tmp_path / f"BENCH_{name}.json").write_text("{}")
-    assert first.name not in check_bench_smoke.missing_emissions(
-        files, tmp_path)
-    assert check_bench_smoke.SUMMARY_FILENAME in \
-        check_bench_smoke.missing_emissions(files, tmp_path)
-    (tmp_path / check_bench_smoke.SUMMARY_FILENAME).write_text("{}")
-    assert check_bench_smoke.SUMMARY_FILENAME not in \
-        check_bench_smoke.missing_emissions(files, tmp_path)
 
 
 @pytest.mark.skipif(
@@ -68,12 +27,16 @@ def test_missing_emissions_detects_silent_bench(tmp_path):
     reason="REPRO_SKIP_BENCH_SMOKE set",
 )
 def test_all_benches_run_in_smoke_mode():
+    files = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    assert len(files) >= 20
+    env = dict(os.environ, REPRO_REPS="1", REPRO_SMOKE="1")
+    src = str(REPO_ROOT / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
     result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_bench_smoke.py")],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        timeout=540,
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--benchmark-disable", *map(str, files)],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=540,
     )
     assert result.returncode == 0, (
         f"bench smoke run failed (rc={result.returncode}):\n"

@@ -121,7 +121,7 @@ def compare_rest(service, transfers) -> None:
     pilgrim = Pilgrim({"g5k_test": service.platform("g5k_test")},
                       model=service.model)
     query = urllib.parse.urlencode(
-        [("transfer", f"{src},{dst},{size:g}") for src, dst, size in transfers])
+        [("transfer", f"{src},{dst},{size!r}") for src, dst, size in transfers])
     target = f"/pilgrim/predict_transfers/g5k_test?{query}"
     raw = f"GET {target} HTTP/1.1\r\nHost: profile\r\n\r\n".encode("ascii")
     router = pilgrim.build_router()
