@@ -3,9 +3,9 @@
 A closed-loop load generator replays the same repeated mixed workload (many
 small forecast batches, varying fan-out and sizes) two ways:
 
-- **cold** — the historical ``predict_transfers_many(workers=N)`` path: a
-  throwaway ``ProcessPoolExecutor`` per call, so every batch pays process
-  start-up plus a platform rebuild in each worker;
+- **cold** — ``predict_transfers_many(workers=N)``: a throwaway pool per
+  call, so every batch pays process start-up plus a platform rebuild in
+  each worker;
 - **warm** — the same calls with a :class:`~repro.serving.pool.WarmWorkerPool`
   injected: workers built their service once and keep the platform, route
   LRU and solver arena resident across batches.
@@ -72,7 +72,8 @@ def run_cold_vs_warm(service, workload):
     with WarmWorkerPool(factory, workers=WORKERS) as pool:
         # touch the pool so worker initializers are done before timing:
         # amortized start-up is the whole point of a long-lived pool
-        pool.predict_many(STAR_PLATFORM, workload[0][:1])
+        service.predict_transfers_many(STAR_PLATFORM, workload[0][:1],
+                                       executor=pool)
         t0 = time.perf_counter()
         warm = [
             service.predict_transfers_many(

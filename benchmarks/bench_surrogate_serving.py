@@ -40,7 +40,7 @@ import numpy as np
 
 from repro._util.rng import rng_for
 from repro.analysis.tables import render_table
-from repro.core.forecast import NetworkForecastService
+from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.experiments import environment
 from repro.metrology.loop import LinkUpdate
 from repro.scenarios.spec import TopologySpec
@@ -172,8 +172,8 @@ def test_surrogate_first_tier_latency_and_contract(console, benchmark):
     link = platform.links()[0]
     before = link.bandwidth
     link.bandwidth = before * 0.5
-    assert tier.try_answer(service, PLATFORM, service.model,
-                           tuple(queries[0])) is None
+    assert tier.try_answer(service, ForecastQuery.of(
+        PLATFORM, queries[0], model=service.model)) is None
     assert tier.stats()["fallbacks"]["stale_epoch"] >= 1
     retrainer = SurrogateRetrainer(
         tier, platform, samples_per_refresh=4 if SMOKE else 8, seed=3)
@@ -184,8 +184,8 @@ def test_surrogate_first_tier_latency_and_contract(console, benchmark):
     summary = retrainer.flush()
     assert summary is not None and summary["rows"] > 0
     assert summary["stale_region_samples"] > 0
-    refreshed = [tier.try_answer(service, PLATFORM, service.model,
-                                 tuple(q)) for q in queries]
+    refreshed = [tier.try_answer(service, ForecastQuery.of(
+        PLATFORM, q, model=service.model)) for q in queries]
     assert all(answer is not None for answer in refreshed)
     fresh_truth = [service.predict_transfers(PLATFORM, q) for q in queries]
     refreshed_error = median_log2_error(refreshed, fresh_truth)

@@ -89,8 +89,7 @@ def test_whatif_serving_latency_and_contract(console, benchmark):
 
     # -- plain what-if: must match the hand-built dynamics run exactly -----
     plain_answers, plain_median = timed(
-        lambda q: service.predict_what_if(PLATFORM, q, EVENTS,
-                                          intervals=False),
+        lambda q: service.predict_what_if(PLATFORM, q, EVENTS),
         queries)
     for query, result in zip(queries, plain_answers):
         sim = Simulation(platform, service.model)

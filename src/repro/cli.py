@@ -255,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     surrogate = sub.add_parser(
         "surrogate", help="learned surrogate fast path (train from "
-                          "campaign sweeps, evaluate, serve)")
+                          "campaign sweeps, evaluate; `serve --surrogate` "
+                          "arms it)")
     sur_sub = surrogate.add_subparsers(dest="surrogate_command",
                                        required=True)
     sur_train = sur_sub.add_parser(
@@ -292,23 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "this floor (CI gate)")
     sur_eval.add_argument("--json", action="store_true",
                           help="emit the evaluation as JSON")
-    sur_serve = sur_sub.add_parser(
-        "serve", help="run the Pilgrim HTTP services with the surrogate "
-                      "tier armed (shortcut for `serve --surrogate`)")
-    sur_serve.add_argument("--input", required=True, metavar="MODEL_JSON")
-    sur_serve.add_argument("--bound", type=float, default=0.5,
-                           help="maximum predicted uncertainty (log2 "
-                                "units) the surrogate may answer under")
-    sur_serve.add_argument("--host", default="127.0.0.1")
-    sur_serve.add_argument("--port", type=int, default=8080)
-    sur_serve.add_argument("--shards", type=int, default=0)
-    sur_serve.add_argument("--max-inflight", type=int, default=256)
-    sur_serve.add_argument("--queue-depth", type=int, default=1024)
-    sur_serve.add_argument("--shard-threads", type=int, default=4)
-    sur_serve.add_argument("--workers", type=int, default=0)
-    sur_serve.add_argument("--batch-window", type=float, default=0.005)
-    sur_serve.add_argument("--cache-size", type=int, default=4096)
-    sur_serve.add_argument("--max-requests", type=int, default=None)
 
     report = sub.add_parser(
         "report", help="run the full validation campaign, emit markdown")
@@ -352,21 +336,21 @@ def _cmd_version(out) -> int:
 
 def _cmd_predict(args, out) -> int:
     from repro.core.forecast import TransferSpec
+    from repro.core.rest.errors import ApiError
     from repro.experiments.environment import forecast_service
     from repro.simgrid.models import model_by_name
 
     service = forecast_service()
-    transfers = [TransferSpec.parse(t) for t in args.transfer]
-    ongoing = [TransferSpec.parse(t) for t in args.ongoing]
     try:
         model = model_by_name(args.model)
-    except ValueError as exc:
+        forecasts = service.predict_transfers(
+            args.platform, [TransferSpec.parse(t) for t in args.transfer],
+            model=model, ongoing=[TransferSpec.parse(t) for t in args.ongoing],
+            full_resolve=args.full_resolve,
+        )
+    except (ApiError, ValueError) as exc:
         out.write(f"{exc}\n")
         return 2
-    forecasts = service.predict_transfers(
-        args.platform, transfers, model=model,
-        ongoing=ongoing, full_resolve=args.full_resolve,
-    )
     out.write(json.dumps([f.to_json() for f in forecasts], indent=1) + "\n")
     return 0
 
@@ -381,10 +365,6 @@ def _cmd_what_if(args, out) -> int:
     service = forecast_service()
     try:
         model = model_by_name(args.model)
-    except ValueError as exc:
-        out.write(f"{exc}\n")
-        return 2
-    try:
         transfers = [TransferSpec.parse(t) for t in args.transfer]
         ongoing = [TransferSpec.parse(t) for t in args.ongoing]
         events = [parse_event(e) for e in args.event]
@@ -426,12 +406,10 @@ def _cmd_serve(args, out) -> int:
     from repro.core.framework import Pilgrim
     from repro.simgrid.models import model_by_name
 
-    # `surrogate serve` delegates here without defining --model
-    model_name = getattr(args, "model", None)
     model = None
-    if model_name:
+    if args.model:
         try:
-            model = model_by_name(model_name)
+            model = model_by_name(args.model)
         except ValueError as exc:
             out.write(f"{exc}\n")
             return 2
@@ -440,7 +418,7 @@ def _cmd_serve(args, out) -> int:
     out.write("loading Grid'5000 platforms...\n")
     pilgrim = Pilgrim.with_grid5000(model=model)
     if model is not None:
-        out.write(f"default sharing model: {model_name}\n")
+        out.write(f"default sharing model: {args.model}\n")
     if not args.no_serving:
         from repro.serving.factories import grid5000_forecast_service
 
@@ -482,7 +460,7 @@ def _cmd_serve_gateway(args, out) -> int:
     # picklable module-level factory rebuilds the same service per shard
     service = forecast_service()
     surrogate_doc = None
-    if getattr(args, "surrogate", None):
+    if args.surrogate:
         with open(args.surrogate, "r", encoding="utf-8") as fh:
             surrogate_doc = json.load(fh)
         out.write(f"surrogate tier armed on every shard, bound "
@@ -498,7 +476,7 @@ def _cmd_serve_gateway(args, out) -> int:
         cache_size=args.cache_size,
         workers=max(0, args.workers),
         max_requests=args.max_requests,
-        model_name=getattr(args, "model", None) or None,
+        model_name=args.model or None,
         surrogate_doc=surrogate_doc,
         surrogate_bound=args.surrogate_bound,
     )
@@ -791,8 +769,6 @@ def _cmd_surrogate(args, out) -> int:
         return _cmd_surrogate_train(args, out)
     if args.surrogate_command == "eval":
         return _cmd_surrogate_eval(args, out)
-    if args.surrogate_command == "serve":
-        return _cmd_surrogate_serve(args, out)
     raise AssertionError(
         f"unhandled surrogate command {args.surrogate_command!r}"
     )  # pragma: no cover
@@ -866,14 +842,6 @@ def _cmd_surrogate_eval(args, out) -> int:
                   f"floor {args.max_median_error:g}\n")
         return 1
     return 0
-
-
-def _cmd_surrogate_serve(args, out) -> int:
-    # delegate to the serve path with the surrogate flags mapped over
-    args.surrogate = args.input
-    args.surrogate_bound = args.bound
-    args.no_serving = False
-    return _cmd_serve(args, out)
 
 
 def _cmd_report(args, out) -> int:

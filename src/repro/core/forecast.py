@@ -9,25 +9,26 @@ tracking the transfer completion time in the simulated world."
 
 This module implements exactly that model over :mod:`repro.simgrid`, each
 pair as the communication it amounts to (``Simulation.simulate_transfers``).
+Every question the service answers — a point forecast, one ``horizon``
+steps ahead, one under a what-if event schedule, a planner's hypothesis —
+is one :class:`ForecastQuery` and one call of
+:meth:`NetworkForecastService.answer`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
-
-from repro._util.parallel import pool_chunk_size
 
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.horizon.forecast import PlatformHorizon
-from repro.horizon.whatif import run_what_if
+from repro.horizon.whatif import simulate_forecast
 from repro.scenarios.spec import LinkEvent
-from repro.simgrid.engine import Simulation
-from repro.simgrid.models import LV08, NetworkModel
-from repro.simgrid.platform import Platform, UnknownElementError
+from repro.simgrid.models import LV08, NetworkModel, model_key_of
+from repro.simgrid.platform import Platform, UnknownElementError, link_epoch
 from repro.simgrid.units import parse_size
 
 
@@ -132,16 +133,55 @@ def transfer_triples(items: Iterable, query: bool = False,
     return triples
 
 
+@dataclass(frozen=True, eq=False)
+class ForecastQuery:
+    """One PNFS question: transfer triples plus the platform state to
+    answer them under.
+
+    ``transfers`` and ``ongoing`` are canonical ``(src, dst, bytes)``
+    triples (:meth:`of` decodes any other spelling).  ``model`` ``None``
+    means the answering service's default.  ``capacity_factors`` (link name
+    → fraction of capacity available), ``events`` (a what-if schedule) and
+    ``horizon`` (project the link state that many steps ahead) describe the
+    platform state; a query without any of them is a *point* query, the
+    only kind the serving tiers cache, coalesce or send to a pool.
+    """
+
+    platform: str
+    transfers: tuple[Triple, ...]
+    ongoing: tuple[Triple, ...] = ()
+    model: Optional[NetworkModel] = None
+    capacity_factors: Optional[dict[str, float]] = None
+    events: tuple[LinkEvent, ...] = ()
+    horizon: Optional[int] = None
+
+    @classmethod
+    def of(cls, platform: str,
+           transfers: Sequence[TransferSpec] | Iterable[tuple],
+           ongoing: Sequence[TransferSpec] | Iterable[tuple] = (),
+           **state) -> "ForecastQuery":
+        """A query from any in-process transfer spelling, decoded by
+        :func:`transfer_triples` (its errors, transfers first)."""
+        return cls(platform, tuple(transfer_triples(transfers)),
+                   tuple(transfer_triples(ongoing)), **state)
+
+    def key(self, epoch: Optional[int] = None) -> tuple:
+        """The identity of a point query: ``(platform, link epoch, model
+        key, transfers, ongoing)`` — the forecast cache key, the
+        coalescer's single-flight key.  ``epoch`` defaults to the current
+        :func:`~repro.simgrid.platform.link_epoch`; the model is identified
+        by :func:`~repro.simgrid.models.model_key_of`."""
+        return (self.platform, link_epoch() if epoch is None else epoch,
+                model_key_of(self.model), self.transfers, self.ongoing)
+
+
 @dataclass(frozen=True)
 class TransferForecast:
     """One predicted transfer: the paper's answer 4-uple.
 
-    Horizon-aware queries (:meth:`NetworkForecastService.predict_transfers_at`
-    and :meth:`~NetworkForecastService.predict_what_if`) additionally carry a
-    prediction interval on the duration, derived from the per-link horizon
-    intervals (optimistic and pessimistic link-state simulations).  Plain
-    point forecasts leave both ends ``None`` and serialize exactly as
-    before."""
+    A ``horizon`` query on warm link series also carries a prediction
+    interval on the duration (see :meth:`NetworkForecastService.answer`);
+    point forecasts leave both ends ``None`` and serialize without them."""
 
     src: str
     dst: str
@@ -162,10 +202,13 @@ class TransferForecast:
         return doc
 
 
-def _point_forecasts(triples: list[Triple], comms) -> list[TransferForecast]:
-    """One point forecast per triple, from its comm's start and finish: the
-    dict ``TransferForecast(src, dst, size, duration)`` builds, set without
-    the frozen dataclass's guarded ``__setattr__`` per field."""
+def _forecasts(triples: Sequence[Triple], comms, optimistic=None,
+               pessimistic=None) -> list[TransferForecast]:
+    """One forecast per triple, from its comm's start and finish: the dict
+    ``TransferForecast(src, dst, size, duration)`` builds, set without the
+    frozen dataclass's guarded ``__setattr__`` per field.  Given the comms
+    of the optimistic and pessimistic runs, each forecast carries the
+    interval ``[min(optimistic, point), max(pessimistic, point)]``."""
     new = object.__new__
     forecasts = []
     for (src, dst, size), comm in zip(triples, comms):
@@ -175,6 +218,11 @@ def _point_forecasts(triples: list[Triple], comms) -> list[TransferForecast]:
             duration=comm.finish_time - comm.start_time,
             lower=None, upper=None)
         forecasts.append(forecast)
+    if optimistic is not None:
+        for forecast, fast, slow in zip(forecasts, optimistic, pessimistic):
+            duration = forecast.duration
+            forecast.__dict__.update(lower=min(fast.duration, duration),
+                                     upper=max(slow.duration, duration))
     return forecasts
 
 
@@ -231,29 +279,87 @@ class NetworkForecastService:
     def platform_names(self) -> list[str]:
         return sorted(self._platforms)
 
-    # -- the service -------------------------------------------------------------
+    # -- the one answer path --------------------------------------------------
 
-    def _validated(
-        self,
-        platform_name: str,
-        transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
-        ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-    ) -> tuple[Platform, list[Triple], list[Triple]]:
-        """The platform and both transfer lists as triples; raises NotFound
-        (platform, then hosts after every item check), ValueError /
-        TypeError (items) or BadRequest (no transfer)."""
-        platform = self.platform(platform_name)
-        triples = transfer_triples(transfers)
-        ongoing_triples = transfer_triples(ongoing)
-        if not triples:
+    def platform_for(self, query: ForecastQuery) -> Platform:
+        """The query's platform, once the query is answerable on it.
+
+        Raises :class:`NotFound` for an unknown platform,
+        :class:`BadRequest` for a query without transfers, then
+        :class:`NotFound` for the first endpoint (transfers, then ongoing)
+        that is not one of the platform's hosts."""
+        platform = self.platform(query.platform)
+        if not query.transfers:
             raise BadRequest("at least one transfer is required")
-        for src, dst, _size in triples + ongoing_triples:
-            for host in (src, dst):
-                if not platform.has_host(host):
-                    raise NotFound(
-                        f"unknown host {host!r} on platform {platform_name!r}"
-                    )
-        return platform, triples, ongoing_triples
+        has_host = platform.has_host
+        for triples in (query.transfers, query.ongoing):
+            for src, dst, _size in triples:
+                for host in (src, dst):
+                    if not has_host(host):
+                        raise NotFound(f"unknown host {host!r} on platform "
+                                       f"{query.platform!r}")
+        return platform
+
+    def answer(
+        self, query: ForecastQuery, full_resolve: bool = False,
+    ) -> tuple[list[TransferForecast], tuple[dict, ...]]:
+        """Answer one query: the forecasts, and the ``AppliedEvent.to_json()``
+        dicts of the events its schedule fired (in firing order; empty
+        without events).  Every forecast verb of the service is this call.
+
+        1. The hosts are checked (:meth:`platform_for`).
+        2. With a ``horizon``, the per-link projections (see
+           :meth:`observe_link`) become the capacity factors, multiplied
+           into the query's own.  Once a link series is warm, two more runs
+           go under every link's optimistic (interval upper) and
+           pessimistic (interval lower) projection, and each forecast
+           carries the duration interval they span.  A cold platform
+           answers under its live link state, as a point forecast.
+        3. Each run is one :func:`~repro.horizon.whatif.simulate_forecast`:
+           the event schedule first, then the ongoing comms, then the
+           transfers.  A query with events mutates the live links, so its
+           runs hold the service's what-if lock and each restores the links
+           it touched; point queries take neither.
+
+        ``full_resolve=True`` makes the simulation rebuild the whole
+        bandwidth-sharing system at every event instead of the default
+        incremental component re-solves — slower, kept as a verification
+        escape hatch.  A query with events counts as a what-if query, one
+        with only a horizon as a horizon query (``planning_stats``).
+        """
+        if query.events:
+            self.what_if_queries += 1
+        elif query.horizon is not None:
+            self.horizon_queries += 1
+        platform = self.platform_for(query)
+        model = query.model if query.model is not None else self.model
+        factors = query.capacity_factors
+        runs = [factors]
+        if query.horizon is not None:
+            name, horizon = query.platform, query.horizon
+            runs = [self.horizon_capacity_factors(name, horizon,
+                                                  combine=factors)]
+            state = self._horizons.get(name)
+            if state is not None and state.ready_links():
+                runs.append(self.horizon_capacity_factors(
+                    name, horizon, bound="upper", combine=factors))
+                runs.append(self.horizon_capacity_factors(
+                    name, horizon, bound="lower", combine=factors))
+        try:
+            with self._whatif_lock if query.events else nullcontext():
+                results = [
+                    simulate_forecast(platform, model, query.transfers,
+                                      query.events, query.ongoing,
+                                      run_factors or None, full_resolve)
+                    for run_factors in runs]
+        except UnknownElementError as exc:  # pragma: no cover - double guard
+            raise NotFound(str(exc)) from None
+        except ValueError as exc:  # unmatched event pattern, bad factor
+            raise BadRequest(str(exc)) from None
+        (comms, log), *bounds = results
+        forecasts = _forecasts(query.transfers, comms,
+                               *(run_comms for run_comms, _ in bounds))
+        return forecasts, tuple(e.to_json() for e in log.applied)
 
     def predict_transfers(
         self,
@@ -273,28 +379,14 @@ class NetworkForecastService:
         movements).  ``capacity_factors`` (link name → fraction of capacity
         available) is the coarse half, typically produced by
         :class:`repro.core.background.BackgroundTrafficModel` from
-        metrology counters.
-
-        ``full_resolve=True`` makes the simulation rebuild the whole
-        bandwidth-sharing system at every event instead of the default
-        incremental component re-solves — slower, kept as a verification
-        escape hatch.
+        metrology counters.  ``full_resolve``: see :meth:`answer`.
 
         Raises :class:`NotFound` for unknown platforms or hosts and
         :class:`BadRequest` for empty requests.
         """
-        platform, triples, ongoing_triples = self._validated(
-            platform_name, transfers, ongoing)
-        sim = Simulation(platform, model or self.model,
-                         capacity_factors=capacity_factors,
-                         full_resolve=full_resolve)
-        try:
-            for src, dst, size in ongoing_triples:
-                sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}")
-            comms = sim.simulate_transfers(triples)
-        except UnknownElementError as exc:  # pragma: no cover - double guard
-            raise NotFound(str(exc)) from None
-        return _point_forecasts(triples, comms)
+        return self.answer(ForecastQuery.of(
+            platform_name, transfers, ongoing, model=model,
+            capacity_factors=capacity_factors), full_resolve)[0]
 
     # -- multi-horizon and what-if queries ---------------------------------------
 
@@ -337,22 +429,6 @@ class NetworkForecastService:
         return state.capacity_factors_at(horizon, bound=bound,
                                          combine=combine)
 
-    def _interval_annotated(
-        self,
-        point: list[TransferForecast],
-        optimistic: Optional[list[TransferForecast]],
-        pessimistic: Optional[list[TransferForecast]],
-    ) -> list[TransferForecast]:
-        """Fold optimistic/pessimistic durations into per-transfer intervals."""
-        if optimistic is None or pessimistic is None:
-            return point
-        return [
-            replace(f,
-                    lower=min(o.duration, f.duration),
-                    upper=max(p.duration, f.duration))
-            for f, o, p in zip(point, optimistic, pessimistic)
-        ]
-
     def predict_transfers_at(
         self,
         platform_name: str,
@@ -362,37 +438,14 @@ class NetworkForecastService:
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         capacity_factors: Optional[dict[str, float]] = None,
         full_resolve: bool = False,
-        intervals: bool = True,
     ) -> list[TransferForecast]:
-        """Forecast transfers under the platform state ``horizon`` steps ahead.
-
-        Per-link horizon projections (see :meth:`observe_link`) become
-        ``capacity_factors`` for the simulation — multiplied into any
-        explicit factors.  With ``intervals`` (and at least one warm link
-        series) the answer carries per-transfer duration intervals from two
-        extra simulations: one under every link's optimistic (interval
-        upper) projection, one under the pessimistic.  Cold platforms fall
-        back to the live link state — a plain point forecast.
-        """
-        self.horizon_queries += 1
-        state = self._horizons.get(platform_name)
-        warm = state is not None and bool(state.ready_links())
-        point_factors = self.horizon_capacity_factors(
-            platform_name, horizon, combine=capacity_factors)
-
-        def predict(factors: Optional[dict[str, float]]):
-            return self.predict_transfers(
-                platform_name, transfers, model=model, ongoing=ongoing,
-                capacity_factors=factors or None, full_resolve=full_resolve)
-
-        point = predict(point_factors)
-        if not (intervals and warm):
-            return point
-        optimistic = predict(self.horizon_capacity_factors(
-            platform_name, horizon, bound="upper", combine=capacity_factors))
-        pessimistic = predict(self.horizon_capacity_factors(
-            platform_name, horizon, bound="lower", combine=capacity_factors))
-        return self._interval_annotated(point, optimistic, pessimistic)
+        """Forecast transfers under the platform state ``horizon`` steps
+        ahead, with duration intervals once a link series is warm (see
+        :meth:`answer`)."""
+        return self.answer(ForecastQuery.of(
+            platform_name, transfers, ongoing, model=model,
+            capacity_factors=capacity_factors, horizon=horizon),
+            full_resolve)[0]
 
     def predict_what_if(
         self,
@@ -404,79 +457,29 @@ class NetworkForecastService:
         capacity_factors: Optional[dict[str, float]] = None,
         horizon: Optional[int] = None,
         full_resolve: bool = False,
-        intervals: bool = True,
     ) -> WhatIfResult:
         """Answer a what-if query: "these transfers, under this event
         schedule" — e.g. link X degrading 50% at t+30s.
 
         ``events`` (:class:`~repro.scenarios.spec.LinkEvent` objects or
-        their JSON dicts) become a transient dynamics schedule run through
-        the scenario machinery on the live platform — touched link states
-        are snapshotted and restored, and concurrent what-if runs are
-        serialized behind a per-service lock (the transient epoch bumps
-        invalidate epoch-keyed caches by design; see
-        :mod:`repro.horizon.whatif`).  ``horizon=k`` additionally projects
-        the *baseline* link state k steps ahead before applying the
-        schedule, and (with ``intervals``) annotates each forecast with a
-        duration interval from the optimistic/pessimistic projections.
-
-        The answer is bit-identical to hand-building the same schedule with
-        :func:`repro.scenarios.dynamics.schedule_dynamics` on this platform.
+        their JSON dicts) run as a transient dynamics schedule on the live
+        platform (see :meth:`answer` and :mod:`repro.horizon.whatif`);
+        ``horizon=k`` projects the *baseline* link state k steps ahead
+        first.  The answer is bit-identical to hand-building the same
+        schedule with :func:`repro.scenarios.dynamics.schedule_dynamics`.
         """
-        self.what_if_queries += 1
-        platform, triples, ongoing_triples = self._validated(
-            platform_name, transfers, ongoing)
         try:
-            event_objs = [
+            event_objs = tuple(
                 e if isinstance(e, LinkEvent) else LinkEvent.from_json(e)
                 for e in events
-            ]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadRequest(f"bad what-if event: {exc}") from None
-        state = self._horizons.get(platform_name)
-        warm = (horizon is not None and state is not None
-                and bool(state.ready_links()))
-
-        def run(factors: Optional[dict[str, float]]):
-            try:
-                return run_what_if(
-                    platform, model or self.model, triples, event_objs,
-                    ongoing=ongoing_triples, capacity_factors=factors or None,
-                    full_resolve=full_resolve)
-            except ValueError as exc:  # unmatched event pattern, bad factor
-                raise BadRequest(str(exc)) from None
-
-        base_factors = capacity_factors
-        if horizon is not None:
-            base_factors = self.horizon_capacity_factors(
-                platform_name, horizon, combine=capacity_factors)
-        with self._whatif_lock:
-            records, log = run(base_factors)
-            optimistic = pessimistic = None
-            if intervals and warm:
-                opt_records, _ = run(self.horizon_capacity_factors(
-                    platform_name, horizon, bound="upper",
-                    combine=capacity_factors))
-                pess_records, _ = run(self.horizon_capacity_factors(
-                    platform_name, horizon, bound="lower",
-                    combine=capacity_factors))
-                optimistic = [TransferForecast(r["src"], r["dst"], r["size"],
-                                               r["duration"])
-                              for r in opt_records]
-                pessimistic = [TransferForecast(r["src"], r["dst"], r["size"],
-                                                r["duration"])
-                               for r in pess_records]
-        point = [
-            TransferForecast(src=r["src"], dst=r["dst"], size=r["size"],
-                             duration=r["duration"])
-            for r in records
-        ]
-        forecasts = self._interval_annotated(point, optimistic, pessimistic)
-        return WhatIfResult(
-            forecasts=tuple(forecasts),
-            applied=tuple(e.to_json() for e in log.applied),
-            horizon=horizon,
-        )
+        forecasts, applied = self.answer(ForecastQuery.of(
+            platform_name, transfers, ongoing, model=model,
+            capacity_factors=capacity_factors, events=event_objs,
+            horizon=horizon), full_resolve)
+        return WhatIfResult(tuple(forecasts), applied, horizon)
 
     def planning_stats(self) -> dict:
         """Horizon/what-if counters for ``GET /pilgrim/stats``."""
@@ -496,75 +499,36 @@ class NetworkForecastService:
         model: Optional[NetworkModel] = None,
         workers: Optional[int] = None,
         service_factory: Optional[Callable[[], "NetworkForecastService"]] = None,
-        executor: Optional[Executor] = None,
+        executor=None,
     ) -> list[list[TransferForecast]]:
         """Answer many independent forecast requests (a backtest batch).
 
         Each element of ``requests`` is one ``predict_transfers`` transfer
-        list; the answers come back in request order.  With ``workers > 1``
-        the requests fan out over a :class:`ProcessPoolExecutor` —
-        ``service_factory`` must then be a picklable module-level callable
-        returning an equivalent service (platforms hold closure-free but
-        heavyweight state, so workers rebuild instead of shipping them; the
-        session-cached :func:`repro.experiments.environment.forecast_service`
-        is the usual factory).  Every simulation is independent, so parallel
-        answers are identical to serial ones.
-
-        ``executor`` injects a live pool instead of the throwaway per-call
-        one (which stays the no-pool default):
-
-        - a :class:`repro.serving.pool.WarmWorkerPool` (anything with a
-          ``predict_many`` method) answers from its resident services —
-          ``service_factory`` is not needed;
-        - any other :class:`concurrent.futures.Executor` receives the same
-          ``service_factory`` tasks the throwaway pool would, but is left
-          running for the caller to reuse and shut down.
+        list; the answers come back in request order, identical to serial
+        ones (every simulation is independent).  ``workers > 1`` fans them
+        out over a throwaway :class:`~repro.serving.pool.WarmWorkerPool`
+        whose workers rebuild the service from ``service_factory``, a
+        picklable module-level callable (usually the session-cached
+        :func:`repro.experiments.environment.forecast_service`).
+        ``executor`` injects a live ``WarmWorkerPool`` instead, left running
+        for the caller.
         """
-        requests = list(requests)
-        if executor is not None:
-            predict_many = getattr(executor, "predict_many", None)
-            if predict_many is not None:  # a warm pool with resident services
-                # ship this service's model explicitly (like the factory
-                # path below): the pool's rebuilt services may default
-                # differently
-                return predict_many(platform_name, requests,
+        # the model object itself (a frozen, picklable dataclass) rides each
+        # query, so custom factors/gamma survive the process boundary and a
+        # worker's rebuilt service cannot default differently
+        queries = [ForecastQuery.of(platform_name, transfers,
                                     model=model or self.model)
-        elif workers is None or workers <= 1 or len(requests) <= 1:
-            return [
-                self.predict_transfers(platform_name, transfers, model=model)
-                for transfers in requests
-            ]
+                   for transfers in requests]
+        if executor is not None:
+            return executor.answer_many(queries)
+        if workers is None or workers <= 1 or len(queries) <= 1:
+            return [self.answer(query)[0] for query in queries]
         if service_factory is None:
             raise ValueError(
                 "predict_transfers_many(workers > 1) needs a picklable "
                 "service_factory rebuilding the service in each worker"
             )
-        # ship the model object itself (a frozen, picklable dataclass) so
-        # custom factors/gamma survive the process boundary
-        request_model = model or self.model
-        payloads = [
-            (service_factory, platform_name, transfer_triples(transfers),
-             request_model)
-            for transfers in requests
-        ]
-        if executor is not None:
-            chunk = pool_chunk_size(
-                len(payloads), getattr(executor, "_max_workers", workers or 1))
-            return list(executor.map(_predict_request_task, payloads,
-                                     chunksize=chunk))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = pool_chunk_size(len(payloads), workers)
-            return list(pool.map(_predict_request_task, payloads, chunksize=chunk))
+        from repro.serving.pool import WarmWorkerPool  # builds on this module
 
-
-#: Worker-process cache: one rebuilt service per factory per process.
-_WORKER_SERVICES: dict = {}
-
-
-def _predict_request_task(payload: tuple) -> list[TransferForecast]:
-    """One ``predict_transfers`` call inside a worker process."""
-    service_factory, platform_name, transfers, model = payload
-    service = _WORKER_SERVICES.get(service_factory)
-    if service is None:
-        service = _WORKER_SERVICES[service_factory] = service_factory()
-    return service.predict_transfers(platform_name, transfers, model=model)
+        with WarmWorkerPool(service_factory, workers=workers) as pool:
+            return pool.answer_many(queries)

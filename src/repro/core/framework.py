@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.forecast import NetworkForecastService, transfer_triples
+from repro.core.forecast import (
+    ForecastQuery,
+    NetworkForecastService,
+    WhatIfResult,
+    transfer_triples,
+)
 from repro.core.metrology import MetrologyService
 from repro.core.planner import Hypothesis, TransferPlanner
 from repro.core.rest.errors import BadRequest
@@ -143,22 +148,20 @@ class Pilgrim:
         def metric_info(request: Request, tool: str, site: str, host: str, metric: str):
             return self.metrology.describe(tool, site, host, metric)
 
-        def requested_model(name) -> Optional[SharingModel]:
+        def requested_model(name) -> SharingModel:
             if not name:
-                return None
+                return self.forecast.model
             try:
                 return model_by_name(str(name))
             except ValueError as exc:
                 raise BadRequest(str(exc)) from None
 
-        def answer_predict(platform: str, specs, ongoing, model=None):
-            if self.serving is not None:
-                forecasts = self.serving.predict(platform, specs,
-                                                 ongoing=ongoing, model=model)
+        def answer(query: ForecastQuery) -> list:
+            # point queries go through the serving tiers when enabled
+            if self.serving is not None and query.horizon is None:
+                forecasts = self.serving.answer(query)
             else:
-                forecasts = self.forecast.predict_transfers(
-                    platform, specs, model=model, ongoing=ongoing
-                )
+                forecasts, _ = self.forecast.answer(query)
             return [f.to_json() for f in forecasts]
 
         def requested_horizon(raw) -> Optional[int]:
@@ -190,14 +193,11 @@ class Pilgrim:
             # in the simulated world but are not part of the answer
             ongoing = transfer_triples(request.params("ongoing"), query=True)
             model = requested_model(request.param("model", default=""))
+            # horizon queries bypass the serving tiers: projected capacity
+            # factors are not part of the cache key
             horizon = requested_horizon(request.param("horizon", default=""))
-            if horizon is not None:
-                # horizon queries bypass the serving cache tier: projected
-                # capacity factors are not part of the cache key
-                forecasts = self.forecast.predict_transfers_at(
-                    platform, specs, horizon, model=model, ongoing=ongoing)
-                return [f.to_json() for f in forecasts]
-            return answer_predict(platform, specs, ongoing, model)
+            return answer(ForecastQuery(platform, tuple(specs), tuple(ongoing),
+                                        model, horizon=horizon))
 
         def body_transfers(request: Request, field: str, required: bool):
             if required:
@@ -205,12 +205,12 @@ class Pilgrim:
             else:
                 items = request.body_field(field, default=None)
             if items is None:
-                return []
+                return ()
             if not isinstance(items, list):
                 raise BadRequest(f"{field!r} must be a JSON array")
             if required and not items:
                 raise BadRequest(f"{field!r} must be a non-empty JSON array")
-            return transfer_triples(items, field=field)
+            return tuple(transfer_triples(items, field=field))
 
         @router.post("/pilgrim/predict_transfers/{platform}")
         def predict_post(request: Request, platform: str):
@@ -219,7 +219,7 @@ class Pilgrim:
             specs = body_transfers(request, "transfers", required=True)
             ongoing = body_transfers(request, "ongoing", required=False)
             model = requested_model(request.body_field("model", default=None))
-            return answer_predict(platform, specs, ongoing, model)
+            return answer(ForecastQuery(platform, specs, ongoing, model))
 
         @router.post("/pilgrim/what_if/{platform}")
         def what_if(request: Request, platform: str):
@@ -235,13 +235,13 @@ class Pilgrim:
             if not isinstance(raw_events, list):
                 raise BadRequest("'events' must be a JSON array")
             try:
-                events = events_from_json(raw_events)
+                events = tuple(events_from_json(raw_events))
             except (KeyError, TypeError, ValueError) as exc:
                 raise BadRequest(f"bad what-if event: {exc}") from None
-            result = self.forecast.predict_what_if(
-                platform, specs, events, model=model, ongoing=ongoing,
-                horizon=horizon)
-            return result.to_json()
+            forecasts, applied = self.forecast.answer(ForecastQuery(
+                platform, specs, ongoing, model, events=events,
+                horizon=horizon))
+            return WhatIfResult(tuple(forecasts), applied, horizon).to_json()
 
         @router.get("/pilgrim/stats")
         def serving_stats(request: Request):

@@ -28,10 +28,14 @@ capacity factors used by both the bounds and the simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.forecast import NetworkForecastService, TransferSpec
+from repro.core.forecast import (
+    ForecastQuery,
+    NetworkForecastService,
+    TransferSpec,
+)
 from repro.core.rest.errors import BadRequest
 from repro.simgrid.platform import Platform
 
@@ -178,11 +182,13 @@ class TransferPlanner:
     ) -> PlannerResult:
         """Simulate (surviving) hypotheses; best = smallest makespan.
 
-        ``model`` and ``capacity_factors`` are threaded into every
-        ``predict_transfers`` call *and* into the pruning bounds, so
-        simulation and bounds always agree on the platform state they
-        score.  ``horizon=k`` ranks under the projected platform state k
-        steps ahead: the forecast service's per-link horizon projections
+        Each hypothesis is one :class:`~repro.core.forecast.ForecastQuery`
+        carrying ``model`` and ``capacity_factors``; the bounds read the
+        same two values, so simulation and bounds always agree on the
+        platform state they score.  Every query's hosts are checked before
+        any bound is computed: an unknown host is a :class:`NotFound`
+        naming it.  ``horizon=k`` ranks under the projected platform state
+        k steps ahead: the forecast service's per-link horizon projections
         become capacity factors (combined with any explicit
         ``capacity_factors`` by multiplication).
         """
@@ -196,6 +202,12 @@ class TransferPlanner:
             capacity_factors = self.forecast.horizon_capacity_factors(
                 self.platform_name, horizon, combine=capacity_factors,
             )
+        queries = [ForecastQuery.of(self.platform_name, h.transfers,
+                                    model=model,
+                                    capacity_factors=capacity_factors)
+                   for h in hypotheses]
+        for query in queries:  # hosts first: a 404, not a bound
+            platform = self.forecast.platform_for(query)
         survivors = (
             self.prune(hypotheses, model=model,
                        capacity_factors=capacity_factors)
@@ -203,17 +215,13 @@ class TransferPlanner:
         )
         surviving_names = {h.name for h in survivors}
         scores: list[HypothesisScore] = []
-        for hyp in hypotheses:
+        for hyp, query in zip(hypotheses, queries):
             if hyp.name in surviving_names:
-                forecasts = self.forecast.predict_transfers(
-                    self.platform_name, hyp.transfers, model=model,
-                    capacity_factors=capacity_factors,
-                )
+                forecasts, _ = self.forecast.answer(query)
                 durations = tuple(f.duration for f in forecasts)
                 scores.append(HypothesisScore(hyp.name, max(durations),
                                               durations, simulated=True))
             else:
-                platform = self.forecast.platform(self.platform_name)
                 lower, _ = self._static_bounds(
                     platform, hyp, model=model,
                     capacity_factors=capacity_factors)

@@ -8,11 +8,10 @@
   through the scenario dynamics machinery against a live platform, with
   snapshot/restore sandboxing.
 
-The forecast service composes both:
-:meth:`repro.core.forecast.NetworkForecastService.predict_transfers_at`
-(forecasts under the projected platform state k steps ahead) and
-:meth:`~repro.core.forecast.NetworkForecastService.predict_what_if`
-(forecasts under a hypothetical event schedule), both answering with
+The forecast service composes both in its one answer path,
+:meth:`repro.core.forecast.NetworkForecastService.answer`: a query's
+``horizon`` runs under the projected platform state k steps ahead, its
+``events`` under a hypothetical schedule, both answering with
 interval-annotated :class:`~repro.core.forecast.TransferForecast` 4-uples.
 See ``docs/PLANNING.md``.
 """

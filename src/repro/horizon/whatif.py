@@ -14,14 +14,14 @@ sandboxed: link states touched by the schedule are snapshotted up front and
 restored afterwards (only values that actually changed are written back, so
 an untouched run does not bump the epoch).  The transient bumps during the
 run invalidate epoch-keyed caches by design — that is the consistency
-mechanism the whole stack trusts; callers that answer concurrent point
-queries serialize what-if runs behind a lock (see
-:meth:`repro.core.forecast.NetworkForecastService.predict_what_if`).
+mechanism the whole stack trusts.  :func:`simulate_forecast` is the one
+forecast simulation: :meth:`repro.core.forecast.NetworkForecastService.answer`
+runs every query through it, what-ifs behind the service's lock.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Optional, Sequence
 
 from repro.scenarios.dynamics import DynamicsLog, schedule_dynamics
@@ -51,6 +51,36 @@ def transient_link_states(platform, patterns: Iterable[str]):
                 link.latency = latency
 
 
+def simulate_forecast(
+    platform,
+    model,
+    transfers: Sequence[tuple[str, str, float]],
+    events: Sequence[LinkEvent] = (),
+    ongoing: Sequence[tuple[str, str, float]] = (),
+    capacity_factors: Optional[dict[str, float]] = None,
+    full_resolve: bool = False,
+) -> tuple[list, DynamicsLog]:
+    """One forecast simulation; returns (the transfers' comms, the log of
+    applied events).
+
+    The call order matches :func:`repro.scenarios.runner.run_scenario` —
+    dynamics scheduled first (at clock 0), then ongoing background comms,
+    then the forecast transfers — so an equivalent hand-built scenario run
+    produces bit-identical completion times.  With ``events`` the run is
+    sandboxed: the platform's touched link states are restored before
+    returning.
+    """
+    sandbox = (transient_link_states(platform, [e.link for e in events])
+               if events else nullcontext())
+    with sandbox:
+        sim = Simulation(platform, model, capacity_factors=capacity_factors,
+                         full_resolve=full_resolve)
+        log = schedule_dynamics(sim, events) if events else DynamicsLog()
+        for idx, (src, dst, size) in enumerate(ongoing):
+            sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}#{idx}")
+        return sim.simulate_transfers(transfers), log
+
+
 def run_what_if(
     platform,
     model,
@@ -60,22 +90,11 @@ def run_what_if(
     capacity_factors: Optional[dict[str, float]] = None,
     full_resolve: bool = False,
 ) -> tuple[list[dict], DynamicsLog]:
-    """One what-if simulation; returns (transfer records, applied events).
-
-    The call order matches :func:`repro.scenarios.runner.run_scenario` —
-    dynamics scheduled first (at clock 0), then ongoing background comms,
-    then the forecast transfers — so an equivalent hand-built scenario run
-    produces bit-identical completion times.  The platform's touched link
-    states are restored before returning.  Each record has keys ``src``,
-    ``dst``, ``size``, ``start``, ``finish``, ``duration``.
-    """
-    with transient_link_states(platform, (e.link for e in events)):
-        sim = Simulation(platform, model, capacity_factors=capacity_factors,
-                         full_resolve=full_resolve)
-        log = schedule_dynamics(sim, events)
-        for idx, (src, dst, size) in enumerate(ongoing):
-            sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}#{idx}")
-        comms = sim.simulate_transfers(list(transfers))
+    """:func:`simulate_forecast` as (transfer records, applied events);
+    each record has keys ``src``, ``dst``, ``size``, ``start``, ``finish``,
+    ``duration``."""
+    comms, log = simulate_forecast(platform, model, transfers, events,
+                                   ongoing, capacity_factors, full_resolve)
     records = [
         {"src": src, "dst": dst, "size": size, "start": comm.start_time,
          "finish": comm.finish_time, "duration": comm.duration}

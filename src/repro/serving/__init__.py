@@ -6,11 +6,7 @@ The production request path in front of
 """
 
 from repro.serving.batcher import PendingRequest, RequestCoalescer
-from repro.serving.cache import (
-    ForecastCache,
-    canonical_transfers,
-    forecast_cache_key,
-)
+from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.serving.pool import WarmWorkerPool
 from repro.serving.service import ForecastServingService, LatencyCounter
 
@@ -21,6 +17,5 @@ __all__ = [
     "PendingRequest",
     "RequestCoalescer",
     "WarmWorkerPool",
-    "canonical_transfers",
     "forecast_cache_key",
 ]

@@ -24,8 +24,9 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
+from repro.core.forecast import ForecastQuery
 from repro.simgrid.models import model_key_of
 
 
@@ -45,19 +46,15 @@ def batch_size_bucket(size: int) -> str:
 
 @dataclass
 class PendingRequest:
-    """One queued forecast request plus its completion future."""
+    """One queued forecast query plus its completion future."""
 
-    platform_name: str
-    transfers: Sequence
-    model: object
-    #: in-flight transfers sharing bandwidth (not part of the answer)
-    ongoing: Sequence = ()
+    query: ForecastQuery
     future: Future = field(default_factory=Future)
 
     def group_key(self) -> tuple:
-        """Requests sharing this key can ride one ``predict_transfers_many``
-        fan-out (same platform and model parameters)."""
-        return (self.platform_name, model_key_of(self.model))
+        """Requests sharing this key ride one fan-out (same platform and
+        model parameters)."""
+        return (self.query.platform, model_key_of(self.query.model))
 
 
 class RequestCoalescer:
@@ -126,15 +123,9 @@ class RequestCoalescer:
 
     # -- submission --------------------------------------------------------------
 
-    def submit(
-        self,
-        platform_name: str,
-        transfers: Sequence,
-        model: object,
-        ongoing: Sequence = (),
-    ) -> Future:
-        """Queue one request; returns the future carrying its forecasts."""
-        pending = PendingRequest(platform_name, transfers, model, ongoing)
+    def submit(self, query: ForecastQuery) -> Future:
+        """Queue one query; returns the future carrying its forecasts."""
+        pending = PendingRequest(query)
         # enqueue under the same lock stop() holds across sentinel+join, so
         # a request can never land behind the sentinel of an exiting drain
         # thread (which would leave its future unresolved forever) — it

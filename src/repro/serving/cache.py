@@ -5,9 +5,10 @@ a forecast::
 
     (platform name, link-mutation epoch, model id, transfers, ongoing)
 
-where ``transfers``/``ongoing`` are canonicalized tuples of
-``(src, dst, size-in-bytes)`` — unit strings and :class:`TransferSpec`
-objects normalize to the same key — and the epoch is the global
+where ``transfers``/``ongoing`` are the ``(src, dst, size-in-bytes)``
+triples of the one decode (:func:`repro.core.forecast.transfer_triples`) —
+unit strings and :class:`TransferSpec` objects normalize to the same key —
+and the epoch is the global
 :func:`repro.simgrid.platform.link_epoch` captured at lookup time.
 
 Invalidation is *implicit*: any in-place link recalibration (the latency
@@ -31,26 +32,7 @@ import threading
 from typing import Iterable, Optional, Sequence
 
 from repro._util.lru import _MISS, BoundedLRU
-from repro.core.forecast import (
-    TransferForecast,
-    TransferSpec,
-    transfer_triples,
-)
-from repro.simgrid.models import model_key_of
-from repro.simgrid.platform import link_epoch
-
-
-def canonical_transfers(
-    transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
-) -> tuple[tuple[str, str, float], ...]:
-    """Normalize a transfer list to hashable ``(src, dst, bytes)`` tuples.
-
-    Accepts :class:`TransferSpec` objects or raw tuples (sizes may be unit
-    strings); every form of the same request maps to the same key, through
-    the one decode (:func:`repro.core.forecast.transfer_triples`), which
-    also validates.  Idempotent: canonical tuples come back as themselves.
-    """
-    return tuple(transfer_triples(transfers))
+from repro.core.forecast import ForecastQuery, TransferForecast, TransferSpec
 
 
 def forecast_cache_key(
@@ -60,20 +42,16 @@ def forecast_cache_key(
     ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
     epoch: Optional[int] = None,
 ) -> tuple:
-    """The cache key for one forecast request.
+    """The cache key for one forecast request: its point query's
+    :meth:`~repro.core.forecast.ForecastQuery.key`.
 
     ``model`` is identified by :func:`repro.simgrid.models.model_key_of` —
     sharing models are frozen dataclasses whose ``model_key()`` pins every
     parameter (factors, gamma, window tuning), so two models with the same
     key are interchangeable for forecasting.
     """
-    return (
-        platform_name,
-        link_epoch() if epoch is None else epoch,
-        model_key_of(model),
-        canonical_transfers(transfers),
-        canonical_transfers(ongoing),
-    )
+    return ForecastQuery.of(platform_name, transfers, ongoing,
+                            model=model).key(epoch)
 
 
 class ForecastCache(BoundedLRU):
@@ -104,7 +82,7 @@ class ForecastCache(BoundedLRU):
         """False for a key of a retired epoch (nothing is stored for it).
         The first key of a newer epoch retires the current one and drops its
         entries: the link epoch only grows, so they are never asked for."""
-        epoch = key[1]  # see forecast_cache_key
+        epoch = key[1]  # see ForecastQuery.key
         if epoch > self._epoch:
             self._epoch = epoch
             super().clear()

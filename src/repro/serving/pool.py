@@ -1,13 +1,12 @@
-"""Warm worker pool: long-lived forecast processes.
+"""Warm worker pool: long-lived forecast processes, the one process fan-out.
 
-``NetworkForecastService.predict_transfers_many(workers=N)`` historically
-spun up a throwaway :class:`~concurrent.futures.ProcessPoolExecutor` per
-call, so every batch paid process start-up *and* a platform rebuild in each
-worker.  :class:`WarmWorkerPool` keeps those processes alive across
-requests: each worker builds its service once (in the pool initializer, so
-the first request is already warm), and with it keeps the incremental
-``SharingSystem`` arena allocations, the platform's route LRU and the
-per-route model memos hot.
+Each task is a :class:`~repro.core.forecast.ForecastQuery`, answered by a
+worker's resident service (``NetworkForecastService.answer``).  Each worker
+builds its service once (in the pool initializer, so the first request is
+already warm), and with it keeps the incremental ``SharingSystem`` arena
+allocations, the platform's route LRU and the per-route model memos hot
+across requests.  ``predict_transfers_many(workers=N)`` runs through a
+throwaway pool of its own.
 
 Recycling bounds worker state: after ``max_requests`` forecasts the pool
 restarts its executor generation (fresh processes, fresh services), and
@@ -28,11 +27,10 @@ from typing import Callable, Optional, Sequence
 
 from repro._util.parallel import pool_chunk_size
 from repro.core.forecast import (
+    ForecastQuery,
     NetworkForecastService,
     TransferForecast,
-    TransferSpec,
 )
-from repro.serving.cache import canonical_transfers
 from repro.simgrid.platform import link_epoch
 
 #: Worker-process state: the resident service built by the pool initializer.
@@ -44,12 +42,9 @@ def _warm_worker_init(service_factory: Callable[[], NetworkForecastService]) -> 
     _WORKER_STATE["service"] = service_factory()
 
 
-def _warm_worker_task(payload: tuple) -> list[TransferForecast]:
-    """One forecast request against the worker's resident service."""
-    platform_name, transfers, model, ongoing = payload
-    service: NetworkForecastService = _WORKER_STATE["service"]
-    return service.predict_transfers(
-        platform_name, transfers, model=model, ongoing=ongoing)
+def _warm_worker_task(query: ForecastQuery) -> list[TransferForecast]:
+    """One forecast query against the worker's resident service."""
+    return _WORKER_STATE["service"].answer(query)[0]
 
 
 class WarmWorkerPool:
@@ -151,33 +146,19 @@ class WarmWorkerPool:
 
     # -- the service -------------------------------------------------------------
 
-    def predict_many(
-        self,
-        platform_name: str,
-        requests: Sequence[Sequence[TransferSpec] | Sequence[tuple[str, str, float]]],
-        model: Optional[object] = None,
-        ongoing: Optional[Sequence[Sequence]] = None,
+    def answer_many(
+        self, queries: Sequence[ForecastQuery],
     ) -> list[list[TransferForecast]]:
-        """Fan one batch of independent requests out over the warm workers.
+        """Fan one batch of independent point queries out over the warm
+        workers.
 
-        ``ongoing`` optionally gives each request its own in-flight transfer
-        list (parallel to ``requests``).  Chunking mirrors the campaign
-        executor and answers come back in request order, so results are
-        bit-identical to serial ``predict_transfers`` calls — every request
-        is its own simulation.
+        Chunking mirrors the campaign executor and answers come back in
+        query order, so results are bit-identical to serial ``answer``
+        calls — every query is its own simulation.  A query should name
+        its model: a worker's rebuilt service may default differently.
         """
-        requests = list(requests)
-        flights = list(ongoing) if ongoing is not None else [()] * len(requests)
-        if len(flights) != len(requests):
-            raise ValueError(
-                f"ongoing must parallel requests: {len(flights)} != {len(requests)}"
-            )
-        payloads = [
-            (platform_name, canonical_transfers(transfers), model,
-             canonical_transfers(flight))
-            for transfers, flight in zip(requests, flights)
-        ]
-        if not payloads:
+        queries = list(queries)
+        if not queries:
             return []
         # one batch at a time: batches are the unit of fan-out, and holding
         # the lock keeps a concurrent recycle() from shutting the executor
@@ -189,16 +170,16 @@ class WarmWorkerPool:
                     and self._generation_requests >= self.max_requests):
                 self.recycle()
             self.batches += 1
-            self.requests += len(payloads)
-            self._generation_requests += len(payloads)
-            chunk = pool_chunk_size(len(payloads), self.workers)
+            self.requests += len(queries)
+            self._generation_requests += len(queries)
+            chunk = pool_chunk_size(len(queries), self.workers)
             return list(self._executor.map(
-                _warm_worker_task, payloads, chunksize=chunk))
+                _warm_worker_task, queries, chunksize=chunk))
 
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict:
-        # deliberately lock-free: predict_many holds the lock for a whole
+        # deliberately lock-free: answer_many holds the lock for a whole
         # batch, and a monitoring read (/pilgrim/stats) must not stall
         # behind an in-flight fan-out.  Counter reads are individually
         # atomic under the GIL; the snapshot may straddle a batch boundary.

@@ -16,9 +16,13 @@ production request path:
    on the resident service (``workers == 0`` — the right default on small
    hosts: the in-process arena and route LRU stay hot with zero IPC).
 
-Every path below the surrogate yields bit-identical answers to a direct
-``service.predict_transfers`` call: caching stores exact results, batching
-only groups transport, and pool workers run the same simulation code.
+Every tier takes the request as one :class:`~repro.core.forecast.
+ForecastQuery`: the surrogate reads it, the cache and the coalescer's
+single-flight key on :meth:`~repro.core.forecast.ForecastQuery.key`, and the
+pool ships it to a worker.  Every path below the surrogate yields
+bit-identical answers to a direct ``service.answer(query)`` call: caching
+stores exact results, batching only groups transport, and pool workers run
+the same simulation code.
 Surrogate answers are approximate by design and are **never** written to
 the forecast cache — a fallback or a disabled tier always reaches the
 exact path untainted.
@@ -31,13 +35,15 @@ import time
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.forecast import (
+    ForecastQuery,
     NetworkForecastService,
     TransferForecast,
     TransferSpec,
 )
 from repro.serving.batcher import PendingRequest, RequestCoalescer
-from repro.serving.cache import ForecastCache, canonical_transfers, forecast_cache_key
+from repro.serving.cache import ForecastCache
 from repro.serving.pool import WarmWorkerPool
+from repro.simgrid.platform import link_epoch
 
 
 class LatencyCounter:
@@ -71,10 +77,12 @@ class ForecastServingService:
 
     ``workers > 0`` requires a picklable ``service_factory`` rebuilding an
     equivalent service inside each pool worker (same contract as
-    ``predict_transfers_many``).  ``cache_size=0`` disables the cache
-    without changing any observable answer.  ``surrogate`` (a
-    :class:`~repro.surrogate.tier.SurrogateTier`) is consulted first when
-    given; its fallbacks reach the exact path unchanged.
+    ``predict_transfers_many``).  :meth:`answer` takes point queries only:
+    a horizon, what-if or derated query is answered by the service itself.
+    ``cache_size=0`` disables the cache without changing any observable
+    answer.  ``surrogate`` (a :class:`~repro.surrogate.tier.SurrogateTier`)
+    is consulted first when given; its fallbacks reach the exact path
+    unchanged.
     """
 
     def __init__(
@@ -135,32 +143,34 @@ class ForecastServingService:
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         timeout: Optional[float] = None,
     ) -> list[TransferForecast]:
-        """One PNFS answer through the serving path (cache → batch → pool).
+        """One PNFS answer through the serving path: :meth:`answer` of the
+        point query these arguments spell."""
+        return self.answer(ForecastQuery.of(
+            platform_name, transfers, ongoing,
+            model=model if model is not None else self.service.model),
+            timeout=timeout)
+
+    def answer(self, query: ForecastQuery,
+               timeout: Optional[float] = None) -> list[TransferForecast]:
+        """One point query naming its model through the serving path
+        (surrogate → cache → batch → pool).
 
         Blocks until the forecast is available; ``timeout`` bounds the wait
-        (seconds).  Raises exactly what ``predict_transfers`` would for bad
-        requests — errors travel back through the request future.
+        (seconds).  Raises exactly what ``service.answer`` would for bad
+        queries — errors travel back through the request future.
         """
         t0 = time.perf_counter()
-        request_model = model if model is not None else self.service.model
-        specs = canonical_transfers(transfers)
-        ongoing_specs = canonical_transfers(ongoing)
         if self.surrogate is not None:
-            answered = self.surrogate.try_answer(
-                self.service, platform_name, request_model, specs,
-                ongoing_specs)
+            answered = self.surrogate.try_answer(self.service, query)
             if answered is not None:
                 self.latency.record(time.perf_counter() - t0)
                 return answered
-        key = forecast_cache_key(
-            platform_name, request_model, specs, ongoing_specs)
+        key = query.key()
         cached = self.cache.get(key)
         if cached is not None:
             self.latency.record(time.perf_counter() - t0)
             return cached
-        future = self.batcher.submit(
-            platform_name, specs, request_model, ongoing=ongoing_specs)
-        forecasts = future.result(timeout=timeout)
+        forecasts = self.batcher.submit(query).result(timeout=timeout)
         self.cache.put(key, forecasts)
         self.latency.record(time.perf_counter() - t0)
         return forecasts
@@ -171,54 +181,40 @@ class ForecastServingService:
         """Run one coalesced batch and resolve every request future.
 
         Requests are grouped by (platform, model); each group is one
-        campaign-style fan-out.  Within a group, *identical* requests are
-        single-flighted — the motivating burst (N clients issuing the same
-        probe before any answer lands in the cache) simulates once and
-        resolves all N futures.  Answers are per request either way, so
-        nothing depends on what else rode the batch.
+        campaign-style fan-out.  Within a group, *identical* queries (one
+        :meth:`~repro.core.forecast.ForecastQuery.key`) are single-flighted
+        — the motivating burst (N clients issuing the same probe before any
+        answer lands in the cache) simulates once and resolves all N
+        futures.  Answers are per request either way, so nothing depends on
+        what else rode the batch.
         """
-        groups: dict[tuple, list[PendingRequest]] = {}
+        epoch = link_epoch()
+        groups: dict[tuple, dict[tuple, list[PendingRequest]]] = {}
         for pending in batch:
-            groups.setdefault(pending.group_key(), []).append(pending)
-        for group in groups.values():
-            first = group[0]
-            flights: dict[tuple, list[PendingRequest]] = {}
-            for pending in group:
-                key = (tuple(pending.transfers), tuple(pending.ongoing))
-                flights.setdefault(key, []).append(pending)
-            keys = list(flights)
+            flights = groups.setdefault(pending.group_key(), {})
+            flights.setdefault(pending.query.key(epoch), []).append(pending)
+        for flights in groups.values():
+            waiters = list(flights.values())
             try:
                 results = self._execute_group(
-                    first.platform_name,
-                    [list(transfers) for transfers, _ in keys],
-                    [list(ongoing) for _, ongoing in keys],
-                    first.model,
-                )
+                    [flight[0].query for flight in waiters])
             except BaseException as exc:  # noqa: BLE001 - per-group isolation
-                for pending in group:
-                    pending.future.set_exception(exc)
+                for flight in waiters:
+                    for pending in flight:
+                        pending.future.set_exception(exc)
                 continue
-            for key, forecasts in zip(keys, results):
-                for pending in flights[key]:
+            for flight, forecasts in zip(waiters, results):
+                for pending in flight:
                     # each waiter gets its own list: answers are shared
                     # values, not shared containers
                     pending.future.set_result(list(forecasts))
 
     def _execute_group(
-        self,
-        platform_name: str,
-        requests: list,
-        ongoing: list,
-        model: object,
+        self, queries: list[ForecastQuery],
     ) -> list[list[TransferForecast]]:
         if self.pool is not None:
-            return self.pool.predict_many(
-                platform_name, requests, model=model, ongoing=ongoing)
-        return [
-            self.service.predict_transfers(
-                platform_name, transfers, model=model, ongoing=flight)
-            for transfers, flight in zip(requests, ongoing)
-        ]
+            return self.pool.answer_many(queries)
+        return [self.service.answer(query)[0] for query in queries]
 
     # -- introspection -----------------------------------------------------------
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.core.forecast import TransferForecast
+from repro.core.forecast import ForecastQuery, TransferForecast
 from repro.simgrid.models import model_by_name, model_key_of
 from repro.simgrid.platform import link_epoch
 from repro.surrogate.features import featurize_request
@@ -81,34 +81,28 @@ class SurrogateTier:
 
     # -- the answer path ---------------------------------------------------
 
-    def try_answer(
-        self,
-        service,
-        platform_name: str,
-        request_model: object,
-        transfers: Sequence[tuple[str, str, float]],
-        ongoing: Sequence[tuple[str, str, float]] = (),
-    ) -> Optional[list[TransferForecast]]:
+    def try_answer(self, service,
+                   query: ForecastQuery) -> Optional[list[TransferForecast]]:
         """A forecast list if the tier is confident, else ``None``.
 
-        ``transfers``/``ongoing`` are canonical ``(src, dst, size)``
-        tuples (the :func:`~repro.serving.cache.canonical_transfers`
-        form).  ``None`` means *fall through to simulation*; the caller
-        proceeds exactly as if no tier existed.
+        ``query`` is a point query naming its model.  ``None`` means *fall
+        through to simulation*; the caller proceeds exactly as if no tier
+        existed.
         """
         if not self.model.fitted:
             return self._fallback("unfitted")
-        if model_key_of(request_model) != self._expected_key:
+        if model_key_of(query.model) != self._expected_key:
             return self._fallback("model_mismatch")
         if self.require_fresh_epoch and link_epoch() != self._trained_epoch:
             return self._fallback("stale_epoch")
-        if not transfers:
+        if not query.transfers:
             return self._fallback("error")
         try:
-            platform = service.platform(platform_name)
-            cache = self._route_caches.setdefault(platform_name, {})
-            features = featurize_request(
-                platform, request_model, transfers, ongoing, cache=cache)
+            platform = service.platform(query.platform)
+            cache = self._route_caches.setdefault(query.platform, {})
+            features = featurize_request(platform, query.model,
+                                         query.transfers, query.ongoing,
+                                         cache=cache)
             estimates, uncertainty = self.model.predict(features)
         except BaseException:  # noqa: BLE001 - fall through, never fail
             return self._fallback("error")
@@ -121,7 +115,7 @@ class SurrogateTier:
         return [
             TransferForecast(src=src, dst=dst, size=size,
                              duration=float(estimates[i]))
-            for i, (src, dst, size) in enumerate(transfers)
+            for i, (src, dst, size) in enumerate(query.transfers)
         ]
 
     def _fallback(self, reason: str,

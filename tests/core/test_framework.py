@@ -113,6 +113,13 @@ class TestHttpEndpoints:
         assert result["best"] == "direct"
         assert result["scores"]["direct"]["simulated"]
 
+    def test_select_fastest_unknown_host_is_404(self, client):
+        with pytest.raises(NotFound, match="ghost-1"):
+            client.select_fastest("star", {
+                "direct": [("star-1", "star-2", 1e9)],
+                "ghostly": [("star-1", "ghost-1", 1e9)],
+            })
+
     def test_client_sends_sizes_exactly(self, pilgrim, client):
         # six significant digits would ask for 123457000 bytes
         transfers = [("star-1", "star-3", 123456789.0),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.forecast import NetworkForecastService, TransferSpec
 from repro.core.planner import Hypothesis, TransferPlanner
-from repro.core.rest.errors import BadRequest
+from repro.core.rest.errors import BadRequest, NotFound
 from repro.simgrid.builder import build_dumbbell, build_two_level_grid
 from repro.simgrid.models import CM02
 from repro.simgrid.tcpfluid import TcpFluidModel
@@ -230,3 +230,23 @@ class TestEffectiveBounds:
         projected = planner.select_fastest([self.DIRECT, self.LOCAL],
                                            horizon=3)
         assert projected.best == "local"
+
+
+class TestUnknownHost:
+    """A hypothesis naming a host the platform lacks is the caller's error:
+    a 404 naming the host, before any bound is computed."""
+
+    HYPOTHESES = [
+        Hypothesis("good", (TransferSpec("fast-1", "fast-2", 1e8),)),
+        Hypothesis("ghostly", (TransferSpec("fast-1", "ghost-9", 1e8),)),
+    ]
+
+    @pytest.mark.parametrize("model", [None, TcpFluidModel()],
+                             ids=["static", "time-varying"])
+    @pytest.mark.parametrize("use_pruning", [True, False],
+                             ids=["pruned", "unpruned"])
+    def test_unknown_host_is_not_found(self, model, use_pruning):
+        planner = make_planner()
+        with pytest.raises(NotFound, match="ghost-9"):
+            planner.select_fastest(self.HYPOTHESES, model=model,
+                                   use_pruning=use_pruning)

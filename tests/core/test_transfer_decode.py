@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import decode_reference as ref
 from repro.core.forecast import (
+    ForecastQuery,
     NetworkForecastService,
     TransferSpec,
     transfer_triples,
 )
-from repro.serving.cache import canonical_transfers, forecast_cache_key
+from repro.serving.cache import forecast_cache_key
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.models import LV08
 
@@ -113,10 +114,14 @@ def test_specs_and_tuples(items):
 @settings(max_examples=200, deadline=None)
 @given(PYTHON_ITEMS, PYTHON_ITEMS)
 def test_host_checks_follow_every_item_check(transfers, ongoing):
-    platform = SERVICE.platform(PLATFORM)
-    new = outcome(lambda: SERVICE._validated(PLATFORM, transfers, ongoing)[1:])
-    old = outcome(ref.validated_triples, platform, PLATFORM, transfers, ongoing)
-    assert new == old
+    def validated():
+        query = ForecastQuery.of(PLATFORM, transfers, ongoing)
+        SERVICE.platform_for(query)
+        return list(query.transfers), list(query.ongoing)
+
+    old = outcome(ref.validated_triples, SERVICE.platform(PLATFORM), PLATFORM,
+                  transfers, ongoing)
+    assert outcome(validated) == old
 
 
 VALID = st.lists(
@@ -140,7 +145,7 @@ def test_every_spelling_has_one_cache_key(parts):
     keys = {forecast_cache_key(PLATFORM, LV08(), spelling, epoch=0)
             for spelling in spellings}
     assert len(keys) == 1
-    assert canonical_transfers(parts) == ref.canonical_transfers(parts)
+    assert tuple(transfer_triples(parts)) == ref.canonical_transfers(parts)
 
 
 @pytest.mark.parametrize("size", TEXTS + NUMBERS + OTHERS,

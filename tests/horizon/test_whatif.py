@@ -251,12 +251,6 @@ class TestHorizonIntegration:
         for f in result.forecasts:
             assert f.lower <= f.duration <= f.upper
 
-    def test_intervals_can_be_disabled(self):
-        service = self.warm_service()
-        forecasts = service.predict_transfers_at("dumb", TRANSFERS, horizon=3,
-                                                 intervals=False)
-        assert all(f.lower is None and f.upper is None for f in forecasts)
-
     def test_planning_stats_counters(self):
         service = self.warm_service(n=4)
         service.predict_transfers_at("dumb", TRANSFERS, horizon=2)

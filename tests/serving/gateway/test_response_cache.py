@@ -31,7 +31,7 @@ from functools import partial
 
 import pytest
 
-from repro.core.forecast import NetworkForecastService, TransferSpec
+from repro.core.forecast import NetworkForecastService
 from repro.serving.factories import (
     STAR_PLATFORM,
     star_factory,
@@ -211,19 +211,16 @@ def test_link_write_between_identical_requests_changes_the_answer(gateway):
 
 def gated_star_service(started, release) -> NetworkForecastService:
     """Runs inside the shard process only: patches *that* process's service
-    class so a request carrying ``GATE_SIZE`` signals ``started`` and waits
+    class so a query carrying ``GATE_SIZE`` signals ``started`` and waits
     for ``release`` before it computes."""
-    for name in ("predict_transfers", "predict_what_if"):
-        def gated(self, platform_name, transfers, *args,
-                  _original=getattr(NetworkForecastService, name), **kwargs):
-            transfers = list(transfers)
-            if any((t.size if isinstance(t, TransferSpec) else t[2])
-                   == GATE_SIZE for t in transfers):
-                started.set()
-                assert release.wait(30.0), "test never released the gate"
-            return _original(self, platform_name, transfers, *args, **kwargs)
+    def gated(self, query, *args, _original=NetworkForecastService.answer,
+              **kwargs):
+        if any(size == GATE_SIZE for _src, _dst, size in query.transfers):
+            started.set()
+            assert release.wait(30.0), "test never released the gate"
+        return _original(self, query, *args, **kwargs)
 
-        setattr(NetworkForecastService, name, gated)
+    NetworkForecastService.answer = gated
     return star_forecast_service(N_HOSTS)
 
 

@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.forecast import ForecastQuery
 from repro.serving.batcher import PendingRequest, RequestCoalescer
 from repro.simgrid.models import LV08
+
+
+def query(platform, transfers, model=None) -> ForecastQuery:
+    return ForecastQuery(platform, tuple(transfers),
+                         model=model if model is not None else LV08())
 
 
 def echo_execute(batch):
     """Resolve every request with its own transfer list (identity)."""
     for pending in batch:
-        pending.future.set_result(list(pending.transfers))
+        pending.future.set_result(list(pending.query.transfers))
 
 
 class TestCoalescing:
     def test_single_request_passes_through(self):
         with RequestCoalescer(echo_execute, window=0.001) as batcher:
-            future = batcher.submit("p", [("a", "b", 1.0)], LV08())
+            future = batcher.submit(query("p", [("a", "b", 1.0)]))
             assert future.result(timeout=5) == [("a", "b", 1.0)]
         stats = batcher.stats()
         assert stats["batches"] == 1
@@ -37,7 +43,7 @@ class TestCoalescing:
         try:
             # the window is generous, so a quick burst lands in one drain
             futures = [
-                batcher.submit("p", [("a", f"b{i}", 1.0)], LV08())
+                batcher.submit(query("p", [("a", f"b{i}", 1.0)]))
                 for i in range(4)
             ]
             results = [f.result(timeout=5) for f in futures]
@@ -62,7 +68,7 @@ class TestCoalescing:
         batcher = RequestCoalescer(execute, window=0.25, max_batch=2)
         # queue before starting the drain thread so one burst is waiting
         futures = [
-            batcher.submit("p", [("a", f"b{i}", 1.0)], LV08())
+            batcher.submit(query("p", [("a", f"b{i}", 1.0)]))
             for i in range(5)
         ]
         [f.result(timeout=5) for f in futures]
@@ -71,11 +77,12 @@ class TestCoalescing:
 
     def test_group_key_splits_on_platform_and_model(self):
         lv08 = LV08()
-        base = PendingRequest("p", [], lv08)
-        assert base.group_key() == PendingRequest("p", [], LV08()).group_key()
-        assert base.group_key() != PendingRequest("q", [], lv08).group_key()
+        base = PendingRequest(query("p", [], lv08))
+        assert base.group_key() == PendingRequest(query("p", [])).group_key()
         assert base.group_key() != PendingRequest(
-            "p", [], lv08.with_gamma(4e6)).group_key()
+            query("q", [], lv08)).group_key()
+        assert base.group_key() != PendingRequest(
+            query("p", [], lv08.with_gamma(4e6))).group_key()
 
 
 class TestFailure:
@@ -84,7 +91,7 @@ class TestFailure:
             raise RuntimeError("pool died")
 
         with RequestCoalescer(explode, window=0.05) as batcher:
-            futures = [batcher.submit("p", [("a", "b", 1.0)], LV08())
+            futures = [batcher.submit(query("p", [("a", "b", 1.0)]))
                        for _ in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="pool died"):
@@ -93,12 +100,12 @@ class TestFailure:
     def test_stop_is_idempotent_and_restartable(self):
         batcher = RequestCoalescer(echo_execute, window=0.001)
         batcher.stop()  # never started: no-op
-        future = batcher.submit("p", [("a", "b", 1.0)], LV08())
+        future = batcher.submit(query("p", [("a", "b", 1.0)]))
         assert future.result(timeout=5) == [("a", "b", 1.0)]
         batcher.stop()
         batcher.stop()
         # submit() restarts the drain thread after a stop
-        future = batcher.submit("p", [("x", "y", 2.0)], LV08())
+        future = batcher.submit(query("p", [("x", "y", 2.0)]))
         assert future.result(timeout=5) == [("x", "y", 2.0)]
         batcher.stop()
 

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.forecast import TransferForecast, TransferSpec
-from repro.serving.cache import (
-    ForecastCache,
-    canonical_transfers,
-    forecast_cache_key,
-)
+from repro.core.forecast import TransferForecast, TransferSpec, transfer_triples
+from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.models import CM02, LV08
 from repro.simgrid.platform import link_epoch
 
@@ -18,20 +14,23 @@ def forecast(i: int) -> TransferForecast:
     return TransferForecast(src=f"h{i}", dst=f"h{i+1}", size=1e6, duration=float(i))
 
 
+def key_of(transfers) -> tuple:
+    return forecast_cache_key("p", LV08(), transfers, epoch=0)
+
+
 class TestCanonicalization:
     def test_specs_and_tuples_share_a_key(self):
         specs = [TransferSpec("a", "b", 5e8)]
         tuples = [("a", "b", 5e8)]
-        assert canonical_transfers(specs) == canonical_transfers(tuples)
+        assert key_of(specs) == key_of(tuples)
 
     def test_unit_strings_normalize(self):
-        assert canonical_transfers([("a", "b", "500MB")]) == \
-            canonical_transfers([("a", "b", 5e8)])
+        assert key_of([("a", "b", "500MB")]) == key_of([("a", "b", 5e8)])
 
     def test_canonicalization_is_idempotent(self):
-        canon = canonical_transfers([("a", "b", "500MB"),
-                                     TransferSpec("c", "d", 1e6)])
-        again = canonical_transfers(canon)
+        canon = transfer_triples([("a", "b", "500MB"),
+                                  TransferSpec("c", "d", 1e6)])
+        again = transfer_triples(canon)
         assert again == canon
         # canonical triples come back as themselves, not rebuilt
         assert all(a is b for a, b in zip(again, canon))
@@ -39,11 +38,11 @@ class TestCanonicalization:
     def test_canonicalization_validates(self):
         # an already-canonical spelling is still checked by the one decode
         with pytest.raises(ValueError, match="must be finite"):
-            canonical_transfers((("a", "b", float("nan")),))
+            key_of((("a", "b", float("nan")),))
 
     def test_order_is_significant(self):
-        one = canonical_transfers([("a", "b", 1e6), ("c", "d", 1e6)])
-        two = canonical_transfers([("c", "d", 1e6), ("a", "b", 1e6)])
+        one = key_of([("a", "b", 1e6), ("c", "d", 1e6)])
+        two = key_of([("c", "d", 1e6), ("a", "b", 1e6)])
         assert one != two
 
     def test_model_parameters_pin_the_key(self):

@@ -10,6 +10,7 @@ entry.  A collision here would serve one model's forecast as another's.
 
 import pytest
 
+from repro.core.forecast import ForecastQuery
 from repro.serving.batcher import PendingRequest
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.models import CM02, LV08, NetworkModel, model_key_of
@@ -73,13 +74,16 @@ class TestForecastCacheIsolation:
 
 class TestCoalescerGroupIsolation:
     def test_distinct_variants_get_distinct_groups(self):
-        groups = {PendingRequest("p", TRANSFERS, m).group_key()
-                  for m in VARIANTS}
+        groups = {PendingRequest(ForecastQuery("p", TRANSFERS, model=m))
+                  .group_key() for m in VARIANTS}
         assert len(groups) == len(VARIANTS)
 
     def test_equal_models_coalesce(self):
-        assert (PendingRequest("p", TRANSFERS, TcpFluidModel()).group_key()
-                == PendingRequest("p", TRANSFERS, TcpFluidModel()).group_key())
+        def group(model):
+            return PendingRequest(
+                ForecastQuery("p", TRANSFERS, model=model)).group_key()
+
+        assert group(TcpFluidModel()) == group(TcpFluidModel())
 
 
 class TestSurrogateTierIsolation:
@@ -99,9 +103,11 @@ class TestSurrogateTierIsolation:
 
         # a mismatched request model must fall through, same-key must not
         # be rejected for the model-mismatch reason
-        assert tier.try_answer(None, "p", TcpFluidModel(), ()) is None
+        assert tier.try_answer(
+            None, ForecastQuery("p", (), model=TcpFluidModel())) is None
         assert tier.stats()["fallbacks"]["model_mismatch"] == 1
-        assert tier.try_answer(None, "p", LV08(), ()) is None
+        assert tier.try_answer(
+            None, ForecastQuery("p", (), model=LV08())) is None
         assert tier.stats()["fallbacks"]["model_mismatch"] == 1
 
     def test_expected_key_matches_registry(self):

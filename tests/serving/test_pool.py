@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
+from repro.core.forecast import ForecastQuery
 from repro.serving.factories import (
     STAR_PLATFORM,
     star_factory,
@@ -32,50 +31,56 @@ def requests(star_service):
 
 
 @pytest.fixture(scope="module")
+def queries(star_service, requests):
+    return [ForecastQuery.of(STAR_PLATFORM, r, model=star_service.model)
+            for r in requests]
+
+
+@pytest.fixture(scope="module")
 def serial(star_service, requests):
     return [star_service.predict_transfers(STAR_PLATFORM, r) for r in requests]
 
 
 class TestWarmPool:
-    def test_results_match_serial_bitwise(self, requests, serial):
+    def test_results_match_serial_bitwise(self, queries, serial):
         with WarmWorkerPool(star_factory(N_HOSTS), workers=2) as pool:
-            answers = pool.predict_many(STAR_PLATFORM, requests)
+            answers = pool.answer_many(queries)
         assert answers == serial
 
-    def test_pool_stays_warm_across_batches(self, requests, serial):
+    def test_pool_stays_warm_across_batches(self, queries, serial):
         with WarmWorkerPool(star_factory(N_HOSTS), workers=2) as pool:
-            first = pool.predict_many(STAR_PLATFORM, requests)
-            second = pool.predict_many(STAR_PLATFORM, requests)
+            first = pool.answer_many(queries)
+            second = pool.answer_many(queries)
             stats = pool.stats()
         assert first == serial
         assert second == serial
         assert stats["batches"] == 2
-        assert stats["requests"] == 2 * len(requests)
+        assert stats["requests"] == 2 * len(queries)
         assert stats["recycles"] == 0
         assert stats["generations"] == 1  # warm: both batches, one fork
 
-    def test_recycles_after_max_requests(self, requests, serial):
+    def test_recycles_after_max_requests(self, queries, serial):
         with WarmWorkerPool(star_factory(N_HOSTS), workers=2,
                             max_requests=2) as pool:
             for _ in range(3):
-                assert pool.predict_many(STAR_PLATFORM, requests) == serial
+                assert pool.answer_many(queries) == serial
             stats = pool.stats()
         assert stats["recycles"] >= 1
         # every recycle started a fresh executor generation
         assert stats["generations"] == stats["recycles"] + 1
         # recycling must never change answers (fresh workers, same factory)
 
-    def test_recycles_on_link_epoch_change(self, requests, star4):
+    def test_recycles_on_link_epoch_change(self, queries, star4):
         with WarmWorkerPool(star_factory(N_HOSTS), workers=2) as pool:
-            pool.predict_many(STAR_PLATFORM, requests[:1])
+            pool.answer_many(queries[:1])
             link = next(iter(star4.links()))
             link.bandwidth = link.bandwidth * 0.9  # bump the global epoch
-            pool.predict_many(STAR_PLATFORM, requests[:1])
+            pool.answer_many(queries[:1])
             assert pool.stats()["recycles"] == 1
 
     def test_empty_batch(self):
         pool = WarmWorkerPool(star_factory(N_HOSTS), workers=2)
-        assert pool.predict_many(STAR_PLATFORM, []) == []
+        assert pool.answer_many([]) == []
         assert not pool.started  # no workers spawned for nothing
         pool.stop()
 
@@ -84,11 +89,6 @@ class TestWarmPool:
             WarmWorkerPool(star_factory(N_HOSTS), workers=0)
         with pytest.raises(ValueError):
             WarmWorkerPool(star_factory(N_HOSTS), workers=1, max_requests=0)
-        pool = WarmWorkerPool(star_factory(N_HOSTS), workers=1)
-        with pytest.raises(ValueError):
-            pool.predict_many(STAR_PLATFORM, [[("a", "b", 1.0)]],
-                              ongoing=[(), ()])
-        pool.stop()
 
 
 class TestExecutorInjection:
@@ -103,25 +103,6 @@ class TestExecutorInjection:
         assert answers == serial
         assert again == serial
         assert stats["batches"] == 2  # one pool served both calls
-
-    def test_plain_executor_is_reused_not_shut_down(
-            self, star_service, requests, serial):
-        factory = star_factory(N_HOSTS)
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            answers = star_service.predict_transfers_many(
-                STAR_PLATFORM, requests, service_factory=factory,
-                executor=executor)
-            again = star_service.predict_transfers_many(
-                STAR_PLATFORM, requests, service_factory=factory,
-                executor=executor)
-            assert answers == serial
-            assert again == serial
-
-    def test_plain_executor_still_needs_factory(self, star_service, requests):
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            with pytest.raises(ValueError, match="service_factory"):
-                star_service.predict_transfers_many(
-                    STAR_PLATFORM, requests, executor=executor)
 
     def test_no_pool_default_unchanged(self, star_service, requests, serial):
         # the historical contract: no executor, workers<=1 → serial inline

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.forecast import NetworkForecastService
+from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.metrology.loop import LinkUpdate
 from repro.scenarios.spec import TopologySpec
 from repro.scenarios.topologies import build_topology
@@ -93,14 +93,13 @@ class TestFlush:
         req = [("star-1", "star-2", 4e7), ("star-3", "star-4", 4e7)]
         link = platform.link("star-1-link")
         link.bandwidth = link.bandwidth * 0.4
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               tuple(req)) is None  # stale
+        query = ForecastQuery.of(PLATFORM, req, model=service.model)
+        assert tier.try_answer(service, query) is None  # stale
         retrainer = SurrogateRetrainer(tier, platform,
                                        samples_per_refresh=4, seed=3)
         retrainer.on_updates([update_for(link.name)])
         retrainer.flush()
-        answer = tier.try_answer(service, PLATFORM, service.model,
-                                 tuple(req))
+        answer = tier.try_answer(service, query)
         assert answer is not None
         truth = service.predict_transfers(PLATFORM, req)
         for got, expected in zip(answer, truth):

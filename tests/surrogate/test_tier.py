@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.forecast import NetworkForecastService
+from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.scenarios.spec import TopologySpec
 from repro.scenarios.topologies import build_topology
 from repro.serving.service import ForecastServingService
@@ -39,10 +39,15 @@ def request(n: int = 3, size: float = 4e7):
     return tuple((f"star-{i + 1}", f"star-{i + 2}", size) for i in range(n))
 
 
+def query(service, model=None, platform=PLATFORM) -> ForecastQuery:
+    return ForecastQuery(platform, request(),
+                         model=model if model is not None else service.model)
+
+
 class TestAnswerGates:
     def test_confident_request_is_answered(self, trained_model, service):
         tier = SurrogateTier(trained_model, bound=0.6)
-        answer = tier.try_answer(service, PLATFORM, service.model, request())
+        answer = tier.try_answer(service, query(service))
         assert answer is not None
         assert tier.stats()["hits"] == 1
         truth = service.predict_transfers(PLATFORM, list(request()))
@@ -54,27 +59,23 @@ class TestAnswerGates:
     def test_zero_bound_forces_uncertainty_fallback(self, trained_model,
                                                     service):
         tier = SurrogateTier(trained_model, bound=0.0)
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               request()) is None
+        assert tier.try_answer(service, query(service)) is None
         assert tier.stats()["fallbacks"]["uncertainty"] == 1
 
     def test_unfitted_model_falls_back(self, service):
         tier = SurrogateTier(SurrogateModel(), bound=0.5)
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               request()) is None
+        assert tier.try_answer(service, query(service)) is None
         assert tier.stats()["fallbacks"]["unfitted"] == 1
 
     def test_model_mismatch_falls_back(self, trained_model, service):
         tier = SurrogateTier(trained_model, bound=0.6)
-        assert tier.try_answer(service, PLATFORM, CM02(),
-                               request()) is None
+        assert tier.try_answer(service, query(service, CM02())) is None
         assert tier.stats()["fallbacks"]["model_mismatch"] == 1
 
     def test_unknown_platform_falls_back_as_error(self, trained_model,
                                                   service):
         tier = SurrogateTier(trained_model, bound=0.6)
-        assert tier.try_answer(service, "nope", service.model,
-                               request()) is None
+        assert tier.try_answer(service, query(service, platform="nope")) is None
         assert tier.stats()["fallbacks"]["error"] == 1
 
     def test_stale_epoch_falls_back_until_marked_fresh(self, trained_model,
@@ -82,12 +83,10 @@ class TestAnswerGates:
         tier = SurrogateTier(trained_model, bound=0.6)
         link = service.platform(PLATFORM).links()[0]
         link.bandwidth = link.bandwidth * 0.9
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               request()) is None
+        assert tier.try_answer(service, query(service)) is None
         assert tier.stats()["fallbacks"]["stale_epoch"] == 1
         tier.mark_fresh()
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               request()) is not None
+        assert tier.try_answer(service, query(service)) is not None
 
     def test_relaxed_epoch_policy_keeps_answering(self, trained_model,
                                                   service):
@@ -95,8 +94,7 @@ class TestAnswerGates:
                              require_fresh_epoch=False)
         link = service.platform(PLATFORM).links()[0]
         link.bandwidth = link.bandwidth * 0.9
-        assert tier.try_answer(service, PLATFORM, service.model,
-                               request()) is not None
+        assert tier.try_answer(service, query(service)) is not None
 
     def test_bound_validation(self, trained_model):
         with pytest.raises(ValueError):

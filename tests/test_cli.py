@@ -75,6 +75,27 @@ class TestPredict:
         with pytest.raises(SystemExit):
             run_cli("predict")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--transfer", "only-one-field", "src,dst,size"),
+        ("--transfer", "sagittaire-1.lyon.grid5000.fr,"
+                       "sagittaire-2.lyon.grid5000.fr,-5", "non-negative"),
+        ("--transfer", "ghost-1.lyon.grid5000.fr,"
+                       "sagittaire-2.lyon.grid5000.fr,1e9", "ghost-1"),
+        ("--ongoing", "ghost-2.lyon.grid5000.fr,"
+                      "sagittaire-2.lyon.grid5000.fr,1e9", "ghost-2"),
+    ], ids=["malformed", "negative-size", "unknown-host", "unknown-ongoing"])
+    def test_bad_input_prints_one_line_and_exits_2(self, option, value,
+                                                   message):
+        # what-if's contract: one line, exit 2, never a traceback
+        argv = ["predict", option, value]
+        if option != "--transfer":
+            argv += ["--transfer", "sagittaire-1.lyon.grid5000.fr,"
+                                   "sagittaire-2.lyon.grid5000.fr,1e9"]
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert message in text
+        assert text.count("\n") == 1
+
     def test_full_resolve_flag_matches_default(self):
         transfer = ("sagittaire-1.lyon.grid5000.fr,"
                     "sagittaire-2.lyon.grid5000.fr,1e9")
@@ -105,9 +126,9 @@ class TestSolverIsNotSelectable:
         # which solver runs is maxmin.py's business alone, and full_resolve
         # stops at the layers a caller sets it on: a keyword forwarded "just
         # in case" is how both once reached thirteen files
-        from repro.core.forecast import NetworkForecastService
+        from repro.core.forecast import ForecastQuery, NetworkForecastService
         from repro.core.planner import TransferPlanner
-        from repro.horizon.whatif import run_what_if
+        from repro.horizon.whatif import run_what_if, simulate_forecast
         from repro.scenarios.runner import run_scenario
         from repro.serving.batcher import PendingRequest, RequestCoalescer
         from repro.serving.cache import forecast_cache_key
@@ -118,16 +139,19 @@ class TestSolverIsNotSelectable:
         from repro.surrogate.tier import SurrogateTier
 
         kernel_mode_stops_above = [
+            ForecastQuery, ForecastQuery.of, ForecastQuery.key,
             NetworkForecastService.predict_transfers_many,
             TransferPlanner.select_fastest,
             ForecastServingService.predict,
+            ForecastServingService.answer,
             ForecastServingService._execute_group,
             PendingRequest, RequestCoalescer.submit,
-            WarmWorkerPool.predict_many, forecast_cache_key,
+            WarmWorkerPool.answer_many, forecast_cache_key,
             SurrogateTier.try_answer,
         ]
         full_resolve_stays = [
-            Simulation, run_scenario, run_what_if,
+            Simulation, run_scenario, run_what_if, simulate_forecast,
+            NetworkForecastService.answer,
             NetworkForecastService.predict_transfers,
             NetworkForecastService.predict_transfers_at,
             NetworkForecastService.predict_what_if,
@@ -143,6 +167,16 @@ class TestSolverIsNotSelectable:
             assert "full_resolve" not in parameters(entry), entry
         for entry in full_resolve_stays:
             assert "full_resolve" in parameters(entry), entry
+
+
+class TestSurrogate:
+    def test_surrogate_serve_is_gone(self, capsys):
+        # `serve --surrogate MODEL_JSON --surrogate-bound B` is the one way
+        # to arm the tier behind the HTTP services
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("surrogate", "serve", "--input", "model.json")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
 class TestExperiment:
