@@ -41,7 +41,7 @@ from repro.core.rest.client import RestClient
 from repro.core.rest.json_codec import dumps
 from repro.serving.factories import star_fleet_factory, star_fleet_service
 from repro.serving.gateway import GatewayConfig, ShardedGateway
-from repro.serving.gateway.loadgen import LoadQuery, run_load
+from tests.loadgen import LoadQuery, run_load
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 N_PLATFORMS = 4 if SMOKE else 8

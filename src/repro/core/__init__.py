@@ -13,8 +13,6 @@ of the paper, plus the §VI extensions:
   with pruning heuristics (§VI),
 - :mod:`repro.core.workflow` — full workflow (computation + transfer)
   forecasting (§VI),
-- :mod:`repro.core.latency_feed` — calibrating platform latencies from
-  Smokeping-style measurements instead of hardcoded values (§VI),
 - :mod:`repro.core.framework` — the :class:`~repro.core.framework.Pilgrim`
   facade wiring everything together, and :mod:`repro.core.rest` — the HTTP
   layer.

@@ -377,9 +377,8 @@ class NetworkForecastService:
         part of the answer — the fine-grained half of the paper's §VI
         background-traffic modeling (a scheduler knows its own in-flight
         movements).  ``capacity_factors`` (link name → fraction of capacity
-        available) is the coarse half, typically produced by
-        :class:`repro.core.background.BackgroundTrafficModel` from
-        metrology counters.  ``full_resolve``: see :meth:`answer`.
+        available) is the coarse half.  ``full_resolve``: see
+        :meth:`answer`.
 
         Raises :class:`NotFound` for unknown platforms or hosts and
         :class:`BadRequest` for empty requests.

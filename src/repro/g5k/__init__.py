@@ -12,9 +12,7 @@ self-description into a SimGrid platform.  This subpackage provides:
   *stable* (coarse) and *development* (detailed) API versions, plus the
   builder of the physical-truth testbed,
 - :mod:`repro.g5k.converter` — the Reference-API → platform converter with
-  its two variants ``g5k_test`` and ``g5k_cabinets`` (§V-A),
-- :mod:`repro.g5k.api_server` — the Reference API served over Pilgrim's REST
-  layer.
+  its two variants ``g5k_test`` and ``g5k_cabinets`` (§V-A).
 """
 
 from repro.g5k.refapi import Grid5000Reference

@@ -23,8 +23,8 @@ Two variants, as evaluated in §V-A:
 
 Latencies are **not** in the Reference API; following §IV-C2 the converter
 hardcodes 1e-4 s for intra-site links and 2.25e-3 s for the backbone ("In the
-future, we will get these latencies from periodic measures" — see
-:mod:`repro.core.latency_feed` for that future-work feature).
+future, we will get these latencies from periodic measures"; probe RTTs
+recalibrate link latencies in :class:`repro.metrology.loop.RecalibrationLoop`).
 """
 
 from __future__ import annotations

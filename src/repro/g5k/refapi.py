@@ -3,8 +3,7 @@
 The real Reference API serves JSON documents describing every site, cluster,
 node, network adapter and network equipment, "semi-automatically gathered by
 scripts" (§IV-C2).  This module defines the same document shapes as typed
-records with lossless JSON round-trips, so the converter and the REST server
-operate on realistic inputs.
+records, so the converter operates on realistic inputs.
 
 Rates in these documents are in **bits per second** (as in the real API);
 the converter converts to bytes/s for the simulator.
@@ -12,7 +11,7 @@ the converter converts to bytes/s for the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -180,61 +179,3 @@ class Grid5000Reference:
 
     def all_nodes(self) -> list[NodeDoc]:
         return [node for site in self.sites for node in site.nodes()]
-
-    # -- JSON round-trip -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(data: dict) -> "Grid5000Reference":
-        def adapters(items):
-            return tuple(AdapterDoc(**a) for a in items)
-
-        def nodes(items):
-            return tuple(
-                NodeDoc(uid=n["uid"], cluster=n["cluster"], site=n["site"],
-                        adapters=adapters(n["adapters"]))
-                for n in items
-            )
-
-        def clusters(items):
-            return tuple(
-                ClusterDoc(uid=c["uid"], site=c["site"], model=c.get("model", ""),
-                           nodes=nodes(c["nodes"]))
-                for c in items
-            )
-
-        def equipments(items):
-            return tuple(
-                EquipmentDoc(
-                    uid=e["uid"], site=e["site"], kind=e["kind"],
-                    backplane_bps=e.get("backplane_bps", 0.0),
-                    linecards=tuple(
-                        LinecardDoc(
-                            rate=lc["rate"],
-                            ports=tuple(PortDoc(**p) for p in lc["ports"]),
-                        )
-                        for lc in e.get("linecards", ())
-                    ),
-                )
-                for e in items
-            )
-
-        sites = tuple(
-            SiteDoc(
-                uid=s["uid"],
-                clusters=clusters(s["clusters"]),
-                network_equipments=equipments(s["network_equipments"]),
-                gateway=s.get("gateway", ""),
-            )
-            for s in data["sites"]
-        )
-        backbone = tuple(
-            BackboneLinkDoc(uid=b["uid"], endpoints=tuple(b["endpoints"]),
-                            rate=b["rate"])
-            for b in data.get("backbone", ())
-        )
-        ref = Grid5000Reference(version=data["version"], sites=sites, backbone=backbone)
-        ref.validate()
-        return ref

@@ -6,7 +6,6 @@ those tools' role and closes the loop back into the simulator:
 
 - :mod:`repro.metrology.collectors` — registry of metric sources polled on
   a fixed period into per-(tool, site, host, metric) RRDs,
-- :mod:`repro.metrology.ping` — Smokeping-like latency prober,
 - :mod:`repro.metrology.feed` — :class:`MetrologyFeed`: NWS
   bandwidth/latency probes on a schedule into per-link RRDs,
 - :mod:`repro.metrology.calibrator` — :class:`LinkCalibrator`: RRD windows
@@ -26,7 +25,6 @@ from repro.metrology.collectors import (
     MetricRegistry,
     MetrologyError,
 )
-from repro.metrology.ping import LatencyProber
 
 #: Lazily imported re-exports (PEP 562): the feed/calibrator/loop/demo
 #: modules pull in the simulator stack (simgrid, core.forecast, testbed),
@@ -67,7 +65,6 @@ __all__ = [
     "CapacityEvent",
     "CapacitySchedule",
     "GangliaCollector",
-    "LatencyProber",
     "LinkCalibrator",
     "LinkEstimate",
     "LinkUpdate",

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.metrology.calibrator import LinkCalibrator, LinkEstimate
 from repro.metrology.collectors import MetrologyError
@@ -185,8 +185,6 @@ class LoopStats:
     updates_skipped: int = 0
     #: healthy-phase estimates that moved a reference anchor (EWMA)
     reanchors: int = 0
-    #: subscriber callbacks that raised (isolated, never kill the loop)
-    listener_errors: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -196,7 +194,6 @@ class LoopStats:
             "updates_applied": self.updates_applied,
             "updates_skipped": self.updates_skipped,
             "reanchors": self.reanchors,
-            "listener_errors": self.listener_errors,
         }
 
 
@@ -248,32 +245,8 @@ class RecalibrationLoop:
         self.anchor_weighting = anchor_weighting
         self.stats = LoopStats()
         self._states: dict[str, _LinkState] = {}
-        self._listeners: list[Callable[[list[LinkUpdate]], None]] = []
         for monitor in feed.monitors:
             platform.link(monitor.link)  # fail fast on unknown links
-
-    # -- subscriptions -----------------------------------------------------
-
-    def subscribe(
-        self, listener: Callable[[list[LinkUpdate]], None]
-    ) -> Callable[[], None]:
-        """Call ``listener(applied)`` after every apply that mutated links.
-
-        The surrogate retrainer uses this to enqueue stale-region
-        re-sweeps; listeners fire *after* the epoch bumps, so they observe
-        the post-recalibration world.  Listener exceptions are isolated
-        (counted in ``stats.listener_errors``) — metrology never fails
-        because a subscriber did.  Returns an unsubscribe callable.
-        """
-        self._listeners.append(listener)
-
-        def unsubscribe() -> None:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
-        return unsubscribe
 
     # -- one loop iteration ------------------------------------------------
 
@@ -368,12 +341,6 @@ class RecalibrationLoop:
                 link.latency = target_lat
             self.stats.updates_applied += 1
             applied.append(update)
-        if applied:
-            for listener in list(self._listeners):
-                try:
-                    listener(applied)
-                except Exception:  # noqa: BLE001 - isolate subscribers
-                    self.stats.listener_errors += 1
         return applied
 
     def _significant(self, current: float, target: float, nominal: float) -> bool:

@@ -12,7 +12,6 @@ picks the most accurate archive per time segment.
 
 from repro.rrd.rra import ConsolidationFunction, RraSpec, RoundRobinArchive
 from repro.rrd.database import DataSourceSpec, RoundRobinDatabase, RrdError
-from repro.rrd.fileio import load_rrd, save_rrd
 
 __all__ = [
     "ConsolidationFunction",
@@ -21,6 +20,4 @@ __all__ = [
     "DataSourceSpec",
     "RoundRobinDatabase",
     "RrdError",
-    "load_rrd",
-    "save_rrd",
 ]

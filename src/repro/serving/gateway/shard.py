@@ -97,10 +97,9 @@ def shard_main(
     ``surrogate_doc`` (a ``SurrogateModel.to_json()`` dict) arms a
     shard-local :class:`~repro.surrogate.tier.SurrogateTier` in front of
     the shard's cache.  Shards run it with ``require_fresh_epoch=False``:
-    epoch syncs move the *shard-local* epoch and no retrainer runs inside
-    a shard, but the tier's features read the live (synced) link state
-    through the route LRU, so predictions track recalibrated rates; only
-    the residual store ages until the parent ships a retrained model.
+    epoch syncs move the *shard-local* epoch, but the tier's features read
+    the live (synced) link state through the route LRU, so predictions
+    track recalibrated rates; only the residual store ages.
     """
     import os
 

@@ -23,22 +23,14 @@ from repro.simgrid.platform import (
     LinkUse,
     NoRouteError,
     Platform,
-    RouteCache,
 )
 
 __all__ = [
-    "RouteCache",
     "flatten_platform",
-    "route_cache_stats",
     "route_signature",
     "route_table_bytes",
     "validate_all_routes",
 ]
-
-
-def route_cache_stats(platform: Platform) -> dict:
-    """Convenience accessor for a platform's LRU route cache counters."""
-    return platform.route_cache_info()
 
 
 def route_signature(route: Iterable[LinkUse]) -> tuple[tuple[str, str], ...]:

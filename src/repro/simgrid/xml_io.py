@@ -14,7 +14,7 @@ instead of SimGrid's ``_UP``/``_DOWN`` link-name convention.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from repro.simgrid.platform import (
     AutonomousSystem,
@@ -32,6 +32,9 @@ from repro.simgrid.units import (
     parse_speed,
     parse_time,
 )
+
+
+T = TypeVar("T")
 
 
 class PlatformXMLError(PlatformError):
@@ -151,17 +154,17 @@ def _fill_as(as_: AutonomousSystem, el: ET.Element, platform: Platform) -> None:
         if child.tag == "host":
             as_.add_host(
                 _req(child, "id"),
-                speed=parse_speed(child.get("speed", "1Gf")),
-                cores=int(child.get("core", "1")),
+                speed=_attr(child, "speed", parse_speed, "1Gf"),
+                cores=_attr(child, "core", int, "1"),
             )
         elif child.tag == "router":
             as_.add_router(_req(child, "id"))
         elif child.tag == "link":
             as_.add_link(
                 _req(child, "id"),
-                bandwidth=parse_bandwidth(_req(child, "bandwidth")),
-                latency=parse_time(child.get("latency", "0s")),
-                policy=SharingPolicy(child.get("sharing_policy", "SHARED")),
+                bandwidth=_attr(child, "bandwidth", parse_bandwidth),
+                latency=_attr(child, "latency", parse_time, "0s"),
+                policy=_attr(child, "sharing_policy", SharingPolicy, "SHARED"),
             )
         elif child.tag == "AS":
             sub = AutonomousSystem(_req(child, "id"), routing=child.get("routing", "Full"))
@@ -174,25 +177,26 @@ def _fill_as(as_: AutonomousSystem, el: ET.Element, platform: Platform) -> None:
                 if ctn.tag != "link_ctn":
                     raise PlatformXMLError(f"unexpected <{ctn.tag}> inside route")
                 link = _find_link(as_, _req(ctn, "id"))
-                direction = Direction(ctn.get("direction", "UP"))
+                direction = _attr(ctn, "direction", Direction, "UP")
                 links.append(LinkUse(link, direction))
             as_.add_route(
                 _req(child, "src"),
                 _req(child, "dst"),
                 links,
-                symmetrical=child.get("symmetrical", "YES").upper() == "YES",
+                symmetrical=_attr(child, "symmetrical", _yes_no, "YES"),
                 gw_src=child.get("gw_src"),
                 gw_dst=child.get("gw_dst"),
             )
         elif child.tag == "connection":  # Dijkstra adjacency (extension tag)
             names = _req(child, "link").split(",")
-            dirs = child.get("directions")
-            dir_list = dirs.split(",") if dirs else ["UP"] * len(names)
-            if len(dir_list) != len(names):
+            dirs = _attr(child, "directions",
+                         lambda v: [Direction(d) for d in v.split(",")],
+                         ",".join(["UP"] * len(names)))
+            if len(dirs) != len(names):
                 raise PlatformXMLError("connection: directions/link length mismatch")
             uses = [
-                LinkUse(_find_link(as_, name), Direction(d))
-                for name, d in zip(names, dir_list)
+                LinkUse(_find_link(as_, name), d)
+                for name, d in zip(names, dirs)
             ]
             as_.add_connection(_req(child, "a"), _req(child, "b"), uses)
 
@@ -202,6 +206,28 @@ def _req(el: ET.Element, attr: str) -> str:
     if value is None:
         raise PlatformXMLError(f"<{el.tag}> missing required attribute {attr!r}")
     return value
+
+
+def _attr(el: ET.Element, attr: str, parse: Callable[[str], T],
+          default: Optional[str] = None) -> T:
+    """``parse`` of ``el``'s ``attr`` (required unless ``default`` is given).
+
+    A value ``parse`` rejects is a :class:`PlatformXMLError` naming the
+    element and the attribute.
+    """
+    raw = _req(el, attr) if default is None else el.get(attr, default)
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise PlatformXMLError(
+            f"<{el.tag}> bad attribute {attr!r}={raw!r}: {exc}"
+        ) from exc
+
+
+def _yes_no(value: str) -> bool:
+    if value not in ("YES", "NO"):
+        raise ValueError("expected YES or NO")
+    return value == "YES"
 
 
 def _find_link(as_: AutonomousSystem, name: str) -> Link:

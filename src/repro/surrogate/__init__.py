@@ -5,9 +5,8 @@ sweeps (:mod:`~repro.surrogate.dataset`) train a small ridge + k-NN
 regressor (:mod:`~repro.surrogate.model`) over engineered route/workload
 features (:mod:`~repro.surrogate.features`); the serving tier
 (:mod:`~repro.surrogate.tier`) answers when predicted uncertainty is
-within a bound and otherwise falls through to simulation bit-identically;
-metrology epoch bumps trigger incremental retraining
-(:mod:`~repro.surrogate.retrain`).  See ``docs/SURROGATE.md``.
+within a bound and otherwise falls through to simulation bit-identically,
+and from the first metrology epoch bump on.  See ``docs/SURROGATE.md``.
 """
 
 from repro.surrogate.dataset import (
@@ -26,7 +25,6 @@ from repro.surrogate.features import (
     model_features,
 )
 from repro.surrogate.model import NotFittedError, SurrogateModel
-from repro.surrogate.retrain import SurrogateRetrainer
 from repro.surrogate.tier import SurrogateTier
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "NotFittedError",
     "SurrogateDataset",
     "SurrogateModel",
-    "SurrogateRetrainer",
     "SurrogateSweep",
     "SurrogateTier",
     "SweepSample",

@@ -1,13 +1,12 @@
 """The surrogate regressor: ridge + k-NN residuals, pure numpy.
 
 Two stacked estimators, both cheap enough for a microsecond-scale serving
-tier and both incrementally updatable:
+tier:
 
 1. **Ridge regression** in log2 space over the engineered features
-   (:mod:`repro.surrogate.features`).  The model maintains the Gram system
-   ``A = XᵀX + λI`` and ``b = Xᵀy`` instead of the raw corpus, so
-   ``partial_fit`` is an O(d²) accumulate plus one (d+1)×(d+1) solve —
-   retraining on a metrology epoch costs microseconds, not a refit.
+   (:mod:`repro.surrogate.features`).  The model keeps the Gram system
+   ``A = XᵀX + λI`` and ``b = Xᵀy`` instead of the raw corpus; the
+   weights are one (d+1)×(d+1) solve.
 2. **k-NN residual store**: a bounded FIFO of ``(standardized features,
    ridge residual)`` pairs.  At predict time the k nearest stored rows
    supply a local residual correction *and* the uncertainty estimate —
@@ -15,14 +14,10 @@ tier and both incrementally updatable:
    far from anything the sweep covered report high uncertainty and the
    serving tier falls through to simulation.
 
-The feature scaler (mean/std) is **frozen at the first fit**: later
-``partial_fit`` batches reuse it, which keeps the Gram system and the
-stored neighbours in one coherent coordinate space.
-
 ``predict(features) -> (estimates, uncertainties)`` returns durations in
 **seconds** and uncertainties in **log2 units** (the serving bound is a
 log2-error bound).  Everything round-trips through JSON, including the
-Gram system, so a deserialized model keeps accepting ``partial_fit``.
+Gram system.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from repro.surrogate.features import N_FEATURES
 
 
 class NotFittedError(RuntimeError):
-    """``predict``/``partial_fit`` called before the first ``fit``."""
+    """``predict`` called before ``fit``."""
 
 
 class SurrogateModel:
@@ -48,9 +43,7 @@ class SurrogateModel:
     k_neighbors:
         Neighbours consulted for the residual correction / uncertainty.
     max_store:
-        FIFO capacity of the residual store; oldest rows (the stalest
-        sweep regions) are evicted first, which is exactly the retraining
-        semantics the metrology hook wants.
+        FIFO capacity of the residual store; oldest rows are evicted first.
     distance_scale:
         Weight of the nearest-neighbour distance term in the uncertainty
         (log2 units per standardized-space distance unit).
@@ -90,7 +83,7 @@ class SurrogateModel:
         self._store_x = np.empty((0, N_FEATURES), dtype=float)
         self._store_r = np.empty(0, dtype=float)
         self._store_sq = np.empty(0, dtype=float)  # row norms², for predict
-        self.updates = 0  # fit + partial_fit count (retraining telemetry)
+        self.updates = 0  # fit count
 
     # -- training ----------------------------------------------------------
 
@@ -99,34 +92,18 @@ class SurrogateModel:
         return self._weights is not None
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> None:
-        """Train from scratch: freeze the scaler, rebuild Gram and store."""
+        """Train from scratch: fit the scaler, the Gram system and the store."""
         x, y = self._validate(features, targets)
         std = x.std(axis=0)
         self._mean = x.mean(axis=0)
         self._std = np.where(std > 1e-9, std, 1.0)
-        self._gram = self.ridge_lambda * np.eye(self._dim)
-        self._moment = np.zeros(self._dim)
-        self._store_x = np.empty((0, N_FEATURES), dtype=float)
-        self._store_r = np.empty(0, dtype=float)
-        self._absorb(x, y)
-
-    def partial_fit(self, features: np.ndarray, targets: np.ndarray) -> None:
-        """Fold a new batch in: accumulate the Gram system, re-solve, and
-        append fresh residuals (evicting the oldest beyond capacity)."""
-        if not self.fitted:
-            raise NotFittedError("partial_fit before fit; call fit first")
-        x, y = self._validate(features, targets)
-        self._absorb(x, y)
-
-    def _absorb(self, x: np.ndarray, y: np.ndarray) -> None:
         z = self._design(x)
-        self._gram += z.T @ z
-        self._moment += z.T @ y
+        self._gram = self.ridge_lambda * np.eye(self._dim) + z.T @ z
+        self._moment = z.T @ y
         self._weights = np.linalg.solve(self._gram, self._moment)
         residuals = y - z @ self._weights
-        scaled = (x - self._mean) / self._std
-        self._store_x = np.concatenate([self._store_x, scaled])[-self.max_store:]
-        self._store_r = np.concatenate([self._store_r, residuals])[-self.max_store:]
+        self._store_x = ((x - self._mean) / self._std)[-self.max_store:]
+        self._store_r = residuals[-self.max_store:]
         self._store_sq = (self._store_x * self._store_x).sum(axis=1)
         self.updates += 1
 

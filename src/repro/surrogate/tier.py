@@ -8,13 +8,13 @@ forecast request from the regressor when it is *confident*:
   (compared by ``model_key()``, the same identity the forecast cache
   keys on),
 - the tier is **epoch-fresh**: the link-mutation epoch equals the epoch
-  the model was last (re)trained against.  A recalibration bumps the
-  epoch, the tier starts falling through, and the retraining hook
-  (:mod:`repro.surrogate.retrain`) refreshes it — so the surrogate can
-  never keep answering from a world the metrology loop has disowned.
-  ``require_fresh_epoch=False`` relaxes this for deployments without a
-  retrainer (features still read live link state through the route LRU,
-  so predictions track recalibrated rates; only the residual store lags),
+  the tier was built at.  A recalibration bumps the epoch and the tier
+  falls through from then on — so the surrogate can never keep answering
+  from a world the metrology loop has disowned.
+  ``require_fresh_epoch=False`` relaxes this for deployments that
+  recalibrate live (features still read live link state through the route
+  LRU, so predictions track recalibrated rates; only the residual store
+  lags),
 - every transfer's predicted uncertainty is within ``bound`` (log2
   units).
 
@@ -74,7 +74,6 @@ class SurrogateTier:
         self._expected_key = model_key_of(model_by_name(model.network_model))
         self._hits = 0
         self._fallbacks = {reason: 0 for reason in FALLBACK_REASONS}
-        self._refreshes = 0
         self._uncertainty_sum = 0.0
         self._uncertainty_max = 0.0
         self._uncertainty_n = 0
@@ -132,22 +131,6 @@ class SurrogateTier:
         self._uncertainty_max = max(self._uncertainty_max, value)
         self._uncertainty_n += 1
 
-    # -- retraining contract -----------------------------------------------
-
-    def mark_fresh(self, epoch: Optional[int] = None) -> None:
-        """Declare the model retrained against ``epoch`` (default: now).
-
-        Called by the retraining hook after ``partial_fit`` on post-bump
-        sweeps; the tier resumes answering for that epoch.
-        """
-        with self._lock:
-            self._trained_epoch = link_epoch() if epoch is None else int(epoch)
-            self._refreshes += 1
-
-    @property
-    def trained_epoch(self) -> int:
-        return self._trained_epoch
-
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
@@ -164,7 +147,6 @@ class SurrogateTier:
                 "current_epoch": link_epoch(),
                 "require_fresh_epoch": self.require_fresh_epoch,
                 "model_updates": self.model.updates,
-                "refreshes": self._refreshes,
                 "hits": self._hits,
                 "fallbacks": fallbacks,
                 "fallbacks_total": sum(fallbacks.values()),

@@ -1,15 +1,8 @@
-"""Background-traffic modeling: ongoing transfers + metrology-driven factors."""
+"""Background traffic in a forecast: ongoing transfers and capacity factors."""
 
 import pytest
 
-from repro.core.background import (
-    MIN_CAPACITY_FACTOR,
-    BackgroundTrafficModel,
-    HostLoad,
-    record_nic_counters,
-)
-from repro.core.forecast import NetworkForecastService, TransferSpec
-from repro.metrology.collectors import MetricRegistry
+from repro.core.forecast import NetworkForecastService
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.models import CM02
 
@@ -98,66 +91,3 @@ class TestCapacityFactors:
                 "star", [("star-1", "star-2", 1e9)],
                 capacity_factors={"star-1-link": 0.0},
             )
-
-
-class TestHostLoad:
-    def test_utilization_worst_direction(self):
-        load = HostLoad("h", tx_rate=1e7, rx_rate=5e7, nic_capacity=1.25e8)
-        assert load.utilization == pytest.approx(0.4)
-
-    def test_utilization_clipped(self):
-        load = HostLoad("h", tx_rate=2e8, rx_rate=0.0, nic_capacity=1.25e8)
-        assert load.utilization == 1.0
-
-
-class TestEstimator:
-    def counters_for(self, host, rate, duration=600.0, step=15.0):
-        series = []
-        total = 0.0
-        t = 0.0
-        while t < duration:
-            t += step
-            total += rate * step
-            series.append((t, total))
-        return series
-
-    def build(self, loads):
-        registry = MetricRegistry()
-        platform = build_star_cluster("star", 4)
-        for host, rate in loads.items():
-            record_nic_counters(registry, host,
-                                tx_bytes_series=self.counters_for(host, rate))
-        model = BackgroundTrafficModel(registry, platform)
-        return model
-
-    def test_loaded_host_derated(self):
-        model = self.build({"star-1": 6.25e7})  # 50% of 1 Gbps NIC
-        factors = model.capacity_factors(100.0, 600.0)
-        assert factors == {"star-1-link": pytest.approx(0.5, abs=0.05)}
-
-    def test_idle_hosts_untouched(self):
-        model = self.build({"star-1": 1e5})  # negligible
-        assert model.capacity_factors(100.0, 600.0) == {}
-
-    def test_uninstrumented_hosts_skipped(self):
-        model = self.build({})
-        assert model.capacity_factors(0.0, 600.0) == {}
-
-    def test_saturated_host_floored(self):
-        model = self.build({"star-2": 1.3e8})  # above nominal
-        factors = model.capacity_factors(100.0, 600.0)
-        assert factors["star-2-link"] == MIN_CAPACITY_FACTOR
-
-    def test_end_to_end_prediction_with_estimated_background(self):
-        model = self.build({"star-3": 6.25e7})
-        service = NetworkForecastService(
-            {"star": model.platform}, model=CM02()
-        )
-        factors = model.capacity_factors(100.0, 600.0)
-        clean = service.predict_transfers(
-            "star", [("star-2", "star-3", 1e9)]
-        )[0].duration
-        loaded = service.predict_transfers(
-            "star", [("star-2", "star-3", 1e9)], capacity_factors=factors
-        )[0].duration
-        assert loaded == pytest.approx(2 * clean, rel=0.1)

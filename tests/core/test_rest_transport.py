@@ -19,7 +19,7 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.json_codec import loads
 from repro.core.rest.router import Router
 from repro.core.rest.server import PilgrimHTTPServer
-from repro.serving.gateway.loadgen import LoadQuery, run_load
+from loadgen import LoadQuery, run_load
 from repro.simgrid.builder import build_star_cluster
 
 TARGET = ("/pilgrim/predict_transfers/star"

@@ -1,4 +1,4 @@
-"""Reference API document model: validation and JSON round-trips."""
+"""Reference API document model: validation and lookups."""
 
 import pytest
 
@@ -8,7 +8,9 @@ from repro.g5k.refapi import (
     ClusterDoc,
     EquipmentDoc,
     Grid5000Reference,
+    LinecardDoc,
     NodeDoc,
+    PortDoc,
     RefApiError,
     SiteDoc,
 )
@@ -75,17 +77,22 @@ class TestAccessors:
         node = grid5000_dev_reference().site("lyon").nodes()[0]
         assert node.primary_adapter.interface == "eth0"
 
+    def test_equipment_ports_flatten_linecards_in_order(self):
+        a, b, c = (PortDoc(uid=u, kind="node", rate=1e9) for u in "abc")
+        eq = EquipmentDoc(uid="sw", site="s", kind="switch", linecards=(
+            LinecardDoc(rate=2e9, ports=(a, b)), LinecardDoc(rate=1e9, ports=(c,))))
+        assert eq.ports() == [a, b, c]
 
-class TestJsonRoundTrip:
+    def test_stable_and_dev_describe_the_same_nodes(self):
+        def uids(ref):
+            return sorted(node.uid for node in ref.all_nodes())
+
+        assert uids(grid5000_stable_reference()) == uids(grid5000_dev_reference())
+
     @pytest.mark.parametrize("builder", [grid5000_dev_reference,
                                          grid5000_stable_reference])
-    def test_roundtrip_identity(self, builder):
-        ref = builder()
-        clone = Grid5000Reference.from_json(ref.to_json())
-        assert clone == ref
-
-    def test_from_json_validates(self):
-        data = grid5000_dev_reference().to_json()
-        data["version"] = "nope"
-        with pytest.raises(RefApiError):
-            Grid5000Reference.from_json(data)
+    def test_every_node_plugs_into_an_equipment_of_its_site(self, builder):
+        for site in builder().sites:
+            for node in site.nodes():
+                assert node.site == site.uid
+                site.equipment(node.primary_adapter.switch)  # no RefApiError

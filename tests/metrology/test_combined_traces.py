@@ -1,48 +1,14 @@
-"""Combined bandwidth+latency traces: recording, conversion, replay."""
+"""Combined bandwidth+latency traces: recording and latency calibration."""
 
 import pytest
 
-from repro.metrology.collectors import MetricRegistry
+from repro.metrology.calibrator import LinkEstimate
 from repro.metrology.demo import StarMetrologyDemo, build_star_testbed
-from repro.metrology.ping import LatencyProber
-from repro.scenarios.spec import MeasuredTrace
+from repro.metrology.feed import MetrologyFeed, MonitoredLink
+from repro.metrology.loop import RecalibrationLoop
+from repro.simgrid.builder import build_star_cluster
 
-
-class TestLatencyProberTrace:
-    def test_measured_trace_round_trips_and_scales_additively(self):
-        testbed = build_star_testbed(2)
-        prober = LatencyProber(testbed, MetricRegistry(), period=30.0, seed=4)
-        prober.add_pair("star-1", "star-collector")
-        prober.probe_for(200.0)
-        nominal = 1e-4
-        trace = prober.measured_trace("star-1", "star-collector",
-                                      link="star-1-link",
-                                      nominal_latency=nominal)
-        assert trace.metric == "latency"
-        assert trace.link == "star-1-link"
-        # healthy series: every converted latency sits near nominal (the
-        # additive form cancels the constant RTT overhead entirely)
-        for _, value in trace.samples:
-            assert value == pytest.approx(nominal, rel=0.25)
-        assert MeasuredTrace.from_json(trace.to_json()) == trace
-
-    def test_raw_trace_keeps_rtt_values(self):
-        testbed = build_star_testbed(2)
-        prober = LatencyProber(testbed, MetricRegistry(), period=30.0, seed=4)
-        prober.add_pair("star-1", "star-collector")
-        prober.probe_for(100.0)
-        trace = prober.measured_trace("star-1", "star-collector",
-                                      link="star-1-link")
-        rtt = testbed.rtt("star-1", "star-collector")
-        for _, value in trace.samples:
-            assert value == pytest.approx(rtt, rel=0.2)
-
-    def test_cold_series_rejected(self):
-        testbed = build_star_testbed(2)
-        prober = LatencyProber(testbed, MetricRegistry(), seed=4)
-        prober.add_pair("star-1", "star-collector")
-        with pytest.raises(ValueError, match="no probe data"):
-            prober.measured_trace("star-1", "star-collector", link="x")
+LINK = "star-1-link"
 
 
 class TestDemoCombinedTraces:
@@ -86,3 +52,86 @@ class TestDemoCombinedTraces:
         recalibrated = demo.platform.link(demo.degraded_link).latency
         truth = demo.testbed.links[demo.degraded_link].latency
         assert recalibrated == pytest.approx(truth, rel=0.2)
+
+    def test_latency_calibration_improves_small_transfer_forecasts(self):
+        # small transfers are latency-bound: after a x20 latency-only
+        # degradation the recalibrated platform must forecast them far
+        # better than the static description does
+        demo = StarMetrologyDemo(n_hosts=2, period=15.0, seed=3,
+                                 degrade_factor=1.0,
+                                 degrade_latency_factor=20.0)
+        demo.warmup(4)
+        demo.run(8)
+
+        class Live:
+            def predict(self, platform, transfers):
+                return demo.service.predict_transfers(platform, transfers)
+
+        scores = demo.evaluate_step(Live(), demo.workload(size=1e4))
+        assert scores.err_recalibrated < scores.err_static / 1.5
+
+
+class _Observed:
+    """A calibrator stand-in: every link is past ``min_observations``."""
+
+    def observations(self, link, metric="bandwidth"):
+        return 99
+
+
+def one_link_loop(**kwargs):
+    feed = MetrologyFeed(build_star_testbed(1),
+                         [MonitoredLink(LINK, "star-1", "star-collector")])
+    platform = build_star_cluster("star", 1)
+    loop = RecalibrationLoop(platform, feed, calibrator=_Observed(), **kwargs)
+    return platform.link(LINK), loop
+
+
+def estimate(bandwidth=1e8, rtt=1e-3):
+    return LinkEstimate(LINK, bandwidth, rtt, time=0.0)
+
+
+class TestLoopLatencyRule:
+    """``latency = nominal + (rtt - reference_rtt) / 2``, applied by
+    :meth:`RecalibrationLoop.apply` on hand-made estimates."""
+
+    def test_rtt_rise_adds_half_the_delta_to_nominal(self):
+        link, loop = one_link_loop()
+        nominal = link.latency
+        assert loop.apply([estimate(rtt=1e-3)]) == []  # anchors only
+        [update] = loop.apply([estimate(rtt=3e-3)])
+        assert link.latency == pytest.approx(nominal + 1e-3)
+        assert update.latency_before == nominal
+        assert link.bandwidth == pytest.approx(1.25e8)  # bandwidth steady
+
+    def test_latency_is_floored_at_zero(self):
+        link, loop = one_link_loop(min_rel_change=0.0)
+        loop.apply([estimate(rtt=1e-2)])
+        loop.apply([estimate(rtt=1e-3)])
+        assert link.latency == 0.0
+
+    @pytest.mark.parametrize("calibrate, rtt", [(False, 3e-3), (True, None)],
+                             ids=["calibration-off", "rtt-missing"])
+    def test_latency_stays_nominal_while_bandwidth_recalibrates(self, calibrate,
+                                                                rtt):
+        link, loop = one_link_loop(calibrate_latency=calibrate)
+        nominal = link.latency
+        loop.apply([estimate(bandwidth=1e8, rtt=1e-3)])
+        loop.apply([estimate(bandwidth=5e7, rtt=rtt)])
+        assert link.bandwidth == pytest.approx(0.5 * 1.25e8)
+        assert link.latency == nominal
+
+    def test_latency_hysteresis_gates_on_the_rtt_noise_scale(self):
+        # +2e-4 s is twice the nominal latency, but under 5 % of the
+        # reference half-RTT (5e-3 s): RTT jitter, not a change
+        link, loop = one_link_loop(min_rel_change=0.05)
+        nominal = link.latency
+        loop.apply([estimate(rtt=1e-2)])
+        assert loop.apply([estimate(rtt=1e-2 + 4e-4)]) == []
+        assert link.latency == nominal
+        assert loop.stats.updates_skipped == 1
+
+    def test_cold_estimates_neither_anchor_nor_update(self):
+        link, loop = one_link_loop()
+        assert loop.apply([estimate(bandwidth=None, rtt=1e-3)]) == []
+        assert loop.nominal(LINK) is None
+        assert loop.stats.cold_estimates == 1

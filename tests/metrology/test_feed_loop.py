@@ -81,6 +81,39 @@ class TestFeed:
             assert 0.5 * 1.25e8 < v < 1.25e8
 
 
+    def test_rtt_series_tracks_the_testbed_rtt(self):
+        feed = small_feed(seed=5)
+        for _ in range(6):
+            feed.poll_once()
+        rtt = feed.network.rtt("star-1", "star-collector")
+        series = [v for _, v in
+                  feed.rrd("star-1-link", "latency").fetch(0.0, feed.clock)]
+        assert len(series) == 6
+        for v in series:
+            assert v == pytest.approx(rtt, rel=0.15)
+        # every probe is jittered: no two samples coincide
+        assert len(set(series)) == len(series)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"period": 0.0}, "period"),
+        ({"monitors": []}, "monitored link"),
+    ])
+    def test_feed_arguments_validated(self, kwargs, match):
+        args = {"network": build_star_testbed(1), "monitors": [
+            MonitoredLink("star-1-link", "star-1", "star-collector")]}
+        args.update(kwargs)
+        with pytest.raises(MetrologyError, match=match):
+            MetrologyFeed(**args)
+
+    @pytest.mark.parametrize("names", [
+        ("", "star-1", "star-collector"),
+        ("star-1-link", "", "star-collector"),
+        ("star-1-link", "star-1", ""),
+    ])
+    def test_monitored_link_needs_every_name(self, names):
+        with pytest.raises(MetrologyError):
+            MonitoredLink(*names)
+
 class TestDeadlineGrid:
     """poll_for must not drift: deadlines come from the original epoch."""
 
@@ -225,6 +258,19 @@ class TestRecalibrationLoop:
             assert demo.platform.link(link).bandwidth == pytest.approx(1.25e8)
         assert demo.loop.stats.updates_skipped > 0
 
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"min_rel_change": 1.0}, "min_rel_change"),
+        ({"min_observations": 0}, "min_observations"),
+        ({"anchor_alpha": -0.1}, "anchor_alpha"),
+        ({"anchor_health_band": 0.0}, "anchor_health_band"),
+        ({"anchor_weighting": "cubic"}, "anchor_weighting"),
+    ])
+    def test_loop_arguments_validated(self, kwargs, match):
+        feed = small_feed()
+        platform = build_star_cluster("star", 2)
+        with pytest.raises(MetrologyError, match=match):
+            RecalibrationLoop(platform, feed, **kwargs)
 
 class TestDemoValidation:
     def test_single_host_demo_rejected(self):

@@ -23,7 +23,7 @@ from repro.serving.factories import (
     star_forecast_service,
 )
 from repro.serving.gateway import GatewayConfig, ShardedGateway
-from repro.serving.gateway.loadgen import LoadQuery, run_load
+from loadgen import LoadQuery, run_load
 
 N_HOSTS = 8
 MAX_BODY = 64 * 1024

@@ -5,7 +5,8 @@ import pytest
 from repro.simgrid.builder import build_dumbbell, build_star_cluster, build_two_level_grid
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
-from repro.simgrid.platform import Direction, Platform, SharingPolicy
+from repro.simgrid.platform import (Direction, NoRouteError, Platform,
+                                    PlatformError, SharingPolicy)
 from repro.simgrid.routing import route_signature
 from repro.simgrid.xml_io import (
     PlatformXMLError,
@@ -18,6 +19,29 @@ from repro.simgrid.xml_io import (
 
 def roundtrip(platform):
     return platform_from_xml(platform_to_xml(platform))
+
+
+def two_host_platform(**extra):
+    """Hosts a, b joined by link l; ``extra`` maps a tag to attributes to
+    set on it (``None`` drops one)."""
+    attrs = {"host": {"id": "a", "speed": "1Gf"},
+             "link": {"id": "l", "bandwidth": "1Gbps"},
+             "route": {"src": "a", "dst": "b"}, "link_ctn": {"id": "l"}}
+    for tag, values in extra.items():
+        attrs[tag].update(values)
+    el = {t: " ".join(f"{k}='{v}'" for k, v in a.items() if v is not None)
+          for t, a in attrs.items()}
+    return platform_from_xml(f"""<platform version='4.1'><AS id='r' routing='Full'>
+    <host {el['host']}/><host id='b' speed='1Gf'/><link {el['link']}/>
+    <route {el['route']}><link_ctn {el['link_ctn']}/></route></AS></platform>""")
+
+
+def connection_xml(links, directions):
+    return f"""<platform version='4.1'><AS id='r' routing='Dijkstra'>
+    <host id='a' speed='1Gf'/><host id='b' speed='1Gf'/>
+    <link id='l' bandwidth='1Gbps'/><link id='m' bandwidth='1Gbps'/>
+    <connection a='a' b='b' link='{links}' directions='{directions}'/>
+    </AS></platform>"""
 
 
 class TestRoundTrip:
@@ -145,3 +169,61 @@ class TestErrors:
         <route src='a' dst='b'><surprise/></route></AS></platform>"""
         with pytest.raises(PlatformXMLError, match="surprise"):
             platform_from_xml(xml)
+
+    @pytest.mark.parametrize("tag, attr, value", [
+        ("link", "sharing_policy", "SOMETIMES"),
+        ("link_ctn", "direction", "SIDEWAYS"),
+        ("host", "core", "two"),
+        ("link", "bandwidth", "fast"),
+        ("link", "latency", "soon"),
+        ("host", "speed", "1Gflops!"),
+        ("route", "symmetrical", "MAYBE"),
+    ])
+    def test_bad_attribute_value_names_element_and_attribute(self, tag, attr, value):
+        with pytest.raises(PlatformXMLError, match=f"<{tag}> .*'{attr}'"):
+            two_host_platform(**{tag: {attr: value}})
+
+    def test_connection_direction_value_names_element_and_attribute(self):
+        with pytest.raises(PlatformXMLError, match="<connection> .*'directions'"):
+            platform_from_xml(connection_xml("l", "BACKWARDS"))
+
+    def test_connection_directions_must_match_links(self):
+        with pytest.raises(PlatformXMLError, match="mismatch"):
+            platform_from_xml(connection_xml("l,m", "UP"))
+
+    def test_missing_bandwidth_names_the_attribute(self):
+        with pytest.raises(PlatformXMLError, match="bandwidth"):
+            two_host_platform(link={"bandwidth": None})
+
+    def test_zero_bandwidth_stays_a_platform_error(self):
+        # a well-formed value the platform rejects is not an XML error
+        with pytest.raises(PlatformError, match="positive") as info:
+            two_host_platform(link={"bandwidth": "0Bps"})
+        assert not isinstance(info.value, PlatformXMLError)
+
+
+class TestAcceptedAttributeValues:
+    """The strict attribute parsing still accepts every legal value."""
+
+    @pytest.mark.parametrize("policy", list(SharingPolicy))
+    def test_sharing_policy(self, policy):
+        platform = two_host_platform(link={"sharing_policy": policy.value})
+        assert platform.link("l").policy is policy
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_link_ctn_direction(self, direction):
+        platform = two_host_platform(link={"sharing_policy": "FULLDUPLEX"},
+                                     link_ctn={"direction": direction.value})
+        assert platform.route("a", "b")[0].direction is direction
+
+    def test_symmetrical_yes_declares_the_reverse_route(self):
+        platform = two_host_platform(route={"symmetrical": "YES"})
+        assert route_signature(platform.route("b", "a")) == (("l", "DOWN"),)
+
+    def test_symmetrical_no_declares_one_way_only(self):
+        platform = two_host_platform(route={"symmetrical": "NO"})
+        with pytest.raises(NoRouteError):
+            platform.route("b", "a")
+
+    def test_integer_core_count(self):
+        assert two_host_platform(host={"core": "4"}).host("a").cores == 4

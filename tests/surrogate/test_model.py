@@ -1,4 +1,4 @@
-"""Regressor invariants: accuracy, incremental refresh, uncertainty, JSON."""
+"""Regressor invariants: accuracy, bounded residual store, uncertainty, JSON."""
 
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ class TestFit:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             SurrogateModel().predict(np.zeros((1, N_FEATURES)))
-        with pytest.raises(NotFittedError):
-            SurrogateModel().partial_fit(np.zeros((1, N_FEATURES)),
-                                         np.zeros(1))
 
     def test_validates_shapes_and_finiteness(self):
         model = SurrogateModel()
@@ -53,48 +50,13 @@ class TestFit:
             SurrogateModel(k_neighbors=10, max_store=5)
 
 
-class TestPartialFit:
-    def test_incremental_matches_batch_ridge(self):
-        """Gram accumulation makes fit(a)+partial_fit(b) solve the same
-        ridge system as fit(a+b) would with the first batch's scaler."""
-        xa, ya = synthetic(120, seed=1)
-        xb, yb = synthetic(60, seed=2)
-        incremental = SurrogateModel(max_store=512)
-        incremental.fit(xa, ya)
-        incremental.partial_fit(xb, yb)
-        # reference: same scaler (frozen at first fit), one absorb
-        reference = SurrogateModel(max_store=512)
-        reference.fit(xa, ya)
-        reference._gram = reference.ridge_lambda * np.eye(reference._dim)
-        reference._moment = np.zeros(reference._dim)
-        reference._store_x = np.empty((0, N_FEATURES))
-        reference._store_r = np.empty(0)
-        reference._absorb(np.concatenate([xa, xb]),
-                          np.concatenate([ya, yb]))
-        np.testing.assert_allclose(incremental._weights,
-                                   reference._weights, rtol=1e-9)
-
-    def test_partial_fit_shifts_predictions_toward_new_regime(self):
-        x, y = synthetic(150, seed=3)
-        model = SurrogateModel()
-        model.fit(x, y)
-        before, _ = model.predict(x[:10])
-        # the world's durations double (log2 targets + 1)
-        for _ in range(12):
-            model.partial_fit(x, y + 1.0)
-        after, _ = model.predict(x[:10])
-        ratio = np.median(after / before)
-        assert ratio > 1.5
-
+class TestStore:
     def test_store_is_bounded_fifo(self):
         x, y = synthetic(64, seed=4)
         model = SurrogateModel(max_store=50)
         model.fit(x, y)
         assert len(model._store_r) == 50
-        x2, y2 = synthetic(30, seed=5)
-        model.partial_fit(x2, y2)
-        assert len(model._store_r) == 50
-        assert model.updates == 2
+        assert model.updates == 1
 
 
 class TestUncertainty:
@@ -125,18 +87,6 @@ class TestSerialization:
         e2, u2 = twin.predict(x[:25])
         assert np.array_equal(e1, e2)
         assert np.array_equal(u1, u2)
-
-    def test_round_trip_keeps_partial_fit_working(self):
-        xa, ya = synthetic(80, seed=9)
-        xb, yb = synthetic(40, seed=10)
-        model = SurrogateModel()
-        model.fit(xa, ya)
-        twin = SurrogateModel.from_json(model.to_json())
-        model.partial_fit(xb, yb)
-        twin.partial_fit(xb, yb)
-        e1, _ = model.predict(xa[:10])
-        e2, _ = twin.predict(xa[:10])
-        np.testing.assert_allclose(e1, e2, rtol=1e-12)
 
     def test_unfitted_round_trip(self):
         twin = SurrogateModel.from_json(SurrogateModel(

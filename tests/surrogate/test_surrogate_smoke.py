@@ -4,8 +4,8 @@ A small seeded star sweep trains a model whose held-out error stays under a
 loose floor, and ``Pilgrim.enable_serving(surrogate=...)`` wires the tier
 into the served path: a confident request is a surrogate hit counted in
 ``/pilgrim/stats``, and with the uncertainty bound at 0 the served answer is
-the simulation's, bit for bit.  The tier's gates, stale-epoch fallback and
-retraining are pinned in ``test_tier.py`` and ``test_retrain.py``.
+the simulation's, bit for bit.  The tier's gates and stale-epoch fallback
+are pinned in ``test_tier.py``.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def test_surrogate_tier_over_http(trained):
             answered = client.post_predict_transfers(PLATFORM, transfers)
             surrogate = client.stats()["serving"]["surrogate"]
             assert surrogate["hits"] == 1
-            assert {"fallbacks", "uncertainty", "bound", "trained_epoch",
-                    "refreshes"} <= set(surrogate)
+            assert {"fallbacks", "uncertainty", "bound",
+                    "trained_epoch"} <= set(surrogate)
             for got, expected in zip(answered, truth):
                 assert abs(np.log2(got["duration"] / expected["duration"])) \
                     <= 2 * MAX_MEDIAN_ERROR

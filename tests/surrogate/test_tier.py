@@ -78,15 +78,15 @@ class TestAnswerGates:
         assert tier.try_answer(service, query(service, platform="nope")) is None
         assert tier.stats()["fallbacks"]["error"] == 1
 
-    def test_stale_epoch_falls_back_until_marked_fresh(self, trained_model,
-                                                       service):
+    def test_stale_epoch_falls_back_until_a_tier_is_built_fresh(
+            self, trained_model, service):
         tier = SurrogateTier(trained_model, bound=0.6)
         link = service.platform(PLATFORM).links()[0]
         link.bandwidth = link.bandwidth * 0.9
         assert tier.try_answer(service, query(service)) is None
         assert tier.stats()["fallbacks"]["stale_epoch"] == 1
-        tier.mark_fresh()
-        assert tier.try_answer(service, query(service)) is not None
+        fresh = SurrogateTier(trained_model, bound=0.6)
+        assert fresh.try_answer(service, query(service)) is not None
 
     def test_relaxed_epoch_policy_keeps_answering(self, trained_model,
                                                   service):
