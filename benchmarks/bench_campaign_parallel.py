@@ -1,11 +1,10 @@
 """Serial vs. parallel campaign execution.
 
-The campaign executor fans sweep combinations out over a process pool with
-per-combination seeds drawn from the same derivation chain the serial
-engine uses (``ParamSweep.seeded_combinations``) and aggregates results in
-sweep order — so the parallel path must be **bit-identical** to the serial
-one, just faster.  This bench runs a mid-size slice of the §V-A campaign
-both ways and asserts:
+The campaign maps one per-combination function either over a list or over
+a process pool, with each combination's seed derived from the root seed and
+its id, and aggregates results in campaign order — so the parallel path
+must be **bit-identical** to the serial one, just faster.  This bench runs
+a mid-size slice of the §V-A campaign both ways and asserts:
 
 - identical per-combination rows and identical pooled §V-B statistics
   (always, including smoke mode — determinism is a correctness signal), and
@@ -21,8 +20,8 @@ import time
 from repro.analysis.tables import render_table
 from repro.experiments import environment
 from repro.experiments.campaign import (
+    campaign_combinations,
     campaign_summary,
-    campaign_sweep,
     run_campaign,
 )
 
@@ -37,17 +36,18 @@ REPS = 1
 def run_both() -> tuple[dict, dict, float, float]:
     forecast, network = environment.forecast_service(), environment.testbed()
     seed = environment.root_seed()
+    combinations = campaign_combinations(counts=COUNTS)
 
     t0 = time.perf_counter()
     serial = run_campaign(
-        forecast, network, sweep=campaign_sweep(counts=COUNTS), seed=seed,
+        forecast, network, combinations=combinations, seed=seed,
         repetitions=REPS, sizes=SIZES,
     )
     serial_dt = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     parallel = run_campaign(
-        forecast, network, sweep=campaign_sweep(counts=COUNTS), seed=seed,
+        forecast, network, combinations=combinations, seed=seed,
         repetitions=REPS, sizes=SIZES, workers=WORKERS,
     )
     parallel_dt = time.perf_counter() - t0

@@ -10,8 +10,8 @@ it too, not just on the published subset.
 
 from repro.analysis.tables import render_table
 from repro.experiments.campaign import (
+    campaign_combinations,
     campaign_summary,
-    campaign_sweep,
     run_campaign,
 )
 from repro.experiments.summary import verify_summary
@@ -22,9 +22,9 @@ COUNTS = (1, 10, 30)
 
 
 def test_campaign_slice_validates_the_model(harness, console, benchmark):
-    sweep = campaign_sweep(counts=COUNTS)
     results = run_campaign(
-        harness.forecast, harness.testbed, sweep=sweep,
+        harness.forecast, harness.testbed,
+        combinations=campaign_combinations(counts=COUNTS),
         seed=harness.seed, repetitions=REPS, sizes=SIZES,
     )
     stats = campaign_summary(results)

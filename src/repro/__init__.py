@@ -15,8 +15,8 @@ IEEE CLUSTER 2012.  It contains:
 - :mod:`repro.core` — Pilgrim itself: the network forecast service (PNFS),
   the RRD metrology service and the REST layer exposing both,
 - :mod:`repro.nws` — a Network Weather Service style baseline forecaster,
-- :mod:`repro.orchestration` / :mod:`repro.experiments` — the experiment
-  engine and the paper's §V validation protocol,
+- :mod:`repro.experiments` — the paper's §V validation protocol and its
+  full campaign,
 - :mod:`repro.analysis` — error statistics and text rendering of the figures.
 
 Quickstart::

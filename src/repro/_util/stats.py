@@ -33,7 +33,9 @@ def quantile(values: Sequence[float], q: float) -> float:
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
     frac = pos - lo
-    return data[lo] * (1.0 - frac) + data[hi] * frac
+    value = data[lo] * (1.0 - frac) + data[hi] * frac
+    # subnormal products can round below data[lo] (0.5 * 5e-324 == 0.0)
+    return float(min(max(value, data[lo]), data[hi]))
 
 
 def stddev(values: Sequence[float]) -> float:

@@ -499,6 +499,23 @@ def _cmd_serve_gateway(args, out) -> int:
     return 0
 
 
+def _figure_sizes(args) -> Optional[tuple[float, ...]]:
+    """``--sizes`` as floats (``None``: each figure's own), checked with
+    ``--reps`` before any run starts; ``ValueError`` names the bad value."""
+    from repro.experiments.protocol import TRANSFER_SIZES
+    from repro.experiments.runner import check_sweep
+
+    sizes = None
+    if args.sizes:
+        try:
+            sizes = tuple(float(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise ValueError(f"--sizes must be comma-separated numbers, "
+                             f"got {args.sizes!r}") from None
+    check_sweep(args.reps, sizes or TRANSFER_SIZES)
+    return sizes
+
+
 def _cmd_experiment(args, out) -> int:
     from repro.analysis.asciiplot import render_error_plot
     from repro.experiments.environment import forecast_service, testbed
@@ -508,9 +525,11 @@ def _cmd_experiment(args, out) -> int:
         out.write(f"unknown figure {args.figure!r}; "
                   f"available: {', '.join(FIGURES)}\n")
         return 2
-    sizes = None
-    if args.sizes:
-        sizes = tuple(float(s) for s in args.sizes.split(","))
+    try:
+        sizes = _figure_sizes(args)
+    except ValueError as exc:
+        out.write(f"{exc}\n")
+        return 2
     out.write(f"running {FIGURES[args.figure].title} "
               f"({args.reps} repetitions)...\n")
     series, failures = run_figure(
@@ -854,9 +873,11 @@ def _cmd_report(args, out) -> int:
     if unknown:
         out.write(f"unknown figures: {', '.join(unknown)}\n")
         return 2
-    sizes = None
-    if args.sizes:
-        sizes = tuple(float(s) for s in args.sizes.split(","))
+    try:
+        sizes = _figure_sizes(args)
+    except ValueError as exc:
+        out.write(f"{exc}\n")
+        return 2
     results = {}
     for fig_id in fig_ids:
         out.write(f"running {fig_id} ({FIGURES[fig_id].title})...\n")

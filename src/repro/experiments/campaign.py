@@ -3,17 +3,17 @@
 "The full set of our experiments (from which we have only showed a subset
 in this article) validates the network model of SimGrid" — the paper swept
 *all* combinations of topology × sources × destinations, not just the nine
-published figures.  This module expresses that campaign as an orchestration
-sweep (every feasible combination, with the infeasible ones excluded the
-way a 79-node cluster forces) and runs it through the experiment engine.
+published figures.  :func:`campaign_combinations` lists every feasible
+combination (the infeasible ones excluded the way a 79-node cluster forces)
+and :func:`run_campaign` runs each through :func:`_run_combination`.
 
-``run_campaign(workers=N)`` fans the combinations out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Per-combination seeds
-come from :meth:`ParamSweep.seeded_combinations` — the same chain the serial
-engine uses — and results are aggregated in sweep order, so a parallel
-campaign is **bit-identical** to a serial one (asserted by
-``benchmarks/bench_campaign_parallel.py``).  Worker processes rebuild their
-experiment environment through a module-level factory (pickled by
+``run_campaign(workers=N)`` maps that same function over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Each combination's seed
+derives from the root seed and its :func:`combination_id`, and results are
+aggregated in campaign order, so a parallel campaign is **bit-identical**
+to a serial one (``tests/experiments/test_campaign.py`` and the frozen rows
+of ``tests/experiments/test_campaign_golden.py``).  Each worker builds its
+experiment environment once, through a module-level factory (pickled by
 reference); the default factory reuses the session-cached
 :mod:`repro.experiments.environment` builders, which a forked worker
 inherits for free.
@@ -21,9 +21,11 @@ inherits for free.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
+from repro._util.parallel import pool_chunk_size
 from repro._util.rng import derive_seed
 from repro.analysis.errors import ErrorSeries
 from repro.core.forecast import NetworkForecastService
@@ -36,53 +38,48 @@ from repro.experiments.protocol import (
 from repro.experiments.runner import run_experiment
 from repro.experiments.summary import SummaryStats, summarize
 from repro.g5k.sites import cluster_spec
-from repro.orchestration.engine import ExperimentEngine, combination_id
-from repro.orchestration.sweep import ParamSweep
 from repro.testbed.fluid import TestbedNetwork
 
 #: The clusters the paper's CLUSTER experiments draw from (§V-B1).
 CAMPAIGN_CLUSTERS: tuple[str, ...] = ("sagittaire", "graphene")
 
 
-def _feasible(combination: dict) -> bool:
-    """Can the combination draw disjoint endpoint sets?"""
-    if combination["topology"] is Topology.GRID_MULTI:
-        return True
-    spec = cluster_spec(combination["cluster"])
-    return combination["n_src"] + combination["n_dst"] <= spec.n_nodes
+def combination_id(combination: dict) -> str:
+    """Stable, filesystem-safe identifier of a campaign combination."""
+    parts = [f"{key}={combination[key]}" for key in sorted(combination)]
+    return "__".join(parts).replace(" ", "").replace("/", "-")
 
 
-def campaign_sweep(
+def campaign_combinations(
     counts: Sequence[int] = ENDPOINT_COUNTS,
     clusters: Sequence[str] = CAMPAIGN_CLUSTERS,
-) -> ParamSweep:
+) -> list[dict]:
     """Every (topology, cluster, n_src, n_dst) combination the paper's
-    campaign covers, minus infeasible draws.
+    campaign covers, minus infeasible draws, in product order.
 
-    GRID_MULTI combinations carry ``cluster=None``; CLUSTER ones are
-    generated per cluster.  The sweep is deduplicated on the grid side
-    (cluster is irrelevant there).
+    CLUSTER combinations are generated per cluster and need
+    ``n_src + n_dst`` disjoint nodes.  GRID_MULTI ones are
+    cluster-independent, so they appear once, with the first cluster.
+    1x1 exercises nothing the paper reports on.
     """
-    sweep = ParamSweep({
-        "topology": [Topology.CLUSTER, Topology.GRID_MULTI],
-        "cluster": list(clusters),
-        "n_src": list(counts),
-        "n_dst": list(counts),
-    })
-    sweep.exclude(lambda c: not _feasible(c))
-    # grid combinations are cluster-independent: keep only the first cluster
-    first = clusters[0]
-    sweep.exclude(
-        lambda c: c["topology"] is Topology.GRID_MULTI and c["cluster"] != first
-    )
-    # 1x1 exercises nothing the paper reports on
-    sweep.exclude(lambda c: c["n_src"] == 1 and c["n_dst"] == 1)
-    return sweep
+    combinations = []
+    for topology, cluster, n_src, n_dst in itertools.product(
+            (Topology.CLUSTER, Topology.GRID_MULTI), clusters, counts, counts):
+        if n_src == 1 and n_dst == 1:
+            continue
+        if topology is Topology.GRID_MULTI:
+            if cluster != clusters[0]:
+                continue
+        elif n_src + n_dst > cluster_spec(cluster).n_nodes:
+            continue
+        combinations.append({"topology": topology, "cluster": cluster,
+                             "n_src": n_src, "n_dst": n_dst})
+    return combinations
 
 
 def spec_for(combination: dict, sizes: Optional[tuple[float, ...]] = None,
              repetitions: int = 10) -> ExperimentSpec:
-    """The :class:`ExperimentSpec` of one sweep combination."""
+    """The :class:`ExperimentSpec` of one campaign combination."""
     topology = combination["topology"]
     cluster = combination["cluster"] if topology is Topology.CLUSTER else None
     name = (
@@ -104,143 +101,99 @@ def default_campaign_environment() -> tuple[NetworkForecastService, TestbedNetwo
     return forecast_service(), testbed()
 
 
-#: Worker-process cache: one rebuilt environment per factory per process.
-_WORKER_ENVIRONMENTS: dict = {}
+#: A pool worker's ``(forecast, network)``, built once by :func:`_start_worker`.
+_worker_environment: tuple = ()
 
 
-def _run_combination_task(payload: tuple) -> tuple[str, Optional[ErrorSeries], Optional[str]]:
-    """Run one campaign combination inside a worker process.
+def _start_worker(environment_factory: Callable) -> None:
+    global _worker_environment
+    _worker_environment = environment_factory()
 
-    Mirrors the serial engine's body + bounded-retry loop exactly (same
-    attempt-seed derivation), and returns ``(combination_id, series, error)``
-    with errors stringified so they always cross the process boundary.
+
+def _run_combination(task: tuple) -> tuple[Optional[ErrorSeries], Optional[str]]:
+    """Run one combination: ``(series, None)``, or ``(None, error)`` with
+    the error as a string so it always crosses a process boundary.
+
+    ``task`` is ``(combination, seed, repetitions, sizes, platform_name,
+    environment)``; ``environment`` is ``None`` in a pool worker, which
+    runs against its own.
     """
-    (combination, comb_seed, repetitions, sizes, platform_name,
-     environment_factory, max_retries) = payload
-    env = _WORKER_ENVIRONMENTS.get(environment_factory)
-    if env is None:
-        env = _WORKER_ENVIRONMENTS[environment_factory] = environment_factory()
-    forecast, network = env
-    last_error: Optional[str] = None
-    for attempt in range(max_retries + 1):
-        try:
-            spec = spec_for(combination, sizes=sizes, repetitions=repetitions)
-            series = run_experiment(
-                spec, forecast, network, platform_name=platform_name,
-                seed=derive_seed(comb_seed, attempt), repetitions=repetitions,
-                sizes=sizes,
-            )
-            return combination_id(combination), series, None
-        except Exception as exc:  # noqa: BLE001 - executor boundary
-            last_error = f"{type(exc).__name__}: {exc}"
-    return combination_id(combination), None, last_error
+    combination, seed, repetitions, sizes, platform_name, environment = task
+    forecast, network = environment or _worker_environment
+    try:
+        spec = spec_for(combination, sizes=sizes, repetitions=repetitions)
+        # derive_seed(seed, 0): the seed every campaign series was drawn
+        # with, so none moves
+        series = run_experiment(
+            spec, forecast, network, platform_name=platform_name,
+            seed=derive_seed(seed, 0), repetitions=repetitions, sizes=sizes,
+        )
+    except Exception as exc:  # noqa: BLE001 - reported per combination
+        return None, f"{type(exc).__name__}: {exc}"
+    return series, None
 
 
 def run_campaign(
     forecast: NetworkForecastService,
     network: TestbedNetwork,
-    sweep: Optional[ParamSweep] = None,
+    combinations: Optional[Sequence[dict]] = None,
     seed: int = 0,
     repetitions: int = 3,
     sizes: Optional[tuple[float, ...]] = None,
     platform_name: str = "g5k_test",
-    progress=None,
     workers: Optional[int] = None,
     environment_factory: Callable = default_campaign_environment,
-    chunk_size: Optional[int] = None,
-    max_retries: int = 1,
 ) -> dict[str, ErrorSeries]:
-    """Run (a slice of) the campaign; returns series keyed by combination id.
+    """Run (a slice of) the campaign; returns series keyed by combination id,
+    in campaign order.  ``combinations`` defaults to
+    :func:`campaign_combinations`.
 
-    Per-combination seeds derive from the engine's, so any single
-    combination can be re-run in isolation bit-for-bit.
+    Each combination's seed derives from ``seed`` and its id, so any single
+    combination can be re-run in isolation bit-for-bit.  The first failed
+    combination raises ``RuntimeError("campaign combination <id> failed:
+    <Type>: <message>")`` once every combination has run.
 
     ``workers > 1`` runs combinations on a process pool.  In that mode each
     worker obtains its experiment environment from ``environment_factory``
     (a picklable module-level callable returning ``(forecast, network)``);
     the ``forecast``/``network`` arguments only serve the serial path, so
-    callers with a custom environment must pass a matching factory.  Results
-    are chunked (``chunk_size`` tasks per executor round-trip, auto-sized by
-    default) and aggregated in sweep order — identical ordering, identical
-    seeds, bit-identical statistics vs. the serial path.
+    callers with a custom environment must pass a matching factory.
     """
-    sweep = sweep if sweep is not None else campaign_sweep()
-    if workers is not None and workers > 1:
-        if environment_factory is default_campaign_environment:
-            # workers run against the factory's environment, not the
-            # forecast/network arguments — refuse to silently discard a
-            # custom environment (building the default here is free: forked
-            # workers inherit the caches it warms)
-            default_forecast, default_network = default_campaign_environment()
-            if forecast is not default_forecast or network is not default_network:
-                raise ValueError(
-                    "run_campaign(workers > 1) executes combinations against "
-                    "environment_factory(), which does not match the "
-                    "forecast/network passed in; supply a module-level "
-                    "environment_factory rebuilding your custom environment"
-                )
-        return _run_campaign_parallel(
-            sweep, seed=seed, repetitions=repetitions, sizes=sizes,
-            platform_name=platform_name, progress=progress, workers=workers,
-            environment_factory=environment_factory, chunk_size=chunk_size,
-            max_retries=max_retries,
-        )
-
-    def body(combination: dict, comb_seed: int) -> ErrorSeries:
-        spec = spec_for(combination, sizes=sizes, repetitions=repetitions)
-        return run_experiment(
-            spec, forecast, network, platform_name=platform_name,
-            seed=comb_seed, repetitions=repetitions, sizes=sizes,
-        )
-
-    engine = ExperimentEngine(sweep, body, seed=seed, progress=progress,
-                              max_retries=max_retries)
-    engine.run()
-    if engine.failures:
-        combination, error = engine.failures[0]
-        raise RuntimeError(
-            f"campaign combination {combination_id(combination)} failed: {error}"
-        )
-    return {
-        combination_id(combination): series
-        for combination, series in engine.results
-    }
-
-
-def _run_campaign_parallel(
-    sweep: ParamSweep,
-    seed: int,
-    repetitions: int,
-    sizes: Optional[tuple[float, ...]],
-    platform_name: str,
-    progress,
-    workers: int,
-    environment_factory: Callable,
-    chunk_size: Optional[int],
-    max_retries: int,
-) -> dict[str, ErrorSeries]:
-    seeded = sweep.seeded_combinations(seed)
-    payloads = [
-        (combination, comb_seed, repetitions, sizes, platform_name,
-         environment_factory, max_retries)
-        for combination, comb_seed in seeded
+    combinations = (list(combinations) if combinations is not None
+                    else campaign_combinations())
+    parallel = workers is not None and workers > 1
+    if parallel and environment_factory is default_campaign_environment:
+        # workers run against the factory's environment, not the
+        # forecast/network arguments — refuse to silently discard a custom
+        # environment (building the default here is free: forked workers
+        # inherit the caches it warms)
+        default_forecast, default_network = default_campaign_environment()
+        if forecast is not default_forecast or network is not default_network:
+            raise ValueError(
+                "run_campaign(workers > 1) executes combinations against "
+                "environment_factory(), which does not match the "
+                "forecast/network passed in; supply a module-level "
+                "environment_factory rebuilding your custom environment"
+            )
+    environment = None if parallel else (forecast, network)
+    tasks = [
+        (combination, derive_seed(seed, combination_id(combination)),
+         repetitions, sizes, platform_name, environment)
+        for combination in combinations
     ]
-    if not payloads:
-        return {}
-    chunk = chunk_size or ParamSweep.chunk_size(len(payloads), workers)
+    if parallel:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(environment_factory,)) as pool:
+            chunk = pool_chunk_size(len(tasks), workers)
+            outcomes = list(pool.map(_run_combination, tasks, chunksize=chunk))
+    else:
+        outcomes = [_run_combination(task) for task in tasks]
     results: dict[str, ErrorSeries] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # executor.map preserves input order: aggregation happens in sweep
-        # order no matter which worker finishes first
-        outcomes = pool.map(_run_combination_task, payloads, chunksize=chunk)
-        for (combination, _), (cid, series, error) in zip(seeded, outcomes):
-            if error is not None:
-                raise RuntimeError(
-                    f"campaign combination {cid} failed: {error}"
-                )
-            results[cid] = series
-            if progress is not None:
-                progress(combination, series)
+    for combination, (series, error) in zip(combinations, outcomes):
+        cid = combination_id(combination)
+        if error is not None:
+            raise RuntimeError(f"campaign combination {cid} failed: {error}")
+        results[cid] = series
     return results
 
 

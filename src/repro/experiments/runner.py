@@ -1,32 +1,35 @@
 """Running one experiment: measured reality vs Pilgrim predictions.
 
-Follows §V-A's step list through the orchestration layer:
-
-1. "TCP iperf servers (receivers) are started on all destination nodes" —
-   a :class:`~repro.orchestration.actions.Remote` action,
-2. "TCP iperf clients (senders) are simultaneously started on all source
-   nodes" and 3. "wait the end of the client transfers, record the
-   completion time of all actual transfers" — one measurement run on the
-   fluid testbed,
-4. "Record the Pilgrim predictions" — one PNFS request per repetition.
-
-Each (repetition) redraws the endpoint sets, and each size runs with a
-repetition-specific measurement seed, so the dispersion boxes aggregate
-genuine run-to-run variability like the paper's 10-run averaging.
+Each repetition redraws the endpoint sets; each size is measured on the
+fluid testbed with a repetition-specific seed (:func:`_measure`, the §V-A
+steps) and predicted with one PNFS request, so the dispersion boxes
+aggregate genuine run-to-run variability like the paper's 10-run averaging.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable, Optional, Sequence
 
 from repro._util.rng import derive_seed
 from repro.analysis.errors import ErrorSeries
 from repro.core.forecast import NetworkForecastService
 from repro.experiments.protocol import ExperimentSpec, draw_transfer_pairs
-from repro.orchestration.actions import FunctionAction, Remote, SequentialActions
 from repro.testbed.fluid import TestbedNetwork
-from repro.testbed.iperf import IperfClient, IperfServer
-from repro.testbed.measurement import run_transfers
+from repro.testbed.measurement import MeasuredTransfer, run_transfers
+
+
+def check_sweep(repetitions: int, sizes: Sequence[float]) -> None:
+    """Reject a sweep that would measure nothing or a size that is not a
+    positive, finite byte count (``ValueError`` naming the value)."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not sizes:
+        raise ValueError("sizes must name at least one transfer size")
+    for size in sizes:
+        if not (math.isfinite(size) and size > 0):
+            raise ValueError(
+                f"transfer sizes must be positive and finite, got {size}")
 
 
 def run_experiment(
@@ -39,10 +42,14 @@ def run_experiment(
     sizes: Optional[tuple[float, ...]] = None,
     progress: Optional[Callable[[int, float], None]] = None,
 ) -> ErrorSeries:
-    """Measure and predict the full size sweep; returns the error series."""
+    """Measure and predict the full size sweep; returns the error series.
+
+    Raises ``ValueError`` (see :func:`check_sweep`) before any work starts.
+    """
     series = ErrorSeries(name=spec.name)
     reps = repetitions if repetitions is not None else spec.repetitions
     size_list = sizes if sizes is not None else spec.sizes
+    check_sweep(reps, size_list)
     for rep in range(reps):
         rep_seed = derive_seed(seed, spec.name, "rep", rep)
         pairs = draw_transfer_pairs(spec, rep_seed)
@@ -61,40 +68,16 @@ def run_experiment(
 
 
 def _measure(network: TestbedNetwork, transfers: list[tuple[str, str, float]],
-             seed: int) -> list:
-    """The §V-A measurement steps as orchestration actions."""
-    destinations = sorted({dst for _, dst, _ in transfers})
-    servers: dict[str, IperfServer] = {}
+             seed: int) -> list[MeasuredTransfer]:
+    """The §V-A measurement steps, on the testbed:
 
-    def start_server(host: str) -> IperfServer:
-        server = IperfServer(host).start()
-        servers[host] = server
-        return server
+    1. "TCP iperf servers (receivers) are started on all destination nodes";
+    2. "TCP iperf clients (senders) are simultaneously started on all source
+       nodes, each transferring the same amount of data to its destination";
+    3. "wait the end of the client transfers, record the completion time of
+       all actual transfers".
 
-    results: list = []
-
-    def run_clients() -> int:
-        clients = [
-            IperfClient(src, servers[dst], size) for src, dst, size in transfers
-        ]
-        # validity check mirrors iperf: a client needs its started server
-        for client in clients:
-            client.transfer_tuple()
-        results.extend(run_transfers(network, transfers, seed=seed))
-        return len(results)
-
-    def stop_servers() -> int:
-        for server in servers.values():
-            server.stop()
-        return len(servers)
-
-    protocol = SequentialActions(
-        [
-            Remote(start_server, destinations, name="start iperf servers"),
-            FunctionAction(run_clients, name="run iperf clients"),
-            FunctionAction(stop_servers, name="stop iperf servers"),
-        ],
-        name="experiment",
-    )
-    protocol.run()
-    return results
+    On the fluid testbed a destination always accepts, so all three are one
+    run of every transfer from t=0 to its last byte.
+    """
+    return run_transfers(network, transfers, seed=seed)

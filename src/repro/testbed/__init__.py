@@ -10,9 +10,10 @@ closest synthetic equivalent: a fluid network simulator with
 - full-duplex links and realistic topologies (:mod:`repro.testbed.fluid`),
 - per-cluster hardware profiles: connection/process startup overheads, NIC
   efficiency, kernel stack latency (:mod:`repro.testbed.profiles`),
-- an iperf-like measurement application (:mod:`repro.testbed.iperf`),
 - optional background cross-traffic (:mod:`repro.testbed.crosstraffic`),
-- seeded measurement noise (:mod:`repro.testbed.measurement`).
+- the iperf-style measurement of §V-A — every transfer started at t=0,
+  completion times recorded with seeded noise
+  (:mod:`repro.testbed.measurement`).
 
 It shares **no sharing-model code** with the predictor (:mod:`repro.simgrid`):
 its steady-state allocator is a per-bottleneck-link water-filling over

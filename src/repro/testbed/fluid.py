@@ -327,8 +327,11 @@ class FluidSimulator:
         is_background: bool = False,
     ) -> Flow:
         """Schedule a transfer of ``size`` bytes at time ``t``."""
-        if size <= 0:
-            raise TestbedError(f"transfer size must be positive, got {size}")
+        if not (math.isfinite(size) and size > 0):
+            raise TestbedError(
+                f"transfer size must be positive and finite, got {size}")
+        if not math.isfinite(t):
+            raise TestbedError(f"submit time must be finite, got {t}")
         src_node = self.network._require_node(src)
         self.network._require_node(dst)
         route = self.network.route(src, dst)

@@ -1,26 +1,41 @@
-"""Full-campaign sweep and engine wiring."""
+"""The full campaign: its combinations and the one loop that runs them."""
 
 import pytest
 
+from repro._util.rng import derive_seed
 from repro.experiments.campaign import (
+    campaign_combinations,
     campaign_summary,
-    campaign_sweep,
+    combination_id,
     run_campaign,
     spec_for,
 )
 from repro.experiments.protocol import Topology
-from repro.orchestration.sweep import ParamSweep
+from repro.experiments.runner import run_experiment
 
 
-class TestSweep:
+def graphene(n_srcs, n_dsts):
+    return [{"topology": Topology.CLUSTER, "cluster": "graphene",
+             "n_src": n_src, "n_dst": n_dst}
+            for n_src in n_srcs for n_dst in n_dsts]
+
+
+def platformless_environment():
+    from repro.core.forecast import NetworkForecastService
+    from repro.experiments.environment import testbed
+
+    return NetworkForecastService({}), testbed()
+
+
+class TestCombinations:
     def test_infeasible_sagittaire_combinations_excluded(self):
-        combos = campaign_sweep().combinations()
+        combos = campaign_combinations()
         for c in combos:
             if c["topology"] is Topology.CLUSTER and c["cluster"] == "sagittaire":
                 assert c["n_src"] + c["n_dst"] <= 79
 
     def test_cluster_capacity_rules(self):
-        combos = campaign_sweep().combinations()
+        combos = campaign_combinations()
 
         def pairs(cluster):
             return [
@@ -37,13 +52,13 @@ class TestSweep:
         assert (30, 50) not in sagittaire
 
     def test_grid_combinations_not_duplicated_per_cluster(self):
-        combos = campaign_sweep().combinations()
+        combos = campaign_combinations()
         grid = [c for c in combos if c["topology"] is Topology.GRID_MULTI]
         pairs = [(c["n_src"], c["n_dst"]) for c in grid]
         assert len(pairs) == len(set(pairs))
 
     def test_published_figures_are_in_the_campaign(self):
-        combos = campaign_sweep().combinations()
+        combos = campaign_combinations()
         keys = {
             (c["topology"], c.get("cluster"), c["n_src"], c["n_dst"])
             for c in combos
@@ -61,20 +76,37 @@ class TestSweep:
                          "n_src": 10, "n_dst": 10})
         assert grid.cluster is None
 
+    def test_sixty_four_combinations_and_no_one_by_one(self):
+        combos = campaign_combinations()
+        assert len(combos) == 64
+        assert not [c for c in combos if (c["n_src"], c["n_dst"]) == (1, 1)]
+
+    def test_grid_combinations_carry_the_first_cluster(self):
+        combos = campaign_combinations(counts=(1, 2),
+                                       clusters=("graphene", "sagittaire"))
+        assert {c["cluster"] for c in combos
+                if c["topology"] is Topology.GRID_MULTI} == {"graphene"}
+
+
+class TestCombinationId:
+    def test_stable_and_sorted(self):
+        cid = combination_id({"b": 2, "a": 1})
+        assert cid == "a=1__b=2"
+
+    def test_filesystem_safe(self):
+        cid = combination_id({"topo": "GRID/MULTI", "size": "1e5 B"})
+        assert "/" not in cid and " " not in cid
+
+    def test_unique_across_the_campaign(self):
+        # results are keyed by id: a collision would drop a combination
+        ids = [combination_id(c) for c in campaign_combinations()]
+        assert len(set(ids)) == len(ids) == 64
+
 
 class TestRunCampaign:
-    def small_sweep(self):
-        sweep = ParamSweep({
-            "topology": [Topology.CLUSTER],
-            "cluster": ["graphene"],
-            "n_src": [1, 2],
-            "n_dst": [2],
-        })
-        return sweep
-
     def test_slice_runs_and_summarizes(self, forecast_service, g5k_testbed):
         results = run_campaign(
-            forecast_service, g5k_testbed, sweep=self.small_sweep(),
+            forecast_service, g5k_testbed, combinations=graphene((1, 2), (2,)),
             seed=3, repetitions=1, sizes=(5.99e7, 1e9),
         )
         assert len(results) == 2
@@ -83,86 +115,86 @@ class TestRunCampaign:
         stats = campaign_summary(results)
         assert stats.n_observations == (2 + 2) * 2  # transfers x sizes...
 
-    def test_progress_reported(self, forecast_service, g5k_testbed):
-        seen = []
-        run_campaign(
-            forecast_service, g5k_testbed, sweep=self.small_sweep(),
-            seed=3, repetitions=1, sizes=(1e9,),
-            progress=lambda comb, res: seen.append(comb["n_src"]),
-        )
-        assert sorted(seen) == [1, 2]
-
     def test_deterministic_per_combination(self, forecast_service, g5k_testbed):
         r1 = run_campaign(forecast_service, g5k_testbed,
-                          sweep=self.small_sweep(), seed=9,
+                          combinations=graphene((1, 2), (2,)), seed=9,
                           repetitions=1, sizes=(1e9,))
         r2 = run_campaign(forecast_service, g5k_testbed,
-                          sweep=self.small_sweep(), seed=9,
+                          combinations=graphene((1, 2), (2,)), seed=9,
                           repetitions=1, sizes=(1e9,))
         for key in r1:
             assert r1[key].points[0].errors == r2[key].points[0].errors
 
+    def test_a_combination_reruns_alone_from_its_id(
+            self, forecast_service, g5k_testbed):
+        # the seed is derive_seed(derive_seed(root, id), 0): neither the
+        # combination's position nor its neighbours move it
+        combos = graphene((1, 2), (2, 4))
+        whole = run_campaign(forecast_service, g5k_testbed, combinations=combos,
+                             seed=9, repetitions=1, sizes=(1e9,))
+        last = combos[-1]
+        cid = combination_id(last)
+        alone = run_campaign(forecast_service, g5k_testbed, combinations=[last],
+                             seed=9, repetitions=1, sizes=(1e9,))
+        direct = run_experiment(
+            spec_for(last, sizes=(1e9,), repetitions=1), forecast_service,
+            g5k_testbed, seed=derive_seed(derive_seed(9, cid), 0),
+            repetitions=1, sizes=(1e9,),
+        )
+        assert whole[cid].rows() == alone[cid].rows() == direct.rows()
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_no_combinations_no_results(self, forecast_service, g5k_testbed,
+                                        workers):
+        assert run_campaign(forecast_service, g5k_testbed, combinations=[],
+                            workers=workers) == {}
+
 
 class TestParallelCampaign:
-    """The process-pool executor must be a bit-identical drop-in."""
-
-    def sweep(self):
-        return ParamSweep({
-            "topology": [Topology.CLUSTER],
-            "cluster": ["graphene"],
-            "n_src": [1, 2, 3],
-            "n_dst": [2, 4],
-        })
+    """The process pool runs the same function in the same order."""
 
     def test_parallel_matches_serial_bitwise(self, forecast_service, g5k_testbed):
-        kwargs = dict(seed=9, repetitions=1, sizes=(5.99e7, 1e9))
-        serial = run_campaign(forecast_service, g5k_testbed,
-                              sweep=self.sweep(), **kwargs)
-        parallel = run_campaign(forecast_service, g5k_testbed,
-                                sweep=self.sweep(), workers=2, **kwargs)
-        assert list(serial) == list(parallel)  # sweep-order aggregation
+        kwargs = dict(combinations=graphene((1, 2, 3), (2, 4)), seed=9,
+                      repetitions=1, sizes=(5.99e7, 1e9))
+        serial = run_campaign(forecast_service, g5k_testbed, **kwargs)
+        parallel = run_campaign(forecast_service, g5k_testbed, workers=2,
+                                **kwargs)
+        assert list(serial) == list(parallel)  # campaign-order aggregation
         for key in serial:
             assert serial[key].rows() == parallel[key].rows()
         assert campaign_summary(serial) == campaign_summary(parallel)
 
-    def test_parallel_chunking_does_not_change_results(
+    def test_workers_run_against_the_factory_environment(
             self, forecast_service, g5k_testbed):
-        kwargs = dict(seed=9, repetitions=1, sizes=(1e9,))
-        by_one = run_campaign(forecast_service, g5k_testbed, sweep=self.sweep(),
-                              workers=2, chunk_size=1, **kwargs)
-        by_three = run_campaign(forecast_service, g5k_testbed, sweep=self.sweep(),
-                                workers=2, chunk_size=3, **kwargs)
-        for key in by_one:
-            assert by_one[key].rows() == by_three[key].rows()
-
-    def test_parallel_progress_reported_in_sweep_order(
-            self, forecast_service, g5k_testbed):
-        seen = []
-        run_campaign(
-            forecast_service, g5k_testbed, sweep=self.sweep(), seed=3,
-            repetitions=1, sizes=(1e9,), workers=2,
-            progress=lambda comb, res: seen.append((comb["n_src"], comb["n_dst"])),
-        )
-        assert seen == [(c["n_src"], c["n_dst"])
-                        for c in self.sweep().combinations()]
+        # a factory whose service knows no platform: every worker-side
+        # combination fails, although the arguments would have succeeded
+        with pytest.raises(RuntimeError, match="g5k_test"):
+            run_campaign(forecast_service, g5k_testbed,
+                         combinations=graphene((1,), (2,)), seed=3,
+                         repetitions=1, sizes=(1e9,), workers=2,
+                         environment_factory=platformless_environment)
 
     def test_parallel_rejects_mismatched_custom_environment(self, g5k_testbed):
         from repro.core.forecast import NetworkForecastService
 
         custom = NetworkForecastService({})
         with pytest.raises(ValueError, match="environment_factory"):
-            run_campaign(custom, g5k_testbed, sweep=self.sweep(), seed=3,
-                         repetitions=1, sizes=(1e9,), workers=2)
+            run_campaign(custom, g5k_testbed, combinations=graphene((1,), (2,)),
+                         seed=3, repetitions=1, sizes=(1e9,), workers=2)
 
-    def test_parallel_failure_surfaces_combination_id(
-            self, forecast_service, g5k_testbed):
-        bad = ParamSweep({
-            "topology": [Topology.CLUSTER],
-            "cluster": ["no-such-cluster"],
-            "n_src": [1],
-            "n_dst": [2],
-        })
-        with pytest.raises(RuntimeError, match="no-such-cluster"):
-            run_campaign(forecast_service, g5k_testbed, sweep=bad,
-                         seed=3, repetitions=1, sizes=(1e9,), workers=2,
-                         max_retries=0)
+
+def test_failure_message_is_the_same_in_both_modes(forecast_service,
+                                                  g5k_testbed):
+    bad = {"topology": Topology.CLUSTER, "cluster": "no-such-cluster",
+           "n_src": 1, "n_dst": 2}
+    messages = []
+    for workers in (None, 2):
+        with pytest.raises(RuntimeError) as info:
+            run_campaign(forecast_service, g5k_testbed,
+                         combinations=graphene((1,), (2,)) + [bad],
+                         seed=3, repetitions=1, sizes=(1e9,), workers=workers)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == (
+        f"campaign combination {combination_id(bad)} failed: "
+        "KeyError: \"unknown cluster 'no-such-cluster'\"")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.campaign import campaign_sweep, run_campaign
+from repro.experiments.campaign import campaign_combinations, run_campaign
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "campaign_golden.json"
 COUNTS = (1, 2)
@@ -36,8 +36,8 @@ def _hex_rows(series) -> list[list]:
 
 def compute(forecast, network, workers) -> dict:
     results = run_campaign(
-        forecast, network, sweep=campaign_sweep(counts=COUNTS), seed=SEED,
-        repetitions=REPETITIONS, sizes=SIZES, workers=workers,
+        forecast, network, combinations=campaign_combinations(counts=COUNTS),
+        seed=SEED, repetitions=REPETITIONS, sizes=SIZES, workers=workers,
     )
     return {cid: _hex_rows(series) for cid, series in results.items()}
 

@@ -1,5 +1,8 @@
 """Experiment runner and figure specs (fast reduced sweeps)."""
 
+import math
+import re
+
 import pytest
 
 from repro.analysis.errors import ErrorSeries
@@ -47,6 +50,24 @@ class TestRunner:
                        repetitions=2, sizes=(1e6, 1e8),
                        progress=lambda rep, size: calls.append((rep, size)))
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("repetitions, sizes, message", [
+        (0, (1e6,), "repetitions must be >= 1, got 0"),
+        (-2, (1e6,), "repetitions must be >= 1, got -2"),
+        (1, (), "sizes must name at least one transfer size"),
+        (1, (1e6, 0.0), "transfer sizes must be positive and finite, got 0.0"),
+        (1, (-1e6,), "transfer sizes must be positive and finite, got -1000000.0"),
+        (1, (math.nan,), "transfer sizes must be positive and finite, got nan"),
+        (1, (math.inf,), "transfer sizes must be positive and finite, got inf"),
+    ], ids=["zero-reps", "negative-reps", "no-sizes", "zero-size",
+            "negative-size", "nan-size", "inf-size"])
+    def test_bad_sweep_rejected_before_any_work(self, forecast_service,
+                                                repetitions, sizes, message):
+        # network=None: any measurement would fail with AttributeError
+        spec = ExperimentSpec("t", Topology.CLUSTER, 1, 2, cluster="graphene")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(spec, forecast_service, None, seed=1,
+                           repetitions=repetitions, sizes=sizes)
 
 
 class TestFigureRegistry:

@@ -194,6 +194,23 @@ class TestExperiment:
         assert code == 2
         assert "unknown figure" in text
 
+    @pytest.mark.parametrize("verb", [["experiment", "--figure", "fig7"],
+                                      ["report", "--figures", "fig7"]],
+                             ids=["experiment", "report"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--sizes", "abc", "--sizes must be comma-separated numbers, got 'abc'"),
+        ("--sizes", "1e6,-5", "transfer sizes must be positive and finite, "
+                              "got -5.0"),
+        ("--reps", "0", "repetitions must be >= 1, got 0"),
+        ("--reps", "-2", "repetitions must be >= 1, got -2"),
+    ], ids=["not-a-number", "negative-size", "zero-reps", "negative-reps"])
+    def test_bad_input_prints_one_line_and_exits_2(self, verb, option, value,
+                                                   message):
+        # predict's contract: one line, exit 2, never a traceback
+        code, text = run_cli(*verb, option, value)
+        assert code == 2
+        assert text == message + "\n"
+
 
 class TestScenarios:
     def test_list_shows_every_preset_and_family(self):

@@ -1,11 +1,12 @@
-"""Shared utilities: seeded RNG derivation and stats."""
+"""Shared utilities: seeded RNG derivation, stats, LRU, pool chunking."""
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro._util.lru import BoundedLRU
+from repro._util.parallel import pool_chunk_size
 from repro._util.rng import (
     derive_seed,
     rng_for,
@@ -124,6 +125,7 @@ class TestStats:
         assert stats.iqr == 2.0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    @example([0.0, 5e-324, 5e-324])  # interpolation between subnormals
     def test_box_stats_ordering_invariant(self, values):
         stats = box_stats(values)
         assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
@@ -179,3 +181,10 @@ class TestBoundedLRU:
         cache.put("k", None)
         assert cache.get("k", "default") == "default"
         assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_pool_chunk_size_balances_waves():
+    assert pool_chunk_size(100, 4) == 6
+    assert pool_chunk_size(3, 4) == 1
+    assert pool_chunk_size(0, 4) == 1
+    assert pool_chunk_size(100, 1) == 1

@@ -1,18 +1,11 @@
-"""Measurement wrapper, iperf application, cross-traffic."""
+"""Measurement wrapper, cross-traffic, host profiles."""
 
 import math
 
 import pytest
 
 from repro.testbed.crosstraffic import CrossTrafficSpec, inject_background
-from repro.testbed.fluid import FluidSimulator, Hop, TestbedNetwork
-from repro.testbed.iperf import (
-    IperfClient,
-    IperfError,
-    IperfServer,
-    format_report,
-    run_iperf_session,
-)
+from repro.testbed.fluid import FluidSimulator, Hop, TestbedError, TestbedNetwork
 from repro.testbed.measurement import MeasuredTransfer, run_transfers
 from repro.testbed.profiles import DEFAULT, PROFILES, HostProfile
 
@@ -73,6 +66,26 @@ class TestRunTransfers:
             MeasuredTransfer("a", "b", 1.0, duration=math.nan,
                              raw_duration=1.0, startup_overhead=0.0)
 
+    @pytest.mark.parametrize("size, t, message", [
+        (math.inf, 0.0, "transfer size must be positive and finite, got inf"),
+        (-math.inf, 0.0, "transfer size must be positive and finite, got -inf"),
+        (math.nan, 0.0, "transfer size must be positive and finite, got nan"),
+        (1e7, math.inf, "submit time must be finite, got inf"),
+        (1e7, -math.inf, "submit time must be finite, got -inf"),
+        (1e7, math.nan, "submit time must be finite, got nan"),
+    ], ids=["inf-size", "-inf-size", "nan-size", "inf-t", "-inf-t", "nan-t"])
+    def test_non_finite_size_or_time_rejected(self, size, t, message):
+        # no finite completion time for a transfer that has none
+        net = small_net()
+        sim = FluidSimulator(net, seed=0)
+        sim.submit("n2", "n3", 1e7)
+        with pytest.raises(TestbedError, match=f"^{message}$"):
+            sim.submit("n0", "n1", size, t=t)
+            sim.run()
+        if t == 0.0:
+            with pytest.raises(TestbedError, match=f"^{message}$"):
+                run_transfers(net, [("n2", "n3", 1e7), ("n0", "n1", size)])
+
     def test_background_traffic_slows_foreground(self):
         net = small_net(4)
         transfers = [("n0", "n1", 5e8)]
@@ -83,49 +96,6 @@ class TestRunTransfers:
         noisy = run_transfers(net, transfers, seed=2,
                               measurement_noise_sigma=0.0, background=heavy)
         assert noisy[0].duration > clean[0].duration
-
-
-class TestIperf:
-    def test_session_runs_all_clients(self):
-        net = small_net()
-        server = IperfServer("n1").start()
-        clients = [IperfClient("n0", server, 1e7), IperfClient("n2", server, 1e7)]
-        flows = run_iperf_session(net, clients, seed=0)
-        assert all(f.state == "done" for f in flows)
-        assert clients[0].flow is flows[0]
-
-    def test_client_requires_started_server(self):
-        net = small_net()
-        server = IperfServer("n1")  # not started
-        client = IperfClient("n0", server, 1e7)
-        with pytest.raises(IperfError):
-            client.transfer_tuple()
-
-    def test_stopped_server_rejects(self):
-        server = IperfServer("n1").start()
-        server.stop()
-        client = IperfClient("n0", server, 1e7)
-        with pytest.raises(IperfError):
-            client.transfer_tuple()
-
-    def test_unique_ports(self):
-        s1, s2 = IperfServer("n1"), IperfServer("n2")
-        assert s1.port != s2.port
-
-    def test_report_format(self):
-        net = small_net()
-        server = IperfServer("n1").start()
-        client = IperfClient("n0", server, 1e7)
-        run_iperf_session(net, [client], seed=0)
-        report = format_report(client.flow)
-        assert "MBytes" in report and "Mbits/sec" in report
-
-    def test_report_requires_finished_flow(self):
-        net = small_net()
-        sim = FluidSimulator(net, seed=0)
-        flow = sim.submit("n0", "n1", 1e7)
-        with pytest.raises(IperfError):
-            format_report(flow)
 
 
 class TestCrossTraffic:
