@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 
+from _harness import root_seed
 from repro.analysis.tables import render_table
 from repro.experiments import environment
 from repro.experiments.campaign import (
@@ -35,7 +36,7 @@ REPS = 1
 
 def run_both() -> tuple[dict, dict, float, float]:
     forecast, network = environment.forecast_service(), environment.testbed()
-    seed = environment.root_seed()
+    seed = root_seed()
     combinations = campaign_combinations(counts=COUNTS)
 
     t0 = time.perf_counter()

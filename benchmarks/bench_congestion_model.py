@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import time
 
+from _harness import root_seed
 from repro.analysis.tables import render_table
 from repro.experiments import environment
 from repro.experiments.figures import FIGURES
@@ -45,7 +46,7 @@ FLUID = TcpFluidModel()
 
 
 def campaign_workload() -> list[tuple[str, str, float]]:
-    pairs = draw_transfer_pairs(FIGURES["fig5"].spec, environment.root_seed())
+    pairs = draw_transfer_pairs(FIGURES["fig5"].spec, root_seed())
     return [
         (src, dst, TRANSFER_SIZES[i % len(TRANSFER_SIZES)])
         for i, (src, dst) in enumerate(pairs)

@@ -39,9 +39,9 @@ from repro.analysis.tables import render_table
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.core.rest.json_codec import dumps
-from repro.serving.factories import star_fleet_factory, star_fleet_service
-from repro.serving.gateway import GatewayConfig, ShardedGateway
+from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from tests.loadgen import LoadQuery, run_load
+from tests.serving_helpers import star_fleet_factory, star_fleet_service
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 N_PLATFORMS = 4 if SMOKE else 8
@@ -120,8 +120,10 @@ def test_gateway_load(console, benchmark):
     config = GatewayConfig(shards=N_SHARDS, window=0.0, cache_size=0)
     with ShardedGateway(factory, config) as gateway:
         host, port = gateway.address
-        platform_split = gateway.ring.distribution(
-            sorted(gateway.service.platform_names()))
+        owners = [gateway.ring.node(name)
+                  for name in gateway.service.platform_names()]
+        platform_split = {node: owners.count(node)
+                          for node in gateway.ring.nodes}
         gateway_report = run_load(host, port, queries, clients=clients,
                                   requests_per_client=requests)
         assert gateway_report.errors == 0
@@ -219,8 +221,8 @@ def test_gateway_load(console, benchmark):
                 transfers = [tuple(t) for t in json.loads(
                     queries[sorted(new_service.platform_names())
                             .index(name)].body)["transfers"]]
-                assert rest.post_predict_transfers(name, transfers) \
-                    == new_truth
+                assert rest.post(f"/pilgrim/predict_transfers/{name}",
+                                 {"transfers": transfers}) == new_truth
             epoch = rest.stats()["gateway"]["epoch"]
         assert epoch["syncs"] >= 1
         assert epoch["parent"] == epoch["synced"]

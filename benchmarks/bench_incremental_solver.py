@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import time
 
+from _harness import root_seed
 from repro.analysis.tables import render_table
 from repro.experiments import environment
 from repro.experiments.figures import FIGURES
@@ -42,7 +43,7 @@ MODEL = LV08()
 
 
 def campaign_workload(fig_id: str) -> list[tuple[str, str, float]]:
-    pairs = draw_transfer_pairs(FIGURES[fig_id].spec, environment.root_seed())
+    pairs = draw_transfer_pairs(FIGURES[fig_id].spec, root_seed())
     return [
         (src, dst, TRANSFER_SIZES[i % len(TRANSFER_SIZES)])
         for i, (src, dst) in enumerate(pairs)

@@ -3,12 +3,13 @@
 A closed-loop load generator replays the same repeated mixed workload (many
 small forecast batches, varying fan-out and sizes) two ways:
 
-- **cold** — ``predict_transfers_many(workers=N)``: a throwaway pool per
-  call, so every batch pays process start-up plus a platform rebuild in
-  each worker;
-- **warm** — the same calls with a :class:`~repro.serving.pool.WarmWorkerPool`
-  injected: workers built their service once and keep the platform, route
-  LRU and solver arena resident across batches.
+- **cold** — ``WarmWorkerPool(factory, workers=N).answer_many(queries)``:
+  a throwaway pool per call, so every batch pays process start-up plus a
+  platform rebuild in each worker;
+- **warm** — the same calls on one long-lived
+  :class:`~repro.serving.pool.WarmWorkerPool`: workers built their service
+  once and keep the platform, route LRU and solver arena resident across
+  batches.
 
 Asserted (outside smoke mode, where wall-clock ratios mean nothing):
 
@@ -26,12 +27,13 @@ from __future__ import annotations
 import os
 import time
 
+from _harness import root_seed
 from repro._util.rng import rng_for
 from repro.analysis.tables import render_table
-from repro.experiments import environment
-from repro.serving.factories import STAR_PLATFORM, star_factory, star_forecast_service
+from repro.core.forecast import ForecastQuery
 from repro.serving.pool import WarmWorkerPool
 from repro.serving.service import ForecastServingService
+from tests.serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 N_HOSTS = 16 if SMOKE else 64
@@ -43,7 +45,7 @@ MIN_SPEEDUP = 3.0
 
 def mixed_workload(hosts: list[str], calls: int, batch: int) -> list[list[list[tuple]]]:
     """``calls`` batches of ``batch`` request lists with mixed fan-out/sizes."""
-    rng = rng_for(environment.root_seed(), "serving-throughput")
+    rng = rng_for(root_seed(), "serving-throughput")
     workload = []
     for _ in range(calls):
         requests = []
@@ -58,28 +60,28 @@ def mixed_workload(hosts: list[str], calls: int, batch: int) -> list[list[list[t
     return workload
 
 
+def batch_queries(service, requests) -> list[ForecastQuery]:
+    return [ForecastQuery.of(STAR_PLATFORM, transfers, model=service.model)
+            for transfers in requests]
+
+
 def run_cold_vs_warm(service, workload):
     factory = star_factory(N_HOSTS)
 
     t0 = time.perf_counter()
-    cold = [
-        service.predict_transfers_many(
-            STAR_PLATFORM, requests, workers=WORKERS, service_factory=factory)
-        for requests in workload
-    ]
+    cold = []
+    for requests in workload:
+        with WarmWorkerPool(factory, workers=WORKERS) as pool:
+            cold.append(pool.answer_many(batch_queries(service, requests)))
     cold_dt = time.perf_counter() - t0
 
     with WarmWorkerPool(factory, workers=WORKERS) as pool:
         # touch the pool so worker initializers are done before timing:
         # amortized start-up is the whole point of a long-lived pool
-        service.predict_transfers_many(STAR_PLATFORM, workload[0][:1],
-                                       executor=pool)
+        pool.answer_many(batch_queries(service, workload[0][:1]))
         t0 = time.perf_counter()
-        warm = [
-            service.predict_transfers_many(
-                STAR_PLATFORM, requests, executor=pool)
-            for requests in workload
-        ]
+        warm = [pool.answer_many(batch_queries(service, requests))
+                for requests in workload]
         warm_dt = time.perf_counter() - t0
         pool_stats = pool.stats()
     return cold, warm, cold_dt, warm_dt, pool_stats

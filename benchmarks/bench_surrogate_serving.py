@@ -34,19 +34,16 @@ import time
 
 import numpy as np
 
+from _harness import root_seed
 from repro._util.rng import rng_for
 from repro.analysis.tables import render_table
 from repro.core.forecast import NetworkForecastService
-from repro.experiments import environment
 from repro.scenarios.spec import TopologySpec
 from repro.scenarios.topologies import build_topology
 from repro.serving.service import ForecastServingService
-from repro.surrogate import (
-    SurrogateModel,
-    SurrogateSweep,
-    SurrogateTier,
-    run_sweep,
-)
+from repro.surrogate.dataset import SurrogateSweep, run_sweep
+from repro.surrogate.model import SurrogateModel
+from repro.surrogate.tier import SurrogateTier
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 PLATFORM = "surrogate-bench"
@@ -123,7 +120,7 @@ def test_surrogate_first_tier_latency_and_contract(console, benchmark):
     service = NetworkForecastService(
         {PLATFORM: build_topology(TopologySpec(*TOPOLOGY))})
     hosts = [h.name for h in service.platform(PLATFORM).hosts()]
-    rng = rng_for(environment.root_seed(), "surrogate-serving-bench")
+    rng = rng_for(root_seed(), "surrogate-serving-bench")
     queries = unique_queries(hosts, QUERIES, rng)
     truth = [service.predict_transfers(PLATFORM, q) for q in queries]
 

@@ -29,12 +29,12 @@ import time
 
 import numpy as np
 
+from _harness import root_seed
 from repro._util.rng import rng_for
 from repro.analysis.tables import render_table
 from repro.core.forecast import NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
-from repro.experiments import environment
 from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.builder import build_dumbbell
@@ -84,7 +84,7 @@ def test_whatif_serving_latency_and_contract(console, benchmark):
         {PLATFORM: build_dumbbell(N_SIDE, N_SIDE)}, model=LV08())
     platform = service.platform(PLATFORM)
     nominal = platform.link("bottleneck").bandwidth
-    rng = rng_for(environment.root_seed(), "whatif-serving-bench")
+    rng = rng_for(root_seed(), "whatif-serving-bench")
     queries = make_queries(rng)
 
     # -- plain what-if: must match the hand-built dynamics run exactly -----

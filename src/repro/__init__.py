@@ -38,17 +38,10 @@ __version__ = "1.0.0"
 
 # Lazy attribute exports (PEP 562): keeps `from repro import Pilgrim` working
 # without forcing every subpackage import when only one substrate is needed.
+# Everything else is imported from the module that defines it.
 _EXPORTS = {
     "Pilgrim": ("repro.core.framework", "Pilgrim"),
     "TransferSpec": ("repro.core.forecast", "TransferSpec"),
-    "TransferForecast": ("repro.core.forecast", "TransferForecast"),
-    "NetworkForecastService": ("repro.core.forecast", "NetworkForecastService"),
-    "Platform": ("repro.simgrid.platform", "Platform"),
-    "Host": ("repro.simgrid.platform", "Host"),
-    "Link": ("repro.simgrid.platform", "Link"),
-    "Router": ("repro.simgrid.platform", "Router"),
-    "AutonomousSystem": ("repro.simgrid.platform", "AutonomousSystem"),
-    "Simulation": ("repro.simgrid.engine", "Simulation"),
 }
 
 
@@ -68,16 +61,4 @@ def __getattr__(name: str):
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
 
-__all__ = [
-    "Pilgrim",
-    "TransferSpec",
-    "TransferForecast",
-    "NetworkForecastService",
-    "Platform",
-    "Host",
-    "Link",
-    "Router",
-    "AutonomousSystem",
-    "Simulation",
-    "__version__",
-]
+__all__ = ["Pilgrim", "TransferSpec", "__version__"]

@@ -1,6 +1,1 @@
 """Small shared utilities: seeded RNG derivation and descriptive statistics."""
-
-from repro._util.rng import derive_seed, rng_for
-from repro._util.stats import BoxStats, box_stats, median, quantile
-
-__all__ = ["derive_seed", "rng_for", "BoxStats", "box_stats", "median", "quantile"]

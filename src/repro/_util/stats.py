@@ -58,10 +58,6 @@ class BoxStats:
     maximum: float
     count: int
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def box_stats(values: Sequence[float]) -> BoxStats:
     """Five-number summary of ``values``."""

@@ -1,7 +1,1 @@
 """Analysis: error metrics, aggregation, text rendering of the figures."""
-
-from repro.analysis.errors import ErrorSeries, SizePoint, log2_error
-from repro.analysis.asciiplot import render_error_plot
-from repro.analysis.tables import render_table
-
-__all__ = ["ErrorSeries", "SizePoint", "log2_error", "render_error_plot", "render_table"]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from repro._util.stats import BoxStats, box_stats, median
 
@@ -72,9 +71,6 @@ class ErrorSeries:
 
     def sizes(self) -> list[float]:
         return [p.size for p in self.points]
-
-    def median_errors(self) -> list[float]:
-        return [p.median_error for p in self.points]
 
     def errors_above(self, size_threshold: float) -> list[float]:
         """All per-transfer errors for sizes strictly above the threshold —

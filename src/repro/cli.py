@@ -22,6 +22,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.serving.batcher import DEFAULT_WINDOW
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -110,10 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="warm forecast worker processes (0 = answer "
                             "inline in the serving process, the default); "
                             "with --shards, per shard")
-    serve.add_argument("--batch-window", type=float, default=0.005,
+    serve.add_argument("--batch-window", type=float, default=DEFAULT_WINDOW,
                        metavar="SECONDS",
                        help="micro-batching window: concurrent requests "
-                            "arriving within it share one fan-out")
+                            "arriving within it share one pool fan-out "
+                            "(default 0: a lone request never waits)")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="forecast cache entries (0 disables caching)")
     serve.add_argument("--max-requests", type=int, default=None,
@@ -336,53 +339,42 @@ def _cmd_version(out) -> int:
 
 def _cmd_predict(args, out) -> int:
     from repro.core.forecast import TransferSpec
-    from repro.core.rest.errors import ApiError
     from repro.experiments.environment import forecast_service
     from repro.simgrid.models import model_by_name
 
     service = forecast_service()
-    try:
-        model = model_by_name(args.model)
-        forecasts = service.predict_transfers(
-            args.platform, [TransferSpec.parse(t) for t in args.transfer],
-            model=model, ongoing=[TransferSpec.parse(t) for t in args.ongoing],
-            full_resolve=args.full_resolve,
-        )
-    except (ApiError, ValueError) as exc:
-        out.write(f"{exc}\n")
-        return 2
+    model = model_by_name(args.model)
+    forecasts = service.predict_transfers(
+        args.platform, [TransferSpec.parse(t) for t in args.transfer],
+        model=model, ongoing=[TransferSpec.parse(t) for t in args.ongoing],
+        full_resolve=args.full_resolve,
+    )
     out.write(json.dumps([f.to_json() for f in forecasts], indent=1) + "\n")
     return 0
 
 
 def _cmd_what_if(args, out) -> int:
     from repro.core.forecast import TransferSpec
-    from repro.core.rest.errors import ApiError
     from repro.experiments.environment import forecast_service
     from repro.horizon.whatif import parse_event
     from repro.simgrid.models import model_by_name
 
     service = forecast_service()
-    try:
-        model = model_by_name(args.model)
-        transfers = [TransferSpec.parse(t) for t in args.transfer]
-        ongoing = [TransferSpec.parse(t) for t in args.ongoing]
-        events = [parse_event(e) for e in args.event]
-        for observation in args.observe:
-            link, _, series = observation.partition("=")
-            if not series:
-                raise ValueError(
-                    f"--observe must be LINK=V1,V2,..., got {observation!r}")
-            for value in series.split(","):
-                service.observe_link(args.platform, link.strip(),
-                                     float(value))
-        result = service.predict_what_if(
-            args.platform, transfers, events, model=model, ongoing=ongoing,
-            horizon=args.horizon, full_resolve=args.full_resolve,
-        )
-    except (ApiError, ValueError) as exc:
-        out.write(f"{exc}\n")
-        return 2
+    model = model_by_name(args.model)
+    transfers = [TransferSpec.parse(t) for t in args.transfer]
+    ongoing = [TransferSpec.parse(t) for t in args.ongoing]
+    events = [parse_event(e) for e in args.event]
+    for observation in args.observe:
+        link, _, series = observation.partition("=")
+        if not series:
+            raise ValueError(
+                f"--observe must be LINK=V1,V2,..., got {observation!r}")
+        for value in series.split(","):
+            service.observe_link(args.platform, link.strip(), float(value))
+    result = service.predict_what_if(
+        args.platform, transfers, events, model=model, ongoing=ongoing,
+        horizon=args.horizon, full_resolve=args.full_resolve,
+    )
     out.write(json.dumps(result.to_json(), indent=1) + "\n")
     return 0
 
@@ -391,7 +383,8 @@ def _load_surrogate_tier(path, bound, out):
     """Build a SurrogateTier from a trained model document, or None."""
     if not path:
         return None
-    from repro.surrogate import SurrogateModel, SurrogateTier
+    from repro.surrogate.model import SurrogateModel
+    from repro.surrogate.tier import SurrogateTier
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -406,13 +399,12 @@ def _cmd_serve(args, out) -> int:
     from repro.core.framework import Pilgrim
     from repro.simgrid.models import model_by_name
 
-    model = None
-    if args.model:
-        try:
-            model = model_by_name(args.model)
-        except ValueError as exc:
-            out.write(f"{exc}\n")
-            return 2
+    for flag, value in (("--shards", args.shards), ("--workers", args.workers),
+                        ("--cache-size", args.cache_size),
+                        ("--batch-window", args.batch_window)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value:g}")
+    model = model_by_name(args.model) if args.model else None
     if args.shards > 0:
         return _cmd_serve_gateway(args, out)
     out.write("loading Grid'5000 platforms...\n")
@@ -424,7 +416,7 @@ def _cmd_serve(args, out) -> int:
 
         pilgrim.enable_serving(
             service_factory=grid5000_forecast_service,
-            workers=max(0, args.workers),
+            workers=args.workers,
             window=args.batch_window,
             cache_size=args.cache_size,
             max_requests=args.max_requests,
@@ -453,7 +445,7 @@ def _cmd_serve(args, out) -> int:
 def _cmd_serve_gateway(args, out) -> int:
     from repro.experiments.environment import forecast_service
     from repro.serving.factories import grid5000_forecast_service
-    from repro.serving.gateway import GatewayConfig, ShardedGateway
+    from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 
     out.write("loading Grid'5000 platforms...\n")
     # the session-cached parent service is the epoch/mutation source; the
@@ -474,7 +466,7 @@ def _cmd_serve_gateway(args, out) -> int:
         shard_threads=args.shard_threads,
         window=args.batch_window,
         cache_size=args.cache_size,
-        workers=max(0, args.workers),
+        workers=args.workers,
         max_requests=args.max_requests,
         model_name=args.model or None,
         surrogate_doc=surrogate_doc,
@@ -525,11 +517,7 @@ def _cmd_experiment(args, out) -> int:
         out.write(f"unknown figure {args.figure!r}; "
                   f"available: {', '.join(FIGURES)}\n")
         return 2
-    try:
-        sizes = _figure_sizes(args)
-    except ValueError as exc:
-        out.write(f"{exc}\n")
-        return 2
+    sizes = _figure_sizes(args)
     out.write(f"running {FIGURES[args.figure].title} "
               f"({args.reps} repetitions)...\n")
     series, failures = run_figure(
@@ -548,7 +536,8 @@ def _cmd_experiment(args, out) -> int:
 
 def _cmd_scenarios(args, out) -> int:
     from repro.analysis.tables import render_table
-    from repro.scenarios import DEFAULT_REGISTRY, run_scenario
+    from repro.scenarios.registry import DEFAULT_REGISTRY
+    from repro.scenarios.runner import run_scenario
 
     if args.scenarios_command == "list":
         rows = [
@@ -571,12 +560,8 @@ def _cmd_scenarios(args, out) -> int:
         spec = spec.replace(seed=args.seed)
     if args.model is not None:
         spec = spec.replace(model=args.model)
-    try:
-        result = run_scenario(spec, repetitions=args.reps,
-                              full_resolve=args.full_resolve)
-    except ValueError as exc:
-        out.write(f"{exc}\n")
-        return 2
+    result = run_scenario(spec, repetitions=args.reps,
+                          full_resolve=args.full_resolve)
     if args.json:
         out.write(json.dumps(result.to_json(), indent=1) + "\n")
         return 0
@@ -669,7 +654,7 @@ def _cmd_metrology_record(args, out) -> int:
 
 def _cmd_metrology_replay(args, out) -> int:
     from repro.analysis.tables import render_table
-    from repro.scenarios import run_scenario
+    from repro.scenarios.runner import run_scenario
     from repro.scenarios.spec import (
         MeasuredTrace,
         ScenarioSpec,
@@ -803,7 +788,8 @@ def _format_evaluation(report: dict) -> str:
 
 
 def _cmd_surrogate_train(args, out) -> int:
-    from repro.surrogate import SurrogateModel, SurrogateSweep, run_sweep
+    from repro.surrogate.dataset import SurrogateSweep, run_sweep
+    from repro.surrogate.model import SurrogateModel
 
     if not 0.0 <= args.holdout < 1.0:
         out.write(f"--holdout must be in [0, 1), got {args.holdout}\n")
@@ -839,7 +825,8 @@ def _cmd_surrogate_train(args, out) -> int:
 
 
 def _cmd_surrogate_eval(args, out) -> int:
-    from repro.surrogate import SurrogateModel, SurrogateSweep, run_sweep
+    from repro.surrogate.dataset import SurrogateSweep, run_sweep
+    from repro.surrogate.model import SurrogateModel
 
     with open(args.input, "r", encoding="utf-8") as fh:
         model = SurrogateModel.from_json(json.load(fh))
@@ -873,11 +860,7 @@ def _cmd_report(args, out) -> int:
     if unknown:
         out.write(f"unknown figures: {', '.join(unknown)}\n")
         return 2
-    try:
-        sizes = _figure_sizes(args)
-    except ValueError as exc:
-        out.write(f"{exc}\n")
-        return 2
+    sizes = _figure_sizes(args)
     results = {}
     for fig_id in fig_ids:
         out.write(f"running {fig_id} ({FIGURES[fig_id].title})...\n")
@@ -896,9 +879,24 @@ def _cmd_report(args, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input — a typed service or metrology error, a ``ValueError``, a
+    file that cannot be read — prints one line and exits 2.
+    """
+    from repro.core.rest.errors import ApiError
+    from repro.metrology.collectors import MetrologyError
+
     out = out if out is not None else sys.stdout
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args, out)
+    except (ApiError, MetrologyError, OSError, ValueError) as exc:
+        out.write(f"{exc}\n")
+        return 2
+
+
+def _run(args, out) -> int:
     if args.command == "platforms":
         return _cmd_platforms(out)
     if args.command == "figures":

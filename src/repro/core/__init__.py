@@ -17,8 +17,3 @@ of the paper, plus the §VI extensions:
   facade wiring everything together, and :mod:`repro.core.rest` — the HTTP
   layer.
 """
-
-from repro.core.forecast import NetworkForecastService, TransferForecast, TransferSpec
-from repro.core.framework import Pilgrim
-
-__all__ = ["Pilgrim", "NetworkForecastService", "TransferForecast", "TransferSpec"]

@@ -21,7 +21,7 @@ import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.horizon.forecast import PlatformHorizon
@@ -428,24 +428,6 @@ class NetworkForecastService:
         return state.capacity_factors_at(horizon, bound=bound,
                                          combine=combine)
 
-    def predict_transfers_at(
-        self,
-        platform_name: str,
-        transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
-        horizon: int,
-        model: Optional[NetworkModel] = None,
-        ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-        capacity_factors: Optional[dict[str, float]] = None,
-        full_resolve: bool = False,
-    ) -> list[TransferForecast]:
-        """Forecast transfers under the platform state ``horizon`` steps
-        ahead, with duration intervals once a link series is warm (see
-        :meth:`answer`)."""
-        return self.answer(ForecastQuery.of(
-            platform_name, transfers, ongoing, model=model,
-            capacity_factors=capacity_factors, horizon=horizon),
-            full_resolve)[0]
-
     def predict_what_if(
         self,
         platform_name: str,
@@ -490,44 +472,3 @@ class NetworkForecastService:
                     self._horizons.items())
             },
         }
-
-    def predict_transfers_many(
-        self,
-        platform_name: str,
-        requests: Sequence[Sequence[TransferSpec] | Sequence[tuple[str, str, float]]],
-        model: Optional[NetworkModel] = None,
-        workers: Optional[int] = None,
-        service_factory: Optional[Callable[[], "NetworkForecastService"]] = None,
-        executor=None,
-    ) -> list[list[TransferForecast]]:
-        """Answer many independent forecast requests (a backtest batch).
-
-        Each element of ``requests`` is one ``predict_transfers`` transfer
-        list; the answers come back in request order, identical to serial
-        ones (every simulation is independent).  ``workers > 1`` fans them
-        out over a throwaway :class:`~repro.serving.pool.WarmWorkerPool`
-        whose workers rebuild the service from ``service_factory``, a
-        picklable module-level callable (usually the session-cached
-        :func:`repro.experiments.environment.forecast_service`).
-        ``executor`` injects a live ``WarmWorkerPool`` instead, left running
-        for the caller.
-        """
-        # the model object itself (a frozen, picklable dataclass) rides each
-        # query, so custom factors/gamma survive the process boundary and a
-        # worker's rebuilt service cannot default differently
-        queries = [ForecastQuery.of(platform_name, transfers,
-                                    model=model or self.model)
-                   for transfers in requests]
-        if executor is not None:
-            return executor.answer_many(queries)
-        if workers is None or workers <= 1 or len(queries) <= 1:
-            return [self.answer(query)[0] for query in queries]
-        if service_factory is None:
-            raise ValueError(
-                "predict_transfers_many(workers > 1) needs a picklable "
-                "service_factory rebuilding the service in each worker"
-            )
-        from repro.serving.pool import WarmWorkerPool  # builds on this module
-
-        with WarmWorkerPool(service_factory, workers=workers) as pool:
-            return pool.answer_many(queries)

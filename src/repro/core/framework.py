@@ -28,6 +28,7 @@ from repro.core.rest.server import DEFAULT_MAX_BODY, PilgrimHTTPServer
 from repro.core.workflow import WorkflowForecastService
 from repro.horizon.whatif import events_from_json
 from repro.metrology.collectors import MetricRegistry
+from repro.serving.batcher import DEFAULT_WINDOW
 from repro.simgrid.models import NetworkModel, SharingModel, model_by_name
 from repro.simgrid.platform import Platform
 
@@ -52,9 +53,8 @@ class Pilgrim:
         self,
         service_factory=None,
         workers: int = 0,
-        window: float = 0.005,
+        window: float = DEFAULT_WINDOW,
         cache_size: int = 4096,
-        max_batch: int = 256,
         max_requests: Optional[int] = None,
         surrogate=None,
     ):
@@ -76,7 +76,7 @@ class Pilgrim:
             raise RuntimeError("serving already enabled")
         self.serving = ForecastServingService(
             self.forecast, service_factory=service_factory, workers=workers,
-            window=window, cache_size=cache_size, max_batch=max_batch,
+            window=window, cache_size=cache_size,
             max_requests=max_requests, surrogate=surrogate,
         ).start()
         return self.serving

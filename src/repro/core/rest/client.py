@@ -168,22 +168,6 @@ class RestClient:
         result = self.get(f"/pilgrim/predict_transfers/{platform}", params)
         return result  # type: ignore[return-value]
 
-    def post_predict_transfers(
-        self,
-        platform: str,
-        transfers: Sequence[tuple[str, str, float]],
-        ongoing: Sequence[tuple[str, str, float]] = (),
-    ) -> list[dict]:
-        """POST variant of :meth:`predict_transfers` for large transfer
-        lists (the serving-layer route, not limited by URI length)."""
-        payload: dict = {
-            "transfers": [[src, dst, size] for src, dst, size in transfers],
-        }
-        if ongoing:
-            payload["ongoing"] = [[src, dst, size] for src, dst, size in ongoing]
-        result = self.post(f"/pilgrim/predict_transfers/{platform}", payload)
-        return result  # type: ignore[return-value]
-
     def stats(self) -> dict:
         """The serving layer's cache/pool/latency counters."""
         return self.get("/pilgrim/stats")  # type: ignore[return-value]

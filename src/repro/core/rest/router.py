@@ -125,17 +125,6 @@ class Request:
     def params(self, name: str) -> list[str]:
         return list(self.query.get(name, []))
 
-    def float_param(self, name: str, default: Optional[float] = None) -> float:
-        raw = self.query.get(name)
-        if not raw:
-            if default is not None:
-                return default
-            raise BadRequest(f"missing query parameter {name!r}")
-        try:
-            return float(raw[-1])
-        except ValueError:
-            raise BadRequest(f"parameter {name!r} is not a number: {raw[-1]!r}") from None
-
 
 class _Route:
     def __init__(self, method: str, pattern: str, handler: Callable) -> None:

@@ -14,25 +14,3 @@
 - :mod:`repro.experiments.campaign` — every feasible combination of the
   §V-A parameter space, serially or on a process pool.
 """
-
-from repro.experiments.protocol import (
-    TRANSFER_SIZES,
-    LARGE_SIZE_THRESHOLD,
-    Topology,
-    ExperimentSpec,
-    draw_transfer_pairs,
-)
-from repro.experiments.runner import run_experiment
-from repro.experiments.figures import FIGURES, FigureSpec, run_figure
-
-__all__ = [
-    "TRANSFER_SIZES",
-    "LARGE_SIZE_THRESHOLD",
-    "Topology",
-    "ExperimentSpec",
-    "draw_transfer_pairs",
-    "run_experiment",
-    "FIGURES",
-    "FigureSpec",
-    "run_figure",
-]

@@ -2,14 +2,11 @@
 
 Building ``g5k_test`` enumerates every intra-site host pair (§V-A's "less
 optimized in size and loading time"), so tests and benches share one cached
-instance of each platform and of the testbed.  ``REPRO_REPS`` and
-``REPRO_SEED`` environment variables globally override repetition count and
-root seed for the benches.
+instance of each platform and of the testbed.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from repro.core.forecast import NetworkForecastService
@@ -53,21 +50,3 @@ def forecast_service() -> NetworkForecastService:
             "g5k_cabinets": g5k_cabinets_platform(),
         }
     )
-
-
-def default_repetitions(fallback: int = 5) -> int:
-    """Benches' repetition count (paper used 10; 5 keeps wall-time sane)."""
-    raw = os.environ.get("REPRO_REPS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return fallback
-
-
-def root_seed(fallback: int = 20120917) -> int:
-    """Root seed for every stochastic draw (date of CLUSTER 2012 week)."""
-    raw = os.environ.get("REPRO_SEED", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback

@@ -14,19 +14,3 @@ self-description into a SimGrid platform.  This subpackage provides:
 - :mod:`repro.g5k.converter` — the Reference-API → platform converter with
   its two variants ``g5k_test`` and ``g5k_cabinets`` (§V-A).
 """
-
-from repro.g5k.refapi import Grid5000Reference
-from repro.g5k.sites import (
-    grid5000_dev_reference,
-    grid5000_stable_reference,
-    build_grid5000_testbed,
-)
-from repro.g5k.converter import to_simgrid_platform
-
-__all__ = [
-    "Grid5000Reference",
-    "grid5000_dev_reference",
-    "grid5000_stable_reference",
-    "build_grid5000_testbed",
-    "to_simgrid_platform",
-]

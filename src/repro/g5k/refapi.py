@@ -12,7 +12,6 @@ the converter converts to bytes/s for the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 class RefApiError(Exception):
@@ -176,6 +175,3 @@ class Grid5000Reference:
             if site.uid == uid:
                 return site
         raise RefApiError(f"no site {uid!r}")
-
-    def all_nodes(self) -> list[NodeDoc]:
-        return [node for site in self.sites for node in site.nodes()]

@@ -316,8 +316,3 @@ def build_grid5000_testbed() -> TestbedNetwork:
 
     net.set_route_resolver(resolver)
     return net
-
-
-def all_node_uids() -> list[str]:
-    """Every node FQDN across the three sites."""
-    return [uid for spec in CLUSTERS for uid in spec.node_uids()]

@@ -15,29 +15,3 @@ The forecast service composes both in its one answer path,
 interval-annotated :class:`~repro.core.forecast.TransferForecast` 4-uples.
 See ``docs/PLANNING.md``.
 """
-
-from repro.horizon.forecast import (
-    MIN_CAPACITY_FACTOR,
-    HorizonForecaster,
-    HorizonSeries,
-    HorizonStep,
-    PlatformHorizon,
-)
-from repro.horizon.whatif import (
-    events_from_json,
-    parse_event,
-    run_what_if,
-    transient_link_states,
-)
-
-__all__ = [
-    "MIN_CAPACITY_FACTOR",
-    "HorizonForecaster",
-    "HorizonSeries",
-    "HorizonStep",
-    "PlatformHorizon",
-    "events_from_json",
-    "parse_event",
-    "run_what_if",
-    "transient_link_states",
-]

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.forecast import NetworkForecastService
-from repro.metrology.calibrator import LinkCalibrator
 from repro.metrology.collectors import MetrologyError
 from repro.metrology.feed import MetrologyFeed, MonitoredLink
 from repro.metrology.loop import RecalibrationLoop
 from repro.scenarios.spec import MeasuredTrace
 from repro.serving.factories import live_platform_factory, register_live_platform
 from repro.simgrid.builder import build_star_cluster
-from repro.simgrid.platform import Platform
 from repro.testbed.fluid import Hop, TestbedNetwork
 from repro.testbed.measurement import run_transfers
 
@@ -96,11 +94,6 @@ class CapacitySchedule:
     def true_factor(self, link: str) -> float:
         """Current capacity / nominal for ``link``."""
         return self.network.links[link].capacity / self._nominal[link]
-
-    def true_latency_factor(self, link: str) -> float:
-        """Current latency / nominal for ``link``."""
-        return (self.network.links[link].latency
-                / self._nominal_latency[link])
 
 
 def build_star_testbed(

@@ -307,16 +307,3 @@ class MetrologyFeed:
         self.last_cycle_duration = duration
         self._completed_at = deadline + duration
         return self.clock
-
-    def poll_for(self, duration: float) -> int:
-        """Probe cycles covering ``duration`` seconds; returns the count.
-
-        Deadlines stay on the original epoch grid even when cycles overrun
-        their period (the count then excludes the skipped grid points).
-        """
-        end = self.clock + duration
-        cycles = 0
-        while self.next_deadline() <= end + 1e-12:
-            self.poll_once()
-            cycles += 1
-        return cycles

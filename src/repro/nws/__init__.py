@@ -18,17 +18,3 @@ Its structural blind spot — probes cannot see the contention a *planned* set
 of concurrent transfers will create — is what the NWS-vs-PNFS bench
 demonstrates.
 """
-
-from repro.nws.forecaster import AdaptiveForecaster
-from repro.nws.predictors import PREDICTOR_FACTORIES, Predictor
-from repro.nws.sensors import BandwidthSensor, LatencySensor
-from repro.nws.api import NwsForecastService
-
-__all__ = [
-    "AdaptiveForecaster",
-    "PREDICTOR_FACTORIES",
-    "Predictor",
-    "BandwidthSensor",
-    "LatencySensor",
-    "NwsForecastService",
-]

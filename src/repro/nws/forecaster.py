@@ -59,12 +59,6 @@ class AdaptiveForecaster:
                 predictor.update(value)
             self.observations += 1
 
-    def mean_errors(self) -> list[Optional[float]]:
-        return [
-            (err / cnt if cnt else None)
-            for err, cnt in zip(self._abs_error, self._error_count)
-        ]
-
     @property
     def ready(self) -> bool:
         """True once at least one predictor can produce a forecast."""

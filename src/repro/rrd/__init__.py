@@ -9,15 +9,3 @@ with consolidation functions (AVERAGE/MIN/MAX/LAST) and xff thresholds,
 counter/gauge data sources with heartbeat-based unknowns, and a fetch that
 picks the most accurate archive per time segment.
 """
-
-from repro.rrd.rra import ConsolidationFunction, RraSpec, RoundRobinArchive
-from repro.rrd.database import DataSourceSpec, RoundRobinDatabase, RrdError
-
-__all__ = [
-    "ConsolidationFunction",
-    "RraSpec",
-    "RoundRobinArchive",
-    "DataSourceSpec",
-    "RoundRobinDatabase",
-    "RrdError",
-]

@@ -122,10 +122,3 @@ class RoundRobinArchive:
                 out.append((t, self.values[slot]))
             t += res
         return out
-
-    def covers(self, timestamp: float) -> bool:
-        """True when ``timestamp`` is within the archive's retained history."""
-        if self.last_cdp_end is None:
-            return False
-        oldest = self.last_cdp_end - (self.spec.rows - 1) * self.resolution
-        return oldest - self.resolution <= timestamp <= self.last_cdp_end + self.resolution

@@ -11,41 +11,3 @@
 
 See ``docs/SCENARIOS.md``.
 """
-
-from repro.scenarios.registry import DEFAULT_REGISTRY, ScenarioRegistry
-from repro.scenarios.runner import ScenarioResult, run_scenario
-from repro.scenarios.spec import (
-    LinkEvent,
-    MeasuredTrace,
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
-from repro.scenarios.topologies import (
-    build_topology,
-    register_topology,
-    topology_families,
-)
-from repro.scenarios.workloads import (
-    generate_workload,
-    register_workload,
-    workload_kinds,
-)
-
-__all__ = [
-    "DEFAULT_REGISTRY",
-    "LinkEvent",
-    "MeasuredTrace",
-    "ScenarioRegistry",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "TopologySpec",
-    "WorkloadSpec",
-    "build_topology",
-    "generate_workload",
-    "register_topology",
-    "register_workload",
-    "run_scenario",
-    "topology_families",
-    "workload_kinds",
-]

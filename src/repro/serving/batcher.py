@@ -11,6 +11,9 @@ Batching never changes answers: every queued request stays an independent
 simulation, grouped only for transport, so a batched answer is bit-identical
 to the same request issued alone.  The window is purely a latency/throughput
 trade: requests wait at most ``window`` seconds before execution starts.
+It buys a pool fan-out under bursts and nothing else, so the default
+(:data:`DEFAULT_WINDOW`, shared by every serving entry point) is 0: a lone
+request never waits for company.
 
 Each :meth:`submit` returns a :class:`concurrent.futures.Future`; callers
 block on ``result()``.  Exceptions raised by ``execute`` propagate to every
@@ -24,10 +27,15 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.forecast import ForecastQuery
 from repro.simgrid.models import model_key_of
+
+if TYPE_CHECKING:  # the CLI reads DEFAULT_WINDOW without the forecast stack
+    from repro.core.forecast import ForecastQuery
+
+#: The batch window every serving entry point defaults to, in seconds.
+DEFAULT_WINDOW = 0.0
 
 
 def batch_size_bucket(size: int) -> str:
@@ -63,7 +71,7 @@ class RequestCoalescer:
     def __init__(
         self,
         execute: Callable[[list[PendingRequest]], None],
-        window: float = 0.005,
+        window: float = DEFAULT_WINDOW,
         max_batch: int = 256,
     ) -> None:
         if window < 0:

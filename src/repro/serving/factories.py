@@ -1,15 +1,14 @@
-"""Picklable service factories for pool workers, benches and tests.
+"""Picklable service factories for pool workers and gateway shards.
 
 Warm-pool workers rebuild their forecast service from a factory shipped
 over the process boundary, so factories must be module-level callables (or
-``functools.partial`` over one).  These cover the common cases:
+``functools.partial`` over one):
 
-- :func:`star_forecast_service` — a synthetic full-mesh star cluster,
-  cheap to simulate but with a real per-worker build cost, which is what
-  the serving bench needs to contrast warm vs. cold pools;
 - :func:`grid5000_forecast_service` — the session-cached Grid'5000
   service (under the default ``fork`` start method, workers inherit the
-  parent's already-built platforms at fork time for free).
+  parent's already-built platforms at fork time for free);
+- :func:`live_platform_factory` — a service over a registered live
+  platform, the one a metrology run recalibrates.
 """
 
 from __future__ import annotations
@@ -18,42 +17,6 @@ from functools import partial
 from typing import Callable
 
 from repro.core.forecast import NetworkForecastService
-from repro.simgrid.builder import build_star_cluster
-
-#: Platform name used by the star factories (and the serving bench).
-STAR_PLATFORM = "serving-star"
-
-
-def star_forecast_service(n_hosts: int = 64,
-                          name: str = STAR_PLATFORM) -> NetworkForecastService:
-    """A forecast service over a fresh full-mesh star cluster."""
-    return NetworkForecastService({name: build_star_cluster(name, n_hosts)})
-
-
-def star_factory(n_hosts: int = 64,
-                 name: str = STAR_PLATFORM) -> Callable[[], NetworkForecastService]:
-    """A picklable factory building :func:`star_forecast_service`."""
-    return partial(star_forecast_service, n_hosts, name)
-
-
-def star_fleet_service(n_platforms: int = 4, n_hosts: int = 16,
-                       prefix: str = STAR_PLATFORM) -> NetworkForecastService:
-    """A forecast service over ``n_platforms`` independent star clusters.
-
-    The gateway shards traffic by *platform*, so a single-platform service
-    pins every request to one shard; benches and tests that want real
-    cross-shard parallelism spread load over a fleet of platforms
-    (``{prefix}-0`` … ``{prefix}-{n-1}``)."""
-    return NetworkForecastService({
-        f"{prefix}-{i}": build_star_cluster(f"{prefix}-{i}", n_hosts)
-        for i in range(n_platforms)
-    })
-
-
-def star_fleet_factory(n_platforms: int = 4, n_hosts: int = 16,
-                       prefix: str = STAR_PLATFORM) -> Callable[[], NetworkForecastService]:
-    """A picklable factory building :func:`star_fleet_service`."""
-    return partial(star_fleet_service, n_platforms, n_hosts, prefix)
 
 
 def grid5000_forecast_service() -> NetworkForecastService:

@@ -7,17 +7,3 @@ own :class:`~repro.serving.service.ForecastServingService` (shared-nothing
 ``ForecastCache``, own coalescer, optional warm pool) — see
 ``docs/SERVING.md`` for the full architecture.
 """
-
-from repro.serving.gateway.admission import AdmissionController
-from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
-from repro.serving.gateway.hashring import ConsistentHashRing
-from repro.serving.gateway.metrics import GatewayMetrics, LatencyReservoir
-
-__all__ = [
-    "AdmissionController",
-    "ConsistentHashRing",
-    "GatewayConfig",
-    "GatewayMetrics",
-    "LatencyReservoir",
-    "ShardedGateway",
-]

@@ -46,6 +46,7 @@ from urllib.parse import unquote, urlsplit
 from repro._util.lru import BoundedLRU
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import ServiceUnavailable
+from repro.serving.batcher import DEFAULT_WINDOW
 from repro.simgrid.platform import link_epoch
 
 from repro.serving.gateway.admission import AdmissionController
@@ -96,7 +97,7 @@ class GatewayConfig:
     idle_timeout: float = 30.0
     request_timeout: float = 60.0
     #: per-shard serving knobs (see ForecastServingService)
-    window: float = 0.002
+    window: float = DEFAULT_WINDOW
     cache_size: int = 4096
     workers: int = 0
     max_requests: Optional[int] = None
@@ -106,8 +107,6 @@ class GatewayConfig:
     #: ``None`` keeps the service factory's default.  Per-request
     #: ``model=`` parameters still win over this default.
     model_name: Optional[str] = None
-    #: virtual nodes per shard on the hash ring
-    ring_replicas: int = 64
     #: serialized SurrogateModel (``SurrogateModel.to_json()``) every shard
     #: deserializes into a shard-local SurrogateTier; None disables the tier
     surrogate_doc: Optional[dict] = None
@@ -296,8 +295,7 @@ class ShardedGateway:
             queue_depth=self.config.queue_depth,
             retry_after_s=self.config.retry_after_s,
         )
-        self.ring = ConsistentHashRing(range(self.config.shards),
-                                       replicas=self.config.ring_replicas)
+        self.ring = ConsistentHashRing(range(self.config.shards))
         self.shards: list[ShardHandle] = []
         self.frontend: Optional[AsyncHTTPFrontend] = None
         self._epoch_lock = threading.Lock()

@@ -78,10 +78,3 @@ class ConsistentHashRing:
         if index == len(self._points):  # wrap past the last point
             index = 0
         return self._owners[index]
-
-    def distribution(self, keys: Iterable[str]) -> dict:
-        """``{node: key count}`` over ``keys`` — balance introspection."""
-        counts = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.node(key)] += 1
-        return counts

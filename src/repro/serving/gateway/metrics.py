@@ -13,7 +13,7 @@ Everything here is thread-safe under one lock per reservoir; reads
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -88,8 +88,8 @@ class GatewayMetrics:
     ROUTE_CLASSES = ("predict_transfers", "select_fastest", "what_if",
                      "stats", "other")
 
-    def __init__(self, reservoir_size: int = 4096) -> None:
-        self._routes = {name: LatencyReservoir(reservoir_size)
+    def __init__(self) -> None:
+        self._routes = {name: LatencyReservoir()
                         for name in self.ROUTE_CLASSES}
         self._lock = threading.Lock()
         self.responses: dict[str, int] = {}  # status family ("2xx") → count

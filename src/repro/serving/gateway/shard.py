@@ -40,6 +40,8 @@ from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import Connection
 from typing import Callable, Optional
 
+from repro.serving.batcher import DEFAULT_WINDOW
+
 #: Message tags (parent → shard).
 REQ, STATS, SYNC, STOP = "req", "stats", "sync", "stop"
 #: Message tags (shard → parent).
@@ -78,7 +80,7 @@ def shard_main(
     conn: Connection,
     shard_id: int,
     service_factory: Callable,
-    window: float = 0.002,
+    window: float = DEFAULT_WINDOW,
     cache_size: int = 4096,
     workers: int = 0,
     max_requests: Optional[int] = None,

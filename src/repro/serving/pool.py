@@ -5,8 +5,8 @@ worker's resident service (``NetworkForecastService.answer``).  Each worker
 builds its service once (in the pool initializer, so the first request is
 already warm), and with it keeps the incremental ``SharingSystem`` arena
 allocations, the platform's route LRU and the per-route model memos hot
-across requests.  ``predict_transfers_many(workers=N)`` runs through a
-throwaway pool of its own.
+across requests.  A backtest batch is ``answer_many`` on a pool, warm or
+throwaway.
 
 Recycling bounds worker state: after ``max_requests`` forecasts the pool
 restarts its executor generation (fresh processes, fresh services), and

@@ -40,7 +40,7 @@ from repro.core.forecast import (
     TransferForecast,
     TransferSpec,
 )
-from repro.serving.batcher import PendingRequest, RequestCoalescer
+from repro.serving.batcher import DEFAULT_WINDOW, PendingRequest, RequestCoalescer
 from repro.serving.cache import ForecastCache
 from repro.serving.pool import WarmWorkerPool
 from repro.simgrid.platform import link_epoch
@@ -76,8 +76,8 @@ class ForecastServingService:
     """Cache + micro-batching + warm pool in front of the forecast service.
 
     ``workers > 0`` requires a picklable ``service_factory`` rebuilding an
-    equivalent service inside each pool worker (same contract as
-    ``predict_transfers_many``).  :meth:`answer` takes point queries only:
+    equivalent service inside each pool worker (see
+    :class:`~repro.serving.pool.WarmWorkerPool`).  :meth:`answer` takes point queries only:
     a horizon, what-if or derated query is answered by the service itself.
     ``cache_size=0`` disables the cache without changing any observable
     answer.  ``surrogate`` (a :class:`~repro.surrogate.tier.SurrogateTier`)
@@ -90,9 +90,8 @@ class ForecastServingService:
         service: NetworkForecastService,
         service_factory: Optional[Callable[[], NetworkForecastService]] = None,
         workers: int = 0,
-        window: float = 0.005,
+        window: float = DEFAULT_WINDOW,
         cache_size: int = 4096,
-        max_batch: int = 256,
         max_requests: Optional[int] = None,
         surrogate: Optional[object] = None,
     ) -> None:
@@ -108,7 +107,7 @@ class ForecastServingService:
         self.cache = ForecastCache(maxsize=cache_size)
         self.latency = LatencyCounter()
         self.batcher = RequestCoalescer(
-            self._execute_batch, window=window, max_batch=max_batch)
+            self._execute_batch, window=window)
         self.pool: Optional[WarmWorkerPool] = None
         if workers > 0:
             self.pool = WarmWorkerPool(

@@ -24,54 +24,3 @@ policies, latency/bandwidth factors, ``weight_S``) intentionally follows
 SimGrid's so that the reproduction can be read side by side with the paper and
 with Velho & Legrand (2009) / Bobelin et al. (2011).
 """
-
-from repro.simgrid.platform import (
-    AutonomousSystem,
-    Direction,
-    Host,
-    Link,
-    LinkUse,
-    Platform,
-    RouteCache,
-    Router,
-    SharingPolicy,
-)
-from repro.simgrid.models import (
-    CM02,
-    LV08,
-    NetworkModel,
-    SharingModel,
-    model_by_name,
-    model_key_of,
-    model_names,
-    register_model,
-    registered_models,
-)
-from repro.simgrid.tcpfluid import TcpFluidModel
-from repro.simgrid.engine import Simulation
-from repro.simgrid.maxmin import MaxMinSystem, SharingSystem
-
-__all__ = [
-    "AutonomousSystem",
-    "Direction",
-    "Host",
-    "Link",
-    "LinkUse",
-    "Platform",
-    "RouteCache",
-    "Router",
-    "SharingPolicy",
-    "NetworkModel",
-    "SharingModel",
-    "TcpFluidModel",
-    "CM02",
-    "LV08",
-    "model_by_name",
-    "model_key_of",
-    "model_names",
-    "register_model",
-    "registered_models",
-    "Simulation",
-    "MaxMinSystem",
-    "SharingSystem",
-]

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 from repro.simgrid.platform import (
     AutonomousSystem,
     Direction,
-    Link,
     LinkUse,
     Platform,
     SharingPolicy,
@@ -70,79 +69,6 @@ def add_star_cluster(
             cluster.add_connection(host.name, router, link)
         else:
             cluster.add_route(host.name, router, [link])
-    return cluster
-
-
-def add_grouped_cluster(
-    parent: AutonomousSystem | Platform,
-    name: str,
-    group_sizes: Sequence[int],
-    host_bandwidth: float | str = "1Gbps",
-    host_latency: float | str = "100us",
-    uplink_bandwidth: float | str = "10Gbps",
-    uplink_latency: float | str = "100us",
-    uplink_policy: SharingPolicy = SharingPolicy.SHARED,
-    host_policy: SharingPolicy = SharingPolicy.FULLDUPLEX,
-    host_speed: float = 1e9,
-    prefix: Optional[str] = None,
-) -> AutonomousSystem:
-    """Add a hierarchical cluster: hosts in groups behind aggregation routers.
-
-    Host numbering is contiguous across groups (graphene-style: group 1 holds
-    ``prefix-1..39``, group 2 ``prefix-40..74``, …).  Each group's aggregation
-    router connects to the cluster core router through one uplink whose
-    sharing policy is configurable — the paper's ``g5k_test`` platform models
-    these as single ``SHARED`` links (see DESIGN.md §3).
-    """
-    root = parent.root if isinstance(parent, Platform) else parent
-    prefix = prefix or name
-    cluster = AutonomousSystem(f"AS_{name}", routing="Full")
-    core = f"{name}-router"
-    root.add_child(cluster, gateway=core)
-    cluster.add_router(core)
-    host_index = 1
-    for g, size in enumerate(group_sizes, start=1):
-        agg = cluster.add_router(f"{name}-agg{g}")
-        uplink = cluster.add_link(
-            f"{name}-uplink{g}", uplink_bandwidth, uplink_latency, policy=uplink_policy
-        )
-        cluster.add_route(agg.name, core, [uplink])
-        for _ in range(size):
-            host = cluster.add_host(f"{prefix}-{host_index}", speed=host_speed)
-            link = cluster.add_link(
-                f"{prefix}-{host_index}-link",
-                host_bandwidth,
-                host_latency,
-                policy=host_policy,
-            )
-            cluster.add_route(host.name, agg.name, [link])
-            cluster.add_route(host.name, core, [LinkUse(link, Direction.UP),
-                                                LinkUse(uplink, Direction.UP)])
-            host_index += 1
-    # host <-> host routes across groups go through the core; within a group
-    # through the aggregation router only.
-    hosts_by_group: list[list[str]] = []
-    host_index = 1
-    for size in group_sizes:
-        hosts_by_group.append([f"{prefix}-{i}" for i in range(host_index, host_index + size)])
-        host_index += size
-    for gi, group in enumerate(hosts_by_group):
-        for hi, a in enumerate(group):
-            # intra-group pairs (declare once; symmetrical fills the reverse)
-            for b in group[hi + 1:]:
-                cluster.add_route(a, b, [
-                    LinkUse(cluster.links[f"{a}-link"], Direction.UP),
-                    LinkUse(cluster.links[f"{b}-link"], Direction.DOWN),
-                ])
-            # inter-group pairs
-            for gj in range(gi + 1, len(hosts_by_group)):
-                for b in hosts_by_group[gj]:
-                    cluster.add_route(a, b, [
-                        LinkUse(cluster.links[f"{a}-link"], Direction.UP),
-                        LinkUse(cluster.links[f"{name}-uplink{gi + 1}"], Direction.UP),
-                        LinkUse(cluster.links[f"{name}-uplink{gj + 1}"], Direction.DOWN),
-                        LinkUse(cluster.links[f"{b}-link"], Direction.DOWN),
-                    ])
     return cluster
 
 

@@ -232,21 +232,12 @@ class Simulation:
         for slot in np.nonzero(self._a_live)[0].tolist():
             yield self._a_obj[slot]
 
-    def sync_activities(self) -> None:
-        """Flush array-held progress onto ``activity.remaining``/``.rate``.
-
-        Completion callbacks and ``run()`` returns flush automatically.
-        Timer callbacks do *not* — a timer callback that reads activity
-        progress attributes must call this first (in-tree timer users only
-        schedule new work, so the common case pays nothing)."""
-        self._sync_objects()
-
     def _sync_objects(self) -> None:
         """Flush array-held progress state back onto the activity objects.
 
         Called before any user code can observe ``activity.remaining`` or
         ``activity.rate`` (completion callbacks) and when ``run()`` returns;
-        timer callbacks opt in via :meth:`sync_activities`."""
+        timer callbacks see the values of the last flush."""
         if not self._attrs_stale:
             return
         rem = self._a_rem
@@ -718,8 +709,8 @@ class Simulation:
                 self._advance(dt)
             self.clock = t_next
             if self._timers and self._timers[0][0] <= self.clock + 1e-15:
-                # timer callbacks that read activity progress attributes must
-                # call sync_activities(); the engine does not flush here
+                # no flush here: timer callbacks only schedule new work, and
+                # activity progress attributes hold the last flush's values
                 self._user_code_ran = True
                 self._fire_due_timers()
             if (not self._complete_finished() and dt <= 0.0

@@ -472,11 +472,6 @@ class SharingSystem:
         """Allocated variable slots (live + free), for arena diagnostics."""
         return int(self._weights.size)
 
-    @property
-    def constraint_capacity_slots(self) -> int:
-        """Allocated constraint slots (live + free), for arena diagnostics."""
-        return int(self._capacities.size)
-
     def value(self, vid: int) -> float:
         """Current allocation of variable ``vid``."""
         self._check_live(vid)

@@ -47,8 +47,8 @@ from __future__ import annotations
 import difflib
 import inspect
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.simgrid.platform import LinkUse, SharingPolicy, link_epoch
 
@@ -206,10 +206,6 @@ class NetworkModel(SharingModel):
     #: TCP maximum-window rate cap parameter (bytes); 0 disables the cap.
     tcp_gamma: float = 0.0
 
-    def with_gamma(self, tcp_gamma: float) -> "NetworkModel":
-        """Copy of this model with a different ``TCP_gamma``."""
-        return replace(self, tcp_gamma=tcp_gamma)
-
     def model_key(self) -> tuple:
         return (
             "NetworkModel",
@@ -323,11 +319,6 @@ def register_model(
 def registered_models() -> tuple[RegisteredModel, ...]:
     """Every registered sharing model entry, in registration order."""
     return tuple(_REGISTRY.values())
-
-
-def model_names() -> tuple[str, ...]:
-    """Registered model names, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 def model_by_name(name: str, **kwargs) -> SharingModel:

@@ -588,12 +588,6 @@ class Platform:
     def has_host(self, name: str) -> bool:
         return isinstance(self._netpoints.get(name), Host)
 
-    def autonomous_system(self, name: str) -> AutonomousSystem:
-        try:
-            return self._ases[name]
-        except KeyError:
-            raise UnknownElementError(f"unknown AS {name!r}") from None
-
     def hosts(self) -> list[Host]:
         return [p for p in self._netpoints.values() if isinstance(p, Host)]
 
@@ -713,17 +707,6 @@ class Platform:
             gw_point = self.netpoint(gw_name)
             route.extend(self.route(gw_point, dst))
         return route
-
-    def route_latency(self, src: str | NetPoint, dst: str | NetPoint) -> float:
-        """Sum of raw link latencies along the resolved route."""
-        return sum(use.link.latency for use in self.route(src, dst))
-
-    def route_bottleneck(self, src: str | NetPoint, dst: str | NetPoint) -> float:
-        """Minimum raw link bandwidth along the resolved route (inf if empty)."""
-        route = self.route(src, dst)
-        if not route:
-            return float("inf")
-        return min(use.link.bandwidth for use in route)
 
     def total_route_table_entries(self) -> int:
         """Declared route entries across all ASes (scalability metric)."""

@@ -21,9 +21,6 @@ class Trace:
         event.update(fields)
         self.events.append(event)
 
-    def of_kind(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e["kind"] == kind]
-
     def __iter__(self) -> Iterator[dict]:
         return iter(self.events)
 

@@ -171,11 +171,3 @@ def format_time(seconds: float) -> str:
         if seconds >= scale or unit == "ns":
             return f"{seconds / scale:.6g}{unit}"
     return f"{seconds:.6g}s"
-
-
-def format_size(size_bytes: float) -> str:
-    """Human-readable size (``5e8`` → ``"500MB"``)."""
-    for unit, scale in (("TB", 1e12), ("GB", 1e9), ("MB", 1e6), ("kB", 1e3)):
-        if size_bytes >= scale:
-            return f"{size_bytes / scale:.6g}{unit}"
-    return f"{size_bytes:.6g}B"

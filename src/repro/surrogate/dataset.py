@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -277,24 +277,17 @@ def run_sample(sample: SweepSample) -> tuple[np.ndarray, np.ndarray]:
     return features, targets
 
 
-def run_sweep(
-    sweep: SurrogateSweep,
-    workers: Optional[int] = None,
-    samples: Optional[Sequence[SweepSample]] = None,
-    chunk_size: Optional[int] = None,
-) -> SurrogateDataset:
+def run_sweep(sweep: SurrogateSweep,
+              workers: Optional[int] = None) -> SurrogateDataset:
     """Run every sweep sample and assemble the dataset.
 
     ``workers > 1`` fans samples out over a process pool; aggregation is in
     sweep order, so the dataset is bit-identical to a serial run.
-    ``samples`` overrides the sweep's own draws (re-sweeps of a stale
-    region pass the exact samples to refresh).
     """
-    sample_list = list(samples) if samples is not None \
-        else sweep.sample_specs()
+    sample_list = sweep.sample_specs()
     if workers is not None and workers > 1 and len(sample_list) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = chunk_size or pool_chunk_size(len(sample_list), workers)
+            chunk = pool_chunk_size(len(sample_list), workers)
             outcomes = list(pool.map(run_sample, sample_list, chunksize=chunk))
     else:
         outcomes = [run_sample(sample) for sample in sample_list]

@@ -21,20 +21,3 @@ full-duplex capacities, its transient behaviour comes from the TCP window
 ramp, and its constants are calibrated to hardware-era values, not to the
 predictor's LV08 factors.  See DESIGN.md §3 and §6.
 """
-
-from repro.testbed.fluid import DuplexLink, FluidSimulator, TestbedNetwork
-from repro.testbed.profiles import HostProfile, PROFILES
-from repro.testbed.tcp import TcpParams, TcpFlowState
-from repro.testbed.measurement import MeasuredTransfer, run_transfers
-
-__all__ = [
-    "DuplexLink",
-    "FluidSimulator",
-    "TestbedNetwork",
-    "HostProfile",
-    "PROFILES",
-    "TcpParams",
-    "TcpFlowState",
-    "MeasuredTransfer",
-    "run_transfers",
-]

@@ -119,36 +119,8 @@ class TcpFlowState:
             raise ValueError(f"rtt must be positive, got {rtt}")
         return self.cwnd / rtt
 
-    def is_window_limited(self, rtt: float, available_rate: float) -> bool:
-        """True while the window, not the network share, caps this flow."""
-        return self.window_rate(rtt) < available_rate
-
     def max_rate(self, rtt: float) -> float:
         """Hard ceiling from the maximum window: max_window / RTT."""
         if rtt <= 0:
             raise ValueError(f"rtt must be positive, got {rtt}")
         return self.params.max_window_bytes / rtt
-
-
-def slow_start_bytes(params: TcpParams, rounds: int) -> float:
-    """Cumulative bytes deliverable in the first ``rounds`` slow-start rounds
-    (no loss, no window cap) — geometric series IW·(g^rounds − 1)/(g − 1)."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    g = params.slow_start_growth
-    iw = params.initial_window_bytes
-    if g == 1.0:
-        return iw * rounds
-    return iw * (g**rounds - 1.0) / (g - 1.0)
-
-
-def slow_start_rounds_for(params: TcpParams, size_bytes: float) -> int:
-    """Number of slow-start rounds needed to deliver ``size_bytes``
-    (ignores window caps) — inverse of :func:`slow_start_bytes`."""
-    if size_bytes <= 0:
-        return 0
-    g = params.slow_start_growth
-    iw = params.initial_window_bytes
-    if g == 1.0:
-        return max(0, math.ceil(size_bytes / iw))
-    return max(0, math.ceil(math.log(size_bytes * (g - 1.0) / iw + 1.0, g)))

@@ -18,7 +18,7 @@ sweep cycled):
   ``gateway_recal_mix`` ``fig7`` what-if bodies (cold, and with ``horizon``
   on the warm links, so intervals are present), a GET ``horizon=3`` answer
   with intervals and two ``select_fastest`` answers (one of them pruned);
-- ``float.hex`` of ``predict_transfers_many(workers=2)``.
+- ``float.hex`` of ``WarmWorkerPool.answer_many`` on two workers.
 
 Any change to decoding, the engine or encoding that moves one byte, one ulp
 or one solve fails here.  To regenerate after an *intentional* change::
@@ -38,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from repro._util.rng import derive_seed
-from repro.core.forecast import NetworkForecastService
+from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.experiments import environment
 from repro.experiments.figures import FIGURES
@@ -46,6 +46,7 @@ from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
 from repro.g5k.converter import to_simgrid_platform
 from repro.g5k.sites import grid5000_dev_reference
 from repro.scenarios.spec import LinkEvent
+from repro.serving.pool import WarmWorkerPool
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08, model_by_name
 
@@ -176,11 +177,11 @@ def route_bodies(platform) -> dict:
 
 
 def predict_many_durations() -> list[list[str]]:
-    """``predict_transfers_many`` over two worker processes."""
-    service = environment.forecast_service()
-    answers = service.predict_transfers_many(
-        PLATFORM, figure_transfers("fig5", "golden_many", N_MANY),
-        workers=2, service_factory=environment.forecast_service)
+    """``WarmWorkerPool.answer_many`` over two worker processes."""
+    queries = [ForecastQuery.of(PLATFORM, transfers)
+               for transfers in figure_transfers("fig5", "golden_many", N_MANY)]
+    with WarmWorkerPool(environment.forecast_service, workers=2) as pool:
+        answers = pool.answer_many(queries)
     return [[f.duration.hex() for f in answer] for answer in answers]
 
 

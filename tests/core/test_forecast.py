@@ -4,6 +4,7 @@ import pytest
 
 from process_reference import explicit_transfers
 from repro.core.forecast import (
+    ForecastQuery,
     NetworkForecastService,
     TransferForecast,
     TransferSpec,
@@ -132,8 +133,8 @@ class TestService:
         assert service.platform_names() == ["alpha", "star"]
 
 
-class TestPredictMany:
-    """Batch (backtest) requests, serial and process-parallel."""
+class TestAnswerMany:
+    """Batch (backtest) requests on a warm pool answer as serial ones do."""
 
     REQUESTS = [
         [("sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr", 1e9)],
@@ -142,46 +143,32 @@ class TestPredictMany:
         [("sagittaire-3.lyon.grid5000.fr", "graphene-2.nancy.grid5000.fr", 1e8)],
     ]
 
-    def test_serial_batch_matches_individual_calls(self, forecast_service):
-        batch = forecast_service.predict_transfers_many("g5k_test", self.REQUESTS)
-        individual = [
-            forecast_service.predict_transfers("g5k_test", transfers)
-            for transfers in self.REQUESTS
-        ]
-        assert batch == individual
+    def on_a_pool(self, queries):
+        from repro.experiments.environment import forecast_service as factory
+        from repro.serving.pool import WarmWorkerPool
+
+        with WarmWorkerPool(factory, workers=2) as pool:
+            return pool.answer_many(queries)
 
     def test_parallel_batch_matches_serial(self, forecast_service):
-        from repro.experiments.environment import forecast_service as factory
-
-        serial = forecast_service.predict_transfers_many("g5k_test", self.REQUESTS)
-        parallel = forecast_service.predict_transfers_many(
-            "g5k_test", self.REQUESTS, workers=2, service_factory=factory)
-        assert parallel == serial
+        serial = [forecast_service.predict_transfers("g5k_test", transfers)
+                  for transfers in self.REQUESTS]
+        queries = [ForecastQuery.of("g5k_test", transfers)
+                   for transfers in self.REQUESTS]
+        assert self.on_a_pool(queries) == serial
 
     def test_parallel_preserves_custom_model_parameters(self, forecast_service):
         import dataclasses
 
-        from repro.experiments.environment import forecast_service as factory
         from repro.simgrid.models import model_by_name
 
         half = dataclasses.replace(model_by_name("LV08"), bandwidth_factor=0.5)
-        serial = forecast_service.predict_transfers_many(
-            "g5k_test", self.REQUESTS, model=half)
-        parallel = forecast_service.predict_transfers_many(
-            "g5k_test", self.REQUESTS, model=half, workers=2,
-            service_factory=factory)
-        assert parallel == serial
-
-    def test_parallel_without_factory_rejected(self, forecast_service):
-        with pytest.raises(ValueError, match="service_factory"):
-            forecast_service.predict_transfers_many(
-                "g5k_test", self.REQUESTS, workers=2)
-
-    def test_single_request_stays_serial(self, forecast_service):
-        # workers>1 with one request short-circuits (no factory required)
-        answers = forecast_service.predict_transfers_many(
-            "g5k_test", self.REQUESTS[:1], workers=4)
-        assert len(answers) == 1
+        serial = [forecast_service.predict_transfers("g5k_test", transfers,
+                                                     model=half)
+                  for transfers in self.REQUESTS]
+        queries = [ForecastQuery.of("g5k_test", transfers, model=half)
+                   for transfers in self.REQUESTS]
+        assert self.on_a_pool(queries) == serial
 
 
 class TestAnswersFromTheComms:

@@ -26,12 +26,8 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.http_codec import MAX_HEADERS, MAX_LINE
 from repro.core.rest.json_codec import loads
 from repro.core.rest.router import Request
-from repro.serving.factories import (
-    STAR_PLATFORM,
-    star_factory,
-    star_forecast_service,
-)
-from repro.serving.gateway import GatewayConfig, ShardedGateway
+from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
+from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 N_HOSTS = 4
 MAX_BODY = 4096

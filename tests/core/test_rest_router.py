@@ -26,12 +26,6 @@ class TestRequestParsing:
         with pytest.raises(BadRequest):
             request.param("x")
 
-    def test_float_param(self):
-        request = Request.from_target("GET", "/p?v=2.5&bad=x")
-        assert request.float_param("v") == 2.5
-        with pytest.raises(BadRequest):
-            request.float_param("bad")
-
 
 class TestRouting:
     def build(self):

@@ -1,6 +1,4 @@
-"""Cached experiment environment and its env-var knobs."""
-
-import pytest
+"""Cached experiment environment."""
 
 from repro.experiments import environment
 
@@ -19,22 +17,3 @@ class TestCaches:
         assert limited is not environment.g5k_test_platform()
         assert limited.link("sgraphene1-backplane")
 
-
-class TestEnvKnobs:
-    def test_default_repetitions(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPS", raising=False)
-        assert environment.default_repetitions() == 5
-        monkeypatch.setenv("REPRO_REPS", "10")
-        assert environment.default_repetitions() == 10
-        monkeypatch.setenv("REPRO_REPS", "0")
-        assert environment.default_repetitions() == 1  # clamped
-        monkeypatch.setenv("REPRO_REPS", "many")
-        assert environment.default_repetitions() == 5  # fallback
-
-    def test_root_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEED", raising=False)
-        assert environment.root_seed() == 20120917
-        monkeypatch.setenv("REPRO_SEED", "7")
-        assert environment.root_seed() == 7
-        monkeypatch.setenv("REPRO_SEED", "xyz")
-        assert environment.root_seed() == 20120917

@@ -71,7 +71,7 @@ class TestAccessors:
     def test_all_nodes_count(self):
         ref = grid5000_dev_reference()
         # 79 + 56 + 144 + 92 + 20 + 26 + 46
-        assert len(ref.all_nodes()) == 463
+        assert sum(len(site.nodes()) for site in ref.sites) == 463
 
     def test_primary_adapter(self):
         node = grid5000_dev_reference().site("lyon").nodes()[0]
@@ -85,7 +85,7 @@ class TestAccessors:
 
     def test_stable_and_dev_describe_the_same_nodes(self):
         def uids(ref):
-            return sorted(node.uid for node in ref.all_nodes())
+            return sorted(node.uid for site in ref.sites for node in site.nodes())
 
         assert uids(grid5000_stable_reference()) == uids(grid5000_dev_reference())
 

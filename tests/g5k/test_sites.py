@@ -6,7 +6,6 @@ from repro.g5k.sites import (
     BACKBONE_LATENCY,
     CLUSTERS,
     GATEWAYS,
-    all_node_uids,
     build_grid5000_testbed,
     cluster_spec,
     grid5000_dev_reference,
@@ -89,7 +88,7 @@ class TestReferences:
 class TestTestbedBuilder:
     def test_all_nodes_present(self, g5k_testbed):
         assert len(g5k_testbed.nodes) == 463
-        assert set(g5k_testbed.nodes) == set(all_node_uids())
+        assert set(g5k_testbed.nodes) == {uid for spec in CLUSTERS for uid in spec.node_uids()}
 
     def test_profiles_assigned_per_cluster(self, g5k_testbed):
         node = g5k_testbed.nodes["sagittaire-1.lyon.grid5000.fr"]

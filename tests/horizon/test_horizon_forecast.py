@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.horizon import (
+from repro.horizon.forecast import (
     MIN_CAPACITY_FACTOR,
     HorizonForecaster,
     PlatformHorizon,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.forecast import ForecastQuery
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.simgrid.builder import build_dumbbell
@@ -51,9 +52,9 @@ def test_horizon_get_is_the_projected_answer(pilgrim, client):
         f"/pilgrim/predict_transfers/{PLATFORM}",
         [("transfer", f"{s},{d},{z!r}") for s, d, z in TRANSFERS]
         + [("horizon", "3")])
-    assert projected == [f.to_json() for f in
-                         pilgrim.forecast.predict_transfers_at(
-                             PLATFORM, TRANSFERS, horizon=3)]
+    forecasts, _ = pilgrim.forecast.answer(
+        ForecastQuery.of(PLATFORM, TRANSFERS, horizon=3))
+    assert projected == [f.to_json() for f in forecasts]
 
 
 def test_stats_report_the_planning_counters(pilgrim, client):

@@ -6,9 +6,9 @@ import pytest
 
 from process_reference import explicit_transfers
 from repro._util.rng import spawn_rngs
-from repro.core.forecast import NetworkForecastService
+from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
-from repro.horizon import (
+from repro.horizon.whatif import (
     events_from_json,
     parse_event,
     run_what_if,
@@ -223,7 +223,7 @@ class TestHorizonIntegration:
 
     def test_predict_at_cold_platform_is_point_forecast(self):
         service = make_service()
-        forecasts = service.predict_transfers_at("dumb", TRANSFERS, horizon=3)
+        forecasts = service.answer(ForecastQuery.of("dumb", TRANSFERS, horizon=3))[0]
         plain = service.predict_transfers("dumb", TRANSFERS)
         assert [f.duration for f in forecasts] == [f.duration for f in plain]
         assert all(f.lower is None and f.upper is None for f in forecasts)
@@ -232,7 +232,7 @@ class TestHorizonIntegration:
     def test_predict_at_projects_derated_bottleneck(self):
         service = self.warm_service(derate=0.5)
         live = service.predict_transfers("dumb", TRANSFERS)
-        projected = service.predict_transfers_at("dumb", TRANSFERS, horizon=3)
+        projected = service.answer(ForecastQuery.of("dumb", TRANSFERS, horizon=3))[0]
         for now, later in zip(live, projected):
             assert later.duration > now.duration
 
@@ -243,7 +243,7 @@ class TestHorizonIntegration:
         for i in range(12):
             service.observe_link("dumb", "bottleneck",
                                  nominal * (0.45 + 0.01 * (i % 5)))
-        for f in service.predict_transfers_at("dumb", TRANSFERS, horizon=4):
+        for f in service.answer(ForecastQuery.of("dumb", TRANSFERS, horizon=4))[0]:
             assert f.lower is not None and f.upper is not None
             assert f.lower <= f.duration <= f.upper
         result = service.predict_what_if("dumb", TRANSFERS, EVENTS, horizon=4)
@@ -253,7 +253,7 @@ class TestHorizonIntegration:
 
     def test_planning_stats_counters(self):
         service = self.warm_service(n=4)
-        service.predict_transfers_at("dumb", TRANSFERS, horizon=2)
+        service.answer(ForecastQuery.of("dumb", TRANSFERS, horizon=2))
         service.predict_what_if("dumb", TRANSFERS, EVENTS)
         stats = service.planning_stats()
         assert stats["horizon_queries"] == 1

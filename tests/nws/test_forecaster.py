@@ -35,14 +35,6 @@ class TestSelection:
             forecaster.update(float(i))
         assert forecaster.best_predictor().name == "last"
 
-    def test_mean_errors_reported(self):
-        forecaster = AdaptiveForecaster([LastValue, RunningMean])
-        for v in (1.0, 2.0, 3.0):
-            forecaster.update(v)
-        errors = forecaster.mean_errors()
-        assert len(errors) == 2
-        assert all(e is not None and e >= 0 for e in errors)
-
     def test_forecast_tracks_series_scale(self):
         forecaster = AdaptiveForecaster()
         rng = rng_for(1, "nws-scale")

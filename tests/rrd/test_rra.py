@@ -87,15 +87,6 @@ class TestArchive:
         window = archive.window(0.0, 60.0)
         assert [v for _, v in window] == [4.0, 5.0, 6.0]
 
-    def test_covers(self):
-        spec = RraSpec(ConsolidationFunction.AVERAGE, 1, 3)
-        archive = RoundRobinArchive(spec, base_step=10.0)
-        assert not archive.covers(10.0)
-        for i in range(1, 7):
-            archive.push_pdp(i * 10.0, float(i))
-        assert archive.covers(50.0)
-        assert not archive.covers(10.0)
-
     def test_window_bounds_are_exclusive_inclusive(self):
         spec = RraSpec(ConsolidationFunction.AVERAGE, 1, 10)
         archive = RoundRobinArchive(spec, base_step=10.0)

@@ -17,13 +17,14 @@ import pytest
 
 from repro.core.rest.client import RestClient
 from repro.core.rest.errors import PayloadTooLarge, ServiceUnavailable
-from repro.serving.factories import (
+from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
+from loadgen import LoadQuery, run_load
+from serving_helpers import (
     STAR_PLATFORM,
+    post_predict,
     star_factory,
     star_forecast_service,
 )
-from repro.serving.gateway import GatewayConfig, ShardedGateway
-from loadgen import LoadQuery, run_load
 
 N_HOSTS = 8
 MAX_BODY = 64 * 1024
@@ -109,8 +110,7 @@ def test_get_and_post_match_serial_ground_truth(gateway, queries,
         for qi, transfers in enumerate(queries):
             assert client.predict_transfers(
                 STAR_PLATFORM, transfers) == ground_truth[qi]
-            assert client.post_predict_transfers(
-                STAR_PLATFORM, transfers) == ground_truth[qi]
+            assert post_predict(client, STAR_PLATFORM, transfers) == ground_truth[qi]
 
 
 def test_unknown_platform_404_and_bad_json_400(gateway):
@@ -176,8 +176,7 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
             == errors_before + 1)
     assert gateway.admission.snapshot()["in_flight"] == 0
     with RestClient(gateway.url) as client:
-        assert client.post_predict_transfers(
-            STAR_PLATFORM, queries[0]) == ground_truth[0]
+        assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
 
 
 def test_frontend_answers_500_when_the_app_itself_raises(caplog):
@@ -212,8 +211,8 @@ def test_keep_alive_single_connection_many_requests(gateway, queries,
     with RestClient(gateway.url) as client:
         for _ in range(3):
             for qi, transfers in enumerate(queries):
-                assert client.post_predict_transfers(
-                    STAR_PLATFORM, transfers) == ground_truth[qi]
+                assert post_predict(client, STAR_PLATFORM, transfers) \
+                    == ground_truth[qi]
     # 12 requests, one connection
     assert gateway.metrics.connections_opened == opened_before + 1
 
@@ -249,8 +248,7 @@ def test_mid_stream_disconnect_leaves_gateway_healthy(gateway, queries,
     sock.close()
     # the server reaps the dead connection and keeps answering
     with RestClient(gateway.url) as client:
-        assert client.post_predict_transfers(
-            STAR_PLATFORM, queries[0]) == ground_truth[0]
+        assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
     assert gateway.metrics.disconnects >= disconnects_before
 
 
@@ -266,7 +264,7 @@ def test_oversized_body_gets_413_before_read(gateway):
     with RestClient(gateway.url) as client:
         transfers = [("host-0", "host-1", 1e6)] * (MAX_BODY // 20)
         with pytest.raises(PayloadTooLarge):
-            client.post_predict_transfers(STAR_PLATFORM, transfers)
+            post_predict(client, STAR_PLATFORM, transfers)
     assert gateway.metrics.oversized >= 1
 
 
@@ -282,7 +280,7 @@ def test_admission_shed_is_503_with_retry_after(gateway, queries):
     try:
         with RestClient(gateway.url) as client:
             with pytest.raises(ServiceUnavailable) as excinfo:
-                client.post_predict_transfers(STAR_PLATFORM, queries[0])
+                post_predict(client, STAR_PLATFORM, queries[0])
         assert excinfo.value.status == 503
         assert excinfo.value.retry_after == pytest.approx(
             admission.retry_after_s)
@@ -295,7 +293,7 @@ def test_admission_shed_is_503_with_retry_after(gateway, queries):
             admission.release()
     # and the gateway serves again once capacity frees up
     with RestClient(gateway.url) as client:
-        client.post_predict_transfers(STAR_PLATFORM, queries[0])
+        post_predict(client, STAR_PLATFORM, queries[0])
 
 
 def test_stats_schema_aggregates_gateway_and_shards(gateway):
@@ -342,8 +340,7 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
             # the first dispatch after the bump triggers the broadcast, so
             # this very answer must already reflect the new capacity
             for qi, transfers in enumerate(queries):
-                assert client.post_predict_transfers(
-                    STAR_PLATFORM, transfers) == new_truth[qi]
+                assert post_predict(client, STAR_PLATFORM, transfers) == new_truth[qi]
             stats = client.stats()
         # one write, one broadcast — not one per dispatch
         assert stats["gateway"]["epoch"]["syncs"] == syncs + 1
@@ -356,8 +353,7 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
         link.bandwidth = original
     # restoring is itself an epoch bump: answers must swing back too
     with RestClient(gateway.url) as client:
-        assert client.post_predict_transfers(
-            STAR_PLATFORM, queries[0]) == ground_truth[0]
+        assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
 
 
 def test_loadgen_swarm_zero_errors_bit_identical(gateway, queries,

@@ -42,8 +42,8 @@ class TestRingBasics:
 class TestRingProperties:
     def test_every_node_gets_a_share(self):
         ring = ConsistentHashRing(range(4))
-        counts = ring.distribution(KEYS)
-        assert set(counts) == set(range(4))
+        owners = [ring.node(key) for key in KEYS]
+        counts = {node: owners.count(node) for node in range(4)}
         # vnodes keep the split coarse-balanced: nobody starves, nobody
         # hoards (bounds loose on purpose — affinity, not load balancing)
         assert min(counts.values()) >= len(KEYS) // 16

@@ -32,14 +32,14 @@ from functools import partial
 import pytest
 
 from repro.core.forecast import NetworkForecastService
-from repro.serving.factories import (
+from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
+from repro.surrogate.model import SurrogateModel
+from serving_helpers import (
     STAR_PLATFORM,
     star_factory,
     star_fleet_factory,
     star_forecast_service,
 )
-from repro.serving.gateway import GatewayConfig, ShardedGateway
-from repro.surrogate import SurrogateModel
 
 N_HOSTS = 8
 HOSTS = [f"{STAR_PLATFORM}-{i}" for i in range(1, N_HOSTS + 1)]

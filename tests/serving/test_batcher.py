@@ -82,7 +82,7 @@ class TestCoalescing:
         assert base.group_key() != PendingRequest(
             query("q", [], lv08)).group_key()
         assert base.group_key() != PendingRequest(
-            query("p", [], lv08.with_gamma(4e6))).group_key()
+            query("p", [], LV08(tcp_gamma=4e6))).group_key()
 
 
 class TestFailure:
@@ -114,3 +114,27 @@ class TestFailure:
             RequestCoalescer(echo_execute, window=-0.1)
         with pytest.raises(ValueError):
             RequestCoalescer(echo_execute, max_batch=0)
+
+
+def test_every_entry_point_defaults_to_the_coalescer_window():
+    """A lone cache miss must not wait ``window`` seconds for company that
+    buys nothing without a pool: every serving entry point takes the
+    coalescer's default window, and it is 0."""
+    import inspect
+
+    from repro.cli import _build_parser
+    from repro.core.framework import Pilgrim
+    from repro.serving.gateway.gateway import GatewayConfig
+    from repro.serving.gateway.shard import shard_main
+    from repro.serving.service import ForecastServingService
+
+    def default(entry):
+        return inspect.signature(entry).parameters["window"].default
+
+    coalescer = default(RequestCoalescer)
+    assert coalescer == 0
+    assert default(ForecastServingService) == coalescer
+    assert default(Pilgrim.enable_serving) == coalescer
+    assert default(shard_main) == coalescer
+    assert GatewayConfig().window == coalescer
+    assert _build_parser().parse_args(["serve"]).batch_window == coalescer

@@ -48,7 +48,7 @@ class TestCanonicalization:
     def test_model_parameters_pin_the_key(self):
         base = forecast_cache_key("p", LV08(), [("a", "b", 1e6)])
         other_model = forecast_cache_key("p", CM02(), [("a", "b", 1e6)])
-        gamma = forecast_cache_key("p", LV08().with_gamma(4e6), [("a", "b", 1e6)])
+        gamma = forecast_cache_key("p", LV08(tcp_gamma=4e6), [("a", "b", 1e6)])
         assert len({base, other_model, gamma}) == 3
 
     def test_ongoing_pins_the_key(self):

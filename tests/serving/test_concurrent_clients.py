@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
-from repro.serving.factories import STAR_PLATFORM, star_forecast_service
+from serving_helpers import STAR_PLATFORM, post_predict, star_forecast_service
 
 N_HOSTS = 8
 N_THREADS = 8
@@ -68,8 +68,7 @@ def test_hammer_matches_serial_ground_truth(star_service, queries,
                         # alternate transports so GET and POST race on the
                         # same cache entries
                         if (worker + round_no + qi) % 2:
-                            answer = client.post_predict_transfers(
-                                STAR_PLATFORM, transfers)
+                            answer = post_predict(client, STAR_PLATFORM, transfers)
                         else:
                             answer = client.predict_transfers(
                                 STAR_PLATFORM, transfers)
@@ -131,8 +130,7 @@ class TestKeepAliveConnections:
                                                      queries, ground_truth):
         with serving_pilgrim.serve() as server:
             with RestClient(server.url) as client:
-                first = client.post_predict_transfers(STAR_PLATFORM,
-                                                      queries[0])
+                first = post_predict(client, STAR_PLATFORM, queries[0])
                 sock = client._local.conn.sock
                 assert sock is not None, "keep-alive must hold the socket"
                 for round_no in range(3):
@@ -141,8 +139,7 @@ class TestKeepAliveConnections:
                             answer = client.predict_transfers(
                                 STAR_PLATFORM, transfers)
                         else:
-                            answer = client.post_predict_transfers(
-                                STAR_PLATFORM, transfers)
+                            answer = post_predict(client, STAR_PLATFORM, transfers)
                         assert answer == ground_truth[qi]
                         # the whole train rode the original socket
                         assert client._local.conn.sock is sock
@@ -153,8 +150,8 @@ class TestKeepAliveConnections:
         with serving_pilgrim.serve() as server:
             client = RestClient(server.url, keep_alive=False)
             for qi, transfers in enumerate(queries):
-                assert client.post_predict_transfers(
-                    STAR_PLATFORM, transfers) == ground_truth[qi]
+                assert post_predict(client, STAR_PLATFORM, transfers) \
+                    == ground_truth[qi]
                 assert getattr(client._local, "conn", None) is None
 
     def test_mid_stream_disconnect_does_not_wedge_server(
@@ -172,8 +169,8 @@ class TestKeepAliveConnections:
             sock.close()
             # new clients are served as if nothing happened
             with RestClient(server.url) as client:
-                assert client.post_predict_transfers(
-                    STAR_PLATFORM, queries[0]) == ground_truth[0]
+                assert post_predict(client, STAR_PLATFORM, queries[0]) \
+                    == ground_truth[0]
 
     def test_oversized_body_is_clean_413_not_hang(self, serving_pilgrim,
                                                   queries, ground_truth):
@@ -183,24 +180,22 @@ class TestKeepAliveConnections:
             with RestClient(server.url) as client:
                 big = [("host-0", "host-1", 1e6)] * 2000
                 with pytest.raises(PayloadTooLarge):
-                    client.post_predict_transfers(STAR_PLATFORM, big)
+                    post_predict(client, STAR_PLATFORM, big)
                 # the refusal closed that stream; the client transparently
                 # reconnects and normal requests keep working
-                assert client.post_predict_transfers(
-                    STAR_PLATFORM, queries[0]) == ground_truth[0]
+                assert post_predict(client, STAR_PLATFORM, queries[0]) \
+                    == ground_truth[0]
 
     def test_stale_pooled_connection_retries_once(self, serving_pilgrim,
                                                   queries, ground_truth):
         with serving_pilgrim.serve() as first_server:
             client = RestClient(first_server.url)
             port = first_server.address[1]
-            assert client.post_predict_transfers(
-                STAR_PLATFORM, queries[0]) == ground_truth[0]
+            assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
         # server restarted on the same port: the pooled socket is stale
         with serving_pilgrim.serve(port=port) as second_server:
             assert second_server.address[1] == port
-            assert client.post_predict_transfers(
-                STAR_PLATFORM, queries[0]) == ground_truth[0]
+            assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
         client.close()
 
 
@@ -217,7 +212,7 @@ def test_hammer_with_cache_disabled_still_correct(star_service, queries,
             def client_session(worker: int) -> list:
                 client = RestClient(client_urls)
                 return [
-                    client.post_predict_transfers(STAR_PLATFORM, transfers)
+                    post_predict(client, STAR_PLATFORM, transfers)
                     for transfers in queries
                 ]
 

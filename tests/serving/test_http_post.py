@@ -8,7 +8,7 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.core.rest.errors import BadRequest, MethodNotAllowed
 from repro.core.rest.router import Request, Router
-from repro.serving.factories import STAR_PLATFORM, star_forecast_service
+from serving_helpers import STAR_PLATFORM, post_predict, star_forecast_service
 
 N_HOSTS = 8
 
@@ -100,21 +100,21 @@ class TestHTTPPost:
              1e6 * (1 + i % 7)]
             for i in range(300)
         ]
-        answers = http.post_predict_transfers(STAR_PLATFORM, transfers)
+        answers = post_predict(http, STAR_PLATFORM, transfers)
         assert len(answers) == 300
         assert all(a["duration"] > 0 for a in answers)
 
     def test_post_matches_get(self, http, hosts):
         pairs = [(hosts[0], hosts[1], 5e7), (hosts[2], hosts[3], 1e8)]
         via_get = http.predict_transfers(STAR_PLATFORM, pairs)
-        via_post = http.post_predict_transfers(STAR_PLATFORM, pairs)
+        via_post = post_predict(http, STAR_PLATFORM, pairs)
         assert via_get == via_post
 
     def test_ongoing_in_body(self, http, hosts):
         pairs = [(hosts[0], hosts[1], 5e7)]
-        alone = http.post_predict_transfers(STAR_PLATFORM, pairs)
-        contended = http.post_predict_transfers(
-            STAR_PLATFORM, pairs, ongoing=[(hosts[0], hosts[2], 1e9)])
+        alone = post_predict(http, STAR_PLATFORM, pairs)
+        contended = post_predict(http, STAR_PLATFORM, pairs,
+                                 ongoing=[(hosts[0], hosts[2], 1e9)])
         assert contended[0]["duration"] >= alone[0]["duration"]
 
     def test_explicit_empty_ongoing_accepted(self, http, hosts):
@@ -151,7 +151,7 @@ class TestHTTPPost:
         assert excinfo.value.code == 400
 
     def test_stats_endpoint(self, http, hosts):
-        http.post_predict_transfers(STAR_PLATFORM,
+        post_predict(http, STAR_PLATFORM,
                                     [(hosts[0], hosts[1], 5e7)])
         stats = http.stats()
         serving = stats["serving"]
@@ -174,8 +174,8 @@ class TestHTTPPost:
         bare.register_platform(STAR_PLATFORM,
                                star_service.platform(STAR_PLATFORM))
         with bare.serve() as server:
-            answers = RestClient(server.url).post_predict_transfers(
-                STAR_PLATFORM, [(hosts[0], hosts[1], 5e7)])
+            answers = post_predict(RestClient(server.url), STAR_PLATFORM,
+                                   [(hosts[0], hosts[1], 5e7)])
         assert len(answers) == 1
 
 

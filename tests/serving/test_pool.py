@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.forecast import ForecastQuery
-from repro.serving.factories import (
-    STAR_PLATFORM,
-    star_factory,
-    star_forecast_service,
-)
 from repro.serving.pool import WarmWorkerPool
+from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 N_HOSTS = 6
 
@@ -90,21 +86,3 @@ class TestWarmPool:
         with pytest.raises(ValueError):
             WarmWorkerPool(star_factory(N_HOSTS), workers=1, max_requests=0)
 
-
-class TestExecutorInjection:
-    def test_warm_pool_through_predict_transfers_many(
-            self, star_service, requests, serial):
-        with WarmWorkerPool(star_factory(N_HOSTS), workers=2) as pool:
-            answers = star_service.predict_transfers_many(
-                STAR_PLATFORM, requests, executor=pool)
-            again = star_service.predict_transfers_many(
-                STAR_PLATFORM, requests, executor=pool)
-            stats = pool.stats()
-        assert answers == serial
-        assert again == serial
-        assert stats["batches"] == 2  # one pool served both calls
-
-    def test_no_pool_default_unchanged(self, star_service, requests, serial):
-        # the historical contract: no executor, workers<=1 → serial inline
-        answers = star_service.predict_transfers_many(STAR_PLATFORM, requests)
-        assert answers == serial

@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.rest.errors import BadRequest, NotFound
-from repro.serving.factories import (
-    STAR_PLATFORM,
-    star_factory,
-    star_forecast_service,
-)
 from repro.serving.service import ForecastServingService
 from repro.simgrid.models import CM02
+from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 N_HOSTS = 6
 

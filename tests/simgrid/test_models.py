@@ -33,7 +33,7 @@ class TestConstants:
             model_by_name("NS3")
 
     def test_with_gamma(self):
-        model = LV08().with_gamma(8388608)
+        model = LV08(tcp_gamma=8388608)
         assert model.tcp_gamma == 8388608
         assert model.latency_factor == pytest.approx(13.01)
 

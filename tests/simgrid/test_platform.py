@@ -104,7 +104,7 @@ class TestRegistration:
         child.add_host("x")
         p.root.add_child(child, gateway="x")
         assert p.host("x").name == "x"
-        assert p.autonomous_system("child") is child
+        assert p.root.children["child"] is child
 
     def test_child_cannot_have_two_parents(self):
         p1, p2 = Platform("p1"), Platform("p2")
@@ -119,8 +119,6 @@ class TestRegistration:
             p.netpoint("ghost")
         with pytest.raises(UnknownElementError):
             p.link("ghost")
-        with pytest.raises(UnknownElementError):
-            p.autonomous_system("ghost")
 
 
 class TestRoutes:
@@ -200,16 +198,6 @@ class TestRoutes:
             use.reversed() for use in declared[("a", "b")].links]
         assert declared[("b", "a")] is p.root.local_route("b", "a")
 
-    def test_route_latency_and_bottleneck(self):
-        p = Platform("p")
-        p.root.add_host("a")
-        p.root.add_host("b")
-        l1 = p.root.add_link("l1", "10Gbps", "1ms")
-        l2 = p.root.add_link("l2", "1Gbps", "2ms")
-        p.root.add_route("a", "b", [l1, l2])
-        assert p.route_latency("a", "b") == pytest.approx(3e-3)
-        assert p.route_bottleneck("a", "b") == pytest.approx(1.25e8)
-
     def test_route_cache_invalidation(self):
         p = Platform("p")
         p.root.add_host("a")
@@ -230,7 +218,6 @@ class TestRoutes:
         route = p.route("a", "b")
         link.latency = 0.5
         assert route[0].link.latency == 0.5
-        assert p.route_latency("a", "b") == 0.5
 
 
 class TestHierarchicalRouting:

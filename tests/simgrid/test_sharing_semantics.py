@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.simgrid.builder import add_grouped_cluster, build_star_cluster
+from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08, NetworkModel
 from repro.simgrid.platform import (
@@ -86,9 +86,23 @@ class TestSharedUplinkMechanism:
     """The documented g5k_test artifact at builder level (DESIGN.md §3)."""
 
     def build(self, uplink_policy):
+        """Two groups of 12 hosts (1G full-duplex NICs), each group behind
+        one 10G uplink to a core: g-1..12 and g-13..24."""
         p = Platform("p")
-        add_grouped_cluster(p, "g", (12, 12), uplink_policy=uplink_policy,
-                            host_policy=SharingPolicy.FULLDUPLEX)
+        uplinks = [p.root.add_link(f"g-uplink{g}", "10Gbps", "100us",
+                                   policy=uplink_policy) for g in (1, 2)]
+        nics = {}
+        for i in range(1, 25):
+            p.root.add_host(f"g-{i}")
+            nics[f"g-{i}"] = p.root.add_link(f"g-{i}-link", "1Gbps", "100us",
+                                             policy=SharingPolicy.FULLDUPLEX)
+        for src, dst, _ in self.transfers():
+            p.root.add_route(src, dst, [
+                LinkUse(nics[src], Direction.UP),
+                LinkUse(uplinks[int(src[2:]) > 12], Direction.UP),
+                LinkUse(uplinks[int(dst[2:]) > 12], Direction.DOWN),
+                LinkUse(nics[dst], Direction.DOWN),
+            ])
         return p
 
     def transfers(self):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.simgrid.units import (
     UnitError,
     format_bandwidth,
-    format_size,
     format_time,
     parse_bandwidth,
     parse_size,
@@ -116,9 +115,6 @@ class TestFormatting:
     def test_format_time_us(self):
         assert format_time(2.25e-4) == "225us"
 
-    def test_format_size_mb(self):
-        assert format_size(5e8) == "500MB"
-
     @given(st.floats(min_value=1.0, max_value=1e13))
     def test_format_parse_bandwidth_roundtrip(self, value):
         assert parse_bandwidth(format_bandwidth(value)) == pytest.approx(
@@ -128,7 +124,3 @@ class TestFormatting:
     @given(st.floats(min_value=1e-9, max_value=1e4))
     def test_format_parse_time_roundtrip(self, value):
         assert parse_time(format_time(value)) == pytest.approx(value, rel=1e-5)
-
-    @given(st.floats(min_value=1.0, max_value=1e14))
-    def test_format_parse_size_roundtrip(self, value):
-        assert parse_size(format_size(value)) == pytest.approx(value, rel=1e-5)

@@ -95,7 +95,7 @@ class TestRoundTrip:
     def test_gateway_attribute_preserved(self):
         grid = build_two_level_grid({"lyon": 2, "nancy": 2})
         clone = roundtrip(grid)
-        assert clone.autonomous_system("AS_lyon").default_gateway == "lyon-router"
+        assert clone.root.children["AS_lyon"].default_gateway == "lyon-router"
 
     def test_properties_preserved(self, star4):
         star4.properties["network/TCP_gamma"] = "4194304"

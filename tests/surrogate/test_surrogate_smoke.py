@@ -18,7 +18,10 @@ from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.scenarios.spec import TopologySpec
 from repro.scenarios.topologies import build_topology
-from repro.surrogate import SurrogateModel, SurrogateSweep, SurrogateTier, run_sweep
+from repro.surrogate.dataset import SurrogateSweep, run_sweep
+from repro.surrogate.model import SurrogateModel
+from repro.surrogate.tier import SurrogateTier
+from serving_helpers import post_predict
 
 N_HOSTS = 8
 PLATFORM = "surrogate-star"
@@ -57,7 +60,7 @@ def test_surrogate_tier_over_http(trained):
     try:
         with pilgrim.serve() as server:
             client = RestClient(server.url)
-            answered = client.post_predict_transfers(PLATFORM, transfers)
+            answered = post_predict(client, PLATFORM, transfers)
             surrogate = client.stats()["serving"]["surrogate"]
             assert surrogate["hits"] == 1
             assert {"fallbacks", "uncertainty", "bound",
@@ -67,6 +70,6 @@ def test_surrogate_tier_over_http(trained):
                     <= 2 * MAX_MEDIAN_ERROR
 
             tier.bound = 0.0  # nothing is confident enough: simulate
-            assert client.post_predict_transfers(PLATFORM, transfers) == truth
+            assert post_predict(client, PLATFORM, transfers) == truth
     finally:
         pilgrim.disable_serving()

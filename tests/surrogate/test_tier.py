@@ -10,12 +10,9 @@ from repro.scenarios.spec import TopologySpec
 from repro.scenarios.topologies import build_topology
 from repro.serving.service import ForecastServingService
 from repro.simgrid.models import CM02
-from repro.surrogate import (
-    SurrogateModel,
-    SurrogateSweep,
-    SurrogateTier,
-    run_sweep,
-)
+from repro.surrogate.dataset import SurrogateSweep, run_sweep
+from repro.surrogate.model import SurrogateModel
+from repro.surrogate.tier import SurrogateTier
 
 PLATFORM = "tier-star"
 N_HOSTS = 8

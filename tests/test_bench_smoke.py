@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks._harness import default_repetitions, root_seed
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,3 +45,25 @@ def test_all_benches_run_in_smoke_mode():
         f"--- stdout (tail) ---\n{result.stdout[-4000:]}\n"
         f"--- stderr (tail) ---\n{result.stderr[-2000:]}"
     )
+
+
+class TestEnvKnobs:
+    """``REPRO_REPS`` / ``REPRO_SEED``: the benches' repetitions and seed."""
+
+    def test_default_repetitions(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REPS", raising=False)
+        assert default_repetitions() == 5
+        monkeypatch.setenv("REPRO_REPS", "10")
+        assert default_repetitions() == 10
+        monkeypatch.setenv("REPRO_REPS", "0")
+        assert default_repetitions() == 1  # clamped
+        monkeypatch.setenv("REPRO_REPS", "many")
+        assert default_repetitions() == 5  # fallback
+
+    def test_root_seed(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SEED", raising=False)
+        assert root_seed() == 20120917
+        monkeypatch.setenv("REPRO_SEED", "7")
+        assert root_seed() == 7
+        monkeypatch.setenv("REPRO_SEED", "xyz")
+        assert root_seed() == 20120917

@@ -3,10 +3,16 @@
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -107,6 +113,47 @@ class TestPredict:
                 == pytest.approx(json.loads(inc)[0]["duration"], rel=1e-9))
 
 
+class TestBadInput:
+    """Every verb keeps ``predict``'s contract on bad input: one line, exit
+    2, never a traceback.  The serve cases check before Grid'5000 loads;
+    the two that used to start a server anyway run in a subprocess."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["metrology", "record", "--hosts", "1"], ">= 2 hosts, got 1"),
+        (["metrology", "record", "--link", "9"], "must be in 1..4, got 9"),
+        (["metrology", "record", "--factor", "0"], "must be positive: 0.0"),
+        (["metrology", "record", "--period", "0"], "period must be positive"),
+        (["metrology", "run", "--drift", "2"], "in [0, 1), got 2.0"),
+        (["metrology", "replay", "--input", "{missing}"], "No such file"),
+        (["surrogate", "train", "--samples", "0", "--output", "{out}"],
+         "sweep needs >= 1 sample, got 0"),
+        (["surrogate", "eval", "--input", "{missing}"], "No such file"),
+        (["serve", "--cache-size", "-1"], "--cache-size must be >= 0, got -1"),
+        (["serve", "--batch-window", "-1"],
+         "--batch-window must be >= 0, got -1"),
+        (["serve", "--port", "0", "--workers", "-3"],
+         "--workers must be >= 0, got -3"),
+        (["serve", "--port", "0", "--shards", "-1"],
+         "--shards must be >= 0, got -1"),
+    ], ids=["hosts", "link", "factor", "period", "drift", "replay-input",
+            "samples", "eval-input", "cache-size", "batch-window", "workers",
+            "shards"])
+    def test_prints_one_line_and_exits_2(self, argv, message, tmp_path):
+        argv = [arg.format(missing=tmp_path / "missing.json",
+                           out=tmp_path / "model.json") for arg in argv]
+        if "--workers" in argv or "--shards" in argv:
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, text=True, timeout=60)
+            code, text = result.returncode, result.stdout + result.stderr
+        else:
+            code, text = run_cli(*argv)
+        assert code == 2
+        assert message in text
+        assert text.count("\n") == 1
+
+
 class TestSolverIsNotSelectable:
     TRANSFER = "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9"
 
@@ -140,7 +187,6 @@ class TestSolverIsNotSelectable:
 
         kernel_mode_stops_above = [
             ForecastQuery, ForecastQuery.of, ForecastQuery.key,
-            NetworkForecastService.predict_transfers_many,
             TransferPlanner.select_fastest,
             ForecastServingService.predict,
             ForecastServingService.answer,
@@ -153,7 +199,6 @@ class TestSolverIsNotSelectable:
             Simulation, run_scenario, run_what_if, simulate_forecast,
             NetworkForecastService.answer,
             NetworkForecastService.predict_transfers,
-            NetworkForecastService.predict_transfers_at,
             NetworkForecastService.predict_what_if,
         ]
         solver = [SharingSystem, SharingSystem.solve, SharingSystem.solve_raw]
@@ -214,7 +259,7 @@ class TestExperiment:
 
 class TestScenarios:
     def test_list_shows_every_preset_and_family(self):
-        from repro.scenarios import DEFAULT_REGISTRY
+        from repro.scenarios.registry import DEFAULT_REGISTRY
 
         code, text = run_cli("scenarios", "list")
         assert code == 0
@@ -281,12 +326,12 @@ class TestScenarios:
 
 class TestModels:
     def test_list_shows_every_registered_model(self):
-        from repro.simgrid.models import model_names
+        from repro.simgrid.models import registered_models
 
         code, text = run_cli("models", "list")
         assert code == 0
-        for name in model_names():
-            assert name in text
+        for entry in registered_models():
+            assert entry.name in text
         assert "time-varying" in text  # tcp_fluid's weights column
         assert "static" in text
 

@@ -17,12 +17,23 @@ Every ``src/repro`` module outside the closure fails the guard.  A module
 the shipped verbs do not reach but which reproduces a paper result is kept
 by an allowlist entry citing its section; an entry whose module is reached
 without it fails too, so the list cannot go stale.
+
+The same rule holds name by name (:func:`unreached_names`).  Every
+top-level ``def`` / ``class`` of a reached module, every ``def`` directly
+inside those classes, and every name a package ``__init__`` re-exports must
+be used by a reached module, ``perf/*.py`` or ``examples/*.py``; tests do
+not count.  Dunder names, defs a registry decorator reaches
+(``@register_workload``, ``@router.get``, ...) and the allowlisted modules
+are exempt.  A name the shipped verbs do not use stays only by a
+:data:`NAME_ALLOWLIST` entry citing its paper section, or the test that
+uses it as a reference or an invariant check (``oracle: tests/...``).
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -44,6 +55,32 @@ ALLOWLIST = {
     "repro.nws.api": "§III-C: the NWS baseline bench_nws_baseline asserts PNFS beats",
     "repro.experiments.campaign": "§V-A: the full campaign, every feasible "
     "combination run through run_experiment",
+}
+
+#: ``module.Qualname`` no verb uses, kept as a paper section or a test oracle.
+NAME_ALLOWLIST = {
+    "repro.simgrid.maxmin.MaxMinSystem.is_feasible": "oracle: "
+    "tests/simgrid/test_maxmin.py checks the reference solver's allocations",
+    "repro.simgrid.maxmin.SharingSystem.is_feasible": "oracle: "
+    "tests/simgrid/test_maxmin_fuzz.py checks every churned arena state",
+    "repro.simgrid.maxmin.SharingSystem.update_variable": "oracle: "
+    "tests/simgrid/test_maxmin_arena.py: the checked twin of "
+    "update_variable_unchecked",
+    "repro.simgrid.maxmin.SharingSystem.allocations": "oracle: "
+    "tests/simgrid/test_maxmin_arena.py reads the whole solution",
+    "repro.simgrid.maxmin.SharingSystem.constraint_usage": "oracle: "
+    "tests/simgrid/test_maxmin_properties.py checks usage against capacity",
+    "repro.simgrid.maxmin.SharingSystem.constraint_capacity": "oracle: "
+    "tests/simgrid/test_maxmin_properties.py checks usage against capacity",
+    "repro.simgrid.maxmin.SharingSystem.variable_count": "oracle: "
+    "tests/simgrid/test_maxmin_properties.py checks the arena's live count",
+    "repro.simgrid.maxmin.SharingSystem.constraint_count": "oracle: "
+    "tests/simgrid/test_maxmin_properties.py checks the arena's live count",
+    "repro.simgrid.activities.Activity.cancel": "oracle: "
+    "tests/simgrid/test_tcpfluid.py: the incremental = full suite cancels "
+    "a comm mid-run",
+    "repro.simgrid.engine.Simulation.add_sleep": "oracle: "
+    "tests/process_reference.py: the explicit sender/receiver processes",
 }
 
 _TABLES = ("_EXPORTS", "_LAZY_EXPORTS")
@@ -161,9 +198,127 @@ def import_closure(
     return reached
 
 
+_PLAIN_DECORATORS = {"staticmethod", "classmethod", "property", "setter"}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _definitions(tree: ast.Module, module: str):
+    """``(qualname, name, node)`` of top-level defs/classes and their methods."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{stmt.name}", stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{module}.{stmt.name}.{sub.name}", sub.name, sub
+
+
+def _registered(node: ast.AST) -> bool:
+    """A decorator that may register the def somewhere (``@router.get``, ...)."""
+    return any(
+        _decorator_name(deco) not in _PLAIN_DECORATORS
+        for deco in getattr(node, "decorator_list", ())
+    )
+
+
+def _mentions(tree: ast.Module, is_package: bool) -> set[str]:
+    """Identifiers a file uses: names, attributes, imported names, identifier strings."""
+    tables = set()  # string constants of __all__ and the export tables name no use
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("__all__", *_TABLES) for t in stmt.targets
+        ):
+            tables.update(id(node) for node in ast.walk(stmt.value))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not is_package:
+            used.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in tables):
+            used.add(node.value)
+    return used
+
+
+def _files(modules: dict[str, Path], reached: Iterable[str], root_files: Iterable[Path]):
+    """``(path, module, is_package)`` of the reached modules, then the root files."""
+    files = [(modules[m], m, modules[m].name == "__init__.py") for m in sorted(reached)]
+    return files + [(path, "__main__", False) for path in root_files]
+
+
+def unreached_names(
+    src: Path, package: str, reached: set[str], root_files: Iterable[Path] = (),
+    exempt_modules: Iterable[str] = (),
+) -> set[str]:
+    """``module.Qualname`` of every def and re-export of ``reached`` nobody uses.
+
+    A def is used when a reached module or a root file mentions its name
+    anywhere; a package re-export only when some such file imports that name
+    from the package.  Matching is by bare name, so a def that shares its name
+    with anything used counts as reached: the guard errs on the side of
+    keeping code, never of flagging it.
+    """
+    modules = package_modules(src, package)
+    files = _files(modules, reached, root_files)
+    used: set[str] = set()
+    wanted: set[tuple[str, str]] = set()
+    for path, module, is_package in files:
+        used |= _mentions(ast.parse(path.read_text(), filename=str(path)), is_package)
+        wanted |= _Parsed(path, module, is_package, modules).wanted
+    exempt = set(exempt_modules)
+    unused = set()
+    for path, module, is_package in files:
+        if module == "__main__" or module in exempt:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, name, node in _definitions(tree, module):
+            if not (name.startswith("__") or _registered(node) or name in used):
+                unused.add(qualname)
+        if is_package:
+            for name in _Parsed(path, module, True, modules).reexports:
+                if not name.startswith("__") and (module, name) not in wanted:
+                    unused.add(f"{module}.{name}")
+    return unused
+
+
+def unbound_package_imports(
+    src: Path, package: str, reached: set[str], root_files: Iterable[Path] = ()
+) -> set[str]:
+    """``package.name`` that a reached file imports from a package binding no such name."""
+    modules = package_modules(src, package)
+    unbound = set()
+    for path, module, is_package in _files(modules, reached, root_files):
+        for base, name in _Parsed(path, module, is_package, modules).wanted:
+            init = modules.get(base)
+            if init is None or init.name != "__init__.py" or f"{base}.{name}" in modules:
+                continue
+            tree = ast.parse(init.read_text(), filename=str(init))
+            bound = set(_Parsed(init, base, True, modules).reexports)
+            bound |= {n for _, n, _ in _definitions(tree, base)}
+            bound |= {t.id for s in tree.body if isinstance(s, ast.Assign)
+                      for t in s.targets if isinstance(t, ast.Name)}
+            if name not in bound:
+                unbound.add(f"{base}.{name}")
+    return unbound
+
+
 def shipped_closure(allowlist: Iterable[str] = ()) -> set[str]:
-    scripts = sorted(REPO.glob("perf/*.py")) + sorted(REPO.glob("examples/*.py"))
-    return import_closure(SRC, "repro", [*ENTRY_POINTS, *allowlist], scripts)
+    return import_closure(SRC, "repro", [*ENTRY_POINTS, *allowlist], _scripts())
+
+
+def _scripts() -> list[Path]:
+    return sorted(REPO.glob("perf/*.py")) + sorted(REPO.glob("examples/*.py"))
+
+
+def shipped_unreached_names() -> set[str]:
+    return unreached_names(SRC, "repro", shipped_closure(ALLOWLIST), _scripts(), ALLOWLIST)
 
 
 def test_every_src_module_is_reached():
@@ -183,6 +338,35 @@ def test_allowlist_is_needed_and_cites_a_section():
     for module, why in ALLOWLIST.items():
         assert module in modules, module
         assert why.startswith("§"), (module, why)
+
+
+def test_every_reached_name_is_used():
+    unused = sorted(shipped_unreached_names() - set(NAME_ALLOWLIST))
+    assert not unused, (
+        "no CLI verb, perf/ workload or example uses these names (tests do "
+        "not count); delete them, move them next to the tests that use "
+        "them, import them from their defining module, or allowlist the "
+        f"paper section or test oracle they serve: {unused}"
+    )
+
+
+def test_every_package_import_binds_a_name():
+    """With re-exports gone, ``from <package> import X`` is an ImportError
+    that only a test running that very line would otherwise catch."""
+    unbound = unbound_package_imports(SRC, "repro", shipped_closure(ALLOWLIST), _scripts())
+    assert not unbound, f"import these from their defining module: {sorted(unbound)}"
+
+
+def test_name_allowlist_is_needed_and_cites_a_section_or_an_oracle():
+    stale = sorted(set(NAME_ALLOWLIST) - shipped_unreached_names())
+    assert not stale, f"used (or gone) without their allowlist entry: {stale}"
+    for qualname, why in NAME_ALLOWLIST.items():
+        if why.startswith("§"):
+            continue
+        assert why.startswith("oracle: tests/"), (qualname, why)
+        oracle = REPO / why.removeprefix("oracle: ").split()[0].rstrip(":")
+        name = qualname.rsplit(".", 1)[1]
+        assert re.search(rf"\b{name}\b", oracle.read_text()), (qualname, oracle)
 
 
 def test_real_closure_reaches_the_kernel_and_the_http_codec():
@@ -276,3 +460,85 @@ def test_guard_ignores_a_type_checking_import(toy):
 def test_guard_roots_include_script_files(tmp_path):
     _write(tmp_path, {"toy/__init__.py": "", "toy/x.py": "", "script.py": "from toy import x\n"})
     assert import_closure(tmp_path, "toy", [], [tmp_path / "script.py"]) == {"toy", "toy.x"}
+
+
+# -- the name guard on a synthetic package --------------------------------
+
+
+@pytest.fixture()
+def toy_names(tmp_path):
+    _write(
+        tmp_path,
+        {
+            "toy/__init__.py": "",
+            "toy/cli.py": (
+                "from toy.pkg import used\n"
+                "from toy.pkg.a import unused\n"
+                "from toy.impl import Engine, Model\n"
+                "import toy.registry\n"
+                "def verb(model: Model):\n"
+                "    Engine().run()\n"
+                "    return getattr(model, 'model_key'), unused\n"
+            ),
+            "toy/impl.py": (
+                "__all__ = ['only_tests']\n"
+                "class Engine:\n"
+                "    def run(self): ...\n"
+                "    @staticmethod\n"
+                "    def only_tests_static(): ...\n"
+                "class Model:\n"
+                "    def model_key(self): ...\n"
+                "def only_tests(): ...\n"
+            ),
+            "toy/registry.py": (
+                "REGISTRY = {}\n"
+                "def register(fn):\n"
+                "    REGISTRY[fn.__name__] = fn\n"
+                "    return fn\n"
+                "@register\n"
+                "def registered(): ...\n"
+            ),
+            "toy/pkg/__init__.py": "from toy.pkg.a import used, unused\n",
+            "toy/pkg/a.py": "def used(): ...\ndef unused(): ...\n",
+            "tests/test_toy.py": (
+                "from toy.impl import Engine, only_tests\n"
+                "from toy.pkg import unused\n"
+                "only_tests(), Engine.only_tests_static(), unused\n"
+            ),
+        },
+    )
+    return unreached_names(tmp_path, "toy", import_closure(tmp_path, "toy", ["toy.cli"]))
+
+
+def test_name_guard_flags_a_def_only_tests_use(toy_names):
+    assert "toy.impl.only_tests" in toy_names  # its __all__ entry is no use
+    assert "toy.impl.Engine.only_tests_static" in toy_names
+
+
+def test_name_guard_counts_a_getattr_string(toy_names):
+    assert "toy.impl.Model.model_key" not in toy_names
+
+
+def test_name_guard_exempts_a_decorator_registered_def(toy_names):
+    assert "toy.registry.registered" not in toy_names
+
+
+def test_name_guard_counts_a_method_reached_through_an_attribute(toy_names):
+    assert "toy.impl.Engine.run" not in toy_names
+
+
+def test_name_guard_flags_a_reexport_nobody_imports_from_the_package(toy_names):
+    assert "toy.pkg.used" not in toy_names
+    assert "toy.pkg.unused" in toy_names
+    assert "toy.pkg.a.unused" not in toy_names  # imported from its module
+
+
+def test_guard_flags_an_import_the_package_does_not_bind(tmp_path):
+    _write(tmp_path, {
+        "toy/__init__.py": "",
+        "toy/pkg/__init__.py": "from toy.pkg.a import kept\n",
+        "toy/pkg/a.py": "def kept(): ...\ndef dropped(): ...\n",
+        "toy/cli.py": "from toy.pkg import a, kept, dropped\n",
+    })
+    reached = import_closure(tmp_path, "toy", ["toy.cli"])
+    assert unbound_package_imports(tmp_path, "toy", reached) == {"toy.pkg.dropped"}

@@ -9,8 +9,6 @@ from repro.testbed.tcp import (
     TcpFlowState,
     TcpParams,
     TcpPhase,
-    slow_start_bytes,
-    slow_start_rounds_for,
 )
 
 
@@ -129,33 +127,6 @@ class TestCubic:
 
 
 class TestClosedForms:
-    def test_slow_start_bytes_geometric_series(self):
-        params = TcpParams()
-        iw = params.initial_window_bytes
-        g = params.slow_start_growth
-        assert slow_start_bytes(params, 0) == 0.0
-        assert slow_start_bytes(params, 1) == pytest.approx(iw)
-        assert slow_start_bytes(params, 3) == pytest.approx(iw * (1 + g + g * g))
-
-    def test_rounds_for_inverts_bytes(self):
-        params = TcpParams()
-        for rounds in (1, 3, 7, 12):
-            size = slow_start_bytes(params, rounds)
-            assert slow_start_rounds_for(params, size) == rounds
-
-    @given(st.floats(min_value=1.0, max_value=1e9))
-    @settings(max_examples=100, deadline=None)
-    def test_rounds_for_is_sufficient(self, size):
-        params = TcpParams()
-        rounds = slow_start_rounds_for(params, size)
-        assert slow_start_bytes(params, rounds) >= size * (1 - 1e-9)
-        if rounds > 0:
-            assert slow_start_bytes(params, rounds - 1) < size
-
-    def test_rejects_negative_rounds(self):
-        with pytest.raises(ValueError):
-            slow_start_bytes(TcpParams(), -1)
-
     def test_window_rate(self):
         state = TcpFlowState()
         assert state.window_rate(0.01) == pytest.approx(state.cwnd / 0.01)

@@ -39,6 +39,7 @@ Run:  python tools/profile_prediction.py [n_transfers | --figure NAME]
 import argparse
 import cProfile
 import itertools
+import os
 import pstats
 import socket
 import statistics
@@ -49,11 +50,11 @@ from repro.core.forecast import NetworkForecastService
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.core.rest.router import Request
-from repro.experiments.environment import forecast_service, root_seed
+from repro.experiments.environment import forecast_service
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import ExperimentSpec, Topology, draw_transfer_pairs
 from repro.serving.factories import grid5000_forecast_service
-from repro.serving.gateway import GatewayConfig, ShardedGateway
+from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import model_by_name
 
@@ -148,7 +149,11 @@ def compare_gateway(service, transfers, model_name=None) -> None:
     with ShardedGateway(grid5000_forecast_service, config,
                         service=service) as gateway, \
             RestClient(gateway.url) as client:
-        client.post_predict_transfers("g5k_test", transfers)  # connect, fill
+        def post(transfers):
+            return client.post("/pilgrim/predict_transfers/g5k_test",
+                               {"transfers": transfers})
+
+        post(transfers)  # connect, fill
         # sizes never sent before: no memo and neither cache knows them
         sizes = itertools.count(int(transfers[0][2]) + 1)
 
@@ -160,13 +165,11 @@ def compare_gateway(service, transfers, model_name=None) -> None:
             ("first time (miss)",
              median_ms(lambda: service.predict_transfers(
                  "g5k_test", unseen())),
-             median_ms(lambda: client.post_predict_transfers(
-                 "g5k_test", unseen()))),
+             median_ms(lambda: post(unseen()))),
             ("repeated (hit)",
              median_ms(lambda: service.predict_transfers(
                  "g5k_test", transfers)),
-             median_ms(lambda: client.post_predict_transfers(
-                 "g5k_test", transfers))),
+             median_ms(lambda: post(transfers))),
         ]
         cache = gateway.stats()["response_cache"]
     print(f"median of {REPEATS} predictions of {len(transfers)} concurrent "
@@ -209,7 +212,7 @@ def main() -> None:
     else:
         spec = ExperimentSpec("profile", Topology.GRID_MULTI,
                               args.n_transfers, args.n_transfers)
-    pairs = draw_transfer_pairs(spec, root_seed())
+    pairs = draw_transfer_pairs(spec, int(os.environ.get("REPRO_SEED", 20120917)))
     transfers = [(src, dst, 5e8) for src, dst in pairs]
 
     # warm the route cache the way a long-lived Pilgrim instance would be
