@@ -14,7 +14,11 @@ bench asserts the gateway's whole contract:
   cores; reported otherwise);
 - **scale** — a sustained phase with 1000+ concurrent keep-alive clients
   completes with zero dropped responses (the swarm sits below the
-  admission limit), zero transport errors, and p50/p99 within bounds;
+  admission limit), zero transport errors, and p50/p99 within bounds.
+  The gateway serves them from the same thread-per-connection listener as
+  ``Pilgrim.serve()``, one thread per client: on a 2-vCPU VM the 1100
+  clients read 1359–2212 req/s at p50 235–347 ms, where the asyncio front end it replaced read
+  1473–1720 req/s at p50 463–565 ms;
 - **admission** — against a deliberately tiny in-flight budget the
   overload is shed as clean ``503 + Retry-After`` (every request gets an
   answer: completed + shed equals offered, nothing hangs);

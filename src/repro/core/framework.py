@@ -24,7 +24,11 @@ from repro.core.metrology import MetrologyService
 from repro.core.planner import Hypothesis, TransferPlanner
 from repro.core.rest.errors import BadRequest
 from repro.core.rest.router import Request, Router
-from repro.core.rest.server import DEFAULT_MAX_BODY, PilgrimHTTPServer
+from repro.core.rest.server import (
+    DEFAULT_MAX_BODY,
+    PilgrimHTTPServer,
+    router_app,
+)
 from repro.core.workflow import WorkflowForecastService
 from repro.horizon.whatif import events_from_json
 from repro.metrology.collectors import MetricRegistry
@@ -275,5 +279,5 @@ class Pilgrim:
     def serve(self, host: str = "127.0.0.1", port: int = 0,
               max_body_bytes: int = DEFAULT_MAX_BODY) -> PilgrimHTTPServer:
         """An HTTP server (not yet started) exposing all services."""
-        return PilgrimHTTPServer(self.build_router(), host=host, port=port,
-                                 max_body_bytes=max_body_bytes)
+        return PilgrimHTTPServer(router_app(self.build_router()), host=host,
+                                 port=port, max_body_bytes=max_body_bytes)

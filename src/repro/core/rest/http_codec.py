@@ -1,17 +1,21 @@
-"""The HTTP/1.1 wire rules both servers share, without any I/O.
+"""The HTTP/1.1 wire rules, without any I/O.
 
-:class:`~repro.core.rest.server.PilgrimHTTPServer` (a thread per
-connection) and the gateway's
-:class:`~repro.serving.gateway.frontend.AsyncHTTPFrontend` (one event loop)
-read lines their own way; what the lines *mean* — request line, limits,
-``Content-Length``, keep-alive, the response bytes — is decided here, once
-(the rules are listed in docs/SERVING.md, "HTTP transport").
+:class:`~repro.core.rest.server.PilgrimHTTPServer` — the one listener,
+behind both ``Pilgrim.serve()`` and the sharded gateway — reads the lines;
+what they *mean* — request line, limits, ``Content-Length``, keep-alive,
+the response bytes — is decided here (the rules are listed in
+docs/SERVING.md, "HTTP transport").  The gateway's asyncio front end, the
+second reader this codec had, is gone: it took 75–118 µs per exchange where
+the threaded loop takes 22–34 µs, and the threaded loop holds the 1100
+keep-alive clients of ``benchmarks/bench_gateway_load.py``.
 
 A parse-level rejection is raised as the
 :class:`~repro.core.rest.errors.ApiError` it answers with; the stream is no
-longer framed after one, so both servers answer it with
-``Connection: close`` and close.  The two limits are ``http.server``'s, the
-more permissive of what the two servers enforced before they shared them.
+longer framed after one, so the listener answers it with
+``Connection: close`` and closes.  That covers a body this codec cannot
+frame: a ``Transfer-Encoding`` (no chunked decoding here, so the chunks
+would be read as the next request) and ``Content-Length`` headers that
+disagree.  The two limits are ``http.server``'s.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ MAX_HEADERS = 100
 #: overflows a short queue: the dropped handshakes are retried after 1, 3,
 #: 7 … seconds, and clients give up.
 LISTEN_BACKLOG = 2048
+#: Seconds a keep-alive connection may sit idle before it is reaped.
+IDLE_TIMEOUT = 30.0
 #: A stray empty line where a request line is due is skipped.
 BLANK_LINES = (b"\r\n", b"\n")
 #: Interim answer to ``Expect: 100-continue``, sent before reading a body.
@@ -78,11 +84,17 @@ class RequestHead:
         if self._lines > MAX_HEADERS:
             raise BadRequest("too many headers")
         name, _, value = line.decode("latin-1").partition(":")
-        self.headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and self.headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        self.headers[name] = value
         return True
 
     def body_length(self, max_body_bytes: int) -> int:
         """The declared body size, validated against ``max_body_bytes``."""
+        if "transfer-encoding" in self.headers:
+            raise BadRequest("Transfer-Encoding is not supported: "
+                             "send the body with a Content-Length")
         raw = self.headers.get("content-length", "0") or "0"
         try:
             length = int(raw)

@@ -2,8 +2,9 @@
 
 :class:`ShardedGateway` assembles the production request path:
 
-- an :class:`~repro.serving.gateway.frontend.AsyncHTTPFrontend` (one
-  event-loop thread, keep-alive, pipelining, bounded parsing),
+- a :class:`~repro.core.rest.server.PilgrimHTTPServer` listener, the one
+  ``Pilgrim.serve()`` runs (a thread per connection, keep-alive,
+  pipelining, bounded parsing), around :meth:`ShardedGateway._handle`,
 - an :class:`~repro.serving.gateway.admission.AdmissionController`
   shedding load with ``503 + Retry-After`` past the in-flight budget,
 - a :class:`~repro.serving.gateway.hashring.ConsistentHashRing` pinning
@@ -29,11 +30,16 @@ LRU keyed on ``(state token, method, target, body)``, the token being
 ``(synced link epoch, what-ifs started + finished on that shard)`` — a
 sync or a what-if retires every older entry, and an answer computed while
 either happened is never stored (docs/SERVING.md, "Sharded gateway").
+
+Requests arrive on many connection threads at once, so what they share is
+locked: the response cache and its fill counters under one lock, and each
+shard's dispatch and what-if counts under its pending lock, a what-if being
+counted *before* its bytes go down the pipe — a read that takes its token
+after that send always sees the what-if.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import multiprocessing
 import threading
@@ -46,11 +52,11 @@ from urllib.parse import unquote, urlsplit
 from repro._util.lru import BoundedLRU
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import ServiceUnavailable
+from repro.core.rest.server import PilgrimHTTPServer
 from repro.serving.batcher import DEFAULT_WINDOW
 from repro.simgrid.platform import link_epoch
 
 from repro.serving.gateway.admission import AdmissionController
-from repro.serving.gateway.frontend import AsyncHTTPFrontend
 from repro.serving.gateway.hashring import ConsistentHashRing
 from repro.serving.gateway.metrics import GatewayMetrics
 from repro.serving.gateway.shard import (
@@ -94,7 +100,6 @@ class GatewayConfig:
     queue_depth: int = 1024
     retry_after_s: float = 1.0
     max_body_bytes: int = 8 * 1024 * 1024
-    idle_timeout: float = 30.0
     request_timeout: float = 60.0
     #: per-shard serving knobs (see ForecastServingService)
     window: float = DEFAULT_WINDOW
@@ -121,8 +126,8 @@ class GatewayConfig:
 class ShardHandle:
     """Parent-side endpoint of one shard process.
 
-    Thread-safe: the frontend's event loop, the stats fan-out and the
-    epoch broadcaster all send through one lock; a reader thread resolves
+    Thread-safe: the connection threads, the stats fan-out and the epoch
+    broadcaster all send through one lock; a reader thread resolves
     response futures by request id, so completions may arrive in any
     order.
     """
@@ -155,10 +160,10 @@ class ShardHandle:
         self._rid = itertools.count()
         self._ready = threading.Event()
         self.alive = False
+        #: requests and what-ifs sent, and what-ifs answered, all counted
+        #: under the pending lock: the what-if sum goes in the state token,
+        #: the difference is the what-ifs in flight
         self.dispatched = 0
-        #: what-ifs sent (event loop writes) and answered (reader thread
-        #: writes): the sum goes in the state token, the difference is
-        #: the what-ifs in flight
         self.whatifs_sent = 0
         self.whatifs_done = 0
         #: requests for this shard the front end answered from its cache
@@ -178,21 +183,26 @@ class ShardHandle:
 
     # -- parent → shard ----------------------------------------------------------
 
-    def _submit(self, message_head: tuple, what_if: bool = False) -> Future:
-        """Register a future for a new rid and send ``(tag, rid, *rest)``."""
+    def _submit(self, tag: str, *rest: object,
+                what_if: bool = False) -> Future:
+        """Register a future for a new rid, count it, then send
+        ``(tag, rid, *rest)``."""
         future: Future = Future()
-        rid = next(self._rid)
         with self._pending_lock:
             if not self.alive:
                 raise ShardError(f"shard {self.shard_id} is down")
+            rid = next(self._rid)
             self._pending[rid] = (future, what_if)
-        tag, rest = message_head[0], message_head[1:]
+            if tag == REQ:
+                self.dispatched += 1
+                self.whatifs_sent += what_if
         try:
             with self._send_lock:
                 self._conn.send((tag, rid, *rest))
-        except (OSError, ValueError, BrokenPipeError) as exc:
+        except (OSError, ValueError) as exc:
             with self._pending_lock:
                 self._pending.pop(rid, None)
+                self.whatifs_done += what_if  # it never ran: settled
             raise ShardError(f"shard {self.shard_id} pipe broken") from exc
         return future
 
@@ -200,15 +210,12 @@ class ShardHandle:
                 what_if: bool = False) -> Future:
         """Forward one request as received; resolves to ``(status,
         encoded body, cacheable)``.  A ``what_if`` moves the shard's state
-        token now, and again when the shard has answered it."""
-        future = self._submit((REQ, method, target, body), what_if)
-        self.dispatched += 1
-        if what_if:
-            self.whatifs_sent += 1
-        return future
+        token before it is sent, and again when the shard has answered
+        it."""
+        return self._submit(REQ, method, target, body, what_if=what_if)
 
     def request_stats(self) -> Future:
-        return self._submit((STATS,))
+        return self._submit(STATS)
 
     def sync(self, epoch: int, link_states: dict) -> None:
         with self._send_lock:
@@ -233,11 +240,10 @@ class ShardHandle:
                     with self._pending_lock:
                         future, what_if = self._pending.pop(
                             rid, (None, False))
-                    if what_if:
                         # counted when the shard is done with it, not when
                         # a waiter gave up: a timed-out what-if is still
                         # rewriting links over there
-                        self.whatifs_done += 1
+                        self.whatifs_done += what_if
                     # a timed-out waiter may have cancelled its future;
                     # the late answer is simply dropped
                     if future is not None and not future.done():
@@ -270,7 +276,7 @@ class ShardHandle:
 
 
 class ShardedGateway:
-    """N shard processes behind one admission-controlled async front end.
+    """N shard processes behind one admission-controlled HTTP listener.
 
     ``service_factory`` must be picklable (the warm-pool contract); it
     builds each shard's forecast service.  ``service`` optionally names
@@ -297,14 +303,16 @@ class ShardedGateway:
         )
         self.ring = ConsistentHashRing(range(self.config.shards))
         self.shards: list[ShardHandle] = []
-        self.frontend: Optional[AsyncHTTPFrontend] = None
+        self.listener: Optional[PilgrimHTTPServer] = None
         self._epoch_lock = threading.Lock()
         self._synced_epoch = link_epoch()
         self.epoch_syncs = 0
-        # encoded 200 bodies by (state token, method, target, body); event
-        # loop only.  Surrogate answers are never cached anywhere: size 0
+        # encoded 200 bodies by (state token, method, target, body); it and
+        # the fill counters are read and written under _cache_lock only.
+        # Surrogate answers are never cached anywhere: size 0
         self.response_cache = BoundedLRU(
             self.config.cache_size if self.config.surrogate_doc is None else 0)
+        self._cache_lock = threading.Lock()
         self.fills_refused = 0
         self.uncacheable = 0
         self._started = False
@@ -325,11 +333,9 @@ class ShardedGateway:
                 if not handle.alive:
                     raise ShardError(f"shard {handle.shard_id} crashed "
                                      f"during startup")
-            self.frontend = AsyncHTTPFrontend(
-                self._handle, self.metrics,
-                host=self.config.host, port=self.config.port,
+            self.listener = PilgrimHTTPServer(
+                self._handle, host=self.config.host, port=self.config.port,
                 max_body_bytes=self.config.max_body_bytes,
-                idle_timeout=self.config.idle_timeout,
             ).start()
         except BaseException:
             self.stop()
@@ -337,9 +343,9 @@ class ShardedGateway:
         return self
 
     def stop(self) -> None:
-        if self.frontend is not None:
-            self.frontend.stop()
-            self.frontend = None
+        if self.listener is not None:
+            self.listener.stop()  # no handler runs after this
+            self.listener = None
         for handle in self.shards:
             handle.stop()
         self.shards = []
@@ -353,15 +359,15 @@ class ShardedGateway:
 
     @property
     def url(self) -> str:
-        if self.frontend is None:
+        if self.listener is None:
             raise RuntimeError("gateway not started")
-        return self.frontend.url
+        return self.listener.url
 
     @property
     def address(self) -> tuple[str, int]:
-        if self.frontend is None:
+        if self.listener is None:
             raise RuntimeError("gateway not started")
-        return self.frontend.address
+        return self.listener.address
 
     # -- epoch propagation -------------------------------------------------------
 
@@ -389,7 +395,7 @@ class ShardedGateway:
             self.epoch_syncs += 1
         return True
 
-    # -- request path (frontend event loop) --------------------------------------
+    # -- request path (connection threads) ---------------------------------------
 
     def _shard_for(self, path: str, route: str) -> ShardHandle:
         """Consistent-hash pick: by platform for the predict/planner
@@ -402,18 +408,18 @@ class ShardedGateway:
     def _state_token(self, handle: ShardHandle) -> tuple[int, int]:
         """What a shard's answers depend on beyond the request.  Both parts
         only grow, so an entry is live exactly while its token is current:
-        no ``clear()``, and no lock (``sync_epoch`` on a foreign thread
-        only changes an integer this loop reads)."""
+        no ``clear()``, and read without a lock (a torn read can only
+        differ from every token an entry was stored under)."""
         return self._synced_epoch, handle.whatifs_sent + handle.whatifs_done
 
-    async def _handle(self, method: str, target: str,
-                      body: bytes) -> tuple[int, object, dict]:
+    def _handle(self, method: str, target: str,
+                body: bytes) -> tuple[int, object, dict]:
         t0 = time.perf_counter()
         path = _path_of(target)
         route = GatewayMetrics.route_class(path)
         if route == "stats" and method == "GET":
             # exempt from admission: monitoring must answer under overload
-            status, payload = await self._handle_stats()
+            status, payload = self._handle_stats()
             self.metrics.record(route, time.perf_counter() - t0, status)
             return status, payload, {}
         if not self.admission.try_admit():
@@ -427,25 +433,26 @@ class ShardedGateway:
             return 503, payload, {"Retry-After": f"{retry_after:g}"}
         status = 500  # what gets recorded if the dispatch raises
         try:
-            status, payload = await self._dispatch(method, target, body,
-                                                   path, route)
+            status, payload = self._dispatch(method, target, body, path,
+                                             route)
         finally:
             self.admission.release()
             self.metrics.record(route, time.perf_counter() - t0, status)
         return status, payload, {}
 
-    async def _dispatch(self, method: str, target: str, body: bytes,
-                        path: str, route: str) -> tuple[int, object]:
+    def _dispatch(self, method: str, target: str, body: bytes,
+                  path: str, route: str) -> tuple[int, object]:
         """Answer from the response cache, else forward the request bytes
         to the platform's shard and return its encoded answer as it is."""
         self.sync_epoch()  # recalibrations reach shards before the lookup
         handle = self._shard_for(path, route)
         token = self._state_token(handle)
         key = (token, method, target, body)
-        cached = self.response_cache.get(key)
-        if cached is not None:
-            handle.front_hits += 1
-            return 200, cached  # even with the shard down: state unmoved
+        with self._cache_lock:
+            cached = self.response_cache.get(key)
+            if cached is not None:
+                handle.front_hits += 1
+                return 200, cached  # even with the shard down: state unmoved
         # a read beside a what-if (here) or a link sync (token moved, below)
         # may be computed on transient state, and unlike the shard's cache
         # nothing would retire it later: never kept
@@ -453,45 +460,60 @@ class ShardedGateway:
         try:  # a shard that is down raises ShardError at once
             future = handle.request(method, target, body,
                                     what_if=route == "what_if")
-            status, payload, cacheable = await asyncio.wait_for(
-                asyncio.wrap_future(future),
+            status, payload, cacheable = future.result(
                 timeout=self.config.request_timeout)
-        except asyncio.TimeoutError:
+        except TimeoutError:
             return 504, {"error": "GatewayTimeout", "status": 504,
                          "message": f"shard {handle.shard_id} did not "
                                     f"answer within "
                                     f"{self.config.request_timeout:g}s"}
         except ShardError as exc:
             return 503, ServiceUnavailable(str(exc)).to_json()
-        if not cacheable:
-            self.uncacheable += 1
-        elif overlapped or token != self._state_token(handle):
-            self.fills_refused += 1
-        else:
-            self.response_cache.put(key, payload)
+        with self._cache_lock:
+            if not cacheable:
+                self.uncacheable += 1
+            elif overlapped or token != self._state_token(handle):
+                self.fills_refused += 1
+            else:
+                self.response_cache.put(key, payload)
         return status, payload
 
-    async def _handle_stats(self) -> tuple[int, object]:
-        async def shard_stats(handle: ShardHandle) -> dict:
+    def _handle_stats(self) -> tuple[int, object]:
+        """Every shard's stats, asked of all of them before waiting on
+        any, under one 10 s deadline."""
+        asked = []
+        for handle in self.shards:
             try:
-                _status, payload, _ = await asyncio.wait_for(
-                    asyncio.wrap_future(handle.request_stats()), timeout=10.0)
-            except (asyncio.TimeoutError, ShardError):
-                return {"shard": handle.shard_id, "alive": False}
+                asked.append((handle, handle.request_stats()))
+            except ShardError:
+                asked.append((handle, None))
+        deadline = time.monotonic() + 10.0
+        shards = []
+        for handle, future in asked:
+            try:
+                if future is None:
+                    raise ShardError(f"shard {handle.shard_id} is down")
+                _status, payload, _ = future.result(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except (TimeoutError, ShardError):
+                shards.append({"shard": handle.shard_id, "alive": False})
+                continue
             # a front-end hit is a hit of this shard's cache tier: its
             # hits / (hits + misses) stays "answered without simulating"
             cache = payload["serving"]["cache"]
             cache["front_hits"] = handle.front_hits
             cache["hits"] += handle.front_hits
-            return {"alive": True, **payload}
-
-        shards = await asyncio.gather(*map(shard_stats, self.shards))
+            shards.append({"alive": True, **payload})
         return 200, {"gateway": self.stats(), "shards": shards}
 
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict:
         """Gateway-local counters (shard internals come from the shards)."""
+        with self._cache_lock:
+            response_cache = {**self.response_cache.info(),
+                              "fills_refused": self.fills_refused,
+                              "uncacheable": self.uncacheable}
         return {
             "shards": self.config.shards,
             "admission": self.admission.snapshot(),
@@ -501,8 +523,8 @@ class ShardedGateway:
             "shard_occupancy": [h.occupancy for h in self.shards],
             "shard_dispatched": [h.dispatched for h in self.shards],
             "shard_alive": [h.alive for h in self.shards],
-            "response_cache": {**self.response_cache.info(),
-                               "fills_refused": self.fills_refused,
-                               "uncacheable": self.uncacheable},
+            "response_cache": response_cache,
             **self.metrics.snapshot(),
+            **(self.listener.counters() if self.listener is not None
+               else {}),
         }

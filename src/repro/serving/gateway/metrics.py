@@ -3,8 +3,9 @@
 The single-process serving layer's :class:`LatencyCounter` keeps
 count/mean/max — enough for a test, useless for an SLO.  The gateway keeps
 a bounded reservoir of recent latencies per route and computes p50/p99 at
-read time, alongside the operational counters a shed decision needs:
-current queue depth, shed count, per-shard occupancy, connection churn.
+read time, and counts responses by status family.  Connection churn and
+transport errors are the listener's own counters
+(:meth:`~repro.core.rest.server.PilgrimHTTPServer.counters`).
 
 Everything here is thread-safe under one lock per reservoir; reads
 (``GET /pilgrim/stats``) snapshot rather than stall the hot path.
@@ -78,7 +79,7 @@ class LatencyReservoir:
 
 
 class GatewayMetrics:
-    """One metrics registry per gateway: routes, sheds, connections.
+    """One metrics registry per gateway: route latencies, status families.
 
     Routes are coarse classes (``predict_transfers``, ``select_fastest``,
     ``what_if``, ``stats``, ``other``) — per-URI cardinality would make
@@ -93,11 +94,6 @@ class GatewayMetrics:
                         for name in self.ROUTE_CLASSES}
         self._lock = threading.Lock()
         self.responses: dict[str, int] = {}  # status family ("2xx") → count
-        self.parse_errors = 0
-        self.oversized = 0
-        self.disconnects = 0
-        self.connections_opened = 0
-        self.connections_active = 0
 
     @classmethod
     def route_class(cls, path: str) -> str:
@@ -114,33 +110,11 @@ class GatewayMetrics:
         with self._lock:
             self.responses[family] = self.responses.get(family, 0) + 1
 
-    # -- connection lifecycle (front-end thread only) ---------------------------
-
-    def connection_opened(self) -> None:
-        with self._lock:
-            self.connections_opened += 1
-            self.connections_active += 1
-
-    def connection_closed(self) -> None:
-        with self._lock:
-            self.connections_active -= 1
-
     def snapshot(self) -> dict:
         with self._lock:
             responses = dict(self.responses)
-            connections = {
-                "opened": self.connections_opened,
-                "active": self.connections_active,
-            }
-            errors = {
-                "parse_errors": self.parse_errors,
-                "oversized": self.oversized,
-                "disconnects": self.disconnects,
-            }
         return {
             "routes": {name: res.snapshot()
                        for name, res in self._routes.items()},
             "responses": responses,
-            "connections": connections,
-            "errors": errors,
         }

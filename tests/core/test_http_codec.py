@@ -1,16 +1,24 @@
-"""One HTTP/1.1 codec behind both servers: the same bytes, the same answer.
+"""One HTTP/1.1 listener behind both deployments: the same bytes, the same
+answer.
 
-``Pilgrim.serve()`` (a thread per connection) and the gateway's asyncio
-front end read lines their own way but share ``repro.core.rest.http_codec``
-for what the lines mean, and ``Request.from_wire`` for what a complete
-request means.  The differential test sends each raw request below over a
-real socket to both and asserts one status, one JSON document, one
-``Connection`` header and one connection outcome (kept or closed) — and
-that outcome is the expected one, so the two cannot agree on being wrong.
+``Pilgrim.serve()`` and the sharded gateway run the same
+thread-per-connection listener (``core/rest/server.py``) and codec
+(``repro.core.rest.http_codec``) around different apps — the router in
+process, or the gateway's handler in front of a shard, which decodes with
+the same ``Request.from_wire``.  The differential test sends each raw
+request below over a real socket to both and asserts one status, one JSON
+document, one ``Connection`` header and one connection outcome (kept or
+closed) — and that outcome is the expected one, so the two cannot agree on
+being wrong.  Neither deployment answers a request after ``stop()``, and
+no module under ``src/`` imports ``asyncio``: a second I/O loop cannot
+come back silently (the asyncio front end the gateway ran took 75–118 µs
+per exchange where this loop takes 22–34 µs, and this loop holds 1100
+keep-alive clients).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import pathlib
@@ -36,17 +44,24 @@ SRC, DST = f"{STAR_PLATFORM}-1", f"{STAR_PLATFORM}-2"
 PAIR = f"{SRC},{DST}"
 
 
-@pytest.fixture(scope="module")
-def servers():
-    """``{name: address}`` for both servers over one star platform.  The
-    gateway starts first: its shard forks while no server thread runs."""
-    config = GatewayConfig(shards=1, window=0.0, max_body_bytes=MAX_BODY,
-                           request_timeout=30.0)
+def _deployment(name: str):
+    """One deployment over a star platform, not yet started."""
+    if name == "gateway":
+        return ShardedGateway(star_factory(N_HOSTS), GatewayConfig(
+            shards=1, window=0.0, max_body_bytes=MAX_BODY,
+            request_timeout=30.0))
     service = star_forecast_service(N_HOSTS)
     pilgrim = Pilgrim(
         platforms={STAR_PLATFORM: service.platform(STAR_PLATFORM)})
-    with ShardedGateway(star_factory(N_HOSTS), config) as gateway, \
-            pilgrim.serve(max_body_bytes=MAX_BODY) as server:
+    return pilgrim.serve(max_body_bytes=MAX_BODY)
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """``{name: address}`` for both deployments.  The gateway starts
+    first: its shard forks while no server thread runs."""
+    with _deployment("gateway") as gateway, \
+            _deployment("pilgrim") as server:
         yield {"pilgrim": server.address, "gateway": gateway.address}
 
 
@@ -102,10 +117,14 @@ _LONGEST_TARGET = "/" + "a" * (MAX_LINE - len("GET / HTTP/1.1\r\n"))
 _FILLER = tuple(f"X-Filler-{i}: {i}" for i in range(MAX_HEADERS))
 
 
+def _body(size: str) -> bytes:
+    """One transfer whose size is the raw JSON text ``size``."""
+    return f'{{"transfers": [["{SRC}", "{DST}", {size}]]}}'.encode("ascii")
+
+
 def _post_size(size: str) -> bytes:
     """A POST of one transfer whose size is the raw JSON text ``size``."""
-    body = f'{{"transfers": [["{SRC}", "{DST}", {size}]]}}'
-    return _request("POST", PREDICT, body.encode("ascii"))
+    return _request("POST", PREDICT, _body(size))
 
 
 #: id → (raw bytes, [(status, error type or None)] per answer, outcome)
@@ -131,6 +150,15 @@ CASES = {
     "negative_content_length": (
         _request("POST", PREDICT, length=-5), [(400, "BadRequest")],
         "closed"),
+    "conflicting_content_lengths": (
+        _request("POST", PREDICT, _body("5e7"),
+                 headers=("Content-Length: 2",)),
+        [(400, "BadRequest")], "closed"),
+    "chunked_body_is_refused": (
+        # unrefused, the chunk framing would be read as the next request
+        _request("POST", PREDICT, headers=("Transfer-Encoding: chunked",))
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(_body("5e7")), _body("5e7")),
+        [(400, "BadRequest")], "closed"),
     "garbage_content_length": (
         _request("POST", PREDICT, length="abc"), [(400, "BadRequest")],
         "closed"),
@@ -196,6 +224,27 @@ def test_one_answer_per_request_whichever_server_gets_it(servers, case):
             assert doc["status"] == status and doc["message"]
 
 
+@pytest.mark.parametrize("name", ["pilgrim", "gateway"])
+def test_no_request_is_answered_after_stop(name):
+    """``stop()`` closes the connections it leaves open, so nothing runs
+    the app after it returns (the gateway's shards are gone by then)."""
+    server = _deployment(name).start()
+    try:
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(_request("GET", "/pilgrim/platforms"))
+            assert _read_response(stream)[0] == 200
+            server.stop()
+            try:
+                sock.sendall(_request("GET", "/pilgrim/platforms"))
+                answer = _read_response(stream)
+            except ConnectionError:
+                answer = None
+            assert answer is None
+    finally:
+        server.stop()
+
+
 def test_expect_continue_is_answered_before_the_body(servers):
     body = json.dumps({"transfers": [[SRC, DST, 5e7]]}).encode()
     for address in servers.values():
@@ -255,4 +304,23 @@ def test_no_module_under_src_imports_http_server():
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     offenders = [str(path.relative_to(src)) for path in src.rglob("*.py")
                  if _IMPORTS_HTTP_SERVER.search(path.read_text("utf-8"))]
+    assert offenders == []
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_under_src_imports_asyncio():
+    """One I/O loop: every connection, of either deployment, is served by
+    ``core/rest/server.py``'s threads."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    offenders = [
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if any(name.split(".")[0] == "asyncio" for name in _imported_modules(
+            ast.parse(path.read_text("utf-8"))))]
     assert offenders == []

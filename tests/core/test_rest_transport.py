@@ -18,7 +18,7 @@ import pytest
 from repro.core.framework import Pilgrim
 from repro.core.rest.json_codec import loads
 from repro.core.rest.router import Router
-from repro.core.rest.server import PilgrimHTTPServer
+from repro.core.rest.server import PilgrimHTTPServer, router_app
 from loadgen import LoadQuery, run_load
 from repro.simgrid.builder import build_star_cluster
 
@@ -108,14 +108,14 @@ def test_sequential_requests_do_not_stall(pilgrim, connect):
 def test_accepted_sockets_have_nodelay(pilgrim, connect):
     with pilgrim.serve() as server:
         accepted = []
-        accept = server._httpd.get_request
+        accept = server.get_request
 
         def recording_accept():
             sock, address = accept()
             accepted.append(sock)
             return sock, address
 
-        server._httpd.get_request = recording_accept
+        server.get_request = recording_accept
         conn = connect(server)
         assert conn.exchange("GET", "/pilgrim/platforms")[0] == 200
         # answered, so the handler set the socket up; keep-alive holds it open
@@ -156,7 +156,7 @@ def test_handler_failure_is_a_complete_500(connect):
     def boom(request):
         raise RuntimeError("kaput")
 
-    with PilgrimHTTPServer(router) as server:
+    with PilgrimHTTPServer(router_app(router)) as server:
         conn = connect(server)
         status, payload = conn.exchange("GET", "/boom")
         assert status == 500
@@ -172,7 +172,7 @@ def test_response_larger_than_the_write_buffer_arrives_intact(connect):
     def big(request):
         return {"blob": blob}
 
-    with PilgrimHTTPServer(router) as server:
+    with PilgrimHTTPServer(router_app(router)) as server:
         conn = connect(server)
         for _ in range(2):  # twice: the stream stays framed after 1 MB
             status, payload = conn.exchange("GET", "/blob")

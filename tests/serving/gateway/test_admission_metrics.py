@@ -1,9 +1,14 @@
-"""Admission controller accounting and SLO metric percentiles."""
+"""Admission controller accounting, SLO metric percentiles, and the
+listener's connection counters."""
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
+from repro.core.rest.server import PilgrimHTTPServer
 from repro.serving.batcher import batch_size_bucket
 from repro.serving.gateway.admission import AdmissionController
 from repro.serving.gateway.metrics import (
@@ -94,14 +99,27 @@ class TestGatewayMetrics:
         metrics = GatewayMetrics()
         metrics.record("predict_transfers", 0.010, 200)
         metrics.record("predict_transfers", 0.020, 503)
-        metrics.connection_opened()
         snap = metrics.snapshot()
         assert snap["routes"]["predict_transfers"]["count"] == 2
         assert snap["responses"] == {"2xx": 1, "5xx": 1}
-        assert snap["connections"]["opened"] == 1
-        assert snap["connections"]["active"] == 1
-        metrics.connection_closed()
-        assert metrics.snapshot()["connections"]["active"] == 0
+
+    def test_the_listener_counts_connections(self):
+        def app(method, target, body):
+            return 200, {}, None
+
+        with PilgrimHTTPServer(app) as server:
+            with socket.create_connection(server.address, timeout=10.0):
+                deadline = time.monotonic() + 10.0
+                while server.counters()["connections"]["active"] != 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert server.counters()["connections"]["opened"] == 1
+            while server.counters()["connections"]["active"] != 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        assert server.counters() == {
+            "connections": {"opened": 1, "active": 0},
+            "errors": {"parse_errors": 0, "oversized": 0, "disconnects": 0}}
 
 
 class TestBatchSizeBuckets:

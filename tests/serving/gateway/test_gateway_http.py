@@ -1,7 +1,7 @@
 """End-to-end gateway tests: shards, keep-alive, admission, epoch sync.
 
 A real :class:`ShardedGateway` (2 shard processes over the star platform)
-behind its asyncio front end, exercised over actual sockets: answers must
+behind its thread-per-connection listener, exercised over actual sockets: answers must
 be bit-identical to serial ground truth, keep-alive and pipelining must
 work on one connection, malformed/oversized/disconnecting clients must get
 clean failures (never hung sockets), admission must shed with
@@ -156,7 +156,7 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
         gateway, queries, ground_truth, monkeypatch):
     import json
 
-    async def broken(*args):
+    def broken(*args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(gateway, "_dispatch", broken)
@@ -182,13 +182,12 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
 def test_frontend_answers_500_when_the_app_itself_raises(caplog):
     import json
 
-    from repro.serving.gateway.frontend import AsyncHTTPFrontend
-    from repro.serving.gateway.metrics import GatewayMetrics
+    from repro.core.rest.server import PilgrimHTTPServer
 
-    async def app(method, target, body):
+    def app(method, target, body):
         raise KeyError("no such thing")
 
-    frontend = AsyncHTTPFrontend(app, GatewayMetrics()).start()
+    frontend = PilgrimHTTPServer(app).start()
     try:
         with socket.create_connection(frontend.address, timeout=10.0) as sock:
             sock.sendall(_encode("GET", "/anything"))
@@ -207,14 +206,14 @@ def test_frontend_answers_500_when_the_app_itself_raises(caplog):
 
 def test_keep_alive_single_connection_many_requests(gateway, queries,
                                                     ground_truth):
-    opened_before = gateway.metrics.connections_opened
+    opened_before = gateway.stats()["connections"]["opened"]
     with RestClient(gateway.url) as client:
         for _ in range(3):
             for qi, transfers in enumerate(queries):
                 assert post_predict(client, STAR_PLATFORM, transfers) \
                     == ground_truth[qi]
     # 12 requests, one connection
-    assert gateway.metrics.connections_opened == opened_before + 1
+    assert gateway.stats()["connections"]["opened"] == opened_before + 1
 
 
 def test_pipelined_requests_answer_in_order(gateway, queries, ground_truth):
@@ -239,7 +238,7 @@ def test_pipelined_requests_answer_in_order(gateway, queries, ground_truth):
 
 def test_mid_stream_disconnect_leaves_gateway_healthy(gateway, queries,
                                                       ground_truth):
-    disconnects_before = gateway.metrics.disconnects
+    disconnects_before = gateway.stats()["errors"]["disconnects"]
     sock = _connect(gateway)
     # promise a body, send half of it, vanish
     sock.sendall(f"POST /pilgrim/predict_transfers/{STAR_PLATFORM} "
@@ -249,7 +248,7 @@ def test_mid_stream_disconnect_leaves_gateway_healthy(gateway, queries,
     # the server reaps the dead connection and keeps answering
     with RestClient(gateway.url) as client:
         assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
-    assert gateway.metrics.disconnects >= disconnects_before
+    assert gateway.stats()["errors"]["disconnects"] >= disconnects_before
 
 
 def test_malformed_request_line_gets_400_not_hang(gateway):
@@ -265,7 +264,7 @@ def test_oversized_body_gets_413_before_read(gateway):
         transfers = [("host-0", "host-1", 1e6)] * (MAX_BODY // 20)
         with pytest.raises(PayloadTooLarge):
             post_predict(client, STAR_PLATFORM, transfers)
-    assert gateway.metrics.oversized >= 1
+    assert gateway.stats()["errors"]["oversized"] >= 1
 
 
 def test_admission_shed_is_503_with_retry_after(gateway, queries):

@@ -22,6 +22,8 @@ from __future__ import annotations
 import http.client
 import json
 import multiprocessing
+import os
+import random
 import sys
 import threading
 import time
@@ -541,7 +543,7 @@ def test_eight_thread_hammer_beside_writes_matches_serial_ground_truth():
                 stop.set()
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave loop, reader and writers
+        sys.setswitchinterval(1e-5)  # interleave connections, reader, writer
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 readers = [pool.submit(reader, w) for w in range(7)]
@@ -556,3 +558,95 @@ def test_eight_thread_hammer_beside_writes_matches_serial_ground_truth():
         info = cache_info(gw)
         assert info["hits"] > 0 and info["misses"] >= rounds * len(QUERIES)
         assert gw.stats()["admission"]["in_flight"] == 0
+
+
+class CountingPipe:
+    """A shard pipe that checks, as each what-if's bytes go down it, that
+    the gateway has already counted that what-if (sends are serialized by
+    the handle's send lock)."""
+
+    def __init__(self, handle) -> None:
+        self.handle, self.conn = handle, handle._conn
+        self.whatifs = self.uncounted = 0
+
+    def send(self, message) -> None:
+        if message[0] == "req" and "/what_if/" in message[3]:
+            self.whatifs += 1
+            if self.handle.whatifs_sent < self.whatifs:
+                self.uncounted += 1
+        self.conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def yield_inside_the_lru(frame, event, arg):
+    """A thread trace that gives the GIL away between any two lines of
+    ``BoundedLRU``: an interleaving its callers' lock has to rule out then
+    happens on most calls, not on one in a thousand."""
+    if frame.f_code.co_filename.endswith(os.path.join("_util", "lru.py")):
+        return _yield_each_line
+    return None
+
+
+def _yield_each_line(frame, event, arg):
+    if event == "line":
+        time.sleep(0)
+    return _yield_each_line
+
+
+def test_connection_threads_hammering_hot_keys_beside_what_ifs():
+    """Eight connections, three hot keys in a two-entry cache (every fill
+    evicts) and what-ifs interleaved on a link no read crosses: no 500,
+    every read its serial truth, every what-if counted before it is sent,
+    and the counters add up once the load drains."""
+    connections, requests, whatif_every = 8, 100, 10
+    truths = [truth(q) for q in QUERIES]
+    # host 3 and host 7 are on no query's route
+    whatif = body_of([(HOSTS[2], HOSTS[6], 5e7)], events=[
+        {"time": 0.5, "link": f"{HOSTS[6]}-link", "action": "degrade",
+         "factor": 0.5}])
+    with running(cache_size=2) as gw:
+        handle = gw.shards[0]
+        pipe = handle._conn = CountingPipe(handle)
+
+        def client(worker: int) -> tuple[int, int]:
+            rng = random.Random(worker)
+            reads = whatifs = 0
+            with Client(gw) as conn:
+                for i in range(requests):
+                    if (i + 3 * worker) % whatif_every == 0:
+                        status, body = conn.exchange("POST", WHAT_IF, whatif)
+                        assert status == 200, body
+                        whatifs += 1
+                        continue
+                    qi = rng.randrange(len(QUERIES))
+                    status, body = conn.post(QUERIES[qi])
+                    assert status == 200, body
+                    assert json.loads(body) == truths[qi]
+                    reads += 1
+            return reads, whatifs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threading.settrace(yield_inside_the_lru)
+        try:
+            with ThreadPoolExecutor(max_workers=connections) as pool:
+                done = list(pool.map(client, range(connections)))
+        finally:
+            threading.settrace(None)
+            sys.setswitchinterval(interval)
+        reads, whatifs = map(sum, zip(*done))
+        assert pipe.whatifs == whatifs and pipe.uncounted == 0
+        assert handle.whatifs_sent == handle.whatifs_done == whatifs
+        with Client(gw) as conn:
+            stats = json.loads(conn.exchange("GET", "/pilgrim/stats")[1])
+        top, cache = stats["gateway"], stats["shards"][0]["serving"]["cache"]
+        # every read is a front hit or one lookup of the shard's cache,
+        # whose hits include the front hits
+        assert cache["front_hits"] == top["response_cache"]["hits"]
+        assert cache["hits"] + cache["misses"] == reads
+        assert top["shard_dispatched"] == [reads - cache["front_hits"]
+                                           + whatifs]
+        assert top["responses"] == {"2xx": reads + whatifs}
+        assert top["admission"]["in_flight"] == 0
