@@ -1,7 +1,7 @@
 """What-if planning queries: latency of the sandboxed scenario path.
 
 A what-if query runs the full dynamics machinery — transient ``LinkEvent``
-schedule, epoch bumps, snapshot/restore — on the live platform, so it is
+schedule, epoch bumps, link-sandbox restore — on the live platform, so it is
 inherently slower than a cached point forecast.  This bench pins what that
 costs and that the speed never bought back correctness:
 

@@ -28,7 +28,11 @@ from repro.horizon.forecast import PlatformHorizon
 from repro.horizon.whatif import simulate_forecast
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.models import LV08, NetworkModel, model_key_of
-from repro.simgrid.platform import Platform, UnknownElementError, link_epoch
+from repro.simgrid.platform import (
+    Platform,
+    UnknownElementError,
+    link_state_version,
+)
 from repro.simgrid.units import parse_size
 
 
@@ -166,12 +170,13 @@ class ForecastQuery:
                    tuple(transfer_triples(ongoing)), **state)
 
     def key(self, epoch: Optional[int] = None) -> tuple:
-        """The identity of a point query: ``(platform, link epoch, model
-        key, transfers, ongoing)`` — the forecast cache key, the
+        """The identity of a point query: ``(platform, link state version,
+        model key, transfers, ongoing)`` — the forecast cache key, the
         coalescer's single-flight key.  ``epoch`` defaults to the current
-        :func:`~repro.simgrid.platform.link_epoch`; the model is identified
-        by :func:`~repro.simgrid.models.model_key_of`."""
-        return (self.platform, link_epoch() if epoch is None else epoch,
+        committed :func:`~repro.simgrid.platform.link_state_version`; the
+        model is identified by :func:`~repro.simgrid.models.model_key_of`."""
+        return (self.platform,
+                link_state_version() if epoch is None else epoch,
                 model_key_of(self.model), self.transfers, self.ongoing)
 
 
@@ -317,9 +322,9 @@ class NetworkForecastService:
            answers under its live link state, as a point forecast.
         3. Each run is one :func:`~repro.horizon.whatif.simulate_forecast`:
            the event schedule first, then the ongoing comms, then the
-           transfers.  A query with events mutates the live links, so its
-           runs hold the service's what-if lock and each restores the links
-           it touched; point queries take neither.
+           transfers.  A query with events writes the live links
+           transiently, so its runs hold the service's what-if lock and each
+           runs in a link sandbox; point queries take neither.
 
         ``full_resolve=True`` makes the simulation rebuild the whole
         bandwidth-sharing system at every event instead of the default

@@ -10,45 +10,23 @@ latency feed do — so a what-if answer is bit-identical to hand-building the
 same ``ScenarioSpec`` dynamics on the same platform.
 
 Because the schedule mutates *live* registered platforms, the run is
-sandboxed: link states touched by the schedule are snapshotted up front and
-restored afterwards (only values that actually changed are written back, so
-an untouched run does not bump the epoch).  The transient bumps during the
-run invalidate epoch-keyed caches by design — that is the consistency
-mechanism the whole stack trusts.  :func:`simulate_forecast` is the one
-forecast simulation: :meth:`repro.core.forecast.NetworkForecastService.answer`
-runs every query through it, what-ifs behind the service's lock.
+sandboxed (:func:`repro.simgrid.platform.link_sandbox`): its writes are
+transient, move no answer-cache key and end at the committed values — a
+recalibration that landed meanwhile included — so a finished what-if
+retires no cached answer.  :func:`simulate_forecast` is the one forecast
+simulation: :meth:`repro.core.forecast.NetworkForecastService.answer` runs
+every query through it, what-ifs behind the service's lock.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import Iterable, Optional, Sequence
+from contextlib import nullcontext
+from typing import Optional, Sequence
 
 from repro.scenarios.dynamics import DynamicsLog, schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.engine import Simulation
-
-
-@contextmanager
-def transient_link_states(platform, patterns: Iterable[str]):
-    """Snapshot the links matching ``patterns``; restore them on exit.
-
-    Restoration writes back only values that actually changed, so the exit
-    path bumps the link-mutation epoch once per genuinely mutated quantity
-    and not at all for a schedule that never fired.
-    """
-    touched: dict[str, tuple[object, float, float]] = {}
-    for pattern in patterns:
-        for link in platform.links_matching(pattern):
-            touched.setdefault(link.name, (link, link.bandwidth, link.latency))
-    try:
-        yield
-    finally:
-        for link, bandwidth, latency in touched.values():
-            if link.bandwidth != bandwidth:
-                link.bandwidth = bandwidth
-            if link.latency != latency:
-                link.latency = latency
+from repro.simgrid.platform import link_sandbox
 
 
 def simulate_forecast(
@@ -67,12 +45,10 @@ def simulate_forecast(
     dynamics scheduled first (at clock 0), then ongoing background comms,
     then the forecast transfers — so an equivalent hand-built scenario run
     produces bit-identical completion times.  With ``events`` the run is
-    sandboxed: the platform's touched link states are restored before
-    returning.
+    sandboxed: the links it wrote are back at their committed values before
+    it returns.
     """
-    sandbox = (transient_link_states(platform, [e.link for e in events])
-               if events else nullcontext())
-    with sandbox:
+    with link_sandbox() if events else nullcontext():
         sim = Simulation(platform, model, capacity_factors=capacity_factors,
                          full_resolve=full_resolve)
         log = schedule_dynamics(sim, events) if events else DynamicsLog()

@@ -5,13 +5,14 @@ each :meth:`step` polls the :class:`~repro.metrology.feed.MetrologyFeed`
 (probe → RRD), asks the :class:`~repro.metrology.calibrator.LinkCalibrator`
 for fresh per-link estimates, and applies significant changes to the live
 :class:`~repro.simgrid.platform.Platform` **through the links' property
-setters** — each write bumps the global link-mutation epoch, which is the
-single invalidation signal the whole stack already honours:
+setters** — each write is committed: it bumps the global link-mutation
+epoch and the committed link state version, the invalidation signals the
+whole stack already honours:
 
 - per-route model memos and the incremental solver's cached usages
   re-derive at the next event (``Simulation._reshare``),
 - the serving :class:`~repro.serving.cache.ForecastCache` keys on the
-  epoch, so every cached answer silently becomes unreachable,
+  version, so every cached answer silently becomes unreachable,
 - the :class:`~repro.serving.pool.WarmWorkerPool` recycles its workers on
   the next batch (``ensure_epoch``).
 
@@ -350,7 +351,7 @@ class RecalibrationLoop:
 
     @property
     def epoch(self) -> int:
-        """The global link-mutation epoch (what caches key on)."""
+        """The global link-mutation epoch (every link write moves it)."""
         return link_epoch()
 
     def nominal(self, link: str) -> Optional[_LinkState]:

@@ -7,7 +7,10 @@ the scheduled callback calls :meth:`Simulation.touch_sharing
 <repro.simgrid.engine.Simulation.touch_sharing>`, so the kernel re-derives
 every in-flight activity's sharing usages at the very next event-loop
 iteration — in-flight transfers recalibrate to the degraded/failed/recovered
-capacities exactly like they do for the latency feed's link edits.
+capacities exactly like they do for the latency feed's link edits.  A
+scenario run commits its writes; a what-if runs the same timers inside a
+:func:`~repro.simgrid.platform.link_sandbox`, where they are transient and
+move no cache key (:mod:`repro.horizon.whatif`).
 
 Failures set bandwidth to :data:`FAILED_BANDWIDTH` (1 byte/s) rather than
 zero: the platform model requires positive capacities, and a vanishing-but-

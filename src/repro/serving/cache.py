@@ -1,24 +1,25 @@
-"""Epoch-keyed forecast cache.
+"""Forecast cache keyed on the committed link state.
 
 A bounded LRU over complete PNFS answers.  The key is the full identity of
 a forecast::
 
-    (platform name, link-mutation epoch, model id, transfers, ongoing)
+    (platform name, link state version, model id, transfers, ongoing)
 
 where ``transfers``/``ongoing`` are the ``(src, dst, size-in-bytes)``
 triples of the one decode (:func:`repro.core.forecast.transfer_triples`) —
 unit strings and :class:`TransferSpec` objects normalize to the same key —
-and the epoch is the global
-:func:`repro.simgrid.platform.link_epoch` captured at lookup time.
+and the version is the process-global count of *committed* link writes,
+:func:`repro.simgrid.platform.link_state_version`, captured at lookup time.
 
-Invalidation is *implicit*: any in-place link recalibration (the latency
-feed, a scenario dynamics schedule, a manual bandwidth edit) bumps the
-epoch, so every previously cached answer becomes unreachable, and is
-dropped the first time the cache sees a key of the newer epoch (not left
+Invalidation is *implicit*: any committed link write (the latency feed, a
+scenario dynamics schedule, a manual bandwidth edit, a gateway sync) bumps
+the version, so every previously cached answer becomes unreachable, and is
+dropped the first time the cache sees a key of the newer version (not left
 to LRU pressure: a service recalibrated every few seconds would carry up to
-``maxsize`` dead answers).  No subscription or callback wiring is needed —
-the cache reuses the exact staleness mechanism the route/model memos
-already trust.
+``maxsize`` dead answers).  A what-if's writes are transient
+(:func:`repro.simgrid.platform.link_sandbox`) and retire nothing: its
+callers store no answer computed while one ran
+(:meth:`repro.serving.service.ForecastServingService.answer`).
 
 The key is **order-sensitive** on purpose: max-min sharing has a unique
 solution, but the solver's floating-point reduction order follows request
@@ -66,27 +67,27 @@ class ForecastCache(BoundedLRU):
     counters still read consistently.
     """
 
-    __slots__ = ("_lock", "_epoch")
+    __slots__ = ("_lock", "_version")
 
     def __init__(self, maxsize: int = 4096) -> None:
         super().__init__(maxsize)
         self._lock = threading.Lock()
-        #: newest link epoch seen in a key; every stored entry is of it
-        self._epoch = -1
+        #: newest link state version seen in a key; every entry is of it
+        self._version = -1
 
     @property
     def enabled(self) -> bool:
         return self.maxsize > 0
 
     def _admit(self, key: tuple) -> bool:
-        """False for a key of a retired epoch (nothing is stored for it).
-        The first key of a newer epoch retires the current one and drops its
-        entries: the link epoch only grows, so they are never asked for."""
-        epoch = key[1]  # see ForecastQuery.key
-        if epoch > self._epoch:
-            self._epoch = epoch
+        """False for a key of a retired version (nothing is stored for it).
+        The first key of a newer version retires the current one and drops
+        its entries: the version only grows, so they are never asked for."""
+        version = key[1]  # see ForecastQuery.key
+        if version > self._version:
+            self._version = version
             super().clear()
-        return epoch == self._epoch
+        return version == self._version
 
     def get(self, key: tuple) -> Optional[list[TransferForecast]]:
         with self._lock:

@@ -17,19 +17,20 @@
 ``NetworkForecastService`` over the *same* platform objects the embedding
 application mutates (pass ``service=``; the CLI passes the session-cached
 Grid'5000 service).  Before dispatching, it compares the parent-process
-link-mutation epoch against the last value it broadcast; on a change it
-snapshots every platform's link state and sends a ``sync`` message down
-each shard pipe ahead of the request — so a recalibration under
-``repro metrology run`` reaches every shard before any later answer, and
-each shard invalidates through its own local epoch bump.
+committed link state version against the last value it broadcast; on a
+change it snapshots every platform's committed link values and sends a
+``sync`` message down each shard pipe ahead of the request — so a
+recalibration under ``repro metrology run`` reaches every shard before any
+later answer, and each shard invalidates through its own committed writes.
 
 **Bytes only, and a response cache**: request bytes go down the pipe and
 the shard's encoded answer is written as it is; the front end parses and
 encodes nothing.  Answers the shard marks cacheable are kept in a bounded
-LRU keyed on ``(state token, method, target, body)``, the token being
-``(synced link epoch, what-ifs started + finished on that shard)`` — a
-sync or a what-if retires every older entry, and an answer computed while
-either happened is never stored (docs/SERVING.md, "Sharded gateway").
+LRU keyed on ``(state token, method, target, body)``, the token being the
+synced link state version — a sync retires every older entry.  A what-if
+writes its shard's links only transiently and retires nothing, but an
+answer computed while a sync or a what-if happened on its shard is never
+stored (docs/SERVING.md, "Sharded gateway").
 
 Requests arrive on many connection threads at once, so what they share is
 locked: the response cache and its fill counters under one lock, and each
@@ -54,7 +55,7 @@ from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import ServiceUnavailable
 from repro.core.rest.server import PilgrimHTTPServer
 from repro.serving.batcher import DEFAULT_WINDOW
-from repro.simgrid.platform import link_epoch
+from repro.simgrid.platform import link_state_version
 
 from repro.serving.gateway.admission import AdmissionController
 from repro.serving.gateway.hashring import ConsistentHashRing
@@ -161,8 +162,9 @@ class ShardHandle:
         self._ready = threading.Event()
         self.alive = False
         #: requests and what-ifs sent, and what-ifs answered, all counted
-        #: under the pending lock: the what-if sum goes in the state token,
-        #: the difference is the what-ifs in flight
+        #: under the pending lock: a read's fill is refused when the what-if
+        #: sum moved while it ran or the difference (what-ifs in flight) was
+        #: not zero when it started
         self.dispatched = 0
         self.whatifs_sent = 0
         self.whatifs_done = 0
@@ -209,17 +211,16 @@ class ShardHandle:
     def request(self, method: str, target: str, body: bytes,
                 what_if: bool = False) -> Future:
         """Forward one request as received; resolves to ``(status,
-        encoded body, cacheable)``.  A ``what_if`` moves the shard's state
-        token before it is sent, and again when the shard has answered
-        it."""
+        encoded body, cacheable)``.  A ``what_if`` is counted before it is
+        sent, and again when the shard has answered it."""
         return self._submit(REQ, method, target, body, what_if=what_if)
 
     def request_stats(self) -> Future:
         return self._submit(STATS)
 
-    def sync(self, epoch: int, link_states: dict) -> None:
+    def sync(self, version: int, link_states: dict) -> None:
         with self._send_lock:
-            self._conn.send((SYNC, epoch, link_states))
+            self._conn.send((SYNC, version, link_states))
 
     @property
     def occupancy(self) -> int:
@@ -305,7 +306,7 @@ class ShardedGateway:
         self.shards: list[ShardHandle] = []
         self.listener: Optional[PilgrimHTTPServer] = None
         self._epoch_lock = threading.Lock()
-        self._synced_epoch = link_epoch()
+        self._synced_version = link_state_version()
         self.epoch_syncs = 0
         # encoded 200 bodies by (state token, method, target, body); it and
         # the fill counters are read and written under _cache_lock only.
@@ -372,7 +373,8 @@ class ShardedGateway:
     # -- epoch propagation -------------------------------------------------------
 
     def sync_epoch(self, force: bool = False) -> bool:
-        """Broadcast parent link state to every shard if the epoch moved.
+        """Broadcast parent link state to every shard if a committed write
+        moved :func:`~repro.simgrid.platform.link_state_version`.
 
         Called on the dispatch path (a cheap int compare when nothing
         changed) and callable explicitly after a recalibration burst.
@@ -380,18 +382,18 @@ class ShardedGateway:
         any request dispatched after this call answers with the new
         capacities.
         """
-        epoch = link_epoch()
-        if not force and epoch == self._synced_epoch:
+        version = link_state_version()
+        if not force and version == self._synced_version:
             return False
         with self._epoch_lock:
-            epoch = link_epoch()
-            if not force and epoch == self._synced_epoch:
+            version = link_state_version()
+            if not force and version == self._synced_version:
                 return False
             link_states = snapshot_link_states(self.service)
             for handle in self.shards:
                 if handle.alive:
-                    handle.sync(epoch, link_states)
-            self._synced_epoch = epoch
+                    handle.sync(version, link_states)
+            self._synced_version = version
             self.epoch_syncs += 1
         return True
 
@@ -404,13 +406,6 @@ class ShardedGateway:
         parts = path.strip("/").split("/")
         by_platform = route not in ("stats", "other") and len(parts) >= 3
         return self.shards[self.ring.node(parts[2] if by_platform else path)]
-
-    def _state_token(self, handle: ShardHandle) -> tuple[int, int]:
-        """What a shard's answers depend on beyond the request.  Both parts
-        only grow, so an entry is live exactly while its token is current:
-        no ``clear()``, and read without a lock (a torn read can only
-        differ from every token an entry was stored under)."""
-        return self._synced_epoch, handle.whatifs_sent + handle.whatifs_done
 
     def _handle(self, method: str, target: str,
                 body: bytes) -> tuple[int, object, dict]:
@@ -446,17 +441,19 @@ class ShardedGateway:
         to the platform's shard and return its encoded answer as it is."""
         self.sync_epoch()  # recalibrations reach shards before the lookup
         handle = self._shard_for(path, route)
-        token = self._state_token(handle)
+        token = self._synced_version  # only grows: no clear() needed
         key = (token, method, target, body)
         with self._cache_lock:
             cached = self.response_cache.get(key)
             if cached is not None:
                 handle.front_hits += 1
                 return 200, cached  # even with the shard down: state unmoved
-        # a read beside a what-if (here) or a link sync (token moved, below)
-        # may be computed on transient state, and unlike the shard's cache
-        # nothing would retire it later: never kept
+        # a read beside a what-if (in flight now, or sent before the fill)
+        # or a link sync (token moved) may be computed on transient or old
+        # state, and nothing would retire it later: never kept.  Unlocked
+        # reads: the counts only grow, so a torn read only refuses a fill
         overlapped = handle.whatifs_sent != handle.whatifs_done
+        whatifs = handle.whatifs_sent + handle.whatifs_done
         try:  # a shard that is down raises ShardError at once
             future = handle.request(method, target, body,
                                     what_if=route == "what_if")
@@ -472,7 +469,8 @@ class ShardedGateway:
         with self._cache_lock:
             if not cacheable:
                 self.uncacheable += 1
-            elif overlapped or token != self._state_token(handle):
+            elif (overlapped or token != self._synced_version
+                  or whatifs != handle.whatifs_sent + handle.whatifs_done):
                 self.fills_refused += 1
             else:
                 self.response_cache.put(key, payload)
@@ -517,8 +515,8 @@ class ShardedGateway:
         return {
             "shards": self.config.shards,
             "admission": self.admission.snapshot(),
-            "epoch": {"parent": link_epoch(),
-                      "synced": self._synced_epoch,
+            "epoch": {"parent": link_state_version(),
+                      "synced": self._synced_version,
                       "syncs": self.epoch_syncs},
             "shard_occupancy": [h.occupancy for h in self.shards],
             "shard_dispatched": [h.dispatched for h in self.shards],

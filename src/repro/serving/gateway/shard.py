@@ -2,7 +2,7 @@
 
 Each shard is a child process owning its *own* full request path — a
 :class:`~repro.core.framework.Pilgrim` router over a
-:class:`~repro.serving.service.ForecastServingService` (epoch-keyed
+:class:`~repro.serving.service.ForecastServingService` (version-keyed
 ``ForecastCache``, ``RequestCoalescer``, optional ``WarmWorkerPool``) built
 from a picklable ``service_factory`` (same contract as the warm pool).
 Nothing is shared between shards: a shard's cache, route LRU and solver
@@ -12,7 +12,7 @@ Transport is one duplex :func:`multiprocessing.Pipe` per shard carrying
 tagged tuples:
 
 - parent → shard: ``("req", rid, method, target, body_bytes)``,
-  ``("stats", rid)``, ``("sync", epoch, link_states)``, ``("stop",)``
+  ``("stats", rid)``, ``("sync", version, link_states)``, ``("stop",)``
 - shard → parent: ``("ready", pid)``,
   ``("res", rid, status, payload, cacheable)``
 
@@ -22,14 +22,15 @@ returns the encoded body, which the front end writes — and, if
 ``predict_transfers`` without ``horizon``), keeps — as it is.  Only the
 ``stats`` answer is an object: the gateway merges it into its document.
 
-**Epoch propagation**: the global link-mutation epoch is a per-process
-counter, so a recalibration in the gateway process is invisible to a shard
-that forked before it.  The gateway watches its local epoch and broadcasts
-``("sync", epoch, {platform: {link: (bw, lat)}})`` ahead of the next
-dispatch; the shard applies whichever link values actually changed, which
-bumps the *shard-local* epoch through the normal ``Link`` setters — so the
+**Epoch propagation**: link state is per process, so a recalibration in
+the gateway process is invisible to a shard that forked before it.  The
+gateway watches its committed link state version and broadcasts
+``("sync", version, {platform: {link: (bw, lat)}})`` of committed values
+ahead of the next dispatch; the shard commits whichever link values differ
+from its own committed ones through the normal ``Link`` setters — so the
 shard's ``ForecastCache``, route memos and warm-pool generation all
-invalidate through the exact mechanism they already trust.  Pipes deliver
+invalidate through the exact mechanism they already trust, and a what-if
+running on the shard meanwhile ends on the synced values.  Pipes deliver
 in order: a request sent after the sync always sees the new capacities.
 """
 
@@ -49,28 +50,28 @@ READY, RES = "ready", "res"
 
 
 def apply_link_states(service, link_states: dict) -> int:
-    """Apply ``{platform: {link: (bandwidth, latency)}}``; returns the
-    number of links actually mutated.  Unchanged values are skipped so a
-    redundant sync does not bump the local epoch (and flush caches) for
+    """Commit ``{platform: {link: (bandwidth, latency)}}``; returns the
+    number of link values actually written.  Values equal to the committed
+    ones are skipped so a redundant sync does not flush caches for
     nothing."""
     changed = 0
     for platform_name, links in link_states.items():
         platform = service.platform(platform_name)
         for link_name, (bandwidth, latency) in links.items():
             link = platform.link(link_name)
-            if link.bandwidth != bandwidth:
+            if link.committed[0] != bandwidth:
                 link.bandwidth = bandwidth
                 changed += 1
-            if link.latency != latency:
+            if link.committed[1] != latency:
                 link.latency = latency
                 changed += 1
     return changed
 
 
 def snapshot_link_states(service) -> dict:
-    """``{platform: {link: (bandwidth, latency)}}`` for every platform."""
+    """``{platform: {link: committed (bandwidth, latency)}}``, all of them."""
     return {
-        name: {link.name: (link.bandwidth, link.latency)
+        name: {link.name: link.committed
                for link in service.platform(name).links()}
         for name in service.platform_names()
     }
@@ -200,7 +201,7 @@ def shard_main(
             elif tag == SYNC:
                 # applied on the recv thread, before any later request is
                 # submitted: pipe ordering is the consistency guarantee
-                _, _parent_epoch, link_states = message
+                _, _parent_version, link_states = message
                 counters["syncs"] += 1
                 counters["links_updated"] += apply_link_states(
                     service, link_states)

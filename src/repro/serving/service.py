@@ -9,7 +9,8 @@ production request path:
    its predicted uncertainty is within bound — before even the cache, so
    confident answers never touch the simulation stack at all,
 2. the **forecast cache** answers repeated queries without simulating
-   (epoch-keyed, so link recalibration invalidates implicitly),
+   (keyed on the committed link state, so a recalibration invalidates
+   implicitly and a what-if does not),
 3. misses are queued on the **request coalescer**, which micro-batches
    concurrent arrivals into one fan-out,
 4. batches execute on the **warm worker pool** (``workers > 0``) or inline
@@ -43,7 +44,7 @@ from repro.core.forecast import (
 from repro.serving.batcher import DEFAULT_WINDOW, PendingRequest, RequestCoalescer
 from repro.serving.cache import ForecastCache
 from repro.serving.pool import WarmWorkerPool
-from repro.simgrid.platform import link_epoch
+from repro.simgrid.platform import link_sandboxes, link_state_version
 
 
 class LatencyCounter:
@@ -169,8 +170,12 @@ class ForecastServingService:
         if cached is not None:
             self.latency.record(time.perf_counter() - t0)
             return cached
+        sandboxes = link_sandboxes()
         forecasts = self.batcher.submit(query).result(timeout=timeout)
-        self.cache.put(key, forecasts)
+        # a what-if that ran beside this miss may have lent it transient
+        # link values, which its committed-state key would then outlive
+        if sandboxes[0] == sandboxes[1] == link_sandboxes()[0]:
+            self.cache.put(key, forecasts)
         self.latency.record(time.perf_counter() - t0)
         return forecasts
 
@@ -187,11 +192,11 @@ class ForecastServingService:
         futures.  Answers are per request either way, so nothing depends on
         what else rode the batch.
         """
-        epoch = link_epoch()
+        version = link_state_version()
         groups: dict[tuple, dict[tuple, list[PendingRequest]]] = {}
         for pending in batch:
             flights = groups.setdefault(pending.group_key(), {})
-            flights.setdefault(pending.query.key(epoch), []).append(pending)
+            flights.setdefault(pending.query.key(version), []).append(pending)
         for flights in groups.values():
             waiters = list(flights.values())
             try:

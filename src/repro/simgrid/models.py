@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.simgrid.platform import LinkUse, SharingPolicy, link_epoch
+from repro.simgrid.platform import LinkUse, SharingPolicy, live_link_state
 
 #: Minimum fairness weight, used when a route has zero latency and the model
 #: has no weight_S term (all-equal weights => plain max-min fairness).
@@ -161,15 +161,17 @@ class SharingModel:
         All four quantities depend only on the route's links and this
         (immutable) model, so they are computed once per (route, model) pair
         instead of once per communication — the per-comm half of the
-        route-caching work.  Entries are stamped with the global link
-        mutation epoch: in-place link recalibration (latency feed, bandwidth
-        edits) invalidates them automatically.
+        route-caching work.  Entries are stamped with
+        :func:`~repro.simgrid.platform.live_link_state`, which is equal only
+        for equal live link values: a recalibration invalidates them, and an
+        entry stamped before a what-if's transient writes is valid again
+        once the what-if exits.
         """
         memo = getattr(route, "model_specs", None)
-        epoch = link_epoch()
+        state = live_link_state()
         if memo is not None:
             entry = memo.get(self)
-            if entry is not None and entry[0] == epoch:
+            if entry is not None and entry[0] == state:
                 return entry[1]
         spec = (
             self.startup_latency(route),
@@ -177,8 +179,9 @@ class SharingModel:
             self.rate_bound(route),
             self.sharing_usages(route),
         )
-        if memo is not None:
-            memo[self] = (epoch, spec)
+        # a write landing meanwhile may have mixed two states: not stamped
+        if memo is not None and live_link_state() == state:
+            memo[self] = (state, spec)
         return spec
 
 

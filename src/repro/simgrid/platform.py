@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -82,15 +84,78 @@ class Direction(enum.Enum):
         return Direction.DOWN if self is Direction.UP else Direction.UP
 
 
-#: Global link-mutation epoch: bumped whenever any link's bandwidth, latency
-#: or policy changes in place, so per-route model memos (Route.model_specs)
-#: can detect staleness without per-link bookkeeping.
-_LINK_EPOCH = 0
+#: Process-global link state, written under ``_LINK_LOCK`` only (see the
+#: functions below).  ``_TRANSIENT`` holds the links whose live values differ
+#: from their committed ones; ``_SANDBOXES`` counts sandboxes opened and
+#: exited; ``_THREAD.written`` is the set of links this thread's sandbox wrote.
+_LINK_LOCK = threading.Lock()
+_LINK_EPOCH = _STATE_VERSION = _LIVE_STATE = 0
+_FRESH_IDS = itertools.count(-1, -1)
+_TRANSIENT: set["Link"] = set()
+_SANDBOXES = [0, 0]
+_THREAD = threading.local()
 
 
 def link_epoch() -> int:
-    """Current global link-mutation epoch (see :class:`Route`)."""
+    """Count of every link write, committed or transient, so far: it moves
+    whenever the live values move (in-flight comms recalibrate on it)."""
     return _LINK_EPOCH
+
+
+def link_state_version() -> int:
+    """Count of committed link writes so far: what answer caches key on."""
+    return _STATE_VERSION
+
+
+def live_link_state() -> int:
+    """A token for the live link values: :func:`link_state_version` while
+    every live value is committed, otherwise an id no other state has had,
+    so equal tokens mean equal live values on every link."""
+    return _LIVE_STATE
+
+
+def link_sandboxes() -> tuple[int, int]:
+    """``(opened, exited)`` counts of :func:`link_sandbox` blocks."""
+    with _LINK_LOCK:
+        return _SANDBOXES[0], _SANDBOXES[1]
+
+
+def _relive() -> None:
+    """Reissue :func:`live_link_state` after live values moved (lock held)."""
+    global _LIVE_STATE
+    _LIVE_STATE = next(_FRESH_IDS) if _TRANSIENT else _STATE_VERSION
+
+
+@contextmanager
+def link_sandbox() -> Iterator[None]:
+    """Make the link writes of this thread transient until the block exits.
+
+    Inside, bandwidth and latency writes on this thread move only the live
+    values; on exit every link written gets its committed values back, so a
+    committed write that landed meanwhile (from another thread) is the one
+    that stays.
+    """
+    global _LINK_EPOCH
+    with _LINK_LOCK:
+        _SANDBOXES[0] += 1
+    _THREAD.written = written = set()
+    try:
+        yield
+    finally:
+        _THREAD.written = None
+        with _LINK_LOCK:
+            for link in written:
+                bandwidth, latency = link._committed
+                if link._bandwidth != bandwidth:
+                    link._bandwidth = bandwidth
+                    _LINK_EPOCH += 1
+                if link._latency != latency:
+                    link._latency = latency
+                    _LINK_EPOCH += 1
+                _TRANSIENT.discard(link)
+            if written:
+                _relive()
+            _SANDBOXES[1] += 1
 
 
 class Link:
@@ -99,12 +164,13 @@ class Link:
     ``bandwidth`` is stored in bytes/s and ``latency`` in seconds; both accept
     unit strings (``"10Gbps"``, ``"225us"``).  Attributes are mutable so that
     dynamic calibration (e.g. the Pilgrim latency feed) can adjust them
-    between simulations without rebuilding routes; every in-place mutation
-    bumps the global :func:`link_epoch` so derived per-route quantities are
-    recomputed.
+    between simulations without rebuilding routes.  Every write moves the
+    live values and bumps :func:`link_epoch`; outside a :func:`link_sandbox`
+    it also sets :attr:`committed` and bumps :func:`link_state_version`.
     """
 
-    __slots__ = ("name", "_bandwidth", "_latency", "_policy", "properties")
+    __slots__ = ("name", "_bandwidth", "_latency", "_committed", "_policy",
+                 "properties")
 
     def __init__(
         self,
@@ -119,6 +185,7 @@ class Link:
         self._latency = parse_time(latency)
         if self._bandwidth <= 0:
             raise PlatformError(f"link {name!r}: bandwidth must be positive")
+        self._committed = (self._bandwidth, self._latency)
         self._policy = policy
         self.properties = dict(properties or {})
 
@@ -128,9 +195,7 @@ class Link:
 
     @bandwidth.setter
     def bandwidth(self, value: float | str) -> None:
-        global _LINK_EPOCH
-        self._bandwidth = parse_bandwidth(value)
-        _LINK_EPOCH += 1
+        self._write(0, parse_bandwidth(value))
 
     @property
     def latency(self) -> float:
@@ -138,9 +203,36 @@ class Link:
 
     @latency.setter
     def latency(self, value: float | str) -> None:
-        global _LINK_EPOCH
-        self._latency = parse_time(value)
-        _LINK_EPOCH += 1
+        self._write(1, parse_time(value))
+
+    @property
+    def committed(self) -> tuple[float, float]:
+        """``(bandwidth, latency)`` as last written outside any sandbox:
+        the live values once every :func:`link_sandbox` has exited."""
+        return self._committed
+
+    def _write(self, field: int, value: float) -> None:
+        """Set live ``field`` (0: bandwidth, 1: latency); commit it too
+        unless this thread is inside a :func:`link_sandbox`."""
+        global _LINK_EPOCH, _STATE_VERSION
+        written = getattr(_THREAD, "written", None)
+        with _LINK_LOCK:
+            live = [self._bandwidth, self._latency]
+            live[field] = value
+            self._bandwidth, self._latency = live
+            if written is None:
+                committed = list(self._committed)
+                committed[field] = value
+                self._committed = tuple(committed)
+                _STATE_VERSION += 1
+            else:
+                written.add(self)
+            _LINK_EPOCH += 1
+            if tuple(live) == self._committed:
+                _TRANSIENT.discard(self)
+            else:
+                _TRANSIENT.add(self)
+            _relive()
 
     @property
     def policy(self) -> SharingPolicy:
@@ -148,9 +240,12 @@ class Link:
 
     @policy.setter
     def policy(self, value: SharingPolicy) -> None:
-        global _LINK_EPOCH
-        self._policy = value
-        _LINK_EPOCH += 1
+        global _LINK_EPOCH, _STATE_VERSION
+        with _LINK_LOCK:
+            self._policy = value
+            _LINK_EPOCH += 1
+            _STATE_VERSION += 1
+            _relive()
 
     def constraint_key(self, direction: Direction) -> tuple["Link", Optional[Direction]]:
         """Key identifying the capacity constraint used when traversed in
@@ -192,8 +287,8 @@ class Route(list):
     Network models hang their derived per-route quantities (startup latency,
     fairness weight, rate bound, sharing usages) off the route object itself
     via :attr:`model_specs`, so repeated communications over the same cached
-    route do not re-walk the links.  Entries carry the :func:`link_epoch` at
-    computation time, so in-place link mutation invalidates them; the memo
+    route do not re-walk the links.  Entries carry the :func:`live_link_state`
+    at computation time, so in-place link mutation invalidates them; the memo
     itself dies with the route — topology invalidation drops the route from
     the platform's cache, and any specs with it."""
 

@@ -12,7 +12,6 @@ from repro.horizon.whatif import (
     events_from_json,
     parse_event,
     run_what_if,
-    transient_link_states,
 )
 from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.runner import build_scenario_platform, run_scenario
@@ -26,7 +25,7 @@ from repro.scenarios.workloads import generate_workload
 from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, model_by_name
-from repro.simgrid.platform import link_epoch
+from repro.simgrid.platform import link_epoch, link_sandbox
 
 TRANSFERS = [("left-1", "right-1", 1e9), ("left-2", "right-2", 1e9)]
 EVENTS = [
@@ -70,14 +69,14 @@ class TestSandboxing:
         platform = build_dumbbell()
         link = platform.link("bottleneck")
         nominal = link.bandwidth
-        with transient_link_states(platform, ["bottleneck"]):
+        with link_sandbox():
             link.bandwidth = nominal / 4
         assert link.bandwidth == nominal
 
     def test_untouched_run_does_not_bump_epoch(self):
         platform = build_dumbbell()
         before = link_epoch()
-        with transient_link_states(platform, ["bottleneck"]):
+        with link_sandbox():
             pass
         assert link_epoch() == before
 

@@ -5,8 +5,10 @@ request cross the pipe?), never on timing.  The properties pinned here:
 
 - a hit is the byte string the filling miss returned, and decodes to an
   in-process ``predict_transfers``;
-- a parent link write or a ``what_if`` retires every older entry of the
-  shard it touches, and a read that *overlapped* one is never stored;
+- a parent link write retires every older entry; a ``what_if`` writes its
+  shard's links only transiently and retires none, front end or shard;
+- a read that *overlapped* a write or a what-if is never served from
+  either tier;
 - only what the shard's own ``ForecastCache`` may answer is stored (200,
   ``predict_transfers``, no ``horizon``), and nothing when the surrogate
   tier is armed or ``cache_size`` is 0;
@@ -14,7 +16,9 @@ request cross the pipe?), never on timing.  The properties pinned here:
 
 The overlap cases need a request that is *in flight* at a chosen moment:
 ``gated_star_service`` is built inside the shard process and parks any
-request carrying ``GATE_SIZE`` until the test releases it.
+request carrying ``GATE_SIZE`` until the test releases it;
+``sandboxed_gate_service`` parks a what-if inside its link sandbox, right
+after its first event degraded ``LINK``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import pytest
 
 from repro.core.forecast import NetworkForecastService
 from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
+from repro.simgrid.engine import Simulation
 from repro.surrogate.model import SurrogateModel
 from serving_helpers import (
     STAR_PLATFORM,
@@ -118,6 +123,12 @@ def dispatched(gateway) -> int:
 
 def cache_info(gateway) -> dict:
     return gateway.stats()["response_cache"]
+
+
+def shard_cache_info(gateway) -> dict:
+    """Shard 0's own ``ForecastCache`` counters (front hits not merged)."""
+    return gateway.shards[0].request_stats().result(10.0)[1][
+        "serving"]["cache"]
 
 
 @pytest.fixture(scope="module")
@@ -226,11 +237,25 @@ def gated_star_service(started, release) -> NetworkForecastService:
     return star_forecast_service(N_HOSTS)
 
 
+def sandboxed_gate_service(started, release) -> NetworkForecastService:
+    """Runs inside the shard process only: a what-if's first event, once it
+    has written its link transiently, signals ``started`` and waits for
+    ``release`` — the what-if parks inside its sandbox with the degraded
+    value live."""
+    def gated(self, _original=Simulation.touch_sharing):
+        started.set()
+        assert release.wait(30.0), "test never released the gate"
+        _original(self)
+
+    Simulation.touch_sharing = gated
+    return star_forecast_service(N_HOSTS)
+
+
 @contextmanager
-def gated_gateway(**config):
+def gated_gateway(gate=gated_star_service, **config):
     started, release = multiprocessing.Event(), multiprocessing.Event()
     # service= given, so the patching factory never runs in this process
-    with running(partial(gated_star_service, started, release),
+    with running(partial(gate, started, release),
                  service=star_forecast_service(N_HOSTS), **config) as gw:
         try:
             yield gw, started, release
@@ -297,7 +322,12 @@ def test_write_not_yet_synced_retires_the_fill_it_overlapped():
 EVENTS = [{"time": 0.5, "link": LINK, "action": "degrade", "factor": 0.5}]
 
 
-def test_what_if_retires_entries_and_an_overlapping_read_is_not_stored():
+#: a what-if long enough for EVENTS to fire: its degrade of LINK is live
+#: from t=0.5 s of its 4 s transfer
+LONG_WHAT_IF = body_of([(HOSTS[0], HOSTS[1], 5e8)], events=EVENTS)
+
+
+def test_a_parked_what_if_retires_nothing_and_an_overlapping_read_is_not_stored():
     with gated_gateway() as (gw, started, release):
         with Client(gw) as client:
             _, first = client.post(QUERIES[0])
@@ -308,21 +338,101 @@ def test_what_if_retires_entries_and_an_overlapping_read_is_not_stored():
             pending = in_background(gw, "POST", WHAT_IF,
                                     body_of(GATED, events=EVENTS))
             assert started.wait(30.0)
-            # dispatching it retired the entry ...
+            # dispatching it retired nothing ...
             assert client.post(QUERIES[0])[1] == first
-            assert dispatched(gw) == before + 2  # the what-if and this read
-            # ... and the read beside it was not stored
+            assert dispatched(gw) == before + 1  # the what-if
+            # ... and a read beside it was not stored
+            _, second = client.post(QUERIES[1])
             assert cache_info(gw)["fills_refused"] == 1
-            assert client.post(QUERIES[0])[1] == first
+            assert client.post(QUERIES[1])[1] == second
             assert dispatched(gw) == before + 3
             release.set()
             assert pending.result(30.0)[0] == 200
             # what-if done: the next read fills, the one after hits
-            assert client.post(QUERIES[0])[1] == first
+            assert client.post(QUERIES[1])[1] == second
             assert dispatched(gw) == before + 4
+            assert client.post(QUERIES[1])[1] == second
             assert client.post(QUERIES[0])[1] == first
             assert dispatched(gw) == before + 4
             assert cache_info(gw)["fills_refused"] == 2
+
+
+def test_a_finished_what_if_leaves_front_end_and_shard_entries_live(gateway):
+    with Client(gateway) as client:
+        _, first = client.post(QUERIES[0])  # fills both tiers
+        assert client.exchange("POST", WHAT_IF, LONG_WHAT_IF)[0] == 200
+        before, shard = dispatched(gateway), shard_cache_info(gateway)
+        assert client.post(QUERIES[0])[1] == first
+        assert dispatched(gateway) == before  # the front end's entry
+        # the GET spelling is a front-end miss and a hit of the shard's
+        status, body = client.exchange("GET", get_target(QUERIES[0]))
+        assert (status, json.loads(body)) == (200, json.loads(first))
+        assert dispatched(gateway) == before + 1
+        after = shard_cache_info(gateway)
+        assert after["hits"] == shard["hits"] + 1
+        assert after["misses"] == shard["misses"]
+
+
+def test_a_read_beside_a_parked_what_if_gets_the_committed_answer_from_the_cache():
+    nominal = truth(QUERIES[0])
+    with gated_gateway(sandboxed_gate_service) as (gw, started, release):
+        with Client(gw) as client:
+            _, first = client.post(QUERIES[0])  # fills both tiers
+            before = dispatched(gw)
+            pending = in_background(gw, "POST", WHAT_IF, LONG_WHAT_IF)
+            assert started.wait(30.0)  # LINK is degraded in the shard now
+            assert client.post(QUERIES[0])[1] == first  # front end
+            assert dispatched(gw) == before + 1
+            shard = shard_cache_info(gw)
+            status, body = client.exchange("GET", get_target(QUERIES[0]))
+            assert (status, json.loads(body)) == (200, nominal)
+            assert shard_cache_info(gw)["hits"] == shard["hits"] + 1
+            release.set()
+            assert pending.result(30.0)[0] == 200
+
+
+def test_a_miss_beside_a_parked_what_if_is_stored_at_neither_tier():
+    nominal = truth(QUERIES[1])
+    with gated_gateway(sandboxed_gate_service) as (gw, started, release):
+        with Client(gw) as client:
+            _, first = client.post(QUERIES[0])
+            before = dispatched(gw)
+            pending = in_background(gw, "POST", WHAT_IF, LONG_WHAT_IF)
+            assert started.wait(30.0)
+            status, beside = client.post(QUERIES[1])  # crosses LINK
+            # computed on the what-if's transient value: that is why
+            # neither tier may keep it
+            assert status == 200 and json.loads(beside) != nominal
+            release.set()
+            assert pending.result(30.0)[0] == 200
+            shard = shard_cache_info(gw)
+            _, after = client.post(QUERIES[1])
+            assert json.loads(after) == nominal
+            assert dispatched(gw) == before + 3  # the front end kept nothing
+            assert shard_cache_info(gw)["misses"] == shard["misses"] + 1
+            # the entry filled before the what-if stayed live throughout
+            assert client.post(QUERIES[0])[1] == first
+            assert dispatched(gw) == before + 3
+
+
+def test_a_what_if_sent_while_a_read_is_in_flight_refuses_its_fill_at_both_tiers():
+    """Neither tier can tell when, within the read's run, the what-if's
+    sandbox was open: a what-if sent after the read's lookup refuses it."""
+    nominal = truth(GATED)
+    with gated_gateway() as (gw, started, release):
+        pending = in_background(gw, "POST", PREDICT, body_of(GATED))
+        assert started.wait(30.0)
+        with Client(gw) as client:
+            assert client.exchange("POST", WHAT_IF, LONG_WHAT_IF)[0] == 200
+            release.set()
+            status, answer = pending.result(30.0)
+            assert (status, json.loads(answer)) == (200, nominal)
+            info = cache_info(gw)
+            assert info["fills_refused"] == 1 and info["size"] == 0
+            before, shard = dispatched(gw), shard_cache_info(gw)
+            assert json.loads(client.post(GATED)[1]) == nominal
+            assert dispatched(gw) == before + 1
+            assert shard_cache_info(gw)["misses"] == shard["misses"] + 1
 
 
 @pytest.mark.parametrize("target", [
@@ -331,14 +441,18 @@ def test_what_if_retires_entries_and_an_overlapping_read_is_not_stored():
     WHAT_IF.replace("what_if", "what%5Fif"),  # escaped
 ])
 def test_a_what_if_is_counted_however_its_target_is_spelled(gateway, target):
+    handle = gateway.shards[0]
     with Client(gateway) as client:
         _, first = client.post(QUERIES[0])
-        before = dispatched(gateway)
+        before, sent = dispatched(gateway), handle.whatifs_sent
         assert client.post(QUERIES[0])[1] == first
         assert dispatched(gateway) == before
         assert client.post(QUERIES[0], path=target, events=EVENTS)[0] == 200
+        assert handle.whatifs_sent == sent + 1, "what-if not counted"
+        assert handle.whatifs_done == handle.whatifs_sent
+        # finished, it retired nothing
         assert client.post(QUERIES[0])[1] == first
-        assert dispatched(gateway) == before + 2, "what-if retired nothing"
+        assert dispatched(gateway) == before + 1
 
 
 def test_timed_out_requests_are_not_stored_and_a_timed_out_what_if_still_counts():
@@ -471,9 +585,9 @@ def test_what_if_on_one_shard_leaves_the_other_shards_entries_live():
                 client.post(transfers_on(name),
                             path=path("predict_transfers", name))
             after = gw.stats()["shard_dispatched"]
-        # the what-if's shard answered the what-if and the retired read;
-        # the other shard's entry was still live
-        assert after[owner[here]] == before[owner[here]] + 2
+        # the what-if's shard answered the what-if only: both entries
+        # were still live
+        assert after[owner[here]] == before[owner[here]] + 1
         assert after[owner[there]] == before[owner[there]]
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.forecast import TransferForecast, TransferSpec, transfer_triples
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.models import CM02, LV08
-from repro.simgrid.platform import link_epoch
+from repro.simgrid.platform import link_state_version
 
 
 def forecast(i: int) -> TransferForecast:
@@ -113,7 +113,7 @@ class TestEpochInvalidation:
         link.bandwidth = link.bandwidth * 0.5  # bumps the global epoch
         after = forecast_cache_key("p", model, [("a", "b", 1e6)])
         assert before != after
-        assert after[1] == link_epoch()
+        assert after[1] == link_state_version()
 
     def test_stale_entries_become_unreachable(self, star4):
         cache = ForecastCache(maxsize=8)

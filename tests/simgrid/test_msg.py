@@ -10,11 +10,11 @@ import pytest
 from process_reference import explicit_transfers
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import draw_transfer_pairs
-from repro.horizon.whatif import transient_link_states
 from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08, model_by_name
+from repro.simgrid.platform import link_sandbox
 
 
 class TestExplicitReference:
@@ -54,7 +54,7 @@ class TestTransferProcessesEquivalence:
              **engine):
         answers = []
         for run in (simulated_transfers, explicit_transfers):
-            with transient_link_states(platform, (e.link for e in events)):
+            with link_sandbox():
                 sim = Simulation(platform, model or LV08(), **engine)
                 schedule_dynamics(sim, events)
                 for src, dst, size in ongoing:

@@ -14,14 +14,19 @@ import pytest
 
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
-from repro.horizon.whatif import transient_link_states
 from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.activities import ActivityState
 from repro.simgrid.builder import add_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08
-from repro.simgrid.platform import Direction, LinkUse, Platform, SharingPolicy
+from repro.simgrid.platform import (
+    Direction,
+    LinkUse,
+    Platform,
+    SharingPolicy,
+    link_sandbox,
+)
 from repro.simgrid.tcpfluid import TcpFluidModel
 from repro.testbed.fluid import FluidSimulator, Hop, TestbedNetwork
 from repro.testbed.profiles import HostProfile
@@ -326,7 +331,7 @@ class TestRoundGroupsMatchPerFlowTimers:
         """Run both engines; ``cancel`` = (index into ongoing, time)."""
         outcomes = []
         for cls in (Simulation, PerFlowTimerSimulation):
-            with transient_link_states(platform, (e.link for e in events)):
+            with link_sandbox():
                 sim = cls(platform, TcpFluidModel(), **engine)
                 schedule_dynamics(sim, events)
                 background = [sim.add_comm(*t) for t in ongoing]
@@ -396,7 +401,7 @@ class TestRoundGroupsMatchPerFlowTimers:
         at = round_instants_of(g5k_test_platform, SAG(1), SAG(2), 4)[3]
         event = LinkEvent(time=at, link=SAG_LINKS, action="degrade",
                           factor=0.5)
-        with transient_link_states(g5k_test_platform, [SAG_LINKS]):
+        with link_sandbox():
             sim = PerFlowTimerSimulation(g5k_test_platform, TcpFluidModel())
             schedule_dynamics(sim, [event])
             sim.simulate_transfers([(SAG(1), SAG(2), 1e8)])
