@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.simgrid.platform import LinkUse, SharingPolicy, live_link_state
+from repro.simgrid.platform import LinkUse, SharingPolicy, link_epoch
 
 #: Minimum fairness weight, used when a route has zero latency and the model
 #: has no weight_S term (all-equal weights => plain max-min fairness).
@@ -161,17 +161,17 @@ class SharingModel:
         All four quantities depend only on the route's links and this
         (immutable) model, so they are computed once per (route, model) pair
         instead of once per communication — the per-comm half of the
-        route-caching work.  Entries are stamped with
-        :func:`~repro.simgrid.platform.live_link_state`, which is equal only
-        for equal live link values: a recalibration invalidates them, and an
-        entry stamped before a what-if's transient writes is valid again
-        once the what-if exits.
+        route-caching work.  Entries are stamped with the every-write
+        :func:`~repro.simgrid.platform.link_epoch`, read before the links
+        are: any write, a what-if's transient ones included, invalidates
+        them, and a spec that read values a write was changing carries a
+        count that is already past.
         """
         memo = getattr(route, "model_specs", None)
-        state = live_link_state()
+        epoch = link_epoch()
         if memo is not None:
             entry = memo.get(self)
-            if entry is not None and entry[0] == state:
+            if entry is not None and entry[0] == epoch:
                 return entry[1]
         spec = (
             self.startup_latency(route),
@@ -179,9 +179,8 @@ class SharingModel:
             self.rate_bound(route),
             self.sharing_usages(route),
         )
-        # a write landing meanwhile may have mixed two states: not stamped
-        if memo is not None and live_link_state() == state:
-            memo[self] = (state, spec)
+        if memo is not None:
+            memo[self] = (epoch, spec)
         return spec
 
 

@@ -85,13 +85,10 @@ class Direction(enum.Enum):
 
 
 #: Process-global link state, written under ``_LINK_LOCK`` only (see the
-#: functions below).  ``_TRANSIENT`` holds the links whose live values differ
-#: from their committed ones; ``_SANDBOXES`` counts sandboxes opened and
-#: exited; ``_THREAD.written`` is the set of links this thread's sandbox wrote.
+#: functions below).  ``_SANDBOXES`` counts sandboxes opened and exited;
+#: ``_THREAD.written`` is the set of links this thread's sandbox wrote.
 _LINK_LOCK = threading.Lock()
-_LINK_EPOCH = _STATE_VERSION = _LIVE_STATE = 0
-_FRESH_IDS = itertools.count(-1, -1)
-_TRANSIENT: set["Link"] = set()
+_LINK_EPOCH = _STATE_VERSION = 0
 _SANDBOXES = [0, 0]
 _THREAD = threading.local()
 
@@ -107,23 +104,10 @@ def link_state_version() -> int:
     return _STATE_VERSION
 
 
-def live_link_state() -> int:
-    """A token for the live link values: :func:`link_state_version` while
-    every live value is committed, otherwise an id no other state has had,
-    so equal tokens mean equal live values on every link."""
-    return _LIVE_STATE
-
-
 def link_sandboxes() -> tuple[int, int]:
     """``(opened, exited)`` counts of :func:`link_sandbox` blocks."""
     with _LINK_LOCK:
         return _SANDBOXES[0], _SANDBOXES[1]
-
-
-def _relive() -> None:
-    """Reissue :func:`live_link_state` after live values moved (lock held)."""
-    global _LIVE_STATE
-    _LIVE_STATE = next(_FRESH_IDS) if _TRANSIENT else _STATE_VERSION
 
 
 @contextmanager
@@ -152,9 +136,6 @@ def link_sandbox() -> Iterator[None]:
                 if link._latency != latency:
                     link._latency = latency
                     _LINK_EPOCH += 1
-                _TRANSIENT.discard(link)
-            if written:
-                _relive()
             _SANDBOXES[1] += 1
 
 
@@ -228,11 +209,6 @@ class Link:
             else:
                 written.add(self)
             _LINK_EPOCH += 1
-            if tuple(live) == self._committed:
-                _TRANSIENT.discard(self)
-            else:
-                _TRANSIENT.add(self)
-            _relive()
 
     @property
     def policy(self) -> SharingPolicy:
@@ -245,7 +221,6 @@ class Link:
             self._policy = value
             _LINK_EPOCH += 1
             _STATE_VERSION += 1
-            _relive()
 
     def constraint_key(self, direction: Direction) -> tuple["Link", Optional[Direction]]:
         """Key identifying the capacity constraint used when traversed in
@@ -287,7 +262,7 @@ class Route(list):
     Network models hang their derived per-route quantities (startup latency,
     fairness weight, rate bound, sharing usages) off the route object itself
     via :attr:`model_specs`, so repeated communications over the same cached
-    route do not re-walk the links.  Entries carry the :func:`live_link_state`
+    route do not re-walk the links.  Entries carry the :func:`link_epoch`
     at computation time, so in-place link mutation invalidates them; the memo
     itself dies with the route — topology invalidation drops the route from
     the platform's cache, and any specs with it."""

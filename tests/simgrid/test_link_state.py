@@ -4,7 +4,8 @@ A link write outside any ``link_sandbox`` of its thread is *committed*: it
 moves ``link_state_version()``, which the answer caches key on.  Inside one
 it is *transient*: the live values move (``link_epoch()`` too, so in-flight
 comms recalibrate) and the sandbox's exit puts the committed values back.
-``live_link_state()`` names the live values exactly; route memos key on it.
+Route memos key on ``link_epoch()``, which every write moves and none
+moves back.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pathlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +29,9 @@ from repro.simgrid.platform import (
     Link,
     SharingPolicy,
     link_sandbox,
+    link_epoch,
     link_sandboxes,
     link_state_version,
-    live_link_state,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -68,20 +70,61 @@ def test_sandboxed_writes_move_no_version_and_the_exit_restores_them():
     link = platform.link("bottleneck")
     committed = link.committed
     version, (opened, exited) = link_state_version(), link_sandboxes()
+    epoch = link_epoch()
     with link_sandbox():
         assert link_sandboxes() == (opened + 1, exited)
         link.bandwidth = committed[0] / 4
         link.latency = committed[1] * 2
         assert (link.bandwidth, link.latency) != committed
         assert link.committed == committed
-        assert live_link_state() < 0  # a transient state's id
+        assert link_epoch() == epoch + 2
     assert link_sandboxes() == (opened + 1, exited + 1)
     assert (link.bandwidth, link.latency) == committed
     assert link_state_version() == version
-    assert live_link_state() == version
+    assert link_epoch() == epoch + 4  # the restores are writes too
     link.bandwidth = committed[0] / 2  # outside: committed
     assert link.committed == (committed[0] / 2, committed[1])
-    assert link_state_version() == version + 1 == live_link_state()
+    assert link_state_version() == version + 1
+
+
+def test_a_spec_computed_across_a_what_if_is_not_served_after_it():
+    """A what-if on another thread degrades a route's latency and exits
+    while a point forecast computes that route's spec: the forecast read
+    the transient value, so its spec must not be served once the what-if
+    is over, though every value is back to what it was."""
+    platform = build_dumbbell()
+    route = platform.route("left-1", "right-1")
+    link = route[0].link
+    model = LV08()
+    rate_bound = type(model).rate_bound
+    calls = []
+
+    def rate_bound_beside_a_what_if(self, uses):
+        if calls:
+            return rate_bound(self, uses)
+        calls.append(uses)
+        degraded, release = threading.Event(), threading.Event()
+
+        def what_if():
+            with link_sandbox():
+                link.latency = link.latency * 4
+                degraded.set()
+                release.wait(10.0)
+
+        other = threading.Thread(target=what_if)
+        other.start()
+        assert degraded.wait(10.0)
+        bound = rate_bound(self, uses)  # reads the transient latency
+        release.set()
+        other.join(10.0)
+        assert not other.is_alive()
+        return bound
+
+    with patch.object(type(model), "rate_bound", rate_bound_beside_a_what_if):
+        model.comm_spec(route)
+    assert len(calls) == 1
+    assert link.latency == link.committed[1]
+    assert model.comm_spec(route) == model.comm_spec(list(route))
 
 
 # -- the tokens are exact --------------------------------------------------------
@@ -108,9 +151,8 @@ policy = st.tuples(st.just("policy"), links,
                                     SharingPolicy.FULLDUPLEX)))
 
 
-def live_values() -> tuple:
-    return tuple((link.bandwidth, link.latency, link.policy)
-                 for link in LINKS)
+def committed_values() -> tuple:
+    return tuple((link.committed, link.policy) for link in LINKS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,9 +160,10 @@ def live_values() -> tuple:
 def test_state_tokens_are_exact(steps):
     """After every step of committed writes (from this thread or another),
     sandboxed writes (each sandbox on its own thread), sandbox exits and
-    policy writes: equal ``live_link_state()`` means equal live values;
-    with no sandbox open, live == committed; a memoized ``comm_spec`` ==
-    one computed on a memo-less copy of its route."""
+    policy writes: equal ``link_state_version()`` means equal committed
+    values and policies; with no sandbox open, live == committed; a
+    memoized ``comm_spec`` == one computed on a memo-less copy of its
+    route."""
     # one single-thread executor per sandbox: a sandbox opens, writes and
     # exits on its own thread
     threads = [ThreadPoolExecutor(max_workers=1)
@@ -154,12 +197,11 @@ def test_state_tokens_are_exact(steps):
             elif kind == "policy":
                 LINKS[step[1]].policy = step[2]
 
-            values = live_values()
-            assert seen.setdefault(live_link_state(), values) == values
+            values = committed_values()
+            assert seen.setdefault(link_state_version(), values) == values
             if not any(open_):
                 assert all((link.bandwidth, link.latency) == link.committed
                            for link in LINKS)
-                assert live_link_state() == link_state_version()
             for route in ROUTES:
                 for model in MODELS:
                     assert model.comm_spec(route) == model.comm_spec(
@@ -176,9 +218,10 @@ def test_state_tokens_are_exact(steps):
 
 #: Who may read the every-write ``link_epoch()`` — readers that must see
 #: transient what-if writes too.  An answer cache keys on
-#: ``link_state_version()`` instead, and a route memo on
-#: ``live_link_state()``.
+#: ``link_state_version()`` instead.
 LINK_EPOCH_READERS = {
+    ("simgrid/models.py", "SharingModel.comm_spec"):
+        "a route memo holds live values, a what-if's transient ones too",
     ("simgrid/engine.py", "Simulation.__init__"):
         "in-flight comms recalibrate on any live write",
     ("simgrid/engine.py", "Simulation._reshare"):
