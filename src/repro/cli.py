@@ -397,6 +397,10 @@ def _load_surrogate_tier(path, bound, out):
 
 def _cmd_serve(args, out) -> int:
     from repro.core.framework import Pilgrim
+    from repro.experiments.environment import (
+        g5k_cabinets_platform,
+        g5k_test_platform,
+    )
     from repro.simgrid.models import model_by_name
 
     for flag, value in (("--shards", args.shards), ("--workers", args.workers),
@@ -408,7 +412,11 @@ def _cmd_serve(args, out) -> int:
     if args.shards > 0:
         return _cmd_serve_gateway(args, out)
     out.write("loading Grid'5000 platforms...\n")
-    pilgrim = Pilgrim.with_grid5000(model=model)
+    # the session-cached platforms, which the pool factory hands every
+    # warm worker too
+    pilgrim = Pilgrim(platforms={"g5k_test": g5k_test_platform(),
+                                 "g5k_cabinets": g5k_cabinets_platform()},
+                      model=model)
     if model is not None:
         out.write(f"default sharing model: {args.model}\n")
     if not args.no_serving:

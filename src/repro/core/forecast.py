@@ -32,6 +32,7 @@ from repro.simgrid.platform import (
     Platform,
     UnknownElementError,
     link_state_version,
+    retire_link_state,
 )
 from repro.simgrid.units import parse_size
 
@@ -273,7 +274,17 @@ class NetworkForecastService:
     # -- platform registry -------------------------------------------------------
 
     def register_platform(self, name: str, platform: Platform) -> None:
+        """Serve ``platform`` as ``name``.  Replacing another platform
+        retires every cached answer, as a committed link write does.
+
+        Gateway shards and warm pool workers build their own services
+        from a factory, so a registration made here never reaches them."""
+        replaced = self._platforms.get(name)
         self._platforms[name] = platform
+        # swap, then retire: a miss that read the old version may store an
+        # answer under it, never under the new one
+        if replaced is not None and replaced is not platform:
+            retire_link_state()
 
     def platform(self, name: str) -> Platform:
         try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -104,6 +105,16 @@ def link_state_version() -> int:
     return _STATE_VERSION
 
 
+def retire_link_state() -> None:
+    """Move both counters as a committed link write does, writing no link:
+    a platform replaced under a served name retires the answers cached on
+    the one it replaces."""
+    global _LINK_EPOCH, _STATE_VERSION
+    with _LINK_LOCK:
+        _LINK_EPOCH += 1
+        _STATE_VERSION += 1
+
+
 def link_sandboxes() -> tuple[int, int]:
     """``(opened, exited)`` counts of :func:`link_sandbox` blocks."""
     with _LINK_LOCK:
@@ -143,7 +154,10 @@ class Link:
     """A network link with a capacity, a latency and a sharing policy.
 
     ``bandwidth`` is stored in bytes/s and ``latency`` in seconds; both accept
-    unit strings (``"10Gbps"``, ``"225us"``).  Attributes are mutable so that
+    unit strings (``"10Gbps"``, ``"225us"``).  A bandwidth must be finite and
+    positive, a latency finite and non-negative: any other value, given or
+    written, raises :class:`PlatformError` (or the parsers' ``UnitError``)
+    and changes nothing.  Attributes are mutable so that
     dynamic calibration (e.g. the Pilgrim latency feed) can adjust them
     between simulations without rebuilding routes.  Every write moves the
     live values and bumps :func:`link_epoch`; outside a :func:`link_sandbox`
@@ -162,10 +176,8 @@ class Link:
         properties: Optional[dict] = None,
     ) -> None:
         self.name = name
-        self._bandwidth = parse_bandwidth(bandwidth)
-        self._latency = parse_time(latency)
-        if self._bandwidth <= 0:
-            raise PlatformError(f"link {name!r}: bandwidth must be positive")
+        self._bandwidth = self._checked(0, parse_bandwidth(bandwidth))
+        self._latency = self._checked(1, parse_time(latency))
         self._committed = (self._bandwidth, self._latency)
         self._policy = policy
         self.properties = dict(properties or {})
@@ -192,10 +204,22 @@ class Link:
         the live values once every :func:`link_sandbox` has exited."""
         return self._committed
 
+    def _checked(self, field: int, value: float) -> float:
+        """``value`` if ``field`` can hold it (the parsers already refuse
+        negatives); else PlatformError."""
+        if field == 0 and not 0.0 < value < math.inf:
+            raise PlatformError(f"link {self.name!r}: bandwidth must be "
+                                f"finite and positive, got {value}")
+        if field == 1 and not value < math.inf:
+            raise PlatformError(f"link {self.name!r}: latency must be "
+                                f"finite, got {value}")
+        return value
+
     def _write(self, field: int, value: float) -> None:
         """Set live ``field`` (0: bandwidth, 1: latency); commit it too
         unless this thread is inside a :func:`link_sandbox`."""
         global _LINK_EPOCH, _STATE_VERSION
+        self._checked(field, value)
         written = getattr(_THREAD, "written", None)
         with _LINK_LOCK:
             live = [self._bandwidth, self._latency]

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.serving.service import ForecastServingService
 from repro.simgrid.models import CM02
+from repro.simgrid.platform import Platform
 from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 N_HOSTS = 6
@@ -117,6 +119,27 @@ class TestInlineServing:
         # both asks were misses: the epoch moved, no stale hit was served
         assert stats["cache"]["hits"] == 0
         assert stats["cache"]["misses"] == 2
+
+    def test_a_replaced_platform_retires_its_cached_answers(self):
+        """Re-registering a name with a slower link must not keep serving
+        the answer cached on the platform it replaced."""
+
+        def one_link(bandwidth):
+            platform = Platform("one")
+            platform.root.add_host("a")
+            platform.root.add_host("b")
+            platform.root.add_route("a", "b", [
+                platform.root.add_link("l", bandwidth, "100us")])
+            return platform
+
+        service = NetworkForecastService({"one": one_link("1Gbps")})
+        transfers = [("a", "b", 1e9)]
+        with ForecastServingService(service) as serving:
+            fast = serving.predict("one", transfers)
+            service.register_platform("one", one_link("100Mbps"))
+            slow = serving.predict("one", transfers)
+        assert slow == service.predict_transfers("one", transfers)
+        assert slow[0].duration > 9 * fast[0].duration
 
 
 class TestPooledServing:

@@ -15,6 +15,9 @@ from repro.simgrid.platform import (
     Router,
     SharingPolicy,
     UnknownElementError,
+    link_epoch,
+    link_sandbox,
+    link_state_version,
 )
 
 
@@ -39,6 +42,33 @@ class TestLink:
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(PlatformError):
             Link("l", 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(PlatformError, match="bandwidth"):
+            Link("l", bandwidth)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_latency(self, latency):
+        with pytest.raises(PlatformError, match="latency"):
+            Link("l", 1e8, latency)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth", 0.0), ("bandwidth", float("nan")),
+        ("bandwidth", float("inf")), ("latency", float("nan")),
+        ("latency", float("inf"))])
+    def test_a_refused_write_moves_no_value_and_no_token(self, field, value):
+        link = Link("l", "1Gbps", "100us")
+        before = (link.bandwidth, link.latency, link.committed)
+        epoch, version = link_epoch(), link_state_version()
+        with pytest.raises(PlatformError, match=field):
+            setattr(link, field, value)
+        assert (link.bandwidth, link.latency, link.committed) == before
+        assert (link_epoch(), link_state_version()) == (epoch, version)
+        with link_sandbox(), pytest.raises(PlatformError, match=field):
+            setattr(link, field, value)
+        assert (link.bandwidth, link.latency, link.committed) == before
+        assert link_state_version() == version
 
     def test_shared_constraint_key_ignores_direction(self):
         link = Link("l", 1e8)

@@ -154,6 +154,35 @@ class TestBadInput:
         assert text.count("\n") == 1
 
 
+class TestServe:
+    def test_serves_the_session_cached_platforms(self, monkeypatch):
+        """The served Pilgrim answers on the platforms the pool factory
+        hands its workers, not on a second build of its own."""
+        from repro.core.framework import Pilgrim
+        from repro.experiments import environment
+
+        class Served(Exception):
+            pass
+
+        served = []
+
+        def serve(self, *args, **kwargs):
+            served.append(self)
+            raise Served
+
+        monkeypatch.setattr(Pilgrim, "serve", serve)
+        with pytest.raises(Served):
+            run_cli("serve", "--port", "0")
+        (pilgrim,) = served
+        pilgrim.disable_serving()
+        assert pilgrim.forecast.platform_names() == [
+            "g5k_cabinets", "g5k_test"]
+        assert (pilgrim.forecast.platform("g5k_test")
+                is environment.g5k_test_platform())
+        assert (pilgrim.forecast.platform("g5k_cabinets")
+                is environment.g5k_cabinets_platform())
+
+
 class TestSolverIsNotSelectable:
     TRANSFER = "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9"
 

@@ -542,3 +542,79 @@ def test_guard_flags_an_import_the_package_does_not_bind(tmp_path):
     })
     reached = import_closure(tmp_path, "toy", ["toy.cli"])
     assert unbound_package_imports(tmp_path, "toy", reached) == {"toy.pkg.dropped"}
+
+
+# -- collector policy has one home ----------------------------------------
+
+#: ``gc`` functions that change what the cyclic collector does or scans.
+GC_POLICY = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
+#: The one def allowed to call them: the session-cached platform builds.
+GC_POLICY_HOME = ("repro/experiments/environment.py", "_frozen_build")
+
+
+def gc_policy_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """``(enclosing def, gc function, line)`` of every call in ``tree`` of
+    a :data:`GC_POLICY` function, through ``import gc [as x]`` or ``from gc
+    import f [as g]``; the enclosing def is the outermost one, "" at module
+    level."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "gc"}
+    functions = {alias.asname or alias.name: alias.name
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                 for alias in node.names if alias.name in GC_POLICY}
+    calls = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if not scope and isinstance(child, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in GC_POLICY
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in modules):
+                    calls.append((scope, func.attr, child.lineno))
+                elif isinstance(func, ast.Name) and func.id in functions:
+                    calls.append((scope, functions[func.id], child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return calls
+
+
+def test_only_the_environment_helper_sets_collector_policy():
+    """A frozen object is never reclaimed and a disabled collector leaks
+    every cycle: which builds are frozen is decided in one place."""
+    home = SRC / GC_POLICY_HOME[0]
+    offenders, homed = [], []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for scope, name, line in gc_policy_calls(
+                ast.parse(path.read_text("utf-8"))):
+            if path == home and scope == GC_POLICY_HOME[1]:
+                homed.append(name)
+            else:
+                offenders.append((str(path.relative_to(SRC)), line, name))
+    assert offenders == []
+    assert sorted(homed) == ["disable", "enable", "freeze"]
+
+
+def test_gc_policy_scan_sees_every_spelling():
+    tree = ast.parse(
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import freeze, set_threshold as threshold, collect\n"
+        "gc.disable()\n"
+        "def build():\n"
+        "    collector.unfreeze()\n"
+        "    def inner():\n"
+        "        freeze()\n"
+        "    threshold(0)\n"
+        "    gc.collect()\n"
+        "    collect()\n")
+    assert gc_policy_calls(tree) == [
+        ("", "disable", 4), ("build", "unfreeze", 6), ("build", "freeze", 8),
+        ("build", "set_threshold", 9)]
