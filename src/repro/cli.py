@@ -49,10 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--model", default="LV08",
                          help="registered sharing model name "
                               "(see `repro models list`)")
-    predict.add_argument("--full-resolve", action="store_true",
-                         help="rebuild the whole sharing system at every "
-                              "simulation event (slow verification mode) "
-                              "instead of incremental component re-solves")
 
     whatif = sub.add_parser(
         "what-if",
@@ -86,9 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--model", default="LV08",
                         help="registered sharing model name "
                              "(see `repro models list`)")
-    whatif.add_argument("--full-resolve", action="store_true",
-                        help="rebuild the whole sharing system at every "
-                             "simulation event (slow verification mode)")
 
     serve = sub.add_parser("serve", help="run the Pilgrim HTTP services")
     serve.add_argument("--host", default="127.0.0.1")
@@ -171,9 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="override the preset's sharing model "
                                "(a registered name, see `repro models "
                                "list`)")
-    scen_run.add_argument("--full-resolve", action="store_true",
-                          help="verification mode: rebuild the sharing "
-                               "system at every event")
     scen_run.add_argument("--json", action="store_true",
                           help="emit the full result as JSON")
 
@@ -219,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "second (compresses probe periods onto the "
                                  "transfer timescale)")
     met_replay.add_argument("--reps", type=int, default=1)
-    met_replay.add_argument("--full-resolve", action="store_true")
     met_replay.add_argument("--json", action="store_true",
                             help="emit the full scenario result as JSON")
 
@@ -347,7 +336,6 @@ def _cmd_predict(args, out) -> int:
     forecasts = service.predict_transfers(
         args.platform, [TransferSpec.parse(t) for t in args.transfer],
         model=model, ongoing=[TransferSpec.parse(t) for t in args.ongoing],
-        full_resolve=args.full_resolve,
     )
     out.write(json.dumps([f.to_json() for f in forecasts], indent=1) + "\n")
     return 0
@@ -373,7 +361,7 @@ def _cmd_what_if(args, out) -> int:
             service.observe_link(args.platform, link.strip(), float(value))
     result = service.predict_what_if(
         args.platform, transfers, events, model=model, ongoing=ongoing,
-        horizon=args.horizon, full_resolve=args.full_resolve,
+        horizon=args.horizon,
     )
     out.write(json.dumps(result.to_json(), indent=1) + "\n")
     return 0
@@ -568,8 +556,7 @@ def _cmd_scenarios(args, out) -> int:
         spec = spec.replace(seed=args.seed)
     if args.model is not None:
         spec = spec.replace(model=args.model)
-    result = run_scenario(spec, repetitions=args.reps,
-                          full_resolve=args.full_resolve)
+    result = run_scenario(spec, repetitions=args.reps)
     if args.json:
         out.write(json.dumps(result.to_json(), indent=1) + "\n")
         return 0
@@ -686,8 +673,7 @@ def _cmd_metrology_replay(args, out) -> int:
         workload=WorkloadSpec("all_to_all", size=args.size),
         measured=tuple(traces),
     )
-    result = run_scenario(spec, repetitions=args.reps,
-                          full_resolve=args.full_resolve)
+    result = run_scenario(spec, repetitions=args.reps)
     if args.json:
         out.write(json.dumps(result.to_json(), indent=1) + "\n")
         return 0

@@ -317,7 +317,7 @@ class NetworkForecastService:
         return platform
 
     def answer(
-        self, query: ForecastQuery, full_resolve: bool = False,
+        self, query: ForecastQuery,
     ) -> tuple[list[TransferForecast], tuple[dict, ...]]:
         """Answer one query: the forecasts, and the ``AppliedEvent.to_json()``
         dicts of the events its schedule fired (in firing order; empty
@@ -337,11 +337,8 @@ class NetworkForecastService:
            transiently, so its runs hold the service's what-if lock and each
            runs in a link sandbox; point queries take neither.
 
-        ``full_resolve=True`` makes the simulation rebuild the whole
-        bandwidth-sharing system at every event instead of the default
-        incremental component re-solves — slower, kept as a verification
-        escape hatch.  A query with events counts as a what-if query, one
-        with only a horizon as a horizon query (``planning_stats``).
+        A query with events counts as a what-if query, one with only a
+        horizon as a horizon query (``planning_stats``).
         """
         if query.events:
             self.what_if_queries += 1
@@ -366,7 +363,7 @@ class NetworkForecastService:
                 results = [
                     simulate_forecast(platform, model, query.transfers,
                                       query.events, query.ongoing,
-                                      run_factors or None, full_resolve)
+                                      run_factors or None)
                     for run_factors in runs]
         except UnknownElementError as exc:  # pragma: no cover - double guard
             raise NotFound(str(exc)) from None
@@ -384,7 +381,6 @@ class NetworkForecastService:
         model: Optional[NetworkModel] = None,
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         capacity_factors: Optional[dict[str, float]] = None,
-        full_resolve: bool = False,
     ) -> list[TransferForecast]:
         """Predict completion times of transfers started concurrently.
 
@@ -393,15 +389,14 @@ class NetworkForecastService:
         part of the answer — the fine-grained half of the paper's §VI
         background-traffic modeling (a scheduler knows its own in-flight
         movements).  ``capacity_factors`` (link name → fraction of capacity
-        available) is the coarse half.  ``full_resolve``: see
-        :meth:`answer`.
+        available) is the coarse half.
 
         Raises :class:`NotFound` for unknown platforms or hosts and
         :class:`BadRequest` for empty requests.
         """
         return self.answer(ForecastQuery.of(
             platform_name, transfers, ongoing, model=model,
-            capacity_factors=capacity_factors), full_resolve)[0]
+            capacity_factors=capacity_factors))[0]
 
     # -- multi-horizon and what-if queries ---------------------------------------
 
@@ -453,7 +448,6 @@ class NetworkForecastService:
         ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
         capacity_factors: Optional[dict[str, float]] = None,
         horizon: Optional[int] = None,
-        full_resolve: bool = False,
     ) -> WhatIfResult:
         """Answer a what-if query: "these transfers, under this event
         schedule" — e.g. link X degrading 50% at t+30s.
@@ -475,7 +469,7 @@ class NetworkForecastService:
         forecasts, applied = self.answer(ForecastQuery.of(
             platform_name, transfers, ongoing, model=model,
             capacity_factors=capacity_factors, events=event_objs,
-            horizon=horizon), full_resolve)
+            horizon=horizon))
         return WhatIfResult(tuple(forecasts), applied, horizon)
 
     def planning_stats(self) -> dict:

@@ -36,7 +36,6 @@ def simulate_forecast(
     events: Sequence[LinkEvent] = (),
     ongoing: Sequence[tuple[str, str, float]] = (),
     capacity_factors: Optional[dict[str, float]] = None,
-    full_resolve: bool = False,
 ) -> tuple[list, DynamicsLog]:
     """One forecast simulation; returns (the transfers' comms, the log of
     applied events).
@@ -49,8 +48,7 @@ def simulate_forecast(
     it returns.
     """
     with link_sandbox() if events else nullcontext():
-        sim = Simulation(platform, model, capacity_factors=capacity_factors,
-                         full_resolve=full_resolve)
+        sim = Simulation(platform, model, capacity_factors=capacity_factors)
         log = schedule_dynamics(sim, events) if events else DynamicsLog()
         for idx, (src, dst, size) in enumerate(ongoing):
             sim.add_comm(src, dst, size, name=f"ongoing:{src}->{dst}#{idx}")
@@ -64,13 +62,12 @@ def run_what_if(
     events: Sequence[LinkEvent],
     ongoing: Sequence[tuple[str, str, float]] = (),
     capacity_factors: Optional[dict[str, float]] = None,
-    full_resolve: bool = False,
 ) -> tuple[list[dict], DynamicsLog]:
     """:func:`simulate_forecast` as (transfer records, applied events);
     each record has keys ``src``, ``dst``, ``size``, ``start``, ``finish``,
     ``duration``."""
     comms, log = simulate_forecast(platform, model, transfers, events,
-                                   ongoing, capacity_factors, full_resolve)
+                                   ongoing, capacity_factors)
     records = [
         {"src": src, "dst": dst, "size": size, "start": comm.start_time,
          "finish": comm.finish_time, "duration": comm.duration}

@@ -93,15 +93,9 @@ def build_scenario_platform(spec: ScenarioSpec) -> Platform:
 def run_scenario(
     spec: ScenarioSpec,
     repetitions: int = 1,
-    full_resolve: bool = False,
     model: Optional[object] = None,
 ) -> ScenarioResult:
-    """Run ``spec`` for ``repetitions`` and collect per-transfer outcomes.
-
-    ``full_resolve`` is the kernel's verification mode (rebuild the sharing
-    system at every event).  Both modes must agree — the scenario test-suite
-    pins that for dynamic schedules too.
-    """
+    """Run ``spec`` for ``repetitions`` and collect per-transfer outcomes."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     net_model = model if model is not None else model_by_name(spec.model)
@@ -116,7 +110,7 @@ def run_scenario(
             )
         hosts = [h.name for h in platform.hosts()]
         transfers = generate_workload(spec.workload, hosts, streams[rep])
-        sim = Simulation(platform, net_model, full_resolve=full_resolve)
+        sim = Simulation(platform, net_model)
         log = schedule_dynamics(sim, spec.dynamics)
         schedule_measured(sim, spec.measured, log=log)
         comms = sim.add_comms(transfers)

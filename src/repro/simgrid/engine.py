@@ -28,15 +28,14 @@ from the arrays lazily — only before user code can observe them (completion
 callbacks, ``run()`` returning; timer callbacks opt in) — so a large
 steady-state simulation never pays per-event attribute traffic.
 
-Resource sharing is *incremental* by default: a persistent
+Resource sharing is *incremental*: a persistent
 :class:`~repro.simgrid.maxmin.SharingSystem` arena lives across events,
 activities are added when they enter their transfer/compute phase and removed
 when they finish, and each re-share only re-solves the connected components
-touched since the previous event (see ``docs/ARCHITECTURE.md``).  Pass
-``full_resolve=True`` to rebuild the whole bounded max-min system from
-scratch at every event instead — the historical behavior, kept as a
-verification escape hatch (``tests/simgrid/test_incremental_equivalence.py``
-asserts both modes agree within 1e-9).
+touched since the previous event (see ``docs/ARCHITECTURE.md``).  The tests
+hold it against a reference engine that rebuilds the whole bounded max-min
+system at every event (``tests/reference/maxmin.py``; the equivalence suites
+assert agreement within 1e-9).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from repro.simgrid.activities import (
     SleepActivity,
     cancel_epoch,
 )
-from repro.simgrid.maxmin import MaxMinSystem, SharingSystem
+from repro.simgrid.maxmin import SharingSystem
 from repro.simgrid.models import LV08, SharingModel
 from repro.simgrid.platform import Host, Platform, link_epoch
 from repro.simgrid.trace import Trace
@@ -92,16 +91,12 @@ class Simulation:
         loopback_latency: float = 1.5e-6,
         trace: Optional[Trace] = None,
         capacity_factors: Optional[dict[str, float]] = None,
-        full_resolve: bool = False,
     ) -> None:
         self.platform = platform
         self.model = model if model is not None else LV08()
         self.loopback_bandwidth = float(loopback_bandwidth)
         self.loopback_latency = float(loopback_latency)
         self.trace = trace
-        #: when True, rebuild the whole max-min system at every event (the
-        #: historical behavior) instead of incremental component re-solves
-        self.full_resolve = bool(full_resolve)
         #: per-link capacity scaling in [0, 1], keyed by link name — the
         #: coarse background-traffic model of §VI (bandwidth consumed by
         #: traffic outside this simulation)
@@ -485,7 +480,7 @@ class Simulation:
     @staticmethod
     def _sharing_spec(activity: Activity) -> tuple[float, float]:
         """(weight, rate bound — ``inf`` when unbounded) of an activity's
-        sharing variable.  Single source of truth for both re-share modes."""
+        sharing variable."""
         if isinstance(activity, CommActivity):
             return activity.weight, activity.bound
         host = activity.host  # type: ignore[attr-defined]
@@ -510,12 +505,8 @@ class Simulation:
                 activity.usages = self._exec_usages(activity.host)
 
     def _reshare(self) -> None:
-        """Recompute progress rates for running activities.
-
-        Incremental mode applies the started/finished deltas to the
-        persistent arena and re-solves only the touched components;
-        ``full_resolve`` rebuilds one :class:`MaxMinSystem` from scratch.
-        """
+        """Recompute progress rates for running activities: re-derive stale
+        cached usages, then :meth:`_solve_sharing`."""
         epoch = link_epoch()
         if epoch != self._usage_epoch or self.capacity_factors != self._factors_seen:
             # a link changed capacity/latency/policy in place, or the
@@ -525,47 +516,8 @@ class Simulation:
             self._factors_seen = dict(self.capacity_factors)
             self._refresh_usages()
             self._rebuild_sharing = True
-        if self.full_resolve:
-            self._reshare_full()
-        else:
-            self._reshare_incremental()
+        self._solve_sharing()
         self._share_dirty = False
-
-    def _reshare_full(self) -> None:
-        system = MaxMinSystem()
-        constraints: dict[object, object] = {}
-        pairs: list[tuple[Activity, object]] = []
-
-        for activity in self._live_activities():
-            if (
-                isinstance(activity, (CommActivity, ExecActivity))
-                and activity.state is ActivityState.RUNNING
-            ):
-                weight, bound = self._sharing_spec(activity)
-                var = system.new_variable(weight=weight, bound=bound, payload=activity)
-                for key, capacity, coefficient in activity.usages:
-                    cons = constraints.get(key)
-                    if cons is None:
-                        cons = system.new_constraint(capacity, payload=key)
-                        constraints[key] = cons
-                    system.expand(cons, var, coefficient)
-                pairs.append((activity, var))
-
-        system.solve()
-        rates = self._a_rate
-        for activity, var in pairs:
-            value = var.value
-            if isinstance(activity, CommActivity) and not math.isfinite(value):
-                # no constraint and no bound anywhere on the route: treat as
-                # the loopback rate to keep time finite
-                value = self.loopback_bandwidth
-            activity.rate = value
-            rates[activity._slot] = value
-        # the incremental delta lists are not consumed in this mode — drop
-        # them so completed activities don't accumulate for the run's life
-        self._started.clear()
-        self._finished.clear()
-        self._rebuild_sharing = True
 
     def _ensure_vid_slot(self) -> None:
         cap = self._sharing.variable_capacity
@@ -574,7 +526,9 @@ class Simulation:
             grown[: self._vid_slot.size] = self._vid_slot
             self._vid_slot = grown
 
-    def _reshare_incremental(self) -> None:
+    def _solve_sharing(self) -> None:
+        """Apply the started/finished deltas to the persistent arena and
+        re-solve only the touched components."""
         if self._rebuild_sharing:
             # external mutations (cancel between runs, link edits) are
             # untracked: rebuild the arena from the live activity set
@@ -644,7 +598,6 @@ class Simulation:
                     if bad.any():
                         # no constraint and no bound anywhere on the route:
                         # treat as the loopback rate to keep time finite
-                        # (same as full mode)
                         values = np.where(bad, self.loopback_bandwidth, values)
                 self._a_rate[slots] = values
             self._attrs_stale = True

@@ -14,28 +14,20 @@ filling* algorithm, extended with per-variable bounds and per-(variable,
 constraint) consumption coefficients (a route may traverse one SHARED link in
 both directions).
 
-Solved instances hold:
+:class:`SharingSystem` is the one solver: a *persistent arena* for the event
+loop.  Variables come and go as activities start and finish, slot buffers
+stay alive across events (grow-only, free-list slot reuse, periodic
+compaction), and :meth:`SharingSystem.solve` only re-solves the connected
+components touched since the last call (dirty-set tracking).  Untouched
+components keep their previous allocation, which is exact: progressive
+filling never moves rate between disconnected components.  Every solve is
+the same Python walk per dirty component: it *folds* every private
+constraint — one user at this solve — into that user's bound and fills what
+is left, the shared constraints, with :func:`progressive_fill_sparse`.
 
-- ``Variable.value`` — the allocated rate,
-- ``Constraint.usage`` — the total consumption on the constraint.
-
-There is one production solver and one reference beside it:
-
-- :class:`SharingSystem` — a *persistent arena* for the event loop: variables
-  come and go as activities start and finish, slot buffers stay alive across
-  events (grow-only, free-list slot reuse, periodic compaction), and
-  :meth:`SharingSystem.solve` only re-solves the connected components touched
-  since the last call (dirty-set tracking).  Untouched components keep their
-  previous allocation, which is exact: progressive filling never moves rate
-  between disconnected components.  Every solve is the same Python walk per
-  dirty component: it *folds* every private constraint — one user at this
-  solve — into that user's bound and fills what is left, the shared
-  constraints, with :func:`progressive_fill_sparse`,
-- :class:`MaxMinSystem` — build once, solve once over the dense
-  :func:`progressive_fill`.  It folds nothing and shares no code with the
-  arena: the engine's ``full_resolve`` verification mode, and the unfolded
-  reference the fuzz pyramid and the 1e-9 equivalence suites hold the arena
-  against.
+The unfolded reference the arena is held against — a dense build-once
+solver and an engine that re-solves every event with it — lives with the
+tests (``tests/reference/maxmin.py``).
 
 Long-lived arenas (days-long metrology loops) call :meth:`SharingSystem.
 compact` — or let :meth:`maybe_compact` decide — to defragment the free lists;
@@ -63,249 +55,19 @@ class MaxMinError(Exception):
     """Raised on invalid solver usage (non-positive capacity/weight, …)."""
 
 
-class Variable:
-    """One allocation variable (a flow's rate)."""
-
-    __slots__ = ("index", "weight", "bound", "value", "payload")
-
-    def __init__(self, index: int, weight: float, bound: Optional[float], payload: object) -> None:
-        self.index = index
-        self.weight = weight
-        self.bound = bound
-        self.value = 0.0
-        self.payload = payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Variable(#{self.index}, w={self.weight:.4g}, bound={self.bound}, value={self.value:.4g})"
-
-
-class Constraint:
-    """One capacity constraint (a link direction's available bandwidth)."""
-
-    __slots__ = ("index", "capacity", "usage", "payload")
-
-    def __init__(self, index: int, capacity: float, payload: object) -> None:
-        self.index = index
-        self.capacity = capacity
-        self.usage = 0.0
-        self.payload = payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Constraint(#{self.index}, cap={self.capacity:.4g}, usage={self.usage:.4g})"
-
-
-class MaxMinSystem:
-    """A linear max-min system: build variables/constraints, then solve."""
-
-    def __init__(self) -> None:
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        # (constraint index, variable index) -> coefficient
-        self._coeffs: dict[tuple[int, int], float] = {}
-
-    def new_variable(
-        self,
-        weight: float,
-        bound: Optional[float] = None,
-        payload: object = None,
-    ) -> Variable:
-        """Add a variable with fairness weight ``weight`` (> 0) and optional
-        rate ``bound`` (> 0 or None for unbounded)."""
-        index = len(self.variables)
-        if not (weight > 0.0) or not math.isfinite(weight):
-            raise MaxMinError(
-                f"variable #{index} (payload={payload!r}): weight must be "
-                f"positive and finite, got {weight}"
-            )
-        if bound is not None:
-            if bound <= 0 or not math.isfinite(bound):
-                if bound is not None and math.isinf(bound) and bound > 0:
-                    bound = None
-                else:
-                    raise MaxMinError(
-                        f"variable #{index} (payload={payload!r}): bound must "
-                        f"be positive, got {bound}"
-                    )
-        var = Variable(index, float(weight), bound, payload)
-        self.variables.append(var)
-        return var
-
-    def new_constraint(self, capacity: float, payload: object = None) -> Constraint:
-        """Add a capacity constraint (> 0)."""
-        index = len(self.constraints)
-        if not (capacity > 0.0) or not math.isfinite(capacity):
-            raise MaxMinError(
-                f"constraint #{index} (payload={payload!r}): capacity must be "
-                f"positive and finite, got {capacity}"
-            )
-        cons = Constraint(index, float(capacity), payload)
-        self.constraints.append(cons)
-        return cons
-
-    def expand(self, constraint: Constraint, variable: Variable, coefficient: float = 1.0) -> None:
-        """Make ``variable`` consume ``coefficient`` times its rate on
-        ``constraint``.  Repeated expansion accumulates (a route crossing a
-        SHARED link twice consumes twice)."""
-        if coefficient <= 0:
-            raise MaxMinError(
-                f"coefficient must be positive, got {coefficient} "
-                f"(constraint #{constraint.index} payload={constraint.payload!r}, "
-                f"variable #{variable.index} payload={variable.payload!r})"
-            )
-        key = (constraint.index, variable.index)
-        self._coeffs[key] = self._coeffs.get(key, 0.0) + float(coefficient)
-
-    def solve(self) -> None:
-        """Run progressive filling; fills ``Variable.value``/``Constraint.usage``."""
-        n = len(self.variables)
-        m = len(self.constraints)
-        for cons in self.constraints:
-            cons.usage = 0.0
-        if n == 0:
-            return
-
-        weights = np.array([v.weight for v in self.variables], dtype=float)
-        bounds = np.array(
-            [v.bound if v.bound is not None else np.inf for v in self.variables],
-            dtype=float,
-        )
-
-        if m:
-            rows = np.empty(len(self._coeffs), dtype=np.intp)
-            cols = np.empty(len(self._coeffs), dtype=np.intp)
-            vals = np.empty(len(self._coeffs), dtype=float)
-            for k, ((ci, vi), coeff) in enumerate(self._coeffs.items()):
-                rows[k], cols[k], vals[k] = ci, vi, coeff
-            # dense incidence is fine at our scale (hundreds x hundreds)
-            incidence = np.zeros((m, n), dtype=float)
-            incidence[rows, cols] = vals
-            capacities = np.array([c.capacity for c in self.constraints], dtype=float)
-        else:
-            incidence = np.zeros((0, n), dtype=float)
-            capacities = np.zeros(0, dtype=float)
-
-        values, usage = progressive_fill(weights, bounds, incidence, capacities)
-
-        for var, value in zip(self.variables, values):
-            var.value = float(value)
-        for cons, used in zip(self.constraints, usage):
-            cons.usage = float(used)
-
-    # -- diagnostics --------------------------------------------------------
-
-    def is_feasible(self, tolerance: float = 1e-6) -> bool:
-        """True when no constraint is over-consumed.
-
-        The slack is *relative to each constraint's capacity*
-        (``usage - capacity <= tolerance * capacity``), so a near-zero-capacity
-        constraint gets a proportionally tiny allowance instead of inheriting
-        slack sized for big links.  A variable that touches any constraint yet
-        holds an infinite allocation is reported infeasible regardless of the
-        usage sums: ``inf`` rates are excluded from usage accounting, so they
-        would otherwise pass silently.
-        """
-        for cons in self.constraints:
-            if cons.usage - cons.capacity > tolerance * cons.capacity:
-                return False
-        constrained = {vi for (_ci, vi) in self._coeffs}
-        for var in self.variables:
-            if var.index in constrained and not math.isfinite(var.value):
-                return False
-        return True
-
-
-def progressive_fill(
-    weights: np.ndarray,
-    bounds: np.ndarray,
-    incidence: np.ndarray,
-    capacities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The progressive-filling kernel shared by both solver front-ends.
-
-    ``weights``/``bounds`` have one entry per variable (``inf`` bound means
-    unbounded), ``incidence`` is the dense ``(constraints × variables)``
-    coefficient matrix, ``capacities`` one entry per constraint.  Returns
-    ``(values, usage)``: the allocated rate per variable and the resulting
-    consumption per constraint.
-    """
-    n = int(weights.size)
-    m = int(capacities.size)
-    inv_w = 1.0 / weights
-    remaining = capacities.astype(float, copy=True)
-
-    active = np.ones(n, dtype=bool)
-    cons_active = np.ones(m, dtype=bool)
-    values = np.zeros(n, dtype=float)
-    phi = 0.0
-
-    for _ in range(n + m + 1):
-        if not active.any():
-            break
-        active_inv_w = np.where(active, inv_w, 0.0)
-        # consumption per unit of additional level, per constraint.  Any
-        # strictly positive drain keeps the constraint relevant: comparing
-        # against an absolute epsilon here would let a huge-weight variable
-        # (drain underflowing the epsilon) sail past its capacity to an
-        # unbounded allocation.
-        drain = incidence @ active_inv_w if m else np.zeros(0)
-        relevant = cons_active & (drain > 0.0)
-        # level increase that saturates each relevant constraint
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi_cons = np.where(relevant, remaining / np.where(drain > 0, drain, 1.0), np.inf)
-        # level at which each active bounded variable tops out
-        dphi_vars = np.where(active, bounds * weights - phi, np.inf)
-        dphi_vars = np.where(dphi_vars < 0, 0.0, dphi_vars)
-
-        best_cons = dphi_cons.min() if m else np.inf
-        best_var = dphi_vars.min()
-        dphi = min(best_cons, best_var)
-        if not np.isfinite(dphi):
-            # no constraint and no bound applies: unbounded variables —
-            # treat as "infinitely fast" (no capacity anywhere on route)
-            values[active] = np.inf
-            active[:] = False
-            break
-
-        phi += dphi
-        if m:
-            remaining = remaining - dphi * drain
-        # freeze variables at their bound
-        hit_bound = active & (bounds * weights - phi <= _EPS * max(phi, 1.0))
-        # freeze constraints that saturated (and their variables)
-        if m:
-            saturated = relevant & (remaining <= _EPS * capacities)
-            if saturated.any():
-                # any active variable with positive coefficient on a
-                # saturated constraint freezes at the current level
-                involved = (incidence[saturated] > 0).any(axis=0)
-                hit_bound = hit_bound | (active & involved)
-                cons_active &= ~saturated
-        if not hit_bound.any():
-            # numerical safety: force-freeze the variable closest to its
-            # bound or the constraint-minimising one to guarantee progress
-            hit_bound = active.copy()
-        values[hit_bound] = np.minimum(phi * inv_w[hit_bound], bounds[hit_bound])
-        active &= ~hit_bound
-
-    if m:
-        usage = incidence @ np.where(np.isfinite(values), values, 0.0)
-    else:
-        usage = np.zeros(0, dtype=float)
-    return values, usage
-
-
 def progressive_fill_sparse(weights: dict, bounds: dict, rows: list,
                             capacities: list[float]) -> dict:
-    """:func:`progressive_fill` in pure Python over sparse constraint rows.
+    """Progressive filling in pure Python over sparse constraint rows.
 
     ``weights`` maps each variable (any hashable id) to its weight, ``bounds``
     covers at least those ids, ``rows[c]`` lists the ``(variable,
     coefficient)`` users of constraint ``c`` in ascending variable order.
-    Sums run in that order and every freeze decision is the dense kernel's,
-    so the two agree to float noise (well inside the 1e-9 budget the tests
-    pin).  A level touches the live rows once and the variables it freezes,
-    with no array dispatch: cheapest for tens of flows on a handful of shared
-    links, level with the dense kernel at ~600.  Returns ``{variable: rate}``.
+    Sums run in that order and every freeze decision is the dense reference
+    kernel's (``progressive_fill`` in ``tests/reference/maxmin.py``), so the
+    two agree to float noise, well inside the 1e-9 budget the tests pin.  A
+    level touches the live rows once and the variables it freezes, with no
+    array dispatch: cheapest for tens of flows on a handful of shared links,
+    level with the dense kernel at ~600.  Returns ``{variable: rate}``.
     """
     inv_w = {v: 1.0 / w for v, w in weights.items()}
     # the level at which each variable tops out; ``max(0, top - phi)`` is
@@ -387,8 +149,7 @@ def _pow2_at_least(n: int) -> int:
 class SharingSystem:
     """Persistent incremental arena for event-loop resource sharing.
 
-    Unlike :class:`MaxMinSystem` (rebuilt from scratch for every solve), a
-    ``SharingSystem`` lives across simulation events:
+    A ``SharingSystem`` lives across simulation events:
 
     - :meth:`add_variable` / :meth:`remove_variable` register flows as they
       start and finish; constraints are *interned* by an opaque key (a link
@@ -587,10 +348,18 @@ class SharingSystem:
         # aggregate duplicate keys before touching any state
         aggregated: dict[object, list[float]] = {}
         for key, capacity, coefficient in usages:
-            if coefficient <= 0:
+            # comparisons, not ``<= 0``: NaN and inf must fail them too
+            if not 0.0 < coefficient < math.inf:
                 raise MaxMinError(
                     f"coefficient must be positive, got {coefficient} "
                     f"(constraint key={key!r}, variable payload={payload!r})"
+                )
+            if not 0.0 < capacity < math.inf:
+                # checked for every key: an existing constraint adopts the
+                # capacity of its newest user
+                raise MaxMinError(
+                    f"constraint (key={key!r}): capacity must be positive "
+                    f"and finite, got {capacity}"
                 )
             if key in aggregated:
                 aggregated[key][1] += float(coefficient)

@@ -18,14 +18,13 @@ saturated constraint splits its capacity proportionally to ``1/RTT`` —
 exactly the testbed allocator's weighting.  The model is pinned against
 ``testbed/fluid.py`` on star/dumbbell/cross-traffic profiles
 (``tests/simgrid/test_tcpfluid.py``) the way the incremental kernel is
-pinned against ``full_resolve``.
+pinned against the reference engine of ``tests/reference/maxmin.py``.
 
 The dynamics ride the engine's existing machinery: flows whose rounds end
-at the same instant share one :meth:`Simulation.schedule` timer, the
-weight/bound updates retune the flow's ``SharingSystem`` variable in place
-(incremental mode) or wait for the next full rebuild (``full_resolve``),
-and both solver paths agree within 1e-9
-(``tests/simgrid/test_model_smoke.py``).
+at the same instant share one :meth:`Simulation.schedule` timer, and the
+weight/bound updates retune the flow's ``SharingSystem`` variable in place;
+the reference engine, which rebuilds the whole system at every event,
+agrees within 1e-9 (``tests/simgrid/test_model_smoke.py``).
 """
 
 from __future__ import annotations

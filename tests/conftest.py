@@ -6,10 +6,14 @@ the cached accessors in :mod:`repro.experiments.environment`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from reference.maxmin import ReferenceSimulation
 from repro.experiments import environment
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
+from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08
 
 
@@ -53,3 +57,21 @@ def lv08():
 @pytest.fixture()
 def cm02():
     return CM02()
+
+
+@pytest.fixture()
+def reference_kernel(monkeypatch):
+    """A context manager: inside its ``with`` block every
+    :class:`~repro.simgrid.engine.Simulation` — however a verb builds it —
+    solves with :class:`~reference.maxmin.ReferenceSimulation`'s full
+    re-solve instead of the arena.  Tests that build the simulation
+    themselves instantiate ``ReferenceSimulation`` instead."""
+
+    @contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulation, "_solve_sharing",
+                          ReferenceSimulation._solve_sharing)
+            yield
+
+    return swapped

@@ -2,7 +2,7 @@
 
 import pytest
 
-from process_reference import explicit_transfers
+from reference.process import explicit_transfers
 from repro.core.forecast import (
     ForecastQuery,
     NetworkForecastService,
@@ -174,7 +174,7 @@ class TestAnswerMany:
 class TestAnswersFromTheComms:
     """``predict_transfers`` reads its answer straight off the comms that
     ``simulate_transfers`` returns; the explicit sender/receiver processes
-    (``tests/process_reference.py``) must say the same, field for field."""
+    (``tests/reference/process.py``) must say the same, field for field."""
 
     @pytest.mark.parametrize("figure", ["fig5", "fig9"])
     @pytest.mark.parametrize("seed", [1, 2])

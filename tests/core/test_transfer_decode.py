@@ -1,5 +1,5 @@
 """One transfer decode, differential: ``transfer_triples`` against the four
-normalisers it replaced (``tests/decode_reference.py``).
+normalisers it replaced (``tests/reference/decode.py``).
 
 For every drawn transfer list, in every spelling — GET query items, POST
 JSON arrays, ``TransferSpec`` values and raw tuples — the one decode gives
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import decode_reference as ref
+import reference.decode as ref
 from repro.core.forecast import (
     ForecastQuery,
     NetworkForecastService,

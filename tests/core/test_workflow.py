@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from process_reference import generator_workflow
+from reference.process import generator_workflow
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.core.workflow import WorkflowForecastService
@@ -146,7 +146,7 @@ class TestColocation:
 
 
 class TestEqualsTheGeneratorForm:
-    """Done callbacks == one process per task (``tests/process_reference.py``),
+    """Done callbacks == one process per task (``tests/reference/process.py``),
     bit for bit: task times, per-edge arrivals and makespan."""
 
     @staticmethod

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from process_reference import explicit_transfers
+from reference.process import explicit_transfers
 from repro._util.rng import spawn_rngs
 from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
@@ -133,10 +133,11 @@ class TestEquivalence:
         assert [f.duration for f in whatif.forecasts] == \
             [f.duration for f in plain]
 
-    def test_full_resolve_agrees(self):
+    def test_full_resolve_agrees(self, reference_kernel):
         baseline, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
-        records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS,
-                                 full_resolve=True)
+        with reference_kernel():
+            records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS,
+                                     EVENTS)
         for ours, theirs in zip(records, baseline):
             assert ours["duration"] == pytest.approx(theirs["duration"])
 

@@ -47,7 +47,7 @@ def test_warm_pool_recycles_and_matches_serial_under_live_recalibration():
     assert recycles >= 1
 
 
-def test_combined_recording_replays_in_both_kernel_modes():
+def test_combined_recording_replays_in_both_kernel_modes(reference_kernel):
     demo = StarMetrologyDemo.for_run(
         n_hosts=2, period=PERIOD, seed=5,
         warmup=WARMUP, steps=5, degrade_factor=0.5,
@@ -63,8 +63,9 @@ def test_combined_recording_replays_in_both_kernel_modes():
         workload=WorkloadSpec("all_to_all", size=4e7),
         measured=tuple(traces),
     )
-    incremental = run_scenario(spec, full_resolve=False)
-    full = run_scenario(spec, full_resolve=True)
+    incremental = run_scenario(spec)
+    with reference_kernel():
+        full = run_scenario(spec)
     for inc, ful in zip(incremental.transfers, full.transfers):
         assert inc.duration == pytest.approx(ful.duration, rel=1e-9)
     latencies = [e.latency for e in incremental.events_applied

@@ -108,25 +108,26 @@ class TestScheduleDynamics:
 
 
 class TestModeEquivalence:
-    """Incremental and full_resolve kernels must agree under dynamics —
+    """The engine and the reference engine must agree under dynamics —
     the scenario-level extension of test_incremental_equivalence."""
 
     @pytest.mark.parametrize("preset", [
         "star-incast", "dumbbell-congestion", "fat-tree-shuffle",
         "torus-neighbors", "dragonfly-random",
     ])
-    def test_presets_agree_between_modes(self, preset):
+    def test_presets_agree_between_modes(self, preset, reference_kernel):
         from repro.scenarios.registry import DEFAULT_REGISTRY
 
         spec = DEFAULT_REGISTRY.get(preset)
-        incremental = run_scenario(spec, full_resolve=False)
-        full = run_scenario(spec, full_resolve=True)
+        incremental = run_scenario(spec)
+        with reference_kernel():
+            full = run_scenario(spec)
         assert incremental.makespans == pytest.approx(full.makespans, rel=1e-9)
         for inc, ful in zip(incremental.transfers, full.transfers):
             assert (inc.src, inc.dst) == (ful.src, ful.dst)
             assert inc.duration == pytest.approx(ful.duration, rel=1e-9)
 
-    def test_dense_dynamics_agree_between_modes(self):
+    def test_dense_dynamics_agree_between_modes(self, reference_kernel):
         # events every 50 ms across a contended bottleneck — many re-shares
         events = tuple(
             LinkEvent(time=0.05 * (i + 1), link="bottleneck",
@@ -139,7 +140,8 @@ class TestModeEquivalence:
             workload=WorkloadSpec("all_to_all", size=3e7),
             dynamics=events,
         )
-        incremental = run_scenario(spec, full_resolve=False)
-        full = run_scenario(spec, full_resolve=True)
+        incremental = run_scenario(spec)
+        with reference_kernel():
+            full = run_scenario(spec)
         for inc, ful in zip(incremental.transfers, full.transfers):
             assert inc.duration == pytest.approx(ful.duration, rel=1e-9)

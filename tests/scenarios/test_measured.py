@@ -110,9 +110,10 @@ class TestMeasuredScenarioRun:
         assert len(with_trace.events_applied) == 3
         assert max(with_trace.makespans) > max(without.makespans)
 
-    def test_incremental_and_full_resolve_agree(self):
-        incremental = run_scenario(star_spec(), full_resolve=False)
-        full = run_scenario(star_spec(), full_resolve=True)
+    def test_incremental_and_full_resolve_agree(self, reference_kernel):
+        incremental = run_scenario(star_spec())
+        with reference_kernel():
+            full = run_scenario(star_spec())
         for inc, ful in zip(incremental.transfers, full.transfers):
             assert inc.duration == pytest.approx(ful.duration, rel=1e-9)
 

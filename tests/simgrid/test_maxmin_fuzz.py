@@ -5,7 +5,7 @@ interleaved solves) are replayed against three independent solvers:
 
 - the incremental :class:`SharingSystem` arena (folded walk + sparse fill),
 - a from-scratch :class:`MaxMinSystem` rebuild of the final state (what the
-  engine's ``full_resolve`` mode does every event),
+  reference engine, ``tests/reference/maxmin.py``, does every event),
 - the :func:`progressive_fill` reference kernel on the final dense matrix.
 
 All three must agree within 1e-9 relative.  The scripts cover the regimes the
@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simgrid.maxmin import MaxMinSystem, SharingSystem, progressive_fill
+from reference.maxmin import MaxMinSystem, progressive_fill
+from repro.simgrid.maxmin import SharingSystem
 
 RTOL = 1e-9
 
@@ -122,7 +123,7 @@ class Replay:
 
 
 def maxmin_reference(replay: Replay) -> dict[int, float]:
-    """From-scratch MaxMinSystem rebuild — the full_resolve baseline."""
+    """From-scratch MaxMinSystem rebuild — the reference engine's baseline."""
     system = MaxMinSystem()
     constraints: dict[int, object] = {}
     out = {}

@@ -19,7 +19,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simgrid.maxmin import MaxMinSystem, SharingSystem
+from reference.maxmin import MaxMinSystem
+from repro.simgrid.maxmin import SharingSystem
 
 TOL = 1e-9
 

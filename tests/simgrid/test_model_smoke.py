@@ -1,12 +1,13 @@
-"""Every registered sharing model smoke-runs in both solver modes.
+"""Every registered sharing model smoke-runs on the engine and the reference.
 
 The model registry is the CLI's public surface (``repro models list``,
 ``--model`` on predict/scenarios/serve): every registered model must build
 from its factory defaults, drive a small simulation on a contended star, a
 dumbbell, a two-RTT-class mix of local and cross-bottleneck flows and a NIC
-that a second flow shares for a while, and answer identically incrementally
-and with ``full_resolve`` — which keeps a model that only works with full
-rebuilds (or whose time-varying weight updates drift between solver modes)
+that a second flow shares for a while, and answer identically on the
+incremental engine and on the reference engine that rebuilds every event
+(``tests/reference/maxmin.py``) — which keeps a model that only works with
+full rebuilds (or whose time-varying weight updates drift between the two)
 out of the registry.
 """
 
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+from reference.maxmin import engine
 from repro.simgrid.builder import add_star_cluster, build_dumbbell
-from repro.simgrid.engine import Simulation
 from repro.simgrid.models import registered_models
 from repro.simgrid.platform import Platform
 
@@ -75,9 +76,9 @@ TOPOLOGIES = {"star": _star, "dumbbell": _cross, "two-rtt": _two_rtt,
               "shared-nic": _shared_nic}
 
 
-def durations(entry, build, full_resolve: bool) -> list[float]:
+def durations(entry, build, reference: bool) -> list[float]:
     platform, transfers = build()
-    sim = Simulation(platform, entry.build(), full_resolve=full_resolve)
+    sim = engine(reference)(platform, entry.build())
     return [c.duration for c in sim.simulate_transfers(transfers)]
 
 
@@ -86,7 +87,7 @@ def durations(entry, build, full_resolve: bool) -> list[float]:
     "entry", registered_models(), ids=lambda e: e.name)
 def test_model_smokes_in_all_solver_modes(entry, topology):
     build = TOPOLOGIES[topology]
-    incremental = durations(entry, build, full_resolve=False)
-    full = durations(entry, build, full_resolve=True)
+    incremental = durations(entry, build, reference=False)
+    full = durations(entry, build, reference=True)
     assert all(d > 0 for d in incremental), incremental
     assert incremental == pytest.approx(full, rel=1e-9)

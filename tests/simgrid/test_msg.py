@@ -1,13 +1,14 @@
 """The paper's PNFS pattern (§IV-C2): one send and one receive process per
 transfer.  ``Simulation.simulate_transfers`` starts each pair as the one
 communication it amounts to; the explicit two-process form in
-``tests/process_reference.py`` is the reference it must equal bit for bit."""
+``tests/reference/process.py`` is the reference it must equal bit for bit."""
 
 import math
 
 import pytest
 
-from process_reference import explicit_transfers
+from reference.maxmin import ReferenceSimulation
+from reference.process import explicit_transfers
 from repro.experiments.figures import FIGURES
 from repro.experiments.protocol import draw_transfer_pairs
 from repro.scenarios.dynamics import schedule_dynamics
@@ -51,11 +52,11 @@ class TestTransferProcessesEquivalence:
     """``simulate_transfers`` == the explicit two-process form, exactly."""
 
     def both(self, platform, transfers, model=None, ongoing=(), events=(),
-             **engine):
+             cls=Simulation):
         answers = []
         for run in (simulated_transfers, explicit_transfers):
             with link_sandbox():
-                sim = Simulation(platform, model or LV08(), **engine)
+                sim = cls(platform, model or LV08())
                 schedule_dynamics(sim, events)
                 for src, dst, size in ongoing:
                     sim.add_comm(src, dst, size)
@@ -77,7 +78,7 @@ class TestTransferProcessesEquivalence:
     @pytest.mark.parametrize("model", ["LV08", "tcp_fluid"])
     def test_full_resolve(self, g5k_test_platform, model):
         self.both(g5k_test_platform, figure_draw("fig5", 4, 2.15e8),
-                  model=model_by_name(model), full_resolve=True)
+                  model=model_by_name(model), cls=ReferenceSimulation)
 
     def test_with_ongoing_transfers(self, g5k_test_platform):
         transfers = figure_draw("fig5", 5, 7.74e8)
@@ -87,7 +88,7 @@ class TestTransferProcessesEquivalence:
         assert with_bg != alone
 
     @pytest.mark.parametrize("model", ["LV08", "tcp_fluid"])
-    @pytest.mark.parametrize("engine", [{}, {"full_resolve": True}])
+    @pytest.mark.parametrize("engine", [{}, {"cls": ReferenceSimulation}])
     def test_with_link_events_at_zero_and_mid_flight(
             self, g5k_test_platform, model, engine):
         transfers = figure_draw("fig5", 6, 7.74e8)

@@ -9,9 +9,9 @@ a done callback that starts comms at a completion instant and a timer that
 cancels a comm at another.  Three forms must then agree bit for bit:
 
 - ``simulate_transfers`` ≡ the explicit sender/receiver processes of
-  ``tests/process_reference.py``, in both engine modes, and the incremental
-  mode ≡ ``full_resolve=True`` within the kernel's 1e-9 (the dense
-  reference solver may round a rate's last bit differently);
+  ``tests/reference/process.py``, on the engine and on the reference
+  engine, and the engine ≡ the reference engine within the kernel's 1e-9
+  (the dense reference solver may round a rate's last bit differently);
 - N × ``add_comm`` + ``run()`` ≡ ``simulate_transfers`` (the two forms the
   perf ladder times).
 """
@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from process_reference import explicit_transfers
+from reference.maxmin import engine
+from reference.process import explicit_transfers
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08, model_by_name
@@ -56,13 +57,12 @@ def times(activities):
     return [(a.start_time, a.finish_time) for a in activities]
 
 
-def run(scenario, form, cancel_at=None, full_resolve=False):
+def run(scenario, form, cancel_at=None, reference=False):
     """One form of the scenario: ``(transfer times, extra comm times,
     sharing counts)``.  The trigger and the victim start before the
     transfers in every form; the trigger's done callback starts the
     follow-up comms; a timer at ``cancel_at`` cancels the victim."""
-    sim = Simulation(PLATFORM, MODELS[scenario["model"]],
-                     full_resolve=full_resolve)
+    sim = engine(reference)(PLATFORM, MODELS[scenario["model"]])
     extras = []
     if scenario["trigger"] is not None:
         trigger = sim.add_comm(*scenario["trigger"])
@@ -106,17 +106,17 @@ def instants(scenario):
 def test_forms_agree_at_coinciding_events(scenario):
     candidates = instants(scenario)
     cancel_at = candidates[scenario["cancel_at"] % len(candidates)]
-    for full_resolve in (False, True):
-        bulk = run(scenario, "bulk", cancel_at, full_resolve)
+    for reference in (False, True):
+        bulk = run(scenario, "bulk", cancel_at, reference)
         # the explicit processes start the same comms from zero-delay timers
-        assert run(scenario, "explicit", cancel_at, full_resolve)[:2] == bulk[:2]
-        one_by_one = run(scenario, "add_comm", cancel_at, full_resolve)
+        assert run(scenario, "explicit", cancel_at, reference)[:2] == bulk[:2]
+        one_by_one = run(scenario, "add_comm", cancel_at, reference)
         assert one_by_one[:2] == bulk[:2]
-        if not full_resolve:
+        if not reference:
             # the same variables re-solved in the same components
             assert one_by_one[2] == bulk[2]
             incremental = bulk
-    # full_resolve solves with the unfolded dense reference: same events,
+    # the reference engine solves with the unfolded dense solver: same events,
     # rates within the kernel's 1e-9 (its last bits may differ)
     for got, want in zip(bulk[0] + bulk[1], incremental[0] + incremental[1]):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-15)

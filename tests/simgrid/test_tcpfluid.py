@@ -10,6 +10,8 @@ star, dumbbell and cross-traffic profiles, the acceptance gate of the
 pluggable-model refactor.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.experiments.figures import FIGURES
@@ -223,12 +225,13 @@ class TestTcpDynamics:
         comms = sim.simulate_transfers([("c-1", "c-2", 1e6)])
         assert sim.clock == pytest.approx(max(c.duration for c in comms))
 
-    def test_solver_modes_agree(self):
+    def test_solver_modes_agree(self, reference_kernel):
         transfers = [(f"c-{i}", "c-6", 3e7) for i in range(1, 6)]
         reference = run_simgrid(star_platform(), transfers)
-        assert_pinned(
-            run_simgrid(star_platform(), transfers, full_resolve=True),
-            reference)
+        with reference_kernel():
+            assert_pinned(
+                run_simgrid(star_platform(), transfers),
+                reference)
 
     def test_default_path_unchanged_by_refactor(self):
         # the static default (LV08) must not grow round timers or new
@@ -251,7 +254,7 @@ class PerFlowTimerSimulation(Simulation):
     one cancelable heap timer per flow per round, every retune through the
     validating ``update_variable``.  The grouped engine must match it bit
     for bit — this is its reference, the way ``explicit_transfers``
-    (``tests/process_reference.py``) is the reference of
+    (``tests/reference/process.py``) is the reference of
     ``simulate_transfers``."""
 
     def __init__(self, *args, **kwargs):
@@ -326,13 +329,12 @@ def round_instants_of(platform, src, dst, count):
 class TestRoundGroupsMatchPerFlowTimers:
     """Grouped engine ``==`` the per-flow-timer reference, floats and all."""
 
-    def both(self, platform, transfers, ongoing=(), events=(), cancel=None,
-             **engine):
+    def both(self, platform, transfers, ongoing=(), events=(), cancel=None):
         """Run both engines; ``cancel`` = (index into ongoing, time)."""
         outcomes = []
         for cls in (Simulation, PerFlowTimerSimulation):
             with link_sandbox():
-                sim = cls(platform, TcpFluidModel(), **engine)
+                sim = cls(platform, TcpFluidModel())
                 schedule_dynamics(sim, events)
                 background = [sim.add_comm(*t) for t in ongoing]
                 if cancel is not None:
@@ -366,9 +368,10 @@ class TestRoundGroupsMatchPerFlowTimers:
         stats = sim.sharing_stats
         assert 10 < stats["round_instants"] < stats["flow_rounds"] / 4
 
-    def test_full_resolve(self, g5k_test_platform):
-        self.both(g5k_test_platform, two_rtt_classes(), full_resolve=True)
-        self.both(g5k_test_platform, fig5_draw(4, 2.15e8), full_resolve=True)
+    def test_full_resolve(self, g5k_test_platform, reference_kernel):
+        with reference_kernel():
+            self.both(g5k_test_platform, two_rtt_classes())
+            self.both(g5k_test_platform, fig5_draw(4, 2.15e8))
 
     def test_with_ongoing_transfers(self, g5k_test_platform):
         transfers = fig5_draw(5, 7.74e8)
@@ -378,8 +381,10 @@ class TestRoundGroupsMatchPerFlowTimers:
         _, alone = self.both(g5k_test_platform, transfers)
         assert with_bg[:30] != alone
 
-    @pytest.mark.parametrize("engine", [{}, {"full_resolve": True}])
-    def test_link_events_on_round_instants(self, g5k_test_platform, engine):
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["engine0", "engine1"])
+    def test_link_events_on_round_instants(self, g5k_test_platform, reference,
+                                           reference_kernel):
         transfers = fig5_draw(6, 7.74e8)
         src, dst, _ = transfers[0]
         instants = round_instants_of(g5k_test_platform, src, dst, 12)
@@ -389,9 +394,9 @@ class TestRoundGroupsMatchPerFlowTimers:
                       factor=0.2),
             LinkEvent(time=instants[11], link=SAG_LINKS, action="recover"),
         ]
-        _, dynamic = self.both(g5k_test_platform, transfers, events=events,
-                               **engine)
-        _, static = self.both(g5k_test_platform, transfers, **engine)
+        with reference_kernel() if reference else nullcontext():
+            _, dynamic = self.both(g5k_test_platform, transfers, events=events)
+            _, static = self.both(g5k_test_platform, transfers)
         assert dynamic != static
 
     def test_event_lands_exactly_on_a_round(self, g5k_test_platform):

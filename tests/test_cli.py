@@ -102,16 +102,6 @@ class TestPredict:
         assert message in text
         assert text.count("\n") == 1
 
-    def test_full_resolve_flag_matches_default(self):
-        transfer = ("sagittaire-1.lyon.grid5000.fr,"
-                    "sagittaire-2.lyon.grid5000.fr,1e9")
-        code_inc, inc = run_cli("predict", "--transfer", transfer)
-        code_full, full = run_cli("predict", "--transfer", transfer,
-                                  "--full-resolve")
-        assert code_inc == code_full == 0
-        assert (json.loads(full)[0]["duration"]
-                == pytest.approx(json.loads(inc)[0]["duration"], rel=1e-9))
-
 
 class TestBadInput:
     """Every verb keeps ``predict``'s contract on bad input: one line, exit
@@ -192,16 +182,19 @@ class TestSolverIsNotSelectable:
         ("scenarios", "run", "star-incast"),
         ("metrology", "replay", "--input", "trace.json"),
     ], ids=["predict", "what-if", "scenarios-run", "metrology-replay"])
-    def test_scalar_solve_flag_is_gone(self, argv, capsys):
+    @pytest.mark.parametrize("flag", ["--scalar-solve", "--full-resolve"])
+    def test_scalar_solve_flag_is_gone(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            run_cli(*argv, "--scalar-solve")
+            run_cli(*argv, flag)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --scalar-solve" in capsys.readouterr().err
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error" in line]
+        assert errors == [f"repro: error: unrecognized arguments: {flag}"]
 
     def test_no_entry_point_takes_a_solver_choice(self):
-        # which solver runs is maxmin.py's business alone, and full_resolve
-        # stops at the layers a caller sets it on: a keyword forwarded "just
-        # in case" is how both once reached thirteen files
+        # which solver runs is maxmin.py's business alone: a keyword
+        # forwarded "just in case" is how a solver switch once reached
+        # thirteen files.  The reference solve lives with the tests.
         from repro.core.forecast import ForecastQuery, NetworkForecastService
         from repro.core.planner import TransferPlanner
         from repro.horizon.whatif import run_what_if, simulate_forecast
@@ -212,9 +205,14 @@ class TestSolverIsNotSelectable:
         from repro.serving.service import ForecastServingService
         from repro.simgrid.engine import Simulation
         from repro.simgrid.maxmin import SharingSystem
+        from repro.simgrid.platform import Platform
         from repro.surrogate.tier import SurrogateTier
 
-        kernel_mode_stops_above = [
+        entries = [
+            Simulation, run_scenario, run_what_if, simulate_forecast,
+            NetworkForecastService.answer,
+            NetworkForecastService.predict_transfers,
+            NetworkForecastService.predict_what_if,
             ForecastQuery, ForecastQuery.of, ForecastQuery.key,
             TransferPlanner.select_fastest,
             ForecastServingService.predict,
@@ -223,24 +221,13 @@ class TestSolverIsNotSelectable:
             PendingRequest, RequestCoalescer.submit,
             WarmWorkerPool.answer_many, forecast_cache_key,
             SurrogateTier.try_answer,
+            SharingSystem, SharingSystem.solve, SharingSystem.solve_raw,
         ]
-        full_resolve_stays = [
-            Simulation, run_scenario, run_what_if, simulate_forecast,
-            NetworkForecastService.answer,
-            NetworkForecastService.predict_transfers,
-            NetworkForecastService.predict_what_if,
-        ]
-        solver = [SharingSystem, SharingSystem.solve, SharingSystem.solve_raw]
-
-        def parameters(entry):
-            return set(inspect.signature(entry).parameters)
-
-        for entry in solver + full_resolve_stays + kernel_mode_stops_above:
-            assert "vectorized" not in parameters(entry), entry
-        for entry in kernel_mode_stops_above:
-            assert "full_resolve" not in parameters(entry), entry
-        for entry in full_resolve_stays:
-            assert "full_resolve" in parameters(entry), entry
+        for entry in entries:
+            parameters = inspect.signature(entry).parameters
+            assert "vectorized" not in parameters, entry
+            assert "full_resolve" not in parameters, entry
+        assert not hasattr(Simulation(Platform("empty")), "full_resolve")
 
 
 class TestSurrogate:
@@ -323,14 +310,6 @@ class TestScenarios:
         pairs = lambda text: [(t["src"], t["dst"])
                               for t in json.loads(text)["transfers"]]
         assert pairs(a) != pairs(b)
-
-    def test_full_resolve_matches_incremental(self):
-        _, inc = run_cli("scenarios", "run", "torus-neighbors", "--json")
-        _, full = run_cli("scenarios", "run", "torus-neighbors", "--json",
-                          "--full-resolve")
-        inc_doc, full_doc = json.loads(inc), json.loads(full)
-        assert inc_doc["makespans"] == pytest.approx(full_doc["makespans"],
-                                                     rel=1e-9)
 
     def test_unknown_preset(self):
         code, text = run_cli("scenarios", "run", "warp-core")
