@@ -35,7 +35,6 @@ from repro.g5k.refapi import Grid5000Reference, NodeDoc, SiteDoc
 from repro.simgrid.platform import (
     AutonomousSystem,
     Direction,
-    Link,
     LinkUse,
     Platform,
     SharingPolicy,
@@ -115,18 +114,24 @@ def _build_test_site(
     platform.root.add_child(as_, gateway=site.gateway)
     as_.add_router(site.gateway)
 
-    # backplane links (optional ablation)
-    backplanes: dict[str, Link] = {}
+    # backplane links (optional ablation).  Every equipment link gets one
+    # up and one down LinkUse that all the site's routes share: fresh ones
+    # per host pair would be most of the route table's memory.
+    backplane_up: dict[str, LinkUse] = {}
+    backplane_down: dict[str, LinkUse] = {}
     if equipment_limits:
         for eq in site.network_equipments:
             if eq.backplane_bps > 0:
-                backplanes[eq.uid] = as_.add_link(
+                link = as_.add_link(
                     f"{eq.uid}-backplane", eq.backplane_bps / 8.0, 0.0,
                     policy=SharingPolicy.SHARED,
                 )
+                backplane_up[eq.uid] = LinkUse(link, Direction.UP)
+                backplane_down[eq.uid] = LinkUse(link, Direction.DOWN)
 
     # aggregation switches and their uplinks
-    uplinks: dict[str, Link] = {}
+    uplink_up: dict[str, LinkUse] = {}
+    uplink_down: dict[str, LinkUse] = {}
     for eq in site.network_equipments:
         if eq.kind != "switch":
             continue
@@ -135,13 +140,15 @@ def _build_test_site(
         if not uplink_ports:
             raise ConverterError(f"switch {eq.uid!r} has no uplink port")
         # XML-default policy: SHARED — the faithful half-duplex artifact
-        uplinks[eq.uid] = as_.add_link(
+        link = as_.add_link(
             f"{eq.uid}-uplink", uplink_ports[0].rate / 8.0, latency,
             policy=SharingPolicy.SHARED,
         )
-        route = [LinkUse(uplinks[eq.uid], Direction.UP)]
-        if equipment_limits and site.gateway in backplanes:
-            route.append(LinkUse(backplanes[site.gateway], Direction.UP))
+        uplink_up[eq.uid] = LinkUse(link, Direction.UP)
+        uplink_down[eq.uid] = LinkUse(link, Direction.DOWN)
+        route = [uplink_up[eq.uid]]
+        if site.gateway in backplane_up:
+            route.append(backplane_up[site.gateway])
         as_.add_route(eq.uid, site.gateway, route)
 
     # hosts, their private links, and host->gateway routes
@@ -158,12 +165,12 @@ def _build_test_site(
         node_switch[node.uid] = adapter.switch
         to_gw = [host_up[node.uid]]
         if adapter.switch != site.gateway:
-            if equipment_limits and adapter.switch in backplanes:
-                to_gw.append(LinkUse(backplanes[adapter.switch], Direction.UP))
-            to_gw.append(LinkUse(uplinks[adapter.switch], Direction.UP))
+            if adapter.switch in backplane_up:
+                to_gw.append(backplane_up[adapter.switch])
+            to_gw.append(uplink_up[adapter.switch])
             as_.add_route(node.uid, adapter.switch, [host_up[node.uid]])
-        if equipment_limits and site.gateway in backplanes:
-            to_gw.append(LinkUse(backplanes[site.gateway], Direction.UP))
+        if site.gateway in backplane_up:
+            to_gw.append(backplane_up[site.gateway])
         as_.add_route(node.uid, site.gateway, to_gw)
 
     # exhaustive host-pair routes — "it does not abstract clusters and
@@ -175,19 +182,19 @@ def _build_test_site(
             sw_b = node_switch[b]
             route = [host_up[a]]
             if sw_a == sw_b:
-                if equipment_limits and sw_a in backplanes:
-                    route.append(LinkUse(backplanes[sw_a], Direction.UP))
+                if sw_a in backplane_up:
+                    route.append(backplane_up[sw_a])
             else:
                 if sw_a != site.gateway:
-                    if equipment_limits and sw_a in backplanes:
-                        route.append(LinkUse(backplanes[sw_a], Direction.UP))
-                    route.append(LinkUse(uplinks[sw_a], Direction.UP))
-                if equipment_limits and site.gateway in backplanes:
-                    route.append(LinkUse(backplanes[site.gateway], Direction.UP))
+                    if sw_a in backplane_up:
+                        route.append(backplane_up[sw_a])
+                    route.append(uplink_up[sw_a])
+                if site.gateway in backplane_up:
+                    route.append(backplane_up[site.gateway])
                 if sw_b != site.gateway:
-                    route.append(LinkUse(uplinks[sw_b], Direction.DOWN))
-                    if equipment_limits and sw_b in backplanes:
-                        route.append(LinkUse(backplanes[sw_b], Direction.DOWN))
+                    route.append(uplink_down[sw_b])
+                    if sw_b in backplane_down:
+                        route.append(backplane_down[sw_b])
             route.append(host_down[b])
             as_.add_route(a, b, route)
 

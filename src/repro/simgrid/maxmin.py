@@ -754,20 +754,15 @@ class SharingSystem:
         self.stats["shared_filled"] += len(rows)
         return n_private
 
-    def solve_raw(self, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def solve_raw(self) -> tuple[np.ndarray, np.ndarray]:
         """Re-solve dirty components; returns ``(vids, values)`` arrays.
 
         The flat-array twin of :meth:`solve` for callers (the engine) that
         keep their own vid maps and don't want per-variable tuples.
         """
-        if full:
-            # every live constraint has a live user, which reaches it
-            dirty_vars = np.nonzero(self._var_live)[0].tolist()
-            dirty_cons = []
-        else:
-            # dirty sets never hold dead slots: every removal path discards
-            dirty_vars = sorted(self._dirty_vars)
-            dirty_cons = sorted(self._dirty_cons)
+        # dirty sets never hold dead slots: every removal path discards
+        dirty_vars = sorted(self._dirty_vars)
+        dirty_cons = sorted(self._dirty_cons)
         self._dirty_vars.clear()
         self._dirty_cons.clear()
         self.stats["solves"] += 1
@@ -776,14 +771,14 @@ class SharingSystem:
         resolved = self._solve_components(dirty_vars, dirty_cons)
         return resolved, self._values[resolved]
 
-    def solve(self, full: bool = False) -> list[tuple[object, float]]:
-        """Re-solve every dirty connected component (all of them if ``full``).
+    def solve(self) -> list[tuple[object, float]]:
+        """Re-solve every dirty connected component.
 
         Returns ``(payload, value)`` for each re-solved variable; variables
         in untouched components are not listed (their allocation is
         unchanged).
         """
-        vids, values = self.solve_raw(full=full)
+        vids, values = self.solve_raw()
         payloads = self._var_payload
         return [
             (payloads[vid], value)

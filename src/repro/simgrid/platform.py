@@ -340,18 +340,21 @@ class Router(NetPoint):
     __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     """A declared route between two elements of one AS.
 
     ``gw_src``/``gw_dst`` name net-points *inside* the respective element when
     the element is a child AS (SimGrid's ASroute gateways).  They are ``None``
-    when the element is a plain net-point.
+    when the element is a plain net-point.  ``symmetrical`` marks a table
+    entry that also answers the reverse pair; it is bookkeeping, not part of
+    the route, so it takes no part in ``==`` or ``repr``.
     """
 
     links: list[LinkUse] = field(default_factory=list)
     gw_src: Optional[str] = None
     gw_dst: Optional[str] = None
+    symmetrical: bool = field(default=False, compare=False, repr=False)
 
     def reversed(self) -> "RouteEntry":
         return RouteEntry(
@@ -370,16 +373,7 @@ def _as_link_uses(links: Iterable["Link | LinkUse"]) -> list[LinkUse]:
             uses.append(LinkUse(item, Direction.UP))
         else:
             raise TypeError(f"route element must be Link or LinkUse, got {item!r}")
-    return uses
-
-
-@dataclass(slots=True)
-class _ImpliedReverse:
-    """Route-table placeholder for the reverse of a symmetrical route, built
-    on first lookup: most declared pairs are only ever routed one way, and
-    reversing them all eagerly was most of a large platform's build time."""
-
-    forward: RouteEntry
+    return uses[:]  # exact size: appending over-allocates
 
 
 class AutonomousSystem:
@@ -402,7 +396,11 @@ class AutonomousSystem:
         self.children: dict[str, AutonomousSystem] = {}
         self.links: dict[str, Link] = {}
         self.default_gateway: Optional[str] = None
-        self._routes: dict[tuple[str, str], RouteEntry | _ImpliedReverse] = {}
+        # one entry per declared route; the reverses that symmetrical
+        # entries imply are built on first lookup into _reverses
+        self._routes: dict[tuple[str, str], RouteEntry] = {}
+        self._reverses: dict[tuple[str, str], RouteEntry] = {}
+        self._implied = 0  # symmetrical entries in _routes
         # adjacency: element name -> list of (neighbor name, [LinkUse, ...])
         self._adjacency: dict[str, list[tuple[str, list[LinkUse]]]] = {}
         # canonical (a, b, uses) declarations, for serialisation
@@ -507,19 +505,23 @@ class AutonomousSystem:
         ``src``/``dst`` are names of net-points or child ASes of this AS.
         When an endpoint is a child AS the corresponding gateway (explicit or
         the child's default) identifies the concrete net-point crossed.
-        ``symmetrical`` also declares the reversed route.
+        ``symmetrical`` also declares the reversed route, unless an explicit
+        route declared earlier holds that pair.  The reverse is stored as a
+        flag on this entry, not as a second entry: :meth:`_entry` builds it
+        on its first lookup.
         """
         self._check_element(src)
         self._check_element(dst)
         if src == dst:
             raise PlatformError(f"route from {src!r} to itself")
-        entry = RouteEntry(links=_as_link_uses(links), gw_src=gw_src, gw_dst=gw_dst)
         key = (src, dst)
-        if key in self._routes:
+        reverse = self._routes.get((dst, src))
+        if key in self._routes or (reverse is not None and reverse.symmetrical):
             raise DuplicateNameError(f"route {src!r}->{dst!r} already declared")
-        self._routes[key] = entry
-        if symmetrical:  # an explicit reverse declared earlier wins
-            self._routes.setdefault((dst, src), _ImpliedReverse(entry))
+        symmetrical = reverse is None and bool(symmetrical)
+        self._routes[key] = RouteEntry(_as_link_uses(links), gw_src, gw_dst,
+                                       symmetrical)
+        self._implied += symmetrical
         platform = self.platform
         if platform is not None:
             platform.invalidate_route_cache()
@@ -549,17 +551,25 @@ class AutonomousSystem:
     # -- intra-AS route lookup --------------------------------------------
 
     def _entry(self, key: tuple[str, str]) -> RouteEntry:
-        """The entry declared for ``key``; an implied reverse is built here
-        (concurrent first lookups build equal entries, the last one stays)."""
-        entry = self._routes[key]
-        if type(entry) is _ImpliedReverse:
-            entry = self._routes[key] = entry.forward.reversed()
+        """The entry declared for ``key``, else the reverse a symmetrical
+        entry implies, built on its first lookup and memoized (concurrent
+        first lookups build equal entries, the first one stored stays);
+        KeyError if neither exists."""
+        entry = self._routes.get(key) or self._reverses.get(key)
+        if entry is None:
+            forward = self._routes.get((key[1], key[0]))
+            if forward is None or not forward.symmetrical:
+                raise KeyError(key)
+            entry = self._reverses.setdefault(key, forward.reversed())
         return entry
 
     def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
-        """Every declared ``((src, dst), entry)``, implied reverses included."""
-        for key in self._routes:  # _entry replaces values, never adds keys
-            yield key, self._entry(key)
+        """Every declared ``((src, dst), entry)`` in declaration order, each
+        implied reverse right after its forward route (and built by it)."""
+        for (src, dst), entry in self._routes.items():
+            yield (src, dst), entry
+            if entry.symmetrical:
+                yield (dst, src), self._entry((dst, src))
 
     def local_route(self, src: str, dst: str) -> RouteEntry:
         """Route between two direct elements of this AS (may be child ASes)."""
@@ -609,8 +619,9 @@ class AutonomousSystem:
     # -- misc ---------------------------------------------------------------
 
     def route_table_size(self) -> int:
-        """Number of declared route entries (flat-vs-hierarchical bench)."""
-        return len(self._routes)
+        """Number of declared route entries, implied reverses included
+        (flat-vs-hierarchical bench); builds none of them."""
+        return len(self._routes) + self._implied
 
     def descendants(self) -> Iterator["AutonomousSystem"]:
         for child in self.children.values():

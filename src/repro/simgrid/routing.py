@@ -104,13 +104,14 @@ def route_table_bytes(platform: Platform) -> int:
 
     Counts one pointer-sized slot per link use plus fixed per-entry overhead;
     a deliberately simple estimator for the scalability bench (relative
-    comparison flat vs hierarchical is what matters).
+    comparison flat vs hierarchical is what matters).  An implied reverse
+    counts as much as its forward route and is not built.
     """
     import sys
 
     total = 0
     for as_ in (platform.root, *platform.root.descendants()):
-        for _, entry in as_.declared_routes():
-            total += sys.getsizeof(entry.links)
-            total += 8 * len(entry.links) + 64
+        for entry in as_._routes.values():
+            size = sys.getsizeof(entry.links) + 8 * len(entry.links) + 64
+            total += size * (1 + entry.symmetrical)
     return total

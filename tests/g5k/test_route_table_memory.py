@@ -1,0 +1,56 @@
+"""What the two Grid'5000 route tables cost to hold, and to count.
+
+``g5k_test`` declares every intra-site host pair (83,150 route entries,
+implied reverses included), so its route table is most of a serving
+process's platform memory.  Each declared route is one slotted entry; the
+reverse a symmetrical route implies is built only when something looks it
+up, and counting the table builds none.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.g5k.converter import to_simgrid_platform
+from repro.g5k.sites import grid5000_dev_reference, grid5000_stable_reference
+from repro.simgrid.routing import route_table_bytes
+
+#: Ceiling on the memory both builds leave allocated, as tracemalloc counts
+#: it.  One entry per declared route measures 14.9 MiB on CPython 3.11; a
+#: table that also stored a placeholder per implied reverse, with per-pair
+#: LinkUse objects, measured 27.9 MiB.
+BUILD_MIB_MAX = 16
+
+
+@pytest.fixture(scope="module")
+def built():
+    """``(traced bytes, g5k_test, g5k_cabinets)``, built fresh so that no
+    other test has looked a route up in them."""
+    dev, stable = grid5000_dev_reference(), grid5000_stable_reference()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        test = to_simgrid_platform(dev, "g5k_test")
+        cabinets = to_simgrid_platform(stable, "g5k_cabinets")
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return traced, test, cabinets
+
+
+def test_both_route_tables_fit_the_ratchet(built):
+    traced, _test, _cabinets = built
+    assert traced <= BUILD_MIB_MAX * 2**20, f"{traced / 2**20:.1f} MiB"
+
+
+def test_counting_builds_no_reverse(built):
+    _traced, test, cabinets = built
+    assert test.total_route_table_entries() == 83_150
+    assert cabinets.total_route_table_entries() == 42_262
+    assert route_table_bytes(test) > route_table_bytes(cabinets) > 0
+    for platform in (test, cabinets):
+        for as_ in (platform.root, *platform.root.descendants()):
+            assert as_._reverses == {}, as_.name

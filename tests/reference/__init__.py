@@ -5,7 +5,9 @@
 - :mod:`reference.process` — the explicit send/receive and per-task
   processes beside ``simulate_transfers`` and the done-callback workflow;
 - :mod:`reference.decode` — the four per-entry-point transfer decoders
-  beside ``transfer_triples``.
+  beside ``transfer_triples``;
+- :mod:`reference.routes` — the route table with a slot per direction
+  beside ``AutonomousSystem``'s one entry per declared route.
 
 Nothing under ``src/`` imports them.
 """

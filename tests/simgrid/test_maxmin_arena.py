@@ -213,7 +213,7 @@ class TestUpdateVariable:
             assert system.value(vid) == pytest.approx(fresh.value(fvid),
                                                       rel=1e-12)
 
-    def test_incremental_equals_full_after_updates(self):
+    def test_incremental_equals_fresh_after_updates(self):
         system = SharingSystem()
         vids = self._contended(system)
         system.solve()
@@ -221,9 +221,17 @@ class TestUpdateVariable:
         system.update_variable(vids[3], bound=2.0)
         system.solve()  # incremental: only the dirty component
         incremental = [system.value(v) for v in vids]
-        system.solve_raw(full=True)
-        assert [system.value(v) for v in vids] == pytest.approx(incremental,
-                                                                rel=1e-12)
+
+        fresh = SharingSystem()
+        shared_key = (("bottleneck",), 100.0, 1.0)
+        fresh_vids = [fresh.add_variable(w, bound=b, payload=i,
+                                         usages=(shared_key,))
+                      for i, (w, b) in enumerate(zip(
+                          [1.0, 3.0, 1.0, 1.0],
+                          [math.inf, math.inf, math.inf, 2.0]))]
+        fresh.solve()
+        assert [fresh.value(v) for v in fresh_vids] == pytest.approx(
+            incremental, rel=1e-12)
 
     def test_partial_update_leaves_other_parameter(self):
         system = SharingSystem()

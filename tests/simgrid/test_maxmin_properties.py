@@ -154,21 +154,24 @@ class TestIncrementalAgainstScratch:
 
     @given(sharing_problem())
     @settings(max_examples=60, deadline=None)
-    def test_full_solve_matches_incremental_state(self, problem):
+    def test_allocations_match_fresh_build(self, problem):
         variables, capacities, remove_idx = problem
         system, vids = build_sharing(variables, capacities)
         for i in remove_idx:
             system.remove_variable(vids[i])
         system.solve()
-        before = dict(system.allocations())
-        system.solve(full=True)
-        after = dict(system.allocations())
-        assert set(before) == set(after)
-        for payload, value in before.items():
+        incremental = dict(system.allocations())
+
+        kept = [i for i in range(len(variables)) if i not in set(remove_idx)]
+        fresh, _ = build_sharing([variables[i] for i in kept], capacities)
+        scratch = {kept[j]: value for j, value in fresh.allocations()}
+        assert set(incremental) == set(scratch)
+        for payload, value in scratch.items():
             if math.isinf(value):
-                assert math.isinf(after[payload])
+                assert math.isinf(incremental[payload])
             else:
-                assert after[payload] == pytest.approx(value, rel=TOL, abs=TOL)
+                assert incremental[payload] == pytest.approx(value, rel=TOL,
+                                                             abs=TOL)
 
     @given(sharing_problem())
     @settings(max_examples=60, deadline=None)
