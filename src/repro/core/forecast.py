@@ -31,7 +31,6 @@ from repro.simgrid.models import LV08, NetworkModel, model_key_of
 from repro.simgrid.platform import (
     Platform,
     UnknownElementError,
-    link_state_version,
     retire_link_state,
 )
 from repro.simgrid.units import parse_size
@@ -170,15 +169,15 @@ class ForecastQuery:
         return cls(platform, tuple(transfer_triples(transfers)),
                    tuple(transfer_triples(ongoing)), **state)
 
-    def key(self, epoch: Optional[int] = None) -> tuple:
-        """The identity of a point query: ``(platform, link state version,
-        model key, transfers, ongoing)`` — the forecast cache key, the
-        coalescer's single-flight key.  ``epoch`` defaults to the current
-        committed :func:`~repro.simgrid.platform.link_state_version`; the
-        model is identified by :func:`~repro.simgrid.models.model_key_of`."""
-        return (self.platform,
-                link_state_version() if epoch is None else epoch,
-                model_key_of(self.model), self.transfers, self.ongoing)
+    def key(self, stamp: int) -> tuple:
+        """The identity of a point query: ``(platform, stamp, model key,
+        transfers, ongoing)`` — the forecast cache key, the coalescer's
+        single-flight key.  ``stamp`` is the committed-state stamp of the
+        platform the query reads
+        (:meth:`NetworkForecastService.state_stamp`); the model is
+        identified by :func:`~repro.simgrid.models.model_key_of`."""
+        return (self.platform, stamp, model_key_of(self.model),
+                self.transfers, self.ongoing)
 
 
 @dataclass(frozen=True)
@@ -275,16 +274,18 @@ class NetworkForecastService:
 
     def register_platform(self, name: str, platform: Platform) -> None:
         """Serve ``platform`` as ``name``.  Replacing another platform
-        retires every cached answer, as a committed link write does.
+        stamps the new one (:func:`~repro.simgrid.platform.retire_link_state`),
+        as a committed link write would: the answers cached for ``name``
+        retire, and no other platform's.
 
         Gateway shards and warm pool workers build their own services
         from a factory, so a registration made here never reaches them."""
         replaced = self._platforms.get(name)
         self._platforms[name] = platform
-        # swap, then retire: a miss that read the old version may store an
+        # swap, then stamp: a miss that read the old stamp may store an
         # answer under it, never under the new one
         if replaced is not None and replaced is not platform:
-            retire_link_state()
+            retire_link_state(platform)
 
     def platform(self, name: str) -> Platform:
         try:
@@ -294,6 +295,13 @@ class NetworkForecastService:
 
     def platform_names(self) -> list[str]:
         return sorted(self._platforms)
+
+    def state_stamp(self, name: str) -> int:
+        """The committed-state stamp of the platform served as ``name``
+        (:attr:`~repro.simgrid.platform.Platform.state_stamp`), -1 for an
+        unknown name: what its cached answers key on."""
+        platform = self._platforms.get(name)
+        return -1 if platform is None else platform.state_stamp
 
     # -- the one answer path --------------------------------------------------
 

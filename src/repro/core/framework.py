@@ -65,7 +65,7 @@ class Pilgrim:
         """Put the serving subsystem in front of the forecast service.
 
         Once enabled, the predict routes (GET and POST) answer through the
-        version-keyed forecast cache and the request coalescer, and — with
+        stamp-keyed forecast cache and the request coalescer, and — with
         ``workers > 0`` and a picklable ``service_factory`` — fan batches
         out over a warm worker pool.  ``surrogate`` (a
         :class:`~repro.surrogate.tier.SurrogateTier`) is consulted before

@@ -6,13 +6,14 @@ each :meth:`step` polls the :class:`~repro.metrology.feed.MetrologyFeed`
 for fresh per-link estimates, and applies significant changes to the live
 :class:`~repro.simgrid.platform.Platform` **through the links' property
 setters** — each write is committed: it bumps the global link-mutation
-epoch and the committed link state version, the invalidation signals the
-whole stack already honours:
+epoch and stamps the platform (``Platform.state_stamp``), the invalidation
+signals the whole stack already honours:
 
 - per-route model memos and the incremental solver's cached usages
   re-derive at the next event (``Simulation._reshare``),
 - the serving :class:`~repro.serving.cache.ForecastCache` keys on the
-  version, so every cached answer silently becomes unreachable,
+  stamp, so every answer cached for that platform silently becomes
+  unreachable,
 - the :class:`~repro.serving.pool.WarmWorkerPool` recycles its workers on
   the next batch (``ensure_epoch``).
 

@@ -1,24 +1,27 @@
-"""Forecast cache keyed on the committed link state.
+"""Forecast cache keyed on each platform's committed link state.
 
 A bounded LRU over complete PNFS answers.  The key is the full identity of
 a forecast::
 
-    (platform name, link state version, model id, transfers, ongoing)
+    (platform name, state stamp, model id, transfers, ongoing)
 
 where ``transfers``/``ongoing`` are the ``(src, dst, size-in-bytes)``
 triples of the one decode (:func:`repro.core.forecast.transfer_triples`) —
 unit strings and :class:`TransferSpec` objects normalize to the same key —
-and the version is the process-global count of *committed* link writes,
-:func:`repro.simgrid.platform.link_state_version`, captured at lookup time.
+and the stamp is the committed-state stamp of the platform the query reads,
+:attr:`repro.simgrid.platform.Platform.state_stamp`, captured at lookup
+time.
 
-Invalidation is *implicit*: any committed link write (the latency feed, a
-scenario dynamics schedule, a manual bandwidth edit, a gateway sync) bumps
-the version, so every previously cached answer becomes unreachable, and is
-dropped the first time the cache sees a key of the newer version (not left
-to LRU pressure: a service recalibrated every few seconds would carry up to
-``maxsize`` dead answers).  A what-if's writes are transient
-(:func:`repro.simgrid.platform.link_sandbox`) and retire nothing: its
-callers store no answer computed while one ran
+Invalidation is *implicit* and per platform: a committed write to one of a
+platform's links (the latency feed, a scenario dynamics schedule, a manual
+bandwidth edit, a gateway sync) or a replacement of the platform under its
+name gives it a newer stamp, so its previously cached answers become
+unreachable, and are dropped the first time the cache sees a key of that
+platform with the newer stamp (not left to LRU pressure: a service
+recalibrated every few seconds would carry up to ``maxsize`` dead answers).
+Every other platform's answers stay hittable.  A what-if's writes are
+transient (:func:`repro.simgrid.platform.link_sandbox`) and retire nothing:
+its callers store no answer computed while one ran
 (:meth:`repro.serving.service.ForecastServingService.answer`).
 
 The key is **order-sensitive** on purpose: max-min sharing has a unique
@@ -41,10 +44,13 @@ def forecast_cache_key(
     model: object,
     transfers: Sequence[TransferSpec] | Iterable[tuple[str, str, float]],
     ongoing: Sequence[TransferSpec] | Iterable[tuple[str, str, float]] = (),
-    epoch: Optional[int] = None,
+    epoch: int = 0,
 ) -> tuple:
     """The cache key for one forecast request: its point query's
-    :meth:`~repro.core.forecast.ForecastQuery.key`.
+    :meth:`~repro.core.forecast.ForecastQuery.key` under the platform
+    stamp ``epoch`` (the default 0 is the stamp of a platform that no
+    committed write has reached; pass the live one,
+    ``NetworkForecastService.state_stamp(platform_name)``, otherwise).
 
     ``model`` is identified by :func:`repro.simgrid.models.model_key_of` —
     sharing models are frozen dataclasses whose ``model_key()`` pins every
@@ -67,27 +73,33 @@ class ForecastCache(BoundedLRU):
     counters still read consistently.
     """
 
-    __slots__ = ("_lock", "_version")
+    __slots__ = ("_lock", "_stamps")
 
     def __init__(self, maxsize: int = 4096) -> None:
         super().__init__(maxsize)
         self._lock = threading.Lock()
-        #: newest link state version seen in a key; every entry is of it
-        self._version = -1
+        #: platform name -> newest stamp seen in a key of it; every entry
+        #: of that platform is of that stamp
+        self._stamps: dict = {}
 
     @property
     def enabled(self) -> bool:
         return self.maxsize > 0
 
     def _admit(self, key: tuple) -> bool:
-        """False for a key of a retired version (nothing is stored for it).
-        The first key of a newer version retires the current one and drops
-        its entries: the version only grows, so they are never asked for."""
-        version = key[1]  # see ForecastQuery.key
-        if version > self._version:
-            self._version = version
-            super().clear()
-        return version == self._version
+        """False for a key of a retired stamp of its platform (nothing is
+        stored for it).  The first key of a newer stamp retires the
+        platform's current one and drops its entries, and only its: a
+        platform's stamp only grows, so they are never asked for."""
+        name, stamp = key[0], key[1]  # see ForecastQuery.key
+        newest = self._stamps.get(name, -1)
+        if stamp > newest:
+            self._stamps[name] = stamp
+            entries = self._entries
+            for dead in [k for k in entries if k[0] == name]:
+                del entries[dead]
+            return True
+        return stamp == newest
 
     def get(self, key: tuple) -> Optional[list[TransferForecast]]:
         with self._lock:

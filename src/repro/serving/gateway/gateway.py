@@ -16,18 +16,20 @@
 **Epoch propagation**: the gateway keeps a parent-side
 ``NetworkForecastService`` over the *same* platform objects the embedding
 application mutates (pass ``service=``; the CLI passes the session-cached
-Grid'5000 service).  Before dispatching, it compares the parent-process
-committed link state version against the last value it broadcast; on a
-change it snapshots every platform's committed link values and sends a
-``sync`` message down each shard pipe ahead of the request — so a
-recalibration under ``repro metrology run`` reaches every shard before any
-later answer, and each shard invalidates through its own committed writes.
+Grid'5000 service).  Before dispatching, it compares the newest
+committed-state stamp of the process (one int) against the one it last
+broadcast; on a change it snapshots the committed link values of the
+platforms whose own stamp moved and sends them in a ``sync`` message down
+each shard pipe ahead of the request — so a recalibration under ``repro
+metrology run`` reaches every shard before any later answer, and each
+shard invalidates that platform's answers through its own committed writes.
 
 **Bytes only, and a response cache**: request bytes go down the pipe and
 the shard's encoded answer is written as it is; the front end parses and
 encodes nothing.  Answers the shard marks cacheable are kept in a bounded
 LRU keyed on ``(state token, method, target, body)``, the token being the
-synced link state version — a sync retires every older entry.  A what-if
+synced stamp of the request's platform — a sync of that platform retires
+its older entries, and no other platform's.  A what-if
 writes its shard's links only transiently and retires nothing, but an
 answer computed while a sync or a what-if happened on its shard is never
 stored (docs/SERVING.md, "Sharded gateway").
@@ -306,7 +308,10 @@ class ShardedGateway:
         self.shards: list[ShardHandle] = []
         self.listener: Optional[PilgrimHTTPServer] = None
         self._epoch_lock = threading.Lock()
+        # the newest stamp of the process and each platform's stamp, as of
+        # the last sync; the stamps dict is replaced, never mutated
         self._synced_version = link_state_version()
+        self._synced_stamps = self._stamps()
         self.epoch_syncs = 0
         # encoded 200 bodies by (state token, method, target, body); it and
         # the fill counters are read and written under _cache_lock only.
@@ -372,11 +377,18 @@ class ShardedGateway:
 
     # -- epoch propagation -------------------------------------------------------
 
-    def sync_epoch(self, force: bool = False) -> bool:
-        """Broadcast parent link state to every shard if a committed write
-        moved :func:`~repro.simgrid.platform.link_state_version`.
+    def _stamps(self) -> dict:
+        """Platform name -> committed-state stamp, parent side."""
+        service = self.service
+        return {name: service.state_stamp(name)
+                for name in service.platform_names()}
 
-        Called on the dispatch path (a cheap int compare when nothing
+    def sync_epoch(self, force: bool = False) -> bool:
+        """Broadcast to every shard the committed link state of the parent
+        platforms whose stamp moved (all of them with ``force``).
+
+        Called on the dispatch path (a cheap int compare against
+        :func:`~repro.simgrid.platform.link_state_version` when nothing
         changed) and callable explicitly after a recalibration burst.
         Returns whether a broadcast happened.  Pipe ordering guarantees
         any request dispatched after this call answers with the new
@@ -389,23 +401,32 @@ class ShardedGateway:
             version = link_state_version()
             if not force and version == self._synced_version:
                 return False
-            link_states = snapshot_link_states(self.service)
-            for handle in self.shards:
-                if handle.alive:
-                    handle.sync(version, link_states)
+            stamps = self._stamps()
+            synced = self._synced_stamps
+            moved = [name for name, stamp in stamps.items()
+                     if force or synced.get(name) != stamp]
+            if moved:
+                link_states = snapshot_link_states(self.service, moved)
+                for handle in self.shards:
+                    if handle.alive:
+                        handle.sync(version, link_states)
+                self._synced_stamps = stamps
+                self.epoch_syncs += 1
             self._synced_version = version
-            self.epoch_syncs += 1
-        return True
+        return bool(moved)
 
     # -- request path (connection threads) ---------------------------------------
 
-    def _shard_for(self, path: str, route: str) -> ShardHandle:
+    def _shard_for(self, path: str,
+                   route: str) -> tuple[ShardHandle, Optional[str]]:
         """Consistent-hash pick: by platform for the predict/planner
         routes, by path otherwise (platform-agnostic routes answer
-        identically on every shard)."""
+        identically on every shard).  Returns the shard and the platform
+        (``None`` for a platform-agnostic route)."""
         parts = path.strip("/").split("/")
-        by_platform = route not in ("stats", "other") and len(parts) >= 3
-        return self.shards[self.ring.node(parts[2] if by_platform else path)]
+        if route not in ("stats", "other") and len(parts) >= 3:
+            return self.shards[self.ring.node(parts[2])], parts[2]
+        return self.shards[self.ring.node(path)], None
 
     def _handle(self, method: str, target: str,
                 body: bytes) -> tuple[int, object, dict]:
@@ -440,8 +461,9 @@ class ShardedGateway:
         """Answer from the response cache, else forward the request bytes
         to the platform's shard and return its encoded answer as it is."""
         self.sync_epoch()  # recalibrations reach shards before the lookup
-        handle = self._shard_for(path, route)
-        token = self._synced_version  # only grows: no clear() needed
+        handle, platform = self._shard_for(path, route)
+        # the platform's synced stamp only grows: no clear() needed
+        token = self._synced_stamps.get(platform)
         key = (token, method, target, body)
         with self._cache_lock:
             cached = self.response_cache.get(key)
@@ -449,9 +471,10 @@ class ShardedGateway:
                 handle.front_hits += 1
                 return 200, cached  # even with the shard down: state unmoved
         # a read beside a what-if (in flight now, or sent before the fill)
-        # or a link sync (token moved) may be computed on transient or old
-        # state, and nothing would retire it later: never kept.  Unlocked
-        # reads: the counts only grow, so a torn read only refuses a fill
+        # or a sync of its platform (token moved) may be computed on
+        # transient or old state, and nothing would retire it later: never
+        # kept.  Unlocked reads: the counts only grow, so a torn read only
+        # refuses a fill
         overlapped = handle.whatifs_sent != handle.whatifs_done
         whatifs = handle.whatifs_sent + handle.whatifs_done
         try:  # a shard that is down raises ShardError at once
@@ -469,7 +492,7 @@ class ShardedGateway:
         with self._cache_lock:
             if not cacheable:
                 self.uncacheable += 1
-            elif (overlapped or token != self._synced_version
+            elif (overlapped or token != self._synced_stamps.get(platform)
                   or whatifs != handle.whatifs_sent + handle.whatifs_done):
                 self.fills_refused += 1
             else:

@@ -2,7 +2,7 @@
 
 Each shard is a child process owning its *own* full request path — a
 :class:`~repro.core.framework.Pilgrim` router over a
-:class:`~repro.serving.service.ForecastServingService` (version-keyed
+:class:`~repro.serving.service.ForecastServingService` (stamp-keyed
 ``ForecastCache``, ``RequestCoalescer``, optional ``WarmWorkerPool``) built
 from a picklable ``service_factory`` (same contract as the warm pool).
 Nothing is shared between shards: a shard's cache, route LRU and solver
@@ -24,11 +24,12 @@ returns the encoded body, which the front end writes — and, if
 
 **Epoch propagation**: link state is per process, so a recalibration in
 the gateway process is invisible to a shard that forked before it.  The
-gateway watches its committed link state version and broadcasts
-``("sync", version, {platform: {link: (bw, lat)}})`` of committed values
-ahead of the next dispatch; the shard commits whichever link values differ
-from its own committed ones through the normal ``Link`` setters — so the
-shard's ``ForecastCache``, route memos and warm-pool generation all
+gateway watches its platforms' committed-state stamps and broadcasts
+``("sync", version, {platform: {link: (bw, lat)}})`` of the committed
+values of the platforms whose stamp moved, ahead of the next dispatch; the
+shard commits whichever link values differ from its own committed ones
+through the normal ``Link`` setters — so the shard's ``ForecastCache``
+(for those platforms only), route memos and warm-pool generation all
 invalidate through the exact mechanism they already trust, and a what-if
 running on the shard meanwhile ends on the synced values.  Pipes deliver
 in order: a request sent after the sync always sees the new capacities.
@@ -68,12 +69,13 @@ def apply_link_states(service, link_states: dict) -> int:
     return changed
 
 
-def snapshot_link_states(service) -> dict:
-    """``{platform: {link: committed (bandwidth, latency)}}``, all of them."""
+def snapshot_link_states(service, names) -> dict:
+    """``{platform: {link: committed (bandwidth, latency)}}`` of the
+    platforms ``names``."""
     return {
         name: {link.name: link.committed
                for link in service.platform(name).links()}
-        for name in service.platform_names()
+        for name in names
     }
 
 

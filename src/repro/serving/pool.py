@@ -10,11 +10,14 @@ throwaway.
 
 Recycling bounds worker state: after ``max_requests`` forecasts the pool
 restarts its executor generation (fresh processes, fresh services), and
-:meth:`ensure_epoch` restarts it whenever the global link-mutation epoch
-moved — a platform recalibration in the serving process must not keep
-answering from workers built against the old capacities.  Under the
-``fork`` start method a recycle re-forks from the *current* parent, so a
-session-cached factory hands workers the recalibrated platforms for free.
+:meth:`ensure_epoch` restarts it whenever a committed link write moved
+:func:`~repro.simgrid.platform.link_state_version` — a platform
+recalibration in the serving process must not keep answering from workers
+built against the old capacities, while a what-if's transient writes
+re-fork nothing.  Under the ``fork`` start method a recycle re-forks from
+the *current* parent, so a session-cached factory hands workers the
+recalibrated platforms for free; a worker forked while a what-if held
+transient values puts the committed ones back before it serves.
 """
 
 from __future__ import annotations
@@ -31,15 +34,20 @@ from repro.core.forecast import (
     NetworkForecastService,
     TransferForecast,
 )
-from repro.simgrid.platform import link_epoch
+from repro.simgrid.platform import link_state_version, restore_committed
 
 #: Worker-process state: the resident service built by the pool initializer.
 _WORKER_STATE: dict = {}
 
 
 def _warm_worker_init(service_factory: Callable[[], NetworkForecastService]) -> None:
-    """Pool initializer: build the forecast service once per worker."""
-    _WORKER_STATE["service"] = service_factory()
+    """Pool initializer: build the forecast service once per worker, on
+    committed link values (a fork inside a what-if's sandbox copied its
+    transient ones)."""
+    service = service_factory()
+    restore_committed(link for name in service.platform_names()
+                      for link in service.platform(name).links())
+    _WORKER_STATE["service"] = service
 
 
 def _warm_worker_task(query: ForecastQuery) -> list[TransferForecast]:
@@ -79,7 +87,7 @@ class WarmWorkerPool:
         self.batches = 0
         self.recycles = 0
         #: executor generations ever started (1 on first start; each
-        #: recycle — max_requests or epoch-driven — starts another)
+        #: recycle — max_requests or a committed write — starts another)
         self.generations = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -97,7 +105,7 @@ class WarmWorkerPool:
                     initializer=_warm_worker_init,
                     initargs=(self.service_factory,),
                 )
-                self._epoch = link_epoch()
+                self._epoch = link_state_version()
                 self._generation_requests = 0
                 self.generations += 1
             return self
@@ -116,7 +124,8 @@ class WarmWorkerPool:
             self.start()
 
     def ensure_epoch(self) -> None:
-        """Recycle if any link mutated since this generation was forked.
+        """Recycle if a committed link write landed since this generation
+        was forked (transient what-if writes do not count).
 
         Recycling restores recalibrated capacities only when workers can
         see them: under ``fork`` the new generation inherits the parent's
@@ -126,7 +135,8 @@ class WarmWorkerPool:
         must then derive its link state from shared configuration.
         """
         with self._lock:
-            if self._executor is not None and self._epoch != link_epoch():
+            if (self._executor is not None
+                    and self._epoch != link_state_version()):
                 if (multiprocessing.get_start_method(allow_none=True)
                         not in (None, "fork") and not self._spawn_warned):
                     self._spawn_warned = True

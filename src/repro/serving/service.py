@@ -9,8 +9,9 @@ production request path:
    its predicted uncertainty is within bound — before even the cache, so
    confident answers never touch the simulation stack at all,
 2. the **forecast cache** answers repeated queries without simulating
-   (keyed on the committed link state, so a recalibration invalidates
-   implicitly and a what-if does not),
+   (keyed on the committed state stamp of the query's platform, so a
+   recalibration invalidates that platform's answers implicitly, and a
+   what-if or another platform's recalibration does not),
 3. misses are queued on the **request coalescer**, which micro-batches
    concurrent arrivals into one fan-out,
 4. batches execute on the **warm worker pool** (``workers > 0``) or inline
@@ -19,7 +20,8 @@ production request path:
 
 Every tier takes the request as one :class:`~repro.core.forecast.
 ForecastQuery`: the surrogate reads it, the cache and the coalescer's
-single-flight key on :meth:`~repro.core.forecast.ForecastQuery.key`, and the
+single-flight key on :meth:`~repro.core.forecast.ForecastQuery.key` (see
+:meth:`ForecastServingService.query_key`), and the
 pool ships it to a worker.  Every path below the surrogate yields
 bit-identical answers to a direct ``service.answer(query)`` call: caching
 stores exact results, batching only groups transport, and pool workers run
@@ -44,7 +46,7 @@ from repro.core.forecast import (
 from repro.serving.batcher import DEFAULT_WINDOW, PendingRequest, RequestCoalescer
 from repro.serving.cache import ForecastCache
 from repro.serving.pool import WarmWorkerPool
-from repro.simgrid.platform import link_sandboxes, link_state_version
+from repro.simgrid.platform import link_sandboxes
 
 
 class LatencyCounter:
@@ -135,6 +137,12 @@ class ForecastServingService:
 
     # -- the request path --------------------------------------------------------
 
+    def query_key(self, query: ForecastQuery) -> tuple:
+        """The cache and single-flight key of a point query: its
+        :meth:`~repro.core.forecast.ForecastQuery.key` under the current
+        committed-state stamp of the platform it reads."""
+        return query.key(self.service.state_stamp(query.platform))
+
     def predict(
         self,
         platform_name: str,
@@ -165,7 +173,7 @@ class ForecastServingService:
             if answered is not None:
                 self.latency.record(time.perf_counter() - t0)
                 return answered
-        key = query.key()
+        key = self.query_key(query)
         cached = self.cache.get(key)
         if cached is not None:
             self.latency.record(time.perf_counter() - t0)
@@ -186,17 +194,17 @@ class ForecastServingService:
 
         Requests are grouped by (platform, model); each group is one
         campaign-style fan-out.  Within a group, *identical* queries (one
-        :meth:`~repro.core.forecast.ForecastQuery.key`) are single-flighted
+        :meth:`query_key`) are single-flighted
         — the motivating burst (N clients issuing the same probe before any
         answer lands in the cache) simulates once and resolves all N
         futures.  Answers are per request either way, so nothing depends on
         what else rode the batch.
         """
-        version = link_state_version()
         groups: dict[tuple, dict[tuple, list[PendingRequest]]] = {}
         for pending in batch:
             flights = groups.setdefault(pending.group_key(), {})
-            flights.setdefault(pending.query.key(version), []).append(pending)
+            flights.setdefault(self.query_key(pending.query),
+                               []).append(pending)
         for flights in groups.values():
             waiters = list(flights.values())
             try:

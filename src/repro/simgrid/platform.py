@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,6 +38,11 @@ class PlatformError(Exception):
 
 class DuplicateNameError(PlatformError):
     """An element with this name already exists in the platform."""
+
+
+class ForeignLinkError(PlatformError):
+    """The link is already part of another platform: its committed writes
+    must stamp exactly one."""
 
 
 class UnknownElementError(PlatformError, KeyError):
@@ -94,6 +100,16 @@ _SANDBOXES = [0, 0]
 _THREAD = threading.local()
 
 
+def _unlock_after_fork() -> None:
+    """A forked child runs one thread: a lock another thread of the
+    parent held at the fork is never released there."""
+    global _LINK_LOCK
+    _LINK_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_unlock_after_fork)
+
+
 def link_epoch() -> int:
     """Count of every link write, committed or transient, so far: it moves
     whenever the live values move (in-flight comms recalibrate on it)."""
@@ -101,24 +117,62 @@ def link_epoch() -> int:
 
 
 def link_state_version() -> int:
-    """Count of committed link writes so far: what answer caches key on."""
+    """The newest committed-state stamp handed out, to any platform: it
+    moves on every committed link write anywhere (a warm pool's generation
+    keys on it; an answer keys on its platform's :attr:`Platform.state_stamp`)."""
     return _STATE_VERSION
 
 
-def retire_link_state() -> None:
-    """Move both counters as a committed link write does, writing no link:
-    a platform replaced under a served name retires the answers cached on
-    the one it replaces."""
-    global _LINK_EPOCH, _STATE_VERSION
+def _stamp(platform: Optional["Platform"]) -> None:
+    """Hand ``platform`` (if any) the next committed-state stamp; the
+    caller holds ``_LINK_LOCK``."""
+    global _STATE_VERSION
+    _STATE_VERSION += 1
+    if platform is not None:
+        platform.state_stamp = _STATE_VERSION
+
+
+def retire_link_state(platform: "Platform") -> None:
+    """Stamp ``platform`` as a committed link write does, writing no link:
+    a platform registered under a served name retires the answers cached on
+    the one it replaces, however long ago it was built."""
+    global _LINK_EPOCH
     with _LINK_LOCK:
         _LINK_EPOCH += 1
-        _STATE_VERSION += 1
+        _stamp(platform)
 
 
 def link_sandboxes() -> tuple[int, int]:
     """``(opened, exited)`` counts of :func:`link_sandbox` blocks."""
     with _LINK_LOCK:
         return _SANDBOXES[0], _SANDBOXES[1]
+
+
+def _restore(links: Iterable["Link"]) -> None:
+    """Put each link's committed values back as its live ones, moving
+    :func:`link_epoch` once per value that differed; the caller holds
+    ``_LINK_LOCK``."""
+    global _LINK_EPOCH
+    for link in links:
+        bandwidth, latency = link._committed
+        if link._bandwidth != bandwidth:
+            link._bandwidth = bandwidth
+            _LINK_EPOCH += 1
+        if link._latency != latency:
+            link._latency = latency
+            _LINK_EPOCH += 1
+
+
+def restore_committed(links: Iterable["Link"]) -> None:
+    """Make the committed values of ``links`` their live ones again, as a
+    sandbox's exit does for the links it wrote: a process forked while a
+    sandbox was open inherits its transient values and no exit to undo
+    them.  Takes the lock only when some live value differs."""
+    stale = [link for link in links
+             if (link._bandwidth, link._latency) != link._committed]
+    if stale:
+        with _LINK_LOCK:
+            _restore(stale)
 
 
 @contextmanager
@@ -130,7 +184,6 @@ def link_sandbox() -> Iterator[None]:
     committed write that landed meanwhile (from another thread) is the one
     that stays.
     """
-    global _LINK_EPOCH
     with _LINK_LOCK:
         _SANDBOXES[0] += 1
     _THREAD.written = written = set()
@@ -139,14 +192,7 @@ def link_sandbox() -> Iterator[None]:
     finally:
         _THREAD.written = None
         with _LINK_LOCK:
-            for link in written:
-                bandwidth, latency = link._committed
-                if link._bandwidth != bandwidth:
-                    link._bandwidth = bandwidth
-                    _LINK_EPOCH += 1
-                if link._latency != latency:
-                    link._latency = latency
-                    _LINK_EPOCH += 1
+            _restore(written)
             _SANDBOXES[1] += 1
 
 
@@ -161,11 +207,12 @@ class Link:
     dynamic calibration (e.g. the Pilgrim latency feed) can adjust them
     between simulations without rebuilding routes.  Every write moves the
     live values and bumps :func:`link_epoch`; outside a :func:`link_sandbox`
-    it also sets :attr:`committed` and bumps :func:`link_state_version`.
+    it also sets :attr:`committed` and stamps the platform that indexed the
+    link (:attr:`Platform.state_stamp`), as a policy write does.
     """
 
     __slots__ = ("name", "_bandwidth", "_latency", "_committed", "_policy",
-                 "properties")
+                 "_owner", "properties")
 
     def __init__(
         self,
@@ -180,6 +227,8 @@ class Link:
         self._latency = self._checked(1, parse_time(latency))
         self._committed = (self._bandwidth, self._latency)
         self._policy = policy
+        #: the platform whose committed state this link is part of
+        self._owner: Optional[Platform] = None
         self.properties = dict(properties or {})
 
     @property
@@ -218,7 +267,7 @@ class Link:
     def _write(self, field: int, value: float) -> None:
         """Set live ``field`` (0: bandwidth, 1: latency); commit it too
         unless this thread is inside a :func:`link_sandbox`."""
-        global _LINK_EPOCH, _STATE_VERSION
+        global _LINK_EPOCH
         self._checked(field, value)
         written = getattr(_THREAD, "written", None)
         with _LINK_LOCK:
@@ -229,7 +278,7 @@ class Link:
                 committed = list(self._committed)
                 committed[field] = value
                 self._committed = tuple(committed)
-                _STATE_VERSION += 1
+                _stamp(self._owner)
             else:
                 written.add(self)
             _LINK_EPOCH += 1
@@ -240,11 +289,11 @@ class Link:
 
     @policy.setter
     def policy(self, value: SharingPolicy) -> None:
-        global _LINK_EPOCH, _STATE_VERSION
+        global _LINK_EPOCH
         with _LINK_LOCK:
             self._policy = value
             _LINK_EPOCH += 1
-            _STATE_VERSION += 1
+            _stamp(self._owner)
 
     def constraint_key(self, direction: Direction) -> tuple["Link", Optional[Direction]]:
         """Key identifying the capacity constraint used when traversed in
@@ -564,12 +613,10 @@ class AutonomousSystem:
         return entry
 
     def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
-        """Every declared ``((src, dst), entry)`` in declaration order, each
-        implied reverse right after its forward route (and built by it)."""
-        for (src, dst), entry in self._routes.items():
-            yield (src, dst), entry
-            if entry.symmetrical:
-                yield (dst, src), self._entry((dst, src))
+        """Every stored ``((src, dst), entry)`` in declaration order.  An
+        entry whose ``symmetrical`` flag is set also answers ``(dst, src)``;
+        this builds none of those reverses."""
+        return iter(self._routes.items())
 
     def local_route(self, src: str, dst: str) -> RouteEntry:
         """Route between two direct elements of this AS (may be child ASes)."""
@@ -636,7 +683,14 @@ class AutonomousSystem:
 
 
 class Platform:
-    """A full platform: the root AS plus global name indexes and route cache."""
+    """A full platform: the root AS plus global name indexes and route cache.
+
+    :attr:`state_stamp` moves on every committed write to one of its links
+    (bandwidth, latency or policy) and on :func:`retire_link_state`: equal
+    stamps mean equal committed link values, so the answer caches key on
+    it.  Stamps come from one process-wide counter, so a platform's new
+    stamp is newer than any stamp handed out before it, to any platform.
+    """
 
     def __init__(
         self,
@@ -652,6 +706,8 @@ class Platform:
         self._all_links: dict[str, Link] = {}
         self._ases: dict[str, AutonomousSystem] = {self.root.name: self.root}
         self._route_cache = RouteCache(maxsize=route_cache_size)
+        #: committed-state stamp (0: no committed write has reached it)
+        self.state_stamp = 0
 
     # -- indexing ----------------------------------------------------------
 
@@ -663,7 +719,11 @@ class Platform:
     def _index_link(self, link: Link, owner: AutonomousSystem) -> None:
         if link.name in self._all_links:
             raise DuplicateNameError(f"link {link.name!r} already in platform")
+        if link._owner is not None and link._owner is not self:
+            raise ForeignLinkError(f"link {link.name!r} already belongs to "
+                                   f"platform {link._owner.name!r}")
         self._all_links[link.name] = link
+        link._owner = self
 
     def _index_as(self, as_: AutonomousSystem) -> None:
         if as_.name in self._ases:

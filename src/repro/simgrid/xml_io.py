@@ -91,7 +91,11 @@ def _as_to_xml(as_: AutonomousSystem) -> ET.Element:
     for (src, dst), entry in declared.items():
         if (dst, src) in emitted:
             continue  # reverse of an already-emitted symmetrical route
-        symmetrical = declared.get((dst, src)) == entry.reversed()
+        # an explicit reverse equal to the implied one is written as one
+        # symmetrical route too; comparing builds a reverse, keeps none
+        other = declared.get((dst, src))
+        symmetrical = entry.symmetrical or (
+            other is not None and other == entry.reversed())
         is_asroute = src in as_.children or dst in as_.children
         tag = "ASroute" if is_asroute else "route"
         route_el = ET.SubElement(el, tag, src=src, dst=dst)

@@ -4,12 +4,13 @@
 implied reverses included), so its route table is most of a serving
 process's platform memory.  Each declared route is one slotted entry; the
 reverse a symmetrical route implies is built only when something looks it
-up, and counting the table builds none.
+up, and counting the table or writing it as XML builds none.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.g5k.converter import to_simgrid_platform
 from repro.g5k.sites import grid5000_dev_reference, grid5000_stable_reference
 from repro.simgrid.routing import route_table_bytes
+from repro.simgrid.xml_io import platform_to_xml
 
 #: Ceiling on the memory both builds leave allocated, as tracemalloc counts
 #: it.  One entry per declared route measures 14.9 MiB on CPython 3.11; a
@@ -52,5 +54,22 @@ def test_counting_builds_no_reverse(built):
     assert cabinets.total_route_table_entries() == 42_262
     assert route_table_bytes(test) > route_table_bytes(cabinets) > 0
     for platform in (test, cabinets):
+        for as_ in (platform.root, *platform.root.descendants()):
+            assert as_._reverses == {}, as_.name
+
+
+#: sha256 of the full platforms' XML as written before the writer stopped
+#: building reverses
+WRITTEN = (
+    "f0b47e51ff845e4bc4f5a9a64fc167fd97272a8cc649c5600530b867fe846e5c",
+    "de863e6d98bde1075ba45f8d18fdb0f395a396f4b3bd5cf55a6c9c1277031e97",
+)
+
+
+def test_writing_xml_is_unchanged_and_builds_no_reverse(built):
+    _traced, test, cabinets = built
+    for platform, digest in zip((test, cabinets), WRITTEN):
+        text = platform_to_xml(platform)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
         for as_ in (platform.root, *platform.root.descendants()):
             assert as_._reverses == {}, as_.name

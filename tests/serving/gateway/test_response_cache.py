@@ -5,7 +5,8 @@ request cross the pipe?), never on timing.  The properties pinned here:
 
 - a hit is the byte string the filling miss returned, and decodes to an
   in-process ``predict_transfers``;
-- a parent link write retires every older entry; a ``what_if`` writes its
+- a parent link write retires its platform's older entries (the other
+  platforms': ``tests/serving/test_platform_stamps.py``); a ``what_if`` writes its
   shard's links only transiently and retires none, front end or shard;
 - a read that *overlapped* a write or a what-if is never served from
   either tier;
@@ -66,9 +67,9 @@ WHAT_IF = f"/pilgrim/what_if/{STAR_PLATFORM}"
 def truth(transfers, platform=STAR_PLATFORM, bandwidth_factor=1.0):
     """In-process answer from a fresh build (optionally with LINK scaled).
 
-    Building a platform writes links, which moves this process's link
-    epoch — and so retires every gateway's entries: tests that count
-    dispatches compute their truths first."""
+    Scaling LINK is a committed write on the fresh platform: it stamps
+    that platform only, so no gateway's entries retire; tests that count
+    dispatches still compute their truths first."""
     service = star_forecast_service(N_HOSTS, platform)
     service.platform(platform).link(
         f"{platform}-1-link").bandwidth *= bandwidth_factor

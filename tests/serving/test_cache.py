@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.forecast import TransferForecast, TransferSpec, transfer_triples
 from repro.serving.cache import ForecastCache, forecast_cache_key
+from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.models import CM02, LV08
 from repro.simgrid.platform import link_state_version
 
@@ -105,38 +106,48 @@ class TestLRU:
             ForecastCache(maxsize=-1)
 
 
+def key_on(platform, transfers, name="p") -> tuple:
+    """The key a service serving ``platform`` as ``name`` uses now."""
+    return forecast_cache_key(name, LV08(), transfers,
+                              epoch=platform.state_stamp)
+
+
 class TestEpochInvalidation:
     def test_link_mutation_moves_the_key(self, star4):
-        model = LV08()
-        before = forecast_cache_key("p", model, [("a", "b", 1e6)])
+        before = key_on(star4, [("a", "b", 1e6)])
         link = next(iter(star4.links()))
-        link.bandwidth = link.bandwidth * 0.5  # bumps the global epoch
-        after = forecast_cache_key("p", model, [("a", "b", 1e6)])
+        link.bandwidth = link.bandwidth * 0.5  # stamps star4
+        after = key_on(star4, [("a", "b", 1e6)])
         assert before != after
-        assert after[1] == link_state_version()
+        assert after[1] == star4.state_stamp == link_state_version()
+
+    def test_another_platforms_mutation_leaves_the_key(self, star4):
+        other = build_dumbbell()
+        before = key_on(star4, [("a", "b", 1e6)])
+        link = other.link("bottleneck")
+        link.bandwidth = link.bandwidth * 0.5
+        assert key_on(star4, [("a", "b", 1e6)]) == before
 
     def test_stale_entries_become_unreachable(self, star4):
         cache = ForecastCache(maxsize=8)
-        model = LV08()
-        key = forecast_cache_key("p", model, [("a", "b", 1e6)])
+        key = key_on(star4, [("a", "b", 1e6)])
         cache.put(key, [forecast(1)])
         link = next(iter(star4.links()))
         link.latency = link.latency + 1e-6
-        fresh = forecast_cache_key("p", model, [("a", "b", 1e6)])
+        fresh = key_on(star4, [("a", "b", 1e6)])
         assert cache.get(fresh) is None  # recalibration invalidated the hit
 
 
     def test_epoch_bump_drops_the_dead_entries(self, star4):
         cache = ForecastCache(maxsize=8)
-        model = LV08()
         requests = [[("a", "b", float(size))] for size in (1e6, 2e6, 3e6)]
-        stale = [forecast_cache_key("p", model, r) for r in requests]
+        stale = [key_on(star4, r) for r in requests]
         for i, key in enumerate(stale):
             cache.put(key, [forecast(i)])
         assert cache.info()["size"] == 3
         link = next(iter(star4.links()))
         link.bandwidth = link.bandwidth * 0.5
-        fresh = [forecast_cache_key("p", model, r) for r in requests]
+        fresh = [key_on(star4, r) for r in requests]
         assert cache.get(fresh[0]) is None  # first lookup of the new epoch
         assert cache.info()["size"] == 0
         cache.put(fresh[0], [forecast(10)])
@@ -158,16 +169,28 @@ class TestEpochInvalidation:
         assert cache.get(old) is None
         assert cache.get(new) == [forecast(2)]
 
+    def test_a_newer_stamp_retires_its_platform_only(self):
+        """Stamps are per platform: B's newer stamp drops B's entries and
+        leaves A's hittable, and A's own newer stamp still retires A's."""
+        cache = ForecastCache(maxsize=8)
+        cache.put(("a", 3, "x"), [forecast(1)])
+        cache.put(("b", 4, "x"), [forecast(2)])
+        assert cache.get(("b", 7, "x")) is None
+        assert cache.get(("a", 3, "x")) == [forecast(1)]
+        assert cache.info()["size"] == 1
+        cache.put(("b", 4, "y"), [forecast(3)])  # retired: not stored
+        assert cache.info()["size"] == 1
+        assert cache.get(("a", 8, "x")) is None
+        assert cache.info()["size"] == 0
+
     def test_full_cache_of_dead_entries_costs_no_evictions(self, star4):
         cache = ForecastCache(maxsize=2)
-        model = LV08()
         for size in (1e6, 2e6):
-            cache.put(forecast_cache_key("p", model, [("a", "b", size)]),
-                      [forecast(0)])
+            cache.put(key_on(star4, [("a", "b", size)]), [forecast(0)])
         link = next(iter(star4.links()))
         link.latency = link.latency + 1e-6
         for size in (1e6, 2e6):
-            key = forecast_cache_key("p", model, [("a", "b", size)])
+            key = key_on(star4, [("a", "b", size)])
             assert cache.get(key) is None
             cache.put(key, [forecast(1)])
         info = cache.info()

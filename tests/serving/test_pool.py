@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.forecast import ForecastQuery
+from repro.serving.factories import live_platform_factory, register_live_platform
 from repro.serving.pool import WarmWorkerPool
+from repro.simgrid.platform import link_epoch, link_sandbox
 from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
 
 N_HOSTS = 6
@@ -70,9 +72,45 @@ class TestWarmPool:
         with WarmWorkerPool(star_factory(N_HOSTS), workers=2) as pool:
             pool.answer_many(queries[:1])
             link = next(iter(star4.links()))
-            link.bandwidth = link.bandwidth * 0.9  # bump the global epoch
+            link.bandwidth = link.bandwidth * 0.9  # a committed write
             pool.answer_many(queries[:1])
             assert pool.stats()["recycles"] == 1
+
+    def test_a_what_if_beside_pool_reads_forks_nothing(self, queries, serial,
+                                                       star4):
+        """A what-if's transient writes (and their restore) move the
+        every-write epoch but no stamp: the generation stays; a committed
+        write anywhere still recycles it."""
+        what_ifs = star_forecast_service(N_HOSTS)
+        transfers = [(f"{STAR_PLATFORM}-1", f"{STAR_PLATFORM}-2", 5e8)]
+        event = {"time": 0.5, "link": f"{STAR_PLATFORM}-1-link",
+                 "action": "degrade", "factor": 0.5}
+        with WarmWorkerPool(star_factory(N_HOSTS), workers=1) as pool:
+            assert pool.answer_many(queries) == serial
+            epoch = link_epoch()
+            result = what_ifs.predict_what_if(STAR_PLATFORM, transfers,
+                                              [event])
+            assert result.applied and link_epoch() > epoch
+            assert pool.answer_many(queries) == serial
+            assert pool.stats()["generations"] == 1
+            link = next(iter(star4.links()))
+            link.bandwidth = link.bandwidth * 0.9
+            assert pool.answer_many(queries) == serial
+            assert pool.stats()["generations"] == 2
+
+    def test_a_generation_forked_inside_a_sandbox_serves_committed_values(
+            self, queries, serial):
+        """Workers fork on the first batch; one forked while this thread's
+        sandbox holds a transient value puts the committed one back."""
+        platform = star_forecast_service(N_HOSTS).platform(STAR_PLATFORM)
+        register_live_platform(STAR_PLATFORM, platform)
+        link = platform.link(f"{STAR_PLATFORM}-1-link")
+        with WarmWorkerPool(live_platform_factory(STAR_PLATFORM),
+                            workers=1) as pool:
+            with link_sandbox():
+                link.bandwidth = link.bandwidth / 4
+                answers = pool.answer_many(queries)
+        assert answers == serial
 
     def test_empty_batch(self):
         pool = WarmWorkerPool(star_factory(N_HOSTS), workers=2)

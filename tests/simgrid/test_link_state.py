@@ -1,11 +1,12 @@
 """Committed and transient link writes, and the tokens caches key on.
 
 A link write outside any ``link_sandbox`` of its thread is *committed*: it
-moves ``link_state_version()``, which the answer caches key on.  Inside one
-it is *transient*: the live values move (``link_epoch()`` too, so in-flight
-comms recalibrate) and the sandbox's exit puts the committed values back.
-Route memos key on ``link_epoch()``, which every write moves and none
-moves back.
+stamps the link's platform (``Platform.state_stamp``), which the answer
+caches key on, and moves ``link_state_version()``, the newest stamp of any
+platform.  Inside one it is *transient*: the live values move
+(``link_epoch()`` too, so in-flight comms recalibrate) and the sandbox's
+exit puts the committed values back.  Route memos key on ``link_epoch()``,
+which every write moves and none moves back.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.simgrid.platform import (
     link_epoch,
     link_sandboxes,
     link_state_version,
+    restore_committed,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -70,7 +72,7 @@ def test_sandboxed_writes_move_no_version_and_the_exit_restores_them():
     link = platform.link("bottleneck")
     committed = link.committed
     version, (opened, exited) = link_state_version(), link_sandboxes()
-    epoch = link_epoch()
+    stamp, epoch = platform.state_stamp, link_epoch()
     with link_sandbox():
         assert link_sandboxes() == (opened + 1, exited)
         link.bandwidth = committed[0] / 4
@@ -80,11 +82,41 @@ def test_sandboxed_writes_move_no_version_and_the_exit_restores_them():
         assert link_epoch() == epoch + 2
     assert link_sandboxes() == (opened + 1, exited + 1)
     assert (link.bandwidth, link.latency) == committed
-    assert link_state_version() == version
+    assert (platform.state_stamp, link_state_version()) == (stamp, version)
     assert link_epoch() == epoch + 4  # the restores are writes too
     link.bandwidth = committed[0] / 2  # outside: committed
     assert link.committed == (committed[0] / 2, committed[1])
-    assert link_state_version() == version + 1
+    assert platform.state_stamp == link_state_version() == version + 1
+
+
+def test_a_committed_write_stamps_its_platform_only():
+    mine, other = build_dumbbell(), build_dumbbell()
+    link = mine.link("bottleneck")
+    before = other.state_stamp
+    link.latency = link.latency * 2
+    assert mine.state_stamp == link_state_version() > before
+    link.policy = SharingPolicy.FATPIPE
+    assert mine.state_stamp == link_state_version()
+    assert other.state_stamp == before
+
+
+def test_restore_committed_undoes_transient_values_inherited_without_exit():
+    """A process forked inside a sandbox holds its transient values and no
+    exit to undo them: ``restore_committed`` puts the committed ones back
+    as live values, moving the every-write epoch and no stamp."""
+    platform = build_dumbbell()
+    links = platform.links()
+    stamp = platform.state_stamp
+    with link_sandbox():
+        links[0].bandwidth = links[0].bandwidth / 4
+        epoch = link_epoch()
+        restore_committed(links)
+        assert all((link.bandwidth, link.latency) == link.committed
+                   for link in links)
+        assert link_epoch() == epoch + 1
+        restore_committed(links)  # nothing left to restore
+        assert link_epoch() == epoch + 1
+    assert platform.state_stamp == stamp
 
 
 def test_a_spec_computed_across_a_what_if_is_not_served_after_it():
@@ -160,10 +192,10 @@ def committed_values() -> tuple:
 def test_state_tokens_are_exact(steps):
     """After every step of committed writes (from this thread or another),
     sandboxed writes (each sandbox on its own thread), sandbox exits and
-    policy writes: equal ``link_state_version()`` means equal committed
-    values and policies; with no sandbox open, live == committed; a
-    memoized ``comm_spec`` == one computed on a memo-less copy of its
-    route."""
+    policy writes: equal ``PLATFORM.state_stamp`` means equal committed
+    values and policies of its links; with no sandbox open, live ==
+    committed; a memoized ``comm_spec`` == one computed on a memo-less copy
+    of its route."""
     # one single-thread executor per sandbox: a sandbox opens, writes and
     # exits on its own thread
     threads = [ThreadPoolExecutor(max_workers=1)
@@ -198,7 +230,7 @@ def test_state_tokens_are_exact(steps):
                 LINKS[step[1]].policy = step[2]
 
             values = committed_values()
-            assert seen.setdefault(link_state_version(), values) == values
+            assert seen.setdefault(PLATFORM.state_stamp, values) == values
             if not any(open_):
                 assert all((link.bandwidth, link.latency) == link.committed
                            for link in LINKS)
@@ -217,8 +249,8 @@ def test_state_tokens_are_exact(steps):
 # -- guards ------------------------------------------------------------------------
 
 #: Who may read the every-write ``link_epoch()`` — readers that must see
-#: transient what-if writes too.  An answer cache keys on
-#: ``link_state_version()`` instead.
+#: transient what-if writes too.  An answer cache keys on its platform's
+#: ``state_stamp``, a warm pool's generation on ``link_state_version()``.
 LINK_EPOCH_READERS = {
     ("simgrid/models.py", "SharingModel.comm_spec"):
         "a route memo holds live values, a what-if's transient ones too",
@@ -226,10 +258,6 @@ LINK_EPOCH_READERS = {
         "in-flight comms recalibrate on any live write",
     ("simgrid/engine.py", "Simulation._reshare"):
         "in-flight comms recalibrate on any live write",
-    ("serving/pool.py", "WarmWorkerPool.start"):
-        "a fork taken inside a sandbox inherits its transient values",
-    ("serving/pool.py", "WarmWorkerPool.ensure_epoch"):
-        "a fork taken inside a sandbox inherits its transient values",
     ("surrogate/tier.py", "SurrogateTier.__init__"): "surrogate freshness",
     ("surrogate/tier.py", "SurrogateTier.try_answer"): "surrogate freshness",
     ("surrogate/tier.py", "SurrogateTier.stats"): "surrogate freshness",

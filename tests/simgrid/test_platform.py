@@ -6,6 +6,7 @@ from repro.simgrid.platform import (
     AutonomousSystem,
     Direction,
     DuplicateNameError,
+    ForeignLinkError,
     Host,
     Link,
     LinkUse,
@@ -58,17 +59,31 @@ class TestLink:
         ("bandwidth", float("inf")), ("latency", float("nan")),
         ("latency", float("inf"))])
     def test_a_refused_write_moves_no_value_and_no_token(self, field, value):
-        link = Link("l", "1Gbps", "100us")
+        p, _a, _b, link = make_simple()
         before = (link.bandwidth, link.latency, link.committed)
-        epoch, version = link_epoch(), link_state_version()
+        tokens = link_epoch(), link_state_version(), p.state_stamp
         with pytest.raises(PlatformError, match=field):
             setattr(link, field, value)
         assert (link.bandwidth, link.latency, link.committed) == before
-        assert (link_epoch(), link_state_version()) == (epoch, version)
+        assert (link_epoch(), link_state_version(), p.state_stamp) == tokens
         with link_sandbox(), pytest.raises(PlatformError, match=field):
             setattr(link, field, value)
         assert (link.bandwidth, link.latency, link.committed) == before
-        assert link_state_version() == version
+        assert (link_state_version(), p.state_stamp) == tokens[1:]
+
+    def test_a_link_indexed_by_another_platform_is_refused(self):
+        """A link's committed writes stamp exactly one platform: the first
+        to index it keeps it, and a write still stamps only that one."""
+        first, _a, _b, link = make_simple()
+        second = Platform("second")
+        borrowed = AutonomousSystem("borrowed")
+        borrowed.links[link.name] = link
+        with pytest.raises(ForeignLinkError, match="'p'"):
+            second.root.add_child(borrowed)
+        stamp = second.state_stamp
+        link.bandwidth = link.bandwidth * 2
+        assert first.state_stamp == link_state_version()
+        assert second.state_stamp == stamp
 
     def test_shared_constraint_key_ignores_direction(self):
         link = Link("l", 1e8)
@@ -220,13 +235,14 @@ class TestRoutes:
         assert [u.link.name for u in p.route("b", "a")] == ["slow"]
         assert p.route("b", "a")[0].direction is Direction.UP
 
-    def test_declared_routes_lists_both_directions(self):
+    def test_declared_routes_list_stored_entries_and_build_no_reverse(self):
         p, a, b, link = make_simple()
         declared = dict(p.root.declared_routes())
-        assert list(declared) == [("a", "b"), ("b", "a")]
-        assert declared[("b", "a")].links == [
+        assert list(declared) == [("a", "b")]
+        assert declared[("a", "b")].symmetrical
+        assert p.root._reverses == {}
+        assert p.root.local_route("b", "a").links == [
             use.reversed() for use in declared[("a", "b")].links]
-        assert declared[("b", "a")] is p.root.local_route("b", "a")
 
     def test_route_cache_invalidation(self):
         p = Platform("p")

@@ -73,8 +73,14 @@ def test_table_matches_pair_model(steps):
         assert table.route_table_size() == model.route_table_size()
         if not check:
             continue
-        declared = [(key, (entry.links, entry.gw_src, entry.gw_dst))
-                    for key, entry in table.declared_routes()]
+        declared = []
+        for (src, dst), entry in table.declared_routes():
+            declared.append(((src, dst),
+                             (entry.links, entry.gw_src, entry.gw_dst)))
+            if entry.symmetrical:  # the reverse it implies, built here
+                back = table.local_route(dst, src)
+                declared.append(((dst, src),
+                                 (back.links, back.gw_src, back.gw_dst)))
         assert declared == list(model.declared_routes())
         for pair in PAIRS:
             assert table_view(table, *pair) == table_view(model, *pair)

@@ -1,12 +1,14 @@
 """XML platform serialisation round-trips."""
 
+import hashlib
+
 import pytest
 
 from repro.simgrid.builder import build_dumbbell, build_star_cluster, build_two_level_grid
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
-from repro.simgrid.platform import (Direction, NoRouteError, Platform,
-                                    PlatformError, SharingPolicy)
+from repro.simgrid.platform import (Direction, LinkUse, NoRouteError,
+                                    Platform, PlatformError, SharingPolicy)
 from repro.simgrid.routing import route_signature
 from repro.simgrid.xml_io import (
     PlatformXMLError,
@@ -126,6 +128,55 @@ class TestRoundTrip:
         p.root.add_route("a", "b", [LinkUse(link, Direction.DOWN)])
         clone = roundtrip(p)
         assert clone.route("a", "b")[0].direction is Direction.DOWN
+
+
+def explicit_pairs():
+    """Explicit one-way routes: a mutually reverse pair (written as one
+    symmetrical route), a pair that differs each way, and a flagged one."""
+    p = Platform("p")
+    for host in "abc":
+        p.root.add_host(host)
+    one = p.root.add_link("l", 1e8)
+    duplex = p.root.add_link("m", 1e8, policy=SharingPolicy.FULLDUPLEX)
+    p.root.add_route("a", "b", [one, LinkUse(duplex, Direction.DOWN)],
+                     symmetrical=False)
+    p.root.add_route("c", "a", [duplex])
+    p.root.add_route("b", "a", [LinkUse(duplex, Direction.UP),
+                                LinkUse(one, Direction.DOWN)],
+                     symmetrical=False)
+    p.root.add_route("b", "c", [one], symmetrical=False)
+    p.root.add_route("c", "b", [duplex], symmetrical=False)
+    return p
+
+
+#: sha256 of each platform's XML as written before the writer stopped
+#: building reverses: the text must not move by a byte
+WRITTEN = {
+    "star4": (lambda: build_star_cluster("star", 4),
+              "891d4f48657a5cc439629aec54d24a81dd2562b725ec23e1f6296703d4e7ec40"),
+    "dumbbell": (lambda: build_dumbbell(2, 2, bottleneck_bandwidth="1Gbps"),
+                 "a44ebfda75f930dbef1289e60bb8882bc5212bfc3b7f23ebf3bdae2fceec66bf"),
+    "grid": (lambda: build_two_level_grid({"lyon": 3, "nancy": 3}),
+             "58289ed07c023b2ba64335b597261eeefcbb2a211c30c58f34c53d0425e5987c"),
+    "explicit_pairs": (explicit_pairs,
+                       "3fd167a8be88eaf4ad448d67551cf158788d4ea5ef5dd78b347b61fb7f6210f9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_writing_is_unchanged_and_builds_no_reverse(name):
+    build, digest = WRITTEN[name]
+    platform = build()
+    text = platform_to_xml(platform)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for as_ in (platform.root, *platform.root.descendants()):
+        assert as_._reverses == {}, as_.name
+
+
+def test_a_mutually_reverse_explicit_pair_is_written_once():
+    text = platform_to_xml(explicit_pairs())
+    assert text.count("<route ") == 4  # a-b once, c-a, b-c and c-b
+    assert text.count('symmetrical="YES"') == 2
 
 
 class TestFileIO:
