@@ -1,4 +1,4 @@
-"""Descriptive statistics used by the analysis layer and the benches."""
+"""Descriptive statistics used by the analysis layer and the tests."""
 
 from __future__ import annotations
 

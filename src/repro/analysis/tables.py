@@ -1,4 +1,4 @@
-"""Plain-text table rendering for bench output."""
+"""Plain-text table rendering for ``repro report`` output."""
 
 from __future__ import annotations
 

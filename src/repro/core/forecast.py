@@ -423,7 +423,14 @@ class NetworkForecastService:
 
     def observe_link(self, platform_name: str, link_name: str,
                      bandwidth: float, weight: int = 1) -> None:
-        """Feed one bandwidth measurement into a link's horizon series."""
+        """Feed one bandwidth measurement into a link's horizon series.
+
+        The value must be finite and positive, as a link bandwidth must be:
+        anything else raises :class:`BadRequest` and leaves the series as
+        it was (one ``nan`` would otherwise freeze it for good)."""
+        if not 0.0 < bandwidth < math.inf:
+            raise BadRequest(f"link {link_name!r}: an observed bandwidth "
+                             f"must be finite and > 0, got {bandwidth!r}")
         try:
             self.horizon_state(platform_name).observe(link_name, bandwidth,
                                                       weight=weight)

@@ -6,8 +6,7 @@ what they *mean* — request line, limits, ``Content-Length``, keep-alive,
 the response bytes — is decided here (the rules are listed in
 docs/SERVING.md, "HTTP transport").  The gateway's asyncio front end, the
 second reader this codec had, is gone: it took 75–118 µs per exchange where
-the threaded loop takes 22–34 µs, and the threaded loop holds the 1100
-keep-alive clients of ``benchmarks/bench_gateway_load.py``.
+the threaded loop takes 22–34 µs.
 
 A parse-level rejection is raised as the
 :class:`~repro.core.rest.errors.ApiError` it answers with; the stream is no

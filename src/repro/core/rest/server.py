@@ -17,10 +17,7 @@ because for one client that is the cheapest turn-around measured: with the
 same client, a 2.8 KB target and a precomputed 30-forecast body, 22–34 µs
 per exchange on a 2-vCPU VM, against 77–84 µs for ``http.server`` (which
 this loop replaced) and 75–118 µs for the asyncio front end the gateway ran
-before it moved here.  A thread per connection also holds the gateway's
-1100 keep-alive clients (``benchmarks/bench_gateway_load.py``, sustained
-phase: zero transport errors, 1359–2212 req/s at p50 235–347 ms, against
-1473–1720 req/s at p50 463–565 ms on the asyncio front end).
+before it moved here.
 
 Every response leaves in one write on a ``TCP_NODELAY`` socket: written
 separately on a Nagle socket (the stdlib default) a body waits for the

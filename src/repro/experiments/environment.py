@@ -1,7 +1,7 @@
 """Cached experiment environment.
 
 Building ``g5k_test`` enumerates every intra-site host pair (§V-A's "less
-optimized in size and loading time"), so tests and benches share one cached
+optimized in size and loading time"), so the tests share one cached
 instance of each platform and of the testbed.
 
 Those cached builds live as long as the process, and the two Grid'5000

@@ -33,7 +33,7 @@ class SummaryStats:
     fraction_below_0575: float
 
     def rows(self) -> list[tuple[str, float, float]]:
-        """(metric, paper value, measured value) rows for the bench table."""
+        """(metric, paper value, measured value) rows for the report table."""
         return [
             ("median |log2 error|, size > 1.67e7",
              PAPER_MEDIAN_ABS_ERROR, self.median_abs_error),

@@ -14,7 +14,7 @@ those tools' role and closes the loop back into the simulator:
   applied to a live platform through the link-mutation epoch, so solver,
   route cache, forecast cache and warm pool invalidate implicitly,
 - :mod:`repro.metrology.demo` — the degrading-link deployment behind
-  ``repro metrology record|replay|run`` and the metrology bench.
+  ``repro metrology record|replay|run`` and the metrology loop tests.
 
 See ``docs/METROLOGY.md``.
 """

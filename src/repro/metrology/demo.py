@@ -14,7 +14,7 @@ two worlds the paper distinguishes:
   the :class:`~repro.metrology.loop.RecalibrationLoop`.
 
 The CLI verbs (``repro metrology record|replay|run``), the smoke check and
-``benchmarks/bench_metrology_loop.py`` all drive this harness.
+``tests/metrology/test_metrology_loop.py`` all drive this harness.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ class StarMetrologyDemo:
         :class:`~repro.serving.service.ForecastServingService` over
         :attr:`service`.  The static baseline answers from
         :attr:`static_service` directly.  This is the single scoring path
-        the CLI, the metrology bench and the tier-1 smoke check share.
+        the CLI and the metrology tests share.
         """
         from repro._util.stats import median
         from repro.analysis.errors import log2_error

@@ -15,6 +15,6 @@ This subpackage implements that baseline over the testbed:
 - :mod:`repro.nws.api` — transfer-time forecasts from the sensor forecasts.
 
 Its structural blind spot — probes cannot see the contention a *planned* set
-of concurrent transfers will create — is what the NWS-vs-PNFS bench
-demonstrates.
+of concurrent transfers will create — is what
+``tests/experiments/test_paper_experiments.py`` demonstrates against PNFS.
 """

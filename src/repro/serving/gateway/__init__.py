@@ -7,7 +7,5 @@ across N shard processes, each owning its own
 :class:`~repro.serving.service.ForecastServingService` (shared-nothing
 ``ForecastCache``, own coalescer, optional warm pool) — see
 ``docs/SERVING.md`` for the full architecture.  The listener replaced an
-asyncio front end: 22–34 µs per exchange against 75–118 µs, and the
-1100-client sustained phase of ``benchmarks/bench_gateway_load.py`` passes
-on it with zero transport errors.
+asyncio front end: 22–34 µs per exchange against 75–118 µs.
 """

@@ -30,8 +30,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 class LatencyReservoir:
     """Bounded ring of recent request latencies with percentile reads.
 
-    A ring of the last ``size`` samples (not a decaying sketch: the bench
-    and the smoke checks want exact percentiles over a known window), plus
+    A ring of the last ``size`` samples (not a decaying sketch: the load
+    tests want exact percentiles over a known window), plus
     lifetime count / total / max so long-run throughput math still works
     after the ring wraps.
     """

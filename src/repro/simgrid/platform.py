@@ -667,7 +667,7 @@ class AutonomousSystem:
 
     def route_table_size(self) -> int:
         """Number of declared route entries, implied reverses included
-        (flat-vs-hierarchical bench); builds none of them."""
+        (the flat-vs-hierarchical comparison); builds none of them."""
         return len(self._routes) + self._implied
 
     def descendants(self) -> Iterator["AutonomousSystem"]:

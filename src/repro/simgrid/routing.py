@@ -9,7 +9,7 @@ This module provides:
   route (used by converter tests),
 - :func:`flatten_platform` — materialises the flat equivalent of a
   hierarchical platform (one Full AS, every pair declared), the object whose
-  cost the routing-scalability bench measures,
+  cost ``tests/simgrid/test_routing_utils.py`` compares,
 - :func:`route_signature` — hashable route summary for comparisons.
 """
 
@@ -103,7 +103,7 @@ def route_table_bytes(platform: Platform) -> int:
     """Rough memory footprint of all declared route entries, in bytes.
 
     Counts one pointer-sized slot per link use plus fixed per-entry overhead;
-    a deliberately simple estimator for the scalability bench (relative
+    a deliberately simple estimator for the flat-vs-hierarchical test (relative
     comparison flat vs hierarchical is what matters).  An implied reverse
     counts as much as its forward route and is not built.
     """

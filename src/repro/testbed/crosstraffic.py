@@ -3,8 +3,8 @@
 The paper minimizes cross-traffic perturbation by reserving whole sites at
 night and averaging over 10 repetitions (§V-A).  This generator produces the
 perturbation those precautions avoid: Poisson flow arrivals with heavy-tailed
-(lognormal) sizes between random node pairs.  Headline benches run with it
-disabled; robustness tests use it to check that the error metrics degrade
+(lognormal) sizes between random node pairs.  The paper experiments run with
+it disabled; robustness tests use it to check that the error metrics degrade
 gracefully rather than collapse.
 """
 

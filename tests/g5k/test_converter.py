@@ -26,6 +26,9 @@ class TestG5kTest:
     def test_all_hosts_present(self, g5k_test_platform):
         assert len(g5k_test_platform.hosts()) == 463
         assert g5k_test_platform.has_host(SAG1)
+        # Figure 2: sagittaire is one flat cluster of 79 hosts
+        assert sum(1 for h in g5k_test_platform.hosts()
+                   if "sagittaire" in h.name) == 79
 
     def test_one_as_per_site(self, g5k_test_platform):
         # §IV-C2: "one SimGrid autonomous system per Grid'5000 site"
@@ -48,13 +51,17 @@ class TestG5kTest:
 
     def test_uplinks_emitted_shared(self, g5k_test_platform):
         # the documented half-duplex artifact (DESIGN.md §3)
-        uplink = g5k_test_platform.link("sgraphene1-uplink")
-        assert uplink.policy is SharingPolicy.SHARED
-        assert uplink.bandwidth == pytest.approx(1.25e9)
+        # Figure 2: graphene sits behind four 10G uplinks
+        for group in range(1, 5):
+            uplink = g5k_test_platform.link(f"sgraphene{group}-uplink")
+            assert uplink.policy is SharingPolicy.SHARED
+            assert uplink.bandwidth == pytest.approx(1.25e9)
 
     def test_backbone_emitted_fullduplex(self, g5k_test_platform):
+        # Figure 1: the sites hang off a 10G backbone
         bb = g5k_test_platform.link("renater-lyon-nancy")
         assert bb.policy is SharingPolicy.FULLDUPLEX
+        assert bb.bandwidth == pytest.approx(1.25e9)
         assert bb.latency == pytest.approx(BACKBONE_LATENCY)
 
     def test_hardcoded_latencies(self, g5k_test_platform):
@@ -112,6 +119,9 @@ class TestEquipmentLimits:
 
 
 class TestCabinets:
+    def test_all_hosts_present(self, g5k_cabinets_platform):
+        assert len(g5k_cabinets_platform.hosts()) == 463
+
     def test_intra_cluster_route_crosses_cabinet_once(self, g5k_cabinets_platform):
         route = g5k_cabinets_platform.route(SAG1, SAG2)
         names = [u.link.name for u in route]

@@ -212,6 +212,18 @@ class TestHorizonIntegration:
         with pytest.raises(NotFound):
             make_service().observe_link("dumb", "no-such-link", 1e9)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e8, 0.0])
+    def test_a_bad_observation_is_refused_and_leaves_the_series(self, bad):
+        clean, refused = self.warm_service(), self.warm_service()
+        with pytest.raises(BadRequest, match="finite and > 0"):
+            refused.observe_link("dumb", "bottleneck", bad)
+        nominal = clean.platform("dumb").link("bottleneck").bandwidth
+        for service in (clean, refused):
+            for _ in range(6):
+                service.observe_link("dumb", "bottleneck", nominal * 0.2)
+        assert (refused.horizon_capacity_factors("dumb", 2)
+                == clean.horizon_capacity_factors("dumb", 2))
+
     def test_horizon_factors_require_positive_horizon(self):
         with pytest.raises(BadRequest):
             make_service().horizon_capacity_factors("dumb", 0)

@@ -1,6 +1,6 @@
 """Asyncio load generator: thousands of keep-alive clients, one thread.
 
-The gateway bench needs 1k+ *concurrent* keep-alive connections hammering
+The gateway tests need many *concurrent* keep-alive connections hammering
 ``POST /pilgrim/predict_transfers`` — a thread-per-client generator would
 melt long before the server under test does.  This generator multiplexes
 every client on one event loop: each client owns one persistent connection
@@ -186,8 +186,8 @@ def run_load(
     """Blocking entry point: run the swarm, return the aggregated report.
 
     Runs its own event loop, so it must be called from a thread that is
-    not already inside one (benches and tests call it from the main
-    thread while the gateway's loop lives in its own daemon thread).
+    not already inside one (the tests call it from the main thread; the
+    server under test answers from its own threads).
     """
     if not queries:
         raise ValueError("at least one query is required")

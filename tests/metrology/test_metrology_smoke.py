@@ -5,7 +5,8 @@
   bit-identically to a serial simulation.
 - A combined bandwidth + latency recording round-trips through JSON and
   replays as measured scenario dynamics: both kernel modes agree, and the
-  replayed latency lands within 15 % of the recorded testbed's.
+  replayed latency lands within 12 % of the recorded testbed's (probe
+  jitter puts ~3 % of the full RTT on the latency delta).
 """
 
 from __future__ import annotations
@@ -72,4 +73,4 @@ def test_combined_recording_replays_in_both_kernel_modes(reference_kernel):
                  if e.latency is not None and e.link == demo.degraded_link]
     assert latencies, "the replay applied no latency mutation"
     truth = demo.testbed.links[demo.degraded_link].latency
-    assert latencies[-1] == pytest.approx(truth, rel=0.15)
+    assert latencies[-1] == pytest.approx(truth, rel=0.12)

@@ -11,11 +11,13 @@ every shard before the next answer.
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
 
 from repro.core.rest.client import RestClient
+from repro.core.rest.json_codec import dumps
 from repro.core.rest.errors import PayloadTooLarge, ServiceUnavailable
 from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from loadgen import LoadQuery, run_load
@@ -355,25 +357,44 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
         assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
 
 
+def load_queries(queries) -> list[LoadQuery]:
+    return [LoadQuery("POST", f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+                      dumps({"transfers": [list(t) for t in transfers]})
+                      .encode("utf-8"))
+            for transfers in queries]
+
+
+def bodies_match(report, ground_truth) -> bool:
+    """Every 200 of a query carried one body: its serial answer."""
+    return all(len(distinct) == 1
+               and json.loads(next(iter(distinct))) == ground_truth[qi]
+               for qi, distinct in report.bodies.items())
+
+
 def test_loadgen_swarm_zero_errors_bit_identical(gateway, queries,
                                                  ground_truth):
-    load_queries = []
-    for transfers in queries:
-        from repro.core.rest.json_codec import dumps
-
-        body = dumps({"transfers": [[s, d, z] for s, d, z in transfers]})
-        load_queries.append(LoadQuery(
-            "POST", f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-            body.encode("utf-8")))
     host, port = gateway.address
-    report = run_load(host, port, load_queries, clients=32,
+    report = run_load(host, port, load_queries(queries), clients=32,
                       requests_per_client=4)
     assert report.connect_failures == 0
     assert report.errors == 0
     assert report.shed == 0, "below the admission limit nothing sheds"
     assert report.completed == 32 * 4
-    import json
+    assert bodies_match(report, ground_truth)
 
-    for qi, distinct in report.bodies.items():
-        assert len(distinct) == 1, f"query {qi} answers were not identical"
-        assert json.loads(next(iter(distinct))) == ground_truth[qi]
+
+def test_overload_swarm_sheds_cleanly_and_never_hangs(queries, ground_truth):
+    # a 2+2 budget against 16 keep-alive clients: every offered request
+    # either completes with the serial answer or sheds as 503 + Retry-After
+    tiny = GatewayConfig(shards=2, window=0.0, cache_size=0, max_inflight=2,
+                         queue_depth=2, retry_after_s=0.5)
+    with ShardedGateway(star_factory(N_HOSTS), tiny) as gateway:
+        host, port = gateway.address
+        report = run_load(host, port, load_queries(queries), clients=16,
+                          requests_per_client=3)
+        assert report.errors == 0 and report.connect_failures == 0
+        assert report.completed + report.shed == 16 * 3
+        assert report.shed > 0
+        assert report.retry_after_seen == {"0.5"}
+        assert bodies_match(report, ground_truth)
+        assert gateway.stats()["admission"]["shed"] == report.shed

@@ -1,8 +1,7 @@
-"""Helpers the serving tests and benches share.
+"""Helpers the serving tests share.
 
 - star services: a synthetic full-mesh star cluster, cheap to simulate but
-  with a real per-worker build cost (what the serving bench needs to
-  contrast warm vs. cold pools), and a fleet of them;
+  with a real per-worker build cost, and a fleet of them;
 - picklable factories over both: warm-pool workers and gateway shards
   rebuild their forecast service from a factory shipped over the process
   boundary;
@@ -18,7 +17,7 @@ from typing import Callable
 from repro.core.forecast import NetworkForecastService
 from repro.simgrid.builder import build_star_cluster
 
-#: Platform name used by the star services (and the serving bench).
+#: Platform name used by the star services.
 STAR_PLATFORM = "serving-star"
 
 
@@ -33,7 +32,7 @@ def star_fleet_service(n_platforms: int = 4, n_hosts: int = 16,
     """A forecast service over ``n_platforms`` independent star clusters.
 
     The gateway shards traffic by *platform*, so a single-platform service
-    pins every request to one shard; benches and tests that want real
+    pins every request to one shard; tests that want real
     cross-shard parallelism spread load over a fleet of platforms
     (``{prefix}-0`` … ``{prefix}-{n-1}``)."""
     return NetworkForecastService({

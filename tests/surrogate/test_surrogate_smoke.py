@@ -25,8 +25,8 @@ from serving_helpers import post_predict
 
 N_HOSTS = 8
 PLATFORM = "surrogate-star"
-#: Loose accuracy floor for the tiny sweep (log2 units); the benchmark pins
-#: the real floor on a full-size held-out sweep.
+#: Loose accuracy floor for the tiny sweep (log2 units).  No test pins a
+#: floor on a full-size held-out sweep.
 MAX_MEDIAN_ERROR = 0.8
 
 

@@ -443,6 +443,17 @@ class TestWhatIf:
         forecast = result["forecasts"][0]
         assert forecast["lower"] <= forecast["duration"] <= forecast["upper"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e8"])
+    def test_bad_observation_prints_one_line_and_exits_2(self, value):
+        code, text = run_cli(
+            "what-if", "--platform", "g5k_test",
+            "--transfer", f"{self.HOSTS[0]},{self.HOSTS[1]},5e8",
+            "--horizon", "2", "--observe", f"{self.LINK}={value}",
+        )
+        assert code == 2
+        assert "finite and > 0" in text
+        assert text.count("\n") == 1
+
     def test_bad_event_rejected(self):
         code, text = run_cli(
             "what-if", "--platform", "g5k_test",

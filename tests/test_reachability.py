@@ -52,7 +52,8 @@ ALLOWLIST = {
     "repro.simgrid.xml_io": "§IV-B: the converter's SimGrid platform files "
     "(and the §V-A size check in tests/g5k/test_converter_xml.py)",
     "repro.simgrid.routing": "§IV-C2: flat vs hierarchical route tables",
-    "repro.nws.api": "§III-C: the NWS baseline bench_nws_baseline asserts PNFS beats",
+    "repro.nws.api": "§III-C: the NWS baseline PNFS beats in "
+    "tests/experiments/test_paper_experiments.py",
     "repro.experiments.campaign": "§V-A: the full campaign, every feasible "
     "combination run through run_experiment",
 }

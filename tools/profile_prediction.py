@@ -39,7 +39,6 @@ Run:  python tools/profile_prediction.py [n_transfers | --figure NAME]
 import argparse
 import cProfile
 import itertools
-import os
 import pstats
 import socket
 import statistics
@@ -57,6 +56,9 @@ from repro.serving.factories import grid5000_forecast_service
 from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import model_by_name
+
+#: The endpoints' draw seed: ``perf/run.py``'s default seed.
+SEED = 20120917
 
 REPEATS = 20
 
@@ -212,7 +214,7 @@ def main() -> None:
     else:
         spec = ExperimentSpec("profile", Topology.GRID_MULTI,
                               args.n_transfers, args.n_transfers)
-    pairs = draw_transfer_pairs(spec, int(os.environ.get("REPRO_SEED", 20120917)))
+    pairs = draw_transfer_pairs(spec, SEED)
     transfers = [(src, dst, 5e8) for src, dst in pairs]
 
     # warm the route cache the way a long-lived Pilgrim instance would be
