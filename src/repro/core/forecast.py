@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.core.rest.errors import BadRequest, NotFound
-from repro.horizon.forecast import PlatformHorizon
+from repro.horizon.forecast import InvalidObservation, PlatformHorizon
 from repro.horizon.whatif import simulate_forecast
 from repro.scenarios.spec import LinkEvent
 from repro.simgrid.models import LV08, NetworkModel, model_key_of
@@ -408,32 +408,34 @@ class NetworkForecastService:
 
     # -- multi-horizon and what-if queries ---------------------------------------
 
-    def horizon_state(self, platform_name: str, **kwargs) -> PlatformHorizon:
-        """The (lazily created) per-link horizon forecasters of a platform.
-
-        ``kwargs`` tune the underlying :class:`HorizonForecaster`s (phi, z,
-        window, cutoff_frac) and only apply on first creation.
-        """
+    def horizon_state(self, platform_name: str) -> PlatformHorizon:
+        """The (lazily created) per-link horizon forecasters of a platform:
+        the series a :class:`~repro.metrology.loop.RecalibrationLoop` over
+        it feeds, and :meth:`observe_link` too."""
         state = self._horizons.get(platform_name)
         if state is None:
             platform = self.platform(platform_name)  # raises NotFound
-            state = self._horizons[platform_name] = PlatformHorizon(
-                platform, **kwargs)
+            state = self._horizons[platform_name] = PlatformHorizon(platform)
         return state
 
     def observe_link(self, platform_name: str, link_name: str,
                      bandwidth: float, weight: int = 1) -> None:
-        """Feed one bandwidth measurement into a link's horizon series.
+        """Feed one bandwidth measurement into a link's horizon series —
+        the manual feed, in link units (divided by the link's ratio when a
+        recalibration loop keeps the series in probe units).
 
         The value must be finite and positive, as a link bandwidth must be:
         anything else raises :class:`BadRequest` and leaves the series as
-        it was (one ``nan`` would otherwise freeze it for good)."""
-        if not 0.0 < bandwidth < math.inf:
-            raise BadRequest(f"link {link_name!r}: an observed bandwidth "
-                             f"must be finite and > 0, got {bandwidth!r}")
+        it was."""
+        state = self.horizon_state(platform_name)
         try:
-            self.horizon_state(platform_name).observe(link_name, bandwidth,
-                                                      weight=weight)
+            state.observe(link_name,
+                          bandwidth / (state.ratios.get(link_name) or 1.0),
+                          weight=weight)
+        except InvalidObservation:
+            raise BadRequest(f"link {link_name!r}: an observed bandwidth "
+                             f"must be finite and > 0, got {bandwidth!r}"
+                             ) from None
         except UnknownElementError as exc:
             raise NotFound(str(exc)) from None
 

@@ -34,11 +34,12 @@ forecasting to whole-platform what-if answers (:mod:`repro.horizon.whatif`).
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.nws.forecaster import AdaptiveForecaster, ColdSeriesError
+from repro.nws.forecaster import AdaptiveForecaster
 
 #: Capacity factors must stay positive: the floor a projection can derate to.
 MIN_CAPACITY_FACTOR = 1e-9
@@ -232,6 +233,10 @@ class HorizonForecaster:
                              sigma=sigma, cutoff_step=cutoff_step)
 
 
+class InvalidObservation(ValueError):
+    """A link measurement that is not a finite, positive bandwidth."""
+
+
 class PlatformHorizon:
     """Per-link horizon forecasters for one platform.
 
@@ -243,42 +248,67 @@ class PlatformHorizon:
     consumes — factors are relative to the link's live bandwidth and
     clamped to ``(0, 1]`` (projections derate; they never promise more
     than the configured capacity).
+
+    :attr:`ratios` holds the link bandwidth one series unit stands for:
+    the :class:`~repro.metrology.loop.RecalibrationLoop` feeds probe
+    goodput and records ``nominal / reference`` when it anchors a link
+    (``None`` until then: the link projects nothing); absent means 1.0.
+    One lock serializes feeding and projecting, so a projection never
+    iterates a window an observation is growing.
     """
 
-    def __init__(self, platform, **forecaster_kwargs) -> None:
+    def __init__(self, platform) -> None:
         self.platform = platform
-        self._kwargs = dict(forecaster_kwargs)
         self._links: dict[str, HorizonForecaster] = {}
+        #: link bandwidth per series unit, by link (absent = 1.0)
+        self.ratios: dict[str, Optional[float]] = {}
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._links)
 
     def forecaster_for(self, link_name: str) -> HorizonForecaster:
         """The (lazily created) forecaster of one link."""
-        forecaster = self._links.get(link_name)
-        if forecaster is None:
-            link = self.platform.link(link_name)  # raises on unknown links
-            forecaster = HorizonForecaster(capacity=link.bandwidth,
-                                           **self._kwargs)
-            self._links[link_name] = forecaster
-        return forecaster
+        with self._lock:
+            forecaster = self._links.get(link_name)
+            if forecaster is None:
+                link = self.platform.link(link_name)  # raises on unknown links
+                forecaster = HorizonForecaster(capacity=link.bandwidth)
+                self._links[link_name] = forecaster
+            return forecaster
 
     def observe(self, link_name: str, value: float, weight: int = 1) -> None:
-        """Feed one bandwidth measurement for ``link_name``."""
-        self.forecaster_for(link_name).update(value, weight=weight)
+        """Feed one bandwidth measurement for ``link_name``, in series
+        units; raises :class:`InvalidObservation` unless it is finite and
+        positive (one ``nan`` would freeze the series for good)."""
+        if not 0.0 < value < math.inf:
+            raise InvalidObservation(
+                f"link {link_name!r}: an observed bandwidth must be finite "
+                f"and > 0, got {value!r}")
+        with self._lock:
+            self.forecaster_for(link_name).update(value, weight=weight)
+
+    def base(self, link_name: str) -> Optional[float]:
+        """The link's one-step forecast in series units — the anchor every
+        projection rolls from — or None while its series is cold."""
+        with self._lock:
+            forecaster = self._links.get(link_name)
+            if forecaster is None:
+                return None
+            return forecaster.forecaster.forecast(default=None)
 
     def ready_links(self) -> list[str]:
-        return sorted(name for name, f in self._links.items() if f.ready)
+        """Links that project: a warm series with a known ratio."""
+        with self._lock:
+            return sorted(name for name, f in self._links.items()
+                          if f.ready
+                          and self.ratios.get(name, 1.0) is not None)
 
     def project(self, horizon: int) -> dict[str, HorizonSeries]:
-        """``{link: HorizonSeries}`` for every warm link."""
-        projection: dict[str, HorizonSeries] = {}
-        for name in self.ready_links():
-            try:
-                projection[name] = self._links[name].forecast_horizon(horizon)
-            except ColdSeriesError:  # pragma: no cover - ready_links guards
-                continue
-        return projection
+        """``{link: HorizonSeries}`` for every warm link, in series units."""
+        with self._lock:
+            return {name: self._links[name].forecast_horizon(horizon)
+                    for name in self.ready_links()}
 
     def capacity_factors_at(
         self,
@@ -298,7 +328,8 @@ class PlatformHorizon:
             raise ValueError(f"bound must be value/lower/upper, got {bound!r}")
         factors = dict(combine or {})
         for name, series in self.project(horizon).items():
-            projected = getattr(series.at(horizon), bound)
+            projected = (getattr(series.at(horizon), bound)
+                         * self.ratios.get(name, 1.0))
             live = self.platform.link(name).bandwidth
             factor = projected / live if live > 0 else 1.0
             factor *= factors.get(name, 1.0)
@@ -307,9 +338,10 @@ class PlatformHorizon:
 
     def info(self) -> dict:
         """Counters for ``/pilgrim/stats``."""
-        return {
-            "links": len(self._links),
-            "ready": len(self.ready_links()),
-            "observations": sum(f.observations
-                                for f in self._links.values()),
-        }
+        with self._lock:
+            return {
+                "links": len(self._links),
+                "ready": len(self.ready_links()),
+                "observations": sum(f.observations
+                                    for f in self._links.values()),
+            }

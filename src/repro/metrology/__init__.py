@@ -8,11 +8,10 @@ those tools' role and closes the loop back into the simulator:
   a fixed period into per-(tool, site, host, metric) RRDs,
 - :mod:`repro.metrology.feed` — :class:`MetrologyFeed`: NWS
   bandwidth/latency probes on a schedule into per-link RRDs,
-- :mod:`repro.metrology.calibrator` — :class:`LinkCalibrator`: RRD windows
-  → adaptive per-link forecasts,
-- :mod:`repro.metrology.loop` — :class:`RecalibrationLoop`: estimates
-  applied to a live platform through the link-mutation epoch, so solver,
-  route cache, forecast cache and warm pool invalidate implicitly,
+- :mod:`repro.metrology.loop` — :class:`RecalibrationLoop`: RRD windows
+  into each link's horizon series, whose estimates it applies to a live
+  platform through the link-mutation epoch, so solver, route cache,
+  forecast cache and warm pool invalidate implicitly,
 - :mod:`repro.metrology.demo` — the degrading-link deployment behind
   ``repro metrology record|replay|run`` and the metrology loop tests.
 

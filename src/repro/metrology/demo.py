@@ -221,12 +221,15 @@ class StarMetrologyDemo:
         self.feed = MetrologyFeed(self.testbed, monitors, period=period,
                                   seed=seed, probe_bytes=probe_bytes,
                                   workers=feed_workers)
-        self.loop = RecalibrationLoop(self.platform, self.feed,
+        self.service = NetworkForecastService({DEMO_PLATFORM: self.platform})
+        # the loop feeds the service's own horizon series: ``?horizon=h``
+        # projects from what the loop commits
+        self.loop = RecalibrationLoop(self.feed,
+                                      self.service.horizon_state(DEMO_PLATFORM),
                                       min_rel_change=min_rel_change,
                                       anchor_alpha=anchor_alpha,
                                       anchor_health_band=anchor_health_band,
                                       anchor_weighting=anchor_weighting)
-        self.service = NetworkForecastService({DEMO_PLATFORM: self.platform})
         self.static_service = NetworkForecastService(
             {DEMO_PLATFORM: self.static_platform})
         # pool workers forked by a warm serving pool rebuild their service
@@ -259,7 +262,7 @@ class StarMetrologyDemo:
                 degrade_factor: float = 0.3, **kwargs) -> "StarMetrologyDemo":
         """A demo whose degradation fires about a third into the measured
         run — after ``warmup`` healthy polls (keep ``warmup`` at or above
-        the loop's ``min_observations`` so references anchor healthy)."""
+        the loop's ``MIN_OBSERVATIONS`` so references anchor healthy)."""
         degrade_at = (warmup + max(1, steps // 3)) * period
         return cls(n_hosts=n_hosts, period=period, seed=seed,
                    degrade_link=degrade_link, degrade_factor=degrade_factor,
@@ -346,7 +349,7 @@ class StarMetrologyDemo:
         rescaled from probe units to platform units against a healthy
         reference — the median of the first (up to) three samples, probes
         taken while links were healthy, mirroring the live loop's
-        ``min_observations`` anchoring so one noisy first probe cannot
+        ``MIN_OBSERVATIONS`` anchoring so one noisy first probe cannot
         skew the whole trace.  Goodput rescales *multiplicatively* (probe
         overhead is proportional); RTT rescales *additively*
         (``L = nominal + (rtt − rtt_ref) / 2`` — an RTT is twice the path

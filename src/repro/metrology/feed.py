@@ -7,13 +7,14 @@ round-robin databases (one GAUGE data source per metric, the default RRA
 ladder).  This is the paper's §IV-C1 ingestion half made live: where the
 :class:`~repro.metrology.collectors.GangliaCollector` replays generic metric
 callables, the feed drives *active network probes* whose series the
-:mod:`~repro.metrology.calibrator` turns back into link parameters.
+:class:`~repro.metrology.loop.RecalibrationLoop` turns back into link
+parameters.
 
 A :class:`MonitoredLink` names the platform link being calibrated and the
 testbed node pair whose probe path isolates it (the pair's bottleneck must
 be that link — e.g. a host's access link probed host ↔ collector).  Probe
 measurements are end-to-end goodput/RTT, *not* raw link parameters; the
-calibrator works in relative terms for exactly that reason.
+loop works in relative terms for exactly that reason.
 
 Two scalability properties matter on platforms with hundreds of monitored
 links:
@@ -115,7 +116,7 @@ class MetrologyFeed:
     :meth:`poll_once` records one bandwidth and one RTT sample per
     monitored link at the next deadline of the epoch grid.  Degenerate
     bandwidth probes (see :meth:`BandwidthSensor.absorb`) record NaN, which
-    the RRD treats as an unknown sample — the calibrator simply sees a gap.
+    the RRD treats as an unknown sample — the loop simply sees a gap.
 
     ``workers > 0`` fans each cycle's bandwidth probes out over a process
     pool (see the module docstring); call :meth:`close` (or use the feed as

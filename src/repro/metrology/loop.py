@@ -2,12 +2,12 @@
 
 :class:`RecalibrationLoop` closes the paper's dynamic-forecasting cycle:
 each :meth:`step` polls the :class:`~repro.metrology.feed.MetrologyFeed`
-(probe → RRD), asks the :class:`~repro.metrology.calibrator.LinkCalibrator`
-for fresh per-link estimates, and applies significant changes to the live
-:class:`~repro.simgrid.platform.Platform` **through the links' property
-setters** — each write is committed: it bumps the global link-mutation
-epoch and stamps the platform (``Platform.state_stamp``), the invalidation
-signals the whole stack already honours:
+(probe → RRD), reads the window of RRD samples that arrived since the
+previous step into the link's series, and applies significant changes to
+the live :class:`~repro.simgrid.platform.Platform` **through the links'
+property setters** — each write is committed: it bumps the global
+link-mutation epoch and stamps the platform (``Platform.state_stamp``), the
+invalidation signals the whole stack already honours:
 
 - per-route model memos and the incremental solver's cached usages
   re-derive at the next event (``Simulation._reshare``),
@@ -20,18 +20,26 @@ signals the whole stack already honours:
 Nothing subscribes to the loop; recalibration happens while the serving
 stack answers traffic, and consistency is epoch-carried.
 
+A link's bandwidth series is its
+:class:`~repro.horizon.forecast.HorizonForecaster` in the
+:class:`~repro.horizon.forecast.PlatformHorizon` the loop is given (the
+forecast service's own): step 0 is what the loop commits, step h what a
+``?horizon=h`` query projects.  See ``docs/METROLOGY.md``.
+
 Because probe measurements are end-to-end (startup overhead, TCP ramp),
-absolute levels under-estimate raw capacity.  The loop therefore captures a
-**reference estimate** per link — the first warm estimate, taken while the
-link is presumed healthy — plus the platform's nominal parameters, and
-applies *relative* updates::
+absolute levels under-estimate raw capacity.  The series therefore stay
+in probe units, and the loop captures a **reference estimate** per link —
+the first warm estimate, taken while the link is presumed healthy — plus
+the platform's nominal parameters, and applies *relative* updates::
 
     link.bandwidth = nominal_bandwidth * estimate / reference
     link.latency   = nominal_latency + (rtt_estimate - rtt_reference) / 2
 
 (bandwidth relatively — probe overhead scales with the rate; latency
 additively — an RTT is twice the path latency plus constant stack
-overhead, which a ratio would dilute every change against).
+overhead, which a ratio would dilute every change against).  Anchoring a
+link records ``nominal / reference`` on the horizon, which scales its
+projections back to link units.
 
 ``min_rel_change`` hysteresis keeps probe noise from bumping the epoch
 (and emptying caches / recycling workers) every poll.
@@ -57,10 +65,32 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.metrology.calibrator import LinkCalibrator, LinkEstimate
+from repro.horizon.forecast import PlatformHorizon
 from repro.metrology.collectors import MetrologyError
 from repro.metrology.feed import MetrologyFeed
-from repro.simgrid.platform import Platform, link_epoch
+from repro.nws.forecaster import AdaptiveForecaster
+
+#: Bandwidth samples a link's series must hold before the loop anchors its
+#: reference, so a single noisy first probe cannot skew every later
+#: relative update.
+MIN_OBSERVATIONS = 3
+
+
+@dataclass(frozen=True)
+class LinkEstimate:
+    """Current measured state of one link (``None`` = series still cold)."""
+
+    link: str
+    #: Forecast probe goodput, bytes/s.
+    bandwidth: Optional[float]
+    #: Forecast probe round-trip time, seconds.
+    rtt: Optional[float]
+    #: Clock at which the estimate was produced.
+    time: float
+
+    @property
+    def ready(self) -> bool:
+        return self.bandwidth is not None
 
 
 @dataclass(frozen=True)
@@ -204,12 +234,9 @@ class RecalibrationLoop:
 
     def __init__(
         self,
-        platform: Platform,
         feed: MetrologyFeed,
-        calibrator: Optional[LinkCalibrator] = None,
+        horizon: PlatformHorizon,
         min_rel_change: float = 0.05,
-        calibrate_latency: bool = True,
-        min_observations: int = 3,
         anchor_alpha: float = 0.0,
         anchor_health_band: float = 0.1,
         anchor_weighting: str = "hard",
@@ -217,10 +244,6 @@ class RecalibrationLoop:
         if not 0.0 <= min_rel_change < 1.0:
             raise MetrologyError(
                 f"min_rel_change must be in [0, 1), got {min_rel_change}"
-            )
-        if min_observations < 1:
-            raise MetrologyError(
-                f"min_observations must be >= 1, got {min_observations}"
             )
         if not 0.0 <= anchor_alpha < 1.0:
             raise MetrologyError(
@@ -235,20 +258,25 @@ class RecalibrationLoop:
                 f"anchor_weighting must be one of {ANCHOR_WEIGHTINGS}, "
                 f"got {anchor_weighting!r}"
             )
-        self.platform = platform
         self.feed = feed
-        self.calibrator = (calibrator if calibrator is not None
-                           else LinkCalibrator.for_feed(feed))
+        self.horizon = horizon
+        self.platform = horizon.platform
         self.min_rel_change = float(min_rel_change)
-        self.calibrate_latency = bool(calibrate_latency)
-        self.min_observations = int(min_observations)
         self.anchor_alpha = float(anchor_alpha)
         self.anchor_health_band = float(anchor_health_band)
         self.anchor_weighting = anchor_weighting
         self.stats = LoopStats()
         self._states: dict[str, _LinkState] = {}
+        self._rtt: dict[str, AdaptiveForecaster] = {}
+        #: newest RRD timestamp already consumed, per (link, metric)
+        self._consumed: dict[tuple[str, str], float] = {}
         for monitor in feed.monitors:
-            platform.link(monitor.link)  # fail fast on unknown links
+            self.platform.link(monitor.link)  # fail fast on unknown links
+            self._rtt[monitor.link] = AdaptiveForecaster()
+            self._consumed[(monitor.link, "bandwidth")] = 0.0
+            self._consumed[(monitor.link, "latency")] = 0.0
+            # no ratio until anchored: the series is in probe units
+            horizon.ratios[monitor.link] = None
 
     # -- one loop iteration ------------------------------------------------
 
@@ -256,7 +284,7 @@ class RecalibrationLoop:
         """Poll once, refresh estimates, apply significant changes."""
         now = self.feed.poll_once()
         self.stats.polls += 1
-        return self.apply(self.calibrator.estimates(now))
+        return self.apply(self.estimates(now))
 
     def run(self, steps: int) -> list[LinkUpdate]:
         """``steps`` loop iterations; returns every update applied."""
@@ -264,6 +292,41 @@ class RecalibrationLoop:
         for _ in range(steps):
             applied.extend(self.step())
         return applied
+
+    # -- reading the RRDs --------------------------------------------------
+
+    def _refresh(self, link: str, metric: str, now: float) -> None:
+        """Feed one series the RRD window since its last refresh.
+
+        The §IV-C1 fetch serves each time segment from the finest archive
+        retaining it, so after a long downtime the window mixes coarse
+        CDPs with fine recent points; each is replayed, in time order,
+        with the step count its span covers — the coarse average stands in
+        for the samples it consolidated.  NaN gaps are consumed, never fed.
+        """
+        key = (link, metric)
+        rrd = self.feed.rrd(link, metric)
+        for start, end, value in rrd.fetch_spans(self._consumed[key], now):
+            if not math.isnan(value):
+                weight = max(1, int(round((end - start) / rrd.step)))
+                if metric == "bandwidth":
+                    self.horizon.observe(link, value, weight=weight)
+                else:
+                    self._rtt[link].update(value, weight=weight)
+            self._consumed[key] = max(self._consumed[key], end)
+
+    def estimates(self, now: float) -> list[LinkEstimate]:
+        """One estimate per monitored link, after consuming the samples
+        recorded up to ``now`` (``None`` fields while a series is cold)."""
+        estimates = []
+        for monitor in self.feed.monitors:
+            link = monitor.link
+            self._refresh(link, "bandwidth", now)
+            self._refresh(link, "latency", now)
+            estimates.append(LinkEstimate(
+                link=link, bandwidth=self.horizon.base(link),
+                rtt=self._rtt[link].forecast(default=None), time=now))
+        return estimates
 
     # -- applying estimates ------------------------------------------------
 
@@ -273,8 +336,7 @@ class RecalibrationLoop:
         Cold estimates are skipped (the cold-start contract).  A link's
         first usable estimate only anchors its reference and applies no
         mutation — by construction the link is then exactly at nominal —
-        and anchoring waits for ``min_observations`` probe samples, so a
-        single noisy first probe cannot skew every later relative update.
+        and anchoring waits for :data:`MIN_OBSERVATIONS` probe samples.
         With ``anchor_alpha > 0`` every later healthy estimate re-anchors
         the reference slightly (EWMA) before the relative update is
         computed, so slow sensor drift never freezes in as bias.
@@ -288,11 +350,11 @@ class RecalibrationLoop:
             state = self._states.get(estimate.link)
             link = self.platform.link(estimate.link)
             if state is None:
-                if (self.calibrator.observations(estimate.link)
-                        < self.min_observations):
+                if (self.horizon.forecaster_for(estimate.link).observations
+                        < MIN_OBSERVATIONS):
                     self.stats.cold_estimates += 1
                     continue
-                self._states[estimate.link] = _LinkState(
+                state = self._states[estimate.link] = _LinkState(
                     nominal_bandwidth=link.bandwidth,
                     nominal_latency=link.latency,
                     bandwidth_anchor=ReferenceAnchor(
@@ -303,17 +365,18 @@ class RecalibrationLoop:
                         self.anchor_health_band, self.anchor_weighting)
                         if estimate.rtt else None),
                 )
+                self._record_ratio(estimate.link, state)
                 continue
             if state.bandwidth_anchor.observe(estimate.bandwidth):
                 self.stats.reanchors += 1
+                self._record_ratio(estimate.link, state)
             if (state.rtt_anchor is not None and estimate.rtt is not None
                     and state.rtt_anchor.observe(estimate.rtt)):
                 self.stats.reanchors += 1
             target_bw = (state.nominal_bandwidth
                          * estimate.bandwidth / state.reference_bandwidth)
             target_lat = link.latency
-            if (self.calibrate_latency and estimate.rtt is not None
-                    and state.reference_rtt):
+            if estimate.rtt is not None and state.reference_rtt:
                 # additive, not a ratio: an RTT is twice the path latency
                 # plus constant stack overhead, so the overhead would
                 # dilute every relative latency change
@@ -345,6 +408,11 @@ class RecalibrationLoop:
             applied.append(update)
         return applied
 
+    def _record_ratio(self, link: str, state: _LinkState) -> None:
+        """Link bandwidth per unit of the link's probe-goodput series."""
+        self.horizon.ratios[link] = (state.nominal_bandwidth
+                                     / state.reference_bandwidth)
+
     def _significant(self, current: float, target: float, nominal: float) -> bool:
         return abs(target - current) > self.min_rel_change * nominal
 
@@ -352,8 +420,9 @@ class RecalibrationLoop:
 
     @property
     def epoch(self) -> int:
-        """The global link-mutation epoch (every link write moves it)."""
-        return link_epoch()
+        """The platform's committed-state stamp: every write the loop
+        commits moves it (:attr:`Platform.state_stamp`)."""
+        return self.platform.state_stamp
 
     def nominal(self, link: str) -> Optional[_LinkState]:
         """The calibration anchors of ``link`` (None while cold)."""

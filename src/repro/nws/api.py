@@ -9,40 +9,54 @@ request itself will create, unlike PNFS's simulation.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from repro.nws.forecaster import AdaptiveForecaster
 from repro.nws.sensors import BandwidthSensor, LatencySensor
 from repro.testbed.fluid import TestbedNetwork
 
 
 class NwsForecastService:
-    """Per-pair sensor registry + independent transfer-time forecasts."""
+    """Per-pair probe series + independent transfer-time forecasts.
+
+    The first forecast for a pair runs ``warmup_probes`` bandwidth and RTT
+    probes and feeds each series to its own
+    :class:`~repro.nws.forecaster.AdaptiveForecaster`; a degenerate
+    bandwidth probe (NaN) is a gap, never a sample.  A pair whose series
+    are cold raises :class:`~repro.nws.forecaster.ColdSeriesError`.
+    """
 
     def __init__(self, network: TestbedNetwork, seed: int = 0,
                  warmup_probes: int = 10) -> None:
         self.network = network
         self.seed = seed
         self.warmup_probes = warmup_probes
-        self._bandwidth: dict[tuple[str, str], BandwidthSensor] = {}
-        self._latency: dict[tuple[str, str], LatencySensor] = {}
+        self._forecasters: dict[tuple[str, str],
+                                tuple[AdaptiveForecaster,
+                                      AdaptiveForecaster]] = {}
 
-    def _sensors(self, src: str, dst: str) -> tuple[BandwidthSensor, LatencySensor]:
+    def _series(self, src: str, dst: str
+                ) -> tuple[AdaptiveForecaster, AdaptiveForecaster]:
+        """The pair's (bandwidth, RTT) forecasters, warmed on first use."""
         key = (src, dst)
-        if key not in self._bandwidth:
-            bw = BandwidthSensor(self.network, src, dst, seed=self.seed)
-            lat = LatencySensor(self.network, src, dst, seed=self.seed)
-            bw.probe(self.warmup_probes)
-            lat.probe(self.warmup_probes)
-            self._bandwidth[key] = bw
-            self._latency[key] = lat
-        return self._bandwidth[key], self._latency[key]
+        if key not in self._forecasters:
+            bandwidth, rtt = AdaptiveForecaster(), AdaptiveForecaster()
+            sensor = BandwidthSensor(self.network, src, dst, seed=self.seed)
+            for goodput in sensor.probe(self.warmup_probes):
+                if not math.isnan(goodput):
+                    bandwidth.update(goodput)
+            for measured in LatencySensor(self.network, src, dst,
+                                          seed=self.seed).probe(
+                                              self.warmup_probes):
+                rtt.update(measured)
+            self._forecasters[key] = (bandwidth, rtt)
+        return self._forecasters[key]
 
     def predict_transfer(self, src: str, dst: str, size: float) -> float:
-        """Forecast one transfer's duration from the pair's sensor state."""
-        bw_sensor, lat_sensor = self._sensors(src, dst)
-        bandwidth = bw_sensor.forecast_bandwidth()
-        rtt = lat_sensor.forecast_rtt()
-        return rtt / 2.0 + size / bandwidth
+        """Forecast one transfer's duration from the pair's probe series."""
+        bandwidth, rtt = self._series(src, dst)
+        return rtt.forecast() / 2.0 + size / bandwidth.forecast()
 
     def predict_transfers(
         self, transfers: Sequence[tuple[str, str, float]]

@@ -27,7 +27,7 @@ class AdaptiveForecaster:
     Cold-start contract: :attr:`ready` is False until at least one
     predictor can produce a forecast; until then :meth:`forecast` raises
     :class:`ColdSeriesError` — unless a ``default`` is supplied, which is
-    returned instead.  Polling loops (the metrology calibrator) use
+    returned instead.  Polling loops (the metrology loop) use
     ``forecast(default=None)`` and skip the series rather than crash."""
 
     def __init__(self, factories: Optional[Sequence] = None) -> None:
@@ -43,7 +43,7 @@ class AdaptiveForecaster:
 
         ``weight > 1`` replays the value that many times — how a
         consolidated archive point standing for ``weight`` primary samples
-        at their mean is consumed (the metrology calibrator's
+        at their mean is consumed (the metrology loop's
         coarse-archive recovery), so a downtime-spanning CDP moves the
         predictors' windows like the samples it aggregated would have,
         instead of counting as a single probe.

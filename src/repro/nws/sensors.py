@@ -2,8 +2,10 @@
 
 NWS "probes are active, though they strive to perturbate the platform as
 little as possible" (§III-B): bandwidth sensors move a small payload and
-record achieved throughput; latency sensors ping.  Each sensor feeds an
-:class:`~repro.nws.forecaster.AdaptiveForecaster`.
+record achieved throughput; latency sensors ping.  Sensors measure; their
+readers forecast (the :class:`~repro.nws.api.NwsForecastService` runs an
+:class:`~repro.nws.forecaster.AdaptiveForecaster` per series, the metrology
+feed records into RRDs).
 
 Probes see the network in its *probed* state — idle, or with whatever
 background happens to run — never with the contention a future transfer set
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 
 from repro._util.rng import rng_for
-from repro.nws.forecaster import _NO_DEFAULT, AdaptiveForecaster
 from repro.testbed.fluid import FluidSimulator, TestbedNetwork
 
 
@@ -62,7 +63,6 @@ class BandwidthSensor:
         self.probe_bytes = probe_bytes
         self.seed = seed
         self.scale = 1.0
-        self.forecaster = AdaptiveForecaster()
         self._probe_index = 0
 
     def flow_seed(self) -> int:
@@ -73,23 +73,21 @@ class BandwidthSensor:
     def absorb(self, elapsed: float) -> float:
         """Turn one probe's raw elapsed time into the measured goodput.
 
-        Advances the probe index and feeds the forecaster — the bookkeeping
-        half of :meth:`probe_once`, split out so a parallel feed can run
+        Advances the probe index — the bookkeeping half of
+        :meth:`probe_once`, split out so a parallel feed can run
         :func:`run_bandwidth_probe` elsewhere and absorb the result here.
         A degenerate probe (non-positive or non-finite completion time —
-        a broken clock or an instantly-completing mock network) yields NaN
-        and is *not* fed to the forecaster: an infinite throughput sample
-        would poison every predictor in the battery.
+        a broken clock or an instantly-completing mock network) yields NaN,
+        a gap every reader skips: an infinite throughput sample would
+        poison every predictor in a forecaster's battery.
         """
         self._probe_index += 1
         if not math.isfinite(elapsed) or elapsed <= 0.0:
             return math.nan
-        throughput = self.scale * self.probe_bytes / elapsed
-        self.forecaster.update(throughput)
-        return throughput
+        return self.scale * self.probe_bytes / elapsed
 
     def probe_once(self) -> float:
-        """One probe: measured goodput (bytes/s), fed to the forecaster."""
+        """One probe: measured goodput (bytes/s), NaN when degenerate."""
         # NWS measures payload/transfer-time of the probe itself, startup
         # overhead included — small probes under-estimate the achievable rate
         return self.absorb(run_bandwidth_probe(
@@ -99,17 +97,6 @@ class BandwidthSensor:
 
     def probe(self, count: int) -> list[float]:
         return [self.probe_once() for _ in range(count)]
-
-    @property
-    def ready(self) -> bool:
-        """True once the forecaster has a usable probe history."""
-        return self.forecaster.ready
-
-    def forecast_bandwidth(self, default: object = _NO_DEFAULT) -> float:
-        """Bandwidth forecast; ``default`` is the cold-series answer (without
-        one a cold sensor raises
-        :class:`~repro.nws.forecaster.ColdSeriesError`)."""
-        return self.forecaster.forecast(default)
 
 
 class LatencySensor:
@@ -121,25 +108,11 @@ class LatencySensor:
         self.src = src
         self.dst = dst
         self.jitter = jitter
-        self.forecaster = AdaptiveForecaster()
         self._rng = rng_for(seed, "lat-probe", src, dst)
 
     def probe_once(self) -> float:
         rtt = self.network.rtt(self.src, self.dst)
-        measured = rtt * float(1.0 + self._rng.normal(0.0, self.jitter))
-        self.forecaster.update(measured)
-        return measured
+        return rtt * float(1.0 + self._rng.normal(0.0, self.jitter))
 
     def probe(self, count: int) -> list[float]:
         return [self.probe_once() for _ in range(count)]
-
-    @property
-    def ready(self) -> bool:
-        """True once the forecaster has a usable probe history."""
-        return self.forecaster.ready
-
-    def forecast_rtt(self, default: object = _NO_DEFAULT) -> float:
-        """RTT forecast; ``default`` is the cold-series answer (without one
-        a cold sensor raises
-        :class:`~repro.nws.forecaster.ColdSeriesError`)."""
-        return self.forecaster.forecast(default)

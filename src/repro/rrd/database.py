@@ -249,8 +249,8 @@ class RoundRobinDatabase:
         each is the sub-interval of ``(begin, end]`` that one CDP is the
         finest retained source for.  A fine PDP-resolution point spans one
         step; a coarse CDP surviving a long downtime spans up to its full
-        resolution.  Span-aware consumers (the metrology calibrator's
-        recovery path) use the span length to weight coarse averages by
+        resolution.  Span-aware consumers (the metrology loop's RRD
+        reader) use the span length to weight coarse averages by
         the step count they consolidated instead of treating them as
         single samples.  Unknown (NaN) values are included — their spans
         claim coverage exactly as :meth:`fetch` computes it.

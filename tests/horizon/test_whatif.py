@@ -133,7 +133,7 @@ class TestEquivalence:
         assert [f.duration for f in whatif.forecasts] == \
             [f.duration for f in plain]
 
-    def test_full_resolve_agrees(self, reference_kernel):
+    def test_reference_kernel_agrees(self, reference_kernel):
         baseline, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
         with reference_kernel():
             records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS,

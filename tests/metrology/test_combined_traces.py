@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.metrology.calibrator import LinkEstimate
+from repro.horizon.forecast import PlatformHorizon
 from repro.metrology.demo import StarMetrologyDemo, build_star_testbed
 from repro.metrology.feed import MetrologyFeed, MonitoredLink
-from repro.metrology.loop import RecalibrationLoop
+from repro.metrology.loop import (
+    MIN_OBSERVATIONS,
+    LinkEstimate,
+    RecalibrationLoop,
+)
 from repro.simgrid.builder import build_star_cluster
 
 LINK = "star-1-link"
@@ -71,18 +75,14 @@ class TestDemoCombinedTraces:
         assert scores.err_recalibrated < scores.err_static / 1.5
 
 
-class _Observed:
-    """A calibrator stand-in: every link is past ``min_observations``."""
-
-    def observations(self, link, metric="bandwidth"):
-        return 99
-
-
 def one_link_loop(**kwargs):
+    """A loop whose link's series is already past ``MIN_OBSERVATIONS``."""
     feed = MetrologyFeed(build_star_testbed(1),
                          [MonitoredLink(LINK, "star-1", "star-collector")])
     platform = build_star_cluster("star", 1)
-    loop = RecalibrationLoop(platform, feed, calibrator=_Observed(), **kwargs)
+    horizon = PlatformHorizon(platform)
+    horizon.observe(LINK, 1e8, weight=MIN_OBSERVATIONS)
+    loop = RecalibrationLoop(feed, horizon, **kwargs)
     return platform.link(LINK), loop
 
 
@@ -109,11 +109,9 @@ class TestLoopLatencyRule:
         loop.apply([estimate(rtt=1e-3)])
         assert link.latency == 0.0
 
-    @pytest.mark.parametrize("calibrate, rtt", [(False, 3e-3), (True, None)],
-                             ids=["calibration-off", "rtt-missing"])
-    def test_latency_stays_nominal_while_bandwidth_recalibrates(self, calibrate,
-                                                                rtt):
-        link, loop = one_link_loop(calibrate_latency=calibrate)
+    @pytest.mark.parametrize("rtt", [None], ids=["rtt-missing"])
+    def test_latency_stays_nominal_while_bandwidth_recalibrates(self, rtt):
+        link, loop = one_link_loop()
         nominal = link.latency
         loop.apply([estimate(bandwidth=1e8, rtt=1e-3)])
         loop.apply([estimate(bandwidth=5e7, rtt=rtt)])

@@ -1,8 +1,8 @@
-"""MetrologyFeed → LinkCalibrator → RecalibrationLoop unit tests."""
+"""MetrologyFeed → RecalibrationLoop (RRD reader, anchors, writes) unit tests."""
 
 import pytest
 
-from repro.metrology.calibrator import LinkCalibrator
+from repro.horizon.forecast import PlatformHorizon
 from repro.metrology.collectors import MetrologyError
 from repro.metrology.demo import (
     CapacityEvent,
@@ -11,7 +11,7 @@ from repro.metrology.demo import (
     build_star_testbed,
 )
 from repro.metrology.feed import MetrologyFeed, MonitoredLink
-from repro.metrology.loop import RecalibrationLoop
+from repro.metrology.loop import MIN_OBSERVATIONS, RecalibrationLoop
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.platform import link_epoch
 
@@ -33,6 +33,12 @@ def small_feed(n_hosts=2, period=10.0, seed=1, **kwargs):
         for i in range(1, n_hosts + 1)
     ]
     return MetrologyFeed(testbed, monitors, period=period, seed=seed, **kwargs)
+
+
+def star_loop(feed, n_hosts=2, name="star", **kwargs):
+    """A loop over a fresh star platform's own horizon series."""
+    platform = build_star_cluster(name, n_hosts)
+    return RecalibrationLoop(feed, PlatformHorizon(platform), **kwargs)
 
 
 class TestFeed:
@@ -186,63 +192,89 @@ class TestDeadlineGrid:
         assert 0 < cycles < 0.1 / period
 
 
-class TestCalibrator:
+class TestLoopReader:
     def test_cold_then_warm(self):
         feed = small_feed()
-        calibrator = LinkCalibrator.for_feed(feed)
-        cold = calibrator.estimates(feed.clock)
+        loop = star_loop(feed)
+        cold = loop.estimates(feed.clock)
         assert all(not e.ready for e in cold)
         assert all(e.bandwidth is None and e.rtt is None for e in cold)
         feed.poll_once()
-        warm = calibrator.estimates(feed.clock)
+        warm = loop.estimates(feed.clock)
         assert all(e.ready for e in warm)
         assert all(e.bandwidth > 0 and e.rtt > 0 for e in warm)
 
     def test_samples_consumed_exactly_once(self):
         feed = small_feed()
-        calibrator = LinkCalibrator.for_feed(feed)
+        loop = star_loop(feed)
+        series = loop.horizon.forecaster_for("star-1-link")
         feed.poll_once()
-        calibrator.estimates(feed.clock)
-        assert calibrator.observations("star-1-link") == 1
-        calibrator.estimates(feed.clock)  # no new samples
-        assert calibrator.observations("star-1-link") == 1
+        loop.estimates(feed.clock)
+        assert series.observations == 1
+        loop.estimates(feed.clock)  # no new samples
+        assert series.observations == 1
         feed.poll_once()
-        calibrator.estimates(feed.clock)
-        assert calibrator.observations("star-1-link") == 2
+        loop.estimates(feed.clock)
+        assert series.observations == 2
 
-    def test_unknown_link_rejected(self):
+    def test_the_bandwidth_estimate_is_the_horizon_base(self):
+        # one estimator per link: what the loop commits is step 0 of the
+        # series a horizon query rolls forward
         feed = small_feed()
-        calibrator = LinkCalibrator.for_feed(feed)
-        with pytest.raises(MetrologyError):
-            calibrator.estimate("nope-link", feed.clock)
+        loop = star_loop(feed)
+        for _ in range(4):
+            feed.poll_once()
+        [first, _] = loop.estimates(feed.clock)
+        series = loop.horizon.forecaster_for("star-1-link")
+        assert first.bandwidth == series.forecast_horizon(1).base
 
 
 class TestRecalibrationLoop:
     def test_unknown_platform_link_fails_fast(self):
         feed = small_feed(n_hosts=2)
-        platform = build_star_cluster("other", 2)
         with pytest.raises(Exception):
-            RecalibrationLoop(platform, feed)
+            star_loop(feed, name="other")
 
     def test_first_estimates_anchor_without_mutation(self):
         feed = small_feed()
-        platform = build_star_cluster("star", 2)
-        loop = RecalibrationLoop(platform, feed, min_observations=1)
+        loop = star_loop(feed)
         before = link_epoch()
-        loop.step()
+        loop.run(MIN_OBSERVATIONS)
         assert link_epoch() == before  # anchoring only
         assert loop.nominal("star-1-link") is not None
-        assert platform.link("star-1-link").bandwidth == pytest.approx(1.25e8)
+        assert (loop.platform.link("star-1-link").bandwidth
+                == pytest.approx(1.25e8))
 
     def test_min_observations_delays_anchoring(self):
         feed = small_feed()
-        platform = build_star_cluster("star", 2)
-        loop = RecalibrationLoop(platform, feed, min_observations=3)
-        loop.step()
-        loop.step()
+        loop = star_loop(feed)
+        loop.run(MIN_OBSERVATIONS - 1)
         assert loop.nominal("star-1-link") is None
         loop.step()
         assert loop.nominal("star-1-link") is not None
+
+    def test_anchoring_records_the_series_ratio(self):
+        # the horizon series stays in probe goodput; anchoring records how
+        # much link bandwidth one unit of it stands for
+        feed = small_feed()
+        loop = star_loop(feed)
+        loop.run(MIN_OBSERVATIONS - 1)
+        assert loop.horizon.ratios["star-1-link"] is None
+        assert loop.horizon.ready_links() == []  # no units yet: no projection
+        loop.step()
+        state = loop.nominal("star-1-link")
+        assert loop.horizon.ratios["star-1-link"] == (
+            state.nominal_bandwidth / state.reference_bandwidth)
+        assert loop.horizon.ready_links() == ["star-1-link", "star-2-link"]
+
+    def test_epoch_is_the_platform_stamp(self):
+        demo = StarMetrologyDemo(n_hosts=2, period=15.0, seed=3,
+                                 degrade_factor=0.25)
+        demo.warmup(4)
+        assert demo.loop.epoch == demo.platform.state_stamp
+        before = demo.loop.epoch
+        assert demo.run(8)
+        assert demo.loop.epoch == demo.platform.state_stamp > before
 
     def test_degradation_recalibrates_and_bumps_epoch(self):
         demo = StarMetrologyDemo(n_hosts=2, period=15.0, seed=3,
@@ -271,16 +303,14 @@ class TestRecalibrationLoop:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"min_rel_change": 1.0}, "min_rel_change"),
-        ({"min_observations": 0}, "min_observations"),
         ({"anchor_alpha": -0.1}, "anchor_alpha"),
         ({"anchor_health_band": 0.0}, "anchor_health_band"),
         ({"anchor_weighting": "cubic"}, "anchor_weighting"),
     ])
     def test_loop_arguments_validated(self, kwargs, match):
         feed = small_feed()
-        platform = build_star_cluster("star", 2)
         with pytest.raises(MetrologyError, match=match):
-            RecalibrationLoop(platform, feed, **kwargs)
+            star_loop(feed, **kwargs)
 
 class TestDemoValidation:
     def test_single_host_demo_rejected(self):

@@ -1,10 +1,10 @@
-"""Coarse-archive recovery: the calibrator after simulated downtime.
+"""Coarse-archive recovery: the loop's RRD reader after simulated downtime.
 
-When the calibrator was down long enough that the fine archive aged part
-of the window out, :meth:`LinkCalibrator._refresh` consumes coarse CDPs
+When the loop was down long enough that the fine archive aged part of the
+window out, :meth:`RecalibrationLoop._refresh` consumes coarse CDPs
 (weighted by the step count they consolidated) plus fine recent points.
 The equivalence property: forecasts after such a recovery agree with a
-calibrator that saw the full fine-resolution series, within tolerance.
+loop that saw the full fine-resolution series, within tolerance.
 The ordering regression pins that the mixed-resolution window replays in
 time order — coarse history strictly before the fine points that follow
 it.
@@ -16,13 +16,15 @@ import math
 
 import pytest
 
-from repro.metrology.calibrator import LinkCalibrator
+from repro.horizon.forecast import PlatformHorizon
 from repro.metrology.collectors import MetricRegistry
-from repro.metrology.feed import MetrologyFeed
-from repro.nws.forecaster import AdaptiveForecaster
+from repro.metrology.demo import build_star_testbed
+from repro.metrology.feed import MetrologyFeed, MonitoredLink
+from repro.metrology.loop import RecalibrationLoop
 from repro.rrd.rra import ConsolidationFunction, RraSpec
+from repro.simgrid.builder import build_star_cluster
 
-LINK = "lab-link"
+LINK = "star-1-link"
 STEP = 1.0
 #: Short fine archive: downtime ages early samples out to the coarse RRA.
 SHORT_FINE = (
@@ -54,32 +56,52 @@ def record(registry: MetricRegistry, n_samples: int) -> float:
     return n_samples * STEP
 
 
-class RecordingForecaster(AdaptiveForecaster):
-    """Captures every (value, weight) the calibrator feeds it."""
+def reader(registry: MetricRegistry) -> RecalibrationLoop:
+    """A loop reading ``registry`` (its feed is never polled here)."""
+    feed = MetrologyFeed(build_star_testbed(1),
+                         [MonitoredLink(LINK, "star-1", "star-collector")],
+                         registry=registry, period=STEP)
+    return RecalibrationLoop(
+        feed, PlatformHorizon(build_star_cluster("star", 1)))
 
-    def __init__(self):
-        super().__init__()
-        self.consumed: list[tuple[float, int]] = []
 
-    def update(self, value, weight=1):
-        self.consumed.append((value, weight))
-        super().update(value, weight=weight)
+def estimate(loop: RecalibrationLoop, now: float):
+    [link_estimate] = loop.estimates(now)
+    return link_estimate
+
+
+def observations(loop: RecalibrationLoop) -> int:
+    return loop.horizon.forecaster_for(LINK).observations
+
+
+def recording(loop: RecalibrationLoop) -> list[tuple[float, int]]:
+    """Captures every (value, weight) the loop feeds the bandwidth series."""
+    series = loop.horizon.forecaster_for(LINK)
+    consumed: list[tuple[float, int]] = []
+    update = series.update
+
+    def record_update(value, weight=1):
+        consumed.append((value, weight))
+        update(value, weight=weight)
+
+    series.update = record_update
+    return consumed
 
 
 class TestCoarseRecoveryEquivalence:
     N_SAMPLES = 60
 
     def test_post_recovery_forecast_matches_fine_only(self):
-        # calibrator A recovers through coarse+fine (downtime: nothing was
+        # loop A recovers through coarse+fine (downtime: nothing was
         # consumed while 60 samples accumulated over a 12-row fine RRA)
         coarse = build_registry(SHORT_FINE)
         now = record(coarse, self.N_SAMPLES)
-        recovered = LinkCalibrator(coarse, [LINK]).estimate(LINK, now)
+        recovered = estimate(reader(coarse), now)
 
-        # calibrator B saw the same series at full resolution
+        # loop B saw the same series at full resolution
         fine = build_registry(LONG_FINE)
         record(fine, self.N_SAMPLES)
-        reference = LinkCalibrator(fine, [LINK]).estimate(LINK, now)
+        reference = estimate(reader(fine), now)
 
         assert recovered.ready and reference.ready
         assert recovered.bandwidth == pytest.approx(reference.bandwidth,
@@ -89,19 +111,18 @@ class TestCoarseRecoveryEquivalence:
     def test_recovery_weights_match_consolidated_step_counts(self):
         registry = build_registry(SHORT_FINE)
         now = record(registry, self.N_SAMPLES)
-        calibrator = LinkCalibrator(registry, [LINK])
-        recorder = RecordingForecaster()
-        calibrator._forecasters[(LINK, "bandwidth")] = recorder
-        calibrator.estimate(LINK, now)
+        loop = reader(registry)
+        consumed = recording(loop)
+        estimate(loop, now)
 
-        weights = [w for _, w in recorder.consumed]
+        weights = [w for _, w in consumed]
         assert set(weights) == {1, 4}  # fine points and 4-step coarse CDPs
         # total weight accounts for (almost) the whole window — at most
         # one trailing partial coarse interval may be unconsolidated yet
         assert sum(weights) >= self.N_SAMPLES - 4
         # observations reflect the replayed weight, so the loop's
-        # min_observations anchor sees the recovered history
-        assert calibrator.observations(LINK) == sum(weights)
+        # MIN_OBSERVATIONS anchor sees the recovered history
+        assert observations(loop) == sum(weights)
 
     def test_mixed_resolution_replay_is_time_ordered(self):
         registry = build_registry(SHORT_FINE)
@@ -111,29 +132,28 @@ class TestCoarseRecoveryEquivalence:
         ends = [end for _, end, _ in spans]
         assert ends == sorted(ends), "fetch_spans must be time-ordered"
 
-        calibrator = LinkCalibrator(registry, [LINK])
-        recorder = RecordingForecaster()
-        calibrator._forecasters[(LINK, "bandwidth")] = recorder
-        calibrator.estimate(LINK, now)
+        loop = reader(registry)
+        consumed = recording(loop)
+        estimate(loop, now)
         expected = [(value, max(1, int(round((end - start) / rrd.step))))
                     for start, end, value in spans
                     if not math.isnan(value)]
-        assert recorder.consumed == expected
+        assert consumed == expected
 
     def test_incremental_consumption_never_replays_a_span_twice(self):
         registry = build_registry(SHORT_FINE)
-        calibrator = LinkCalibrator(registry, [LINK])
+        loop = reader(registry)
         record(registry, 30)
-        calibrator.estimate(LINK, 30 * STEP)
-        consumed_once = calibrator.observations(LINK)
+        estimate(loop, 30 * STEP)
+        consumed_once = observations(loop)
         # nothing new: a second estimate consumes nothing
-        calibrator.estimate(LINK, 30 * STEP)
-        assert calibrator.observations(LINK) == consumed_once
+        estimate(loop, 30 * STEP)
+        assert observations(loop) == consumed_once
         # more samples: only the delta is consumed
         for metric in ("bandwidth", "latency"):
             rrd = registry.get(MetrologyFeed.metric_key(LINK, metric))
             for i in range(31, 41):
                 rrd.update(i * STEP, series_value(i))
-        calibrator.estimate(LINK, 40 * STEP)
-        grown = calibrator.observations(LINK)
+        estimate(loop, 40 * STEP)
+        grown = observations(loop)
         assert consumed_once < grown <= consumed_once + 10

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from repro.nws.api import NwsForecastService
 from repro.nws.forecaster import AdaptiveForecaster, ColdSeriesError
-from repro.nws.sensors import BandwidthSensor, LatencySensor
+from repro.nws.sensors import BandwidthSensor
 from repro.testbed.fluid import TestbedNetwork
 
 
@@ -48,25 +49,25 @@ class TestForecasterColdStart:
         assert forecaster.forecast(default=None) == pytest.approx(10.0)
 
 
-class TestSensorColdStart:
-    def test_bandwidth_sensor_cold_contract(self):
-        sensor = BandwidthSensor(tiny_network(), "a", "b")
-        assert not sensor.ready
-        with pytest.raises(ColdSeriesError):
-            sensor.forecast_bandwidth()
-        assert sensor.forecast_bandwidth(default=None) is None
-        sensor.probe_once()
-        assert sensor.ready
-        assert sensor.forecast_bandwidth() > 0
+class TestServiceColdStart:
+    """The NWS service's per-pair series under the same contract."""
 
-    def test_latency_sensor_cold_contract(self):
-        sensor = LatencySensor(tiny_network(), "a", "b")
-        assert not sensor.ready
+    def test_pair_series_cold_contract(self):
+        service = NwsForecastService(tiny_network(), warmup_probes=0)
         with pytest.raises(ColdSeriesError):
-            sensor.forecast_rtt()
-        assert sensor.forecast_rtt(default=1.0) == 1.0
-        sensor.probe_once()
-        assert sensor.ready
+            service.predict_transfer("a", "b", 1e6)
+        bandwidth, rtt = service._forecasters[("a", "b")]
+        assert not bandwidth.ready and not rtt.ready
+        for series in (bandwidth, rtt):
+            with pytest.raises(ColdSeriesError):
+                series.forecast()
+        assert bandwidth.forecast(default=None) is None
+        assert rtt.forecast(default=1.0) == 1.0
+        warm = NwsForecastService(tiny_network(), warmup_probes=1)
+        assert warm.predict_transfer("a", "b", 1e6) > 0
+        bandwidth, rtt = warm._forecasters[("a", "b")]
+        assert bandwidth.ready and rtt.ready
+        assert bandwidth.forecast() > 0
 
     def test_degenerate_probe_yields_nan_and_stays_cold(self, monkeypatch):
         sensor = BandwidthSensor(tiny_network(), "a", "b")
@@ -86,6 +87,11 @@ class TestSensorColdStart:
 
         monkeypatch.setattr("repro.nws.sensors.FluidSimulator", InstantSim)
         assert math.isnan(sensor.probe_once())
-        # the poisoned sample must not have reached the forecaster
-        assert not sensor.ready
-        assert sensor.forecaster.observations == 0
+        # the poisoned sample must not reach the service's forecaster
+        service = NwsForecastService(tiny_network(), warmup_probes=3)
+        with pytest.raises(ColdSeriesError):
+            service.predict_transfer("a", "b", 1e6)
+        bandwidth, rtt = service._forecasters[("a", "b")]
+        assert not bandwidth.ready
+        assert bandwidth.observations == 0
+        assert rtt.observations == 3

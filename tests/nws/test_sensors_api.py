@@ -4,10 +4,18 @@ structural blind spot that motivates the paper."""
 import pytest
 
 from repro.nws.api import NwsForecastService
+from repro.nws.forecaster import AdaptiveForecaster
 from repro.nws.sensors import BandwidthSensor, LatencySensor
 from repro.testbed.fluid import Hop, TestbedNetwork
 from repro.testbed.measurement import run_transfers
 from repro.testbed.profiles import HostProfile
+
+
+def fed(values) -> AdaptiveForecaster:
+    forecaster = AdaptiveForecaster()
+    for value in values:
+        forecaster.update(value)
+    return forecaster
 
 
 def small_net(n=4):
@@ -34,16 +42,24 @@ class TestSensors:
     def test_bandwidth_forecast_stabilizes(self):
         net = small_net()
         sensor = BandwidthSensor(net, "n0", "n1", seed=0)
-        sensor.probe(15)
-        forecast = sensor.forecast_bandwidth()
+        forecaster = fed(sensor.probe(15))
+        forecast = forecaster.forecast()
         assert forecast == pytest.approx(sensor.probe_once(), rel=0.3)
 
     def test_latency_probe_close_to_true_rtt(self):
         net = small_net()
         sensor = LatencySensor(net, "n0", "n1", seed=0)
-        sensor.probe(10)
-        assert sensor.forecast_rtt() == pytest.approx(net.rtt("n0", "n1"),
+        forecaster = fed(sensor.probe(10))
+        assert forecaster.forecast() == pytest.approx(net.rtt("n0", "n1"),
                                                       rel=0.1)
+
+    def test_sensors_hold_no_forecaster(self):
+        # sensors measure; their readers forecast
+        net = small_net()
+        for sensor in (BandwidthSensor(net, "n0", "n1"),
+                       LatencySensor(net, "n0", "n1")):
+            sensor.probe(2)
+            assert not hasattr(sensor, "forecaster")
 
 
 class TestForecastService:
@@ -71,6 +87,7 @@ class TestForecastService:
         net = small_net()
         service = NwsForecastService(net, seed=0, warmup_probes=3)
         service.predict_transfer("n0", "n1", 1e6)
-        sensor_first = service._bandwidth[("n0", "n1")]
+        series_first = service._forecasters[("n0", "n1")]
         service.predict_transfer("n0", "n1", 1e7)
-        assert service._bandwidth[("n0", "n1")] is sensor_first
+        assert service._forecasters[("n0", "n1")] is series_first
+        assert series_first[0].observations == 3

@@ -110,7 +110,7 @@ class TestMeasuredScenarioRun:
         assert len(with_trace.events_applied) == 3
         assert max(with_trace.makespans) > max(without.makespans)
 
-    def test_incremental_and_full_resolve_agree(self, reference_kernel):
+    def test_incremental_and_reference_kernel_agree(self, reference_kernel):
         incremental = run_scenario(star_spec())
         with reference_kernel():
             full = run_scenario(star_spec())

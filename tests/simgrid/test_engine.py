@@ -238,7 +238,7 @@ class TestKernel:
 
 
 class TestIncrementalSharing:
-    def test_full_resolve_matches_incremental(self, star4):
+    def test_reference_kernel_matches_incremental(self, star4):
         durations = {}
         for mode in (True, False):
             sim = engine(mode)(star4, LV08())
@@ -302,7 +302,7 @@ class TestIncrementalSharing:
         # 1s at 1.25e8 B/s, remaining 8.75e8 at 6.25e7 B/s => ~15s total
         assert comm.finish_time == pytest.approx(1.0 + 8.75e8 / 6.25e7, rel=1e-3)
 
-    def test_full_resolve_does_not_accumulate_finished_activities(self, star4):
+    def test_reference_kernel_does_not_accumulate_finished_activities(self, star4):
         sim = ReferenceSimulation(star4, CM02())
         for i in range(5):
             sim.add_comm("star-1", "star-2", 1e6)

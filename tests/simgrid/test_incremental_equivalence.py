@@ -310,7 +310,7 @@ class TestRecalibrationAndServing:
     bit-identically.
     """
 
-    def test_touch_sharing_mid_transfer_matches_full_resolve(self):
+    def test_touch_sharing_mid_transfer_matches_reference_kernel(self):
         """A timer halves a link and calls ``touch_sharing()`` mid-transfer;
         incremental and full-resolve runs agree within 1e-9."""
         finishes = {}

@@ -164,7 +164,7 @@ def progressive_fill_reference(replay: Replay) -> dict[int, float]:
 
 @given(churn_script())
 @settings(max_examples=120, deadline=None)
-def test_incremental_vs_full_resolve(script):
+def test_incremental_vs_reference_solver(script):
     capacities, ops = script
     replay = Replay()
     replay.apply(capacities, ops)

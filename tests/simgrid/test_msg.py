@@ -76,7 +76,7 @@ class TestTransferProcessesEquivalence:
                   model=model_by_name(model))
 
     @pytest.mark.parametrize("model", ["LV08", "tcp_fluid"])
-    def test_full_resolve(self, g5k_test_platform, model):
+    def test_reference_kernel(self, g5k_test_platform, model):
         self.both(g5k_test_platform, figure_draw("fig5", 4, 2.15e8),
                   model=model_by_name(model), cls=ReferenceSimulation)
 

@@ -368,7 +368,7 @@ class TestRoundGroupsMatchPerFlowTimers:
         stats = sim.sharing_stats
         assert 10 < stats["round_instants"] < stats["flow_rounds"] / 4
 
-    def test_full_resolve(self, g5k_test_platform, reference_kernel):
+    def test_reference_kernel(self, g5k_test_platform, reference_kernel):
         with reference_kernel():
             self.both(g5k_test_platform, two_rtt_classes())
             self.both(g5k_test_platform, fig5_draw(4, 2.15e8))
