@@ -1,7 +1,9 @@
 """Golden regression for the 1x10 and 10x10 figure experiments.
 
 The summary statistics of ``fig3`` (sagittaire 1x10) and ``fig4`` (sagittaire
-10x10) are frozen into ``goldens/figure_goldens.json``.  Every run of the
+10x10) are frozen into ``goldens/figure_goldens.json``, beside the name of
+every figure's shape checks (each name carries its band, so a loosened band
+is a drift too).  Every run of the
 experiment pipeline is deterministic given the root seed, so any drift here
 means a solver/model/testbed refactor changed results — loudly, instead of
 silently shifting the paper-comparison tables.
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import run_figure
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.protocol import LARGE_SIZE_THRESHOLD
 from repro.experiments.summary import summarize
 
@@ -29,6 +31,11 @@ GOLDEN_FIGS = ("fig3", "fig4")
 GOLDEN_SEED = 20120917
 GOLDEN_REPS = 2
 RTOL = 1e-9
+
+
+def figure_checks() -> dict:
+    return {fig_id: [check.__name__ for check in figure.checks]
+            for fig_id, figure in FIGURES.items()}
 
 
 def compute_golden(fig_id: str, forecast, network) -> dict:
@@ -60,6 +67,7 @@ def goldens(forecast_service, g5k_testbed) -> dict:
                 {
                     "_meta": {"seed": GOLDEN_SEED, "repetitions": GOLDEN_REPS},
                     **computed,
+                    "checks": figure_checks(),
                 },
                 indent=1,
             )
@@ -107,6 +115,10 @@ def test_summary_matches_golden(goldens, fig_id):
             f"{fig_id}: summary statistic {key} drifted "
             f"({fresh[key]!r} vs frozen {frozen[key]!r})"
         )
+
+
+def test_checks_match_golden():
+    assert figure_checks() == stored()["checks"]
 
 
 def test_golden_metadata_matches_parameters():
