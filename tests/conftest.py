@@ -9,12 +9,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from reference.maxmin import ReferenceSimulation
 from repro.experiments import environment
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, LV08
+
+# One home for the Hypothesis settings the properties share: no per-example
+# deadline (one slow example on a loaded machine is not a failure).  Loaded
+# here, before any test module is imported, because a test's ``@settings``
+# inherits from the profile loaded when it is decorated; each test still
+# names its own ``max_examples``.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -283,7 +283,7 @@ _FIELD = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(path=st.lists(_TEXT, max_size=3),
        fields=st.lists(_FIELD, max_size=8))
 def test_query_decodes_exactly_as_parse_qs(path, fields):

@@ -70,7 +70,7 @@ QUERY_ITEMS = st.lists(
     item_parts(SIZE_TEXTS).map(lambda t: ",".join(map(str, t))), max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(QUERY_ITEMS)
 def test_get_items(texts):
     assert (outcome(transfer_triples, texts, True)
@@ -84,7 +84,7 @@ JSON_ITEMS = st.lists(
     max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(JSON_ITEMS, st.sampled_from(["transfers", "ongoing"]))
 def test_post_arrays(items, field):
     assert (outcome(lambda: transfer_triples(items, field=field))
@@ -104,14 +104,14 @@ PYTHON_ITEMS = st.lists(
     max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(PYTHON_ITEMS)
 def test_specs_and_tuples(items):
     assert (outcome(transfer_triples, items)
             == outcome(ref.python_triples, items))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(PYTHON_ITEMS, PYTHON_ITEMS)
 def test_host_checks_follow_every_item_check(transfers, ongoing):
     def validated():
@@ -132,7 +132,7 @@ VALID = st.lists(
     min_size=1, max_size=6)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(VALID)
 def test_every_spelling_has_one_cache_key(parts):
     spellings = [

@@ -169,7 +169,7 @@ class TestFetch:
         assert info["rras"][0]["resolution"] == 10.0
 
     @given(st.lists(st.floats(0.1, 1000.0), min_size=5, max_size=60))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_fetch_values_within_input_range(self, values):
         rrd = gauge_rrd(step=10.0, heartbeat=25.0)
         for i, value in enumerate(values, start=1):

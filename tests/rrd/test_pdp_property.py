@@ -68,7 +68,7 @@ values = st.floats(0.1, 1e6)
 
 
 @given(increments=increments, data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_pdp_accumulation_matches_brute_force(increments, data):
     rrd = fine_rrd()
     samples = []
@@ -94,7 +94,7 @@ def test_pdp_accumulation_matches_brute_force(increments, data):
 
 
 @given(increments=increments)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_long_runs_commit_every_boundary_exactly_once(increments):
     # Scale the stream up to a long run: the boundary tolerance must not
     # skip or double-commit PDPs as float drift accumulates.

@@ -30,7 +30,7 @@ def fresh_platform():
 
 class TestInvariants:
     @given(transfer_sets())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_durations_positive_and_finite(self, transfers):
         sim = Simulation(fresh_platform(), LV08())
         comms = sim.simulate_transfers(transfers)
@@ -39,7 +39,7 @@ class TestInvariants:
             assert comm.duration > 0
 
     @given(transfer_sets())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_duration_at_least_ideal(self, transfers):
         # no transfer can beat its unshared bottleneck time + latency phase
         platform = fresh_platform()
@@ -54,7 +54,7 @@ class TestInvariants:
             assert comm.duration >= ideal * (1 - 1e-9)
 
     @given(transfer_sets())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_makespan_bounded_by_serialization(self, transfers):
         # full contention cannot be slower than running everything one by one
         platform = fresh_platform()
@@ -70,7 +70,7 @@ class TestInvariants:
         assert makespan <= serial * (1 + 1e-6)
 
     @given(transfer_sets())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_deterministic(self, transfers):
         d1 = [c.duration for c in
               Simulation(fresh_platform(), LV08()).simulate_transfers(transfers)]
@@ -79,7 +79,7 @@ class TestInvariants:
         assert d1 == d2
 
     @given(st.integers(1, 4), st.floats(1e6, 1e9))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_single_bottleneck_monotone_in_flow_count(self, n, size):
         # on ONE shared constraint (a destination NIC) max-min is monotone:
         # adding a flow never speeds up the others
@@ -108,7 +108,7 @@ class TestInvariants:
         assert more[2].duration > base[2].duration  # its competitor slows down
 
     @given(st.floats(1e5, 1e10), st.floats(1.1, 4.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_monotone_in_size(self, size, factor):
         p = fresh_platform()
         small = Simulation(p, LV08()).simulate_transfers(
@@ -118,7 +118,7 @@ class TestInvariants:
         assert big > small
 
     @given(transfer_sets())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_grid_platform_invariants_hold_too(self, transfers):
         platform = build_two_level_grid({"a": 3, "b": 3})
         renamed = [

@@ -187,7 +187,7 @@ def committed_values() -> tuple:
     return tuple((link.committed, link.policy) for link in LINKS)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.one_of(write, enter, leave, policy), max_size=40))
 def test_state_tokens_are_exact(steps):
     """After every step of committed writes (from this thread or another),

@@ -52,7 +52,7 @@ def table_view(table, src, dst):
 
 
 @given(declarations())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_table_matches_pair_model(steps):
     platform = Platform("p")
     for name in NAMES:

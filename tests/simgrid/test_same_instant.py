@@ -101,7 +101,7 @@ def instants(scenario):
     return sorted({finish for _, finish in main + extra})
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(scenarios())
 def test_forms_agree_at_coinciding_events(scenario):
     candidates = instants(scenario)

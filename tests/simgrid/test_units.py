@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.simgrid.units import (
     UnitError,
@@ -116,11 +116,13 @@ class TestFormatting:
         assert format_time(2.25e-4) == "225us"
 
     @given(st.floats(min_value=1.0, max_value=1e13))
+    @settings(deadline=200)  # Hypothesis' default, kept explicitly
     def test_format_parse_bandwidth_roundtrip(self, value):
         assert parse_bandwidth(format_bandwidth(value)) == pytest.approx(
             value, rel=1e-5
         )
 
     @given(st.floats(min_value=1e-9, max_value=1e4))
+    @settings(deadline=200)  # Hypothesis' default, kept explicitly
     def test_format_parse_time_roundtrip(self, value):
         assert parse_time(format_time(value)) == pytest.approx(value, rel=1e-5)

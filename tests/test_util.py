@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro._util.lru import BoundedLRU
 from repro._util.parallel import pool_chunk_size
@@ -124,6 +124,7 @@ class TestStats:
         assert stats == BoxStats(1.0, 2.0, 3.0, 4.0, 5.0, 5)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    @settings(deadline=200)  # Hypothesis' default, kept explicitly
     @example([0.0, 5e-324, 5e-324])  # interpolation between subnormals
     def test_box_stats_ordering_invariant(self, values):
         stats = box_stats(values)

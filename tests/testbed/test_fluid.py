@@ -169,7 +169,7 @@ class TestWaterFill:
             )
         )
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_feasibility_and_demand_caps(self, case):
         demands, weights, routes = case
         capacities = {"l1": 100.0, "l2": 50.0, "l3": 200.0}

@@ -39,7 +39,7 @@ def workloads(draw):
 
 class TestInvariants:
     @given(workloads(), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_all_flows_finish_with_positive_durations(self, transfers, seed):
         sim = FluidSimulator(fresh_net(), seed=seed)
         flows = [sim.submit(s, d, z) for s, d, z in transfers]
@@ -50,7 +50,7 @@ class TestInvariants:
             assert math.isfinite(flow.finish_time)
 
     @given(workloads(), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_no_flow_beats_its_goodput_bottleneck(self, transfers, seed):
         net = fresh_net()
         sim = FluidSimulator(net, seed=seed)
@@ -62,7 +62,7 @@ class TestInvariants:
             assert data_time >= flow.size / bottleneck * (1 - 1e-6)
 
     @given(workloads(), st.integers(0, 3))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_average_rates_feasible_per_direction(self, transfers, seed):
         # over the busiest interval, total bytes through any link direction
         # cannot exceed capacity x makespan
@@ -82,7 +82,7 @@ class TestInvariants:
             assert total_bytes <= capacity * span * (1 + 1e-6)
 
     @given(workloads())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_deterministic_per_seed(self, transfers):
         def run(seed):
             sim = FluidSimulator(fresh_net(), seed=seed)
@@ -93,7 +93,7 @@ class TestInvariants:
         assert run(3) == run(3)
 
     @given(st.floats(1e5, 1e9), st.integers(0, 5))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_monotone_in_size(self, size, seed):
         def duration(z):
             sim = FluidSimulator(fresh_net(), seed=seed)

@@ -107,7 +107,7 @@ class TestCubic:
 
     @given(st.floats(min_value=1448.0, max_value=4194304.0),
            st.floats(min_value=0.0, max_value=10.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_cubic_window_at_least_one_mss(self, w_max, t):
         state = TcpFlowState()
         state.w_max = w_max
