@@ -224,11 +224,6 @@ class SharingSystem:
         return len(self)
 
     @property
-    def constraint_count(self) -> int:
-        """Number of live (interned) constraints."""
-        return len(self._key_to_slot)
-
-    @property
     def variable_capacity(self) -> int:
         """Allocated variable slots (live + free), for arena diagnostics."""
         return int(self._weights.size)

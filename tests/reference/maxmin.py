@@ -7,7 +7,7 @@ This module keeps what the arena is held against:
 
 - :class:`MaxMinSystem` — build once, solve once over the dense
   :func:`progressive_fill`.  It folds nothing and shares no code with the
-  arena; the fuzz pyramid and the 1e-9 equivalence suites compare the two.
+  arena; `tests/simgrid/test_maxmin_properties.py` compares the two.
 - :class:`ReferenceSimulation` — the engine with its solve step replaced by
   a from-scratch :class:`MaxMinSystem` over every running activity at every
   event.  A test that builds the simulation itself instantiates it; a test

@@ -109,7 +109,8 @@ class TestScheduleDynamics:
 
 class TestModeEquivalence:
     """The engine and the reference engine must agree under dynamics —
-    the scenario-level extension of test_incremental_equivalence."""
+    the scenario-level extension of the engine checks in
+    test_maxmin_properties."""
 
     @pytest.mark.parametrize("preset", [
         "star-incast", "dumbbell-congestion", "fat-tree-shuffle",

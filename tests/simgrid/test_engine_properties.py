@@ -31,35 +31,25 @@ def fresh_platform():
 class TestInvariants:
     @given(transfer_sets())
     @settings(max_examples=80)
-    def test_durations_positive_and_finite(self, transfers):
-        sim = Simulation(fresh_platform(), LV08())
-        comms = sim.simulate_transfers(transfers)
-        for comm in comms:
-            assert math.isfinite(comm.duration)
-            assert comm.duration > 0
-
-    @given(transfer_sets())
-    @settings(max_examples=80)
-    def test_duration_at_least_ideal(self, transfers):
-        # no transfer can beat its unshared bottleneck time + latency phase
+    def test_every_transfer_set(self, transfers):
         platform = fresh_platform()
         sim = Simulation(platform, LV08())
-        model = sim.model
         comms = sim.simulate_transfers(transfers)
+        again = Simulation(fresh_platform(), LV08()).simulate_transfers(transfers)
+        assert [c.duration for c in comms] == [c.duration for c in again]
+        model = sim.model
         for (src, dst, size), comm in zip(transfers, comms):
+            assert math.isfinite(comm.duration)
+            assert comm.duration > 0
+            # no transfer can beat its unshared bottleneck time + latency
             route = platform.route(src, dst)
             ideal = model.startup_latency(route) + size / min(
                 model.effective_bandwidth(u.link.bandwidth) for u in route
             )
             assert comm.duration >= ideal * (1 - 1e-9)
 
-    @given(transfer_sets())
-    @settings(max_examples=60)
-    def test_makespan_bounded_by_serialization(self, transfers):
         # full contention cannot be slower than running everything one by one
-        platform = fresh_platform()
-        sim = Simulation(platform, CM02())
-        comms = sim.simulate_transfers(transfers)
+        comms = Simulation(platform, CM02()).simulate_transfers(transfers)
         makespan = max(c.finish_time for c in comms)
         serial = 0.0
         for src, dst, size in transfers:
@@ -68,15 +58,6 @@ class TestInvariants:
                 u.link.bandwidth for u in route
             )
         assert makespan <= serial * (1 + 1e-6)
-
-    @given(transfer_sets())
-    @settings(max_examples=60)
-    def test_deterministic(self, transfers):
-        d1 = [c.duration for c in
-              Simulation(fresh_platform(), LV08()).simulate_transfers(transfers)]
-        d2 = [c.duration for c in
-              Simulation(fresh_platform(), LV08()).simulate_transfers(transfers)]
-        assert d1 == d2
 
     @given(st.integers(1, 4), st.floats(1e6, 1e9))
     @settings(max_examples=60)

@@ -63,27 +63,24 @@ ALLOWLIST = {
 #: under ``tests/reference/``; each name below says why it stays in ``src/``.
 NAME_ALLOWLIST = {
     "repro.simgrid.maxmin.SharingSystem.is_feasible": "oracle: "
-    "tests/simgrid/test_maxmin_fuzz.py checks every churned arena state; "
-    "stays a method: it reads the private slot buffers",
+    "tests/simgrid/test_maxmin_properties.py checks every churned arena "
+    "state; stays a method: it reads the private slot buffers",
     "repro.simgrid.maxmin.SharingSystem.update_variable": "oracle: "
-    "tests/simgrid/test_maxmin_arena.py: the checked twin of "
+    "tests/simgrid/test_maxmin_properties.py: the checked twin of "
     "update_variable_unchecked; stays beside it: the arena validates its "
     "own inputs",
     "repro.simgrid.maxmin.SharingSystem.allocations": "oracle: "
-    "tests/simgrid/test_maxmin_arena.py reads the whole solution; stays a "
-    "method: it reads the private slot buffers",
+    "tests/simgrid/test_maxmin_properties.py reads the whole solution; stays "
+    "a method: it reads the private slot buffers",
     "repro.simgrid.maxmin.SharingSystem.constraint_usage": "oracle: "
     "tests/simgrid/test_maxmin_properties.py checks usage against capacity; "
     "stays a method: it reads the private key interning",
     "repro.simgrid.maxmin.SharingSystem.constraint_capacity": "oracle: "
-    "tests/simgrid/test_maxmin_properties.py checks usage against capacity; "
-    "stays a method: it reads the private key interning",
+    "tests/simgrid/test_maxmin_properties.py checks interned capacities "
+    "for drift; stays a method: it reads the private key interning",
     "repro.simgrid.maxmin.SharingSystem.variable_count": "oracle: "
     "tests/simgrid/test_maxmin_properties.py checks the arena's live count; "
-    "stays a method: the fuzz pyramid's assertions read it",
-    "repro.simgrid.maxmin.SharingSystem.constraint_count": "oracle: "
-    "tests/simgrid/test_maxmin_properties.py checks the arena's live count; "
-    "stays a method: it reads the private key interning",
+    "stays a method: the churn and batched-removal checks read it",
     "repro.simgrid.activities.Activity.cancel": "oracle: "
     "tests/simgrid/test_tcpfluid.py: the incremental = full suite cancels "
     "a comm mid-run; stays: it is the one public way to cancel, and the "
