@@ -29,7 +29,6 @@ or one solve fails here.  To regenerate after an *intentional* change::
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import urllib.parse
@@ -49,6 +48,7 @@ from repro.scenarios.spec import LinkEvent
 from repro.serving.pool import WarmWorkerPool
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08, model_by_name
+from serving_helpers import RawHttp
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "paper_answers.json"
 SEED = 20120917
@@ -115,10 +115,9 @@ def get_target(transfers, extra=()) -> str:
 def exchange(conn, method: str, target: str, doc=None) -> str:
     """One request on a keep-alive connection; the 200 body as text."""
     body = None if doc is None else json.dumps(doc).encode("utf-8")
-    conn.request(method, target, body=body)
-    response = conn.getresponse()
-    text = response.read().decode("utf-8")
-    assert response.status == 200, text
+    status, answer = conn.exchange(method, target, body)
+    text = answer.decode("utf-8")
+    assert status == 200, text
     return text
 
 
@@ -150,29 +149,25 @@ def route_bodies(platform) -> dict:
             doc["model"] = "CM02"
         posts.append(doc)
     bodies: dict = {}
-    with pilgrim.serve() as server:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            predict = f"/pilgrim/predict_transfers/{PLATFORM}"
-            bodies["post_ongoing"] = [exchange(conn, "POST", predict, doc)
-                                      for doc in posts]
-            what_if = f"/pilgrim/what_if/{PLATFORM}"
-            bodies["what_if_cold"] = [exchange(conn, "POST", what_if, doc)
-                                      for doc in whatifs]
-            bodies["what_if_horizon"] = [
-                exchange(conn, "POST", what_if, {**doc, "horizon": HORIZON})
-                for doc in whatifs]
-            bodies["get_horizon"] = exchange(
-                conn, "GET", get_target(get_draw, [("horizon", HORIZON)]))
-            bodies["select_fastest"] = {
-                key: exchange(conn, "GET", (
-                    f"/pilgrim/select_fastest/{PLATFORM}?"
-                    + urllib.parse.urlencode(
-                        [("hypothesis", h) for h in hypotheses])))
-                for key, hypotheses in SELECT_CASES}
-        finally:
-            conn.close()
+    with pilgrim.serve() as server, \
+            RawHttp(server.address, timeout=30.0) as conn:
+        predict = f"/pilgrim/predict_transfers/{PLATFORM}"
+        bodies["post_ongoing"] = [exchange(conn, "POST", predict, doc)
+                                  for doc in posts]
+        what_if = f"/pilgrim/what_if/{PLATFORM}"
+        bodies["what_if_cold"] = [exchange(conn, "POST", what_if, doc)
+                                  for doc in whatifs]
+        bodies["what_if_horizon"] = [
+            exchange(conn, "POST", what_if, {**doc, "horizon": HORIZON})
+            for doc in whatifs]
+        bodies["get_horizon"] = exchange(
+            conn, "GET", get_target(get_draw, [("horizon", HORIZON)]))
+        bodies["select_fastest"] = {
+            key: exchange(conn, "GET", (
+                f"/pilgrim/select_fastest/{PLATFORM}?"
+                + urllib.parse.urlencode(
+                    [("hypothesis", h) for h in hypotheses])))
+            for key, hypotheses in SELECT_CASES}
     return bodies
 
 
@@ -194,18 +189,10 @@ def platform():
 def computed(platform) -> dict:
     pilgrim = Pilgrim(platforms={PLATFORM: platform})
     bodies = []
-    with pilgrim.serve() as server:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            for transfers in figure_transfers("fig5", "rest_fig5_closed",
-                                              N_GET):
-                conn.request("GET", get_target(transfers))
-                response = conn.getresponse()
-                assert response.status == 200
-                bodies.append(response.read().decode("utf-8"))
-        finally:
-            conn.close()
+    with pilgrim.serve() as server, \
+            RawHttp(server.address, timeout=30.0) as conn:
+        for transfers in figure_transfers("fig5", "rest_fig5_closed", N_GET):
+            bodies.append(exchange(conn, "GET", get_target(transfers)))
     durations = {}
     for key, fig, label, model in KERNEL_CASES:
         service = NetworkForecastService({PLATFORM: platform},

@@ -13,7 +13,9 @@ being wrong.  Neither deployment answers a request after ``stop()``, and
 no module under ``src/`` imports ``asyncio``: a second I/O loop cannot
 come back silently (the asyncio front end the gateway ran took 75–118 µs
 per exchange where this loop takes 22–34 µs, and this loop holds 1100
-keep-alive clients).
+keep-alive clients).  The transport itself is pinned from the strictest
+client: no Nagle stall between requests, complete 500s and large answers,
+and a burst of connections answered in full.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import math
 import pathlib
 import re
 import socket
+import statistics
+import threading
+import time
 import urllib.parse
 
 import pytest
@@ -33,9 +38,12 @@ from hypothesis import strategies as st
 from repro.core.framework import Pilgrim
 from repro.core.rest.http_codec import MAX_HEADERS, MAX_LINE
 from repro.core.rest.json_codec import loads
-from repro.core.rest.router import Request
+from repro.core.rest.router import Request, Router
+from repro.core.rest.server import PilgrimHTTPServer, router_app
 from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
-from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
+from loadgen import LoadQuery, run_load
+from serving_helpers import (STAR_PLATFORM, RawHttp, raw_request, star_factory,
+                             star_forecast_service)
 
 N_HOSTS = 4
 MAX_BODY = 4096
@@ -65,49 +73,22 @@ def servers():
         yield {"pilgrim": server.address, "gateway": gateway.address}
 
 
-def _request(method: str, target: str, body: bytes = b"",
-             headers: tuple[str, ...] = (), version: str = "HTTP/1.1",
-             length: int | str | None = None) -> bytes:
-    lines = [f"{method} {target} {version}", "Host: t", *headers]
-    if length is None and body:
-        length = len(body)
-    if length is not None:
-        lines.append(f"Content-Length: {length}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
-
-
-def _read_response(stream) -> tuple[int, dict, bytes] | None:
-    status_line = stream.readline()
-    if not status_line:
-        return None
-    headers = {}
-    while True:
-        line = stream.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    body = stream.read(int(headers["content-length"]))
-    return int(status_line.split()[1]), headers, body
-
-
 def _exchange(address, raw: bytes, responses: int) -> tuple[list, str]:
     """Send ``raw`` in one write, read ``responses`` answers; then whether
     the server kept the connection (a probe request is answered) or closed
     it (end of stream)."""
-    with socket.create_connection(address, timeout=10.0) as sock:
-        stream = sock.makefile("rb")
-        sock.sendall(raw)
+    with RawHttp(address) as conn:
+        conn.send(raw)
         answers = []
         for _ in range(responses):
-            answer = _read_response(stream)
+            answer = conn.read()
             assert answer is not None, "connection closed without an answer"
             status, headers, body = answer
             answers.append((status, headers.get("content-type"),
                             headers.get("connection"), json.loads(body)))
         try:
-            sock.sendall(_request("GET", "/pilgrim/platforms"))
-            probe = _read_response(stream)
+            conn.send(raw_request("GET", "/pilgrim/platforms"))
+            probe = conn.read()
         except ConnectionError:
             probe = None
     return answers, "kept" if probe and probe[0] == 200 else "closed"
@@ -124,7 +105,7 @@ def _body(size: str) -> bytes:
 
 def _post_size(size: str) -> bytes:
     """A POST of one transfer whose size is the raw JSON text ``size``."""
-    return _request("POST", PREDICT, _body(size))
+    return raw_request("POST", PREDICT, _body(size))
 
 
 #: id → (raw bytes, [(status, error type or None)] per answer, outcome)
@@ -133,40 +114,40 @@ CASES = {
         b"COMPLETE GARBAGE\r\n\r\n", [(400, "BadRequest")], "closed"),
     "request_line_over_the_limit": (
         # one byte over, and nothing after it: nothing is left unread
-        _request("GET", _LONGEST_TARGET + "a").split(b"\r\n")[0] + b"\r\n",
+        raw_request("GET", _LONGEST_TARGET + "a").split(b"\r\n")[0] + b"\r\n",
         [(400, "BadRequest")], "closed"),
     "longest_request_line_fits": (
-        _request("GET", _LONGEST_TARGET), [(404, "NotFound")], "kept"),
+        raw_request("GET", _LONGEST_TARGET), [(404, "NotFound")], "kept"),
     "header_count_at_the_limit": (
-        _request("GET", "/pilgrim/platforms", headers=_FILLER[:-1]),
+        raw_request("GET", "/pilgrim/platforms", headers=_FILLER[:-1]),
         [(200, None)], "kept"),
     "header_count_over_the_limit": (
-        _request("GET", "/pilgrim/platforms", headers=_FILLER),
+        raw_request("GET", "/pilgrim/platforms", headers=_FILLER),
         [(400, "BadRequest")], "closed"),
     "unparseable_network_path": (
-        _request("GET", "//[bad"), [(400, "BadRequest")], "kept"),
+        raw_request("GET", "//[bad"), [(400, "BadRequest")], "kept"),
     "unparseable_absolute_form": (
-        _request("GET", "http://[bad/x"), [(400, "BadRequest")], "kept"),
+        raw_request("GET", "http://[bad/x"), [(400, "BadRequest")], "kept"),
     "negative_content_length": (
-        _request("POST", PREDICT, length=-5), [(400, "BadRequest")],
+        raw_request("POST", PREDICT, length=-5), [(400, "BadRequest")],
         "closed"),
     "conflicting_content_lengths": (
-        _request("POST", PREDICT, _body("5e7"),
+        raw_request("POST", PREDICT, _body("5e7"),
                  headers=("Content-Length: 2",)),
         [(400, "BadRequest")], "closed"),
     "chunked_body_is_refused": (
         # unrefused, the chunk framing would be read as the next request
-        _request("POST", PREDICT, headers=("Transfer-Encoding: chunked",))
+        raw_request("POST", PREDICT, headers=("Transfer-Encoding: chunked",))
         + b"%x\r\n%s\r\n0\r\n\r\n" % (len(_body("5e7")), _body("5e7")),
         [(400, "BadRequest")], "closed"),
     "garbage_content_length": (
-        _request("POST", PREDICT, length="abc"), [(400, "BadRequest")],
+        raw_request("POST", PREDICT, length="abc"), [(400, "BadRequest")],
         "closed"),
     "body_over_the_limit_is_refused_unread": (
-        _request("POST", PREDICT, length=MAX_BODY + 1),
+        raw_request("POST", PREDICT, length=MAX_BODY + 1),
         [(413, "PayloadTooLarge")], "closed"),
     "invalid_json_body": (
-        _request("POST", PREDICT, b"{not json"), [(400, "BadRequest")],
+        raw_request("POST", PREDICT, b"{not json"), [(400, "BadRequest")],
         "kept"),
     "nan_size_in_body": (
         _post_size("NaN"), [(400, "BadRequest")], "kept"),
@@ -175,32 +156,32 @@ CASES = {
     "overflowing_size_in_body": (
         _post_size("1e400"), [(400, "BadRequest")], "kept"),
     "overflowing_size_in_target": (
-        _request("GET", f"{PREDICT}?transfer={PAIR},1e400"),
+        raw_request("GET", f"{PREDICT}?transfer={PAIR},1e400"),
         [(400, "BadRequest")], "kept"),
     "get_declaring_a_body": (
-        _request("GET", "/pilgrim/platforms", b"{}"), [(200, None)],
+        raw_request("GET", "/pilgrim/platforms", b"{}"), [(200, None)],
         "kept"),
     "put_on_a_known_path": (
-        _request("PUT", PREDICT, b"{}"), [(405, "MethodNotAllowed")],
+        raw_request("PUT", PREDICT, b"{}"), [(405, "MethodNotAllowed")],
         "kept"),
     "http10_closes": (
-        _request("GET", "/pilgrim/platforms", version="HTTP/1.0"),
+        raw_request("GET", "/pilgrim/platforms", version="HTTP/1.0"),
         [(200, None)], "closed"),
     "http10_keep_alive": (
-        _request("GET", "/pilgrim/platforms", version="HTTP/1.0",
+        raw_request("GET", "/pilgrim/platforms", version="HTTP/1.0",
                  headers=("Connection: keep-alive",)),
         [(200, None)], "kept"),
     "connection_close": (
-        _request("GET", "/pilgrim/platforms",
+        raw_request("GET", "/pilgrim/platforms",
                  headers=("Connection: close",)),
         [(200, None)], "closed"),
     "pipelined_pair": (
-        _request("GET", f"{PREDICT}?transfer={PAIR},5e7")
-        + _request("GET", "/pilgrim/platforms"),
+        raw_request("GET", f"{PREDICT}?transfer={PAIR},5e7")
+        + raw_request("GET", "/pilgrim/platforms"),
         [(200, None), (200, None)], "kept"),
     "stray_crlf_between_requests": (
-        _request("GET", "/pilgrim/platforms") + b"\r\n"
-        + _request("GET", "/pilgrim/platforms"),
+        raw_request("GET", "/pilgrim/platforms") + b"\r\n"
+        + raw_request("GET", "/pilgrim/platforms"),
         [(200, None), (200, None)], "kept"),
 }
 
@@ -230,14 +211,12 @@ def test_no_request_is_answered_after_stop(name):
     the app after it returns (the gateway's shards are gone by then)."""
     server = _deployment(name).start()
     try:
-        with socket.create_connection(server.address, timeout=10.0) as sock:
-            stream = sock.makefile("rb")
-            sock.sendall(_request("GET", "/pilgrim/platforms"))
-            assert _read_response(stream)[0] == 200
+        with RawHttp(server.address) as conn:
+            assert conn.exchange("GET", "/pilgrim/platforms")[0] == 200
             server.stop()
             try:
-                sock.sendall(_request("GET", "/pilgrim/platforms"))
-                answer = _read_response(stream)
+                conn.send(raw_request("GET", "/pilgrim/platforms"))
+                answer = conn.read()
             except ConnectionError:
                 answer = None
             assert answer is None
@@ -248,15 +227,113 @@ def test_no_request_is_answered_after_stop(name):
 def test_expect_continue_is_answered_before_the_body(servers):
     body = json.dumps({"transfers": [[SRC, DST, 5e7]]}).encode()
     for address in servers.values():
-        with socket.create_connection(address, timeout=10.0) as sock:
-            stream = sock.makefile("rb")
-            sock.sendall(_request("POST", PREDICT, headers=(
+        with RawHttp(address) as conn:
+            conn.send(raw_request("POST", PREDICT, headers=(
                 "Expect: 100-continue",), length=len(body)))
-            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
-            assert stream.readline() == b"\r\n"
-            sock.sendall(body)
-            status, _, answer = _read_response(stream)
+            assert conn.stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert conn.stream.readline() == b"\r\n"
+            conn.send(body)
+            status, _, answer = conn.read()
             assert status == 200 and len(json.loads(answer)) == 1
+
+
+# -- the transport, from the strictest client --------------------------------
+
+
+@pytest.fixture()
+def star_pilgrim():
+    service = star_forecast_service(N_HOSTS)
+    return Pilgrim(platforms={STAR_PLATFORM: service.platform(STAR_PLATFORM)})
+
+
+def test_sequential_requests_do_not_stall(star_pilgrim):
+    target = f"{PREDICT}?transfer={PAIR},5e8&transfer={SRC},{DST},5e8"
+    with star_pilgrim.serve() as server, RawHttp(server.address) as conn:
+        status, first = conn.exchange("GET", target)
+        assert status == 200
+        latencies = []
+        for _ in range(20):
+            start = time.perf_counter()
+            status, payload = conn.exchange("GET", target)
+            latencies.append(time.perf_counter() - start)
+            assert (status, payload) == (200, first)
+    # a head/body Nagle + delayed-ACK stall reads >= 40 ms on every request
+    assert statistics.median(latencies) < 0.020
+
+
+def test_accepted_sockets_have_nodelay(star_pilgrim):
+    with star_pilgrim.serve() as server:
+        accepted = []
+        accept = server.get_request
+
+        def recording_accept():
+            sock, address = accept()
+            accepted.append(sock)
+            return sock, address
+
+        server.get_request = recording_accept
+        with RawHttp(server.address) as conn:
+            assert conn.exchange("GET", "/pilgrim/platforms")[0] == 200
+            # answered, so the handler set the socket up; keep-alive holds
+            # it open
+            assert [sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    != 0 for sock in accepted] == [True]
+
+
+def test_handler_failure_is_a_complete_500():
+    router = Router()
+
+    @router.get("/boom")
+    def boom(request):
+        raise RuntimeError("kaput")
+
+    with PilgrimHTTPServer(router_app(router)) as server, \
+            RawHttp(server.address) as conn:
+        status, payload = conn.exchange("GET", "/boom")
+        assert status == 500
+        assert "kaput" in loads(payload.decode("utf-8"))["message"]
+        assert conn.exchange("GET", "/boom")[0] == 500  # still keep-alive
+
+
+def test_response_larger_than_the_write_buffer_arrives_intact():
+    blob = "".join(chr(ord("a") + i % 26) for i in range(1 << 20))
+    router = Router()
+
+    @router.get("/blob")
+    def big(request):
+        return {"blob": blob}
+
+    with PilgrimHTTPServer(router_app(router)) as server, \
+            RawHttp(server.address) as conn:
+        for _ in range(2):  # twice: the stream stays framed after 1 MB
+            status, payload = conn.exchange("GET", "/blob")
+            assert status == 200
+            assert len(payload) > 1 << 20
+            assert loads(payload.decode("utf-8")) == {"blob": blob}
+
+
+#: hard deadline on the connection burst: it takes ~0.2 s; a listener that
+#: drops handshakes makes clients retry SYNs after 1, 3, 7 ... s (14-106 s
+#: measured with socketserver's default backlog of 5)
+BURST_DEADLINE_S = 10.0
+
+
+def test_connection_burst_is_answered_in_full(star_pilgrim):
+    # 128 keep-alive clients connect at once, 4 requests each
+    clients, requests = 128, 4
+    outcome = []
+    with star_pilgrim.serve() as server:
+        host, port = server.address
+        burst = threading.Thread(target=lambda: outcome.append(run_load(
+            host, port, [LoadQuery("GET", "/pilgrim/platforms")],
+            clients=clients, requests_per_client=requests)), daemon=True)
+        burst.start()
+        burst.join(BURST_DEADLINE_S)
+        assert not burst.is_alive(), (
+            f"burst not answered within {BURST_DEADLINE_S} s")
+    report = outcome[0]
+    assert report.connect_failures == 0 and report.errors == 0
+    assert report.completed == clients * requests
 
 
 # -- what a complete request means ------------------------------------------

@@ -1,4 +1,4 @@
-"""REST router: pattern matching, query parsing, error mapping."""
+"""REST router: pattern matching, query and body parsing, error mapping."""
 
 import json
 
@@ -19,6 +19,18 @@ class TestRequestParsing:
             "GET", "/p/x?begin=2012-05-04%2008:00:00"
         )
         assert request.param("begin") == "2012-05-04 08:00:00"
+
+    def test_body_accessors(self):
+        request = Request.from_target("POST", "/x", body={"a": 1})
+        assert request.json_body() == {"a": 1}
+        assert request.body_field("a") == 1
+        assert request.body_field("b", default=None) is None
+        with pytest.raises(BadRequest):
+            request.body_field("b")
+        with pytest.raises(BadRequest):
+            Request.from_target("POST", "/x", body=[1]).body_field("a")
+        with pytest.raises(BadRequest):
+            Request.from_target("GET", "/x").json_body()
 
     def test_param_default_and_missing(self):
         request = Request.from_target("GET", "/p")
@@ -70,6 +82,22 @@ class TestRouting:
             Request.from_target("POST", "/pilgrim/platforms")
         )
         assert status == 405
+
+    def test_post_route_receives_body_and_get_is_unchanged(self):
+        router = Router()
+
+        @router.post("/thing")
+        def create(request):
+            return {"got": request.json_body()}
+
+        @router.get("/thing")
+        def read(request):
+            return {"method": "GET"}
+
+        assert router.dispatch(Request.from_target(
+            "POST", "/thing", body={"x": 1})) == (200, {"got": {"x": 1}})
+        assert router.dispatch(Request.from_target("GET", "/thing")) == (
+            200, {"method": "GET"})
 
     def test_handler_api_error_mapped(self):
         router = Router()

@@ -12,7 +12,6 @@ every shard before the next answer.
 from __future__ import annotations
 
 import json
-import socket
 
 import pytest
 
@@ -23,7 +22,9 @@ from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from loadgen import LoadQuery, run_load
 from serving_helpers import (
     STAR_PLATFORM,
+    RawHttp,
     post_predict,
+    raw_request,
     star_factory,
     star_forecast_service,
 )
@@ -70,39 +71,6 @@ def ground_truth(queries):
     return ground_truth_for(queries)
 
 
-# -- raw-socket helpers ------------------------------------------------------------
-
-
-def _connect(gateway) -> socket.socket:
-    sock = socket.create_connection(gateway.address, timeout=10.0)
-    sock.settimeout(10.0)
-    return sock
-
-
-def _encode(method: str, path: str, body: bytes = b"",
-            extra: str = "") -> bytes:
-    return (
-        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n{extra}\r\n"
-    ).encode("ascii") + body
-
-
-def _read_response(sock_file) -> tuple[int, dict, bytes]:
-    status_line = sock_file.readline()
-    assert status_line, "server closed before answering"
-    status = int(status_line.split()[1])
-    headers = {}
-    while True:
-        line = sock_file.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    body = sock_file.read(int(headers.get("content-length", "0")))
-    return status, headers, body
-
-
 # -- correctness over HTTP ---------------------------------------------------------
 
 
@@ -115,19 +83,13 @@ def test_get_and_post_match_serial_ground_truth(gateway, queries,
             assert post_predict(client, STAR_PLATFORM, transfers) == ground_truth[qi]
 
 
-def test_unknown_platform_404_and_bad_json_400(gateway):
+def test_unknown_platform_404(gateway):
     with RestClient(gateway.url) as client:
         from repro.core.rest.errors import ApiError
 
         with pytest.raises(ApiError) as excinfo:
             client.predict_transfers("no-such-platform", [("a", "b", 1e6)])
         assert excinfo.value.status == 404
-    with _connect(gateway) as sock:
-        sock.sendall(_encode("POST",
-                             f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-                             b"{not json"))
-        status, _, _ = _read_response(sock.makefile("rb"))
-        assert status == 400
 
 
 def test_unparseable_target_is_a_400_document_not_a_dropped_connection(
@@ -136,19 +98,17 @@ def test_unparseable_target_is_a_400_document_not_a_dropped_connection(
 
     in_flight = gateway.admission.snapshot()["in_flight"]
     bad_before = gateway.metrics.snapshot()["responses"].get("4xx", 0)
-    with _connect(gateway) as sock:
-        sock_file = sock.makefile("rb")
+    with RawHttp(gateway.address) as conn:
         # urlsplit raises "Invalid IPv6 URL" on this one
-        sock.sendall(_encode("GET", "//[bad"))
-        status, headers, body = _read_response(sock_file)
+        conn.send(raw_request("GET", "//[bad"))
+        status, headers, body = conn.read()
         assert status == 400
         document = json.loads(body)
         assert document["error"] == "BadRequest" and document["status"] == 400
         assert "bad request target" in document["message"]
         # the stream is still framed: the connection answers the next request
         assert headers.get("connection") == "keep-alive"
-        sock.sendall(_encode("GET", "/pilgrim/platforms"))
-        assert _read_response(sock_file)[0] == 200
+        assert conn.exchange("GET", "/pilgrim/platforms")[0] == 200
     assert gateway.admission.snapshot()["in_flight"] == in_flight
     assert (gateway.metrics.snapshot()["responses"].get("4xx", 0)
             == bad_before + 1)
@@ -163,15 +123,14 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
 
     monkeypatch.setattr(gateway, "_dispatch", broken)
     errors_before = gateway.metrics.snapshot()["responses"].get("5xx", 0)
-    with _connect(gateway) as sock:
-        sock_file = sock.makefile("rb")
-        sock.sendall(_encode("GET", "/pilgrim/platforms"))
-        status, headers, body = _read_response(sock_file)
+    with RawHttp(gateway.address) as conn:
+        conn.send(raw_request("GET", "/pilgrim/platforms"))
+        status, headers, body = conn.read()
         assert status == 500
         assert headers.get("connection") == "close"
         assert json.loads(body) == {"error": "InternalError", "status": 500,
                                     "message": "RuntimeError: boom"}
-        assert sock_file.read() == b"", "server closes after the 500"
+        assert conn.at_eof(), "server closes after the 500"
     monkeypatch.undo()
     # recorded as a 5xx under an explicit status, slot given back
     assert (gateway.metrics.snapshot()["responses"].get("5xx", 0)
@@ -191,14 +150,13 @@ def test_frontend_answers_500_when_the_app_itself_raises(caplog):
 
     frontend = PilgrimHTTPServer(app).start()
     try:
-        with socket.create_connection(frontend.address, timeout=10.0) as sock:
-            sock.sendall(_encode("GET", "/anything"))
-            sock_file = sock.makefile("rb")
-            status, headers, body = _read_response(sock_file)
+        with RawHttp(frontend.address) as conn:
+            conn.send(raw_request("GET", "/anything"))
+            status, headers, body = conn.read()
             assert status == 500
             assert headers.get("connection") == "close"
             assert json.loads(body)["message"] == "KeyError: 'no such thing'"
-            assert sock_file.read() == b""
+            assert conn.at_eof()
     finally:
         frontend.stop()
     # the traceback is logged, not lost with the connection
@@ -227,12 +185,11 @@ def test_pipelined_requests_answer_in_order(gateway, queries, ground_truth):
         params = urllib.parse.urlencode(
             [("transfer", f"{s},{d},{z!r}") for s, d, z in transfers])
         paths.append(f"/pilgrim/predict_transfers/{STAR_PLATFORM}?{params}")
-    with _connect(gateway) as sock:
+    with RawHttp(gateway.address) as conn:
         # all four requests written back-to-back before any read
-        sock.sendall(b"".join(_encode("GET", path) for path in paths))
-        sock_file = sock.makefile("rb")
+        conn.send(b"".join(raw_request("GET", path) for path in paths))
         for qi in range(len(queries)):
-            status, headers, body = _read_response(sock_file)
+            status, headers, body = conn.read()
             assert status == 200
             assert headers.get("connection") == "keep-alive"
             assert json.loads(body) == ground_truth[qi]
@@ -241,24 +198,15 @@ def test_pipelined_requests_answer_in_order(gateway, queries, ground_truth):
 def test_mid_stream_disconnect_leaves_gateway_healthy(gateway, queries,
                                                       ground_truth):
     disconnects_before = gateway.stats()["errors"]["disconnects"]
-    sock = _connect(gateway)
+    conn = RawHttp(gateway.address)
     # promise a body, send half of it, vanish
-    sock.sendall(f"POST /pilgrim/predict_transfers/{STAR_PLATFORM} "
-                 f"HTTP/1.1\r\nHost: t\r\nContent-Length: 1000\r\n\r\n"
-                 f"half".encode("ascii"))
-    sock.close()
+    conn.send(raw_request("POST", f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+                          b"half", length=1000))
+    conn.close()
     # the server reaps the dead connection and keeps answering
     with RestClient(gateway.url) as client:
         assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
     assert gateway.stats()["errors"]["disconnects"] >= disconnects_before
-
-
-def test_malformed_request_line_gets_400_not_hang(gateway):
-    with _connect(gateway) as sock:
-        sock.sendall(b"COMPLETE GARBAGE\r\n\r\n")
-        status, headers, _ = _read_response(sock.makefile("rb"))
-        assert status == 400
-        assert headers.get("connection") == "close"
 
 
 def test_oversized_body_gets_413_before_read(gateway):

@@ -24,7 +24,6 @@ after its first event degraded ``LINK``.
 
 from __future__ import annotations
 
-import http.client
 import json
 import multiprocessing
 import os
@@ -44,6 +43,7 @@ from repro.simgrid.engine import Simulation
 from repro.surrogate.model import SurrogateModel
 from serving_helpers import (
     STAR_PLATFORM,
+    RawHttp,
     star_factory,
     star_fleet_factory,
     star_forecast_service,
@@ -87,23 +87,12 @@ def get_target(transfers, path=PREDICT, extra="") -> str:
     return f"{path}?{query}{extra}"
 
 
-class Client:
-    """One keep-alive connection returning raw ``(status, body bytes)``."""
+class Client(RawHttp):
+    """One keep-alive connection to ``gateway``, returning raw ``(status,
+    body bytes)``."""
 
     def __init__(self, gateway: ShardedGateway) -> None:
-        self.conn = http.client.HTTPConnection(*gateway.address, timeout=30)
-
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.conn.close()
-
-    def exchange(self, method: str, target: str,
-                 body: bytes | None = None) -> tuple[int, bytes]:
-        self.conn.request(method, target, body=body)
-        response = self.conn.getresponse()
-        return response.status, response.read()
+        super().__init__(gateway.address, timeout=30.0)
 
     def post(self, transfers, path=PREDICT, **extra) -> tuple[int, bytes]:
         return self.exchange("POST", path, body_of(transfers, **extra))

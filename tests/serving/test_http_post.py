@@ -1,4 +1,4 @@
-"""POST transport: JSON bodies, router dispatch, /stats endpoint."""
+"""POST transport: JSON bodies over HTTP, the /stats endpoint, models."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
-from repro.core.rest.errors import BadRequest, MethodNotAllowed
-from repro.core.rest.router import Request, Router
+from repro.core.rest.errors import BadRequest
 from serving_helpers import STAR_PLATFORM, post_predict, star_forecast_service
 
 N_HOSTS = 8
@@ -37,58 +36,6 @@ def pilgrim(star_service):
 def http(pilgrim):
     with pilgrim.serve() as server:
         yield RestClient(server.url)
-
-
-class TestRouterPost:
-    def test_post_route_receives_body(self):
-        router = Router()
-
-        @router.post("/echo")
-        def echo(request: Request):
-            return {"got": request.json_body()}
-
-        status, payload = router.dispatch(
-            Request.from_target("POST", "/echo", body={"x": 1}))
-        assert status == 200
-        assert payload == {"got": {"x": 1}}
-
-    def test_get_contract_unchanged(self):
-        router = Router()
-
-        @router.post("/thing")
-        def create(request: Request):
-            return {}
-
-        @router.get("/thing")
-        def read(request: Request):
-            return {"method": "GET"}
-
-        status, payload = router.dispatch(Request.from_target("GET", "/thing"))
-        assert status == 200
-        assert payload == {"method": "GET"}
-
-    def test_method_mismatch_is_405(self):
-        router = Router()
-
-        @router.post("/only-post")
-        def create(request: Request):
-            return {}
-
-        status, payload = router.dispatch(
-            Request.from_target("GET", "/only-post"))
-        assert status == MethodNotAllowed.status
-
-    def test_body_accessors(self):
-        request = Request.from_target("POST", "/x", body={"a": 1})
-        assert request.json_body() == {"a": 1}
-        assert request.body_field("a") == 1
-        assert request.body_field("b", default=None) is None
-        with pytest.raises(BadRequest):
-            request.body_field("b")
-        with pytest.raises(BadRequest):
-            Request.from_target("POST", "/x", body=[1]).body_field("a")
-        with pytest.raises(BadRequest):
-            Request.from_target("GET", "/x").json_body()
 
 
 class TestHTTPPost:
@@ -136,19 +83,6 @@ class TestHTTPPost:
         with pytest.raises(BadRequest):
             http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
                       {"transfers": [[hosts[0], hosts[1], -5]]})
-
-    def test_invalid_json_body_is_400(self, http):
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(
-            http.base_url + f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-            data=b"{not json", headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
 
     def test_stats_endpoint(self, http, hosts):
         post_predict(http, STAR_PLATFORM,

@@ -10,7 +10,6 @@ at once, and caches again, however long before the last write it was built.
 
 from __future__ import annotations
 
-import http.client
 import json
 
 import pytest
@@ -20,7 +19,8 @@ from repro.serving.gateway.gateway import GatewayConfig, ShardedGateway
 from repro.serving.service import ForecastServingService
 from repro.simgrid.builder import build_star_cluster
 from repro.simgrid.platform import link_state_version
-from serving_helpers import STAR_PLATFORM, star_fleet_factory, star_fleet_service
+from serving_helpers import (STAR_PLATFORM, RawHttp, star_fleet_factory,
+                             star_fleet_service)
 
 N_HOSTS = 6
 A, B = f"{STAR_PLATFORM}-0", f"{STAR_PLATFORM}-1"
@@ -115,16 +115,12 @@ def test_a_platform_built_before_the_last_write_answers_once_registered(
 
 
 def post(gateway, name) -> bytes:
-    conn = http.client.HTTPConnection(*gateway.address, timeout=30)
-    try:
-        body = json.dumps({"transfers": [list(t) for t in TRANSFERS[name]]})
-        conn.request("POST", f"/pilgrim/predict_transfers/{name}",
-                     body=body.encode("utf-8"))
-        response = conn.getresponse()
-        assert response.status == 200
-        return response.read()
-    finally:
-        conn.close()
+    body = json.dumps({"transfers": [list(t) for t in TRANSFERS[name]]})
+    with RawHttp(gateway.address, timeout=30.0) as conn:
+        status, answer = conn.exchange(
+            "POST", f"/pilgrim/predict_transfers/{name}", body.encode("utf-8"))
+    assert status == 200
+    return answer
 
 
 def test_a_two_platform_gateway_keeps_the_other_platforms_front_hits():
