@@ -61,19 +61,13 @@ class TestStabilityProperties:
     @given(st.lists(st.floats(0.0, 150.0), min_size=3, max_size=40),
            st.integers(1, 12))
     @settings(max_examples=60)
-    def test_forecasts_stay_within_physical_bounds(self, values, horizon):
+    def test_bounded_intervals_widen_monotonically(self, values, horizon):
         series = warmed(values, capacity=150.0).forecast_horizon(horizon)
         for step in series.steps:
             assert 0.0 <= step.value <= 150.0
             assert 0.0 <= step.lower <= 150.0
             assert 0.0 <= step.upper <= 150.0
             assert step.lower <= step.value <= step.upper
-
-    @given(st.lists(st.floats(0.0, 150.0), min_size=3, max_size=40),
-           st.integers(2, 12))
-    @settings(max_examples=60)
-    def test_interval_half_width_widens_monotonically(self, values, horizon):
-        series = warmed(values, capacity=150.0).forecast_horizon(horizon)
         widths = [step.half_width for step in series.steps]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 

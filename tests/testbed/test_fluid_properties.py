@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.testbed.fluid import FluidSimulator, Hop, TestbedNetwork
@@ -37,39 +36,29 @@ def workloads(draw):
     return out
 
 
+def run(transfers, seed):
+    net = fresh_net()
+    sim = FluidSimulator(net, seed=seed)
+    flows = [sim.submit(s, d, z) for s, d, z in transfers]
+    sim.run()
+    return net, flows
+
+
 class TestInvariants:
     @given(workloads(), st.integers(0, 5))
     @settings(max_examples=60)
-    def test_all_flows_finish_with_positive_durations(self, transfers, seed):
-        sim = FluidSimulator(fresh_net(), seed=seed)
-        flows = [sim.submit(s, d, z) for s, d, z in transfers]
-        sim.run()
+    def test_every_workload(self, transfers, seed):
+        net, flows = run(transfers, seed)
         for flow in flows:
             assert flow.state == "done"
             assert flow.completion_time_raw > 0
             assert math.isfinite(flow.finish_time)
-
-    @given(workloads(), st.integers(0, 5))
-    @settings(max_examples=60)
-    def test_no_flow_beats_its_goodput_bottleneck(self, transfers, seed):
-        net = fresh_net()
-        sim = FluidSimulator(net, seed=seed)
-        flows = [sim.submit(s, d, z) for s, d, z in transfers]
-        sim.run()
-        for flow in flows:
+            # no flow beats its goodput bottleneck
             bottleneck = min(h.link.goodput_capacity for h in flow.route)
             data_time = flow.finish_time - flow.data_start
             assert data_time >= flow.size / bottleneck * (1 - 1e-6)
-
-    @given(workloads(), st.integers(0, 3))
-    @settings(max_examples=40)
-    def test_average_rates_feasible_per_direction(self, transfers, seed):
         # over the busiest interval, total bytes through any link direction
         # cannot exceed capacity x makespan
-        net = fresh_net()
-        sim = FluidSimulator(net, seed=seed)
-        flows = [sim.submit(s, d, z) for s, d, z in transfers]
-        sim.run()
         start = min(f.data_start for f in flows)
         end = max(f.finish_time for f in flows)
         span = max(end - start, 1e-9)
@@ -80,17 +69,9 @@ class TestInvariants:
         for key, total_bytes in through.items():
             capacity = net.links[key[0]].goodput_capacity
             assert total_bytes <= capacity * span * (1 + 1e-6)
-
-    @given(workloads())
-    @settings(max_examples=40)
-    def test_deterministic_per_seed(self, transfers):
-        def run(seed):
-            sim = FluidSimulator(fresh_net(), seed=seed)
-            flows = [sim.submit(s, d, z) for s, d, z in transfers]
-            sim.run()
-            return [f.finish_time for f in flows]
-
-        assert run(3) == run(3)
+        # deterministic per seed
+        _, again = run(transfers, seed)
+        assert [f.finish_time for f in again] == [f.finish_time for f in flows]
 
     @given(st.floats(1e5, 1e9), st.integers(0, 5))
     @settings(max_examples=40)
