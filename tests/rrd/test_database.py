@@ -304,11 +304,12 @@ class TestFetch:
                  heartbeat=30.0)
         for i, v in enumerate([5.0, 1.0, 9.0, 3.0], start=1):
             db.update(i * 10.0, v)
-        assert values(db.fetch(0.0, 40.0, cf=AVG)) == [pytest.approx(3.0),
-                                                       pytest.approx(6.0)]
-        assert values(db.fetch(0.0, 40.0, cf=MIN)) == [1.0, 3.0]
-        assert values(db.fetch(0.0, 40.0, cf=MAX)) == [5.0, 9.0]
-        assert values(db.fetch(0.0, 40.0, cf=LAST)) == [1.0, 3.0]
+        # one CDP per two steps, on the same grid for every function
+        assert db.fetch(0.0, 40.0, cf=AVG) == [(20.0, pytest.approx(3.0)),
+                                               (40.0, pytest.approx(6.0))]
+        assert db.fetch(0.0, 40.0, cf=MIN) == [(20.0, 1.0), (40.0, 3.0)]
+        assert db.fetch(0.0, 40.0, cf=MAX) == [(20.0, 5.0), (40.0, 9.0)]
+        assert db.fetch(0.0, 40.0, cf=LAST) == [(20.0, 1.0), (40.0, 3.0)]
 
     def test_describe_structure(self):
         info = rrd(*THREE).describe()

@@ -251,6 +251,14 @@ class TestIncrementalSharing:
         # constraints without dirtying the survivor
         assert stats["variables_resolved"] == 2
 
+    def test_sharing_stats_exposed(self, star4):
+        sim = Simulation(star4, CM02())
+        sim.simulate_transfers([("star-1", "star-2", 1e8)])
+        stats = sim.sharing_stats
+        assert stats["solves"] >= 1
+        assert stats["components_solved"] >= 1
+        assert stats["peak_variables"] == 1
+
     def test_usages_cached_on_activities(self, star4):
         sim = Simulation(star4, LV08())
         comm = sim.add_comm("star-1", "star-2", 1e8)

@@ -238,11 +238,21 @@ def test_every_solver_is_max_min_and_they_agree(script, rand):
                  "fresh": live.fresh(shuffled),
                  "reference": live.reference(),
                  "dense": live.dense()}
+    assert dict(system.allocations()) == incremental[0]
     for label, solution in solutions.items():
         live.assert_max_min(label, solution)
         for payload, value in solution[0].items():
             agree(f"payload {payload}: incremental vs {label}",
                   incremental[0][payload], value)
+    # the arena folds a private constraint into its one user's bound: its
+    # usage is that user's value times the aggregated coefficient, exactly
+    for key in live.used:
+        users = [(payload, [c for k, c in uses if k == key])
+                 for payload, (_, _, uses) in live.flows.items()]
+        users = [(payload, coeffs) for payload, coeffs in users if coeffs]
+        if len(users) == 1:
+            (payload, coeffs), = users
+            assert incremental[1][key] == sum(coeffs) * incremental[0][payload]
 
     k = 3.0
     for label, (scaled, _) in (("fresh", live.fresh(list(live.flows), k)),
@@ -476,7 +486,32 @@ def test_growth_preserves_state():
 
 
 class TestUpdateVariable:
-    """Retuning live variables (the TCP-fluid per-round weight/bound path)."""
+    """Retuning live variables (the TCP-fluid per-round weight/bound path):
+    a retuned arena solves as one built with those parameters, to 1e-12."""
+
+    @staticmethod
+    def contended(weights, bounds):
+        system = SharingSystem()
+        vids = [system.add_variable(w, bound=b, payload=i,
+                                    usages=((("bottleneck",), 100.0, 1.0),))
+                for i, (w, b) in enumerate(zip(weights, bounds))]
+        system.solve()
+        return system, vids
+
+    @pytest.mark.parametrize("weights, bounds", [
+        ([1.0, 2.0, 4.0, 8.0], [math.inf, 30.0, math.inf, 5.0]),
+        ([1.0, 3.0, None, None], [None, None, None, 2.0]),  # partial retunes
+    ])
+    def test_retune_matches_a_fresh_system(self, weights, bounds):
+        system, vids = self.contended([1.0] * 4, [None] * 4)
+        for vid, weight, bound in zip(vids, weights, bounds):
+            system.update_variable(vid, weight=weight, bound=bound)
+        system.solve()  # incremental: only the dirty component
+        fresh, fresh_vids = self.contended(
+            [1.0 if w is None else w for w in weights],
+            [math.inf if b is None else b for b in bounds])
+        assert [system.value(v) for v in vids] == pytest.approx(
+            [fresh.value(v) for v in fresh_vids], rel=1e-12)
 
     def test_partial_update_leaves_other_parameter(self):
         system = SharingSystem()
