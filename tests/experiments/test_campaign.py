@@ -115,16 +115,6 @@ class TestRunCampaign:
         stats = campaign_summary(results)
         assert stats.n_observations == (2 + 2) * 2  # transfers x sizes...
 
-    def test_deterministic_per_combination(self, forecast_service, g5k_testbed):
-        r1 = run_campaign(forecast_service, g5k_testbed,
-                          combinations=graphene((1, 2), (2,)), seed=9,
-                          repetitions=1, sizes=(1e9,))
-        r2 = run_campaign(forecast_service, g5k_testbed,
-                          combinations=graphene((1, 2), (2,)), seed=9,
-                          repetitions=1, sizes=(1e9,))
-        for key in r1:
-            assert r1[key].points[0].errors == r2[key].points[0].errors
-
     def test_a_combination_reruns_alone_from_its_id(
             self, forecast_service, g5k_testbed):
         # the seed is derive_seed(derive_seed(root, id), 0): neither the
@@ -151,18 +141,8 @@ class TestRunCampaign:
 
 
 class TestParallelCampaign:
-    """The process pool runs the same function in the same order."""
-
-    def test_parallel_matches_serial_bitwise(self, forecast_service, g5k_testbed):
-        kwargs = dict(combinations=graphene((1, 2, 3), (2, 4)), seed=9,
-                      repetitions=1, sizes=(5.99e7, 1e9))
-        serial = run_campaign(forecast_service, g5k_testbed, **kwargs)
-        parallel = run_campaign(forecast_service, g5k_testbed, workers=2,
-                                **kwargs)
-        assert list(serial) == list(parallel)  # campaign-order aggregation
-        for key in serial:
-            assert serial[key].rows() == parallel[key].rows()
-        assert campaign_summary(serial) == campaign_summary(parallel)
+    """The process pool runs the same function in the same order: its rows
+    are the serial ones bit for bit (``test_campaign_golden.py``)."""
 
     def test_workers_run_against_the_factory_environment(
             self, forecast_service, g5k_testbed):
