@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.rest.errors import ApiError, BadRequest, NotFound
+from repro.core.rest.errors import BadRequest, NotFound
 from repro.core.rest.json_codec import _sanitize, dumps, loads
 from repro.core.rest.router import Request, Router
 

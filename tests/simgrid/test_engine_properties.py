@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simgrid.builder import build_star_cluster, build_two_level_grid
