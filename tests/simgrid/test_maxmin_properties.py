@@ -944,12 +944,6 @@ def run_comms(platform, events, model, reference, until=None):
     return sim, comms
 
 
-def both_engines(scenario) -> list:
-    """``scenario(sim)`` on a fresh reference engine, then on the engine;
-    returns the two results' pairs, zipped."""
-    return list(zip(*(scenario(reference) for reference in (True, False))))
-
-
 #: (platform, model, n_comms) of the random staggered workloads, by seed: a
 #: star (many small components), a dumbbell (one big component re-solved
 #: in overlapping subsets) and a two-level grid
@@ -1064,7 +1058,7 @@ def touch_sharing_mid_transfer(reference):
     resume_after_until, touch_sharing_mid_transfer,
 ], ids=lambda scenario: scenario.__name__)
 def test_scenario_matches_the_reference_engine(scenario):
-    for full_t, inc_t in both_engines(scenario):
+    for full_t, inc_t in zip(scenario(True), scenario(False)):
         assert close(full_t, inc_t), (full_t, inc_t)
 
 
