@@ -33,10 +33,12 @@ answer.  A permuted request is a clean miss, never a wrong hit.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Sequence
+from concurrent.futures import Future
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro._util.lru import _MISS, BoundedLRU
 from repro.core.forecast import ForecastQuery, TransferForecast, TransferSpec
+from repro.simgrid.platform import link_sandboxes
 
 
 def forecast_cache_key(
@@ -73,7 +75,7 @@ class ForecastCache(BoundedLRU):
     counters still read consistently.
     """
 
-    __slots__ = ("_lock", "_stamps")
+    __slots__ = ("_lock", "_stamps", "_flights")
 
     def __init__(self, maxsize: int = 4096) -> None:
         super().__init__(maxsize)
@@ -81,6 +83,8 @@ class ForecastCache(BoundedLRU):
         #: platform name -> newest stamp seen in a key of it; every entry
         #: of that platform is of that stamp
         self._stamps: dict = {}
+        #: key -> future of the computation of its answer now running
+        self._flights: dict = {}
 
     @property
     def enabled(self) -> bool:
@@ -108,6 +112,56 @@ class ForecastCache(BoundedLRU):
             # probe with the miss sentinel so the copy applies to hits only
             entry = super().get(key, _MISS)
             return None if entry is _MISS else list(entry)
+
+    def get_or_start(self, key: tuple, start: Callable[[], Future]
+                     ) -> tuple[Optional[list[TransferForecast]],
+                                Optional[Future]]:
+        """``(answer, None)`` when ``key`` is stored, else ``(None,
+        flight)``: the future of the one computation of its answer, joined
+        when one is in flight (a hit) or begun by ``start()`` (a miss).
+
+        A disabled cache keeps no flights: every lookup starts its own.
+        The flight's answer is stored when it lands, unless it failed, its
+        stamp was retired meanwhile or a what-if ran beside it."""
+        with self._lock:
+            self._admit(key)
+            flight = self._flights.get(key)
+            if flight is not None:
+                self.hits += 1
+                return None, flight
+            entry = super().get(key, _MISS)
+            if entry is not _MISS:
+                return list(entry), None
+            if not self.enabled:
+                return None, start()
+            flight = self._flights[key] = Future()
+        # started outside the lock: the coalescer resolves futures on its
+        # own thread, whose landing takes this lock
+        sandboxes = link_sandboxes()
+        try:
+            source = start()
+        except BaseException as exc:  # noqa: BLE001 - joiners must wake
+            source = Future()
+            source.set_exception(exc)
+        source.add_done_callback(
+            lambda done: self._land(key, flight, done, sandboxes))
+        return None, flight
+
+    def _land(self, key: tuple, flight: Future, done: Future,
+              sandboxes: tuple[int, int]) -> None:
+        error = done.exception()
+        # a what-if that ran beside the flight may have lent it transient
+        # link values, which its committed-state key would then outlive
+        keep = (error is None
+                and sandboxes[0] == sandboxes[1] == link_sandboxes()[0])
+        with self._lock:
+            del self._flights[key]
+            if keep and self._admit(key):
+                super().put(key, list(done.result()))
+        if error is None:
+            flight.set_result(done.result())
+        else:
+            flight.set_exception(error)
 
     def put(self, key: tuple, forecasts: Sequence[TransferForecast]) -> None:
         with self._lock:

@@ -13,7 +13,9 @@ production request path:
    recalibration invalidates that platform's answers implicitly, and a
    what-if or another platform's recalibration does not),
 3. misses are queued on the **request coalescer**, which micro-batches
-   concurrent arrivals into one fan-out,
+   concurrent arrivals into one fan-out (an ask of an answer already in
+   flight joins that flight instead: see
+   :meth:`~repro.serving.cache.ForecastCache.get_or_start`),
 4. batches execute on the **warm worker pool** (``workers > 0``) or inline
    on the resident service (``workers == 0`` — the right default on small
    hosts: the in-process arena and route LRU stay hot with zero IPC).
@@ -46,7 +48,6 @@ from repro.core.forecast import (
 from repro.serving.batcher import DEFAULT_WINDOW, PendingRequest, RequestCoalescer
 from repro.serving.cache import ForecastCache
 from repro.serving.pool import WarmWorkerPool
-from repro.simgrid.platform import link_sandboxes
 
 
 class LatencyCounter:
@@ -173,17 +174,12 @@ class ForecastServingService:
             if answered is not None:
                 self.latency.record(time.perf_counter() - t0)
                 return answered
-        key = self.query_key(query)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.latency.record(time.perf_counter() - t0)
-            return cached
-        sandboxes = link_sandboxes()
-        forecasts = self.batcher.submit(query).result(timeout=timeout)
-        # a what-if that ran beside this miss may have lent it transient
-        # link values, which its committed-state key would then outlive
-        if sandboxes[0] == sandboxes[1] == link_sandboxes()[0]:
-            self.cache.put(key, forecasts)
+        forecasts, flight = self.cache.get_or_start(
+            self.query_key(query), lambda: self.batcher.submit(query))
+        if flight is not None:
+            # each asker gets its own list: answers are shared values, not
+            # shared containers
+            forecasts = list(flight.result(timeout=timeout))
         self.latency.record(time.perf_counter() - t0)
         return forecasts
 
@@ -194,11 +190,10 @@ class ForecastServingService:
 
         Requests are grouped by (platform, model); each group is one
         campaign-style fan-out.  Within a group, *identical* queries (one
-        :meth:`query_key`) are single-flighted
-        — the motivating burst (N clients issuing the same probe before any
-        answer lands in the cache) simulates once and resolves all N
-        futures.  Answers are per request either way, so nothing depends on
-        what else rode the batch.
+        :meth:`query_key`) are single-flighted: with the cache on they
+        already joined one flight in :meth:`answer`, so this collapses
+        bursts only with the cache off.  Answers are per request either way,
+        so nothing depends on what else rode the batch.
         """
         groups: dict[tuple, dict[tuple, list[PendingRequest]]] = {}
         for pending in batch:

@@ -224,17 +224,17 @@ def test_no_request_is_answered_after_stop(name):
         server.stop()
 
 
-def test_expect_continue_is_answered_before_the_body(servers):
+@pytest.mark.parametrize("name", ["pilgrim", "gateway"])
+def test_expect_continue_is_answered_before_the_body(servers, name):
     body = json.dumps({"transfers": [[SRC, DST, 5e7]]}).encode()
-    for address in servers.values():
-        with RawHttp(address) as conn:
-            conn.send(raw_request("POST", PREDICT, headers=(
-                "Expect: 100-continue",), length=len(body)))
-            assert conn.stream.readline() == b"HTTP/1.1 100 Continue\r\n"
-            assert conn.stream.readline() == b"\r\n"
-            conn.send(body)
-            status, _, answer = conn.read()
-            assert status == 200 and len(json.loads(answer)) == 1
+    with RawHttp(servers[name]) as conn:
+        conn.send(raw_request("POST", PREDICT, headers=(
+            "Expect: 100-continue",), length=len(body)))
+        assert conn.stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert conn.stream.readline() == b"\r\n"
+        conn.send(body)
+        status, _, answer = conn.read()
+        assert status == 200 and len(json.loads(answer)) == 1
 
 
 # -- the transport, from the strictest client --------------------------------
@@ -339,10 +339,10 @@ def test_connection_burst_is_answered_in_full(star_pilgrim):
 # -- what a complete request means ------------------------------------------
 
 
-def test_strict_json_refuses_non_finite_constants():
-    for text in ("NaN", "[Infinity]", '{"x": -Infinity}'):
-        with pytest.raises(ValueError, match="not valid JSON"):
-            loads(text)
+@pytest.mark.parametrize("text", ["NaN", "[Infinity]", '{"x": -Infinity}'])
+def test_strict_json_refuses_non_finite_constants(text):
+    with pytest.raises(ValueError, match="not valid JSON"):
+        loads(text)
     assert math.isinf(loads("1e400"))  # a number, left to the schema
 
 

@@ -64,11 +64,11 @@ class TestRouting:
                            "host": "sagittaire-1.lyon.grid5000.fr",
                            "metric": "pdu"}
 
-    def test_trailing_slash_optional(self):
-        router = self.build()
-        for path in ("/pilgrim/platforms", "/pilgrim/platforms/"):
-            status, _ = router.dispatch(Request.from_target("GET", path))
-            assert status == 200
+    @pytest.mark.parametrize("path", ["/pilgrim/platforms",
+                                      "/pilgrim/platforms/"])
+    def test_trailing_slash_optional(self, path):
+        status, _ = self.build().dispatch(Request.from_target("GET", path))
+        assert status == 200
 
     def test_unknown_path_404(self):
         router = self.build()

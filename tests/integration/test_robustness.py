@@ -68,27 +68,24 @@ class TestLinkDegradation:
             link.capacity = original
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
 class TestSeedSensitivity:
     def test_conclusions_stable_across_seeds(self, forecast_service,
-                                             g5k_testbed):
+                                             g5k_testbed, seed):
         # the fig8 over-prediction sign must not depend on the seed
         spec = ExperimentSpec("seed-fig8", Topology.CLUSTER, 30, 30,
                               cluster="graphene")
-        plateaus = []
-        for seed in (1, 2, 3):
-            series = run_experiment(spec, forecast_service, g5k_testbed,
-                                    seed=seed, repetitions=1, sizes=(1e9,))
-            plateaus.append(series.points[0].median_error)
-        assert all(p > 0 for p in plateaus)
+        series = run_experiment(spec, forecast_service, g5k_testbed,
+                                seed=seed, repetitions=1, sizes=(1e9,))
+        assert series.points[0].median_error > 0
 
     def test_sagittaire_sign_stable_across_seeds(self, forecast_service,
-                                                 g5k_testbed):
+                                                 g5k_testbed, seed):
         spec = ExperimentSpec("seed-fig4", Topology.CLUSTER, 10, 10,
                               cluster="sagittaire")
-        for seed in (1, 2, 3):
-            series = run_experiment(spec, forecast_service, g5k_testbed,
-                                    seed=seed, repetitions=1, sizes=(1e5,))
-            assert series.points[0].median_error < -2.0
+        series = run_experiment(spec, forecast_service, g5k_testbed,
+                                seed=seed, repetitions=1, sizes=(1e5,))
+        assert series.points[0].median_error < -2.0
 
 
 class TestPlatformMutation:

@@ -71,18 +71,14 @@ class TestHTTPPost:
             {"transfers": [[hosts[0], hosts[1], 5e7]], "ongoing": []})
         assert len(answers) == 1
 
-    def test_malformed_bodies_are_400(self, http, hosts):
+    @pytest.mark.parametrize("transfers", [
+        None, [], [[0, 1]], [[0, 1, -5]],
+    ], ids=["no_transfers", "empty", "no_size", "negative_size"])
+    def test_malformed_bodies_are_400(self, http, hosts, transfers):
+        body = {} if transfers is None else {"transfers": [
+            [hosts[a], hosts[b], *size] for a, b, *size in transfers]}
         with pytest.raises(BadRequest):
-            http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}", {})
-        with pytest.raises(BadRequest):
-            http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-                      {"transfers": []})
-        with pytest.raises(BadRequest):
-            http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-                      {"transfers": [[hosts[0], hosts[1]]]})
-        with pytest.raises(BadRequest):
-            http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
-                      {"transfers": [[hosts[0], hosts[1], -5]]})
+            http.post(f"/pilgrim/predict_transfers/{STAR_PLATFORM}", body)
 
     def test_stats_endpoint(self, http, hosts):
         post_predict(http, STAR_PLATFORM,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.forecast import NetworkForecastService
@@ -91,6 +94,56 @@ class TestInlineServing:
         # answers are separate containers: one caller's mutation is private
         answers[0].clear()
         assert answers[1] == direct
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["lands", "fails"])
+    def test_asks_of_an_answer_in_flight_join_it(self, star_service, hosts,
+                                                 fails):
+        """However late the asks come while the one simulation runs, they
+        join it: one miss, the rest hits, one batched request."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        transfers = [(hosts[2], hosts[3], 5e7)]
+        direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
+        gate, calls = threading.Event(), []
+        original = star_service.answer
+
+        def held(query):
+            calls.append(1)
+            assert gate.wait(10.0)
+            if fails:
+                raise NotFound("simulated failure")
+            return original(query)
+
+        star_service.answer = held
+        try:
+            with ForecastServingService(star_service, window=0.0) as serving:
+                with ThreadPoolExecutor(max_workers=4) as asks:
+                    pending = [asks.submit(serving.predict, STAR_PLATFORM,
+                                           transfers) for _ in range(4)]
+                    deadline = time.monotonic() + 10.0
+                    while (serving.cache.hits + serving.cache.misses < 4
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
+                    gate.set()
+                    outcomes = [f.exception() or f.result() for f in pending]
+                stats = serving.stats()
+                del star_service.answer
+                after = serving.predict(STAR_PLATFORM, transfers)
+        finally:
+            vars(star_service).pop("answer", None)  # the class method
+        assert len(calls) == 1
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (3, 1)
+        assert stats["batcher"]["requests"] == 1
+        assert after == direct
+        if fails:
+            assert all(isinstance(o, NotFound) for o in outcomes)
+            # nothing was stored: the next ask simulated again
+            assert serving.cache.misses == 2
+        else:
+            assert all(o == direct for o in outcomes)
+            assert serving.cache.misses == 1
+            outcomes[0].clear()  # each asker holds its own list
+            assert outcomes[1] == direct
 
     def test_errors_propagate_through_the_future(self, star_service, hosts):
         with ForecastServingService(star_service, window=0.001) as serving:

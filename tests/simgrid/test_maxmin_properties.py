@@ -970,21 +970,21 @@ def test_staggered_transfers_match_the_reference_engine(seed):
 
 
 @pytest.mark.parametrize("seed", [30, 31])
-def test_rates_match_at_checkpoints(seed):
+@pytest.mark.parametrize("checkpoint", [0.5, 1.0, 2.5])
+def test_rates_match_at_checkpoints(seed, checkpoint):
     """Allocations (activity rates), not just completion times, agree."""
     platform = build_dumbbell(3, 3)
     hosts = [h.name for h in platform.hosts()]
     events = draw_comm_events(hosts, seed, n_comms=10, horizon=2.0)
-    for checkpoint in (0.5, 1.0, 2.5):
-        _, full = run_comms(platform, events, CM02(), True, until=checkpoint)
-        _, inc = run_comms(platform, events, CM02(), False, until=checkpoint)
-        assert set(full) == set(inc)
-        for name in full:
-            rate_f, rate_i = full[name].rate, inc[name].rate
-            assert close(rate_f, rate_i), (
-                f"{name} at t={checkpoint}: rate {rate_f!r} vs {rate_i!r}"
-            )
-            assert close(full[name].remaining, inc[name].remaining)
+    _, full = run_comms(platform, events, CM02(), True, until=checkpoint)
+    _, inc = run_comms(platform, events, CM02(), False, until=checkpoint)
+    assert set(full) == set(inc)
+    for name in full:
+        rate_f, rate_i = full[name].rate, inc[name].rate
+        assert close(rate_f, rate_i), (
+            f"{name} at t={checkpoint}: rate {rate_f!r} vs {rate_i!r}"
+        )
+        assert close(full[name].remaining, inc[name].remaining)
 
 
 def mixed_comms_execs_sleeps(reference):

@@ -106,16 +106,13 @@ class TestProtocol:
         assert isinstance(LV08(), SharingModel)
         assert isinstance(TcpFluidModel(), SharingModel)
 
-    def test_abstract_hooks_raise_unimplemented(self):
-        base = SharingModel()
-        for hook in ("model_key",):
-            with pytest.raises(NotImplementedError):
-                getattr(base, hook)()
-        for hook in ("startup_latency", "flow_weight", "rate_bound"):
-            with pytest.raises(NotImplementedError):
-                getattr(base, hook)(())
+    @pytest.mark.parametrize("hook, args", [
+        ("model_key", ()), ("startup_latency", ((),)), ("flow_weight", ((),)),
+        ("rate_bound", ((),)), ("effective_bandwidth", (1.0,)),
+    ])
+    def test_abstract_hooks_raise_unimplemented(self, hook, args):
         with pytest.raises(NotImplementedError):
-            base.effective_bandwidth(1.0)
+            getattr(SharingModel(), hook)(*args)
 
     def test_static_models_have_no_dynamics(self):
         assert LV08().flow_dynamics(()) is None

@@ -149,13 +149,13 @@ class TestPinnedAgainstTestbed:
         assert_pinned(run_simgrid(star_platform(), transfers),
                       run_testbed(star_testbed(), transfers))
 
-    def test_star_solo_ramps(self):
+    @pytest.mark.parametrize("size", [1e4, 1e5, 1e6, 1e7, 1e9])
+    def test_star_solo_ramps(self, size):
         # small transfers finish mid-slow-start; medium ones cross into
         # the window cap — every phase boundary must agree
-        for size in (1e4, 1e5, 1e6, 1e7, 1e9):
-            transfers = [("c-1", "c-2", size)]
-            assert_pinned(run_simgrid(star_platform(), transfers),
-                          run_testbed(star_testbed(), transfers))
+        transfers = [("c-1", "c-2", size)]
+        assert_pinned(run_simgrid(star_platform(), transfers),
+                      run_testbed(star_testbed(), transfers))
 
     def test_star_pairwise_mix(self):
         transfers = [("c-1", "c-4", 5e7), ("c-2", "c-4", 1.5e8),
@@ -412,18 +412,20 @@ class TestRoundGroupsMatchPerFlowTimers:
             sim.simulate_transfers([(SAG(1), SAG(2), 1e8)])
         assert at in sim.instants_fired
 
-    def test_comm_canceled_mid_ramp(self, g5k_test_platform):
+    @pytest.mark.parametrize("victim", [0, 1])
+    @pytest.mark.parametrize("on_round", [False, True],
+                             ids=["between_rounds", "on_a_round"])
+    def test_comm_canceled_mid_ramp(self, g5k_test_platform, victim,
+                                    on_round):
         transfers = two_rtt_classes()
         ongoing = [(SAG(50), SAG(51), 1e9), (SAG(52), GRAPHENE(52), 1e9)]
-        for victim in (0, 1):
-            src, dst, _ = ongoing[victim]
-            rounds = round_instants_of(g5k_test_platform, src, dst, 6)
-            # between two rounds, and exactly on one
-            for when in ((rounds[3] + rounds[4]) / 2.0, rounds[5]):
-                _, states = self.both(g5k_test_platform, transfers,
-                                      ongoing=ongoing, cancel=(victim, when))
-                state, finished = states[len(transfers) + victim]
-                assert state is ActivityState.CANCELED and finished == when
+        src, dst, _ = ongoing[victim]
+        rounds = round_instants_of(g5k_test_platform, src, dst, 6)
+        when = rounds[5] if on_round else (rounds[3] + rounds[4]) / 2.0
+        _, states = self.both(g5k_test_platform, transfers,
+                              ongoing=ongoing, cancel=(victim, when))
+        state, finished = states[len(transfers) + victim]
+        assert state is ActivityState.CANCELED and finished == when
 
     def test_group_whose_members_all_finish_before_it_fires(self):
         # three same-RTT flows complete mid-ramp, between two rounds: the
@@ -437,17 +439,17 @@ class TestRoundGroupsMatchPerFlowTimers:
         next_round = (round_instants_of(star_platform(), "c-1", "c-4", 40))
         assert last_finish not in next_round
 
-    def test_dynamics_come_from_the_route_memo(self, g5k_test_platform):
+    @pytest.mark.parametrize("dst", [SAG(2), GRAPHENE(1)])
+    def test_dynamics_come_from_the_route_memo(self, g5k_test_platform, dst):
         model = TcpFluidModel()
-        for src, dst in ((SAG(1), SAG(2)), (SAG(1), GRAPHENE(1))):
-            route = g5k_test_platform.route(src, dst)
-            first, second = (model.flow_dynamics(route) for _ in range(2))
-            assert first.rtt == first.interval == model.route_rtt(route)
-            assert first.steady_bound == model.rate_bound(route)
-            assert first.spec() == (model.flow_weight(route),
-                                    min(model.tcp_params.initial_window_bytes
-                                        / first.rtt, first.steady_bound))
-            # per-flow window state, one parameter object per model
-            assert first.tcp is not second.tcp
-            assert first.tcp.params is second.tcp.params is model.tcp_params
+        route = g5k_test_platform.route(SAG(1), dst)
+        first, second = (model.flow_dynamics(route) for _ in range(2))
+        assert first.rtt == first.interval == model.route_rtt(route)
+        assert first.steady_bound == model.rate_bound(route)
+        assert first.spec() == (model.flow_weight(route),
+                                min(model.tcp_params.initial_window_bytes
+                                    / first.rtt, first.steady_bound))
+        # per-flow window state, one parameter object per model
+        assert first.tcp is not second.tcp
+        assert first.tcp.params is second.tcp.params is model.tcp_params
 
