@@ -5,7 +5,7 @@ optimized in size and loading time"), so the tests share one cached
 instance of each platform and of the testbed.
 
 Those cached builds live as long as the process, and the two Grid'5000
-platforms are some 129k objects the cyclic collector tracks (85k of them
+platforms are some 67.5k objects the cyclic collector tracks (44k of them
 ``g5k_test``).  Left in the collector's generations, they cost four full
 collections inside the builds and, after them, a walk of both platforms on
 every full collection: stop-the-world pauses that reached 170–200 ms in a

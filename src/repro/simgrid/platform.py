@@ -25,7 +25,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro._util.lru import BoundedLRU
@@ -389,28 +389,58 @@ class Router(NetPoint):
     __slots__ = ()
 
 
-@dataclass(slots=True)
-class RouteEntry:
-    """A declared route between two elements of one AS.
+class RouteEntry(tuple):
+    """A declared route between two elements of one AS: the tuple of its
+    :class:`LinkUse` items (:attr:`links` reads them as a list).
 
     ``gw_src``/``gw_dst`` name net-points *inside* the respective element when
     the element is a child AS (SimGrid's ASroute gateways).  They are ``None``
     when the element is a plain net-point.  ``symmetrical`` marks a table
     entry that also answers the reverse pair; it is bookkeeping, not part of
-    the route, so it takes no part in ``==`` or ``repr``.
+    the route, so it takes no part in ``==`` or ``repr``.  A symmetrical
+    entry without gateways — nearly every entry of a Grid'5000 table — is a
+    bare tuple; any other keeps those three values in an instance dict.
     """
 
-    links: list[LinkUse] = field(default_factory=list)
+    __slots__ = ()
     gw_src: Optional[str] = None
     gw_dst: Optional[str] = None
-    symmetrical: bool = field(default=False, compare=False, repr=False)
+    symmetrical = True
+
+    def __new__(cls, links: Iterable[LinkUse] = (), gw_src: Optional[str] = None,
+                gw_dst: Optional[str] = None, symmetrical: bool = False):
+        if gw_src is None and gw_dst is None and symmetrical:
+            return tuple.__new__(RouteEntry, links)
+        entry = tuple.__new__(_MarkedEntry, links)
+        entry.gw_src, entry.gw_dst, entry.symmetrical = gw_src, gw_dst, symmetrical
+        return entry
+
+    @property
+    def links(self) -> list[LinkUse]:
+        return list(self)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, RouteEntry) and tuple.__eq__(self, other)
+                and self.gw_src == other.gw_src and self.gw_dst == other.gw_dst)
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would skip __eq__
+        return not self == other
+
+    def __repr__(self) -> str:
+        return (f"RouteEntry(links={list(self)!r}, gw_src={self.gw_src!r}, "
+                f"gw_dst={self.gw_dst!r})")
+
+    def __reduce__(self):
+        return RouteEntry, (tuple(self), self.gw_src, self.gw_dst,
+                            self.symmetrical)
 
     def reversed(self) -> "RouteEntry":
-        return RouteEntry(
-            links=[use.reversed() for use in reversed(self.links)],
-            gw_src=self.gw_dst,
-            gw_dst=self.gw_src,
-        )
+        return RouteEntry([use.reversed() for use in reversed(self)],
+                          self.gw_dst, self.gw_src)
+
+
+class _MarkedEntry(RouteEntry):
+    """A :class:`RouteEntry` with a gateway, or not symmetrical."""
 
 
 def _as_link_uses(links: Iterable["Link | LinkUse"]) -> list[LinkUse]:
@@ -445,9 +475,12 @@ class AutonomousSystem:
         self.children: dict[str, AutonomousSystem] = {}
         self.links: dict[str, Link] = {}
         self.default_gateway: Optional[str] = None
-        # one entry per declared route; the reverses that symmetrical
+        # one entry per declared route, in rows src -> {dst: entry}; _order
+        # logs each declaration's src, so that replaying it against the rows
+        # yields the declaration order.  The reverses that symmetrical
         # entries imply are built on first lookup into _reverses
-        self._routes: dict[tuple[str, str], RouteEntry] = {}
+        self._routes: dict[str, dict[str, RouteEntry]] = {}
+        self._order: list[str] = []
         self._reverses: dict[tuple[str, str], RouteEntry] = {}
         self._implied = 0  # symmetrical entries in _routes
         # adjacency: element name -> list of (neighbor name, [LinkUse, ...])
@@ -563,13 +596,14 @@ class AutonomousSystem:
         self._check_element(dst)
         if src == dst:
             raise PlatformError(f"route from {src!r} to itself")
-        key = (src, dst)
-        reverse = self._routes.get((dst, src))
-        if key in self._routes or (reverse is not None and reverse.symmetrical):
+        row = self._routes.get(src, {})
+        reverse = self._routes.get(dst, {}).get(src)
+        if dst in row or (reverse is not None and reverse.symmetrical):
             raise DuplicateNameError(f"route {src!r}->{dst!r} already declared")
         symmetrical = reverse is None and bool(symmetrical)
-        self._routes[key] = RouteEntry(_as_link_uses(links), gw_src, gw_dst,
-                                       symmetrical)
+        self._routes.setdefault(src, row)[dst] = RouteEntry(
+            _as_link_uses(links), gw_src, gw_dst, symmetrical)
+        self._order.append(src)
         self._implied += symmetrical
         platform = self.platform
         if platform is not None:
@@ -599,30 +633,36 @@ class AutonomousSystem:
 
     # -- intra-AS route lookup --------------------------------------------
 
-    def _entry(self, key: tuple[str, str]) -> RouteEntry:
-        """The entry declared for ``key``, else the reverse a symmetrical
-        entry implies, built on its first lookup and memoized (concurrent
-        first lookups build equal entries, the first one stored stays);
-        KeyError if neither exists."""
-        entry = self._routes.get(key) or self._reverses.get(key)
+    def _entry(self, src: str, dst: str) -> RouteEntry:
+        """The entry declared for ``src -> dst``, else the reverse a
+        symmetrical entry implies, built on its first lookup and memoized
+        (concurrent first lookups build equal entries, the first one stored
+        stays); KeyError if neither exists.  An empty route is a falsy
+        entry, so absence is tested with ``is None``."""
+        entry = self._routes.get(src, {}).get(dst)
         if entry is None:
-            forward = self._routes.get((key[1], key[0]))
+            entry = self._reverses.get((src, dst))
+        if entry is None:
+            forward = self._routes.get(dst, {}).get(src)
             if forward is None or not forward.symmetrical:
-                raise KeyError(key)
-            entry = self._reverses.setdefault(key, forward.reversed())
+                raise KeyError((src, dst))
+            entry = self._reverses.setdefault((src, dst), forward.reversed())
         return entry
 
     def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
         """Every stored ``((src, dst), entry)`` in declaration order.  An
         entry whose ``symmetrical`` flag is set also answers ``(dst, src)``;
         this builds none of those reverses."""
-        return iter(self._routes.items())
+        rows = {src: iter(row.items()) for src, row in self._routes.items()}
+        for src in self._order:
+            dst, entry = next(rows[src])
+            yield (src, dst), entry
 
     def local_route(self, src: str, dst: str) -> RouteEntry:
         """Route between two direct elements of this AS (may be child ASes)."""
         if self.routing == "Full":
             try:
-                return self._entry((src, dst))
+                return self._entry(src, dst)
             except KeyError:
                 raise NoRouteError(
                     f"no declared route {src!r} -> {dst!r} in AS {self.name!r}"
@@ -668,7 +708,7 @@ class AutonomousSystem:
     def route_table_size(self) -> int:
         """Number of declared route entries, implied reverses included
         (the flat-vs-hierarchical comparison); builds none of them."""
-        return len(self._routes) + self._implied
+        return len(self._order) + self._implied
 
     def descendants(self) -> Iterator["AutonomousSystem"]:
         for child in self.children.values():
@@ -860,7 +900,7 @@ class Platform:
                 )
             gw_point = self.netpoint(gw_name)
             route.extend(self.route(src, gw_point))
-        route.extend(entry.links)
+        route.extend(entry)
         if len(chain_dst) != depth:  # dst lives in a child AS
             child = chain_dst[depth]
             gw_name = entry.gw_dst or child.default_gateway

@@ -102,7 +102,7 @@ def flatten_platform(platform: Platform, name: Optional[str] = None) -> Platform
 def route_table_bytes(platform: Platform) -> int:
     """Rough memory footprint of all declared route entries, in bytes.
 
-    Counts one pointer-sized slot per link use plus fixed per-entry overhead;
+    Counts each entry's tuple of link uses plus a fixed per-entry overhead;
     a deliberately simple estimator for the flat-vs-hierarchical test (relative
     comparison flat vs hierarchical is what matters).  An implied reverse
     counts as much as its forward route and is not built.
@@ -111,7 +111,6 @@ def route_table_bytes(platform: Platform) -> int:
 
     total = 0
     for as_ in (platform.root, *platform.root.descendants()):
-        for entry in as_._routes.values():
-            size = sys.getsizeof(entry.links) + 8 * len(entry.links) + 64
-            total += size * (1 + entry.symmetrical)
+        for _pair, entry in as_.declared_routes():
+            total += (sys.getsizeof(entry) + 64) * (1 + entry.symmetrical)
     return total

@@ -2,9 +2,10 @@
 
 ``g5k_test`` declares every intra-site host pair (83,150 route entries,
 implied reverses included), so its route table is most of a serving
-process's platform memory.  Each declared route is one slotted entry; the
-reverse a symmetrical route implies is built only when something looks it
-up, and counting the table or writing it as XML builds none.
+process's platform memory.  Each declared route is one tuple of its link
+uses, held in a per-source row of its AS; the reverse a symmetrical route
+implies is built only when something looks it up, and counting the table or
+writing it as XML builds none.
 """
 
 from __future__ import annotations
@@ -21,18 +22,24 @@ from repro.simgrid.routing import route_table_bytes
 from repro.simgrid.xml_io import platform_to_xml
 
 #: Ceiling on the memory both builds leave allocated, as tracemalloc counts
-#: it.  One entry per declared route measures 14.9 MiB on CPython 3.11; a
-#: table that also stored a placeholder per implied reverse, with per-pair
-#: LinkUse objects, measured 27.9 MiB.
-BUILD_MIB_MAX = 16
+#: it.  Per-source rows of tuple entries measure 7.1 MiB on CPython 3.11;
+#: one slotted entry, one link list and one ``(src, dst)`` key per declared
+#: route measured 14.9 MiB, and a table that also stored a placeholder per
+#: implied reverse, with per-pair LinkUse objects, 27.9 MiB.
+BUILD_MIB_MAX = 8
+#: Ceiling on the objects both builds add to what the cyclic collector
+#: tracks (and every full collection walks): 67.5k with tuple entries,
+#: 129.2k with an entry object and a link list per route.
+BUILD_TRACKED_MAX = 70_000
 
 
 @pytest.fixture(scope="module")
 def built():
-    """``(traced bytes, g5k_test, g5k_cabinets)``, built fresh so that no
-    other test has looked a route up in them."""
+    """``(traced bytes, tracked objects, g5k_test, g5k_cabinets)``, built
+    fresh so that no other test has looked a route up in them."""
     dev, stable = grid5000_dev_reference(), grid5000_stable_reference()
     gc.collect()
+    before = len(gc.get_objects())
     tracemalloc.start()
     try:
         test = to_simgrid_platform(dev, "g5k_test")
@@ -40,16 +47,18 @@ def built():
         traced, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return traced, test, cabinets
+    gc.collect()
+    return traced, len(gc.get_objects()) - before, test, cabinets
 
 
 def test_both_route_tables_fit_the_ratchet(built):
-    traced, _test, _cabinets = built
+    traced, tracked, _test, _cabinets = built
     assert traced <= BUILD_MIB_MAX * 2**20, f"{traced / 2**20:.1f} MiB"
+    assert tracked <= BUILD_TRACKED_MAX, f"{tracked} tracked objects"
 
 
 def test_counting_builds_no_reverse(built):
-    _traced, test, cabinets = built
+    _traced, _tracked, test, cabinets = built
     assert test.total_route_table_entries() == 83_150
     assert cabinets.total_route_table_entries() == 42_262
     assert route_table_bytes(test) > route_table_bytes(cabinets) > 0
@@ -67,7 +76,7 @@ WRITTEN = (
 
 
 def test_writing_xml_is_unchanged_and_builds_no_reverse(built):
-    _traced, test, cabinets = built
+    _traced, _tracked, test, cabinets = built
     for platform, digest in zip((test, cabinets), WRITTEN):
         text = platform_to_xml(platform)
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -217,6 +217,32 @@ class TestLoopReader:
         loop.estimates(feed.clock)
         assert series.observations == 2
 
+    def test_a_probe_gap_is_consumed_and_the_next_sample_observed(
+            self, monkeypatch):
+        # a degenerate probe records NaN: the loop reads across the gap
+        # without feeding it to the series (whose observe refuses NaN)
+        import math
+
+        feed = small_feed(n_hosts=1)
+        loop = star_loop(feed, n_hosts=1)
+        series = loop.horizon.forecaster_for("star-1-link")
+        feed.poll_once()
+        loop.estimates(feed.clock)
+        assert series.observations == 1
+        with monkeypatch.context() as patched:
+            patched.setattr(feed, "_probe_bandwidths",
+                            lambda: {"star-1-link": math.nan})
+            gap = feed.poll_once()
+        recorded = dict(feed.rrd("star-1-link", "bandwidth").fetch(
+            0.0, gap, include_unknown=True))
+        assert math.isnan(recorded[gap])
+        [estimate] = loop.estimates(gap)
+        assert estimate.ready and series.observations == 1
+        assert loop._consumed[("star-1-link", "bandwidth")] == gap
+        feed.poll_once()
+        loop.estimates(feed.clock)
+        assert series.observations == 2
+
     def test_the_bandwidth_estimate_is_the_horizon_base(self):
         # one estimator per link: what the loop commits is step 0 of the
         # series a horizon query rolls forward

@@ -10,7 +10,9 @@ yet — on every declared pair in order and every lookup.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +21,14 @@ from reference.routes import PairTable
 from repro.simgrid.platform import (
     Direction,
     DuplicateNameError,
+    Link,
     LinkUse,
     NoRouteError,
     Platform,
+    RouteEntry,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 NAMES = ("a", "b", "c", "d")
 PAIRS = list(itertools.permutations(NAMES, 2))
@@ -46,7 +52,7 @@ def table_view(table, src, dst):
         entry = table.local_route(src, dst)
     except NoRouteError:
         return NoRouteError
-    if isinstance(entry, tuple):
+    if isinstance(table, PairTable):
         return entry
     return entry.links, entry.gw_src, entry.gw_dst
 
@@ -100,4 +106,41 @@ def test_symmetrical_flag_is_not_part_of_the_route():
     assert ab.symmetrical and not cd.symmetrical
     assert ab == cd and repr(ab) == repr(cd)
     with pytest.raises(AttributeError):
-        ab.extra = 1  # slotted: no per-instance dict
+        ab.extra = 1  # slotless: no per-instance dict
+    with pytest.raises(TypeError):
+        hash(ab)  # unhashable, as the dataclass entry was
+
+
+@pytest.mark.parametrize("gateways", [("g1", None), (None, "g2"),
+                                      ("g2", "g1"), (None, None)])
+def test_gateways_are_part_of_the_route(gateways):
+    """Equal links behind other gateways are another route; a plain tuple
+    ``==`` would call the two equal."""
+    uses = [LinkUse(Link("l", 1e8)), LinkUse(Link("m", 1e8), Direction.DOWN)]
+    route = RouteEntry(uses, "g1", "g2", symmetrical=True)
+    other = RouteEntry(uses, *gateways, symmetrical=True)
+    assert route == RouteEntry(uses, "g1", "g2")  # the flag is not compared
+    assert other != route and route != other
+    assert not (other == route or route == other)
+    assert route != tuple(uses) and tuple(uses) != route
+
+
+#: An AS's route-table layout: only :mod:`repro.simgrid.platform` reads it;
+#: every other module goes through ``declared_routes()`` or
+#: ``local_route()``.  (A ``self._routes`` is some other class's own: the
+#: REST router, the gateway metrics and the testbed network have one.)
+ROUTE_LAYOUT = ("_routes", "_order", "_reverses")
+
+
+def test_only_the_platform_reads_the_route_layout():
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module == "simgrid/platform.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ROUTE_LAYOUT
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                readers.add(f"{module}:{node.lineno} .{node.attr}")
+    assert not readers, sorted(readers)
