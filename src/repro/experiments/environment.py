@@ -4,11 +4,11 @@ Building ``g5k_test`` enumerates every intra-site host pair (§V-A's "less
 optimized in size and loading time"), so the tests share one cached
 instance of each platform and of the testbed.
 
-Those cached builds live as long as the process, and the two Grid'5000
-platforms are some 67.5k objects the cyclic collector tracks (44k of them
-``g5k_test``).  Left in the collector's generations, they cost four full
-collections inside the builds and, after them, a walk of both platforms on
-every full collection: stop-the-world pauses that reached 170–200 ms in a
+Those cached builds live as long as the process.  The two Grid'5000
+platforms were once some 220k objects the cyclic collector tracks (4.8k
+since their route tables became id arrays); left in its generations, they
+cost four full collections inside the builds and then a walk of both
+platforms per full collection: stop-the-world pauses of 170–200 ms in a
 gateway's processes on a 2-vCPU VM, past the paper's 100 ms bound
 (§IV-C2).  So each cached build runs with the collector off and ends in
 ``gc.freeze()``: the objects alive then move to the permanent generation,

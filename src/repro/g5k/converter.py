@@ -164,20 +164,23 @@ def _build_test_site(
         host_down[node.uid] = LinkUse(link, Direction.DOWN)
         node_switch[node.uid] = adapter.switch
         to_gw = [host_up[node.uid]]
+        row = {}
         if adapter.switch != site.gateway:
             if adapter.switch in backplane_up:
                 to_gw.append(backplane_up[adapter.switch])
             to_gw.append(uplink_up[adapter.switch])
-            as_.add_route(node.uid, adapter.switch, [host_up[node.uid]])
+            row[adapter.switch] = [host_up[node.uid]]
         if site.gateway in backplane_up:
             to_gw.append(backplane_up[site.gateway])
-        as_.add_route(node.uid, site.gateway, to_gw)
+        row[site.gateway] = to_gw
+        as_.add_routes(node.uid, row)
 
-    # exhaustive host-pair routes — "it does not abstract clusters and
-    # instead it enumerates all hosts" (§V-A)
+    # exhaustive host-pair routes, one row per source — "it does not
+    # abstract clusters and instead it enumerates all hosts" (§V-A)
     nodes = [n.uid for n in site.nodes()]
     for i, a in enumerate(nodes):
         sw_a = node_switch[a]
+        row = {}
         for b in nodes[i + 1:]:
             sw_b = node_switch[b]
             route = [host_up[a]]
@@ -196,7 +199,8 @@ def _build_test_site(
                     if sw_b in backplane_down:
                         route.append(backplane_down[sw_b])
             route.append(host_down[b])
-            as_.add_route(a, b, route)
+            row[b] = route
+        as_.add_routes(a, row)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +244,14 @@ def _build_cabinets(
             # SimGrid <cluster> tag semantics)
             uids = [n.uid for n in cluster.nodes]
             for i, a in enumerate(uids):
-                for b in uids[i + 1:]:
-                    cluster_as.add_route(a, b, [ups[a], cab_up, downs[b]])
+                cluster_as.add_routes(a, {b: (ups[a], cab_up, downs[b])
+                                          for b in uids[i + 1:]})
             site_as.add_route(f"AS_{cluster.uid}", site.gateway, [])
         # cluster <-> cluster inside the site: through the site router
         cluster_names = [c.uid for c in site.clusters]
         for i, a in enumerate(cluster_names):
-            for b in cluster_names[i + 1:]:
-                site_as.add_route(f"AS_{a}", f"AS_{b}", [])
+            site_as.add_routes(f"AS_{a}", {f"AS_{b}": ()
+                                           for b in cluster_names[i + 1:]})
     _add_backbone(platform, ref, site_docs, bb_latency)
     return platform
 

@@ -23,10 +23,12 @@ import enum
 import itertools
 import math
 import os
+import sys
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from repro._util.lru import BoundedLRU
 from repro.simgrid.units import parse_bandwidth, parse_time
@@ -443,16 +445,22 @@ class _MarkedEntry(RouteEntry):
     """A :class:`RouteEntry` with a gateway, or not symmetrical."""
 
 
-def _as_link_uses(links: Iterable["Link | LinkUse"]) -> list[LinkUse]:
-    uses = []
-    for item in links:
-        if isinstance(item, LinkUse):
-            uses.append(item)
-        elif isinstance(item, Link):
-            uses.append(LinkUse(item, Direction.UP))
-        else:
-            raise TypeError(f"route element must be Link or LinkUse, got {item!r}")
-    return uses[:]  # exact size: appending over-allocates
+def _as_link_use(item: "Link | LinkUse") -> LinkUse:
+    if not isinstance(item, (Link, LinkUse)):
+        raise TypeError(f"route element must be Link or LinkUse, got {item!r}")
+    return LinkUse(item, Direction.UP) if isinstance(item, Link) else item
+
+
+#: typecodes of the route-table arrays, narrowest first
+_WIDTHS = ("H", "I", "Q")
+
+
+def _fitting(table: array, top: int) -> array:
+    """``table``, or a copy of it in the narrowest wider typecode that holds
+    ``top``: a table widens instead of wrapping."""
+    while top >> 8 * table.itemsize:
+        table = array(_WIDTHS[_WIDTHS.index(table.typecode) + 1], table)
+    return table
 
 
 class AutonomousSystem:
@@ -475,14 +483,22 @@ class AutonomousSystem:
         self.children: dict[str, AutonomousSystem] = {}
         self.links: dict[str, Link] = {}
         self.default_gateway: Optional[str] = None
-        # one entry per declared route, in rows src -> {dst: entry}; _order
-        # logs each declaration's src, so that replaying it against the rows
-        # yields the declaration order.  The reverses that symmetrical
-        # entries imply are built on first lookup into _reverses
-        self._routes: dict[str, dict[str, RouteEntry]] = {}
-        self._order: list[str] = []
-        self._reverses: dict[tuple[str, str], RouteEntry] = {}
-        self._implied = 0  # symmetrical entries in _routes
+        # The Full route table in dense ids of the direct elements (_ids)
+        # and of the LinkUses routes cross (_uses).  _pool holds each entry
+        # in declaration order as (src, dst, length << 1 | symmetrical,
+        # uses...); _rows[s][d] is 0, or 1 + the offset of the entry
+        # declared for s -> d.  _gateways holds (gw_src, gw_dst) by offset;
+        # lookups memoize the entries they decode in _entries, the
+        # reverses a symmetrical flag implies in _reverses
+        self._ids: dict[str, int] = {}
+        self._uses: list[LinkUse] = []
+        self._use_ids: tuple[dict[Link, int], ...] = ({}, {})  # [DOWN][link]
+        self._pool = array(_WIDTHS[0])
+        self._rows: dict[int, array] = {}
+        self._gateways: dict[int, tuple[Optional[str], Optional[str]]] = {}
+        self._entries: dict[int, RouteEntry] = {}
+        self._reverses: dict[int, RouteEntry] = {}
+        self._size = 0  # entries, implied reverses included
         # adjacency: element name -> list of (neighbor name, [LinkUse, ...])
         self._adjacency: dict[str, list[tuple[str, list[LinkUse]]]] = {}
         # canonical (a, b, uses) declarations, for serialisation
@@ -497,8 +513,9 @@ class AutonomousSystem:
             child._attach(platform)
 
     def _register(self, point: NetPoint) -> None:
-        if point.name in self.netpoints or point.name in self.children:
+        if point.name in self._ids:
             raise DuplicateNameError(f"{point.name!r} already in AS {self.name!r}")
+        self._ids[point.name] = len(self._ids)
         point.containing_as = self
         self.netpoints[point.name] = point
         platform = self.platform
@@ -553,10 +570,11 @@ class AutonomousSystem:
     def add_child(self, child: "AutonomousSystem", gateway: Optional[str] = None) -> "AutonomousSystem":
         """Attach ``child`` as a sub-AS; ``gateway`` names the default entry
         net-point inside ``child`` used when routes do not specify one."""
-        if child.name in self.children or child.name in self.netpoints:
+        if child.name in self._ids:
             raise DuplicateNameError(f"{child.name!r} already in AS {self.name!r}")
         if child.parent is not None:
             raise PlatformError(f"AS {child.name!r} already has a parent")
+        self._ids[child.name] = len(self._ids)
         child.parent = self
         if gateway is not None:
             child.default_gateway = gateway
@@ -568,46 +586,82 @@ class AutonomousSystem:
         return child
 
     def _check_element(self, name: str) -> None:
-        if name not in self.netpoints and name not in self.children:
+        if name not in self._ids:
             raise UnknownElementError(
                 f"{name!r} is not a direct element of AS {self.name!r}"
             )
 
-    def add_route(
-        self,
-        src: str,
-        dst: str,
-        links: Iterable["Link | LinkUse"],
-        symmetrical: bool = True,
-        gw_src: Optional[str] = None,
-        gw_dst: Optional[str] = None,
-    ) -> None:
-        """Declare a route between two direct elements of this AS.
+    def add_route(self, src: str, dst: str, links: Iterable["Link | LinkUse"],
+                  symmetrical: bool = True, gw_src: Optional[str] = None,
+                  gw_dst: Optional[str] = None) -> None:
+        """Declare one route: :meth:`add_routes` for a one-pair row."""
+        self.add_routes(src, {dst: links}, symmetrical, gw_src, gw_dst)
+
+    def add_routes(self, src: str, routes: Mapping[str, Iterable["Link | LinkUse"]],
+                   symmetrical: bool = True, gw_src: Optional[str] = None,
+                   gw_dst: Optional[str] = None) -> None:
+        """Declare a route from ``src`` to each ``dst`` of ``routes``, in
+        its order; the whole row is checked before any of it is stored.
 
         ``src``/``dst`` are names of net-points or child ASes of this AS.
         When an endpoint is a child AS the corresponding gateway (explicit or
         the child's default) identifies the concrete net-point crossed.
-        ``symmetrical`` also declares the reversed route, unless an explicit
-        route declared earlier holds that pair.  The reverse is stored as a
-        flag on this entry, not as a second entry: :meth:`_entry` builds it
-        on its first lookup.
+        ``symmetrical`` also declares each reversed route, unless an explicit
+        route declared earlier holds that pair; the reverse is a flag on the
+        entry, which :meth:`local_route` reverses on its first lookup.
         """
         self._check_element(src)
-        self._check_element(dst)
-        if src == dst:
-            raise PlatformError(f"route from {src!r} to itself")
-        row = self._routes.get(src, {})
-        reverse = self._routes.get(dst, {}).get(src)
-        if dst in row or (reverse is not None and reverse.symmetrical):
-            raise DuplicateNameError(f"route {src!r}->{dst!r} already declared")
-        symmetrical = reverse is None and bool(symmetrical)
-        self._routes.setdefault(src, row)[dst] = RouteEntry(
-            _as_link_uses(links), gw_src, gw_dst, symmetrical)
-        self._order.append(src)
-        self._implied += symmetrical
+        ids, rows, uses, down = self._ids, self._rows, self._uses, Direction.DOWN
+        ups, downs = self._use_ids
+        s, pool, implied = ids[src], self._pool, 0
+        row, base = rows.get(s, ()), len(pool) + 1
+        flat, cells = [], []  # pool values; (dst id, cell) pairs
+        for dst, links in routes.items():
+            self._check_element(dst)
+            d = ids[dst]
+            if src == dst:
+                raise PlatformError(f"route from {src!r} to itself")
+            back = rows.get(d, ())
+            reverse = back[s] if s < len(back) else 0  # dst -> src, declared
+            if d < len(row) and row[d] or reverse and pool[reverse + 1] & 1:
+                raise DuplicateNameError(f"route {src!r}->{dst!r} already declared")
+            both = bool(symmetrical) and not reverse
+            cells.append((d, base + len(flat)))
+            flat += (s, d, 0)
+            n = 0
+            for item in links:
+                if type(item) is not LinkUse:
+                    item = _as_link_use(item)
+                by_link = downs if item.direction is down else ups
+                use = by_link.get(item.link)
+                if use is None:  # numbered even if the row is refused
+                    use = by_link[item.link] = len(uses)
+                    uses.append(item)
+                flat.append(use)
+                n += 1
+            flat[-n - 1] = n << 1 | both
+            implied += both
+        self._pool = pool = _fitting(pool, max(flat, default=0))
+        pool.extend(flat)
+        row = self._row(s, max(cells, default=(-1,))[0] + 1, len(pool))
+        for d, cell in cells:
+            row[d] = cell
+            if gw_src is not None or gw_dst is not None:
+                self._gateways[cell - 1] = (gw_src, gw_dst)
+        self._size += len(cells) + implied
         platform = self.platform
         if platform is not None:
             platform.invalidate_route_cache()
+
+    def _row(self, s: int, need: int, top: int) -> array:
+        """Row ``s``, stored again at least ``need`` cells long and wide
+        enough to hold ``top``; it grows by doubling, up to one cell per
+        element, so a row declared pair by pair pads at most twice."""
+        row = self._rows[s] = _fitting(self._rows.get(s, array(_WIDTHS[0])), top)
+        if len(row) < need:
+            size = min(max(need, 2 * len(row)), len(self._ids))
+            row.frombytes(bytes((size - len(row)) * row.itemsize))
+        return row
 
     def add_connection(self, a: str, b: str, link: "Link | Iterable[Link | LinkUse]") -> None:
         """Declare a one-hop bidirectional connection for Dijkstra routing.
@@ -622,7 +676,7 @@ class AutonomousSystem:
             )
         self._check_element(a)
         self._check_element(b)
-        uses = _as_link_uses([link] if isinstance(link, Link) else link)
+        uses = [_as_link_use(item) for item in ([link] if isinstance(link, Link) else link)]
         reverse = [use.reversed() for use in reversed(uses)]
         self._adjacency.setdefault(a, []).append((b, uses))
         self._adjacency.setdefault(b, []).append((a, reverse))
@@ -633,41 +687,48 @@ class AutonomousSystem:
 
     # -- intra-AS route lookup --------------------------------------------
 
-    def _entry(self, src: str, dst: str) -> RouteEntry:
-        """The entry declared for ``src -> dst``, else the reverse a
-        symmetrical entry implies, built on its first lookup and memoized
-        (concurrent first lookups build equal entries, the first one stored
-        stays); KeyError if neither exists.  An empty route is a falsy
-        entry, so absence is tested with ``is None``."""
-        entry = self._routes.get(src, {}).get(dst)
-        if entry is None:
-            entry = self._reverses.get((src, dst))
-        if entry is None:
-            forward = self._routes.get(dst, {}).get(src)
-            if forward is None or not forward.symmetrical:
-                raise KeyError((src, dst))
-            entry = self._reverses.setdefault((src, dst), forward.reversed())
-        return entry
+    def _decoded(self, offset: int) -> RouteEntry:
+        """The entry stored at ``offset`` of the pool, built afresh."""
+        pool = self._pool
+        end = offset + 3 + (pool[offset + 2] >> 1)
+        return RouteEntry(map(self._uses.__getitem__, pool[offset + 3:end]),
+                          *self._gateways.get(offset, (None, None)),
+                          symmetrical=bool(pool[offset + 2] & 1))
 
     def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
-        """Every stored ``((src, dst), entry)`` in declaration order.  An
-        entry whose ``symmetrical`` flag is set also answers ``(dst, src)``;
-        this builds none of those reverses."""
-        rows = {src: iter(row.items()) for src, row in self._routes.items()}
-        for src in self._order:
-            dst, entry = next(rows[src])
-            yield (src, dst), entry
+        """Every stored ``((src, dst), entry)`` in declaration order, each
+        entry built afresh and kept nowhere: an entry whose ``symmetrical``
+        flag is set also answers ``(dst, src)``, but no reverse is built."""
+        pool, names, offset = self._pool, list(self._ids), 0
+        while offset < len(pool):
+            yield (names[pool[offset]], names[pool[offset + 1]]), self._decoded(offset)
+            offset += 3 + (pool[offset + 2] >> 1)
 
     def local_route(self, src: str, dst: str) -> RouteEntry:
-        """Route between two direct elements of this AS (may be child ASes)."""
-        if self.routing == "Full":
-            try:
-                return self._entry(src, dst)
-            except KeyError:
-                raise NoRouteError(
-                    f"no declared route {src!r} -> {dst!r} in AS {self.name!r}"
-                ) from None
-        return self._dijkstra_route(src, dst)
+        """Route between two direct elements of this AS (may be child ASes).
+
+        A Full AS answers the entry declared for ``src -> dst``, else the
+        reverse a symmetrical entry implies, decoded on its first lookup
+        and memoized (concurrent first lookups decode equal entries, the
+        first one stored stays)."""
+        if self.routing != "Full":
+            return self._dijkstra_route(src, dst)
+        s, d = self._ids.get(src, -1), self._ids.get(dst, -1)
+        row, back = self._rows.get(s, ()), self._rows.get(d, ())
+        forward = 0 <= d < len(row) and row[d]
+        if forward:
+            offset = row[d] - 1
+        elif 0 <= s < len(back) and back[s] and self._pool[back[s] + 1] & 1:
+            offset = back[s] - 1
+        else:
+            raise NoRouteError(
+                f"no declared route {src!r} -> {dst!r} in AS {self.name!r}")
+        memo = self._entries if forward else self._reverses
+        entry = memo.get(offset)
+        if entry is None:
+            entry = self._decoded(offset)
+            entry = memo.setdefault(offset, entry if forward else entry.reversed())
+        return entry
 
     def _dijkstra_route(self, src: str, dst: str) -> RouteEntry:
         # Plain-dict Dijkstra by cumulative latency (ties broken by hop count
@@ -708,7 +769,11 @@ class AutonomousSystem:
     def route_table_size(self) -> int:
         """Number of declared route entries, implied reverses included
         (the flat-vs-hierarchical comparison); builds none of them."""
-        return len(self._order) + self._implied
+        return self._size
+
+    def route_table_bytes(self) -> int:
+        """Bytes the route table's arrays (its pool and rows) take."""
+        return sum(map(sys.getsizeof, (self._pool, *self._rows.values())))
 
     def descendants(self) -> Iterator["AutonomousSystem"]:
         for child in self.children.values():

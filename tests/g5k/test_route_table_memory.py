@@ -2,10 +2,11 @@
 
 ``g5k_test`` declares every intra-site host pair (83,150 route entries,
 implied reverses included), so its route table is most of a serving
-process's platform memory.  Each declared route is one tuple of its link
-uses, held in a per-source row of its AS; the reverse a symmetrical route
-implies is built only when something looks it up, and counting the table or
-writing it as XML builds none.
+process's platform memory.  Each declared route is a run of dense ids in
+its AS's pool array, found through a per-source row of cells; a lookup
+decodes the entry, or the reverse a symmetrical route implies, only when
+something asks for it, and counting the table or writing it as XML keeps
+none.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ from repro.simgrid.routing import route_table_bytes
 from repro.simgrid.xml_io import platform_to_xml
 
 #: Ceiling on the memory both builds leave allocated, as tracemalloc counts
-#: it.  Per-source rows of tuple entries measure 7.1 MiB on CPython 3.11;
-#: one slotted entry, one link list and one ``(src, dst)`` key per declared
-#: route measured 14.9 MiB, and a table that also stored a placeholder per
-#: implied reverse, with per-pair LinkUse objects, 27.9 MiB.
-BUILD_MIB_MAX = 8
+#: it.  Dense id arrays measure 2.0 MiB on CPython 3.11; per-source rows of
+#: tuple entries measured 7.1 MiB, one slotted entry, one link list and one
+#: ``(src, dst)`` key per declared route 14.9 MiB, and a table that also
+#: stored a placeholder per implied reverse, with per-pair LinkUse objects,
+#: 27.9 MiB.
+BUILD_MIB_MAX = 3
 #: Ceiling on the objects both builds add to what the cyclic collector
-#: tracks (and every full collection walks): 67.5k with tuple entries,
-#: 129.2k with an entry object and a link list per route.
-BUILD_TRACKED_MAX = 70_000
+#: tracks (and every full collection walks): 4.8k with id arrays (the
+#: arrays hold no object), 67.5k with tuple entries, 129.2k with an entry
+#: object and a link list per route.
+BUILD_TRACKED_MAX = 6_000
 
 
 @pytest.fixture(scope="module")
