@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.simgrid.platform import LinkUse, SharingPolicy, link_epoch
+from repro.simgrid.platform import LinkUse, Route, SharingPolicy, link_epoch
 
 #: Minimum fairness weight, used when a route has zero latency and the model
 #: has no weight_S term (all-equal weights => plain max-min fairness).
@@ -155,8 +155,9 @@ class SharingModel:
         self, route: Sequence[LinkUse]
     ) -> tuple[float, float, float, tuple[tuple[object, float, float], ...]]:
         """``(startup latency, weight, bound, sharing usages)`` for a flow on
-        ``route``, memoized on the route object when it is a platform-cached
-        :class:`~repro.simgrid.platform.Route`.
+        ``route``, memoized on the route object when it is a
+        :class:`~repro.simgrid.platform.Route` from a platform's store (the
+        first model to memoize gives it its ``model_specs`` dict).
 
         All four quantities depend only on the route's links and this
         (immutable) model, so they are computed once per (route, model) pair
@@ -181,6 +182,8 @@ class SharingModel:
         )
         if memo is not None:
             memo[self] = (epoch, spec)
+        elif type(route) is Route:
+            route.model_specs = {self: (epoch, spec)}
         return spec
 
 

@@ -64,15 +64,17 @@ class SharingPolicy(enum.Enum):
 
 
 class RouteCache(BoundedLRU):
-    """A bounded LRU cache for resolved routes, keyed by ``(src, dst)``.
+    """A platform's route store: the one cache of resolved routes, a
+    bounded LRU keyed by ``(src, dst)``.
 
     Platform-graph walks (hierarchical AS resolution, Dijkstra) are the
     expensive part of starting a communication; memoizing them means a
-    simulation's per-comm setup stops re-walking the platform.  The cache is
+    simulation's per-comm setup stops re-walking the platform.  The store is
     bounded so pathological all-pairs scans over huge platforms cannot grow
     memory without limit — least-recently-used entries are evicted first
     (see :class:`repro._util.lru.BoundedLRU`, which also keeps the
-    hit/miss/eviction counters for benches and tests).
+    hit/miss/eviction counters for benches and tests).  Below it, an AS
+    decodes a route each time it is asked and keeps nothing.
     """
 
     __slots__ = ()
@@ -90,7 +92,12 @@ class Direction(enum.Enum):
     DOWN = "DOWN"
 
     def reversed(self) -> "Direction":
-        return Direction.DOWN if self is Direction.UP else Direction.UP
+        return _DOWN if self is _UP else _UP
+
+
+# members bound once: a read through the enum class costs several times more
+_UP, _DOWN = Direction.UP, Direction.DOWN
+_FULLDUPLEX = SharingPolicy.FULLDUPLEX
 
 
 #: Process-global link state, written under ``_LINK_LOCK`` only (see the
@@ -301,7 +308,7 @@ class Link:
         """Key identifying the capacity constraint used when traversed in
         ``direction``.  SHARED/FATPIPE links have one constraint; FULLDUPLEX
         links have one per direction."""
-        if self.policy is SharingPolicy.FULLDUPLEX:
+        if self._policy is _FULLDUPLEX:
             return (self, direction)
         return (self, None)
 
@@ -336,18 +343,16 @@ class Route(list):
 
     Network models hang their derived per-route quantities (startup latency,
     fairness weight, rate bound, sharing usages) off the route object itself
-    via :attr:`model_specs`, so repeated communications over the same cached
-    route do not re-walk the links.  Entries carry the :func:`link_epoch`
-    at computation time, so in-place link mutation invalidates them; the memo
-    itself dies with the route — topology invalidation drops the route from
-    the platform's cache, and any specs with it."""
+    via :attr:`model_specs` (model -> opaque spec tuple, managed by
+    :mod:`repro.simgrid.models`), so repeated communications over the same
+    stored route do not re-walk the links.  The slot stays unset until a
+    model first memoizes on the route: a route no simulation used costs
+    only its links.  Entries carry the :func:`link_epoch` at computation
+    time, so in-place link mutation invalidates them; the memo itself dies
+    with the route — eviction or topology invalidation drops the route from
+    the platform's store, and any specs with it."""
 
     __slots__ = ("model_specs",)
-
-    def __init__(self, uses: Iterable[LinkUse] = ()) -> None:
-        super().__init__(uses)
-        #: model -> opaque spec tuple (managed by repro.simgrid.models)
-        self.model_specs: dict = {}
 
 
 class NetPoint:
@@ -448,7 +453,7 @@ class _MarkedEntry(RouteEntry):
 def _as_link_use(item: "Link | LinkUse") -> LinkUse:
     if not isinstance(item, (Link, LinkUse)):
         raise TypeError(f"route element must be Link or LinkUse, got {item!r}")
-    return LinkUse(item, Direction.UP) if isinstance(item, Link) else item
+    return LinkUse(item, _UP) if isinstance(item, Link) else item
 
 
 #: typecodes of the route-table arrays, narrowest first
@@ -484,20 +489,18 @@ class AutonomousSystem:
         self.links: dict[str, Link] = {}
         self.default_gateway: Optional[str] = None
         # The Full route table in dense ids of the direct elements (_ids)
-        # and of the LinkUses routes cross (_uses).  _pool holds each entry
-        # in declaration order as (src, dst, length << 1 | symmetrical,
+        # and of the LinkUses routes cross (_uses: a link's UP use at an
+        # even id, its DOWN use at the next, so id ^ 1 is the reverse use;
+        # _use_ids maps a link to its even id).  _pool holds each entry in
+        # declaration order as (src, dst, length << 1 | symmetrical,
         # uses...); _rows[s][d] is 0, or 1 + the offset of the entry
-        # declared for s -> d.  _gateways holds (gw_src, gw_dst) by offset;
-        # lookups memoize the entries they decode in _entries, the
-        # reverses a symmetrical flag implies in _reverses
+        # declared for s -> d.  _gateways holds (gw_src, gw_dst) by offset
         self._ids: dict[str, int] = {}
         self._uses: list[LinkUse] = []
-        self._use_ids: tuple[dict[Link, int], ...] = ({}, {})  # [DOWN][link]
+        self._use_ids: dict[Link, int] = {}
         self._pool = array(_WIDTHS[0])
         self._rows: dict[int, array] = {}
         self._gateways: dict[int, tuple[Optional[str], Optional[str]]] = {}
-        self._entries: dict[int, RouteEntry] = {}
-        self._reverses: dict[int, RouteEntry] = {}
         self._size = 0  # entries, implied reverses included
         # adjacency: element name -> list of (neighbor name, [LinkUse, ...])
         self._adjacency: dict[str, list[tuple[str, list[LinkUse]]]] = {}
@@ -608,11 +611,12 @@ class AutonomousSystem:
         the child's default) identifies the concrete net-point crossed.
         ``symmetrical`` also declares each reversed route, unless an explicit
         route declared earlier holds that pair; the reverse is a flag on the
-        entry, which :meth:`local_route` reverses on its first lookup.
+        entry, which :meth:`local_route` reverses when asked.  The first
+        route to cross a link numbers both its uses, so that no lookup ever
+        builds one.
         """
         self._check_element(src)
-        ids, rows, uses, down = self._ids, self._rows, self._uses, Direction.DOWN
-        ups, downs = self._use_ids
+        ids, rows, uses, use_ids = self._ids, self._rows, self._uses, self._use_ids
         s, pool, implied = ids[src], self._pool, 0
         row, base = rows.get(s, ()), len(pool) + 1
         flat, cells = [], []  # pool values; (dst id, cell) pairs
@@ -632,12 +636,12 @@ class AutonomousSystem:
             for item in links:
                 if type(item) is not LinkUse:
                     item = _as_link_use(item)
-                by_link = downs if item.direction is down else ups
-                use = by_link.get(item.link)
+                up = item.direction is _UP
+                use = use_ids.get(item.link)
                 if use is None:  # numbered even if the row is refused
-                    use = by_link[item.link] = len(uses)
-                    uses.append(item)
-                flat.append(use)
+                    use = use_ids[item.link] = len(uses)
+                    uses += (item, item.reversed()) if up else (item.reversed(), item)
+                flat.append(use if up else use | 1)
                 n += 1
             flat[-n - 1] = n << 1 | both
             implied += both
@@ -687,13 +691,18 @@ class AutonomousSystem:
 
     # -- intra-AS route lookup --------------------------------------------
 
-    def _decoded(self, offset: int) -> RouteEntry:
-        """The entry stored at ``offset`` of the pool, built afresh."""
+    def _decoded(self, offset: int, reverse: bool = False) -> RouteEntry:
+        """The entry stored at ``offset`` of the pool, or the reverse its
+        symmetrical flag implies, built afresh of the interned uses."""
         pool = self._pool
-        end = offset + 3 + (pool[offset + 2] >> 1)
-        return RouteEntry(map(self._uses.__getitem__, pool[offset + 3:end]),
-                          *self._gateways.get(offset, (None, None)),
-                          symmetrical=bool(pool[offset + 2] & 1))
+        head = pool[offset + 2]
+        ids = pool[offset + 3:offset + 3 + (head >> 1)]
+        gw_src, gw_dst = self._gateways.get(offset, (None, None))
+        if reverse:
+            return RouteEntry([self._uses[use ^ 1] for use in reversed(ids)],
+                              gw_dst, gw_src)
+        return RouteEntry(map(self._uses.__getitem__, ids), gw_src, gw_dst,
+                          symmetrical=bool(head & 1))
 
     def declared_routes(self) -> Iterator[tuple[tuple[str, str], RouteEntry]]:
         """Every stored ``((src, dst), entry)`` in declaration order, each
@@ -708,27 +717,19 @@ class AutonomousSystem:
         """Route between two direct elements of this AS (may be child ASes).
 
         A Full AS answers the entry declared for ``src -> dst``, else the
-        reverse a symmetrical entry implies, decoded on its first lookup
-        and memoized (concurrent first lookups decode equal entries, the
-        first one stored stays)."""
+        reverse a symmetrical entry implies, decoded on every call: the
+        platform's route store above is the cache, and a lookup writes
+        nothing to the AS."""
         if self.routing != "Full":
             return self._dijkstra_route(src, dst)
         s, d = self._ids.get(src, -1), self._ids.get(dst, -1)
         row, back = self._rows.get(s, ()), self._rows.get(d, ())
-        forward = 0 <= d < len(row) and row[d]
-        if forward:
-            offset = row[d] - 1
-        elif 0 <= s < len(back) and back[s] and self._pool[back[s] + 1] & 1:
-            offset = back[s] - 1
-        else:
-            raise NoRouteError(
-                f"no declared route {src!r} -> {dst!r} in AS {self.name!r}")
-        memo = self._entries if forward else self._reverses
-        entry = memo.get(offset)
-        if entry is None:
-            entry = self._decoded(offset)
-            entry = memo.setdefault(offset, entry if forward else entry.reversed())
-        return entry
+        if 0 <= d < len(row) and row[d]:
+            return self._decoded(row[d] - 1)
+        if 0 <= s < len(back) and back[s] and self._pool[back[s] + 1] & 1:
+            return self._decoded(back[s] - 1, reverse=True)
+        raise NoRouteError(
+            f"no declared route {src!r} -> {dst!r} in AS {self.name!r}")
 
     def _dijkstra_route(self, src: str, dst: str) -> RouteEntry:
         # Plain-dict Dijkstra by cumulative latency (ties broken by hop count
@@ -892,11 +893,11 @@ class Platform:
     # -- routing -----------------------------------------------------------
 
     def invalidate_route_cache(self) -> None:
-        """Drop memoized resolved routes (topology changed)."""
+        """Drop every stored resolved route (topology changed)."""
         self._route_cache.clear()
 
     def route_cache_info(self) -> dict:
-        """LRU route cache counters (hits, misses, evictions, size)."""
+        """Route store counters (hits, misses, evictions, size)."""
         return self._route_cache.info()
 
     def _as_chain(self, point: NetPoint) -> list[AutonomousSystem]:
@@ -917,8 +918,10 @@ class Platform:
         Walks down from the deepest common AS, stitching child-AS segments
         through gateways, exactly like SimGrid's hierarchical resolution.
         Results (including gateway sub-segments, which the recursion also
-        routes through here) are memoized in a bounded LRU cache until
-        :meth:`invalidate_route_cache`.
+        routes through here) are kept in the platform's route store, a
+        bounded LRU, until evicted or :meth:`invalidate_route_cache`.
+        Threads resolving one pair at once may each resolve it; the store
+        keeps one of their equal routes.
         """
         src_point = src if isinstance(src, NetPoint) else self.netpoint(src)
         dst_point = dst if isinstance(dst, NetPoint) else self.netpoint(dst)

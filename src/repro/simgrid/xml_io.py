@@ -148,11 +148,14 @@ def platform_from_xml(text: str) -> Platform:
     for config_el in root_el.iter("config"):
         for prop in config_el.iter("prop"):
             platform.properties[prop.get("id", "")] = prop.get("value", "")
-    _fill_as(platform.root, top, platform)
+    _fill_as(platform.root, top, {})
     return platform
 
 
-def _fill_as(as_: AutonomousSystem, el: ET.Element, platform: Platform) -> None:
+def _fill_as(as_: AutonomousSystem, el: ET.Element, uses: dict) -> None:
+    """Declare ``el``'s elements in ``as_``, then its routes, of the one
+    :class:`LinkUse` per link and direction in ``uses`` (see
+    :func:`_link_use`)."""
     # two passes: declare elements/links first, then routes (which reference them)
     for child in el:
         if child.tag == "host":
@@ -173,36 +176,57 @@ def _fill_as(as_: AutonomousSystem, el: ET.Element, platform: Platform) -> None:
         elif child.tag == "AS":
             sub = AutonomousSystem(_req(child, "id"), routing=child.get("routing", "Full"))
             as_.add_child(sub, gateway=child.get("gateway"))
-            _fill_as(sub, child, platform)
+            _fill_as(sub, child, uses)
+    # each run of routes sharing (src, symmetrical, gw_src, gw_dst) is one row
+    run, row = None, {}
     for child in el:
         if child.tag in ("route", "ASroute"):
-            links = []
-            for ctn in child:
-                if ctn.tag != "link_ctn":
-                    raise PlatformXMLError(f"unexpected <{ctn.tag}> inside route")
-                link = _find_link(as_, _req(ctn, "id"))
-                direction = _attr(ctn, "direction", Direction, "UP")
-                links.append(LinkUse(link, direction))
-            as_.add_route(
-                _req(child, "src"),
-                _req(child, "dst"),
-                links,
-                symmetrical=_attr(child, "symmetrical", _yes_no, "YES"),
-                gw_src=child.get("gw_src"),
-                gw_dst=child.get("gw_dst"),
-            )
-        elif child.tag == "connection":  # Dijkstra adjacency (extension tag)
+            key = (_req(child, "src"),
+                   _attr(child, "symmetrical", _yes_no, "YES"),
+                   child.get("gw_src"), child.get("gw_dst"))
+            dst = _req(child, "dst")
+            if key != run or dst in row:
+                _add_row(as_, run, row)
+                run, row = key, {}
+            row[dst] = [_link_use(as_, ctn, uses) for ctn in child]
+            continue
+        _add_row(as_, run, row)
+        run, row = None, {}
+        if child.tag == "connection":  # Dijkstra adjacency (extension tag)
             names = _req(child, "link").split(",")
             dirs = _attr(child, "directions",
                          lambda v: [Direction(d) for d in v.split(",")],
                          ",".join(["UP"] * len(names)))
             if len(dirs) != len(names):
                 raise PlatformXMLError("connection: directions/link length mismatch")
-            uses = [
-                LinkUse(_find_link(as_, name), d)
-                for name, d in zip(names, dirs)
-            ]
-            as_.add_connection(_req(child, "a"), _req(child, "b"), uses)
+            hops = [LinkUse(_find_link(as_, name), d)
+                    for name, d in zip(names, dirs)]
+            as_.add_connection(_req(child, "a"), _req(child, "b"), hops)
+    _add_row(as_, run, row)
+
+
+def _add_row(as_: AutonomousSystem, run: Optional[tuple], row: dict) -> None:
+    if row:
+        src, symmetrical, gw_src, gw_dst = run
+        as_.add_routes(src, row, symmetrical, gw_src, gw_dst)
+
+
+def _link_use(as_: AutonomousSystem, ctn: ET.Element, uses: dict) -> LinkUse:
+    """The load's one use of a ``<link_ctn>``'s link and direction: ``uses``
+    maps each ``(link, direction)`` and each ``(AS, id, direction)`` that a
+    route of the load named to it."""
+    if ctn.tag != "link_ctn":
+        raise PlatformXMLError(f"unexpected <{ctn.tag}> inside route")
+    named = (as_, ctn.get("id"), ctn.get("direction", "UP"))
+    use = uses.get(named)
+    if use is None:
+        link = _find_link(as_, _req(ctn, "id"))
+        use = uses.get((link, named[2]))
+        if use is None:
+            use = uses[(link, named[2])] = LinkUse(
+                link, _attr(ctn, "direction", Direction, "UP"))
+        uses[named] = use
+    return use
 
 
 def _req(el: ET.Element, attr: str) -> str:

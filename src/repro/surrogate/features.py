@@ -15,11 +15,12 @@ the live platform state:
 - the model's startup latency for the route,
 - route shape (hop count) and request shape (flow count, peak contention).
 
-All bandwidth/latency reads go through the same :class:`LinkUse` routes the
-simulator uses, resolved via ``platform.route`` (LRU-cached, link-mutation
--epoch safe) — so features always reflect the **calibrated** link rates the
-metrology loop last applied, and a recalibration changes the features
-exactly when it changes the simulation.
+All bandwidth/latency reads go through the routes the simulator uses: the
+platform's route store (``platform.route``) and the model's ``comm_spec``
+memoized on each stored route (link-mutation-epoch safe) — so features
+always reflect the **calibrated** link rates the metrology loop last
+applied, and a recalibration changes the features exactly when it changes
+the simulation.
 
 Rates and durations are log2-scaled: transfer times span orders of
 magnitude, and the serving accuracy metric is |log2 error|, so the model
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.simgrid.models import SharingModel
-from repro.simgrid.platform import Platform, SharingPolicy, link_epoch
+from repro.simgrid.platform import Platform
 
 #: Per-transfer feature columns (one row per transfer in the request).
 BASE_FEATURE_NAMES: tuple[str, ...] = (
@@ -99,30 +100,16 @@ def model_features(model: SharingModel) -> tuple[float, ...]:
 
 def _route_info(platform: Platform, model: SharingModel,
                 src: str, dst: str) -> tuple:
-    """Per-route invariants: ``(startup, bound, hops, keys, capacities)``.
+    """Per-route invariants: ``(startup, bound, hops, usages)``.
 
-    ``keys`` are the direction-aware constraint keys of the route's
-    constrained (non-FATPIPE) links; ``capacities`` their model-effective
-    bandwidths.  Everything here depends only on route structure and link
-    parameters, both of which can only change through setters that bump
-    the link-mutation epoch — so entries are cacheable per epoch.
+    ``usages`` are the model's ``(constraint key, effective capacity,
+    crossings)`` triples for the route's constrained (non-FATPIPE) links;
+    all but ``hops`` come from the ``comm_spec`` the model memoizes on the
+    stored route.
     """
     route = platform.route(src, dst)
-    keys = []
-    capacities = []
-    for use in route:
-        link = use.link
-        if link.policy is SharingPolicy.FATPIPE:
-            continue
-        keys.append(link.constraint_key(use.direction))
-        capacities.append(model.effective_bandwidth(link.bandwidth))
-    return (
-        model.startup_latency(route),
-        model.rate_bound(route),
-        float(len(route)),
-        tuple(keys),
-        tuple(capacities),
-    )
+    startup, _weight, bound, usages = model.comm_spec(route)
+    return startup, bound, float(len(route)), usages
 
 
 def featurize_request(
@@ -130,7 +117,6 @@ def featurize_request(
     model: SharingModel,
     transfers: Sequence[tuple[str, str, float]],
     ongoing: Sequence[tuple[str, str, float]] = (),
-    cache: dict | None = None,
 ) -> np.ndarray:
     """Feature matrix for one forecast request.
 
@@ -140,46 +126,26 @@ def featurize_request(
     contention counts, mirroring how they share bandwidth in the simulated
     world.  Raises whatever ``platform.route`` raises for unknown hosts —
     callers that must match the simulator's error contract validate first.
-
-    ``cache`` (optional) memoizes the per-route invariants across requests,
-    keyed ``(src, dst) -> (epoch, info)`` and invalidated by comparing the
-    stored epoch against the live link-mutation epoch — a serving tier
-    passes a long-lived dict and pays the route walk only once per
-    (route, recalibration epoch).  The cache is only valid for a single
-    (platform, model) pair; callers own that scoping.
     """
     flows = list(transfers) + list(ongoing)
-    if cache is None:
-        infos = [_route_info(platform, model, src, dst)
-                 for src, dst, _ in flows]
-    else:
-        epoch = link_epoch()
-        if len(cache) > 65536:  # runaway host-pair sets: drop, don't grow
-            cache.clear()
-        infos = []
-        for src, dst, _ in flows:
-            entry = cache.get((src, dst))
-            if entry is None or entry[0] != epoch:
-                entry = (epoch, _route_info(platform, model, src, dst))
-                cache[(src, dst)] = entry
-            infos.append(entry[1])
+    infos = [_route_info(platform, model, src, dst) for src, dst, _ in flows]
 
-    # constraint key -> number of request flows crossing it (direction-aware,
-    # FATPIPE excluded — the same aggregation the model's sharing_usages does)
+    # constraint key -> crossings by request flows (direction-aware,
+    # FATPIPE excluded — the model's sharing_usages aggregation)
     users: dict[object, float] = {}
-    for _, _, _, keys, _ in infos:
-        for key in keys:
-            users[key] = users.get(key, 0.0) + 1.0
+    for _, _, _, usages in infos:
+        for key, _, crossings in usages:
+            users[key] = users.get(key, 0.0) + crossings
 
     n_flows = float(len(flows))
     model_cols = model_features(model)
     rows = np.empty((len(transfers), N_FEATURES), dtype=float)
     for i, (_, _, size) in enumerate(transfers):
-        startup, bound, hops, keys, capacities = infos[i]
+        startup, bound, hops, usages = infos[i]
         solo = bound
         fair = bound
         contention = 1.0
-        for key, capacity in zip(keys, capacities):
+        for key, capacity, _ in usages:
             crossing = users[key]
             solo = min(solo, capacity)
             fair = min(fair, capacity / crossing)

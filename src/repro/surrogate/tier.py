@@ -12,9 +12,9 @@ forecast request from the regressor when it is *confident*:
   falls through from then on — so the surrogate can never keep answering
   from a world the metrology loop has disowned.
   ``require_fresh_epoch=False`` relaxes this for deployments that
-  recalibrate live (features still read live link state through the route
-  LRU, so predictions track recalibrated rates; only the residual store
-  lags),
+  recalibrate live (features still read live link state through the
+  platform's route store, so predictions track recalibrated rates; only the
+  residual store lags),
 - every transfer's predicted uncertainty is within ``bound`` (log2
   units).
 
@@ -67,9 +67,6 @@ class SurrogateTier:
         self.bound = float(bound)
         self.require_fresh_epoch = bool(require_fresh_epoch)
         self._lock = threading.Lock()
-        # (src, dst) -> (epoch, route invariants), per platform; epoch
-        # comparison inside featurize_request invalidates stale entries
-        self._route_caches: dict[str, dict] = {}
         self._trained_epoch = link_epoch()
         self._expected_key = model_key_of(model_by_name(model.network_model))
         self._hits = 0
@@ -97,11 +94,9 @@ class SurrogateTier:
         if not query.transfers:
             return self._fallback("error")
         try:
-            platform = service.platform(query.platform)
-            cache = self._route_caches.setdefault(query.platform, {})
-            features = featurize_request(platform, query.model,
-                                         query.transfers, query.ongoing,
-                                         cache=cache)
+            features = featurize_request(service.platform(query.platform),
+                                         query.model, query.transfers,
+                                         query.ongoing)
             estimates, uncertainty = self.model.predict(features)
         except BaseException:  # noqa: BLE001 - fall through, never fail
             return self._fallback("error")

@@ -1,22 +1,28 @@
-"""What the two Grid'5000 route tables cost to hold, and to count.
+"""What the two Grid'5000 route tables cost to hold, to count and to read.
 
 ``g5k_test`` declares every intra-site host pair (83,150 route entries,
 implied reverses included), so its route table is most of a serving
 process's platform memory.  Each declared route is a run of dense ids in
 its AS's pool array, found through a per-source row of cells; a lookup
-decodes the entry, or the reverse a symmetrical route implies, only when
-something asks for it, and counting the table or writing it as XML keeps
-none.
+decodes the entry, or the reverse a symmetrical route implies, each time
+something asks for it, and keeps none: counting the table, writing it as
+XML or looking every pair up leaves the AS as it was.  The platform's
+route store is the one cache of resolved routes, and a stored route that
+no simulation used costs only its links.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
+from reference.routes import decodes_only_interned_uses
 from repro.g5k.converter import to_simgrid_platform
 from repro.g5k.sites import grid5000_dev_reference, grid5000_stable_reference
 from repro.simgrid.routing import route_table_bytes
@@ -67,7 +73,7 @@ def test_counting_builds_no_reverse(built):
     assert route_table_bytes(test) > route_table_bytes(cabinets) > 0
     for platform in (test, cabinets):
         for as_ in (platform.root, *platform.root.descendants()):
-            assert as_._reverses == {}, as_.name
+            assert decodes_only_interned_uses(as_), as_.name
 
 
 #: sha256 of the full platforms' XML as written before the writer stopped
@@ -84,4 +90,91 @@ def test_writing_xml_is_unchanged_and_builds_no_reverse(built):
         text = platform_to_xml(platform)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         for as_ in (platform.root, *platform.root.descendants()):
-            assert as_._reverses == {}, as_.name
+            assert decodes_only_interned_uses(as_), as_.name
+
+
+def traced_growth(work) -> int:
+    """Bytes still allocated after ``work()`` (and a collection), as
+    tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_looking_every_declared_pair_up_leaves_nothing_behind(built):
+    """Counted in allocator blocks (tracemalloc would make the 83,150
+    lookups ten times slower): an AS that kept its decoded entries held
+    472k more blocks, 28.4 MiB."""
+    _traced, _tracked, test, _cabinets = built
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for as_ in (test.root, *test.root.descendants()):
+        for (src, dst), entry in as_.declared_routes():
+            as_.local_route(src, dst)
+            if entry.symmetrical:
+                as_.local_route(dst, src)
+    del src, dst, entry
+    gc.collect()
+    assert sys.getallocatedblocks() - before <= 64
+
+
+#: Ceiling on what one stored route costs while no simulation has used it:
+#: its ``(src, dst)`` key, its slot in the store and its list of links
+#: measure 190-230 B on CPython 3.11; an empty per-model memo on each added
+#: 64 B, and an AS keeping each decoded entry about 340 B more.
+STORE_ENTRY_BYTES_MAX = 256
+
+
+def test_a_stored_route_costs_only_its_links():
+    platform = to_simgrid_platform(grid5000_dev_reference(), "g5k_test")
+    hosts = [host.name for host in platform.hosts()]
+    pairs = itertools.islice(itertools.permutations(hosts, 2), 0, 111_000, 37)
+    grew = traced_growth(lambda: [platform.route(*pair) for pair in pairs])
+    stored = platform.route_cache_info()["size"]
+    assert stored >= 3_000
+    assert grew <= STORE_ENTRY_BYTES_MAX * stored, f"{grew / stored:.0f} B"
+
+
+def test_threads_resolving_one_store_agree_with_a_serial_resolution():
+    """Four threads resolve overlapping cold pairs, switching every few
+    bytecodes: no lookup fails, each route equals the serial one, and the
+    store keeps one entry per pair."""
+    platform = to_simgrid_platform(grid5000_dev_reference(), "g5k_test")
+    nancy = [host.name for host in platform.hosts() if ".nancy." in host.name]
+    pairs = list(itertools.permutations(nancy[:24], 2))  # one site AS
+    shares = [pairs[i * len(pairs) // 5:(i + 2) * len(pairs) // 5]
+              for i in range(4)]
+    seen: list[list] = [[] for _ in shares]
+    failures: list[BaseException] = []
+    start = threading.Barrier(len(shares))
+
+    def resolve(share, out):
+        try:
+            start.wait()
+            for pair in share:
+                out.append((pair, platform.route(*pair)))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=resolve, args=(share, out))
+                   for share, out in zip(shares, seen)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures
+    assert platform.route_cache_info()["size"] == len(pairs)
+    platform.invalidate_route_cache()
+    for out in seen:
+        for pair, route in out:
+            assert route == platform.route(*pair), pair

@@ -1,13 +1,15 @@
 """The AS route table as a dict of pairs, one slot per direction.
 
 :class:`repro.simgrid.platform.AutonomousSystem` stores one entry per
-declared route and builds the reverse that a symmetrical route implies on
-its first lookup.  It once stored both directions: a symmetrical route put a
+declared route and decodes the reverse that a symmetrical route implies on
+every lookup.  It once stored both directions: a symmetrical route put a
 placeholder for its reverse in the slot right after its own, unless a route
 declared earlier already held that pair, and any declared pair (placeholder
 included) refused a second declaration.  This model keeps that layout as
 the reference the one-entry table must equal: the same pairs in the same
 order, the same links and gateways, the same size, the same refusals.
+:func:`decodes_only_interned_uses` is what a lookup may cost the table:
+nothing it keeps.
 """
 
 from __future__ import annotations
@@ -49,3 +51,15 @@ class PairTable:
 
     def route_table_size(self) -> int:
         return len(self.slots)
+
+
+def decodes_only_interned_uses(table) -> bool:
+    """Whether every entry ``table`` (an ``AutonomousSystem``) decodes,
+    declared or implied, is made of the :class:`LinkUse` objects it
+    interned when the routes were declared: no lookup builds a use."""
+    interned = set(map(id, table._uses))
+    for (src, dst), entry in table.declared_routes():
+        back = table.local_route(dst, src) if entry.symmetrical else ()
+        if not interned.issuperset(map(id, (*entry, *back))):
+            return False
+    return True

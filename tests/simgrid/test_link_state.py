@@ -261,7 +261,6 @@ LINK_EPOCH_READERS = {
     ("surrogate/tier.py", "SurrogateTier.__init__"): "surrogate freshness",
     ("surrogate/tier.py", "SurrogateTier.try_answer"): "surrogate freshness",
     ("surrogate/tier.py", "SurrogateTier.stats"): "surrogate freshness",
-    ("surrogate/features.py", "featurize_request"): "surrogate freshness",
     ("serving/gateway/shard.py", "shard_main.stats_payload"):
         "gateway stats: a shard's every-write count",
 }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.routes import decodes_only_interned_uses
 from repro.simgrid.platform import (
     AutonomousSystem,
     Direction,
@@ -218,7 +219,8 @@ class TestRoutes:
         assert p.root.route_table_size() == 2
         with pytest.raises(DuplicateNameError):
             p.root.add_route("b", "a", [link])
-        assert p.root.local_route("b", "a") is p.root.local_route("b", "a")
+        assert p.root.local_route("b", "a") == p.root.local_route("b", "a")
+        assert p.route("b", "a") is p.route("b", "a")
         with pytest.raises(DuplicateNameError):
             p.root.add_route("b", "a", [link])
         assert p.root.route_table_size() == 2
@@ -240,7 +242,7 @@ class TestRoutes:
         declared = dict(p.root.declared_routes())
         assert list(declared) == [("a", "b")]
         assert declared[("a", "b")].symmetrical
-        assert p.root._reverses == {}
+        assert decodes_only_interned_uses(p.root)
         assert p.root.local_route("b", "a").links == [
             use.reversed() for use in declared[("a", "b")].links]
 

@@ -17,7 +17,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.routes import PairTable
+from reference.routes import PairTable, decodes_only_interned_uses
 from repro.simgrid.platform import (
     Direction,
     DuplicateNameError,
@@ -93,7 +93,9 @@ def test_table_matches_pair_model(steps):
         for pair in PAIRS:
             assert table_view(table, *pair) == table_view(model, *pair)
             if table_view(model, *pair) is not NoRouteError:
-                assert table.local_route(*pair) is table.local_route(*pair)
+                assert table.local_route(*pair) == table.local_route(*pair)
+                assert platform.route(*pair) is platform.route(*pair)
+        assert decodes_only_interned_uses(table)
 
 
 def test_symmetrical_flag_is_not_part_of_the_route():
@@ -246,10 +248,9 @@ def test_ids_offsets_and_lengths_past_65535_widen_the_table():
 
 #: An AS's route-table layout: only :mod:`repro.simgrid.platform` reads it;
 #: every other module goes through ``declared_routes()`` or
-#: ``local_route()``.  (A ``self._pool`` or ``self._entries`` is some other
-#: class's own: the metrology feed and the LRU caches have one.)
-ROUTE_LAYOUT = ("_ids", "_uses", "_use_ids", "_pool", "_rows", "_gateways",
-                "_entries", "_reverses")
+#: ``local_route()``.  (A ``self._pool`` is some other class's own: the
+#: metrology feed has one.)
+ROUTE_LAYOUT = ("_ids", "_uses", "_use_ids", "_pool", "_rows", "_gateways")
 
 
 def test_only_the_platform_reads_the_route_layout():
