@@ -152,10 +152,10 @@ def platform_from_xml(text: str) -> Platform:
     return platform
 
 
-def _fill_as(as_: AutonomousSystem, el: ET.Element, uses: dict) -> None:
+def _fill_as(as_: AutonomousSystem, el: ET.Element,
+             uses: dict[tuple[Link, str], LinkUse]) -> None:
     """Declare ``el``'s elements in ``as_``, then its routes, of the one
-    :class:`LinkUse` per link and direction in ``uses`` (see
-    :func:`_link_use`)."""
+    :class:`LinkUse` per link and direction of the load in ``uses``."""
     # two passes: declare elements/links first, then routes (which reference them)
     for child in el:
         if child.tag == "host":
@@ -211,21 +211,15 @@ def _add_row(as_: AutonomousSystem, run: Optional[tuple], row: dict) -> None:
         as_.add_routes(src, row, symmetrical, gw_src, gw_dst)
 
 
-def _link_use(as_: AutonomousSystem, ctn: ET.Element, uses: dict) -> LinkUse:
-    """The load's one use of a ``<link_ctn>``'s link and direction: ``uses``
-    maps each ``(link, direction)`` and each ``(AS, id, direction)`` that a
-    route of the load named to it."""
+def _link_use(as_: AutonomousSystem, ctn: ET.Element,
+              uses: dict[tuple[Link, str], LinkUse]) -> LinkUse:
+    """The load's one use of a ``<link_ctn>``'s link and direction."""
     if ctn.tag != "link_ctn":
         raise PlatformXMLError(f"unexpected <{ctn.tag}> inside route")
-    named = (as_, ctn.get("id"), ctn.get("direction", "UP"))
-    use = uses.get(named)
+    key = (_find_link(as_, _req(ctn, "id")), ctn.get("direction", "UP"))
+    use = uses.get(key)
     if use is None:
-        link = _find_link(as_, _req(ctn, "id"))
-        use = uses.get((link, named[2]))
-        if use is None:
-            use = uses[(link, named[2])] = LinkUse(
-                link, _attr(ctn, "direction", Direction, "UP"))
-        uses[named] = use
+        use = uses[key] = LinkUse(key[0], _attr(ctn, "direction", Direction, "UP"))
     return use
 
 

@@ -93,19 +93,6 @@ def test_writing_xml_is_unchanged_and_builds_no_reverse(built):
             assert decodes_only_interned_uses(as_), as_.name
 
 
-def traced_growth(work) -> int:
-    """Bytes still allocated after ``work()`` (and a collection), as
-    tracemalloc counts them."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        work()
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
 def test_looking_every_declared_pair_up_leaves_nothing_behind(built):
     """Counted in allocator blocks (tracemalloc would make the 83,150
     lookups ten times slower): an AS that kept its decoded entries held
@@ -118,7 +105,7 @@ def test_looking_every_declared_pair_up_leaves_nothing_behind(built):
             as_.local_route(src, dst)
             if entry.symmetrical:
                 as_.local_route(dst, src)
-    del src, dst, entry
+    del src, dst, entry  # the loop's names hold its last entry
     gc.collect()
     assert sys.getallocatedblocks() - before <= 64
 
@@ -134,15 +121,23 @@ def test_a_stored_route_costs_only_its_links():
     platform = to_simgrid_platform(grid5000_dev_reference(), "g5k_test")
     hosts = [host.name for host in platform.hosts()]
     pairs = itertools.islice(itertools.permutations(hosts, 2), 0, 111_000, 37)
-    grew = traced_growth(lambda: [platform.route(*pair) for pair in pairs])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for pair in pairs:
+            platform.route(*pair)
+        gc.collect()
+        grew = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     stored = platform.route_cache_info()["size"]
     assert stored >= 3_000
     assert grew <= STORE_ENTRY_BYTES_MAX * stored, f"{grew / stored:.0f} B"
 
 
 def test_threads_resolving_one_store_agree_with_a_serial_resolution():
-    """Four threads resolve overlapping cold pairs, switching every few
-    bytecodes: no lookup fails, each route equals the serial one, and the
+    """Four threads resolve overlapping cold pairs, switching every 10 us:
+    no lookup fails, each route equals the serial one, and the
     store keeps one entry per pair."""
     platform = to_simgrid_platform(grid5000_dev_reference(), "g5k_test")
     nancy = [host.name for host in platform.hosts() if ".nancy." in host.name]
