@@ -616,7 +616,8 @@ class AutonomousSystem:
         builds one.
         """
         self._check_element(src)
-        ids, rows, uses, use_ids = self._ids, self._rows, self._uses, self._use_ids
+        ids, rows, uses, use_ids, up = (self._ids, self._rows, self._uses,
+                                        self._use_ids, _UP)
         s, pool, implied = ids[src], self._pool, 0
         row, base = rows.get(s, ()), len(pool) + 1
         flat, cells = [], []  # pool values; (dst id, cell) pairs
@@ -636,12 +637,12 @@ class AutonomousSystem:
             for item in links:
                 if type(item) is not LinkUse:
                     item = _as_link_use(item)
-                up = item.direction is _UP
                 use = use_ids.get(item.link)
                 if use is None:  # numbered even if the row is refused
                     use = use_ids[item.link] = len(uses)
-                    uses += (item, item.reversed()) if up else (item.reversed(), item)
-                flat.append(use if up else use | 1)
+                    back = item.reversed()
+                    uses += (item, back) if item.direction is up else (back, item)
+                flat.append(use if item.direction is up else use | 1)
                 n += 1
             flat[-n - 1] = n << 1 | both
             implied += both
