@@ -22,8 +22,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.serving.batcher import DEFAULT_WINDOW
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -101,22 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard-threads", type=int, default=4,
                        help="handler threads per shard process "
                             "(with --shards)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="warm forecast worker processes (0 = answer "
-                            "inline in the serving process, the default); "
-                            "with --shards, per shard")
-    serve.add_argument("--batch-window", type=float, default=DEFAULT_WINDOW,
-                       metavar="SECONDS",
-                       help="micro-batching window: concurrent requests "
-                            "arriving within it share one pool fan-out "
-                            "(default 0: a lone request never waits)")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="forecast cache entries (0 disables caching)")
-    serve.add_argument("--max-requests", type=int, default=None,
-                       help="recycle pool workers after this many forecasts")
     serve.add_argument("--no-serving", action="store_true",
-                       help="skip the serving layer (cache, batching, warm "
-                            "pool); every request simulates directly")
+                       help="skip the serving layer (surrogate, cache); "
+                            "every request simulates directly")
     serve.add_argument("--surrogate", default=None, metavar="MODEL_JSON",
                        help="arm the learned surrogate fast path with this "
                             "trained model document (`repro surrogate "
@@ -224,10 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     met_run.add_argument("--size", type=float, default=2e8,
                          help="per-transfer bytes of the evaluation workload")
     met_run.add_argument("--seed", type=int, default=3)
-    met_run.add_argument("--workers", type=int, default=0,
-                         help="warm forecast worker processes (0 = serve "
-                              "inline); exercises pool recycling under "
-                              "live recalibration")
     met_run.add_argument("--feed-workers", type=int, default=0,
                          help="probe worker processes fanning each poll "
                               "cycle out (0 = serial probing)")
@@ -391,39 +374,28 @@ def _cmd_serve(args, out) -> int:
     )
     from repro.simgrid.models import model_by_name
 
-    for flag, value in (("--shards", args.shards), ("--workers", args.workers),
-                        ("--cache-size", args.cache_size),
-                        ("--batch-window", args.batch_window)):
+    for flag, value in (("--shards", args.shards),
+                        ("--cache-size", args.cache_size)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value:g}")
     model = model_by_name(args.model) if args.model else None
     if args.shards > 0:
         return _cmd_serve_gateway(args, out)
     out.write("loading Grid'5000 platforms...\n")
-    # the session-cached platforms, which the pool factory hands every
-    # warm worker too
+    # the session-cached platforms: one build per process tree, the one
+    # `--shards` forks too
     pilgrim = Pilgrim(platforms={"g5k_test": g5k_test_platform(),
                                  "g5k_cabinets": g5k_cabinets_platform()},
                       model=model)
     if model is not None:
         out.write(f"default sharing model: {args.model}\n")
     if not args.no_serving:
-        from repro.serving.factories import grid5000_forecast_service
-
         pilgrim.enable_serving(
-            service_factory=grid5000_forecast_service,
-            workers=args.workers,
-            window=args.batch_window,
             cache_size=args.cache_size,
-            max_requests=args.max_requests,
             surrogate=_load_surrogate_tier(args.surrogate,
                                            args.surrogate_bound, out),
         )
-        mode = (f"{args.workers} warm workers" if args.workers > 0
-                else "inline execution")
-        out.write(f"serving layer: {mode}, "
-                  f"window {args.batch_window * 1000:g} ms, "
-                  f"cache {args.cache_size} entries\n")
+        out.write(f"serving layer: cache {args.cache_size} entries\n")
     server = pilgrim.serve(host=args.host, port=args.port).start()
     out.write(f"Pilgrim serving at {server.url} (Ctrl-C to stop)\n")
     try:
@@ -460,10 +432,7 @@ def _cmd_serve_gateway(args, out) -> int:
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
         shard_threads=args.shard_threads,
-        window=args.batch_window,
         cache_size=args.cache_size,
-        workers=args.workers,
-        max_requests=args.max_requests,
         model_name=args.model or None,
         surrogate_doc=surrogate_doc,
         surrogate_bound=args.surrogate_bound,
@@ -704,11 +673,7 @@ def _cmd_metrology_run(args, out) -> int:
                         anchor_weighting=args.anchor_weighting,
                         feed_workers=args.feed_workers)
     demo.warmup(args.warmup)
-    serving = ForecastServingService(
-        demo.service,
-        service_factory=(demo.service_factory() if args.workers else None),
-        workers=args.workers,
-    ).start()
+    serving = ForecastServingService(demo.service)
     rows = []
     recalibrated_errors, static_errors = [], []
     try:
@@ -727,7 +692,6 @@ def _cmd_metrology_run(args, out) -> int:
                 f"{evaluation.err_static:.3f}",
             ))
     finally:
-        serving.stop()
         demo.close()
     out.write(render_table(
         ["t (s)", "true factor", "epoch", "|log2 err| recal",
@@ -745,12 +709,6 @@ def _cmd_metrology_run(args, out) -> int:
     cache = serving.cache.info()
     out.write(f"serving cache: {cache['hits']} hits, {cache['misses']} "
               f"misses (epoch bumps invalidate implicitly)\n")
-    if serving.pool is not None:
-        pool = serving.pool.stats()
-        out.write(f"warm pool: {pool['workers']} workers, "
-                  f"{pool['requests']} requests, {pool['recycles']} "
-                  f"recycles (epoch bumps re-fork the recalibrated "
-                  f"platform)\n")
     if recalibrated_errors:
         recal, static = median(recalibrated_errors), median(static_errors)
         out.write(f"degraded phase: median |log2 err| "

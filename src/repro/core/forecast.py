@@ -148,7 +148,7 @@ class ForecastQuery:
     → fraction of capacity available), ``events`` (a what-if schedule) and
     ``horizon`` (project the link state that many steps ahead) describe the
     platform state; a query without any of them is a *point* query, the
-    only kind the serving tiers cache, coalesce or send to a pool.
+    only kind the serving tiers answer or cache.
     """
 
     platform: str
@@ -171,8 +171,8 @@ class ForecastQuery:
 
     def key(self, stamp: int) -> tuple:
         """The identity of a point query: ``(platform, stamp, model key,
-        transfers, ongoing)`` — the forecast cache key, the coalescer's
-        single-flight key.  ``stamp`` is the committed-state stamp of the
+        transfers, ongoing)`` — the forecast cache key and the key of the
+        one flight computing its answer.  ``stamp`` is the committed-state stamp of the
         platform the query reads
         (:meth:`NetworkForecastService.state_stamp`); the model is
         identified by :func:`~repro.simgrid.models.model_key_of`."""
@@ -278,8 +278,8 @@ class NetworkForecastService:
         as a committed link write would: the answers cached for ``name``
         retire, and no other platform's.
 
-        Gateway shards and warm pool workers build their own services
-        from a factory, so a registration made here never reaches them."""
+        Gateway shards build their own services from a factory, so a
+        registration made here never reaches them."""
         replaced = self._platforms.get(name)
         self._platforms[name] = platform
         # swap, then stamp: a miss that read the old stamp may store an

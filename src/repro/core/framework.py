@@ -32,7 +32,6 @@ from repro.core.rest.server import (
 from repro.core.workflow import WorkflowForecastService
 from repro.horizon.whatif import events_from_json
 from repro.metrology.collectors import MetricRegistry
-from repro.serving.batcher import DEFAULT_WINDOW
 from repro.simgrid.models import NetworkModel, SharingModel, model_by_name
 from repro.simgrid.platform import Platform
 
@@ -50,45 +49,34 @@ class Pilgrim:
         self.forecast = NetworkForecastService(platforms, model=model)
         self.metrology = MetrologyService(self.registry)
         self.workflows = WorkflowForecastService(self.forecast)
-        #: serving frontend (cache + batcher + warm pool); see enable_serving
+        #: serving frontend (surrogate + cache); see enable_serving
         self.serving = None
 
-    def enable_serving(
-        self,
-        service_factory=None,
-        workers: int = 0,
-        window: float = DEFAULT_WINDOW,
-        cache_size: int = 4096,
-        max_requests: Optional[int] = None,
-        surrogate=None,
-    ):
+    def enable_serving(self, cache_size: int = 4096, surrogate=None, *,
+                       workers: int = 0, window: float = 0.0):
         """Put the serving subsystem in front of the forecast service.
 
-        Once enabled, the predict routes (GET and POST) answer through the
-        stamp-keyed forecast cache and the request coalescer, and — with
-        ``workers > 0`` and a picklable ``service_factory`` — fan batches
-        out over a warm worker pool.  ``surrogate`` (a
-        :class:`~repro.surrogate.tier.SurrogateTier`) is consulted before
-        the cache; its counters ride ``GET /pilgrim/stats``.  Returns the
-        started :class:`~repro.serving.service.ForecastServingService`;
-        call :meth:`disable_serving` (or ``serving.stop()``) to tear it
-        down.
+        Once enabled, the predict routes (GET and POST) answer point
+        queries through the stamp-keyed forecast cache; a miss simulates on
+        the handler thread that asked, and the asks of an answer in flight
+        join it.  ``surrogate`` (a :class:`~repro.surrogate.tier.
+        SurrogateTier`) is consulted before the cache; its counters ride
+        ``GET /pilgrim/stats``.  ``workers`` and ``window`` accept 0 only
+        (see :func:`~repro.serving.service.check_inline`).  Returns the
+        :class:`~repro.serving.service.ForecastServingService`; call
+        :meth:`disable_serving` to take it off the routes.
         """
-        from repro.serving.service import ForecastServingService
+        from repro.serving.service import ForecastServingService, check_inline
 
+        check_inline(workers, window)
         if self.serving is not None:
             raise RuntimeError("serving already enabled")
         self.serving = ForecastServingService(
-            self.forecast, service_factory=service_factory, workers=workers,
-            window=window, cache_size=cache_size,
-            max_requests=max_requests, surrogate=surrogate,
-        ).start()
+            self.forecast, cache_size=cache_size, surrogate=surrogate)
         return self.serving
 
     def disable_serving(self) -> None:
-        if self.serving is not None:
-            self.serving.stop()
-            self.serving = None
+        self.serving = None
 
     @classmethod
     def with_grid5000(

@@ -10,8 +10,8 @@ those tools' role and closes the loop back into the simulator:
   bandwidth/latency probes on a schedule into per-link RRDs,
 - :mod:`repro.metrology.loop` — :class:`RecalibrationLoop`: RRD windows
   into each link's horizon series, whose estimates it applies to a live
-  platform through the link-mutation epoch, so solver, route cache,
-  forecast cache and warm pool invalidate implicitly,
+  platform through the link-mutation epoch, so solver, route cache and
+  forecast cache invalidate implicitly,
 - :mod:`repro.metrology.demo` — the degrading-link deployment behind
   ``repro metrology record|replay|run`` and the metrology loop tests.
 

@@ -27,7 +27,6 @@ from repro.metrology.collectors import MetrologyError
 from repro.metrology.feed import MetrologyFeed, MonitoredLink
 from repro.metrology.loop import RecalibrationLoop
 from repro.scenarios.spec import MeasuredTrace
-from repro.serving.factories import live_platform_factory, register_live_platform
 from repro.simgrid.builder import build_star_cluster
 from repro.testbed.fluid import Hop, TestbedNetwork
 from repro.testbed.measurement import run_transfers
@@ -232,19 +231,6 @@ class StarMetrologyDemo:
                                       anchor_weighting=anchor_weighting)
         self.static_service = NetworkForecastService(
             {DEMO_PLATFORM: self.static_platform})
-        # pool workers forked by a warm serving pool rebuild their service
-        # over this exact (recalibrated) platform — see serving.factories
-        register_live_platform(DEMO_PLATFORM, self.platform)
-
-    def service_factory(self):
-        """A picklable factory for warm-pool workers serving this demo.
-
-        Workers fork from the demo's process, so the factory's service
-        wraps the *live* platform as recalibrated at fork time; every
-        ``ensure_epoch`` recycle after a loop update re-forks and picks up
-        the mutation.
-        """
-        return live_platform_factory(DEMO_PLATFORM)
 
     def close(self) -> None:
         """Release the feed's probe worker pool (if any)."""

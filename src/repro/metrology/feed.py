@@ -28,8 +28,7 @@ links:
   are **bit-identical** to serial ones for deterministic sensors.  Workers
   keep a resident copy of the testbed forked at pool start; each task chunk
   carries the current link-state overrides so mid-run capacity mutations
-  (a degrading testbed) are visible.  Like the serving
-  :class:`~repro.serving.pool.WarmWorkerPool` this relies on the ``fork``
+  (a degrading testbed) are visible.  This relies on the ``fork``
   start method; under ``spawn`` a one-time warning flags that the shipped
   network must be picklable and override shipping still applies.
 - **epoch-grid deadlines** — probe cycles are scheduled on the grid

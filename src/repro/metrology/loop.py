@@ -13,9 +13,7 @@ invalidation signals the whole stack already honours:
   re-derive at the next event (``Simulation._reshare``),
 - the serving :class:`~repro.serving.cache.ForecastCache` keys on the
   stamp, so every answer cached for that platform silently becomes
-  unreachable,
-- the :class:`~repro.serving.pool.WarmWorkerPool` recycles its workers on
-  the next batch (``ensure_epoch``).
+  unreachable.
 
 Nothing subscribes to the loop; recalibration happens while the serving
 stack answers traffic, and consistency is epoch-carried.

@@ -1,4 +1,4 @@
-"""Serving subsystem: warm worker pool, micro-batching, forecast cache.
+"""Serving subsystem: forecast cache, sharded gateway.
 
 The production request path in front of
 :class:`~repro.core.forecast.NetworkForecastService` — see

@@ -21,8 +21,7 @@ platform with the newer stamp (not left to LRU pressure: a service
 recalibrated every few seconds would carry up to ``maxsize`` dead answers).
 Every other platform's answers stay hittable.  A what-if's writes are
 transient (:func:`repro.simgrid.platform.link_sandbox`) and retire nothing:
-its callers store no answer computed while one ran
-(:meth:`repro.serving.service.ForecastServingService.answer`).
+no answer computed while one ran is stored (:meth:`ForecastCache.get_or_run`).
 
 The key is **order-sensitive** on purpose: max-min sharing has a unique
 solution, but the solver's floating-point reduction order follows request
@@ -83,7 +82,8 @@ class ForecastCache(BoundedLRU):
         #: platform name -> newest stamp seen in a key of it; every entry
         #: of that platform is of that stamp
         self._stamps: dict = {}
-        #: key -> future of the computation of its answer now running
+        #: key -> future of the computation of its answer now running on
+        #: the thread that missed it
         self._flights: dict = {}
 
     @property
@@ -113,55 +113,51 @@ class ForecastCache(BoundedLRU):
             entry = super().get(key, _MISS)
             return None if entry is _MISS else list(entry)
 
-    def get_or_start(self, key: tuple, start: Callable[[], Future]
-                     ) -> tuple[Optional[list[TransferForecast]],
-                                Optional[Future]]:
-        """``(answer, None)`` when ``key`` is stored, else ``(None,
-        flight)``: the future of the one computation of its answer, joined
-        when one is in flight (a hit) or begun by ``start()`` (a miss).
+    def get_or_run(self, key: tuple,
+                   compute: Callable[[], list[TransferForecast]]
+                   ) -> list[TransferForecast]:
+        """The answer of ``key``, a list of the caller's own: the stored
+        one or the one of the flight computing it (a hit), else the one
+        ``compute()`` returns on this thread (a miss: a fresh list), whose
+        flight the asks of ``key`` join while it runs.
 
-        A disabled cache keeps no flights: every lookup starts its own.
-        The flight's answer is stored when it lands, unless it failed, its
-        stamp was retired meanwhile or a what-if ran beside it."""
+        A disabled cache keeps no flights: every ask computes.  A flight's
+        answer is stored when it lands, unless it failed (its joiners raise
+        its exception), its stamp was retired meanwhile or a what-if ran
+        beside it."""
         with self._lock:
             self._admit(key)
             flight = self._flights.get(key)
-            if flight is not None:
+            joined = flight is not None
+            if joined:
                 self.hits += 1
-                return None, flight
-            entry = super().get(key, _MISS)
-            if entry is not _MISS:
-                return list(entry), None
-            if not self.enabled:
-                return None, start()
-            flight = self._flights[key] = Future()
-        # started outside the lock: the coalescer resolves futures on its
-        # own thread, whose landing takes this lock
+            else:
+                entry = super().get(key, _MISS)
+                if entry is not _MISS:
+                    return list(entry)
+                if self.enabled:
+                    flight = self._flights[key] = Future()
+        if joined:
+            return list(flight.result())
+        if flight is None:
+            return compute()
         sandboxes = link_sandboxes()
         try:
-            source = start()
+            forecasts = compute()
         except BaseException as exc:  # noqa: BLE001 - joiners must wake
-            source = Future()
-            source.set_exception(exc)
-        source.add_done_callback(
-            lambda done: self._land(key, flight, done, sandboxes))
-        return None, flight
-
-    def _land(self, key: tuple, flight: Future, done: Future,
-              sandboxes: tuple[int, int]) -> None:
-        error = done.exception()
+            with self._lock:
+                del self._flights[key]
+            flight.set_exception(exc)
+            raise
         # a what-if that ran beside the flight may have lent it transient
         # link values, which its committed-state key would then outlive
-        keep = (error is None
-                and sandboxes[0] == sandboxes[1] == link_sandboxes()[0])
+        keep = sandboxes[0] == sandboxes[1] == link_sandboxes()[0]
         with self._lock:
             del self._flights[key]
             if keep and self._admit(key):
-                super().put(key, list(done.result()))
-        if error is None:
-            flight.set_result(done.result())
-        else:
-            flight.set_exception(error)
+                super().put(key, forecasts)  # never handed out: askers copy
+        flight.set_result(forecasts)
+        return list(forecasts)
 
     def put(self, key: tuple, forecasts: Sequence[TransferForecast]) -> None:
         with self._lock:

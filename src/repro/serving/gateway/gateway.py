@@ -10,7 +10,7 @@
 - a :class:`~repro.serving.gateway.hashring.ConsistentHashRing` pinning
   each platform to one shard (shared-nothing caches stay hot),
 - N shard processes (:mod:`repro.serving.gateway.shard`), each a full
-  serving stack built from a picklable ``service_factory``,
+  serving stack over the service a picklable ``service_factory`` builds,
 - per-route SLO metrics and an aggregated ``GET /pilgrim/stats``.
 
 **Epoch propagation**: the gateway keeps a parent-side
@@ -56,7 +56,7 @@ from repro._util.lru import BoundedLRU
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import ServiceUnavailable
 from repro.core.rest.server import PilgrimHTTPServer
-from repro.serving.batcher import DEFAULT_WINDOW
+from repro.serving.service import check_inline
 from repro.simgrid.platform import link_state_version
 
 from repro.serving.gateway.admission import AdmissionController
@@ -104,11 +104,12 @@ class GatewayConfig:
     retry_after_s: float = 1.0
     max_body_bytes: int = 8 * 1024 * 1024
     request_timeout: float = 60.0
-    #: per-shard serving knobs (see ForecastServingService)
-    window: float = DEFAULT_WINDOW
+    #: accepted as 0 only (see check_inline)
+    window: float = 0.0
+    #: per-shard forecast cache entries (see ForecastServingService)
     cache_size: int = 4096
+    #: accepted as 0 only (see check_inline)
     workers: int = 0
-    max_requests: Optional[int] = None
     shard_threads: int = 4
     #: default sharing model for every shard service (a registered model
     #: name, resolved via ``model_by_name`` inside the shard process);
@@ -124,6 +125,7 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        check_inline(self.workers, self.window)
 
 
 class ShardHandle:
@@ -145,10 +147,7 @@ class ShardHandle:
             target=shard_main,
             args=(child_conn, shard_id, service_factory),
             kwargs={
-                "window": config.window,
                 "cache_size": config.cache_size,
-                "workers": config.workers,
-                "max_requests": config.max_requests,
                 "threads": config.shard_threads,
                 "model_name": config.model_name,
                 "surrogate_doc": config.surrogate_doc,
@@ -281,12 +280,13 @@ class ShardHandle:
 class ShardedGateway:
     """N shard processes behind one admission-controlled HTTP listener.
 
-    ``service_factory`` must be picklable (the warm-pool contract); it
-    builds each shard's forecast service.  ``service`` optionally names
-    the parent-side service whose platforms are the *mutation source* for
-    epoch propagation — pass the service your application recalibrates.
-    When omitted, the gateway builds one from the factory (mutate
-    ``gateway.service`` to reach the shards).
+    ``service_factory`` must be picklable (a module-level callable, or a
+    ``functools.partial`` over one); it builds each shard's forecast
+    service.  ``service`` optionally names the parent-side service whose
+    platforms are the *mutation source* for epoch propagation — pass the
+    service your application recalibrates.  When omitted, the gateway
+    builds one from the factory (mutate ``gateway.service`` to reach the
+    shards).
     """
 
     def __init__(

@@ -2,11 +2,12 @@
 
 Each shard is a child process owning its *own* full request path — a
 :class:`~repro.core.framework.Pilgrim` router over a
-:class:`~repro.serving.service.ForecastServingService` (stamp-keyed
-``ForecastCache``, ``RequestCoalescer``, optional ``WarmWorkerPool``) built
-from a picklable ``service_factory`` (same contract as the warm pool).
-Nothing is shared between shards: a shard's cache, route LRU and solver
-arena specialize on the keys the gateway's hash ring sends it.
+:class:`~repro.serving.service.ForecastServingService` (optional surrogate
+tier, stamp-keyed ``ForecastCache``) over the forecast service a picklable
+``service_factory`` builds.  Shards are the one way the serving stack uses
+more than one core.  Nothing is shared between shards: a shard's cache,
+route LRU and solver arena specialize on the keys the gateway's hash ring
+sends it.
 
 Transport is one duplex :func:`multiprocessing.Pipe` per shard carrying
 tagged tuples:
@@ -29,9 +30,9 @@ gateway watches its platforms' committed-state stamps and broadcasts
 values of the platforms whose stamp moved, ahead of the next dispatch; the
 shard commits whichever link values differ from its own committed ones
 through the normal ``Link`` setters — so the shard's ``ForecastCache``
-(for those platforms only), route memos and warm-pool generation all
-invalidate through the exact mechanism they already trust, and a what-if
-running on the shard meanwhile ends on the synced values.  Pipes deliver
+(for those platforms only) and route memos invalidate through the exact
+mechanism they already trust, and a what-if running on the shard meanwhile
+ends on the synced values.  Pipes deliver
 in order: a request sent after the sync always sees the new capacities.
 """
 
@@ -41,8 +42,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import Connection
 from typing import Callable, Optional
-
-from repro.serving.batcher import DEFAULT_WINDOW
 
 #: Message tags (parent → shard).
 REQ, STATS, SYNC, STOP = "req", "stats", "sync", "stop"
@@ -83,10 +82,7 @@ def shard_main(
     conn: Connection,
     shard_id: int,
     service_factory: Callable,
-    window: float = DEFAULT_WINDOW,
     cache_size: int = 4096,
-    workers: int = 0,
-    max_requests: Optional[int] = None,
     threads: int = 4,
     model_name: Optional[str] = None,
     surrogate_doc: Optional[dict] = None,
@@ -94,10 +90,12 @@ def shard_main(
 ) -> None:
     """Child-process entry point: build the stack, answer until ``stop``.
 
-    Requests execute on a small thread pool so one slow simulation does
-    not serialize the shard (and so the coalescer actually sees concurrent
-    arrivals to batch); responses are tagged with their request id, so
-    out-of-order completion is fine.
+    Requests execute on ``threads`` handler threads, and a cache miss
+    simulates on the thread that handles it, so one slow simulation does
+    not serialize the shard: misses of different keys run side by side,
+    and asks of an answer in flight wait for that one simulation.
+    Responses are tagged with their request id, so out-of-order
+    completion is fine.
 
     ``surrogate_doc`` (a ``SurrogateModel.to_json()`` dict) arms a
     shard-local :class:`~repro.surrogate.tier.SurrogateTier` in front of
@@ -133,11 +131,8 @@ def shard_main(
             SurrogateModel.from_json(surrogate_doc),
             bound=surrogate_bound, require_fresh_epoch=False)
     pilgrim = Pilgrim(platforms=platforms, model=service.model)
-    serving = pilgrim.enable_serving(
-        service_factory=service_factory if workers > 0 else None,
-        workers=workers, window=window, cache_size=cache_size,
-        max_requests=max_requests, surrogate=surrogate,
-    )
+    serving = pilgrim.enable_serving(cache_size=cache_size,
+                                     surrogate=surrogate)
     router = pilgrim.build_router()
     send_lock = threading.Lock()
     counters = {"requests": 0, "errors": 0, "syncs": 0, "links_updated": 0}
@@ -216,5 +211,4 @@ def shard_main(
         pass
     finally:
         executor.shutdown(wait=True)
-        pilgrim.disable_serving()
         conn.close()

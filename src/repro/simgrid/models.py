@@ -8,7 +8,7 @@ the flow consumes.  Models register themselves by name
 ``repro models list`` CLI verb enumerates the registry.
 
 Every model also carries an explicit identity contract — :meth:`model_key`
-— used by every cache and shard layer (forecast cache, request coalescer,
+— used by every cache and shard layer (forecast cache and its flights,
 surrogate tier) instead of ad-hoc ``repr`` keying: two model instances with
 equal keys must produce identical forecasts, and any parameter that changes
 predictions must appear in the key.  :func:`model_key_of` is the helper the

@@ -127,8 +127,8 @@ def link_epoch() -> int:
 
 def link_state_version() -> int:
     """The newest committed-state stamp handed out, to any platform: it
-    moves on every committed link write anywhere (a warm pool's generation
-    keys on it; an answer keys on its platform's :attr:`Platform.state_stamp`)."""
+    moves on every committed link write anywhere (the gateway's sync checks
+    it; an answer keys on its platform's :attr:`Platform.state_stamp`)."""
     return _STATE_VERSION
 
 
@@ -157,33 +157,6 @@ def link_sandboxes() -> tuple[int, int]:
         return _SANDBOXES[0], _SANDBOXES[1]
 
 
-def _restore(links: Iterable["Link"]) -> None:
-    """Put each link's committed values back as its live ones, moving
-    :func:`link_epoch` once per value that differed; the caller holds
-    ``_LINK_LOCK``."""
-    global _LINK_EPOCH
-    for link in links:
-        bandwidth, latency = link._committed
-        if link._bandwidth != bandwidth:
-            link._bandwidth = bandwidth
-            _LINK_EPOCH += 1
-        if link._latency != latency:
-            link._latency = latency
-            _LINK_EPOCH += 1
-
-
-def restore_committed(links: Iterable["Link"]) -> None:
-    """Make the committed values of ``links`` their live ones again, as a
-    sandbox's exit does for the links it wrote: a process forked while a
-    sandbox was open inherits its transient values and no exit to undo
-    them.  Takes the lock only when some live value differs."""
-    stale = [link for link in links
-             if (link._bandwidth, link._latency) != link._committed]
-    if stale:
-        with _LINK_LOCK:
-            _restore(stale)
-
-
 @contextmanager
 def link_sandbox() -> Iterator[None]:
     """Make the link writes of this thread transient until the block exits.
@@ -193,6 +166,7 @@ def link_sandbox() -> Iterator[None]:
     committed write that landed meanwhile (from another thread) is the one
     that stays.
     """
+    global _LINK_EPOCH
     with _LINK_LOCK:
         _SANDBOXES[0] += 1
     _THREAD.written = written = set()
@@ -201,7 +175,16 @@ def link_sandbox() -> Iterator[None]:
     finally:
         _THREAD.written = None
         with _LINK_LOCK:
-            _restore(written)
+            # each written link's committed values are its live ones again;
+            # every value that differed moves the epoch once
+            for link in written:
+                bandwidth, latency = link._committed
+                if link._bandwidth != bandwidth:
+                    link._bandwidth = bandwidth
+                    _LINK_EPOCH += 1
+                if link._latency != latency:
+                    link._latency = latency
+                    _LINK_EPOCH += 1
             _SANDBOXES[1] += 1
 
 

@@ -132,117 +132,188 @@ def _indent(el: ET.Element, level: int = 0) -> None:
 # reading
 # ---------------------------------------------------------------------------
 
+#: Characters of the text handed to the parser at a time.
+_CHUNK = 1 << 16
+
+
 def platform_from_xml(text: str) -> Platform:
-    """Parse a platform from a SimGrid-style XML string."""
+    """Parse a platform from a SimGrid-style XML string.
+
+    The text is read as a stream and no element tree is built: each
+    element is declared as it arrives and each run of routes as one row
+    once the run ends, so reading costs what the platform keeps.  An AS
+    declares its hosts, routers, links and child ASes before the routes
+    that use them, in the order of SimGrid's DTD.
+    """
+    reader = _Reader()
+    parser = ET.XMLParser(target=reader)
     try:
-        root_el = ET.fromstring(text)
+        for start in range(0, len(text), _CHUNK):
+            parser.feed(text[start:start + _CHUNK])
+        return parser.close()
     except ET.ParseError as exc:
         raise PlatformXMLError(f"XML parse error: {exc}") from exc
-    if root_el.tag != "platform":
-        raise PlatformXMLError(f"expected <platform> root, got <{root_el.tag}>")
-    as_els = [child for child in root_el if child.tag == "AS"]
-    if len(as_els) != 1:
-        raise PlatformXMLError(f"expected exactly one top-level <AS>, got {len(as_els)}")
-    top = as_els[0]
-    platform = Platform(top.get("id", "platform"), routing=top.get("routing", "Full"))
-    for config_el in root_el.iter("config"):
-        for prop in config_el.iter("prop"):
-            platform.properties[prop.get("id", "")] = prop.get("value", "")
-    _fill_as(platform.root, top, {})
-    return platform
 
 
-def _fill_as(as_: AutonomousSystem, el: ET.Element,
-             uses: dict[tuple[Link, str], LinkUse]) -> None:
-    """Declare ``el``'s elements in ``as_``, then its routes, of the one
-    :class:`LinkUse` per link and direction of the load in ``uses``."""
-    # two passes: declare elements/links first, then routes (which reference them)
-    for child in el:
-        if child.tag == "host":
+class _Reader:
+    """The parser target: declares the platform element by element.
+
+    ``_open`` holds what each open element is: the AS it declares into
+    (with the run of routes it is reading), the link list of a route, or
+    ``None`` for an element that declares nothing."""
+
+    def __init__(self) -> None:
+        self.platform: Optional[Platform] = None
+        self.top_level = 0  # <AS> children of <platform>
+        self.properties: dict[str, str] = {}
+        self.configs = 0  # open <config> elements
+        self._open: list = []
+        #: the load's one LinkUse per link and direction
+        self._uses: dict[tuple[Link, str], LinkUse] = {}
+
+    def start(self, tag: str, attrib: dict) -> None:
+        if tag == "config":
+            self.configs += 1
+        elif tag == "prop" and self.configs:
+            self.properties[attrib.get("id", "")] = attrib.get("value", "")
+        if not self._open:
+            if tag != "platform":
+                raise PlatformXMLError(f"expected <platform> root, got <{tag}>")
+            self._open.append(None)
+            return
+        parent = self._open[-1]
+        if type(parent) is list:  # a route's links
+            if tag != "link_ctn":
+                raise PlatformXMLError(f"unexpected <{tag}> inside route")
+            parent.append(self._link_use(self._open[-2].as_, attrib))
+            self._open.append(None)
+        elif type(parent) is _Run:
+            self._open.append(parent.child(tag, attrib))
+        elif tag == "AS" and len(self._open) == 1:
+            self.top_level += 1
+            if self.platform is None:
+                self.platform = Platform(attrib.get("id", "platform"),
+                                         routing=attrib.get("routing", "Full"))
+                self._open.append(_Run(self.platform.root))
+            else:
+                self._open.append(None)
+        else:
+            self._open.append(None)
+
+    def end(self, tag: str) -> None:
+        if tag == "config":
+            self.configs -= 1
+        frame = self._open.pop()
+        if type(frame) is _Run:
+            frame.flush()
+
+    def close(self) -> Platform:
+        if self.top_level != 1:
+            raise PlatformXMLError(
+                f"expected exactly one top-level <AS>, got {self.top_level}")
+        self.platform.properties.update(self.properties)
+        return self.platform
+
+    def _link_use(self, as_: AutonomousSystem, attrib: dict) -> LinkUse:
+        """The load's one use of a ``<link_ctn>``'s link and direction."""
+        key = (_find_link(as_, _req("link_ctn", attrib, "id")),
+               attrib.get("direction", "UP"))
+        use = self._uses.get(key)
+        if use is None:
+            use = self._uses[key] = LinkUse(
+                key[0], _attr("link_ctn", attrib, "direction", Direction, "UP"))
+        return use
+
+
+class _Run:
+    """An open ``<AS>`` and the run of routes it is reading: the routes in
+    a row sharing ``(src, symmetrical, gw_src, gw_dst)`` are one row, which
+    any other element ends."""
+
+    __slots__ = ("as_", "key", "row")
+
+    def __init__(self, as_: AutonomousSystem) -> None:
+        self.as_ = as_
+        self.key: Optional[tuple] = None
+        self.row: dict[str, list[LinkUse]] = {}
+
+    def flush(self) -> None:
+        if self.row:
+            src, symmetrical, gw_src, gw_dst = self.key
+            self.as_.add_routes(src, self.row, symmetrical, gw_src, gw_dst)
+            self.row = {}
+        self.key = None
+
+    def child(self, tag: str, attrib: dict):
+        """Declare the child element ``tag``; what it is while open."""
+        as_ = self.as_
+        if tag in ("route", "ASroute"):
+            key = (_req(tag, attrib, "src"),
+                   _attr(tag, attrib, "symmetrical", _yes_no, "YES"),
+                   attrib.get("gw_src"), attrib.get("gw_dst"))
+            dst = _req(tag, attrib, "dst")
+            if key != self.key or dst in self.row:
+                self.flush()
+                self.key = key
+            links = self.row[dst] = []
+            return links
+        self.flush()
+        if tag == "host":
             as_.add_host(
-                _req(child, "id"),
-                speed=_attr(child, "speed", parse_speed, "1Gf"),
-                cores=_attr(child, "core", int, "1"),
+                _req(tag, attrib, "id"),
+                speed=_attr(tag, attrib, "speed", parse_speed, "1Gf"),
+                cores=_attr(tag, attrib, "core", int, "1"),
             )
-        elif child.tag == "router":
-            as_.add_router(_req(child, "id"))
-        elif child.tag == "link":
+        elif tag == "router":
+            as_.add_router(_req(tag, attrib, "id"))
+        elif tag == "link":
             as_.add_link(
-                _req(child, "id"),
-                bandwidth=_attr(child, "bandwidth", parse_bandwidth),
-                latency=_attr(child, "latency", parse_time, "0s"),
-                policy=_attr(child, "sharing_policy", SharingPolicy, "SHARED"),
+                _req(tag, attrib, "id"),
+                bandwidth=_attr(tag, attrib, "bandwidth", parse_bandwidth),
+                latency=_attr(tag, attrib, "latency", parse_time, "0s"),
+                policy=_attr(tag, attrib, "sharing_policy", SharingPolicy,
+                             "SHARED"),
             )
-        elif child.tag == "AS":
-            sub = AutonomousSystem(_req(child, "id"), routing=child.get("routing", "Full"))
-            as_.add_child(sub, gateway=child.get("gateway"))
-            _fill_as(sub, child, uses)
-    # each run of routes sharing (src, symmetrical, gw_src, gw_dst) is one row
-    run, row = None, {}
-    for child in el:
-        if child.tag in ("route", "ASroute"):
-            key = (_req(child, "src"),
-                   _attr(child, "symmetrical", _yes_no, "YES"),
-                   child.get("gw_src"), child.get("gw_dst"))
-            dst = _req(child, "dst")
-            if key != run or dst in row:
-                _add_row(as_, run, row)
-                run, row = key, {}
-            row[dst] = [_link_use(as_, ctn, uses) for ctn in child]
-            continue
-        _add_row(as_, run, row)
-        run, row = None, {}
-        if child.tag == "connection":  # Dijkstra adjacency (extension tag)
-            names = _req(child, "link").split(",")
-            dirs = _attr(child, "directions",
+        elif tag == "AS":
+            sub = AutonomousSystem(_req(tag, attrib, "id"),
+                                   routing=attrib.get("routing", "Full"))
+            as_.add_child(sub, gateway=attrib.get("gateway"))
+            return _Run(sub)
+        elif tag == "connection":  # Dijkstra adjacency (extension tag)
+            names = _req(tag, attrib, "link").split(",")
+            dirs = _attr(tag, attrib, "directions",
                          lambda v: [Direction(d) for d in v.split(",")],
                          ",".join(["UP"] * len(names)))
             if len(dirs) != len(names):
                 raise PlatformXMLError("connection: directions/link length mismatch")
             hops = [LinkUse(_find_link(as_, name), d)
                     for name, d in zip(names, dirs)]
-            as_.add_connection(_req(child, "a"), _req(child, "b"), hops)
-    _add_row(as_, run, row)
+            as_.add_connection(_req(tag, attrib, "a"), _req(tag, attrib, "b"),
+                               hops)
+        return None
 
 
-def _add_row(as_: AutonomousSystem, run: Optional[tuple], row: dict) -> None:
-    if row:
-        src, symmetrical, gw_src, gw_dst = run
-        as_.add_routes(src, row, symmetrical, gw_src, gw_dst)
-
-
-def _link_use(as_: AutonomousSystem, ctn: ET.Element,
-              uses: dict[tuple[Link, str], LinkUse]) -> LinkUse:
-    """The load's one use of a ``<link_ctn>``'s link and direction."""
-    if ctn.tag != "link_ctn":
-        raise PlatformXMLError(f"unexpected <{ctn.tag}> inside route")
-    key = (_find_link(as_, _req(ctn, "id")), ctn.get("direction", "UP"))
-    use = uses.get(key)
-    if use is None:
-        use = uses[key] = LinkUse(key[0], _attr(ctn, "direction", Direction, "UP"))
-    return use
-
-
-def _req(el: ET.Element, attr: str) -> str:
-    value = el.get(attr)
+def _req(tag: str, attrib: dict, attr: str) -> str:
+    value = attrib.get(attr)
     if value is None:
-        raise PlatformXMLError(f"<{el.tag}> missing required attribute {attr!r}")
+        raise PlatformXMLError(f"<{tag}> missing required attribute {attr!r}")
     return value
 
 
-def _attr(el: ET.Element, attr: str, parse: Callable[[str], T],
+def _attr(tag: str, attrib: dict, attr: str, parse: Callable[[str], T],
           default: Optional[str] = None) -> T:
-    """``parse`` of ``el``'s ``attr`` (required unless ``default`` is given).
+    """``parse`` of the element's ``attr`` (required unless ``default`` is
+    given).
 
     A value ``parse`` rejects is a :class:`PlatformXMLError` naming the
     element and the attribute.
     """
-    raw = _req(el, attr) if default is None else el.get(attr, default)
+    raw = _req(tag, attrib, attr) if default is None else attrib.get(attr, default)
     try:
         return parse(raw)
     except ValueError as exc:
         raise PlatformXMLError(
-            f"<{el.tag}> bad attribute {attr!r}={raw!r}: {exc}"
+            f"<{tag}> bad attribute {attr!r}={raw!r}: {exc}"
         ) from exc
 
 

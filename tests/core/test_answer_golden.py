@@ -18,7 +18,8 @@ sweep cycled):
   ``gateway_recal_mix`` ``fig7`` what-if bodies (cold, and with ``horizon``
   on the warm links, so intervals are present), a GET ``horizon=3`` answer
   with intervals and two ``select_fastest`` answers (one of them pruned);
-- ``float.hex`` of ``WarmWorkerPool.answer_many`` on two workers.
+- ``float.hex`` of the durations of 4 more ``fig5`` draws, answered one
+  query at a time (recorded when two worker processes answered them).
 
 Any change to decoding, the engine or encoding that moves one byte, one ulp
 or one solve fails here.  To regenerate after an *intentional* change::
@@ -45,7 +46,6 @@ from repro.experiments.protocol import TRANSFER_SIZES, draw_transfer_pairs
 from repro.g5k.converter import to_simgrid_platform
 from repro.g5k.sites import grid5000_dev_reference
 from repro.scenarios.spec import LinkEvent
-from repro.serving.pool import WarmWorkerPool
 from repro.simgrid.engine import Simulation
 from repro.simgrid.models import LV08, model_by_name
 from serving_helpers import RawHttp
@@ -172,12 +172,12 @@ def route_bodies(platform) -> dict:
 
 
 def predict_many_durations() -> list[list[str]]:
-    """``WarmWorkerPool.answer_many`` over two worker processes."""
-    queries = [ForecastQuery.of(PLATFORM, transfers)
-               for transfers in figure_transfers("fig5", "golden_many", N_MANY)]
-    with WarmWorkerPool(environment.forecast_service, workers=2) as pool:
-        answers = pool.answer_many(queries)
-    return [[f.duration.hex() for f in answer] for answer in answers]
+    """The ``golden_many`` draws, one ``answer`` each on the session
+    service."""
+    service = environment.forecast_service()
+    return [[f.duration.hex() for f in service.answer(
+        ForecastQuery.of(PLATFORM, transfers))[0]]
+        for transfers in figure_transfers("fig5", "golden_many", N_MANY)]
 
 
 @pytest.fixture(scope="module")

@@ -56,7 +56,7 @@ def _deployment(name: str):
     """One deployment over a star platform, not yet started."""
     if name == "gateway":
         return ShardedGateway(star_factory(N_HOSTS), GatewayConfig(
-            shards=1, window=0.0, max_body_bytes=MAX_BODY,
+            shards=1, max_body_bytes=MAX_BODY,
             request_timeout=30.0))
     service = star_forecast_service(N_HOSTS)
     pilgrim = Pilgrim(

@@ -6,7 +6,8 @@ process's platform memory.  Each declared route is a run of dense ids in
 its AS's pool array, found through a per-source row of cells; a lookup
 decodes the entry, or the reverse a symmetrical route implies, each time
 something asks for it, and keeps none: counting the table, writing it as
-XML or looking every pair up leaves the AS as it was.  The platform's
+XML or looking every pair up leaves the AS as it was.  Reading the XML
+back streams it, one run of routes at a time.  The platform's
 route store is the one cache of resolved routes, and a stored route that
 no simulation used costs only its links.
 """
@@ -26,7 +27,7 @@ from reference.routes import decodes_only_interned_uses
 from repro.g5k.converter import to_simgrid_platform
 from repro.g5k.sites import grid5000_dev_reference, grid5000_stable_reference
 from repro.simgrid.routing import route_table_bytes
-from repro.simgrid.xml_io import platform_to_xml
+from repro.simgrid.xml_io import platform_from_xml, platform_to_xml
 
 #: Ceiling on the memory both builds leave allocated, as tracemalloc counts
 #: it.  Dense id arrays measure 2.0 MiB on CPython 3.11; per-source rows of
@@ -91,6 +92,26 @@ def test_writing_xml_is_unchanged_and_builds_no_reverse(built):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         for as_ in (platform.root, *platform.root.descendants()):
             assert decodes_only_interned_uses(as_), as_.name
+
+
+#: Ceiling on the traced peak of reading the full ``g5k_test`` XML back
+#: (12.2 MB of text, allocated before tracing starts): 1.5 MiB streamed,
+#: where building the whole element tree first peaked at 106.4 MiB.
+READ_MIB_MAX = 16
+
+
+def test_reading_the_xml_streams_and_round_trips(built):
+    _traced, _tracked, test, _cabinets = built
+    text = platform_to_xml(test)
+    tracemalloc.start()
+    try:
+        clone = platform_from_xml(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= READ_MIB_MAX * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert clone.total_route_table_entries() == 83_150
+    assert platform_to_xml(clone) == text
 
 
 def test_looking_every_declared_pair_up_leaves_nothing_behind(built):

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.core.rest.server import PilgrimHTTPServer
-from repro.serving.batcher import batch_size_bucket
 from repro.serving.gateway.admission import AdmissionController
 from repro.serving.gateway.metrics import (
     GatewayMetrics,
@@ -121,14 +120,3 @@ class TestGatewayMetrics:
             "connections": {"opened": 1, "active": 0},
             "errors": {"parse_errors": 0, "oversized": 0, "disconnects": 0}}
 
-
-class TestBatchSizeBuckets:
-    def test_buckets(self):
-        assert batch_size_bucket(1) == "1"
-        assert batch_size_bucket(2) == "2"
-        assert batch_size_bucket(3) == "3-4"
-        assert batch_size_bucket(4) == "3-4"
-        assert batch_size_bucket(5) == "5-8"
-        assert batch_size_bucket(8) == "5-8"
-        assert batch_size_bucket(9) == "9-16"
-        assert batch_size_bucket(256) == "129-256"

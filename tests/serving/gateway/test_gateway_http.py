@@ -35,7 +35,7 @@ MAX_BODY = 64 * 1024
 
 @pytest.fixture(scope="module")
 def gateway():
-    config = GatewayConfig(shards=2, window=0.0, max_body_bytes=MAX_BODY,
+    config = GatewayConfig(shards=2, max_body_bytes=MAX_BODY,
                            request_timeout=30.0)
     with ShardedGateway(star_factory(N_HOSTS), config) as gw:
         yield gw
@@ -263,10 +263,6 @@ def test_stats_schema_aggregates_gateway_and_shards(gateway):
         assert shard_stats["alive"]
         for key in ("shard", "pid", "epoch", "requests", "serving"):
             assert key in shard_stats, f"shard stats missing {key}"
-        serving = shard_stats["serving"]
-        assert "batch_size_hist" in serving["batcher"]
-        assert "generations" in serving["pool"] or serving["pool"].get(
-            "mode") == "inline"
     pids = {s["pid"] for s in stats["shards"]}
     assert len(pids) == 2, "shards must be distinct processes"
 
@@ -334,7 +330,7 @@ def test_loadgen_swarm_zero_errors_bit_identical(gateway, queries,
 def test_overload_swarm_sheds_cleanly_and_never_hangs(queries, ground_truth):
     # a 2+2 budget against 16 keep-alive clients: every offered request
     # either completes with the serial answer or sheds as 503 + Retry-After
-    tiny = GatewayConfig(shards=2, window=0.0, cache_size=0, max_inflight=2,
+    tiny = GatewayConfig(shards=2, cache_size=0, max_inflight=2,
                          queue_depth=2, retry_after_s=0.5)
     with ShardedGateway(star_factory(N_HOSTS), tiny) as gateway:
         host, port = gateway.address

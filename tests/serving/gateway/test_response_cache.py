@@ -101,7 +101,6 @@ class Client(RawHttp):
 @contextmanager
 def running(factory=None, service=None, **config):
     config.setdefault("shards", 1)
-    config.setdefault("window", 0.0)
     with ShardedGateway(factory or star_factory(N_HOSTS),
                         GatewayConfig(**config), service=service) as gw:
         yield gw

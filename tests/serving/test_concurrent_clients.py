@@ -1,15 +1,20 @@
 """Concurrent clients hammering the serving stack over HTTP.
 
 N threads replay a shared set of mixed queries against one server (GET and
-POST, with the serving layer's cache and coalescer in the path) and every
-response must equal the serial ground truth computed before the storm.
-Afterwards, the cache counters must be *consistent*: every request was
-exactly one hit or one miss, and concurrent identical requests never
-produced a wrong or torn answer.
+POST, with the serving layer's cache in the path) and every response must
+equal the serial ground truth computed before the storm.  A miss simulates
+on the handler thread that asked, so misses of different keys run at the
+same time; the hammers also run with a 10 µs thread switch interval, which
+makes the threads interleave inside those simulations.  Afterwards, the
+counters must be *consistent*: every request was exactly one hit or one
+miss, the cache simulated each distinct query once (every other ask of it
+joined that flight or hit its answer), and concurrent identical requests
+never produced a wrong or torn answer.
 """
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -40,6 +45,35 @@ def queries(star_service):
     ]
 
 
+@pytest.fixture(params=[None, 1e-5], ids=["default-switch", "switch-10us"])
+def switch_interval(request):
+    """Run the test under ``sys.setswitchinterval(param)`` (None: as is)."""
+    before = sys.getswitchinterval()
+    if request.param is not None:
+        sys.setswitchinterval(request.param)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(before)
+
+
+def counted_pilgrim(star_service):
+    """A Pilgrim serving the star platform, and the list its forecast
+    service's ``answer`` appends each call's query key to."""
+    pilgrim = Pilgrim()
+    pilgrim.register_platform(STAR_PLATFORM,
+                              star_service.platform(STAR_PLATFORM))
+    service, calls = pilgrim.forecast, []
+    original = service.answer
+
+    def counting(query):
+        calls.append(query.key(service.state_stamp(query.platform)))
+        return original(query)
+
+    service.answer = counting
+    return pilgrim, calls
+
+
 @pytest.fixture(scope="module")
 def ground_truth(star_service, queries):
     """Serial one-at-a-time answers, computed before any server exists."""
@@ -51,11 +85,9 @@ def ground_truth(star_service, queries):
 
 
 def test_hammer_matches_serial_ground_truth(star_service, queries,
-                                            ground_truth):
-    pilgrim = Pilgrim()
-    pilgrim.register_platform(STAR_PLATFORM,
-                              star_service.platform(STAR_PLATFORM))
-    serving = pilgrim.enable_serving(window=0.002, cache_size=256)
+                                            ground_truth, switch_interval):
+    pilgrim, calls = counted_pilgrim(star_service)
+    serving = pilgrim.enable_serving(cache_size=256)
     try:
         with pilgrim.serve() as server:
             url = server.url
@@ -100,7 +132,9 @@ def test_hammer_matches_serial_ground_truth(star_service, queries,
         # the storm actually hit the cache: far more hits than misses
         assert cache["hits"] > cache["misses"]
         assert stats["latency"]["count"] == expected_requests
-        assert stats["batcher"]["requests"] == cache["misses"]
+        # one simulation per distinct query: every other ask of it joined
+        # its flight or hit its stored answer
+        assert len(calls) == len(set(calls)) == len(queries)
     finally:
         pilgrim.disable_serving()
 
@@ -120,7 +154,7 @@ class TestKeepAliveConnections:
         pilgrim = Pilgrim()
         pilgrim.register_platform(STAR_PLATFORM,
                                   star_service.platform(STAR_PLATFORM))
-        pilgrim.enable_serving(window=0.0, cache_size=64)
+        pilgrim.enable_serving(cache_size=64)
         try:
             yield pilgrim
         finally:
@@ -200,11 +234,10 @@ class TestKeepAliveConnections:
 
 
 def test_hammer_with_cache_disabled_still_correct(star_service, queries,
-                                                  ground_truth):
-    pilgrim = Pilgrim()
-    pilgrim.register_platform(STAR_PLATFORM,
-                              star_service.platform(STAR_PLATFORM))
-    serving = pilgrim.enable_serving(window=0.002, cache_size=0)
+                                                  ground_truth,
+                                                  switch_interval):
+    pilgrim, calls = counted_pilgrim(star_service)
+    serving = pilgrim.enable_serving(cache_size=0)
     try:
         with pilgrim.serve() as server:
             client_urls = server.url
@@ -223,6 +256,7 @@ def test_hammer_with_cache_disabled_still_correct(star_service, queries,
         stats = serving.stats()
         assert stats["cache"]["hits"] == 0
         assert stats["cache"]["misses"] == 4 * len(queries)
-        assert stats["batcher"]["requests"] == 4 * len(queries)
+        # a disabled cache keeps no flights: one simulation per ask
+        assert len(calls) == 4 * len(queries)
     finally:
         pilgrim.disable_serving()

@@ -3,15 +3,12 @@
 The pluggable-model refactor keys every serving-layer structure on
 ``model_key()`` instead of ``repr``: distinct model variants — CM02 vs
 LV08 vs TCP-fluid, and the *same* model family with different parameters —
-must occupy distinct :class:`ForecastCache` entries and distinct
-:class:`RequestCoalescer` groups, while equal models keep hitting the same
-entry.  A collision here would serve one model's forecast as another's.
+must occupy distinct :class:`ForecastCache` entries (and so distinct
+flights), while equal models keep hitting the same entry.  A collision
+here would serve one model's forecast as another's.
 """
 
-import pytest
-
 from repro.core.forecast import ForecastQuery
-from repro.serving.batcher import PendingRequest
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.models import CM02, LV08, NetworkModel, model_key_of
 from repro.simgrid.tcpfluid import TcpFluidModel
@@ -70,20 +67,6 @@ class TestForecastCacheIsolation:
                 return ("Doppelganger",)
 
         assert cache_key(Doppelganger()) != cache_key(LV08())
-
-
-class TestCoalescerGroupIsolation:
-    def test_distinct_variants_get_distinct_groups(self):
-        groups = {PendingRequest(ForecastQuery("p", TRANSFERS, model=m))
-                  .group_key() for m in VARIANTS}
-        assert len(groups) == len(VARIANTS)
-
-    def test_equal_models_coalesce(self):
-        def group(model):
-            return PendingRequest(
-                ForecastQuery("p", TRANSFERS, model=model)).group_key()
-
-        assert group(TcpFluidModel()) == group(TcpFluidModel())
 
 
 class TestSurrogateTierIsolation:

@@ -46,7 +46,7 @@ def truth(name, bandwidth_factor=1.0) -> list:
 
 @pytest.fixture
 def serving():
-    with ForecastServingService(fleet(), window=0.0) as serving:
+    with ForecastServingService(fleet()) as serving:
         yield serving
 
 
@@ -126,7 +126,7 @@ def post(gateway, name) -> bytes:
 def test_a_two_platform_gateway_keeps_the_other_platforms_front_hits():
     truths = {A: truth(A), B: truth(B, 0.5), "A/2": truth(A, 0.5)}
     with ShardedGateway(star_fleet_factory(2, N_HOSTS),
-                        GatewayConfig(shards=1, window=0.0),
+                        GatewayConfig(shards=1),
                         service=fleet()) as gateway:
         def counts():
             stats = gateway.stats()

@@ -1,4 +1,4 @@
-"""Serving frontend: cache → batch → execute equivalence and counters."""
+"""Serving frontend: surrogate → cache → simulate equivalence and counters."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.core.rest.errors import BadRequest, NotFound
 from repro.serving.service import ForecastServingService
 from repro.simgrid.models import CM02
 from repro.simgrid.platform import Platform
-from serving_helpers import STAR_PLATFORM, star_factory, star_forecast_service
+from serving_helpers import STAR_PLATFORM, star_forecast_service
 
 N_HOSTS = 6
 
@@ -31,7 +31,7 @@ class TestInlineServing:
     def test_matches_direct_prediction_bitwise(self, star_service, hosts):
         transfers = [(hosts[0], hosts[1], 5e7), (hosts[2], hosts[3], 1e8)]
         direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
-        with ForecastServingService(star_service, window=0.001) as serving:
+        with ForecastServingService(star_service) as serving:
             assert serving.predict(STAR_PLATFORM, transfers) == direct
             # second ask is a cache hit and still the same answer
             assert serving.predict(STAR_PLATFORM, transfers) == direct
@@ -39,13 +39,12 @@ class TestInlineServing:
         assert stats["cache"]["hits"] == 1
         assert stats["cache"]["misses"] == 1
         assert stats["latency"]["count"] == 2
-        assert stats["pool"] == {"workers": 0, "mode": "inline"}
+        assert set(stats) == {"surrogate", "cache", "latency"}
 
     def test_cache_disabled_still_consistent(self, star_service, hosts):
         transfers = [(hosts[0], hosts[1], 5e7)]
         direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
-        with ForecastServingService(star_service, window=0.001,
-                                    cache_size=0) as serving:
+        with ForecastServingService(star_service, cache_size=0) as serving:
             assert serving.predict(STAR_PLATFORM, transfers) == direct
             assert serving.predict(STAR_PLATFORM, transfers) == direct
             stats = serving.stats()
@@ -57,40 +56,39 @@ class TestInlineServing:
         ongoing = [(hosts[0], hosts[2], 1e8)]
         direct = star_service.predict_transfers(
             STAR_PLATFORM, transfers, model=CM02(), ongoing=ongoing)
-        with ForecastServingService(star_service, window=0.001) as serving:
+        with ForecastServingService(star_service) as serving:
             served = serving.predict(STAR_PLATFORM, transfers, model=CM02(),
                                      ongoing=ongoing)
         assert served == direct
         plain = star_service.predict_transfers(STAR_PLATFORM, transfers)
         assert served != plain  # the knobs actually changed the answer
 
-    def test_identical_burst_single_flights(self, star_service, hosts):
+    def test_cache_off_every_ask_of_a_burst_simulates(self, star_service,
+                                                      hosts):
         from concurrent.futures import ThreadPoolExecutor
 
         transfers = [(hosts[0], hosts[1], 5e7)]
         direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
         calls = []
-        original = star_service.predict_transfers
+        original = star_service.answer
 
-        def counting(*args, **kwargs):
+        def counting(query):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original(query)
 
-        # cache off: only the coalescer's single-flight dedup can collapse
-        # the burst; a generous window lets it land in one batch
-        serving = ForecastServingService(star_service, window=0.25,
-                                         cache_size=0)
-        star_service.predict_transfers = counting
+        # cache off: a disabled cache keeps no flights, so identical
+        # concurrent asks each simulate on their own thread
+        serving = ForecastServingService(star_service, cache_size=0)
+        star_service.answer = counting
         try:
-            with serving:
-                with ThreadPoolExecutor(max_workers=6) as burst:
-                    answers = list(burst.map(
-                        lambda _: serving.predict(STAR_PLATFORM, transfers),
-                        range(6)))
+            with ThreadPoolExecutor(max_workers=6) as burst:
+                answers = list(burst.map(
+                    lambda _: serving.predict(STAR_PLATFORM, transfers),
+                    range(6)))
         finally:
-            del star_service.predict_transfers  # restore the class method
+            del star_service.answer  # restore the class method
         assert all(answer == direct for answer in answers)
-        assert len(calls) < 6  # identical concurrent probes shared flights
+        assert len(calls) == 6
         # answers are separate containers: one caller's mutation is private
         answers[0].clear()
         assert answers[1] == direct
@@ -99,7 +97,7 @@ class TestInlineServing:
     def test_asks_of_an_answer_in_flight_join_it(self, star_service, hosts,
                                                  fails):
         """However late the asks come while the one simulation runs, they
-        join it: one miss, the rest hits, one batched request."""
+        join it: one miss, the rest hits, one simulation."""
         from concurrent.futures import ThreadPoolExecutor
 
         transfers = [(hosts[2], hosts[3], 5e7)]
@@ -116,7 +114,7 @@ class TestInlineServing:
 
         star_service.answer = held
         try:
-            with ForecastServingService(star_service, window=0.0) as serving:
+            with ForecastServingService(star_service) as serving:
                 with ThreadPoolExecutor(max_workers=4) as asks:
                     pending = [asks.submit(serving.predict, STAR_PLATFORM,
                                            transfers) for _ in range(4)]
@@ -133,7 +131,6 @@ class TestInlineServing:
             vars(star_service).pop("answer", None)  # the class method
         assert len(calls) == 1
         assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (3, 1)
-        assert stats["batcher"]["requests"] == 1
         assert after == direct
         if fails:
             assert all(isinstance(o, NotFound) for o in outcomes)
@@ -145,8 +142,8 @@ class TestInlineServing:
             outcomes[0].clear()  # each asker holds its own list
             assert outcomes[1] == direct
 
-    def test_errors_propagate_through_the_future(self, star_service, hosts):
-        with ForecastServingService(star_service, window=0.001) as serving:
+    def test_errors_reach_the_caller(self, star_service, hosts):
+        with ForecastServingService(star_service) as serving:
             with pytest.raises(NotFound):
                 serving.predict("no-such-platform", [(hosts[0], hosts[1], 1e6)])
             with pytest.raises(NotFound):
@@ -160,7 +157,7 @@ class TestInlineServing:
         platform = star_service.platform(STAR_PLATFORM)
         link = next(iter(platform.links()))
         original = link.bandwidth
-        with ForecastServingService(star_service, window=0.001) as serving:
+        with ForecastServingService(star_service) as serving:
             before = serving.predict(STAR_PLATFORM, transfers)
             try:
                 link.bandwidth = original * 0.5  # dynamics-style recalibration
@@ -195,20 +192,22 @@ class TestInlineServing:
         assert slow[0].duration > 9 * fast[0].duration
 
 
-class TestPooledServing:
-    def test_pooled_matches_inline_bitwise(self, star_service, hosts):
-        transfers = [(hosts[0], hosts[1], 5e7), (hosts[2], hosts[3], 1e8)]
-        direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
-        with ForecastServingService(
-                star_service, service_factory=star_factory(N_HOSTS),
-                workers=2, window=0.001) as serving:
-            assert serving.predict(STAR_PLATFORM, transfers) == direct
-            stats = serving.stats()
-        assert stats["pool"]["workers"] == 2
-        assert stats["pool"]["requests"] == 1
 
-    def test_workers_require_factory(self, star_service):
-        with pytest.raises(ValueError, match="service_factory"):
-            ForecastServingService(star_service, workers=2)
-        with pytest.raises(ValueError):
-            ForecastServingService(star_service, workers=-1)
+def test_workers_and_window_accept_only_0():
+    """A miss runs on the asking thread: ``GatewayConfig`` and
+    ``enable_serving`` still take ``workers`` and ``window``, and refuse
+    any value but 0."""
+    from repro.core.framework import Pilgrim
+    from repro.serving.gateway.gateway import GatewayConfig
+
+    pilgrim = Pilgrim()
+    with pytest.raises(ValueError, match="workers must be 0, got 2"):
+        pilgrim.enable_serving(workers=2)
+    with pytest.raises(ValueError, match="window must be 0, got 0.1"):
+        pilgrim.enable_serving(window=0.1)
+    with pytest.raises(ValueError, match="workers must be 0"):
+        GatewayConfig(workers=1)
+    with pytest.raises(ValueError, match="window must be 0"):
+        GatewayConfig(window=0.002)
+    assert pilgrim.serving is None
+    assert pilgrim.enable_serving(workers=0, window=0.0) is pilgrim.serving

@@ -33,7 +33,6 @@ from repro.simgrid.platform import (
     link_epoch,
     link_sandboxes,
     link_state_version,
-    restore_committed,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -98,25 +97,6 @@ def test_a_committed_write_stamps_its_platform_only():
     link.policy = SharingPolicy.FATPIPE
     assert mine.state_stamp == link_state_version()
     assert other.state_stamp == before
-
-
-def test_restore_committed_undoes_transient_values_inherited_without_exit():
-    """A process forked inside a sandbox holds its transient values and no
-    exit to undo them: ``restore_committed`` puts the committed ones back
-    as live values, moving the every-write epoch and no stamp."""
-    platform = build_dumbbell()
-    links = platform.links()
-    stamp = platform.state_stamp
-    with link_sandbox():
-        links[0].bandwidth = links[0].bandwidth / 4
-        epoch = link_epoch()
-        restore_committed(links)
-        assert all((link.bandwidth, link.latency) == link.committed
-                   for link in links)
-        assert link_epoch() == epoch + 1
-        restore_committed(links)  # nothing left to restore
-        assert link_epoch() == epoch + 1
-    assert platform.state_stamp == stamp
 
 
 def test_a_spec_computed_across_a_what_if_is_not_served_after_it():

@@ -56,7 +56,7 @@ def test_surrogate_tier_over_http(trained):
     tier = SurrogateTier(model, bound=0.6)
     pilgrim = Pilgrim()
     pilgrim.register_platform(PLATFORM, platform)
-    pilgrim.enable_serving(window=0.002, cache_size=64, surrogate=tier)
+    pilgrim.enable_serving(cache_size=64, surrogate=tier)
     try:
         with pilgrim.serve() as server:
             client = RestClient(server.url)

@@ -105,8 +105,8 @@ class TestPredict:
 
 class TestBadInput:
     """Every verb keeps ``predict``'s contract on bad input: one line, exit
-    2, never a traceback.  The serve cases check before Grid'5000 loads;
-    the two that used to start a server anyway run in a subprocess."""
+    2, never a traceback.  The serve cases check before Grid'5000 loads and
+    run in a subprocess: one that started a server anyway would not end."""
 
     @pytest.mark.parametrize("argv, message", [
         (["metrology", "record", "--hosts", "1"], ">= 2 hosts, got 1"),
@@ -119,19 +119,19 @@ class TestBadInput:
          "sweep needs >= 1 sample, got 0"),
         (["surrogate", "eval", "--input", "{missing}"], "No such file"),
         (["serve", "--cache-size", "-1"], "--cache-size must be >= 0, got -1"),
-        (["serve", "--batch-window", "-1"],
-         "--batch-window must be >= 0, got -1"),
-        (["serve", "--port", "0", "--workers", "-3"],
-         "--workers must be >= 0, got -3"),
         (["serve", "--port", "0", "--shards", "-1"],
          "--shards must be >= 0, got -1"),
+        (["serve", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["serve", "--batch-window", "0.1"],
+         "unrecognized arguments: --batch-window 0.1"),
     ], ids=["hosts", "link", "factor", "period", "drift", "replay-input",
-            "samples", "eval-input", "cache-size", "batch-window", "workers",
-            "shards"])
+            "samples", "eval-input", "cache-size", "shards", "workers-gone",
+            "batch-window-gone"])
     def test_prints_one_line_and_exits_2(self, argv, message, tmp_path):
         argv = [arg.format(missing=tmp_path / "missing.json",
                            out=tmp_path / "model.json") for arg in argv]
-        if "--workers" in argv or "--shards" in argv:
+        if argv[0] == "serve":
             env = dict(os.environ, PYTHONPATH=str(SRC))
             result = subprocess.run(
                 [sys.executable, "-m", "repro", *argv], env=env,
@@ -139,6 +139,9 @@ class TestBadInput:
             code, text = result.returncode, result.stdout + result.stderr
         else:
             code, text = run_cli(*argv)
+        # an argument argparse rejects prints its usage above the one line
+        text = "".join(line + "\n" for line in text.splitlines()
+                       if not line.startswith(("usage: ", " ")))
         assert code == 2
         assert message in text
         assert text.count("\n") == 1
@@ -146,8 +149,8 @@ class TestBadInput:
 
 class TestServe:
     def test_serves_the_session_cached_platforms(self, monkeypatch):
-        """The served Pilgrim answers on the platforms the pool factory
-        hands its workers, not on a second build of its own."""
+        """The served Pilgrim answers on the platforms the shards' factory
+        hands every shard, not on a second build of its own."""
         from repro.core.framework import Pilgrim
         from repro.experiments import environment
 
@@ -199,9 +202,7 @@ class TestSolverIsNotSelectable:
         from repro.core.planner import TransferPlanner
         from repro.horizon.whatif import run_what_if, simulate_forecast
         from repro.scenarios.runner import run_scenario
-        from repro.serving.batcher import PendingRequest, RequestCoalescer
         from repro.serving.cache import forecast_cache_key
-        from repro.serving.pool import WarmWorkerPool
         from repro.serving.service import ForecastServingService
         from repro.simgrid.engine import Simulation
         from repro.simgrid.maxmin import SharingSystem
@@ -216,10 +217,7 @@ class TestSolverIsNotSelectable:
             ForecastQuery, ForecastQuery.of, ForecastQuery.key,
             TransferPlanner.select_fastest,
             ForecastServingService.predict,
-            ForecastServingService.answer,
-            ForecastServingService._execute_group,
-            PendingRequest, RequestCoalescer.submit,
-            WarmWorkerPool.answer_many, forecast_cache_key,
+            ForecastServingService.answer, forecast_cache_key,
             SurrogateTier.try_answer,
             SharingSystem, SharingSystem.solve, SharingSystem.solve_raw,
         ]

@@ -147,7 +147,7 @@ def compare_rest(service, transfers) -> None:
 
 
 def compare_gateway(service, transfers, model_name=None) -> None:
-    config = GatewayConfig(shards=1, window=0.0, model_name=model_name)
+    config = GatewayConfig(shards=1, model_name=model_name)
     with ShardedGateway(grid5000_forecast_service, config,
                         service=service) as gateway, \
             RestClient(gateway.url) as client:
