@@ -133,6 +133,51 @@ class TestService:
         assert service.platform_names() == ["alpha", "star"]
 
 
+class TestAnswerMany:
+    """Requests answered at the same time on one service, each on its own
+    thread (as a shard's handler threads answer their misses), answer as
+    serial ones do."""
+
+    REQUESTS = [
+        [("sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr", 1e9)],
+        [("graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr", 5e8),
+         ("graphene-3.nancy.grid5000.fr", "graphene-4.nancy.grid5000.fr", 5e8)],
+        [("sagittaire-3.lyon.grid5000.fr", "graphene-2.nancy.grid5000.fr", 1e8)],
+    ]
+
+    def on_threads(self, service, queries):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(queries)) as threads:
+            return [forecasts for forecasts, _events
+                    in threads.map(service.answer, queries)]
+
+    def test_parallel_batch_matches_serial(self, forecast_service):
+        serial = [forecast_service.predict_transfers("g5k_test", transfers)
+                  for transfers in self.REQUESTS]
+        queries = [ForecastQuery.of("g5k_test", transfers)
+                   for transfers in self.REQUESTS]
+        assert self.on_threads(forecast_service, queries) == serial
+
+    def test_parallel_preserves_custom_model_parameters(self, forecast_service):
+        import dataclasses
+
+        from repro.simgrid.models import model_by_name
+
+        half = dataclasses.replace(model_by_name("LV08"), bandwidth_factor=0.5)
+        serial = [forecast_service.predict_transfers("g5k_test", transfers,
+                                                     model=half)
+                  for transfers in self.REQUESTS]
+        queries = [ForecastQuery.of("g5k_test", transfers, model=half)
+                   for transfers in self.REQUESTS]
+        answers = self.on_threads(forecast_service, queries)
+        assert answers == serial
+        plain = self.on_threads(forecast_service, [
+            ForecastQuery.of("g5k_test", transfers)
+            for transfers in self.REQUESTS])
+        assert answers != plain  # the half factor reached every thread
+
+
 class TestAnswersFromTheComms:
     """``predict_transfers`` reads its answer straight off the comms that
     ``simulate_transfers`` returns; the explicit sender/receiver processes

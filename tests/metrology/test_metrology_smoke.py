@@ -49,3 +49,34 @@ def test_combined_recording_replays_in_both_kernel_modes(reference_kernel):
     assert latencies, "the replay applied no latency mutation"
     truth = demo.testbed.links[demo.degraded_link].latency
     assert latencies[-1] == pytest.approx(truth, rel=0.12)
+
+
+def test_served_answers_follow_live_recalibration():
+    """The ``repro metrology run`` path: answers served while the loop
+    recalibrates the platform match a fresh simulation at every step, so
+    no answer cached before a recalibration is served after it."""
+    from repro.metrology.demo import DEMO_PLATFORM
+    from repro.serving.service import ForecastServingService
+
+    demo = StarMetrologyDemo.for_run(
+        n_hosts=2, period=PERIOD, seed=5,
+        warmup=WARMUP, steps=4, degrade_factor=0.3,
+    )
+    demo.warmup(WARMUP)
+    transfers = demo.workload(2e8)
+    stamps = set()
+    with ForecastServingService(demo.service) as serving:
+        for _ in range(4):
+            demo.step()
+            stamps.add(demo.service.state_stamp(DEMO_PLATFORM))
+            served = serving.predict(DEMO_PLATFORM, transfers)
+            direct = demo.service.predict_transfers(DEMO_PLATFORM, transfers)
+            assert [f.to_json() for f in served] == \
+                [f.to_json() for f in direct]
+            assert serving.predict(DEMO_PLATFORM, transfers) == served
+        stats = serving.stats()["cache"]
+    assert demo.loop.stats.updates_applied >= 1
+    assert len(stamps) >= 2  # a recalibration landed between two steps
+    # one simulation per platform state; every other ask hit its answer
+    assert stats["misses"] == len(stamps)
+    assert stats["hits"] == 8 - len(stamps)

@@ -1,6 +1,11 @@
-"""Forecast cache: LRU behavior, canonicalization, epoch invalidation."""
+"""Forecast cache: LRU behavior, canonicalization, epoch invalidation,
+flights."""
 
 from __future__ import annotations
+
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -8,7 +13,7 @@ from repro.core.forecast import TransferForecast, TransferSpec, transfer_triples
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.models import CM02, LV08
-from repro.simgrid.platform import link_state_version
+from repro.simgrid.platform import link_sandbox, link_state_version
 
 
 def forecast(i: int) -> TransferForecast:
@@ -238,3 +243,184 @@ class TestCounterConsistency:
         lookups = cache.hits + cache.misses
         assert lookups == len(pairs)
         assert (cache.hits, cache.misses) == (1, 3)
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+class TestFlights:
+    """``get_or_run``: a miss computes on the thread that asked, the asks
+    of its key join that flight, and it lands in the cache unless it
+    failed, its stamp retired or a what-if ran beside it."""
+
+    KEY = ("p", 0, "q")
+
+    def test_a_miss_computes_on_the_asking_thread_and_lands(self):
+        cache, threads = ForecastCache(maxsize=4), []
+
+        def compute():
+            threads.append(threading.get_ident())
+            return [forecast(1)]
+
+        assert cache.get_or_run(self.KEY, compute) == [forecast(1)]
+        assert threads == [threading.get_ident()]
+        assert cache.get_or_run(self.KEY, compute) == [forecast(1)]
+        assert len(threads) == 1  # the second ask hit the landed answer
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache._flights == {}
+
+    def test_every_asker_holds_its_own_list(self):
+        cache = ForecastCache(maxsize=4)
+        first = cache.get_or_run(self.KEY, lambda: [forecast(1)])
+        first.clear()
+        second = cache.get_or_run(self.KEY, lambda: [forecast(2)])
+        assert second == [forecast(1)]
+        second.append(forecast(3))
+        assert cache.get(self.KEY) == [forecast(1)]
+
+    def test_asks_of_a_key_in_flight_join_it(self):
+        cache, release, calls = ForecastCache(maxsize=4), threading.Event(), []
+
+        def compute():
+            calls.append(1)
+            assert release.wait(10.0)
+            return [forecast(1)]
+
+        with ThreadPoolExecutor(max_workers=4) as asks:
+            first = asks.submit(cache.get_or_run, self.KEY, compute)
+            wait_until(lambda: calls)
+            joiners = [asks.submit(cache.get_or_run, self.KEY, compute)
+                       for _ in range(3)]
+            wait_until(lambda: cache.hits == 3)
+            release.set()
+            answers = [first.result(10.0)] + [j.result(10.0) for j in joiners]
+        assert len(calls) == 1
+        assert all(answer == [forecast(1)] for answer in answers)
+        assert len({id(answer) for answer in answers}) == 4
+        assert (cache.hits, cache.misses) == (3, 1)
+
+    def test_misses_of_different_keys_run_side_by_side(self):
+        # each computation waits for the other: misses that queued behind
+        # one another would break the barrier instead
+        cache, both = ForecastCache(maxsize=4), threading.Barrier(2, timeout=10.0)
+
+        def compute(i):
+            both.wait()
+            return [forecast(i)]
+
+        with ThreadPoolExecutor(max_workers=2) as asks:
+            answers = list(asks.map(
+                lambda i: cache.get_or_run(("p", 0, i), lambda: compute(i)),
+                range(2)))
+        assert answers == [[forecast(0)], [forecast(1)]]
+        assert cache.info()["size"] == 2
+
+    def test_a_failed_flight_fails_its_joiners_and_stores_nothing(self):
+        cache, release, calls = ForecastCache(maxsize=4), threading.Event(), []
+
+        def failing():
+            calls.append(1)
+            assert release.wait(10.0)
+            raise KeyError("no such platform")
+
+        with ThreadPoolExecutor(max_workers=3) as asks:
+            asked = [asks.submit(cache.get_or_run, self.KEY, failing)]
+            wait_until(lambda: calls)
+            asked += [asks.submit(cache.get_or_run, self.KEY, failing)
+                      for _ in range(2)]
+            wait_until(lambda: cache.hits == 2)
+            release.set()
+            for ask in asked:
+                with pytest.raises(KeyError, match="no such platform"):
+                    ask.result(10.0)
+        assert len(calls) == 1
+        assert cache._flights == {}
+        assert cache.info()["size"] == 0
+        # the next ask is a fresh miss that computes again
+        assert cache.get_or_run(self.KEY, lambda: [forecast(2)]) == [forecast(2)]
+        assert cache.get(self.KEY) == [forecast(2)]
+
+    def test_a_flight_whose_stamp_retires_lands_unstored(self):
+        cache = ForecastCache(maxsize=4)
+        newer = ("p", 1, "q")
+
+        def compute():
+            cache.put(newer, [forecast(2)])  # a committed write landed
+            return [forecast(1)]
+
+        assert cache.get_or_run(self.KEY, compute) == [forecast(1)]
+        assert cache.get(self.KEY) is None
+        assert cache.get(newer) == [forecast(2)]
+        assert cache.info()["size"] == 1
+
+    def test_a_what_if_inside_the_flight_lands_unstored(self):
+        cache = ForecastCache(maxsize=4)
+
+        def compute():
+            with link_sandbox():
+                pass
+            return [forecast(1)]
+
+        assert cache.get_or_run(self.KEY, compute) == [forecast(1)]
+        assert cache.get(self.KEY) is None
+        # without a what-if beside it, the same flight lands
+        assert cache.get_or_run(self.KEY, lambda: [forecast(1)]) == [forecast(1)]
+        assert cache.get(self.KEY) == [forecast(1)]
+
+    def test_a_what_if_open_across_the_flight_lands_unstored(self):
+        cache, opened, done = ForecastCache(maxsize=4), threading.Event(), \
+            threading.Event()
+
+        def what_if():
+            with link_sandbox():
+                opened.set()
+                assert done.wait(10.0)
+
+        with ThreadPoolExecutor(max_workers=1) as beside:
+            running = beside.submit(what_if)
+            assert opened.wait(10.0)
+            try:
+                assert cache.get_or_run(self.KEY, lambda: [forecast(1)]) \
+                    == [forecast(1)]
+            finally:
+                done.set()
+            running.result(10.0)
+        assert cache.get(self.KEY) is None
+
+    def test_a_disabled_cache_keeps_no_flights(self):
+        # every ask of one key computes, all at once: none waits on another
+        cache = ForecastCache(maxsize=0)
+        all_three = threading.Barrier(3, timeout=10.0)
+
+        def compute():
+            all_three.wait()
+            return [forecast(1)]
+
+        with ThreadPoolExecutor(max_workers=3) as asks:
+            answers = [a.result(10.0) for a in
+                       [asks.submit(cache.get_or_run, self.KEY, compute)
+                        for _ in range(3)]]
+        assert answers == [[forecast(1)]] * 3
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert cache._flights == {}
+
+    def test_counters_partition_asks(self):
+        cache = ForecastCache(maxsize=4)
+        asks = [("a", 0), ("b", 0), ("a", 0), ("c", 0), ("b", 0)]
+
+        def compute(key):
+            if key[0] == "c":
+                raise LookupError(key)
+            return [forecast(1)]
+
+        for key in asks:
+            try:
+                cache.get_or_run(key, lambda: compute(key))
+            except LookupError:
+                pass
+        assert cache.hits + cache.misses == len(asks)
+        assert (cache.hits, cache.misses) == (2, 3)

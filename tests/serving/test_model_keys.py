@@ -8,6 +8,10 @@ flights), while equal models keep hitting the same entry.  A collision
 here would serve one model's forecast as another's.
 """
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.core.forecast import ForecastQuery
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.models import CM02, LV08, NetworkModel, model_key_of
@@ -67,6 +71,50 @@ class TestForecastCacheIsolation:
                 return ("Doppelganger",)
 
         assert cache_key(Doppelganger()) != cache_key(LV08())
+
+
+class TestFlightIsolation:
+    def test_distinct_variants_get_distinct_flights(self):
+        # every variant's computation waits for all the others: a variant
+        # that joined another's flight would break the barrier
+        cache = ForecastCache(maxsize=16)
+        everyone = threading.Barrier(len(VARIANTS), timeout=10.0)
+
+        def ask(i):
+            def compute():
+                everyone.wait()
+                return [i]
+            return cache.get_or_run(cache_key(VARIANTS[i]), compute)
+
+        with ThreadPoolExecutor(max_workers=len(VARIANTS)) as asks:
+            answers = list(asks.map(ask, range(len(VARIANTS))))
+        assert answers == [[i] for i in range(len(VARIANTS))]
+        assert cache.misses == len(VARIANTS)
+
+    def test_equal_models_join_one_flight(self):
+        cache, release, calls = ForecastCache(maxsize=16), threading.Event(), []
+
+        def compute():
+            calls.append(1)
+            assert release.wait(10.0)
+            return ["fluid answer"]
+
+        with ThreadPoolExecutor(max_workers=2) as asks:
+            first = asks.submit(cache.get_or_run, cache_key(TcpFluidModel()),
+                                compute)
+            deadline = time.monotonic() + 10.0
+            while not calls:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            second = asks.submit(cache.get_or_run, cache_key(TcpFluidModel()),
+                                 compute)
+            while cache.hits == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            release.set()
+            answers = [first.result(10.0), second.result(10.0)]
+        assert answers == [["fluid answer"]] * 2
+        assert len(calls) == 1
 
 
 class TestSurrogateTierIsolation:

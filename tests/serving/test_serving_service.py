@@ -191,6 +191,54 @@ class TestInlineServing:
         assert slow == service.predict_transfers("one", transfers)
         assert slow[0].duration > 9 * fast[0].duration
 
+    def test_a_miss_simulates_on_the_asking_thread(self, star_service, hosts):
+        transfers = [(hosts[1], hosts[4], 3e7)]
+        direct = star_service.predict_transfers(STAR_PLATFORM, transfers)
+        threads = []
+        original = star_service.answer
+
+        def recording(query):
+            threads.append(threading.get_ident())
+            return original(query)
+
+        star_service.answer = recording
+        try:
+            with ForecastServingService(star_service) as serving:
+                assert serving.predict(STAR_PLATFORM, transfers) == direct
+        finally:
+            del star_service.answer  # restore the class method
+        assert threads == [threading.get_ident()]
+
+    def test_misses_of_distinct_queries_simulate_side_by_side(self,
+                                                             star_service,
+                                                             hosts):
+        """Each simulation waits for the other to start: misses that
+        queued behind one another would break the barrier instead."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        requests = [[(hosts[0], hosts[5], 4e7)], [(hosts[3], hosts[2], 6e7)]]
+        direct = [star_service.predict_transfers(STAR_PLATFORM, transfers)
+                  for transfers in requests]
+        both = threading.Barrier(2, timeout=10.0)
+        original = star_service.answer
+
+        def meeting(query):
+            both.wait()
+            return original(query)
+
+        star_service.answer = meeting
+        try:
+            with ForecastServingService(star_service) as serving:
+                with ThreadPoolExecutor(max_workers=2) as asks:
+                    answers = list(asks.map(
+                        lambda transfers: serving.predict(STAR_PLATFORM,
+                                                          transfers),
+                        requests))
+                stats = serving.stats()
+        finally:
+            del star_service.answer  # restore the class method
+        assert answers == direct
+        assert stats["cache"]["misses"] == 2
 
 
 def test_workers_and_window_accept_only_0():

@@ -10,6 +10,7 @@ from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
 from repro.simgrid.platform import (Direction, LinkUse, NoRouteError,
                                     Platform, PlatformError, SharingPolicy)
+from repro.simgrid import xml_io
 from repro.simgrid.routing import route_signature
 from repro.simgrid.xml_io import (
     PlatformXMLError,
@@ -178,6 +179,66 @@ def test_a_mutually_reverse_explicit_pair_is_written_once():
     text = platform_to_xml(explicit_pairs())
     assert text.count("<route ") == 4  # a-b once, c-a, b-c and c-b
     assert text.count('symmetrical="YES"') == 2
+
+
+class TestStreaming:
+    """The reader declares elements as the text streams in: where the text
+    is cut does not matter, and each run of routes becomes one row."""
+
+    @pytest.mark.parametrize("name", sorted(WRITTEN))
+    def test_reading_then_writing_gives_the_same_text(self, name):
+        text = platform_to_xml(WRITTEN[name][0]())
+        assert platform_to_xml(platform_from_xml(text)) == text
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_any_chunking_reads_the_same_platform(self, chunk, monkeypatch):
+        text = platform_to_xml(build_two_level_grid({"lyon": 3, "nancy": 3}))
+        monkeypatch.setattr(xml_io, "_CHUNK", chunk)
+        assert platform_to_xml(platform_from_xml(text)) == text
+
+    def test_routes_of_a_source_broken_by_another_all_survive(self):
+        xml = """<platform version='4.1'><AS id='r' routing='Full'>
+        <host id='a'/><host id='b'/><host id='c'/>
+        <link id='l' bandwidth='1Gbps'/><link id='m' bandwidth='1Gbps'/>
+        <route src='a' dst='b'><link_ctn id='l'/></route>
+        <route src='c' dst='b'><link_ctn id='m'/></route>
+        <route src='a' dst='c'><link_ctn id='m'/><link_ctn id='l'/></route>
+        </AS></platform>"""
+        platform = platform_from_xml(xml)
+        assert route_signature(platform.route("a", "b")) == (("l", "UP"),)
+        assert route_signature(platform.route("c", "b")) == (("m", "UP"),)
+        assert route_signature(platform.route("a", "c")) == (
+            ("m", "UP"), ("l", "UP"))
+        assert route_signature(platform.route("c", "a")) == (
+            ("l", "DOWN"), ("m", "DOWN"))
+
+    def test_a_change_of_symmetrical_starts_a_new_row(self):
+        xml = """<platform version='4.1'><AS id='r' routing='Full'>
+        <host id='a'/><host id='b'/><host id='c'/>
+        <link id='l' bandwidth='1Gbps'/>
+        <route src='a' dst='b' symmetrical='NO'><link_ctn id='l'/></route>
+        <route src='a' dst='c'><link_ctn id='l'/></route>
+        </AS></platform>"""
+        platform = platform_from_xml(xml)
+        with pytest.raises(NoRouteError):
+            platform.route("b", "a")
+        assert route_signature(platform.route("c", "a")) == (("l", "DOWN"),)
+
+    def test_a_link_declared_after_its_route_is_unknown(self):
+        # SimGrid's DTD declares links before the routes that use them;
+        # a streamed read knows only what came before
+        xml = """<platform version='4.1'><AS id='r' routing='Full'>
+        <host id='a'/><host id='b'/>
+        <route src='a' dst='b'><link_ctn id='l'/></route>
+        <link id='l' bandwidth='1Gbps'/></AS></platform>"""
+        with pytest.raises(PlatformXMLError, match="'l'"):
+            platform_from_xml(xml)
+
+    def test_a_second_top_level_as_is_rejected(self):
+        xml = """<platform version='4.1'><AS id='r' routing='Full'/>
+        <AS id='s' routing='Full'/></platform>"""
+        with pytest.raises(PlatformXMLError, match="exactly one .* got 2"):
+            platform_from_xml(xml)
 
 
 class TestFileIO:

@@ -106,7 +106,8 @@ class TestPredict:
 class TestBadInput:
     """Every verb keeps ``predict``'s contract on bad input: one line, exit
     2, never a traceback.  The serve cases check before Grid'5000 loads and
-    run in a subprocess: one that started a server anyway would not end."""
+    run in a subprocess: one that started a server anyway would not end.
+    So do the removed flags: argparse exits the process on them."""
 
     @pytest.mark.parametrize("argv, message", [
         (["metrology", "record", "--hosts", "1"], ">= 2 hosts, got 1"),
@@ -125,13 +126,17 @@ class TestBadInput:
          "unrecognized arguments: --workers 2"),
         (["serve", "--batch-window", "0.1"],
          "unrecognized arguments: --batch-window 0.1"),
+        (["serve", "--max-requests", "4"],
+         "unrecognized arguments: --max-requests 4"),
+        (["metrology", "run", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
     ], ids=["hosts", "link", "factor", "period", "drift", "replay-input",
             "samples", "eval-input", "cache-size", "shards", "workers-gone",
-            "batch-window-gone"])
+            "batch-window-gone", "max-requests-gone", "run-workers-gone"])
     def test_prints_one_line_and_exits_2(self, argv, message, tmp_path):
         argv = [arg.format(missing=tmp_path / "missing.json",
                            out=tmp_path / "model.json") for arg in argv]
-        if argv[0] == "serve":
+        if argv[0] == "serve" or "unrecognized" in message:
             env = dict(os.environ, PYTHONPATH=str(SRC))
             result = subprocess.run(
                 [sys.executable, "-m", "repro", *argv], env=env,
