@@ -31,25 +31,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # argument groups two verbs share, declared once
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--platform", default="g5k_test",
+                       choices=("g5k_test", "g5k_cabinets"))
+    query.add_argument("--transfer", action="append", required=True,
+                       metavar="SRC,DST,SIZE",
+                       help="repeatable: source,destination,bytes")
+    query.add_argument("--ongoing", action="append", default=[],
+                       metavar="SRC,DST,REMAINING",
+                       help="repeatable: in-flight transfers sharing bandwidth")
+    query.add_argument("--model", default="LV08",
+                       help="registered sharing model name "
+                            "(see `repro models list`)")
+    demo = argparse.ArgumentParser(add_help=False)
+    demo.add_argument("--hosts", type=int, default=4)
+    demo.add_argument("--period", type=float, default=15.0,
+                      help="probe period, metrology seconds")
+    demo.add_argument("--steps", type=int, default=10,
+                      help="probe cycles after warm-up")
+    demo.add_argument("--warmup", type=int, default=3,
+                      help="healthy probe cycles anchoring references")
+    demo.add_argument("--link", type=int, default=1,
+                      help="1-based index of the degrading host link")
+    demo.add_argument("--factor", type=float, default=0.3,
+                      help="degraded capacity as a fraction of nominal")
+    demo.add_argument("--seed", type=int, default=3)
+
     sub.add_parser("platforms", help="list the built-in platform descriptions")
     sub.add_parser("figures", help="list the reproducible paper figures")
     sub.add_parser("version", help="print the package version")
 
-    predict = sub.add_parser("predict", help="predict concurrent transfer times")
-    predict.add_argument("--platform", default="g5k_test",
-                         choices=("g5k_test", "g5k_cabinets"))
-    predict.add_argument("--transfer", action="append", required=True,
-                         metavar="SRC,DST,SIZE",
-                         help="repeatable: source,destination,bytes")
-    predict.add_argument("--ongoing", action="append", default=[],
-                         metavar="SRC,DST,REMAINING",
-                         help="repeatable: in-flight transfers sharing bandwidth")
-    predict.add_argument("--model", default="LV08",
-                         help="registered sharing model name "
-                              "(see `repro models list`)")
+    sub.add_parser("predict", parents=[query],
+                   help="predict concurrent transfer times")
 
     whatif = sub.add_parser(
-        "what-if",
+        "what-if", parents=[query],
         help="forecast transfers under a hypothetical link-event schedule",
         description="Planning query: predict the given transfers while a "
                     "transient dynamics schedule plays out ('what if the "
@@ -57,14 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the platform state projected --horizon steps ahead "
                     "from --observe'd link measurements.",
     )
-    whatif.add_argument("--platform", default="g5k_test",
-                        choices=("g5k_test", "g5k_cabinets"))
-    whatif.add_argument("--transfer", action="append", required=True,
-                        metavar="SRC,DST,SIZE",
-                        help="repeatable: source,destination,bytes")
-    whatif.add_argument("--ongoing", action="append", default=[],
-                        metavar="SRC,DST,REMAINING",
-                        help="repeatable: in-flight transfers sharing bandwidth")
     whatif.add_argument("--event", action="append", default=[],
                         metavar="TIME,LINK,ACTION[,FACTOR]",
                         help="repeatable: timed link mutation; ACTION is "
@@ -77,9 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="LINK=V1,V2,...",
                         help="repeatable: feed a link's bandwidth series "
                              "(bytes/s) into the horizon forecaster")
-    whatif.add_argument("--model", default="LV08",
-                        help="registered sharing model name "
-                             "(see `repro models list`)")
 
     serve = sub.add_parser("serve", help="run the Pilgrim HTTP services")
     serve.add_argument("--host", default="127.0.0.1")
@@ -160,26 +166,15 @@ def _build_parser() -> argparse.ArgumentParser:
     met_sub = metrology.add_subparsers(dest="metrology_command", required=True)
 
     met_record = met_sub.add_parser(
-        "record", help="probe a degrading testbed and dump the RRD series "
-                       "as a measured-trace JSON document")
-    met_record.add_argument("--hosts", type=int, default=4)
-    met_record.add_argument("--period", type=float, default=15.0,
-                            help="probe period, metrology seconds")
-    met_record.add_argument("--steps", type=int, default=10,
-                            help="probe cycles after warm-up")
-    met_record.add_argument("--warmup", type=int, default=3,
-                            help="healthy probe cycles anchoring references")
-    met_record.add_argument("--link", type=int, default=1,
-                            help="1-based index of the degrading host link")
-    met_record.add_argument("--factor", type=float, default=0.3,
-                            help="degraded capacity as a fraction of nominal")
+        "record", parents=[demo],
+        help="probe a degrading testbed and dump the RRD series as a "
+             "measured-trace JSON document")
     met_record.add_argument("--latency-factor", type=float, default=1.0,
                             help="degraded latency as a multiple of nominal "
                                  "(bufferbloat; 1.0 = unchanged)")
     met_record.add_argument("--combined", action="store_true",
                             help="record latency traces alongside bandwidth "
                                  "(replay then calibrates both)")
-    met_record.add_argument("--seed", type=int, default=3)
     met_record.add_argument("--output", default=None,
                             help="write the trace document here "
                                  "(default: stdout)")
@@ -200,20 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="emit the full scenario result as JSON")
 
     met_run = met_sub.add_parser(
-        "run", help="run the live loop: probe → RRD → forecast → epoch "
-                    "bump → re-predict, against a degrading link")
-    met_run.add_argument("--hosts", type=int, default=4)
-    met_run.add_argument("--period", type=float, default=15.0)
-    met_run.add_argument("--steps", type=int, default=10)
-    met_run.add_argument("--warmup", type=int, default=3)
-    met_run.add_argument("--link", type=int, default=1)
-    met_run.add_argument("--factor", type=float, default=0.3)
+        "run", parents=[demo],
+        help="run the live loop: probe → RRD → forecast → epoch bump → "
+             "re-predict, against a degrading link")
     met_run.add_argument("--size", type=float, default=2e8,
                          help="per-transfer bytes of the evaluation workload")
-    met_run.add_argument("--seed", type=int, default=3)
-    met_run.add_argument("--feed-workers", type=int, default=0,
-                         help="probe worker processes fanning each poll "
-                              "cycle out (0 = serial probing)")
     met_run.add_argument("--drift", type=float, default=0.0,
                          help="per-cycle multiplicative bandwidth-sensor "
                               "drift in [0, 1) (0 = unbiased sensors)")
@@ -246,9 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sur_train.add_argument("--model", default="LV08",
                            help="registered sharing model name "
                                 "(see `repro models list`)")
-    sur_train.add_argument("--workers", type=int, default=0,
-                           help="sweep worker processes (bit-identical to "
-                                "serial)")
     sur_train.add_argument("--holdout", type=float, default=0.25,
                            help="fraction of sweep samples held out for "
                                 "validation (0 trains on everything)")
@@ -262,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sur_eval.add_argument("--seed", type=int, default=1,
                           help="sweep seed (pick one differing from the "
                                "training seed for an honest held-out set)")
-    sur_eval.add_argument("--workers", type=int, default=0)
     sur_eval.add_argument("--max-median-error", type=float, default=None,
                           help="exit 1 if the median |log2 error| exceeds "
                                "this floor (CI gate)")
@@ -670,29 +652,25 @@ def _cmd_metrology_run(args, out) -> int:
     demo = _record_demo(args, sensor_drift=args.drift,
                         anchor_alpha=args.anchor_alpha,
                         anchor_health_band=args.anchor_band,
-                        anchor_weighting=args.anchor_weighting,
-                        feed_workers=args.feed_workers)
+                        anchor_weighting=args.anchor_weighting)
     demo.warmup(args.warmup)
     serving = ForecastServingService(demo.service)
     rows = []
     recalibrated_errors, static_errors = [], []
-    try:
-        for step in range(args.steps):
-            demo.step()
-            evaluation = demo.evaluate_step(
-                serving, demo.workload(args.size), seed_salt=step)
-            if evaluation.degraded:
-                recalibrated_errors.append(evaluation.err_recalibrated)
-                static_errors.append(evaluation.err_static)
-            rows.append((
-                f"{evaluation.time:g}",
-                f"{evaluation.true_factor:g}",
-                evaluation.epoch,
-                f"{evaluation.err_recalibrated:.3f}",
-                f"{evaluation.err_static:.3f}",
-            ))
-    finally:
-        demo.close()
+    for step in range(args.steps):
+        demo.step()
+        evaluation = demo.evaluate_step(
+            serving, demo.workload(args.size), seed_salt=step)
+        if evaluation.degraded:
+            recalibrated_errors.append(evaluation.err_recalibrated)
+            static_errors.append(evaluation.err_static)
+        rows.append((
+            f"{evaluation.time:g}",
+            f"{evaluation.true_factor:g}",
+            evaluation.epoch,
+            f"{evaluation.err_recalibrated:.3f}",
+            f"{evaluation.err_static:.3f}",
+        ))
     out.write(render_table(
         ["t (s)", "true factor", "epoch", "|log2 err| recal",
          "|log2 err| static"],
@@ -750,7 +728,7 @@ def _cmd_surrogate_train(args, out) -> int:
                            model=args.model)
     out.write(f"sweeping {args.samples} samples (seed {args.seed}, "
               f"model {args.model})...\n")
-    dataset = run_sweep(sweep, workers=args.workers or None)
+    dataset = run_sweep(sweep)
     out.write(f"dataset: {len(dataset)} transfer rows from "
               f"{len(dataset.samples)} samples\n")
     if args.dataset:
@@ -787,7 +765,7 @@ def _cmd_surrogate_eval(args, out) -> int:
         return 2
     sweep = SurrogateSweep(samples=args.samples, seed=args.seed,
                            model=model.network_model)
-    dataset = run_sweep(sweep, workers=args.workers or None)
+    dataset = run_sweep(sweep)
     report = model.evaluate(dataset.features, dataset.targets)
     if args.json:
         out.write(json.dumps(report, indent=1) + "\n")

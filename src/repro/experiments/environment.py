@@ -12,8 +12,8 @@ platforms per full collection: stop-the-world pauses of 170–200 ms in a
 gateway's processes on a 2-vCPU VM, past the paper's 100 ms bound
 (§IV-C2).  So each cached build runs with the collector off and ends in
 ``gc.freeze()``: the objects alive then move to the permanent generation,
-which no collection scans, and processes forked afterwards (gateway
-shards, campaign workers) inherit them frozen.  A frozen cycle is never
+which no collection scans, and processes forked afterwards (the gateway
+shards) inherit them frozen.  A frozen cycle is never
 reclaimed, so only these process-lifetime builds are frozen; every other
 platform (``to_simgrid_platform``, ``Pilgrim.with_grid5000``, a test's own
 build) stays collectable.

@@ -155,9 +155,7 @@ class StarMetrologyDemo:
     drift (each :meth:`step` scales every bandwidth sensor's bias by
     ``1 - sensor_drift``) — the slow measurement-bias failure mode the
     loop's EWMA re-anchoring (``anchor_alpha`` / ``anchor_health_band``)
-    exists to absorb.  ``feed_workers`` fans probe cycles out over the
-    feed's process pool (bit-identical to serial; see
-    :class:`~repro.metrology.feed.MetrologyFeed`).
+    exists to absorb.
     """
 
     def __init__(
@@ -178,7 +176,6 @@ class StarMetrologyDemo:
         anchor_alpha: float = 0.0,
         anchor_health_band: float = 0.1,
         anchor_weighting: str = "hard",
-        feed_workers: int = 0,
     ) -> None:
         if n_hosts < 2:
             raise MetrologyError(
@@ -218,8 +215,7 @@ class StarMetrologyDemo:
             for i in range(1, n_hosts + 1)
         ]
         self.feed = MetrologyFeed(self.testbed, monitors, period=period,
-                                  seed=seed, probe_bytes=probe_bytes,
-                                  workers=feed_workers)
+                                  seed=seed, probe_bytes=probe_bytes)
         self.service = NetworkForecastService({DEMO_PLATFORM: self.platform})
         # the loop feeds the service's own horizon series: ``?horizon=h``
         # projects from what the loop commits
@@ -231,16 +227,6 @@ class StarMetrologyDemo:
                                       anchor_weighting=anchor_weighting)
         self.static_service = NetworkForecastService(
             {DEMO_PLATFORM: self.static_platform})
-
-    def close(self) -> None:
-        """Release the feed's probe worker pool (if any)."""
-        self.feed.close()
-
-    def __enter__(self) -> "StarMetrologyDemo":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     @classmethod
     def for_run(cls, n_hosts: int, period: float, seed: int,

@@ -16,40 +16,21 @@ be that link — e.g. a host's access link probed host ↔ collector).  Probe
 measurements are end-to-end goodput/RTT, *not* raw link parameters; the
 loop works in relative terms for exactly that reason.
 
-Two scalability properties matter on platforms with hundreds of monitored
-links:
-
-- **parallel fan-out** — ``workers=N`` runs each cycle's bandwidth probes
-  (the expensive part: one fluid simulation each) on a bounded pool of
-  long-lived worker processes.  Probe-flow seeds derive from the probe
-  index, not execution order, and all sensor bookkeeping and RRD writes
-  stay in the parent, sequential in monitor order (the RRDs additionally
-  carry their own lock for genuinely racing writers), so parallel results
-  are **bit-identical** to serial ones for deterministic sensors.  Workers
-  keep a resident copy of the testbed forked at pool start; each task chunk
-  carries the current link-state overrides so mid-run capacity mutations
-  (a degrading testbed) are visible.  This relies on the ``fork``
-  start method; under ``spawn`` a one-time warning flags that the shipped
-  network must be picklable and override shipping still applies.
-- **epoch-grid deadlines** — probe cycles are scheduled on the grid
-  ``start + k × period`` anchored at the feed's original epoch.  A cycle
-  whose probes overrun the period resumes on the next grid point *after*
-  its completion (skipped points are counted in :attr:`missed_cycles`),
-  instead of drifting by scheduling ``completion + period``.  This also
-  keeps ``clock`` free of accumulated float error: it is always an exact
-  grid multiple, never a sum of hundreds of additions.
+Probe cycles keep **epoch-grid deadlines**: they are scheduled on the grid
+``start + k × period`` anchored at the feed's original epoch.  A cycle
+whose probes overrun the period resumes on the next grid point *after*
+its completion (skipped points are counted in :attr:`missed_cycles`),
+instead of drifting by scheduling ``completion + period``.  This also
+keeps ``clock`` free of accumulated float error: it is always an exact
+grid multiple, never a sum of hundreds of additions.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro._util.parallel import pool_chunk_size
 from repro.metrology.collectors import MetricKey, MetricRegistry, MetrologyError
 from repro.nws.sensors import BandwidthSensor, LatencySensor, run_bandwidth_probe
 from repro.rrd.database import RoundRobinDatabase
@@ -62,36 +43,6 @@ FEED_SITE = "probe"
 
 #: Tolerance for deadline-grid comparisons (simulated seconds).
 _GRID_EPS = 1e-9
-
-#: Probe-worker state: the resident testbed forked at pool start.
-_WORKER_NETWORK: dict = {}
-
-
-def _probe_worker_init(network: TestbedNetwork) -> None:
-    """Pool initializer: keep one resident testbed copy per worker."""
-    _WORKER_NETWORK["network"] = network
-
-
-def _probe_chunk(payload: tuple) -> list[float]:
-    """Run one chunk of bandwidth probes against the resident testbed.
-
-    ``payload`` is ``(overrides, probes)``: the parent's current link state
-    (capacity, latency, efficiency per link — the worker's copy was forked
-    at pool start and must track mid-run mutations) and the probe specs
-    ``(src, dst, probe_bytes, flow_seed)``.  Returns raw elapsed seconds,
-    one per probe, in order.
-    """
-    overrides, probes = payload
-    network: TestbedNetwork = _WORKER_NETWORK["network"]
-    for name, (capacity, latency, efficiency) in overrides.items():
-        link = network.links[name]
-        link.capacity = capacity
-        link.latency = latency
-        link.efficiency = efficiency
-    return [
-        run_bandwidth_probe(network, src, dst, probe_bytes, seed)
-        for src, dst, probe_bytes, seed in probes
-    ]
 
 
 @dataclass(frozen=True)
@@ -116,10 +67,6 @@ class MetrologyFeed:
     monitored link at the next deadline of the epoch grid.  Degenerate
     bandwidth probes (see :meth:`BandwidthSensor.absorb`) record NaN, which
     the RRD treats as an unknown sample — the loop simply sees a gap.
-
-    ``workers > 0`` fans each cycle's bandwidth probes out over a process
-    pool (see the module docstring); call :meth:`close` (or use the feed as
-    a context manager) to release the pool.
     """
 
     def __init__(
@@ -130,12 +77,9 @@ class MetrologyFeed:
         period: float = 15.0,
         seed: int = 0,
         probe_bytes: float = BandwidthSensor.PROBE_BYTES,
-        workers: int = 0,
     ) -> None:
         if period <= 0:
             raise MetrologyError("period must be positive")
-        if workers < 0:
-            raise MetrologyError(f"workers must be >= 0, got {workers}")
         if not monitors:
             raise MetrologyError("at least one monitored link is required")
         names = [m.link for m in monitors]
@@ -145,7 +89,6 @@ class MetrologyFeed:
         self.registry = registry if registry is not None else MetricRegistry()
         self.monitors = tuple(monitors)
         self.period = float(period)
-        self.workers = int(workers)
         self.clock = 0.0
         #: probe cycles whose grid deadline was overrun and skipped
         self.missed_cycles = 0
@@ -155,8 +98,6 @@ class MetrologyFeed:
         self._epoch0 = 0.0
         self._cycle_index = 0
         self._completed_at = 0.0
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._spawn_warned = False
         self._sensors: dict[str, tuple[BandwidthSensor, LatencySensor]] = {}
         for monitor in self.monitors:
             self._sensors[monitor.link] = (
@@ -194,45 +135,6 @@ class MetrologyFeed:
         for bw_sensor, _ in self._sensors.values():
             bw_sensor.scale *= factor
 
-    # -- worker pool -------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the probe worker pool down (no-op for serial feeds)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "MetrologyFeed":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            if (multiprocessing.get_start_method(allow_none=True)
-                    not in (None, "fork") and not self._spawn_warned):
-                self._spawn_warned = True
-                warnings.warn(
-                    "MetrologyFeed probe fan-out under a non-fork start "
-                    "method: the testbed network is pickled to each worker "
-                    "instead of inherited at fork time",
-                    RuntimeWarning, stacklevel=3,
-                )
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_probe_worker_init,
-                initargs=(self.network,),
-            )
-        return self._executor
-
-    def _link_overrides(self) -> dict[str, tuple[float, float, float]]:
-        """Current testbed link state, shipped with every probe chunk."""
-        return {
-            name: (link.capacity, link.latency, link.efficiency)
-            for name, link in self.network.links.items()
-        }
-
     # -- polling -----------------------------------------------------------
 
     def _next_index(self) -> int:
@@ -248,27 +150,14 @@ class MetrologyFeed:
 
     def _probe_bandwidths(self) -> dict[str, float]:
         """Raw elapsed seconds of this cycle's bandwidth probes, per link."""
-        if self.workers > 0 and len(self.monitors) > 1:
-            probes = [
-                (m.src, m.dst, self._sensors[m.link][0].probe_bytes,
-                 self._sensors[m.link][0].flow_seed())
-                for m in self.monitors
-            ]
-            overrides = self._link_overrides()
-            chunk = pool_chunk_size(len(probes), self.workers)
-            chunks = [probes[i:i + chunk] for i in range(0, len(probes), chunk)]
-            results = self._pool().map(
-                _probe_chunk, [(overrides, c) for c in chunks])
-            elapsed = [e for chunk_result in results for e in chunk_result]
-        else:
-            elapsed = [
-                run_bandwidth_probe(
-                    self.network, m.src, m.dst,
-                    self._sensors[m.link][0].probe_bytes,
-                    self._sensors[m.link][0].flow_seed(),
-                )
-                for m in self.monitors
-            ]
+        elapsed = [
+            run_bandwidth_probe(
+                self.network, m.src, m.dst,
+                self._sensors[m.link][0].probe_bytes,
+                self._sensors[m.link][0].flow_seed(),
+            )
+            for m in self.monitors
+        ]
         return {m.link: e for m, e in zip(self.monitors, elapsed)}
 
     def poll_once(self) -> float:
@@ -276,9 +165,9 @@ class MetrologyFeed:
 
         The cycle records at the next epoch-grid deadline.  Its simulated
         duration is the slowest probe's transfer time (probes run
-        concurrently — which the parallel fan-out makes literal); a cycle
-        that overruns the period pushes the next deadline to the first
-        grid point after its completion, never off the grid.
+        concurrently); a cycle that overruns the period pushes the next
+        deadline to the first grid point after its completion, never off
+        the grid.
         """
         index = self._next_index()
         deadline = self._epoch0 + index * self.period

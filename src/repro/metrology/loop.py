@@ -40,7 +40,7 @@ link records ``nominal / reference`` on the horizon, which scales its
 projections back to link units.
 
 ``min_rel_change`` hysteresis keeps probe noise from bumping the epoch
-(and emptying caches / recycling workers) every poll.
+(and emptying caches) every poll.
 
 References need not stay frozen at their first warm estimate: with
 ``anchor_alpha > 0`` each reference is a :class:`ReferenceAnchor` that

@@ -25,10 +25,10 @@ def run_bandwidth_probe(
 ) -> float:
     """One probe transfer on ``network``; returns the raw elapsed seconds.
 
-    Module-level and free of sensor state so probe cycles can fan out over
-    pool workers (the parallel :class:`~repro.metrology.feed.MetrologyFeed`):
-    given the same network state and seed the result is bit-identical
-    wherever it runs.
+    Free of sensor state: a :class:`~repro.metrology.feed.MetrologyFeed`
+    cycle runs one per monitored link and hands each sensor its elapsed
+    time (:meth:`BandwidthSensor.absorb`).  Given the same network state
+    and seed the result is bit-identical.
     """
     sim = FluidSimulator(network, seed=seed)
     flow = sim.submit(src, dst, probe_bytes)
@@ -74,8 +74,8 @@ class BandwidthSensor:
         """Turn one probe's raw elapsed time into the measured goodput.
 
         Advances the probe index — the bookkeeping half of
-        :meth:`probe_once`, split out so a parallel feed can run
-        :func:`run_bandwidth_probe` elsewhere and absorb the result here.
+        :meth:`probe_once`, split out so a feed's probe cycle can run
+        :func:`run_bandwidth_probe` itself and absorb the result here.
         A degenerate probe (non-positive or non-finite completion time —
         a broken clock or an instantly-completing mock network) yields NaN,
         a gap every reader skips: an infinite throughput sample would

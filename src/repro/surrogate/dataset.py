@@ -10,12 +10,9 @@ exact platform state, then simulate it for ground-truth durations — and
 collects one :class:`SurrogateDataset` of ``(features, log2 duration)``
 rows.
 
-The executor mirrors :func:`repro.experiments.campaign.run_campaign`:
-``workers > 1`` fans samples out over a ``ProcessPoolExecutor`` with
-results aggregated in sweep order, so a parallel sweep is **bit-identical**
-to a serial one.  Every random draw derives from the sweep seed through
-``SeedSequence.spawn`` (:mod:`repro._util.rng`), so a dataset is fully
-reproducible from ``(sweep parameters, seed)``.
+Samples run in sweep order.  Every random draw derives from the sweep
+seed through ``SeedSequence.spawn`` (:mod:`repro._util.rng`), so a
+dataset is fully reproducible from ``(sweep parameters, seed)``.
 
 Datasets round-trip through JSON (``SurrogateDataset.from_json(d.to_json())
 == d``) so a trained-on corpus can be stored, diffed and shipped.
@@ -23,13 +20,10 @@ Datasets round-trip through JSON (``SurrogateDataset.from_json(d.to_json())
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from repro._util.parallel import pool_chunk_size
 from repro._util.rng import spawn_rngs, spawn_seeds
 from repro.scenarios.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.scenarios.topologies import build_topology
@@ -277,20 +271,10 @@ def run_sample(sample: SweepSample) -> tuple[np.ndarray, np.ndarray]:
     return features, targets
 
 
-def run_sweep(sweep: SurrogateSweep,
-              workers: Optional[int] = None) -> SurrogateDataset:
-    """Run every sweep sample and assemble the dataset.
-
-    ``workers > 1`` fans samples out over a process pool; aggregation is in
-    sweep order, so the dataset is bit-identical to a serial run.
-    """
+def run_sweep(sweep: SurrogateSweep) -> SurrogateDataset:
+    """Run every sweep sample, in sweep order, and assemble the dataset."""
     sample_list = sweep.sample_specs()
-    if workers is not None and workers > 1 and len(sample_list) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = pool_chunk_size(len(sample_list), workers)
-            outcomes = list(pool.map(run_sample, sample_list, chunksize=chunk))
-    else:
-        outcomes = [run_sample(sample) for sample in sample_list]
+    outcomes = [run_sample(sample) for sample in sample_list]
     blocks = [f for f, _ in outcomes]
     targets = [t for _, t in outcomes]
     index = np.concatenate([

@@ -401,3 +401,30 @@ def test_no_module_under_src_imports_asyncio():
         if any(name.split(".")[0] == "asyncio" for name in _imported_modules(
             ast.parse(path.read_text("utf-8"))))]
     assert offenders == []
+
+
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_gateway_starts_processes():
+    """One process boundary: the gateway's shards are the only worker
+    processes ``src/repro`` starts."""
+    package = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+    gateway = package / "serving" / "gateway"
+    offenders = []
+    for path in package.rglob("*.py"):
+        if gateway in path.parents:
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        if (any(name.split(".")[0] == "multiprocessing"
+                for name in _imported_modules(tree))
+                or "ProcessPoolExecutor" in _names(tree)):
+            offenders.append(str(path.relative_to(package)))
+    assert offenders == []

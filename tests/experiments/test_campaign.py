@@ -20,13 +20,6 @@ def graphene(n_srcs, n_dsts):
             for n_src in n_srcs for n_dst in n_dsts]
 
 
-def platformless_environment():
-    from repro.core.forecast import NetworkForecastService
-    from repro.experiments.environment import testbed
-
-    return NetworkForecastService({}), testbed()
-
-
 class TestCombinations:
     def test_infeasible_sagittaire_combinations_excluded(self):
         combos = campaign_combinations()
@@ -133,48 +126,19 @@ class TestRunCampaign:
         )
         assert whole[cid].rows() == alone[cid].rows() == direct.rows()
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_no_combinations_no_results(self, forecast_service, g5k_testbed,
-                                        workers):
-        assert run_campaign(forecast_service, g5k_testbed, combinations=[],
-                            workers=workers) == {}
-
-
-class TestParallelCampaign:
-    """The process pool runs the same function in the same order: its rows
-    are the serial ones bit for bit (``test_campaign_golden.py``)."""
-
-    def test_workers_run_against_the_factory_environment(
-            self, forecast_service, g5k_testbed):
-        # a factory whose service knows no platform: every worker-side
-        # combination fails, although the arguments would have succeeded
-        with pytest.raises(RuntimeError, match="g5k_test"):
-            run_campaign(forecast_service, g5k_testbed,
-                         combinations=graphene((1,), (2,)), seed=3,
-                         repetitions=1, sizes=(1e9,), workers=2,
-                         environment_factory=platformless_environment)
-
-    def test_parallel_rejects_mismatched_custom_environment(self, g5k_testbed):
-        from repro.core.forecast import NetworkForecastService
-
-        custom = NetworkForecastService({})
-        with pytest.raises(ValueError, match="environment_factory"):
-            run_campaign(custom, g5k_testbed, combinations=graphene((1,), (2,)),
-                         seed=3, repetitions=1, sizes=(1e9,), workers=2)
+    def test_no_combinations_no_results(self, forecast_service, g5k_testbed):
+        assert run_campaign(forecast_service, g5k_testbed,
+                            combinations=[]) == {}
 
 
 def test_failure_message_is_the_same_in_both_modes(forecast_service,
                                                   g5k_testbed):
     bad = {"topology": Topology.CLUSTER, "cluster": "no-such-cluster",
            "n_src": 1, "n_dst": 2}
-    messages = []
-    for workers in (None, 2):
-        with pytest.raises(RuntimeError) as info:
-            run_campaign(forecast_service, g5k_testbed,
-                         combinations=graphene((1,), (2,)) + [bad],
-                         seed=3, repetitions=1, sizes=(1e9,), workers=workers)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert messages[0] == (
+    with pytest.raises(RuntimeError) as info:
+        run_campaign(forecast_service, g5k_testbed,
+                     combinations=graphene((1,), (2,)) + [bad],
+                     seed=3, repetitions=1, sizes=(1e9,))
+    assert str(info.value) == (
         f"campaign combination {combination_id(bad)} failed: "
         "KeyError: \"unknown cluster 'no-such-cluster'\"")

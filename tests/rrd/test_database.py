@@ -1,4 +1,5 @@
-"""RRD database: update semantics, data-source kinds, span-aware fetch.
+"""RRD database: update semantics, data-source kinds, span-aware fetch,
+and the lock racing writers share.
 
 One builder makes every database here.  The PDP accumulation is checked
 against a brute-force reference on hypothesis-drawn irregular streams; the
@@ -9,6 +10,8 @@ source for the earlier part of its span.
 """
 
 import math
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,3 +422,47 @@ class TestFetchSpans:
         db.update(10.0, 2.0)  # gap > heartbeat: unknown PDPs in between
         assert any(math.isnan(value) for _, _, value in db.fetch_spans(0.0, 10.0))
         assert all(not math.isnan(v) for v in values(db.fetch(0.0, 10.0)))
+
+
+class TestRacingWriters:
+    """The RRD's own lock: ``record`` hammered from a pool of threads must
+    lose or duplicate no PDP update."""
+
+    N_THREADS = 8
+    PER_THREAD = 200
+
+    def test_hammered_rrd_loses_and_duplicates_nothing(self):
+        total = self.N_THREADS * self.PER_THREAD
+        rrd = RoundRobinDatabase(
+            DataSourceSpec(name="stress", kind="GAUGE"),
+            step=1.0,
+            rras=(RraSpec(ConsolidationFunction.AVERAGE, 1, total + 8),),
+        )
+        submitted: list[list[float]] = [[] for _ in range(self.N_THREADS)]
+
+        def hammer(thread: int) -> None:
+            for i in range(self.PER_THREAD):
+                value = float(thread * 10_000 + i)
+                submitted[thread].append(value)
+                rrd.record(value)
+
+        with ThreadPoolExecutor(max_workers=self.N_THREADS) as pool:
+            for future in [pool.submit(hammer, t)
+                           for t in range(self.N_THREADS)]:
+                future.result()
+
+        # every record landed on its own PDP slot: exact count, exact
+        # last_update, and the recorded multiset is exactly what went in
+        assert rrd.last_update == pytest.approx(float(total))
+        series = rrd.fetch(0.0, rrd.last_update + 1.0)
+        assert len(series) == total
+        assert Counter(v for _, v in series) == Counter(
+            v for values in submitted for v in values
+        )
+        timestamps = [ts for ts, _ in series]
+        assert timestamps == sorted(set(timestamps))  # no duplicated slots
+
+    def test_record_rejects_non_positive_advance(self):
+        rrd = RoundRobinDatabase(DataSourceSpec(name="x"), step=1.0)
+        with pytest.raises(Exception, match="advance"):
+            rrd.record(1.0, advance=0.0)

@@ -116,7 +116,6 @@ def test_memory_plateaus_under_mixed_traffic():
     finally:
         tracemalloc.stop()
         pilgrim.disable_serving()
-        demo.close()
     grew = bytes_2k - bytes_k, objects_2k - objects_k
     assert grew[0] <= SLACK_BYTES and grew[1] <= SLACK_OBJECTS, (
         f"rounds {K}..{2 * K} grew {grew[0]} B and {grew[1]} objects")

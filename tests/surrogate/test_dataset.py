@@ -68,9 +68,6 @@ class TestRunSweep:
     def test_rerun_is_bit_identical(self, dataset):
         assert run_sweep(SMALL) == dataset
 
-    def test_parallel_equals_serial_bitwise(self, dataset):
-        assert run_sweep(SMALL, workers=2) == dataset
-
     def test_link_factors_change_the_targets(self):
         base = SweepSample(SMALL.sample_specs()[0].spec)
         degraded = SweepSample(base.spec, link_factors=(("*", 0.4),))

@@ -130,9 +130,16 @@ class TestBadInput:
          "unrecognized arguments: --max-requests 4"),
         (["metrology", "run", "--workers", "2"],
          "unrecognized arguments: --workers 2"),
+        (["metrology", "run", "--feed-workers", "2"],
+         "unrecognized arguments: --feed-workers 2"),
+        (["surrogate", "train", "--workers", "2", "--output", "{out}"],
+         "unrecognized arguments: --workers 2"),
+        (["surrogate", "eval", "--input", "{missing}", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
     ], ids=["hosts", "link", "factor", "period", "drift", "replay-input",
             "samples", "eval-input", "cache-size", "shards", "workers-gone",
-            "batch-window-gone", "max-requests-gone", "run-workers-gone"])
+            "batch-window-gone", "max-requests-gone", "run-workers-gone",
+            "feed-workers-gone", "train-workers-gone", "eval-workers-gone"])
     def test_prints_one_line_and_exits_2(self, argv, message, tmp_path):
         argv = [arg.format(missing=tmp_path / "missing.json",
                            out=tmp_path / "model.json") for arg in argv]

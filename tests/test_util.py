@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro._util.lru import BoundedLRU
-from repro._util.parallel import pool_chunk_size
 from repro._util.rng import (
     derive_seed,
     rng_for,
@@ -181,10 +180,3 @@ class TestBoundedLRU:
         cache.put("k", None)
         assert cache.get("k", "default") == "default"
         assert (cache.hits, cache.misses) == (0, 1)
-
-
-def test_pool_chunk_size_balances_waves():
-    assert pool_chunk_size(100, 4) == 6
-    assert pool_chunk_size(3, 4) == 1
-    assert pool_chunk_size(0, 4) == 1
-    assert pool_chunk_size(100, 1) == 1
