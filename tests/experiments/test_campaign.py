@@ -142,3 +142,47 @@ def test_failure_message_is_the_same_in_both_modes(forecast_service,
     assert str(info.value) == (
         f"campaign combination {combination_id(bad)} failed: "
         "KeyError: \"unknown cluster 'no-such-cluster'\"")
+
+
+class TestCampaignFailure:
+    BAD = [{"topology": Topology.CLUSTER, "cluster": name,
+            "n_src": 1, "n_dst": 2} for name in ("no-such-a", "no-such-b")]
+
+    def test_every_combination_runs_before_the_failure_is_raised(
+            self, forecast_service, g5k_testbed, monkeypatch):
+        import repro.experiments.campaign as campaign
+
+        ran = []
+
+        def counting(spec, *args, **kwargs):
+            ran.append(spec.name)
+            return run_experiment(spec, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "run_experiment", counting)
+        good = graphene((1,), (2, 4))
+        with pytest.raises(RuntimeError):
+            run_campaign(forecast_service, g5k_testbed,
+                         combinations=[self.BAD[0]] + good,
+                         seed=3, repetitions=1, sizes=(1e9,))
+        assert ran == [spec_for(c, sizes=(1e9,), repetitions=1).name
+                       for c in good]
+
+    def test_the_first_failure_is_raised_from_its_exception(
+            self, forecast_service, g5k_testbed):
+        with pytest.raises(RuntimeError) as info:
+            run_campaign(forecast_service, g5k_testbed,
+                         combinations=self.BAD + graphene((1,), (2,)),
+                         seed=3, repetitions=1, sizes=(1e9,))
+        assert combination_id(self.BAD[0]) in str(info.value)
+        assert combination_id(self.BAD[1]) not in str(info.value)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_runs_against_the_service_it_is_given(self, g5k_testbed):
+        # a service that knows no platform fails every combination, although
+        # the same arguments succeed against the session's service
+        from repro.core.forecast import NetworkForecastService
+
+        with pytest.raises(RuntimeError, match="g5k_test"):
+            run_campaign(NetworkForecastService({}), g5k_testbed,
+                         combinations=graphene((1,), (2,)), seed=3,
+                         repetitions=1, sizes=(1e9,))

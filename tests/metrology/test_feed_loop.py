@@ -110,6 +110,51 @@ class TestFeed:
         # every probe is jittered: no two samples coincide
         assert len(set(series)) == len(series)
 
+    def test_a_capacity_cut_between_polls_shows_in_the_series(self):
+        # the probes read the testbed's live capacities, not a copy taken
+        # when the feed was built
+        feed = small_feed(n_hosts=8, period=15.0, seed=5)
+        feed.poll_once()
+        feed.network.links["star-3-link"].capacity *= 0.25
+        feed.poll_once()
+        cut = [v for _, v in
+               feed.rrd("star-3-link", "bandwidth").fetch(0.0, feed.clock)]
+        kept = [v for _, v in
+                feed.rrd("star-4-link", "bandwidth").fetch(0.0, feed.clock)]
+        assert cut[-1] < 0.5 * cut[0]
+        assert kept[-1] == pytest.approx(kept[0], rel=0.1)
+
+    def test_scaled_bandwidth_sensors_halve_the_next_sample(self):
+        feed = small_feed(n_hosts=4, period=15.0, seed=5)
+        feed.poll_once()
+        feed.scale_bandwidth_sensors(0.5)
+        feed.poll_once()
+        for i in range(1, 5):
+            series = [v for _, v in feed.rrd(f"star-{i}-link", "bandwidth")
+                      .fetch(0.0, feed.clock)]
+            assert series[1] == pytest.approx(0.5 * series[0], rel=0.1)
+
+    def test_non_positive_sensor_scale_rejected(self):
+        feed = small_feed()
+        with pytest.raises(MetrologyError, match="scale factor"):
+            feed.scale_bandwidth_sensors(0.0)
+
+    def test_same_seed_records_the_same_series_on_64_links(self):
+        def contents(feed):
+            return {(m.link, metric): feed.rrd(m.link, metric)
+                    .fetch(0.0, feed.clock)
+                    for m in feed.monitors
+                    for metric in ("bandwidth", "latency")}
+
+        feeds = [small_feed(n_hosts=64, period=15.0, seed=seed)
+                 for seed in (5, 5, 6)]
+        for feed in feeds:
+            feed.poll_once()
+            feed.poll_once()
+        first, again, other = (contents(feed) for feed in feeds)
+        assert first == again
+        assert first != other
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"period": 0.0}, "period"),
         ({"monitors": []}, "monitored link"),

@@ -159,6 +159,54 @@ class TestBadInput:
         assert text.count("\n") == 1
 
 
+class TestSharedArguments:
+    """``predict``/``what-if`` and ``metrology record``/``run`` each take
+    one argument group declared once: the same defaults, choices and help
+    in both verbs."""
+
+    TRANSFER = "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9"
+
+    @staticmethod
+    def help_text(capsys, *argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--help")
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["record", "run"])
+    def test_metrology_verbs_share_the_demo_defaults(self, verb):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(["metrology", verb])
+        assert {name: getattr(args, name) for name in (
+            "hosts", "period", "steps", "warmup", "link", "factor", "seed",
+        )} == {"hosts": 4, "period": 15.0, "steps": 10, "warmup": 3,
+               "link": 1, "factor": 0.3, "seed": 3}
+
+    def test_metrology_run_help_documents_the_demo_arguments(self, capsys):
+        record = self.help_text(capsys, "metrology", "record")
+        run = self.help_text(capsys, "metrology", "run")
+        for line in ("probe period, metrology seconds",
+                     "probe cycles after warm-up",
+                     "healthy probe cycles anchoring references",
+                     "1-based index of the degrading host link",
+                     "degraded capacity as a fraction of nominal"):
+            assert line in record
+            assert line in run
+
+    @pytest.mark.parametrize("verb", ["predict", "what-if"])
+    def test_query_verbs_share_the_query_arguments(self, verb, capsys):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args([verb, "--transfer", self.TRANSFER])
+        assert (args.platform, args.transfer, args.ongoing, args.model) == (
+            "g5k_test", [self.TRANSFER], [], "LV08")
+        text = self.help_text(capsys, verb)
+        assert "{g5k_test,g5k_cabinets}" in text
+        assert "repeatable: source,destination,bytes" in text
+        assert "repeatable: in-flight transfers sharing bandwidth" in text
+
+
 class TestServe:
     def test_serves_the_session_cached_platforms(self, monkeypatch):
         """The served Pilgrim answers on the platforms the shards' factory
