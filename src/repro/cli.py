@@ -95,13 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(0 = the classic single-process threaded "
                             "server, the default); each shard owns its "
                             "own serving stack and cache")
-    serve.add_argument("--max-inflight", type=int, default=256,
-                       help="gateway admission: concurrently executing "
-                            "request budget (with --shards)")
-    serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="gateway admission: requests allowed to wait "
-                            "beyond --max-inflight before load is shed "
-                            "with 503 + Retry-After (with --shards)")
+    serve.add_argument("--max-inflight", type=int, default=1280,
+                       help="gateway admission: requests in flight at "
+                            "once; beyond it load is shed with 503 + "
+                            "Retry-After (with --shards)")
     serve.add_argument("--shard-threads", type=int, default=4,
                        help="handler threads per shard process "
                             "(with --shards)")
@@ -341,8 +338,7 @@ def _load_surrogate_tier(path, bound, out):
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    tier = SurrogateTier(SurrogateModel.from_json(doc), bound=bound,
-                         require_fresh_epoch=False)
+    tier = SurrogateTier(SurrogateModel.from_json(doc), bound=bound)
     out.write(f"surrogate tier armed: model {tier.model.network_model}, "
               f"bound {bound:g} log2 units\n")
     return tier
@@ -412,7 +408,6 @@ def _cmd_serve_gateway(args, out) -> int:
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
-        queue_depth=args.queue_depth,
         shard_threads=args.shard_threads,
         cache_size=args.cache_size,
         model_name=args.model or None,
@@ -422,9 +417,8 @@ def _cmd_serve_gateway(args, out) -> int:
     gateway = ShardedGateway(grid5000_forecast_service, config,
                              service=service).start()
     out.write(f"gateway: {args.shards} shards x {args.shard_threads} "
-              f"threads, admission {args.max_inflight} in-flight + "
-              f"{args.queue_depth} queued, cache {args.cache_size} "
-              f"entries/shard\n")
+              f"threads, admission {args.max_inflight} in flight, cache "
+              f"{args.cache_size} entries/shard\n")
     out.write(f"Pilgrim gateway serving at {gateway.url} "
               f"(Ctrl-C to stop)\n")
     try:

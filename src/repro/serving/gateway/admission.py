@@ -1,12 +1,10 @@
-"""Admission control: bounded in-flight budget + waiting room, then shed.
+"""Admission control: one in-flight limit, then shed.
 
 The gateway admits a request while fewer than ``max_inflight`` requests
-are executing; above that, up to ``queue_depth`` more may wait (they are
-"queued" in the sense that shards haven't freed capacity for them — the
-transport itself never buffers unboundedly).  Beyond
-``max_inflight + queue_depth`` the request is *shed*: an immediate
-``503`` with a ``Retry-After`` hint, never a hang — a client that backs
-off and retries is cheaper than a thread parked on a dead queue.
+are in flight, and every admitted request goes down its shard's pipe at
+once.  At the limit a request is *shed*: an immediate ``503`` with a
+``Retry-After`` hint, never a hang — a client that backs off and retries
+is cheaper than a thread parked on a dead queue.
 
 ``GET /pilgrim/stats`` is exempt (monitoring must answer precisely when
 the gateway is saturated); the front end enforces that, not this class.
@@ -20,14 +18,11 @@ import threading
 class AdmissionController:
     """Thread-safe in-flight accounting with a shed threshold."""
 
-    def __init__(self, max_inflight: int = 256, queue_depth: int = 1024,
+    def __init__(self, max_inflight: int = 1280,
                  retry_after_s: float = 1.0) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if queue_depth < 0:
-            raise ValueError(f"queue_depth must be >= 0, got {queue_depth}")
         self.max_inflight = int(max_inflight)
-        self.queue_depth = int(queue_depth)
         self.retry_after_s = float(retry_after_s)
         self._lock = threading.Lock()
         self.in_flight = 0
@@ -36,14 +31,10 @@ class AdmissionController:
         self.shed = 0
         self.peak_in_flight = 0
 
-    @property
-    def limit(self) -> int:
-        return self.max_inflight + self.queue_depth
-
     def try_admit(self) -> bool:
         """Admit (and count) one request, or refuse at the shed threshold."""
         with self._lock:
-            if self.in_flight >= self.limit:
+            if self.in_flight >= self.max_inflight:
                 self.shed += 1
                 return False
             self.in_flight += 1
@@ -64,12 +55,9 @@ class AdmissionController:
 
     def snapshot(self) -> dict:
         with self._lock:
-            queued = max(0, self.in_flight - self.max_inflight)
             return {
                 "max_inflight": self.max_inflight,
-                "queue_depth": self.queue_depth,
                 "in_flight": self.in_flight,
-                "queued": queued,
                 "admitted": self.admitted,
                 "shed": self.shed,
                 "peak_in_flight": self.peak_in_flight,

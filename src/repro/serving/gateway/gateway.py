@@ -99,8 +99,8 @@ class GatewayConfig:
     shards: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    max_inflight: int = 256
-    queue_depth: int = 1024
+    #: admission's shed threshold: requests in flight at once
+    max_inflight: int = 1280
     retry_after_s: float = 1.0
     max_body_bytes: int = 8 * 1024 * 1024
     request_timeout: float = 60.0
@@ -301,7 +301,6 @@ class ShardedGateway:
         self.metrics = GatewayMetrics()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
-            queue_depth=self.config.queue_depth,
             retry_after_s=self.config.retry_after_s,
         )
         self.ring = ConsistentHashRing(range(self.config.shards))

@@ -99,10 +99,9 @@ def shard_main(
 
     ``surrogate_doc`` (a ``SurrogateModel.to_json()`` dict) arms a
     shard-local :class:`~repro.surrogate.tier.SurrogateTier` in front of
-    the shard's cache.  Shards run it with ``require_fresh_epoch=False``:
-    epoch syncs move the *shard-local* epoch, but the tier's features read
-    the live (synced) link state through the route LRU, so predictions
-    track recalibrated rates; only the residual store ages.
+    the shard's cache.  Its features read the live (synced) link state
+    through the route store, so predictions track the gateway's link
+    syncs; only the residual store ages.
     """
     import os
 
@@ -128,8 +127,7 @@ def shard_main(
         from repro.surrogate.tier import SurrogateTier
 
         surrogate = SurrogateTier(
-            SurrogateModel.from_json(surrogate_doc),
-            bound=surrogate_bound, require_fresh_epoch=False)
+            SurrogateModel.from_json(surrogate_doc), bound=surrogate_bound)
     pilgrim = Pilgrim(platforms=platforms, model=service.model)
     serving = pilgrim.enable_serving(cache_size=cache_size,
                                      surrogate=surrogate)

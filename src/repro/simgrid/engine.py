@@ -17,8 +17,9 @@ User code drives a simulation in two ways only: timers (:meth:`schedule`)
 and activity done callbacks (``add_done_callback``); either may start or
 cancel activities.  There are no processes to step.
 
-Same-host communications bypass sharing through a configurable loopback
-(SimGrid models these with a dedicated loopback link as well).
+Same-host communications bypass sharing through a fixed loopback
+(:data:`LOOPBACK_BANDWIDTH`, :data:`LOOPBACK_LATENCY`; SimGrid models these
+with a dedicated loopback link as well).
 
 Activity progress state (remaining work, allocated rate) lives in flat numpy
 slot arrays owned by the engine: the next-event search, the progress drain and
@@ -58,10 +59,14 @@ from repro.simgrid.activities import (
 from repro.simgrid.maxmin import SharingSystem
 from repro.simgrid.models import LV08, SharingModel
 from repro.simgrid.platform import Host, Platform, link_epoch
-from repro.simgrid.trace import Trace
 
 #: Completion tolerance relative to the activity's total amount of work.
 _REL_EPS = 1e-9
+
+#: Rate (bytes/s) and latency (s) of a same-host transfer, never shared; the
+#: rate also stands in for a comm no constraint or bound limits.
+LOOPBACK_BANDWIDTH = 1e10
+LOOPBACK_LATENCY = 1.5e-6
 
 _LATENCY = ActivityState.LATENCY
 _RUNNING = ActivityState.RUNNING
@@ -87,16 +92,10 @@ class Simulation:
         self,
         platform: Platform,
         model: Optional[SharingModel] = None,
-        loopback_bandwidth: float = 1e10,
-        loopback_latency: float = 1.5e-6,
-        trace: Optional[Trace] = None,
         capacity_factors: Optional[dict[str, float]] = None,
     ) -> None:
         self.platform = platform
         self.model = model if model is not None else LV08()
-        self.loopback_bandwidth = float(loopback_bandwidth)
-        self.loopback_latency = float(loopback_latency)
-        self.trace = trace
         #: per-link capacity scaling in [0, 1], keyed by link name — the
         #: coarse background-traffic model of §VI (bandwidth consumed by
         #: traffic outside this simulation)
@@ -293,8 +292,8 @@ class Simulation:
                 # loopback: serial latency, then drain at loopback bandwidth,
                 # un-shared (each local transfer gets the full loopback rate)
                 comm = CommActivity(name, src_host, dst_host, size, (),
-                                    self.loopback_latency, 1.0,
-                                    self.loopback_bandwidth)
+                                    LOOPBACK_LATENCY, 1.0,
+                                    LOOPBACK_BANDWIDTH)
             else:
                 route = route_of(src_host, dst_host)
                 startup, weight, bound, usages = comm_spec(route)
@@ -318,11 +317,6 @@ class Simulation:
         self._register(comms)
         self._started += running
         self._share_dirty = True
-        if self.trace is not None:
-            for comm, (_src, _dst, size) in zip(comms, transfers):
-                self.trace.record(clock, "comm_start", name=comm.name,
-                                  src=comm.src.name, dst=comm.dst.name,
-                                  size=size)
         return comms
 
     def add_exec(self, host: str | Host, flops: float, name: Optional[str] = None) -> ExecActivity:
@@ -336,9 +330,6 @@ class Simulation:
         self._register([activity])
         self._started.append(activity)
         self._share_dirty = True
-        if self.trace is not None:
-            self.trace.record(self.clock, "exec_start", name=name,
-                              host=host_obj.name, flops=flops)
         return activity
 
     def add_sleep(self, duration: float, name: Optional[str] = None) -> SleepActivity:
@@ -588,7 +579,7 @@ class Simulation:
                 for vid, value in zip(vids.tolist(), values.tolist()):
                     slot = vid_slot[vid]
                     if not math.isfinite(value) and self._is_comm(slot):
-                        value = self.loopback_bandwidth
+                        value = LOOPBACK_BANDWIDTH
                     rate[slot] = value
             else:
                 slots = self._vid_slot[vids]
@@ -598,7 +589,7 @@ class Simulation:
                     if bad.any():
                         # no constraint and no bound anywhere on the route:
                         # treat as the loopback rate to keep time finite
-                        values = np.where(bad, self.loopback_bandwidth, values)
+                        values = np.where(bad, LOOPBACK_BANDWIDTH, values)
                 self._a_rate[slots] = values
             self._attrs_stale = True
 
@@ -795,12 +786,7 @@ class Simulation:
                 # activity's progress attributes
                 self._sync_objects()
                 self._user_code_ran = True
-            trace = self.trace
             for activity in finished:
-                if trace is not None:
-                    trace.record(clock, "activity_end",
-                                 name=activity.name,
-                                 duration=activity.duration)
                 activity._fire()
         return True
 

@@ -677,14 +677,16 @@ class AutonomousSystem:
 
     def _decoded(self, offset: int, reverse: bool = False) -> RouteEntry:
         """The entry stored at ``offset`` of the pool, or the reverse its
-        symmetrical flag implies, built afresh of the interned uses."""
+        symmetrical flag implies, built afresh of the interned uses.  That
+        reverse is symmetrical too (its own reverse is the stored entry),
+        so without gateways it is a bare :class:`RouteEntry`."""
         pool = self._pool
         head = pool[offset + 2]
         ids = pool[offset + 3:offset + 3 + (head >> 1)]
         gw_src, gw_dst = self._gateways.get(offset, (None, None))
         if reverse:
             return RouteEntry([self._uses[use ^ 1] for use in reversed(ids)],
-                              gw_dst, gw_src)
+                              gw_dst, gw_src, symmetrical=True)
         return RouteEntry(map(self._uses.__getitem__, ids), gw_src, gw_dst,
                           symmetrical=bool(head & 1))
 

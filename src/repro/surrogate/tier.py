@@ -7,14 +7,6 @@ forecast request from the regressor when it is *confident*:
 - the model is fitted and was trained for the request's network model
   (compared by ``model_key()``, the same identity the forecast cache
   keys on),
-- the tier is **epoch-fresh**: the link-mutation epoch equals the epoch
-  the tier was built at.  A recalibration bumps the epoch and the tier
-  falls through from then on — so the surrogate can never keep answering
-  from a world the metrology loop has disowned.
-  ``require_fresh_epoch=False`` relaxes this for deployments that
-  recalibrate live (features still read live link state through the
-  platform's route store, so predictions track recalibrated rates; only the
-  residual store lags),
 - every transfer's predicted uncertainty is within ``bound`` (log2
   units).
 
@@ -23,6 +15,10 @@ an unknown platform or host — falls through to the simulation path, which
 then produces the bit-identical answer or canonical error it always has.
 The tier is strictly additive: disabling it changes latency, never
 answers on the fallback path.
+
+A recalibration does not stop the tier: its features read the live link
+state through the platform's route store, so predictions track
+recalibrated rates; only the residual store the model was fitted on lags.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import Optional
 
 from repro.core.forecast import ForecastQuery, TransferForecast
 from repro.simgrid.models import model_by_name, model_key_of
-from repro.simgrid.platform import link_epoch
 from repro.surrogate.features import featurize_request
 from repro.surrogate.model import SurrogateModel
 
@@ -41,7 +36,6 @@ from repro.surrogate.model import SurrogateModel
 FALLBACK_REASONS = (
     "unfitted",
     "model_mismatch",
-    "stale_epoch",
     "uncertainty",
     "error",
 )
@@ -59,15 +53,12 @@ class SurrogateTier:
         self,
         model: SurrogateModel,
         bound: float = 0.5,
-        require_fresh_epoch: bool = True,
     ) -> None:
         if bound < 0:
             raise ValueError(f"uncertainty bound must be >= 0, got {bound}")
         self.model = model
         self.bound = float(bound)
-        self.require_fresh_epoch = bool(require_fresh_epoch)
         self._lock = threading.Lock()
-        self._trained_epoch = link_epoch()
         self._expected_key = model_key_of(model_by_name(model.network_model))
         self._hits = 0
         self._fallbacks = {reason: 0 for reason in FALLBACK_REASONS}
@@ -89,8 +80,6 @@ class SurrogateTier:
             return self._fallback("unfitted")
         if model_key_of(query.model) != self._expected_key:
             return self._fallback("model_mismatch")
-        if self.require_fresh_epoch and link_epoch() != self._trained_epoch:
-            return self._fallback("stale_epoch")
         if not query.transfers:
             return self._fallback("error")
         try:
@@ -138,9 +127,6 @@ class SurrogateTier:
                 "enabled": True,
                 "bound": self.bound,
                 "network_model": self.model.network_model,
-                "trained_epoch": self._trained_epoch,
-                "current_epoch": link_epoch(),
-                "require_fresh_epoch": self.require_fresh_epoch,
                 "model_updates": self.model.updates,
                 "hits": self._hits,
                 "fallbacks": fallbacks,

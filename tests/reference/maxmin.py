@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.simgrid.activities import (Activity, ActivityState, CommActivity,
                                       ExecActivity)
-from repro.simgrid.engine import Simulation
+from repro.simgrid.engine import LOOPBACK_BANDWIDTH, Simulation
 from repro.simgrid.maxmin import MaxMinError
 
 #: the freeze tolerance, relative to the level (the arena uses the same)
@@ -297,7 +297,7 @@ class ReferenceSimulation(Simulation):
             if isinstance(activity, CommActivity) and not math.isfinite(value):
                 # no constraint and no bound anywhere on the route: treat as
                 # the loopback rate to keep time finite
-                value = self.loopback_bandwidth
+                value = LOOPBACK_BANDWIDTH
             activity.rate = value
             rates[activity._slot] = value
         # the arena's delta lists are not consumed here — drop them so

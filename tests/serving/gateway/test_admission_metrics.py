@@ -19,20 +19,23 @@ from repro.serving.gateway.metrics import (
 
 class TestAdmission:
     def test_admits_until_limit_then_sheds(self):
-        admission = AdmissionController(max_inflight=2, queue_depth=1)
+        admission = AdmissionController(max_inflight=3)
         assert admission.try_admit()
         assert admission.try_admit()
-        assert admission.try_admit()  # the queue slot
+        assert admission.try_admit()
         assert not admission.try_admit()  # shed
-        snap = admission.snapshot()
-        assert snap["in_flight"] == 3
-        assert snap["queued"] == 1
-        assert snap["admitted"] == 3
-        assert snap["shed"] == 1
-        assert snap["peak_in_flight"] == 3
+        assert admission.snapshot() == {
+            "max_inflight": 3, "in_flight": 3, "admitted": 3, "shed": 1,
+            "peak_in_flight": 3}
+
+    def test_the_default_limit_is_1280(self):
+        from repro.serving.gateway.gateway import GatewayConfig
+
+        assert AdmissionController().max_inflight == 1280
+        assert GatewayConfig().max_inflight == 1280
 
     def test_release_reopens_admission(self):
-        admission = AdmissionController(max_inflight=1, queue_depth=0)
+        admission = AdmissionController(max_inflight=1)
         assert admission.try_admit()
         assert not admission.try_admit()
         admission.release()
@@ -45,8 +48,6 @@ class TestAdmission:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(queue_depth=-1)
 
 
 class TestPercentiles:

@@ -224,7 +224,7 @@ def test_admission_shed_is_503_with_retry_after(gateway, queries):
     taken = 0
     while admission.try_admit():
         taken += 1
-        if taken > admission.limit + 1:  # pragma: no cover - safety rail
+        if taken > admission.max_inflight + 1:  # pragma: no cover - safety rail
             pytest.fail("admission never saturated")
     try:
         with RestClient(gateway.url) as client:
@@ -328,10 +328,10 @@ def test_loadgen_swarm_zero_errors_bit_identical(gateway, queries,
 
 
 def test_overload_swarm_sheds_cleanly_and_never_hangs(queries, ground_truth):
-    # a 2+2 budget against 16 keep-alive clients: every offered request
+    # a budget of 4 against 16 keep-alive clients: every offered request
     # either completes with the serial answer or sheds as 503 + Retry-After
-    tiny = GatewayConfig(shards=2, cache_size=0, max_inflight=2,
-                         queue_depth=2, retry_after_s=0.5)
+    tiny = GatewayConfig(shards=2, cache_size=0, max_inflight=4,
+                         retry_after_s=0.5)
     with ShardedGateway(star_factory(N_HOSTS), tiny) as gateway:
         host, port = gateway.address
         report = run_load(host, port, load_queries(queries), clients=16,

@@ -130,7 +130,7 @@ class TestSurrogateTierIsolation:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(64, N_FEATURES))
         model.fit(x, x @ np.linspace(0.1, -0.1, N_FEATURES))
-        tier = SurrogateTier(model, bound=100.0, require_fresh_epoch=False)
+        tier = SurrogateTier(model, bound=100.0)
 
         # a mismatched request model must fall through, same-key must not
         # be rejected for the model-mismatch reason

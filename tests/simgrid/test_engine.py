@@ -7,10 +7,10 @@ import pytest
 from reference.maxmin import ReferenceSimulation, engine
 from repro.simgrid.activities import ActivityState
 from repro.simgrid.builder import build_dumbbell, build_star_cluster
-from repro.simgrid.engine import Simulation, SimulationError
+from repro.simgrid.engine import (LOOPBACK_BANDWIDTH, LOOPBACK_LATENCY,
+                                  Simulation, SimulationError)
 from repro.simgrid.models import CM02, LV08, model_by_name
 from repro.simgrid.platform import UnknownElementError
-from repro.simgrid.trace import Trace
 
 
 class TestSingleTransfer:
@@ -107,13 +107,13 @@ class TestSharing:
 
 class TestLoopback:
     def test_same_host_transfer_uses_loopback(self, star4):
-        sim = Simulation(star4, LV08(), loopback_bandwidth=1e10,
-                         loopback_latency=1e-6)
+        sim = Simulation(star4, LV08())
         comm = sim.simulate_transfers([("star-1", "star-1", 1e8)])[0]
-        assert comm.duration == pytest.approx(1e-6 + 1e-2, rel=1e-6)
+        assert comm.duration == pytest.approx(
+            LOOPBACK_LATENCY + 1e8 / LOOPBACK_BANDWIDTH, rel=1e-6)
 
     def test_loopback_not_shared(self, star4):
-        sim = Simulation(star4, LV08(), loopback_bandwidth=1e10)
+        sim = Simulation(star4, LV08())
         comms = sim.simulate_transfers(
             [("star-1", "star-1", 1e8), ("star-1", "star-1", 1e8)]
         )
@@ -209,14 +209,6 @@ class TestKernel:
         sim = Simulation(star4)
         with pytest.raises(UnknownElementError):
             sim.add_comm("ghost", "star-1", 1e6)
-
-    def test_trace_records_start_and_end(self, star4):
-        trace = Trace()
-        sim = Simulation(star4, trace=trace)
-        sim.simulate_transfers([("star-1", "star-2", 1e6)])
-        kinds = [event["kind"] for event in trace.events]
-        assert kinds.count("comm_start") == 1
-        assert kinds.count("activity_end") == 1
 
     def test_cancel_releases_bandwidth(self, star4):
         sim = Simulation(star4, CM02())
@@ -320,7 +312,7 @@ class TestIncrementalSharing:
 
 class TestAddComms:
     """``add_comms(ts)`` is ``[add_comm(*t) for t in ts]`` done in bulk: same
-    comms, same order, same slots, same answers, same trace."""
+    comms, same order, same slots, same answers."""
 
     TRANSFERS = [("star-1", "star-3", 1e9), ("star-2", "star-3", 2e8),
                  ("star-2", "star-2", 3e7),  # loopback
@@ -328,8 +320,7 @@ class TestAddComms:
 
     @staticmethod
     def outcome(platform, transfers, bulk, cls=Simulation, **kwargs):
-        trace = Trace()
-        sim = cls(platform, trace=trace, **kwargs)
+        sim = cls(platform, **kwargs)
         if bulk:
             comms = sim.add_comms(transfers)
         else:
@@ -348,7 +339,6 @@ class TestAddComms:
             "slot_capacity": sim._a_rem.size,
             "arena_capacity": sim._sharing.variable_capacity,
             "stats": sim.sharing_stats,
-            "trace": trace.events,
         }
 
     @pytest.mark.parametrize("kwargs", [
@@ -387,9 +377,8 @@ class TestAddComms:
         assert [c.name for c in comms] == ["a", "comm-0", "comm-1"]
 
     def test_unknown_host_registers_no_comm_of_the_batch(self, star4):
-        sim = Simulation(star4, trace=Trace())
+        sim = Simulation(star4)
         with pytest.raises(UnknownElementError):
             sim.add_comms(self.TRANSFERS + [("star-1", "nowhere", 1e6)])
         assert sim._a_count == 0 and sim._started == []
-        assert len(sim.trace) == 0
         assert sim.run() == 0.0

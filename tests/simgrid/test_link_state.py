@@ -238,9 +238,6 @@ LINK_EPOCH_READERS = {
         "in-flight comms recalibrate on any live write",
     ("simgrid/engine.py", "Simulation._reshare"):
         "in-flight comms recalibrate on any live write",
-    ("surrogate/tier.py", "SurrogateTier.__init__"): "surrogate freshness",
-    ("surrogate/tier.py", "SurrogateTier.try_answer"): "surrogate freshness",
-    ("surrogate/tier.py", "SurrogateTier.stats"): "surrogate freshness",
     ("serving/gateway/shard.py", "shard_main.stats_payload"):
         "gateway stats: a shard's every-write count",
 }

@@ -115,6 +115,23 @@ def test_symmetrical_flag_is_not_part_of_the_route():
         hash(ab)  # unhashable, as the dataclass entry was
 
 
+def test_a_gateway_less_reverse_decodes_as_a_bare_entry():
+    """The reverse a symmetrical entry implies is itself symmetrical: with
+    no gateway it is a plain slotless ``RouteEntry``, equal to the stored
+    entry's ``reversed()``."""
+    platform = Platform("p")
+    for name in NAMES:
+        platform.root.add_host(name)
+    links = [platform.root.add_link(name, 1e8) for name in ("l", "m")]
+    platform.root.add_route("a", "b", links)
+    forward = platform.root.local_route("a", "b")
+    back = platform.root.local_route("b", "a")
+    assert type(back) is RouteEntry and back.symmetrical
+    assert not hasattr(back, "__dict__")
+    assert back == forward.reversed()
+    assert back.links == [LinkUse(link, Direction.DOWN) for link in links[::-1]]
+
+
 @pytest.mark.parametrize("gateways", [("g1", None), (None, "g2"),
                                       ("g2", "g1"), (None, None)])
 def test_gateways_are_part_of_the_route(gateways):

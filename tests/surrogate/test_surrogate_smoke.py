@@ -64,7 +64,7 @@ def test_surrogate_tier_over_http(trained):
             surrogate = client.stats()["serving"]["surrogate"]
             assert surrogate["hits"] == 1
             assert {"fallbacks", "uncertainty", "bound",
-                    "trained_epoch"} <= set(surrogate)
+                    "model_updates"} <= set(surrogate)
             for got, expected in zip(answered, truth):
                 assert abs(np.log2(got["duration"] / expected["duration"])) \
                     <= 2 * MAX_MEDIAN_ERROR

@@ -128,6 +128,8 @@ class TestBadInput:
          "unrecognized arguments: --batch-window 0.1"),
         (["serve", "--max-requests", "4"],
          "unrecognized arguments: --max-requests 4"),
+        (["serve", "--queue-depth", "1"],
+         "unrecognized arguments: --queue-depth 1"),
         (["metrology", "run", "--workers", "2"],
          "unrecognized arguments: --workers 2"),
         (["metrology", "run", "--feed-workers", "2"],
@@ -138,7 +140,8 @@ class TestBadInput:
          "unrecognized arguments: --workers 2"),
     ], ids=["hosts", "link", "factor", "period", "drift", "replay-input",
             "samples", "eval-input", "cache-size", "shards", "workers-gone",
-            "batch-window-gone", "max-requests-gone", "run-workers-gone",
+            "batch-window-gone", "max-requests-gone", "queue-depth-gone",
+            "run-workers-gone",
             "feed-workers-gone", "train-workers-gone", "eval-workers-gone"])
     def test_prints_one_line_and_exits_2(self, argv, message, tmp_path):
         argv = [arg.format(missing=tmp_path / "missing.json",
