@@ -330,8 +330,11 @@ def test_a_finished_what_if_leaves_front_end_and_shard_entries_live(gateway):
         before, shard = dispatched(gateway), shard_cache_info(gateway)
         assert client.post(QUERIES[0])[1] == first
         assert dispatched(gateway) == before  # the front end's entry
-        # the GET spelling is a front-end miss and a hit of the shard's
-        status, body = client.exchange("GET", get_target(QUERIES[0]))
+        # a spelling no other test sends is a front-end miss and a hit of
+        # the shard's, whatever this module's gateway cached before
+        (src, dst, size), = QUERIES[0]
+        status, body = client.exchange(
+            "GET", f"{PREDICT}?transfer={src},{dst},{size:.0f}")
         assert (status, json.loads(body)) == (200, json.loads(first))
         assert dispatched(gateway) == before + 1
         after = shard_cache_info(gateway)
