@@ -45,10 +45,6 @@ from reference.process import explicit_transfers
 FAILED_BANDWIDTH = 1.0
 
 
-class UnmatchedEvent(ValueError):
-    """An event's link pattern matches no link of the platform."""
-
-
 def answer(
     builder: Callable,
     links: Mapping[str, tuple[float, float]],
@@ -65,18 +61,11 @@ def answer(
     name to its current ``(bandwidth, latency)``.  Each event applies to
     every link its pattern matches: ``degrade`` sets ``factor`` times the
     link's bandwidth when the schedule first touched it, ``fail`` sets
-    :data:`FAILED_BANDWIDTH`, ``recover`` that first bandwidth again.
-    Raises :class:`UnmatchedEvent` before anything runs."""
+    :data:`FAILED_BANDWIDTH`, ``recover`` that first bandwidth again."""
     platform = builder()
     for name, (bandwidth, latency) in links.items():
         link = platform.link(name)
-        if link.bandwidth != bandwidth:
-            link.bandwidth = bandwidth
-        if link.latency != latency:
-            link.latency = latency
-    for event in events:
-        if not platform.links_matching(event.link):
-            raise UnmatchedEvent(event.link)
+        link.bandwidth, link.latency = bandwidth, latency
     sim = ReferenceSimulation(platform, model,
                               capacity_factors=capacity_factors)
     first: dict[str, float] = {}

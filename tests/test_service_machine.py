@@ -11,15 +11,20 @@ platforms (a star, a dumbbell and a two-site grid):
   reset between examples: the links go back to their described values and
   the gateway syncs them.
 
-Its rules are the verbs: GET and POST predict, what-if, ``observe_link``
-then a horizon predict, ``select_fastest``, a committed link write, and an
-explicit ``sync_epoch()``.  After every step each answer must equal
-:func:`reference.oracle.answer` within 1e-9 relative, and the three
-targets must answer the same bytes.  Horizon predicts run on the two
-in-process targets; no route feeds a shard's series, so through the
-gateway a horizon answer must equal the shard's live-state point answer.
-The machine is sequential: races between verbs are out of its reach (see
-the oracle's docstring).
+Its rules are the verbs: GET and POST predict (and a predict asked before,
+again as spelled, or under another model or other ongoing transfers),
+what-if, ``observe_link`` then an asked predict at a horizon,
+``select_fastest``, a committed write of a link an asked predict crosses
+(then that predict again), and an explicit ``sync_epoch()``.  Predicts are
+asked again on purpose: a stale cache entry shows only on a repeat.
+
+After every step each answer must equal :func:`reference.oracle.answer`
+within 1e-9 relative, the three targets must answer the same bytes, and
+every link's live values must be its committed ones.  Horizon predicts
+run on the two in-process targets; no route feeds a shard's series, so
+through the gateway a horizon answer must equal the shard's live-state
+point answer.  The machine is sequential: races between verbs are out of
+its reach (see the oracle's docstring).
 """
 
 from __future__ import annotations
