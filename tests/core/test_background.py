@@ -25,6 +25,14 @@ class TestOngoingTransfers:
         )[0].duration
         assert contended > 1.4 * alone
 
+    def test_ongoing_not_reported(self, service):
+        forecasts = service.predict_transfers(
+            "star", [("star-1", "star-3", 1e9)],
+            ongoing=[("star-2", "star-3", 1e9)],
+        )
+        assert len(forecasts) == 1
+        assert forecasts[0].src == "star-1"
+
     def test_ongoing_remaining_bytes_matter(self, service):
         small_rest = service.predict_transfers(
             "star", [("star-1", "star-3", 1e9)],
@@ -44,6 +52,25 @@ class TestOngoingTransfers:
                 "star", [("star-1", "star-2", 1e6)],
                 ongoing=[("ghost", "star-2", 1e6)],
             )
+
+    def test_ongoing_over_http(self, service):
+        from repro.core.framework import Pilgrim
+        from repro.core.rest.client import RestClient
+
+        pilgrim = Pilgrim(model=CM02())
+        pilgrim.register_platform("star", service.platform("star"))
+        with pilgrim.serve() as server:
+            client = RestClient(server.url)
+            alone = client.predict_transfers(
+                "star", [("star-1", "star-3", 1e9)]
+            )[0]["duration"]
+            contended = client.get(
+                "/pilgrim/predict_transfers/star",
+                [("transfer", "star-1,star-3,1e9"),
+                 ("ongoing", "star-2,star-3,1e9")],
+            )[0]["duration"]
+        assert contended > 1.4 * alone
+
 
 class TestCapacityFactors:
     def test_factor_slows_prediction(self, service):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.process import explicit_transfers
 from repro.core.forecast import (
     ForecastQuery,
     NetworkForecastService,
@@ -9,7 +10,10 @@ from repro.core.forecast import (
     TransferSpec,
 )
 from repro.core.rest.errors import BadRequest, NotFound
+from repro.experiments.figures import FIGURES
+from repro.experiments.protocol import draw_transfer_pairs
 from repro.simgrid.builder import build_star_cluster
+from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02
 
 
@@ -114,6 +118,15 @@ class TestService:
         with pytest.raises(BadRequest):
             service.predict_transfers("star", [])
 
+    def test_per_request_model_override(self):
+        from repro.simgrid.models import LV08
+
+        service = self.make()
+        cm02 = service.predict_transfers("star", [("star-1", "star-2", 1e9)])
+        lv08 = service.predict_transfers("star", [("star-1", "star-2", 1e9)],
+                                         model=LV08())
+        assert lv08[0].duration > cm02[0].duration  # 0.97 bandwidth factor
+
     def test_platform_names_sorted(self):
         service = self.make()
         service.register_platform("alpha", build_star_cluster("a", 2))
@@ -163,3 +176,37 @@ class TestAnswerMany:
             ForecastQuery.of("g5k_test", transfers)
             for transfers in self.REQUESTS])
         assert answers != plain  # the half factor reached every thread
+
+
+class TestAnswersFromTheComms:
+    """``predict_transfers`` reads its answer straight off the comms that
+    ``simulate_transfers`` returns; the explicit sender/receiver processes
+    (``tests/reference/process.py``) must say the same, field for field."""
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig9"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_transfer_process_records(self, forecast_service,
+                                                 figure, seed):
+        pairs = draw_transfer_pairs(FIGURES[figure].spec, seed)
+        transfers = [(src, dst, 1e5 * 7 ** (i % 5))
+                     for i, (src, dst) in enumerate(pairs)]
+        answer = forecast_service.predict_transfers("g5k_test", transfers)
+        records = explicit_transfers(
+            Simulation(forecast_service.platform("g5k_test"),
+                       forecast_service.model), transfers)
+        assert [(f.src, f.dst, f.size, f.duration) for f in answer] == [
+            (r["src"], r["dst"], r["size"], r["duration"]) for r in records]
+
+    def test_with_ongoing_transfers(self, forecast_service):
+        pairs = draw_transfer_pairs(FIGURES["fig9"].spec, 3)
+        transfers = [(src, dst, 5e8) for src, dst in pairs[:20]]
+        ongoing = [(src, dst, 2e8) for src, dst in pairs[20:30]]
+        answer = forecast_service.predict_transfers(
+            "g5k_test", transfers, ongoing=ongoing)
+        sim = Simulation(forecast_service.platform("g5k_test"),
+                         forecast_service.model)
+        for src, dst, size in ongoing:
+            sim.add_comm(src, dst, size)
+        records = explicit_transfers(sim, transfers)
+        assert [f.duration for f in answer] == [r["duration"] for r in records]
+        assert answer != forecast_service.predict_transfers("g5k_test", transfers)

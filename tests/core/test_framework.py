@@ -105,6 +105,14 @@ class TestHttpEndpoints:
             client.get("/pilgrim/predict_transfers/star",
                        [("transfer", "only-one-field")])
 
+    def test_select_fastest(self, client):
+        result = client.select_fastest("star", {
+            "direct": [("star-1", "star-2", 1e9)],
+            "funnel": [("star-1", "star-2", 1e9), ("star-3", "star-2", 1e9)],
+        })
+        assert result["best"] == "direct"
+        assert result["scores"]["direct"]["simulated"]
+
     def test_select_fastest_unknown_host_is_404(self, client):
         with pytest.raises(NotFound, match="ghost-1"):
             client.select_fastest("star", {

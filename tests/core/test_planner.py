@@ -43,6 +43,43 @@ class TestHypothesisParsing:
 
 
 class TestSelection:
+    def test_picks_faster_destination(self):
+        planner = make_planner()
+        hypotheses = [
+            Hypothesis("to-fast", (TransferSpec("fast-1", "fast-2", 1e9),)),
+            Hypothesis("to-slow", (TransferSpec("fast-1", "slow-1", 1e9),)),
+        ]
+        result = planner.select_fastest(hypotheses)
+        assert result.best == "to-fast"
+        scores = {s.name: s for s in result.scores}
+        assert scores["to-fast"].makespan < scores["to-slow"].makespan
+
+    def test_makespan_is_slowest_transfer(self):
+        planner = make_planner()
+        hyp = Hypothesis("mix", (
+            TransferSpec("fast-1", "fast-2", 1e8),
+            TransferSpec("fast-3", "slow-1", 1e8),
+        ))
+        result = planner.select_fastest([hyp], use_pruning=False)
+        score = result.scores[0]
+        assert score.makespan == pytest.approx(max(score.durations))
+
+    def test_contention_awareness_beats_naive_split(self):
+        # sending both streams into one slow NIC is worse than spreading
+        planner = make_planner()
+        hypotheses = [
+            Hypothesis("funnel", (
+                TransferSpec("fast-1", "slow-1", 1e9),
+                TransferSpec("fast-2", "slow-1", 1e9),
+            )),
+            Hypothesis("spread", (
+                TransferSpec("fast-1", "slow-1", 1e9),
+                TransferSpec("fast-2", "slow-2", 1e9),
+            )),
+        ]
+        result = planner.select_fastest(hypotheses, use_pruning=False)
+        assert result.best == "spread"
+
     def test_duplicate_names_rejected(self):
         planner = make_planner()
         hyp = Hypothesis("same", (TransferSpec("fast-1", "fast-2", 1e8),))
@@ -104,6 +141,17 @@ class TestPruning:
         ]
         pruned = planner.prune(hypotheses)
         assert {h.name for h in pruned} == {"a"}
+
+    def test_selection_identical_with_and_without_pruning(self):
+        planner = make_planner()
+        hypotheses = [
+            Hypothesis("a", (TransferSpec("fast-1", "fast-2", 1e9),)),
+            Hypothesis("b", (TransferSpec("fast-1", "slow-1", 1e9),)),
+            Hypothesis("c", (TransferSpec("fast-3", "fast-4", 2e9),)),
+        ]
+        with_pruning = planner.select_fastest(hypotheses, use_pruning=True)
+        without = planner.select_fastest(hypotheses, use_pruning=False)
+        assert with_pruning.best == without.best
 
 
 class TestEffectiveBounds:

@@ -1,18 +1,18 @@
 """The planning routes over HTTP answer exactly what the service answers.
 
 A Pilgrim server over a dumbbell whose bottleneck horizon series is warm
-(eight observations at 60 % of nominal) serves a POSTed what-if at
-``horizon=3``, and ``/pilgrim/stats`` reports the planning counters (a
-``horizon`` GET: ``tests/test_service_machine.py``).
-The in-process contract behind these routes — bracketing intervals, the
-derated projection — is pinned in ``test_whatif.py``; applied events and
-the restored platform, after every verb, in ``tests/test_service_machine.py``.
+(eight observations at 60 % of nominal) serves a POSTed what-if and a
+``horizon=3`` GET, and ``/pilgrim/stats`` reports the planning counters.
+The in-process contract behind these routes — applied events, bracketing
+intervals, the restored platform, the derated projection — is pinned in
+``test_whatif.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.forecast import ForecastQuery
 from repro.core.framework import Pilgrim
 from repro.core.rest.client import RestClient
 from repro.simgrid.builder import build_dumbbell
@@ -45,6 +45,16 @@ def test_what_if_over_http_is_the_direct_answer(pilgrim, client):
     answer = client.what_if(PLATFORM, TRANSFERS, EVENTS, horizon=3)
     assert answer == pilgrim.forecast.predict_what_if(
         PLATFORM, TRANSFERS, EVENTS, horizon=3).to_json()
+
+
+def test_horizon_get_is_the_projected_answer(pilgrim, client):
+    projected = client.get(
+        f"/pilgrim/predict_transfers/{PLATFORM}",
+        [("transfer", f"{s},{d},{z!r}") for s, d, z in TRANSFERS]
+        + [("horizon", "3")])
+    forecasts, _ = pilgrim.forecast.answer(
+        ForecastQuery.of(PLATFORM, TRANSFERS, horizon=3))
+    assert projected == [f.to_json() for f in forecasts]
 
 
 def test_stats_report_the_planning_counters(pilgrim, client):

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from reference.process import explicit_transfers
 from repro._util.rng import spawn_rngs
 from repro.core.forecast import ForecastQuery, NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
-from repro.horizon.whatif import events_from_json, parse_event
+from repro.horizon.whatif import (
+    events_from_json,
+    parse_event,
+    run_what_if,
+)
+from repro.scenarios.dynamics import schedule_dynamics
 from repro.scenarios.runner import build_scenario_platform, run_scenario
 from repro.scenarios.spec import (
     LinkEvent,
@@ -17,6 +23,7 @@ from repro.scenarios.spec import (
 )
 from repro.scenarios.workloads import generate_workload
 from repro.simgrid.builder import build_dumbbell
+from repro.simgrid.engine import Simulation
 from repro.simgrid.models import CM02, model_by_name
 from repro.simgrid.platform import link_epoch, link_sandbox
 
@@ -58,6 +65,14 @@ class TestEventParsing:
 
 
 class TestSandboxing:
+    def test_transient_states_restore_mutations(self):
+        platform = build_dumbbell()
+        link = platform.link("bottleneck")
+        nominal = link.bandwidth
+        with link_sandbox():
+            link.bandwidth = nominal / 4
+        assert link.bandwidth == nominal
+
     def test_untouched_run_does_not_bump_epoch(self):
         platform = build_dumbbell()
         before = link_epoch()
@@ -65,7 +80,28 @@ class TestSandboxing:
             pass
         assert link_epoch() == before
 
+    def test_run_what_if_restores_the_platform(self):
+        platform = build_dumbbell()
+        nominal = platform.link("bottleneck").bandwidth
+        records, log = run_what_if(platform, CM02(), TRANSFERS, EVENTS)
+        assert platform.link("bottleneck").bandwidth == nominal
+        assert len(log.applied) == len(EVENTS)
+        assert all(r["duration"] > 0 for r in records)
+
+
 class TestEquivalence:
+    def test_bit_identical_to_manual_dynamics_schedule(self):
+        # the acceptance bar: a what-if answer must be indistinguishable
+        # from hand-building the same LinkEvent schedule on the platform
+        records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
+        sim = Simulation(build_dumbbell(), CM02())
+        schedule_dynamics(sim, EVENTS)
+        manual = explicit_transfers(sim, TRANSFERS)
+        assert len(records) == len(manual)
+        for ours, theirs in zip(records, manual):
+            assert abs(ours["duration"] - theirs["duration"]) <= 1e-9
+            assert ours["duration"] == theirs["duration"]  # bit-identical
+
     def test_bit_identical_to_hand_built_scenario_spec(self):
         # same events + workload expressed as a declarative ScenarioSpec and
         # run through the scenario runner must give the same durations
@@ -97,8 +133,41 @@ class TestEquivalence:
         assert [f.duration for f in whatif.forecasts] == \
             [f.duration for f in plain]
 
+    def test_reference_kernel_agrees(self, reference_kernel):
+        baseline, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS, EVENTS)
+        with reference_kernel():
+            records, _ = run_what_if(build_dumbbell(), CM02(), TRANSFERS,
+                                     EVENTS)
+        for ours, theirs in zip(records, baseline):
+            assert ours["duration"] == pytest.approx(theirs["duration"])
+
 
 class TestServiceWhatIf:
+    def test_events_accepted_as_json_dicts(self):
+        service = make_service()
+        from_objects = service.predict_what_if("dumb", TRANSFERS, EVENTS)
+        from_dicts = service.predict_what_if(
+            "dumb", TRANSFERS, [e.to_json() for e in EVENTS])
+        assert [f.duration for f in from_dicts.forecasts] == \
+            [f.duration for f in from_objects.forecasts]
+        assert service.what_if_queries == 2
+
+    def test_degradation_slows_transfers(self):
+        service = make_service()
+        plain = service.predict_transfers("dumb", TRANSFERS)
+        degraded = service.predict_what_if(
+            "dumb", TRANSFERS,
+            [LinkEvent(time=0.5, link="bottleneck", action="degrade",
+                       factor=0.1)])
+        for before, after in zip(plain, degraded.forecasts):
+            assert after.duration > before.duration
+
+    def test_platform_restored_after_service_query(self):
+        service = make_service()
+        nominal = service.platform("dumb").link("bottleneck").bandwidth
+        service.predict_what_if("dumb", TRANSFERS, EVENTS)
+        assert service.platform("dumb").link("bottleneck").bandwidth == nominal
+
     def test_bad_event_payload_is_bad_request(self):
         service = make_service()
         with pytest.raises(BadRequest):
@@ -163,6 +232,14 @@ class TestHorizonIntegration:
         factors = make_service().horizon_capacity_factors(
             "dumb", 5, combine={"bottleneck": 0.5})
         assert factors == {"bottleneck": 0.5}
+
+    def test_predict_at_cold_platform_is_point_forecast(self):
+        service = make_service()
+        forecasts = service.answer(ForecastQuery.of("dumb", TRANSFERS, horizon=3))[0]
+        plain = service.predict_transfers("dumb", TRANSFERS)
+        assert [f.duration for f in forecasts] == [f.duration for f in plain]
+        assert all(f.lower is None and f.upper is None for f in forecasts)
+        assert service.horizon_queries == 1
 
     def test_predict_at_projects_derated_bottleneck(self):
         service = self.warm_service(derate=0.5)

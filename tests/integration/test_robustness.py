@@ -86,3 +86,20 @@ class TestSeedSensitivity:
         series = run_experiment(spec, forecast_service, g5k_testbed,
                                 seed=seed, repetitions=1, sizes=(1e5,))
         assert series.points[0].median_error < -2.0
+
+
+class TestPlatformMutation:
+    def test_latency_update_affects_next_request_only(self, forecast_service):
+        # fresh platform so mutations don't leak into other tests
+        from repro.g5k.converter import to_simgrid_platform
+        from repro.g5k.sites import grid5000_dev_reference
+
+        platform = to_simgrid_platform(grid5000_dev_reference(), "g5k_test",
+                                       sites=("lyon",))
+        forecast_service.register_platform("mutable", platform)
+        transfer = [("sagittaire-1.lyon.grid5000.fr",
+                     "sagittaire-2.lyon.grid5000.fr", 1e6)]
+        before = forecast_service.predict_transfers("mutable", transfer)[0]
+        platform.link("sagittaire-1.lyon.grid5000.fr-link").latency *= 10
+        after = forecast_service.predict_transfers("mutable", transfer)[0]
+        assert after.duration > before.duration

@@ -74,6 +74,15 @@ def ground_truth(queries):
 # -- correctness over HTTP ---------------------------------------------------------
 
 
+def test_get_and_post_match_serial_ground_truth(gateway, queries,
+                                                ground_truth):
+    with RestClient(gateway.url) as client:
+        for qi, transfers in enumerate(queries):
+            assert client.predict_transfers(
+                STAR_PLATFORM, transfers) == ground_truth[qi]
+            assert post_predict(client, STAR_PLATFORM, transfers) == ground_truth[qi]
+
+
 def test_unknown_platform_404(gateway):
     with RestClient(gateway.url) as client:
         from repro.core.rest.errors import ApiError

@@ -5,11 +5,9 @@ request cross the pipe?), never on timing.  The properties pinned here:
 
 - a hit is the byte string the filling miss returned, and decodes to an
   in-process ``predict_transfers``;
-- a ``what_if`` writes its shard's links only transiently and retires
-  none, front end or shard (that a parent link write retires its
-  platform's entries, ``tests/test_service_machine.py`` checks through the
-  answers, and ``tests/serving/test_platform_stamps.py`` that it retires
-  no other platform's);
+- a parent link write retires its platform's older entries (the other
+  platforms': ``tests/serving/test_platform_stamps.py``); a ``what_if`` writes its
+  shard's links only transiently and retires none, front end or shard;
 - a read that *overlapped* a write or a what-if is never served from
   either tier;
 - only what the shard's own ``ForecastCache`` may answer is stored (200,
@@ -183,6 +181,31 @@ def test_stats_count_a_front_end_hit_as_a_hit_of_the_shards_cache_tier(
     assert after["front_hits"] == top["response_cache"]["hits"]  # one shard
     assert {"hits", "misses", "evictions", "size", "maxsize",
             "fills_refused", "uncacheable"} <= set(top["response_cache"])
+
+
+# -- invalidation: parent link writes --------------------------------------------
+
+
+def test_link_write_between_identical_requests_changes_the_answer(gateway):
+    link = gateway.service.platform(STAR_PLATFORM).link(LINK)
+    original = link.bandwidth
+    with Client(gateway) as client:
+        _, first = client.post(QUERIES[0])
+        assert client.post(QUERIES[0])[1] == first  # cached
+        link.bandwidth = original / 2
+        try:
+            before = dispatched(gateway)
+            _, second = client.post(QUERIES[0])
+            assert dispatched(gateway) == before + 1
+            assert second != first
+            assert json.loads(second) == truth(QUERIES[0],
+                                               bandwidth_factor=0.5)
+        finally:
+            link.bandwidth = original
+        # restoring is a write too: the answer swings back, from the shard
+        before = dispatched(gateway)
+        assert client.post(QUERIES[0])[1] == first
+        assert dispatched(gateway) == before + 1
 
 
 # -- overlap: requests parked inside the shard ---------------------------------------

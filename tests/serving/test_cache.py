@@ -13,7 +13,7 @@ from repro.core.forecast import TransferForecast, TransferSpec, transfer_triples
 from repro.serving.cache import ForecastCache, forecast_cache_key
 from repro.simgrid.builder import build_dumbbell
 from repro.simgrid.models import CM02, LV08
-from repro.simgrid.platform import link_sandbox
+from repro.simgrid.platform import link_sandbox, link_state_version
 
 
 def forecast(i: int) -> TransferForecast:
@@ -118,12 +118,30 @@ def key_on(platform, transfers, name="p") -> tuple:
 
 
 class TestEpochInvalidation:
+    def test_link_mutation_moves_the_key(self, star4):
+        before = key_on(star4, [("a", "b", 1e6)])
+        link = next(iter(star4.links()))
+        link.bandwidth = link.bandwidth * 0.5  # stamps star4
+        after = key_on(star4, [("a", "b", 1e6)])
+        assert before != after
+        assert after[1] == star4.state_stamp == link_state_version()
+
     def test_another_platforms_mutation_leaves_the_key(self, star4):
         other = build_dumbbell()
         before = key_on(star4, [("a", "b", 1e6)])
         link = other.link("bottleneck")
         link.bandwidth = link.bandwidth * 0.5
         assert key_on(star4, [("a", "b", 1e6)]) == before
+
+    def test_stale_entries_become_unreachable(self, star4):
+        cache = ForecastCache(maxsize=8)
+        key = key_on(star4, [("a", "b", 1e6)])
+        cache.put(key, [forecast(1)])
+        link = next(iter(star4.links()))
+        link.latency = link.latency + 1e-6
+        fresh = key_on(star4, [("a", "b", 1e6)])
+        assert cache.get(fresh) is None  # recalibration invalidated the hit
+
 
     def test_epoch_bump_drops_the_dead_entries(self, star4):
         cache = ForecastCache(maxsize=8)

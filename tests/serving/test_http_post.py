@@ -51,6 +51,26 @@ class TestHTTPPost:
         assert len(answers) == 300
         assert all(a["duration"] > 0 for a in answers)
 
+    def test_post_matches_get(self, http, hosts):
+        pairs = [(hosts[0], hosts[1], 5e7), (hosts[2], hosts[3], 1e8)]
+        via_get = http.predict_transfers(STAR_PLATFORM, pairs)
+        via_post = post_predict(http, STAR_PLATFORM, pairs)
+        assert via_get == via_post
+
+    def test_ongoing_in_body(self, http, hosts):
+        pairs = [(hosts[0], hosts[1], 5e7)]
+        alone = post_predict(http, STAR_PLATFORM, pairs)
+        contended = post_predict(http, STAR_PLATFORM, pairs,
+                                 ongoing=[(hosts[0], hosts[2], 1e9)])
+        assert contended[0]["duration"] >= alone[0]["duration"]
+
+    def test_explicit_empty_ongoing_accepted(self, http, hosts):
+        # a client that always serializes the field must not be rejected
+        answers = http.post(
+            f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+            {"transfers": [[hosts[0], hosts[1], 5e7]], "ongoing": []})
+        assert len(answers) == 1
+
     @pytest.mark.parametrize("transfers", [
         None, [], [[0, 1]], [[0, 1, -5]],
     ], ids=["no_transfers", "empty", "no_size", "negative_size"])
@@ -91,6 +111,27 @@ class TestHTTPPost:
 
 class TestModelSelection:
     """The ``model`` request field: named sharing-model override per call."""
+
+    def test_post_model_field_changes_forecast(self, http, hosts):
+        pairs = [[hosts[0], hosts[1], 5e7]]
+        default = http.post(
+            f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+            {"transfers": pairs})
+        fluid = http.post(
+            f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+            {"transfers": pairs, "model": "tcp_fluid"})
+        assert fluid[0]["duration"] != default[0]["duration"]
+
+    def test_get_model_param_matches_post(self, http, hosts):
+        via_get = http.get(
+            f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+            [("transfer", f"{hosts[0]},{hosts[1]},5e7"),
+             ("model", "tcp_fluid")])
+        via_post = http.post(
+            f"/pilgrim/predict_transfers/{STAR_PLATFORM}",
+            {"transfers": [[hosts[0], hosts[1], 5e7]],
+             "model": "tcp_fluid"})
+        assert via_get == via_post
 
     def test_unknown_model_is_400_listing_registered(self, http, hosts):
         with pytest.raises(BadRequest, match="LV08"):

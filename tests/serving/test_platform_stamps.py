@@ -67,6 +67,20 @@ def test_a_write_on_another_platform_leaves_the_answers_hittable(serving):
     assert cache_counts(serving) == (hits + 1, misses + 1)
 
 
+def test_a_write_on_the_platform_retires_its_answers(serving):
+    first = serving.predict(A, TRANSFERS[A])
+    serving.predict(B, TRANSFERS[B])
+    link = uplink(serving.service, A)
+    link.bandwidth = link.bandwidth / 2
+    hits, misses = cache_counts(serving)
+    fresh = serving.predict(A, TRANSFERS[A])
+    assert fresh == truth(A, 0.5) and fresh != first
+    assert cache_counts(serving) == (hits, misses + 1)
+    # B's answer survived A's retirement
+    serving.predict(B, TRANSFERS[B])
+    assert cache_counts(serving) == (hits + 1, misses + 1)
+
+
 def test_the_single_flight_key_follows_its_own_platform_only(serving):
     query = ForecastQuery.of(A, TRANSFERS[A], model=serving.service.model)
     key = serving.query_key(query)

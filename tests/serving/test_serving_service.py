@@ -10,6 +10,7 @@ import pytest
 from repro.core.forecast import NetworkForecastService
 from repro.core.rest.errors import BadRequest, NotFound
 from repro.serving.service import ForecastServingService
+from repro.simgrid.models import CM02
 from repro.simgrid.platform import Platform
 from serving_helpers import STAR_PLATFORM, star_forecast_service
 
@@ -49,6 +50,18 @@ class TestInlineServing:
             stats = serving.stats()
         assert stats["cache"]["hits"] == 0
         assert stats["cache"]["misses"] == 2
+
+    def test_model_and_ongoing_reach_the_simulation(self, star_service, hosts):
+        transfers = [(hosts[0], hosts[1], 5e7)]
+        ongoing = [(hosts[0], hosts[2], 1e8)]
+        direct = star_service.predict_transfers(
+            STAR_PLATFORM, transfers, model=CM02(), ongoing=ongoing)
+        with ForecastServingService(star_service) as serving:
+            served = serving.predict(STAR_PLATFORM, transfers, model=CM02(),
+                                     ongoing=ongoing)
+        assert served == direct
+        plain = star_service.predict_transfers(STAR_PLATFORM, transfers)
+        assert served != plain  # the knobs actually changed the answer
 
     def test_cache_off_every_ask_of_a_burst_simulates(self, star_service,
                                                       hosts):
@@ -137,6 +150,25 @@ class TestInlineServing:
                 serving.predict(STAR_PLATFORM, [("ghost", hosts[1], 1e6)])
             with pytest.raises(BadRequest):
                 serving.predict(STAR_PLATFORM, [])
+
+    def test_epoch_invalidation_reflects_recalibration(self, star_service,
+                                                       hosts):
+        transfers = [(hosts[0], hosts[1], 5e7)]
+        platform = star_service.platform(STAR_PLATFORM)
+        link = next(iter(platform.links()))
+        original = link.bandwidth
+        with ForecastServingService(star_service) as serving:
+            before = serving.predict(STAR_PLATFORM, transfers)
+            try:
+                link.bandwidth = original * 0.5  # dynamics-style recalibration
+                after = serving.predict(STAR_PLATFORM, transfers)
+                stats = serving.stats()
+            finally:
+                link.bandwidth = original
+        assert after[0].duration > before[0].duration
+        # both asks were misses: the epoch moved, no stale hit was served
+        assert stats["cache"]["hits"] == 0
+        assert stats["cache"]["misses"] == 2
 
     def test_a_replaced_platform_retires_its_cached_answers(self):
         """Re-registering a name with a slower link must not keep serving
