@@ -68,7 +68,7 @@ class BoundedLRU:
     def clear(self) -> None:
         self._entries.clear()
 
-    def info(self) -> dict:
+    def stats(self) -> dict:
         """Counters snapshot: hits, misses, evictions, size, maxsize."""
         return {
             "hits": self.hits,

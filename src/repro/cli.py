@@ -91,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--shards", type=int, default=0,
-                       help="shard processes behind the async gateway "
-                            "(0 = the classic single-process threaded "
-                            "server, the default); each shard owns its "
+                       help="shard processes behind the gateway's "
+                            "threaded listener (0 = one process, no "
+                            "gateway, the default); each shard owns its "
                             "own serving stack and cache")
     serve.add_argument("--max-inflight", type=int, default=1280,
                        help="gateway admission: requests in flight at "
@@ -678,7 +678,7 @@ def _cmd_metrology_run(args, out) -> int:
               f"{stats['updates_applied']} updates applied, "
               f"{stats['updates_skipped']} skipped by hysteresis, "
               f"{stats['reanchors']} reference re-anchors\n")
-    cache = serving.cache.info()
+    cache = serving.cache.stats()
     out.write(f"serving cache: {cache['hits']} hits, {cache['misses']} "
               f"misses (epoch bumps invalidate implicitly)\n")
     if recalibrated_errors:

@@ -495,7 +495,7 @@ class NetworkForecastService:
             "what_if_queries": self.what_if_queries,
             "horizon_queries": self.horizon_queries,
             "horizons": {
-                name: state.info() for name, state in sorted(
+                name: state.stats() for name, state in sorted(
                     self._horizons.items())
             },
         }

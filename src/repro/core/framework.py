@@ -24,11 +24,7 @@ from repro.core.metrology import MetrologyService
 from repro.core.planner import Hypothesis, TransferPlanner
 from repro.core.rest.errors import BadRequest
 from repro.core.rest.router import Request, Router
-from repro.core.rest.server import (
-    DEFAULT_MAX_BODY,
-    PilgrimHTTPServer,
-    router_app,
-)
+from repro.core.rest.server import PilgrimHTTPServer, router_app
 from repro.core.workflow import WorkflowForecastService
 from repro.horizon.whatif import events_from_json
 from repro.metrology.collectors import MetricRegistry
@@ -264,8 +260,8 @@ class Pilgrim:
 
         return router
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0,
-              max_body_bytes: int = DEFAULT_MAX_BODY) -> PilgrimHTTPServer:
+    def serve(self, host: str = "127.0.0.1",
+              port: int = 0) -> PilgrimHTTPServer:
         """An HTTP server (not yet started) exposing all services."""
         return PilgrimHTTPServer(router_app(self.build_router()), host=host,
-                                 port=port, max_body_bytes=max_body_bytes)
+                                 port=port)

@@ -48,9 +48,6 @@ from repro.core.rest.http_codec import (
 )
 from repro.core.rest.router import Request, Router
 
-#: Default request-body cap (bytes).
-DEFAULT_MAX_BODY = 8 * 1024 * 1024
-
 #: ``app`` contract: (method, target, body) → (status, payload, headers);
 #: ``payload`` is ``bytes`` (an encoded JSON body) or a JSON-able object,
 #: ``headers`` extra response headers or ``None``.
@@ -138,11 +135,13 @@ class PilgrimHTTPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True  # a restart may take the port back at once
     request_queue_size = LISTEN_BACKLOG  # socketserver's default is 5
+    #: request-body cap (bytes): a larger ``Content-Length`` is a 413,
+    #: answered before the body is read
+    max_body_bytes = 8 * 1024 * 1024
 
-    def __init__(self, app: App, host: str = "127.0.0.1", port: int = 0,
-                 max_body_bytes: int = DEFAULT_MAX_BODY) -> None:
+    def __init__(self, app: App, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
         self.app = app
-        self.max_body_bytes = int(max_body_bytes)
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         #: open connections: socket → the thread serving it
@@ -172,7 +171,7 @@ class PilgrimHTTPServer(socketserver.ThreadingTCPServer):
         with self._lock:
             self._counts[name] += 1
 
-    def counters(self) -> dict:
+    def stats(self) -> dict:
         """Connection churn and transport failures (JSON-able)."""
         with self._lock:
             counts, active = dict(self._counts), len(self._open)

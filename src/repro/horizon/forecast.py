@@ -336,7 +336,7 @@ class PlatformHorizon:
             factors[name] = min(1.0, max(factor, MIN_CAPACITY_FACTOR))
         return factors
 
-    def info(self) -> dict:
+    def stats(self) -> dict:
         """Counters for ``/pilgrim/stats``."""
         with self._lock:
             return {

@@ -168,8 +168,8 @@ class ForecastCache(BoundedLRU):
         with self._lock:
             super().clear()
 
-    def info(self) -> dict:
+    def stats(self) -> dict:
         """Counters snapshot: enabled, hits, misses, evictions, size,
         maxsize."""
         with self._lock:
-            return {"enabled": self.enabled, **super().info()}
+            return {"enabled": self.enabled, **super().stats()}

@@ -18,12 +18,13 @@ import threading
 class AdmissionController:
     """Thread-safe in-flight accounting with a shed threshold."""
 
-    def __init__(self, max_inflight: int = 1280,
-                 retry_after_s: float = 1.0) -> None:
+    #: the Retry-After hint (seconds) of a shed response
+    retry_after_s = 1.0
+
+    def __init__(self, max_inflight: int = 1280) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = int(max_inflight)
-        self.retry_after_s = float(retry_after_s)
         self._lock = threading.Lock()
         self.in_flight = 0
         # lifetime counters
@@ -49,11 +50,7 @@ class AdmissionController:
                 raise RuntimeError("release() without a matching try_admit()")
             self.in_flight -= 1
 
-    def retry_after(self) -> float:
-        """The Retry-After hint (seconds) for a shed response."""
-        return self.retry_after_s
-
-    def snapshot(self) -> dict:
+    def stats(self) -> dict:
         with self._lock:
             return {
                 "max_inflight": self.max_inflight,

@@ -101,9 +101,6 @@ class GatewayConfig:
     port: int = 0
     #: admission's shed threshold: requests in flight at once
     max_inflight: int = 1280
-    retry_after_s: float = 1.0
-    max_body_bytes: int = 8 * 1024 * 1024
-    request_timeout: float = 60.0
     #: accepted as 0 only (see check_inline)
     window: float = 0.0
     #: per-shard forecast cache entries (see ForecastServingService)
@@ -289,6 +286,9 @@ class ShardedGateway:
     shards).
     """
 
+    #: seconds a request waits on its shard before it is answered 504
+    request_timeout = 60.0
+
     def __init__(
         self,
         service_factory: Callable[[], NetworkForecastService],
@@ -299,10 +299,7 @@ class ShardedGateway:
         self.service_factory = service_factory
         self.service = service if service is not None else service_factory()
         self.metrics = GatewayMetrics()
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            retry_after_s=self.config.retry_after_s,
-        )
+        self.admission = AdmissionController(self.config.max_inflight)
         self.ring = ConsistentHashRing(range(self.config.shards))
         self.shards: list[ShardHandle] = []
         self.listener: Optional[PilgrimHTTPServer] = None
@@ -340,7 +337,6 @@ class ShardedGateway:
                                      f"during startup")
             self.listener = PilgrimHTTPServer(
                 self._handle, host=self.config.host, port=self.config.port,
-                max_body_bytes=self.config.max_body_bytes,
             ).start()
         except BaseException:
             self.stop()
@@ -438,7 +434,7 @@ class ShardedGateway:
             self.metrics.record(route, time.perf_counter() - t0, status)
             return status, payload, {}
         if not self.admission.try_admit():
-            retry_after = self.admission.retry_after()
+            retry_after = self.admission.retry_after_s
             payload = {
                 "error": "ServiceUnavailable", "status": 503,
                 "message": "gateway at admission limit, retry later",
@@ -480,12 +476,12 @@ class ShardedGateway:
             future = handle.request(method, target, body,
                                     what_if=route == "what_if")
             status, payload, cacheable = future.result(
-                timeout=self.config.request_timeout)
+                timeout=self.request_timeout)
         except TimeoutError:
             return 504, {"error": "GatewayTimeout", "status": 504,
                          "message": f"shard {handle.shard_id} did not "
                                     f"answer within "
-                                    f"{self.config.request_timeout:g}s"}
+                                    f"{self.request_timeout:g}s"}
         except ShardError as exc:
             return 503, ServiceUnavailable(str(exc)).to_json()
         with self._cache_lock:
@@ -531,12 +527,12 @@ class ShardedGateway:
     def stats(self) -> dict:
         """Gateway-local counters (shard internals come from the shards)."""
         with self._cache_lock:
-            response_cache = {**self.response_cache.info(),
+            response_cache = {**self.response_cache.stats(),
                               "fills_refused": self.fills_refused,
                               "uncacheable": self.uncacheable}
         return {
             "shards": self.config.shards,
-            "admission": self.admission.snapshot(),
+            "admission": self.admission.stats(),
             "epoch": {"parent": link_state_version(),
                       "synced": self._synced_version,
                       "syncs": self.epoch_syncs},
@@ -544,7 +540,6 @@ class ShardedGateway:
             "shard_dispatched": [h.dispatched for h in self.shards],
             "shard_alive": [h.alive for h in self.shards],
             "response_cache": response_cache,
-            **self.metrics.snapshot(),
-            **(self.listener.counters() if self.listener is not None
-               else {}),
+            **self.metrics.stats(),
+            **(self.listener.stats() if self.listener is not None else {}),
         }

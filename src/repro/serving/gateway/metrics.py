@@ -1,11 +1,11 @@
-"""SLO metrics for the gateway: per-route latency percentiles + counters.
+"""SLO metrics: latency percentiles + counters.
 
-The single-process serving layer's :class:`LatencyCounter` keeps
-count/mean/max — enough for a test, useless for an SLO.  The gateway keeps
-a bounded reservoir of recent latencies per route and computes p50/p99 at
-read time, and counts responses by status family.  Connection churn and
+One latency type, :class:`LatencyReservoir`, serves every layer: the
+serving service keeps one, and the gateway one per route.  It keeps a
+bounded window of recent latencies and computes p50/p99 at read time.  The
+gateway also counts responses by status family.  Connection churn and
 transport errors are the listener's own counters
-(:meth:`~repro.core.rest.server.PilgrimHTTPServer.counters`).
+(:meth:`~repro.core.rest.server.PilgrimHTTPServer.stats`).
 
 Everything here is thread-safe under one lock per reservoir; reads
 (``GET /pilgrim/stats``) snapshot rather than stall the hot path.
@@ -59,7 +59,7 @@ class LatencyReservoir:
                 self._ring[self._next] = seconds
                 self._next = (self._next + 1) % self.size
 
-    def snapshot(self) -> dict:
+    def stats(self) -> dict:
         """Counters + p50/p99 over the retained window (JSON-able)."""
         with self._lock:
             window = sorted(self._ring)
@@ -110,11 +110,11 @@ class GatewayMetrics:
         with self._lock:
             self.responses[family] = self.responses.get(family, 0) + 1
 
-    def snapshot(self) -> dict:
+    def stats(self) -> dict:
         with self._lock:
             responses = dict(self.responses)
         return {
-            "routes": {name: res.snapshot()
+            "routes": {name: res.stats()
                        for name, res in self._routes.items()},
             "responses": responses,
         }

@@ -110,7 +110,6 @@ def shard_main(
     from repro.core.rest.json_codec import dumps
     from repro.core.rest.router import Request
     from repro.serving.gateway.metrics import GatewayMetrics
-    from repro.simgrid.platform import link_epoch
 
     service = service_factory()
     if model_name is not None:
@@ -165,19 +164,6 @@ def shard_main(
             encoded = dumps(internal_error(exc)).encode("utf-8")
         send((RES, rid, status, encoded, cacheable))
 
-    def stats_payload() -> dict:
-        return {
-            "shard": shard_id,
-            "pid": os.getpid(),
-            "epoch": link_epoch(),
-            "requests": counters["requests"],
-            "errors": counters["errors"],
-            "syncs": counters["syncs"],
-            "links_updated": counters["links_updated"],
-            "platforms": sorted(platforms),
-            "serving": serving.stats(),
-        }
-
     executor = ThreadPoolExecutor(max_workers=max(1, threads),
                                   thread_name_prefix=f"shard{shard_id}")
     send((READY, os.getpid()))
@@ -202,7 +188,10 @@ def shard_main(
                     service, link_states)
             elif tag == STATS:
                 _, rid = message
-                send((RES, rid, 200, stats_payload(), False))
+                send((RES, rid, 200, {
+                    "shard": shard_id, "pid": os.getpid(), **counters,
+                    "platforms": sorted(platforms),
+                    "serving": serving.stats()}, False))
             elif tag == STOP:
                 break
     except KeyboardInterrupt:

@@ -30,7 +30,6 @@ exact path untainted.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Iterable, Optional, Sequence
 
@@ -41,32 +40,7 @@ from repro.core.forecast import (
     TransferSpec,
 )
 from repro.serving.cache import ForecastCache
-
-
-class LatencyCounter:
-    """Wall-clock request latency: count / mean / max, thread-safe."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self.total_s += seconds
-            self.max_s = max(self.max_s, seconds)
-
-    def info(self) -> dict:
-        with self._lock:
-            mean = self.total_s / self.count if self.count else 0.0
-            return {
-                "count": self.count,
-                "total_s": self.total_s,
-                "mean_s": mean,
-                "max_s": self.max_s,
-            }
+from repro.serving.gateway.metrics import LatencyReservoir
 
 
 def check_inline(workers: int, window: float) -> None:
@@ -101,7 +75,7 @@ class ForecastServingService:
         self.service = service
         self.surrogate = surrogate  # SurrogateTier or None
         self.cache = ForecastCache(maxsize=cache_size)
-        self.latency = LatencyCounter()
+        self.latency = LatencyReservoir()
 
     def __enter__(self) -> "ForecastServingService":
         return self
@@ -156,6 +130,6 @@ class ForecastServingService:
             "surrogate": (self.surrogate.stats()
                           if self.surrogate is not None
                           else {"enabled": False}),
-            "cache": self.cache.info(),
-            "latency": self.latency.info(),
+            "cache": self.cache.stats(),
+            "latency": self.latency.stats(),
         }

@@ -426,7 +426,7 @@ class RouteEntry(tuple):
 
     def reversed(self) -> "RouteEntry":
         return RouteEntry([use.reversed() for use in reversed(self)],
-                          self.gw_dst, self.gw_src)
+                          self.gw_dst, self.gw_src, self.symmetrical)
 
 
 class _MarkedEntry(RouteEntry):
@@ -884,7 +884,7 @@ class Platform:
 
     def route_cache_info(self) -> dict:
         """Route store counters (hits, misses, evictions, size)."""
-        return self._route_cache.info()
+        return self._route_cache.stats()
 
     def _as_chain(self, point: NetPoint) -> list[AutonomousSystem]:
         """ASes from the root down to (and including) the one holding ``point``."""

@@ -55,13 +55,11 @@ PAIR = f"{SRC},{DST}"
 def _deployment(name: str):
     """One deployment over a star platform, not yet started."""
     if name == "gateway":
-        return ShardedGateway(star_factory(N_HOSTS), GatewayConfig(
-            shards=1, max_body_bytes=MAX_BODY,
-            request_timeout=30.0))
+        return ShardedGateway(star_factory(N_HOSTS), GatewayConfig(shards=1))
     service = star_forecast_service(N_HOSTS)
     pilgrim = Pilgrim(
         platforms={STAR_PLATFORM: service.platform(STAR_PLATFORM)})
-    return pilgrim.serve(max_body_bytes=MAX_BODY)
+    return pilgrim.serve()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +68,8 @@ def servers():
     first: its shard forks while no server thread runs."""
     with _deployment("gateway") as gateway, \
             _deployment("pilgrim") as server:
+        for listener in (gateway.listener, server):
+            listener.max_body_bytes = MAX_BODY
         yield {"pilgrim": server.address, "gateway": gateway.address}
 
 

@@ -206,6 +206,6 @@ class TestPlatformHorizon:
     def test_info_counters(self):
         horizon = PlatformHorizon(build_dumbbell())
         horizon.observe("bottleneck", 1e8, weight=4)
-        info = horizon.info()
+        info = horizon.stats()
         assert info["links"] == 1
         assert info["observations"] == 4

@@ -59,7 +59,7 @@ def test_recalibrated_beats_static(cache_size):
                 recal_errors.append(evaluation.err_recalibrated)
                 static_errors.append(evaluation.err_static)
         if cache_size:
-            assert serving.cache.info()["misses"] >= 1
+            assert serving.cache.stats()["misses"] >= 1
     assert recal_errors, "degradation never fired"
     assert demo.loop.stats.updates_applied >= 1, (
         "the loop never recalibrated the platform")

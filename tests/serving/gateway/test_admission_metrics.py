@@ -24,7 +24,7 @@ class TestAdmission:
         assert admission.try_admit()
         assert admission.try_admit()
         assert not admission.try_admit()  # shed
-        assert admission.snapshot() == {
+        assert admission.stats() == {
             "max_inflight": 3, "in_flight": 3, "admitted": 3, "shed": 1,
             "peak_in_flight": 3}
 
@@ -68,7 +68,7 @@ class TestPercentiles:
         reservoir = LatencyReservoir(size=8)
         for ms in (1, 2, 3, 4):
             reservoir.record(ms / 1e3)
-        snap = reservoir.snapshot()
+        snap = reservoir.stats()
         assert snap["count"] == 4
         assert snap["window"] == 4
         assert snap["p50_ms"] == pytest.approx(3.0)
@@ -78,7 +78,7 @@ class TestPercentiles:
         reservoir = LatencyReservoir(size=4)
         for v in range(100):
             reservoir.record(float(v))
-        snap = reservoir.snapshot()
+        snap = reservoir.stats()
         assert snap["count"] == 100
         assert snap["window"] == 4
         # the ring holds the last 4 samples: 96..99
@@ -99,7 +99,7 @@ class TestGatewayMetrics:
         metrics = GatewayMetrics()
         metrics.record("predict_transfers", 0.010, 200)
         metrics.record("predict_transfers", 0.020, 503)
-        snap = metrics.snapshot()
+        snap = metrics.stats()
         assert snap["routes"]["predict_transfers"]["count"] == 2
         assert snap["responses"] == {"2xx": 1, "5xx": 1}
 
@@ -110,14 +110,14 @@ class TestGatewayMetrics:
         with PilgrimHTTPServer(app) as server:
             with socket.create_connection(server.address, timeout=10.0):
                 deadline = time.monotonic() + 10.0
-                while server.counters()["connections"]["active"] != 1:
+                while server.stats()["connections"]["active"] != 1:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
-                assert server.counters()["connections"]["opened"] == 1
-            while server.counters()["connections"]["active"] != 0:
+                assert server.stats()["connections"]["opened"] == 1
+            while server.stats()["connections"]["active"] != 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-        assert server.counters() == {
+        assert server.stats() == {
             "connections": {"opened": 1, "active": 0},
             "errors": {"parse_errors": 0, "oversized": 0, "disconnects": 0}}
 

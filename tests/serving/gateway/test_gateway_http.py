@@ -35,9 +35,9 @@ MAX_BODY = 64 * 1024
 
 @pytest.fixture(scope="module")
 def gateway():
-    config = GatewayConfig(shards=2, max_body_bytes=MAX_BODY,
-                           request_timeout=30.0)
-    with ShardedGateway(star_factory(N_HOSTS), config) as gw:
+    with ShardedGateway(star_factory(N_HOSTS),
+                        GatewayConfig(shards=2)) as gw:
+        gw.listener.max_body_bytes = MAX_BODY
         yield gw
 
 
@@ -96,8 +96,8 @@ def test_unparseable_target_is_a_400_document_not_a_dropped_connection(
         gateway, queries, ground_truth):
     import json
 
-    in_flight = gateway.admission.snapshot()["in_flight"]
-    bad_before = gateway.metrics.snapshot()["responses"].get("4xx", 0)
+    in_flight = gateway.admission.stats()["in_flight"]
+    bad_before = gateway.metrics.stats()["responses"].get("4xx", 0)
     with RawHttp(gateway.address) as conn:
         # urlsplit raises "Invalid IPv6 URL" on this one
         conn.send(raw_request("GET", "//[bad"))
@@ -109,8 +109,8 @@ def test_unparseable_target_is_a_400_document_not_a_dropped_connection(
         # the stream is still framed: the connection answers the next request
         assert headers.get("connection") == "keep-alive"
         assert conn.exchange("GET", "/pilgrim/platforms")[0] == 200
-    assert gateway.admission.snapshot()["in_flight"] == in_flight
-    assert (gateway.metrics.snapshot()["responses"].get("4xx", 0)
+    assert gateway.admission.stats()["in_flight"] == in_flight
+    assert (gateway.metrics.stats()["responses"].get("4xx", 0)
             == bad_before + 1)
 
 
@@ -122,7 +122,7 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
         raise RuntimeError("boom")
 
     monkeypatch.setattr(gateway, "_dispatch", broken)
-    errors_before = gateway.metrics.snapshot()["responses"].get("5xx", 0)
+    errors_before = gateway.metrics.stats()["responses"].get("5xx", 0)
     with RawHttp(gateway.address) as conn:
         conn.send(raw_request("GET", "/pilgrim/platforms"))
         status, headers, body = conn.read()
@@ -133,9 +133,9 @@ def test_exception_escaping_dispatch_is_a_complete_500_and_is_accounted(
         assert conn.at_eof(), "server closes after the 500"
     monkeypatch.undo()
     # recorded as a 5xx under an explicit status, slot given back
-    assert (gateway.metrics.snapshot()["responses"].get("5xx", 0)
+    assert (gateway.metrics.stats()["responses"].get("5xx", 0)
             == errors_before + 1)
-    assert gateway.admission.snapshot()["in_flight"] == 0
+    assert gateway.admission.stats()["in_flight"] == 0
     with RestClient(gateway.url) as client:
         assert post_predict(client, STAR_PLATFORM, queries[0]) == ground_truth[0]
 
@@ -261,8 +261,12 @@ def test_stats_schema_aggregates_gateway_and_shards(gateway):
     assert len(stats["shards"]) == 2
     for shard_stats in stats["shards"]:
         assert shard_stats["alive"]
-        for key in ("shard", "pid", "epoch", "requests", "serving"):
+        for key in ("shard", "pid", "syncs", "links_updated", "requests",
+                    "serving"):
             assert key in shard_stats, f"shard stats missing {key}"
+        assert "epoch" not in shard_stats
+        # one latency type: a shard's service reads like a gateway route
+        assert set(shard_stats["serving"]["latency"]) == set(route)
     pids = {s["pid"] for s in stats["shards"]}
     assert len(pids) == 2, "shards must be distinct processes"
 
@@ -278,7 +282,10 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
 
     new_truth = ground_truth_for(queries, mutate=halve)
     assert new_truth != ground_truth, "mutation must change some answer"
+    gateway.sync_epoch()  # nothing else pending on the shards
     syncs = gateway.stats()["epoch"]["syncs"]
+    with RestClient(gateway.url) as client:
+        updated = [s["links_updated"] for s in client.stats()["shards"]]
     link.bandwidth = original / 2  # parent-side recalibration
     try:
         with RestClient(gateway.url) as client:
@@ -291,9 +298,9 @@ def test_epoch_bump_propagates_to_every_shard(gateway, queries,
         assert stats["gateway"]["epoch"]["syncs"] == syncs + 1
         assert (stats["gateway"]["epoch"]["parent"]
                 == stats["gateway"]["epoch"]["synced"])
-        shard_epochs = [s["epoch"] for s in stats["shards"]]
-        assert all(e >= 1 for e in shard_epochs), (
-            "every shard must have applied the link mutation locally")
+        # every shard applied the one write, and only it
+        assert [s["links_updated"] for s in stats["shards"]] == [
+            n + 1 for n in updated]
     finally:
         link.bandwidth = original
     # restoring is itself an epoch bump: answers must swing back too
@@ -330,9 +337,9 @@ def test_loadgen_swarm_zero_errors_bit_identical(gateway, queries,
 def test_overload_swarm_sheds_cleanly_and_never_hangs(queries, ground_truth):
     # a budget of 4 against 16 keep-alive clients: every offered request
     # either completes with the serial answer or sheds as 503 + Retry-After
-    tiny = GatewayConfig(shards=2, cache_size=0, max_inflight=4,
-                         retry_after_s=0.5)
+    tiny = GatewayConfig(shards=2, cache_size=0, max_inflight=4)
     with ShardedGateway(star_factory(N_HOSTS), tiny) as gateway:
+        gateway.admission.retry_after_s = 0.5
         host, port = gateway.address
         report = run_load(host, port, load_queries(queries), clients=16,
                           requests_per_client=3)

@@ -150,13 +150,13 @@ def test_hit_is_byte_identical_and_never_reaches_the_shard(gateway):
 def test_hits_are_admitted_and_recorded_under_their_route(gateway):
     with Client(gateway) as client:
         client.post(QUERIES[0])
-        admitted = gateway.admission.snapshot()["admitted"]
+        admitted = gateway.admission.stats()["admitted"]
         count = gateway.stats()["routes"]["predict_transfers"]["count"]
         before = dispatched(gateway)
         assert client.post(QUERIES[0])[0] == 200
         assert dispatched(gateway) == before
-        assert gateway.admission.snapshot()["admitted"] == admitted + 1
-        assert gateway.admission.snapshot()["in_flight"] == 0
+        assert gateway.admission.stats()["admitted"] == admitted + 1
+        assert gateway.admission.stats()["in_flight"] == 0
         assert (gateway.stats()["routes"]["predict_transfers"]["count"]
                 == count + 1)
 
@@ -448,7 +448,8 @@ def test_a_what_if_is_counted_however_its_target_is_spelled(gateway, target):
 
 
 def test_timed_out_requests_are_not_stored_and_a_timed_out_what_if_still_counts():
-    with gated_gateway(request_timeout=0.2) as (gw, started, release):
+    with gated_gateway() as (gw, started, release):
+        gw.request_timeout = 0.2
         with Client(gw) as client:
             status, body = client.post(GATED, path=WHAT_IF, events=EVENTS)
             assert status == 504

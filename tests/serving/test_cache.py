@@ -80,7 +80,7 @@ class TestLRU:
         assert cache.get(key) is None
         cache.put(key, [forecast(1)])
         assert cache.get(key) is not None
-        info = cache.info()
+        info = cache.stats()
         assert info["hits"] == 1
         assert info["misses"] == 1
         assert info["size"] == 1
@@ -93,7 +93,7 @@ class TestLRU:
         cache.put(keys[1], [forecast(1)])
         assert cache.get(keys[0]) is not None  # refresh 0 → 1 is oldest
         cache.put(keys[2], [forecast(2)])
-        assert cache.info()["evictions"] == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.get(keys[1]) is None
         assert cache.get(keys[0]) is not None
         assert cache.get(keys[2]) is not None
@@ -104,7 +104,7 @@ class TestLRU:
         cache.put(key, [forecast(1)])
         assert cache.get(key) is None
         assert not cache.enabled
-        assert cache.info()["misses"] == 1
+        assert cache.stats()["misses"] == 1
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -149,18 +149,18 @@ class TestEpochInvalidation:
         stale = [key_on(star4, r) for r in requests]
         for i, key in enumerate(stale):
             cache.put(key, [forecast(i)])
-        assert cache.info()["size"] == 3
+        assert cache.stats()["size"] == 3
         link = next(iter(star4.links()))
         link.bandwidth = link.bandwidth * 0.5
         fresh = [key_on(star4, r) for r in requests]
         assert cache.get(fresh[0]) is None  # first lookup of the new epoch
-        assert cache.info()["size"] == 0
+        assert cache.stats()["size"] == 0
         cache.put(fresh[0], [forecast(10)])
         # a request keyed before the bump finishes after it: not stored,
         # not answered, and the live entry is untouched
         cache.put(stale[1], [forecast(1)])
         assert cache.get(stale[1]) is None
-        info = cache.info()
+        info = cache.stats()
         assert (info["size"], info["evictions"]) == (1, 0)
         assert cache.get(fresh[0]) == [forecast(10)]
         assert (cache.hits, cache.misses) == (1, 2)
@@ -170,7 +170,7 @@ class TestEpochInvalidation:
         old, new = ("p", 4, "x"), ("p", 5, "x")
         cache.put(old, [forecast(1)])
         cache.put(new, [forecast(2)])
-        assert cache.info()["size"] == 1
+        assert cache.stats()["size"] == 1
         assert cache.get(old) is None
         assert cache.get(new) == [forecast(2)]
 
@@ -182,11 +182,11 @@ class TestEpochInvalidation:
         cache.put(("b", 4, "x"), [forecast(2)])
         assert cache.get(("b", 7, "x")) is None
         assert cache.get(("a", 3, "x")) == [forecast(1)]
-        assert cache.info()["size"] == 1
+        assert cache.stats()["size"] == 1
         cache.put(("b", 4, "y"), [forecast(3)])  # retired: not stored
-        assert cache.info()["size"] == 1
+        assert cache.stats()["size"] == 1
         assert cache.get(("a", 8, "x")) is None
-        assert cache.info()["size"] == 0
+        assert cache.stats()["size"] == 0
 
     def test_full_cache_of_dead_entries_costs_no_evictions(self, star4):
         cache = ForecastCache(maxsize=2)
@@ -198,7 +198,7 @@ class TestEpochInvalidation:
             key = key_on(star4, [("a", "b", size)])
             assert cache.get(key) is None
             cache.put(key, [forecast(1)])
-        info = cache.info()
+        info = cache.stats()
         assert (info["size"], info["evictions"]) == (2, 0)
 
 
@@ -229,7 +229,7 @@ class TestCounterConsistency:
         cache.put(("k", 0), [forecast(1)])
         assert cache.get(("k", 0)) is None
         assert (cache.hits, cache.misses) == (0, 1)
-        assert cache.info()["enabled"] is False
+        assert cache.stats()["enabled"] is False
 
     def test_route_cache_counters_partition_lookups(self, star4):
         cache = star4._route_cache
@@ -317,7 +317,7 @@ class TestFlights:
                 lambda i: cache.get_or_run(("p", 0, i), lambda: compute(i)),
                 range(2)))
         assert answers == [[forecast(0)], [forecast(1)]]
-        assert cache.info()["size"] == 2
+        assert cache.stats()["size"] == 2
 
     def test_a_failed_flight_fails_its_joiners_and_stores_nothing(self):
         cache, release, calls = ForecastCache(maxsize=4), threading.Event(), []
@@ -339,7 +339,7 @@ class TestFlights:
                     ask.result(10.0)
         assert len(calls) == 1
         assert cache._flights == {}
-        assert cache.info()["size"] == 0
+        assert cache.stats()["size"] == 0
         # the next ask is a fresh miss that computes again
         assert cache.get_or_run(self.KEY, lambda: [forecast(2)]) == [forecast(2)]
         assert cache.get(self.KEY) == [forecast(2)]
@@ -355,7 +355,7 @@ class TestFlights:
         assert cache.get_or_run(self.KEY, compute) == [forecast(1)]
         assert cache.get(self.KEY) is None
         assert cache.get(newer) == [forecast(2)]
-        assert cache.info()["size"] == 1
+        assert cache.stats()["size"] == 1
 
     def test_a_what_if_inside_the_flight_lands_unstored(self):
         cache = ForecastCache(maxsize=4)

@@ -210,7 +210,9 @@ class TestKeepAliveConnections:
                                                   queries, ground_truth):
         from repro.core.rest.errors import PayloadTooLarge
 
-        with serving_pilgrim.serve(max_body_bytes=16 * 1024) as server:
+        server = serving_pilgrim.serve()
+        server.max_body_bytes = 16 * 1024
+        with server:
             with RestClient(server.url) as client:
                 big = [("host-0", "host-1", 1e6)] * 2000
                 with pytest.raises(PayloadTooLarge):

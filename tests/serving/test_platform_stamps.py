@@ -51,7 +51,7 @@ def serving():
 
 
 def cache_counts(serving) -> tuple[int, int]:
-    info = serving.cache.info()
+    info = serving.cache.stats()
     return info["hits"], info["misses"]
 
 

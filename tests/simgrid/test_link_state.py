@@ -238,8 +238,6 @@ LINK_EPOCH_READERS = {
         "in-flight comms recalibrate on any live write",
     ("simgrid/engine.py", "Simulation._reshare"):
         "in-flight comms recalibrate on any live write",
-    ("serving/gateway/shard.py", "shard_main.stats_payload"):
-        "gateway stats: a shard's every-write count",
 }
 
 

@@ -132,6 +132,23 @@ def test_a_gateway_less_reverse_decodes_as_a_bare_entry():
     assert back.links == [LinkUse(link, Direction.DOWN) for link in links[::-1]]
 
 
+def test_reversed_keeps_the_symmetrical_flag_on_a_one_link_full_as():
+    """``reversed()`` of a gateway-less symmetrical entry is a bare entry,
+    like the reverse the table decodes; a one-way entry's stays one-way."""
+    platform = Platform("p")
+    for name in NAMES:
+        platform.root.add_host(name)
+    link = platform.root.add_link("l", 1e8)
+    platform.root.add_route("a", "b", [link])
+    platform.root.add_route("c", "d", [link], symmetrical=False)
+    back = platform.root.local_route("a", "b").reversed()
+    assert type(back) is RouteEntry and back.symmetrical
+    assert not hasattr(back, "__dict__")
+    assert back == platform.root.local_route("b", "a")
+    one_way = platform.root.local_route("c", "d").reversed()
+    assert not one_way.symmetrical and one_way == back
+
+
 @pytest.mark.parametrize("gateways", [("g1", None), (None, "g2"),
                                       ("g2", "g1"), (None, None)])
 def test_gateways_are_part_of_the_route(gateways):

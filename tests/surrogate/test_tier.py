@@ -105,7 +105,7 @@ class TestServingIntegration:
             # produce the simulation answer, not a replayed approximation
             serving.surrogate = None
             exact = serving.predict(PLATFORM, list(request()))
-            cache = serving.cache.info()
+            cache = serving.cache.stats()
         truth = service.predict_transfers(PLATFORM, list(request()))
         assert [f.duration for f in exact] == [f.duration for f in truth]
         assert cache["hits"] == 0 and cache["misses"] == 1

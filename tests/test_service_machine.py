@@ -25,6 +25,13 @@ run on the two in-process targets; no route feeds a shard's series, so
 through the gateway a horizon answer must equal the shard's live-state
 point answer.  The machine is sequential: races between verbs are out of
 its reach (see the oracle's docstring).
+
+After every step the counters must also be a small model's
+(:class:`Cache`, :class:`Deployment`): what each cache holds within its
+bound, keyed on the generation of its platform a served platform's
+committed writes move, and which served platforms moved since the last
+sync.  The oracle's private platforms move the process's state version,
+never a served platform: a sync that ships an unmoved platform shows.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+from collections import OrderedDict
 from urllib.parse import urlencode
 
 from hypothesis import HealthCheck, seed, settings, strategies as st
@@ -142,13 +150,138 @@ def post_body(transfers, ongoing, model, **extra):
     return json.dumps(doc).encode("utf-8")
 
 
+#: Entries of the in-process serving cache, and of the gateway's front end
+#: and each shard: small, so that every cache evicts within a test.
+LOCAL_CACHE, GATEWAY_CACHE = 4, 8
+
+
+class Cache:
+    """The keys one cache holds, oldest first, within its bound, and its
+    hit and miss counts.  A ``stamped`` cache (a forecast cache) keys on
+    ``(platform, generation, ...)`` and drops a platform's keys at the
+    first lookup of a newer generation of it; the front end's does not."""
+
+    def __init__(self, maxsize: int, stamped: bool) -> None:
+        self.keys: OrderedDict = OrderedDict()
+        self.maxsize = maxsize
+        self.newest = {} if stamped else None
+        self.hits = self.misses = 0
+
+    def ask(self, key: tuple, store: bool = True) -> bool:
+        """One lookup: whether it hits.  A miss stores ``key`` if
+        ``store``, the answer being one the cache keeps."""
+        if self.newest is not None and key[1] > self.newest.get(key[0], -1):
+            self.newest[key[0]] = key[1]
+            for old in [old for old in self.keys if old[0] == key[0]]:
+                del self.keys[old]
+        if key in self.keys:
+            self.keys.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if store:
+            if len(self.keys) >= self.maxsize:
+                self.keys.popitem(last=False)
+            self.keys[key] = None
+        return False
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses,
+                "size": len(self.keys)}
+
+
+class Shard:
+    """One shard: its committed link values, the generation of each
+    platform on it, its forecast cache and its sync counts."""
+
+    def __init__(self, cache_size: int) -> None:
+        self.values = {name: dict(links) for name, links in NOMINAL.items()}
+        self.generation = dict.fromkeys(PLATFORMS, 0)
+        self.cache = Cache(cache_size, stamped=True)
+        self.front_hits = self.syncs = self.links_updated = 0
+
+
+class Deployment:
+    """The gateway and its shards as their counters see them.  It lives as
+    long as the gateway, across examples, as their caches do."""
+
+    def __init__(self, gateway: ShardedGateway) -> None:
+        #: each served platform's generation in the parent, moved by every
+        #: committed write of it, and as of the last sync
+        self.generation = dict.fromkeys(PLATFORMS, 0)
+        self.synced = dict(self.generation)
+        self.owner = {name: gateway.ring.node(name) for name in PLATFORMS}
+        size = gateway.config.cache_size
+        self.front = Cache(size, stamped=False)
+        self.shards = [Shard(size) for _ in gateway.shards]
+        self.dispatched = [0] * len(self.shards)
+        self.syncs = self.uncacheable = 0
+
+    def sync(self, values: dict, force: bool = False) -> bool:
+        """Ship the platforms that moved since the last sync (all of them
+        with ``force``) to every shard, which writes the values that
+        differ from its own; whether anything was shipped."""
+        names = [name for name in PLATFORMS
+                 if force or self.generation[name] != self.synced[name]]
+        if not names:
+            return False
+        self.synced = dict(self.generation)
+        self.syncs += 1
+        for shard in self.shards:
+            shard.syncs += 1
+            for name in names:
+                changed = sum(
+                    new != old for link, value in values[name].items()
+                    for new, old in zip(value, shard.values[name][link]))
+                shard.links_updated += changed
+                shard.generation[name] += changed > 0
+                shard.values[name] = dict(values[name])
+        return True
+
+    def route(self, values: dict, name: str, request: tuple,
+              point: tuple | None) -> None:
+        """One request about ``name`` through the gateway: a sync if a
+        served platform moved, the front end's cache, then the platform's
+        shard, whose cache answers a ``point`` predict."""
+        self.sync(values)
+        shard = self.shards[self.owner[name]]
+        if self.front.ask((name, self.synced[name]) + request,
+                          store=point is not None):
+            shard.front_hits += 1
+            return
+        self.dispatched[self.owner[name]] += 1
+        if point is None:
+            self.uncacheable += 1
+        else:
+            shard.cache.ask((name, shard.generation[name]) + point)
+
+    def stats(self) -> dict:
+        """What ``GET /pilgrim/stats`` must read, in its own shape."""
+        return {
+            "gateway": {"syncs": self.syncs,
+                        "shard_dispatched": self.dispatched,
+                        "response_cache": {**self.front.stats(),
+                                           "uncacheable": self.uncacheable,
+                                           "fills_refused": 0}},
+            "shards": [{"syncs": shard.syncs,
+                        "links_updated": shard.links_updated,
+                        "cache": {**shard.cache.stats(),
+                                  "hits": shard.cache.hits + shard.front_hits,
+                                  "front_hits": shard.front_hits}}
+                       for shard in self.shards],
+        }
+
+
 class ServiceMachine(RuleBasedStateMachine):
     """The model is the committed value of every link; the oracle answers
-    from it alone."""
+    from it alone.  The counters' model is :attr:`deployment` and, in
+    process, :attr:`local` and the what-if and horizon counts."""
 
     #: the running gateway, over the parent-side service whose platforms
-    #: all three targets share (a subclass per test sets it)
+    #: all three targets share, and its counters' model (a subclass per
+    #: test sets both)
     gateway: ShardedGateway
+    deployment: Deployment
     #: predicts asked so far, with their spelling, to ask again: after a
     #: write, or under another model or other ongoing transfers
     asked = Bundle("asked")
@@ -163,11 +296,15 @@ class ServiceMachine(RuleBasedStateMachine):
                 bandwidth, latency = NOMINAL[name][link.name]
                 if link.committed != (bandwidth, latency):
                     link.bandwidth, link.latency = bandwidth, latency
+                    self.deployment.generation[name] += 1
+        self.deployment.sync(self.values)
         self.gateway.sync_epoch()
         self.service = NetworkForecastService(platforms)
         self.pilgrim = Pilgrim(platforms=platforms)
-        self.pilgrim.enable_serving(cache_size=16)
+        self.pilgrim.enable_serving(cache_size=LOCAL_CACHE)
         self.router = self.pilgrim.build_router()
+        self.local = Cache(LOCAL_CACHE, stamped=True)
+        self.what_ifs = self.horizons = 0
         self.http = RawHttp(self.gateway.address, timeout=30.0)
 
     def teardown(self) -> None:
@@ -175,8 +312,15 @@ class ServiceMachine(RuleBasedStateMachine):
 
     # -- the targets -----------------------------------------------------------
 
-    def routed(self, method, target, body=b""):
-        """Router and gateway answers: each as its status and bytes."""
+    def routed(self, name, method, target, body=b"", point=None):
+        """Router and gateway answers about platform ``name``: each as its
+        status and bytes.  ``point`` is a point predict's ``(model,
+        transfers, ongoing)``, which every cache may answer; None for a
+        request no cache keeps."""
+        if point is not None:
+            self.local.ask((name, self.deployment.generation[name]) + point)
+        self.deployment.route(self.values, name, (method, target, body),
+                              point)
         status, payload = self.router.dispatch(
             Request.from_wire(method, target, body))
         return ((status, dumps(payload).encode("utf-8")),
@@ -227,7 +371,8 @@ class ServiceMachine(RuleBasedStateMachine):
         else:
             request = ("POST", f"/pilgrim/predict_transfers/{name}",
                        post_body(transfers, ongoing, model))
-        assert self.routed(*request) == ((200, direct),) * 2
+        point = (model, tuple(transfers), tuple(ongoing))
+        assert self.routed(name, *request, point=point) == ((200, direct),) * 2
         self.check(json.loads(direct), transfers,
                    self.expect(name, transfers, ongoing, model)[0])
 
@@ -241,8 +386,9 @@ class ServiceMachine(RuleBasedStateMachine):
         direct = dumps(result.to_json()).encode("utf-8")
         body = post_body(transfers, ongoing, model,
                          events=[event.to_json() for event in events])
-        assert self.routed("POST", f"/pilgrim/what_if/{name}", body) == (
-            (200, direct),) * 2
+        self.what_ifs += bool(events)  # an empty schedule is a point query
+        assert self.routed(name, "POST", f"/pilgrim/what_if/{name}",
+                           body) == ((200, direct),) * 2
         durations, applied = self.expect(name, transfers, ongoing, model,
                                          events)
         doc = json.loads(direct)
@@ -268,7 +414,8 @@ class ServiceMachine(RuleBasedStateMachine):
         direct = dumps([f.to_json() for f in forecasts]).encode("utf-8")
         target = get_target("predict_transfers", name, predict_params(
             transfers, ongoing, model, horizon))
-        routed, through_gateway = self.routed("GET", target)
+        self.horizons += 1
+        routed, through_gateway = self.routed(name, "GET", target)
         assert routed == (200, direct)
         # the shards saw no observation: their live-state point answer
         status, body = through_gateway
@@ -306,8 +453,8 @@ class ServiceMachine(RuleBasedStateMachine):
             f"{s},{d},{size!r}" for s, d, size in picked))
             for label, picked in drawn.items()]
         params += [("model", model)] if model else []
-        assert self.routed("GET", get_target("select_fastest", name,
-                                             params)) == ((200, direct),) * 2
+        assert self.routed(name, "GET", get_target(
+            "select_fastest", name, params)) == ((200, direct),) * 2
         truth = {label: self.expect(name, picked, model=model)[0]
                  for label, picked in drawn.items()}
         fastest = min(max(durations) for durations in truth.values())
@@ -339,11 +486,13 @@ class ServiceMachine(RuleBasedStateMachine):
         target = self.platforms[name].link(link)
         target.bandwidth, target.latency = value
         self.values[name][link] = value
+        self.deployment.generation[name] += 1
         self.ask(*before)
 
     @rule(force=st.booleans())
     def sync_epoch(self, force):
-        self.gateway.sync_epoch(force=force)
+        shipped = self.deployment.sync(self.values, force)
+        assert self.gateway.sync_epoch(force=force) is shipped
         assert self.gateway.sync_epoch() is False  # nothing moved since
 
     @invariant()
@@ -356,12 +505,47 @@ class ServiceMachine(RuleBasedStateMachine):
                 assert link.committed == value
                 assert (link.bandwidth, link.latency) == value
 
+    @invariant()
+    def counters_are_the_models(self):
+        """After every verb each counter is the model's, so each verb moved
+        it by exactly what the model says."""
+        status, body = self.http.exchange("GET", "/pilgrim/stats")
+        assert status == 200
+        doc = json.loads(body)
+        gateway = doc["gateway"]
+        front = gateway["response_cache"]
+        assert {
+            "gateway": {"syncs": gateway["epoch"]["syncs"],
+                        "shard_dispatched": gateway["shard_dispatched"],
+                        "response_cache": {key: front[key] for key in (
+                            "hits", "misses", "size", "uncacheable",
+                            "fills_refused")}},
+            "shards": [{"syncs": shard["syncs"],
+                        "links_updated": shard["links_updated"],
+                        "cache": {key: shard["serving"]["cache"][key] for key
+                                  in ("hits", "misses", "size", "front_hits")}}
+                       for shard in doc["shards"]],
+        } == self.deployment.stats()
+        status, local = self.router.dispatch(
+            Request.from_wire("GET", "/pilgrim/stats", b""))
+        assert status == 200
+        cache = local["serving"]["cache"]
+        assert ({key: cache[key] for key in ("hits", "misses", "size")},
+                local["serving"]["latency"]["count"]) == (
+            self.local.stats(), self.local.hits + self.local.misses)
+        for planning in (local["planning"], self.service.planning_stats()):
+            assert (planning["what_if_queries"],
+                    planning["horizon_queries"]) == (self.what_ifs,
+                                                     self.horizons)
+
 
 def test_every_sequence_of_verbs_answers_as_the_oracle():
-    with ShardedGateway(served, GatewayConfig(shards=2, shard_threads=2),
-                        service=served()) as gateway:
+    config = GatewayConfig(shards=2, shard_threads=2,
+                           cache_size=GATEWAY_CACHE)
+    with ShardedGateway(served, config, service=served()) as gateway:
         machine = type("ServiceMachine", (ServiceMachine,),
-                       {"gateway": gateway})
+                       {"gateway": gateway,
+                        "deployment": Deployment(gateway)})
         run = get_state_machine_test(machine, settings=settings(
             max_examples=50, stateful_step_count=10, database=None,
             suppress_health_check=list(HealthCheck)))

@@ -164,7 +164,7 @@ class TestBoundedLRU:
             cache.get(key)
         assert cache.hits + cache.misses == len(lookups)
         assert (cache.hits, cache.misses) == (4, 2)
-        assert cache.info()["hits"] == 4
+        assert cache.stats()["hits"] == 4
 
     def test_cached_none_refreshes_recency(self):
         cache = BoundedLRU(2)
